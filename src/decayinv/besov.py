@@ -7,6 +7,7 @@ computed on [t_min, t_max]; the near-zero and far-tail contributions are
 returned as a separate rigorous bound, never silently added.
 """
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -15,8 +16,8 @@ import numpy as np
 from scipy.integrate import IntegrationWarning, quad
 
 from .errors import ParameterError
-from .lattice import LatticeMatrix, difference_power, operator_norm_l2
-from .norms import _normalize_ambient, _wants_symbol, ambient_norm, side_diag_sup
+from .lattice import difference_power, offset_multiplier, operator_norm_l2
+from .norms import ambient_norm, decay_profile, normalize_ambient
 
 _PROFILE_CUT = 1e-18
 _trapz = getattr(np, "trapezoid", None) or np.trapz
@@ -44,39 +45,33 @@ def _offset_weights(A, ambient, method, margin):
     of the sides times (1+m)^s.  Returns (ms, w, geo) where geo describes
     the geometric mass beyond the cutoff, (scale, rho, M), or None.
     """
-    kind, s = _normalize_ambient(ambient)
+    kind, s = normalize_ambient(ambient)
     if kind == "operator":
         raise ParameterError("offset reduction undefined for operator ambient")
+    prof = decay_profile(A, method, margin)
+    M = prof.tail_start - 1
     geo = None
-    if _wants_symbol(A, method):
-        sym = A.symbol
-        support = [abs(m) for m in sym.coeffs] or [0]
-        M = max(support)
-        if sym.geometric is not None:
-            rho = abs(sym.geometric.ratio)
-            sc = abs(sym.geometric.scale)
-            if sc > 0 and rho > 0:
-                M = max(M, int(math.log(_PROFILE_CUT) / math.log(rho)) + 1, 1)
-                geo = (sc, rho, M)
-            else:
-                M = max(M, 1)
-        ms = np.arange(1, M + 1)
-        dpos = np.abs(sym.coefficients(ms))
-        dneg = np.abs(sym.coefficients(-ms))
-    else:
-        offs, d = side_diag_sup(A, margin)
-        M = int(offs.max())
-        if M < 1:
-            return np.array([], dtype=int), np.array([]), None
-        ms = np.arange(1, M + 1)
-        dpos = np.array([d[offs == m][0] for m in ms])
-        dneg = np.array([d[offs == -m][0] for m in ms])
+    if prof.scale:
+        M = max(M, int(math.log(_PROFILE_CUT) / math.log(prof.rho)) + 1, 1)
+        geo = (prof.scale, prof.rho, M)
+    ms = np.arange(1, M + 1)
+    dpos, dneg = prof.at(ms), prof.at(-ms)
     if kind == "c0":
         w = dpos + dneg
     else:
         w = np.maximum(dpos, dneg) * (1.0 + ms) ** s
     keep = w > 0
     return ms[keep], w[keep], geo
+
+
+def decay_moment(A, r, p=1, ambient="c0", method="auto", margin=0):
+    """Homogeneous decay moment of the reduced profile w over m >= 1:
+    sum_m m^r w(m) for p = 1, sup_m m^r w(m) for p = inf."""
+    ms, w, _ = _offset_weights(A, ambient, method, margin)
+    if ms.size == 0:
+        return 0.0
+    vals = ms.astype(float) ** r * w
+    return float(vals.sum()) if p == 1 else float(vals.max())
 
 
 def _dropped_mass(geo, kind, s, k=0.0):
@@ -95,7 +90,7 @@ def _dropped_mass(geo, kind, s, k=0.0):
 
 def modulus_profile(A, ts, k, ambient="c0", method="auto", margin=0):
     """||Delta_t^k A||_ambient for each t, via the offset reduction."""
-    kind, _ = _normalize_ambient(ambient)
+    kind, _ = normalize_ambient(ambient)
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
     if kind == "operator":
         return np.array([operator_norm_l2(difference_power(A, float(t), k))
@@ -152,7 +147,7 @@ def besov_seminorm(A, p, r, k=None, ambient="c0", method="auto", margin=0,
     k = int(k)
     if k < 1:
         raise ParameterError("difference order k must be >= 1")
-    kind, s = _normalize_ambient(ambient)
+    kind, s = normalize_ambient(ambient)
 
     if kind == "operator":
         value, qerr = _operator_route(A, p, r, k, t_min, t_max)
@@ -290,21 +285,22 @@ def hypersingular_seminorm(A, r, eps_grid=(0.3, 0.1, 0.03, 0.01),
     eps_grid = sorted(set(float(e) for e in eps_grid))
     if not eps_grid or eps_grid[0] <= 0 or eps_grid[-1] >= 1:
         raise ParameterError("eps grid must lie in (0, 1)")
-    kind, s = _normalize_ambient(ambient)
+    kind, s = normalize_ambient(ambient)
 
     if kind == "operator":
         best, best_err, best_eps = 0.0, 0.0, eps_grid[0]
-        offs = A.offsets()
-        uniq = np.unique(np.abs(offs))
         for eps in eps_grid:
-            jvals = {int(m): _j_multiplier(int(m), eps, r) for m in uniq}
-            mult = np.array([[jvals[abs(int(m))][0] for m in row]
-                             for row in offs])
-            v = operator_norm_l2(LatticeMatrix(A.window, mult * A.entries,
-                                               "general"))
+            j = functools.cache(functools.partial(_j_multiplier, eps=eps, r=r))
+
+            def factor(offs):
+                ms, inv = np.unique(np.abs(offs), return_inverse=True)
+                vals = np.array([j(int(m))[0] for m in ms])
+                return vals[inv].reshape(offs.shape)
+
+            v = operator_norm_l2(offset_multiplier(A, factor))
             if v > best:
                 best = v
-                best_err = sum(e for _, e in jvals.values())
+                best_err = sum(j(m)[1] for m in range(A.n))
                 best_eps = eps
         return SeminormEstimate(best, best_err, 0.0,
                                 {"p": "sup", "r": r, "k": 1, "eps": best_eps,
@@ -347,13 +343,7 @@ def identification_rate_check(family, r, p=1, k=None, ambient="c0",
     rows = []
     for i, item in enumerate(family):
         label, A = item if isinstance(item, tuple) else (str(i), item)
-        ms, w, _ = _offset_weights(A, ambient, method, margin)
-        if ms.size == 0:
-            mom = 0.0
-        elif p == 1:
-            mom = float((ms.astype(float) ** r * w).sum())
-        else:
-            mom = float((ms.astype(float) ** r * w).max())
+        mom = decay_moment(A, r, p, ambient, method, margin)
         est = besov_seminorm(A, p, r, k, ambient, method, margin,
                              t_min, t_max)
         ratio = est.value / mom if mom > 0 else math.nan

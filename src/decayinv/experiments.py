@@ -1,21 +1,17 @@
 """Experiment runners: sharpness sweeps, bound verification, report tables.
 
 Every runner is deterministic for a fixed (config, seed): summation orders
-are fixed, random instances draw from per-row child seeds, and parallel
-sweeps merge results in submission order.  DECAYINV_THREADS caps the
-worker count (default 1).
+are fixed and random instances draw from per-row child seeds.
 """
 
 import csv
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .besov import besov_seminorm, hypersingular_seminorm
+from .besov import besov_seminorm, decay_moment, hypersingular_seminorm
 from .bounds import (baskakov_bound_Jr, explicit_bound_Jr,
                      integral_test_bracket)
 from .errors import ConfigError, ParameterError, SingularityError
@@ -106,23 +102,6 @@ class SlopeFit:
                    intercept=intercept, residual=residual)
 
 
-def thread_count():
-    raw = os.environ.get("DECAYINV_THREADS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _pmap(fn, items):
-    items = list(items)
-    n = thread_count()
-    if n <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=n) as ex:
-        return list(ex.map(fn, items))
-
-
 def centered_window(n):
     return IndexWindow(-(n // 2), n - n // 2 - 1)
 
@@ -176,7 +155,7 @@ def run_toeplitz_sharpness(cfg):
                 "norm_inv_C0": s * inv_c0, "norm_inv_Cr": s * series,
                 "delta": 1.0 / (s * inv_c0),
             }
-        rrows = _pmap(one, cfg.gamma_grid)
+        rrows = [one(gamma) for gamma in cfg.gamma_grid]
         pts = [(math.log(row["delta"]), math.log(row["norm_inv_Cr"]))
                for row in rrows]
         fits[r] = SlopeFit.fit(pts)
@@ -220,7 +199,7 @@ def run_dd_sharpness(cfg, bracket_kmax=10):
                 "ratio": ratio, "bracket_checked": checked,
                 "bracket_ok_all": ok_all, "bracket_upper_ok_all": upper_all,
             }
-        rrows = _pmap(one, cfg.gamma_grid)
+        rrows = [one(gamma) for gamma in cfg.gamma_grid]
         pts = [(row["log_comparison"], row["log_dd"]) for row in rrows]
         fits[r] = SlopeFit.fit(pts) if len(pts) >= 2 else None
         rows.extend(rrows)
@@ -272,7 +251,7 @@ def run_jaffard_check(cfg):
                 "satisfied": bool(rep_e.satisfied and rep_b.satisfied),
                 "regenerated": regenerated,
             }
-        rows.extend(_pmap(one, range(count)))
+        rows.extend(one(idx) for idx in range(count))
     return {"rows": rows}
 
 
@@ -313,7 +292,7 @@ def run_quotient_verify(cfg):
                                 "rcond": rc})
         return out
 
-    rows = [row for chunk in _pmap(one, range(count)) for row in chunk]
+    rows = [row for idx in range(count) for row in one(idx)]
     worst = {}
     for row in rows:
         key = row["identity"]
@@ -350,7 +329,7 @@ def run_besov_report(cfg):
             inv_c0 = cv_norm(inv, Weight.poly(0.0))
             sem_A = besov_seminorm(A, 1, r, k, t_min=t_min, t_max=t_max)
             sem_inv = besov_seminorm(inv, 1, r, k, t_min=t_min, t_max=t_max)
-            moment = _decay_moment(inv, r)
+            moment = decay_moment(inv, r)
             row = {
                 "family": "resolvent", "param": gamma, "r": r,
                 "seminorm_A": sem_A.value, "seminorm_inv": sem_inv.value,
@@ -384,7 +363,7 @@ def run_besov_report(cfg):
                 row["bessel_ratio"] = hyp_inv.value / row["bessel_rate"]
             return row
 
-        rrows = _pmap(one, cfg.gamma_grid)
+        rrows = [one(gamma) for gamma in cfg.gamma_grid]
         rows.extend(rrows)
         for m in shift_offsets:
             T = make_toeplitz(ToeplitzSymbol({m: 1.0}), window)
@@ -412,14 +391,6 @@ def run_besov_report(cfg):
             cal["embedding"] = _drift(emb)
         calibrations[r] = cal
     return {"rows": rows, "calibrations": calibrations}
-
-
-def _decay_moment(A, r):
-    from .besov import _offset_weights
-    ms, w, _ = _offset_weights(A, "c0", "auto", 0)
-    if ms.size == 0:
-        return 0.0
-    return float((ms.astype(float) ** r * w).sum())
 
 
 def _drift(ratios):

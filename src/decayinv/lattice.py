@@ -92,12 +92,6 @@ class ToeplitzSymbol:
             return 0
         return max(abs(m) for m in self.coeffs)
 
-    def sum_abs(self):
-        s = sum(abs(v) for v in self.coeffs.values())
-        if self.geometric is not None:
-            s += abs(self.geometric.scale) / (1 - abs(self.geometric.ratio))
-        return s
-
 
 @dataclass
 class LatticeMatrix:
@@ -170,19 +164,46 @@ def geometric_inverse_toeplitz(gamma, window, scale=1.0):
     return make_toeplitz(sym, window)
 
 
-def _phase_shift_symbol(symbol, t):
-    coeffs = {m: v * np.exp(2j * np.pi * m * t) for m, v in symbol.coeffs.items()}
-    geo = symbol.geometric
-    if geo is not None:
-        geo = GeometricTail(geo.ratio * np.exp(2j * np.pi * t), geo.scale)
-    return ToeplitzSymbol(coeffs, geo)
+def offset_multiplier(A, f):
+    """Schur multiplier by a function of the offset: entry (k, l) becomes
+    f(k - l) A(k, l).
+
+    f maps an integer array of offsets to multipliers and must accept
+    every offset of a finite symbol, which maps coefficientwise,
+    c(m) -> f(m) c(m).  An infinite symbol is dropped.
+    """
+    entries = f(A.offsets()) * A.entries
+    sym = A.symbol
+    if sym is None or not sym.is_finite:
+        tag = "banded" if A.bandwidth is not None else "general"
+        return LatticeMatrix(A.window, entries, tag, None, A.bandwidth)
+    return LatticeMatrix(A.window, entries, "toeplitz",
+                         ToeplitzSymbol(_map_coeffs(sym, f)), A.bandwidth)
+
+
+def _map_coeffs(symbol, f):
+    """c(m) -> f(m) c(m) on the finite coefficients."""
+    ms = np.array(list(symbol.coeffs), dtype=int)
+    return dict(zip(symbol.coeffs,
+                    f(ms) * np.array(list(symbol.coeffs.values()))))
 
 
 def apply_automorphism(A, t):
-    """psi_t: multiply entry (k, l) by e^{2 pi i (k-l) t}.  Period 1 in t."""
-    ph = np.exp(2j * np.pi * A.offsets() * t)
-    sym = _phase_shift_symbol(A.symbol, t) if A.symbol is not None else None
-    return LatticeMatrix(A.window, ph * A.entries, A.tag, sym, A.bandwidth)
+    """psi_t: multiply entry (k, l) by e^{2 pi i (k-l) t}.  Period 1 in t.
+
+    The tag is kept, and so is a geometric tail: the phase maps
+    scale ratio^m to scale (ratio e^{2 pi i t})^m.
+    """
+    def phase(m):
+        return np.exp(2j * np.pi * m * t)
+
+    out = offset_multiplier(A, phase)
+    sym = out.symbol
+    if A.symbol is not None and not A.symbol.is_finite:
+        geo = A.symbol.geometric
+        sym = ToeplitzSymbol(_map_coeffs(A.symbol, phase),
+                             GeometricTail(geo.ratio * phase(1), geo.scale))
+    return LatticeMatrix(A.window, out.entries, A.tag, sym, A.bandwidth)
 
 
 def derivation_power(A, k):
@@ -191,13 +212,7 @@ def derivation_power(A, k):
         raise ParameterError("derivation order must be nonnegative")
     if k == 0:
         return A.copy()
-    om = A.offsets()
-    entries = (om.astype(float) ** k) * A.entries
-    if A.symbol is not None and A.symbol.is_finite:
-        sym = ToeplitzSymbol({m: v * m ** k for m, v in A.symbol.coeffs.items()})
-        return LatticeMatrix(A.window, entries, "toeplitz", sym, A.bandwidth)
-    tag = "banded" if A.bandwidth is not None else "general"
-    return LatticeMatrix(A.window, entries, tag, None, A.bandwidth)
+    return offset_multiplier(A, lambda m: m.astype(float) ** k)
 
 
 def difference_power(A, t, k, method="closed"):
@@ -210,22 +225,16 @@ def difference_power(A, t, k, method="closed"):
         raise ParameterError("difference order must be nonnegative")
     if k == 0:
         return A.copy()
-    if method == "closed":
-        mult = (np.exp(2j * np.pi * A.offsets() * t) - 1.0) ** k
-        entries = mult * A.entries
-    elif method == "binomial":
-        entries = np.zeros_like(A.entries)
+    if method not in ("closed", "binomial"):
+        raise ParameterError(f"unknown method {method!r}")
+    out = offset_multiplier(A, lambda m: (np.exp(2j * np.pi * m * t) - 1.0) ** k)
+    if method == "binomial":
+        # the reference the closed factor is tested against
+        out.entries = np.zeros_like(A.entries)
         for j in range(k + 1):
             term = math.comb(k, j) * (-1) ** (k - j)
-            entries += term * np.exp(2j * np.pi * A.offsets() * (j * t)) * A.entries
-    else:
-        raise ParameterError(f"unknown method {method!r}")
-    if A.symbol is not None and A.symbol.is_finite:
-        sym = ToeplitzSymbol({m: v * (np.exp(2j * np.pi * m * t) - 1.0) ** k
-                              for m, v in A.symbol.coeffs.items()})
-        return LatticeMatrix(A.window, entries, "toeplitz", sym, A.bandwidth)
-    tag = "banded" if A.bandwidth is not None else "general"
-    return LatticeMatrix(A.window, entries, tag, None, A.bandwidth)
+            out.entries += term * np.exp(2j * np.pi * A.offsets() * (j * t)) * A.entries
+    return out
 
 
 def matmul(A, B):
@@ -237,17 +246,6 @@ def matmul(A, B):
         bw = min(ba + bb, A.n - 1)
         return LatticeMatrix(A.window, entries, "banded", None, bw)
     return LatticeMatrix(A.window, entries, "general")
-
-
-def adjoint(A):
-    sym = None
-    tag = A.tag
-    if A.tag == "toeplitz":
-        if A.symbol.is_finite:
-            sym = ToeplitzSymbol({-m: np.conj(v) for m, v in A.symbol.coeffs.items()})
-        else:
-            tag = "general"
-    return LatticeMatrix(A.window, A.entries.conj().T.copy(), tag, sym, A.bandwidth)
 
 
 def inner_section(A, margin):

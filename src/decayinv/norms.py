@@ -1,8 +1,8 @@
 """Decay-profile norms and iterated-derivation seminorms.
 
-Window routes read the dense entries; symbol routes sum the exact
-coefficient sequence over the whole lattice.  Large iterated sums are
-accumulated in log space.
+Every norm reduces over one DecayProfile per matrix: read from the
+dense entries (window route) or from the exact symbol, which sums over
+the whole lattice.  Large iterated sums are accumulated in log space.
 """
 
 import math
@@ -12,7 +12,7 @@ import numpy as np
 from scipy.special import gammaln, logsumexp
 
 from .errors import ParameterError
-from .lattice import LatticeMatrix, operator_norm_l2
+from .lattice import LatticeMatrix, derivation_power, operator_norm_l2
 from .quotient import compositions
 from .weights import Weight
 
@@ -41,36 +41,70 @@ def side_diag_sup(A, margin=0):
         raise ParameterError("margin empties the window")
     E = A.entries[margin:n - margin, margin:n - margin]
     k = E.shape[0]
-    offs = np.arange(-(k - 1), k)
-    d = np.array([np.abs(np.diagonal(E, offset=-m)).max() for m in offs])
-    return offs, d
+    # column j of E lands on rows m + k - 1 of the skew array, m = i - j
+    cols = np.arange(k)
+    skew = np.zeros((2 * k - 1, k))
+    skew[cols[:, None] - cols[None, :] + k - 1, cols] = np.abs(E)
+    return np.arange(-(k - 1), k), skew.max(axis=1)
 
 
-def _symbol_parts(A):
-    """Exact |c(m)| on the finite support, plus geometric tail parameters
-    and the nonnegative offsets already covered exactly."""
+@dataclass(frozen=True)
+class DecayProfile:
+    """Off-diagonal decay d(m) = sup_l |A(l, l-m)| of one matrix.
+
+    d holds the finite part on offsets -M..M (empty when a symbol has no
+    finite coefficients).  When scale > 0 a geometric tail scale * rho^m
+    covers every m >= tail_start = M + 1.
+    """
+
+    offsets: np.ndarray
+    d: np.ndarray
+    scale: float = 0.0
+    rho: float = 0.0
+
+    @property
+    def tail_start(self):
+        return int(self.offsets[-1]) + 1 if self.offsets.size else 0
+
+    def at(self, ms):
+        """d(m) at the integer offsets ms."""
+        M = self.tail_start - 1
+        out = np.zeros(ms.shape)
+        inside = np.abs(ms) <= M
+        out[inside] = self.d[ms[inside] + M]
+        if self.scale:
+            tail = ms > M
+            out[tail] = self.scale * self.rho ** ms[tail].astype(float)
+        return out
+
+
+def decay_profile(A, method="auto", margin=0):
+    """The DecayProfile of A, from its symbol or from its window entries.
+
+    margin shrinks the window on both sides; the symbol route ignores it.
+    """
+    if not _wants_symbol(A, method):
+        return DecayProfile(*side_diag_sup(A, margin))
     sym = A.symbol
-    exact = {m: abs(sym.coefficient(m)) for m in sym.coeffs}
     geo = sym.geometric
-    if geo is None:
-        return exact, None, None, frozenset()
-    excl = frozenset(m for m in sym.coeffs if m >= 0)
-    return exact, abs(geo.scale), abs(geo.ratio), excl
+    M = max((abs(m) for m in sym.coeffs), default=-1)
+    scale = rho = 0.0
+    if geo is not None and geo.scale != 0:
+        if geo.ratio == 0:
+            M = max(M, 0)   # the tail is the single coefficient c(0)
+        else:
+            scale, rho = abs(geo.scale), abs(geo.ratio)
+    offs = np.arange(-M, M + 1)
+    return DecayProfile(offs, np.abs(sym.coefficients(offs)), scale, rho)
 
 
-def _geom_sum_weighted(scale, rho, weight, excl, rel_tol=1e-16):
-    """sum over m >= 0, m not in excl, of scale rho^m v(m)."""
-    if scale == 0.0:
-        return 0.0
+def _geom_sum_weighted(scale, rho, weight, m0, rel_tol=1e-16):
+    """sum over m >= m0 of scale rho^m v(m)."""
     total = 0.0
-    m0 = 0
     chunk = 4096
     while True:
         ms = np.arange(m0, m0 + chunk)
         t = scale * rho ** ms.astype(float) * weight.value(ms)
-        if excl and m0 <= max(excl):
-            keep = ~np.isin(ms, list(excl))
-            t = t * keep
         s = float(t.sum())
         total += s
         m0 += chunk
@@ -82,64 +116,45 @@ def _geom_sum_weighted(scale, rho, weight, excl, rel_tol=1e-16):
 
 def cv_norm(A, weight, method="auto", margin=0):
     """Weighted decay norm: sum_m d(m) v(m)."""
-    if _wants_symbol(A, method):
-        exact, scale, rho, excl = _symbol_parts(A)
-        if scale is not None and weight.kind == "table":
-            raise ParameterError("table weight cannot cover an infinite symbol")
-        total = sum(av * float(weight.value(m)) for m, av in exact.items())
-        if scale is not None:
-            total += _geom_sum_weighted(scale, rho, weight, excl)
-        return total
-    offs, d = side_diag_sup(A, margin)
-    return float((d * weight.value(offs)).sum())
-
-
-def _geom_sup_candidates(log_peak_shift, rho, excl, extra=4):
-    """Candidate offsets for the sup of m |-> rho^m * poly(m) skipping excl."""
-    if rho == 0.0:
-        base = {0}
-    else:
-        mstar = max(0.0, log_peak_shift / (-math.log(rho)) - 1.0)
-        lo = max(0, math.floor(mstar) - len(excl) - extra)
-        hi = math.ceil(mstar) + len(excl) + extra
-        base = set(range(lo, hi + 1)) | {0}
-    if excl:
-        base |= {m + 1 for m in excl} | {max(0, m - 1) for m in excl}
-    return sorted(m for m in base if m not in excl)
+    prof = decay_profile(A, method, margin)
+    if prof.scale and weight.kind == "table":
+        raise ParameterError("table weight cannot cover an infinite symbol")
+    total = float((prof.d * weight.value(prof.offsets)).sum())
+    if prof.scale:
+        total += _geom_sum_weighted(prof.scale, prof.rho, weight,
+                                    prof.tail_start)
+    return total
 
 
 def jaffard_norm(A, r, method="auto", margin=0):
     """Polynomial off-diagonal sup norm: sup_m d(m) (1+|m|)^r."""
     if r < 0:
         raise ParameterError("jaffard_norm needs r >= 0")
-    if _wants_symbol(A, method):
-        exact, scale, rho, excl = _symbol_parts(A)
-        best = max((av * (1.0 + abs(m)) ** r for m, av in exact.items()),
-                   default=0.0)
-        if scale is not None and scale > 0:
-            for m in _geom_sup_candidates(r, rho, excl):
-                best = max(best, scale * rho ** m * (1.0 + m) ** r)
-        return best
-    offs, d = side_diag_sup(A, margin)
-    return float((d * (1.0 + np.abs(offs)) ** r).max())
+    prof = decay_profile(A, method, margin)
+    best = float((prof.d * (1.0 + np.abs(prof.offsets)) ** r).max(initial=0.0))
+    if prof.scale:
+        # rho^m (1+m)^r is unimodal in m with its peak near mstar
+        mstar = max(0.0, r / (-math.log(prof.rho)) - 1.0)
+        lo = max(prof.tail_start, math.floor(mstar) - 4)
+        hi = max(prof.tail_start, math.ceil(mstar) + 4)
+        best = max(best, *(prof.scale * prof.rho ** m * (1.0 + m) ** r
+                           for m in range(lo, hi + 1)))
+    return best
 
 
 def banded_error(A, k, method="auto", margin=0):
     """Truncation tail E_k = sum_{|m| >= k+1} d(m)."""
     if k < 0:
         raise ParameterError("banded_error needs k >= 0")
-    if _wants_symbol(A, method):
-        exact, scale, rho, excl = _symbol_parts(A)
-        total = sum(av for m, av in exact.items() if abs(m) >= k + 1)
-        if scale is not None:
-            total += scale * rho ** (k + 1) / (1.0 - rho)
-            total -= sum(scale * rho ** m for m in excl if m >= k + 1)
-        return max(total, 0.0)
-    offs, d = side_diag_sup(A, margin)
-    return float(d[np.abs(offs) >= k + 1].sum())
+    prof = decay_profile(A, method, margin)
+    total = float(prof.d[np.abs(prof.offsets) >= k + 1].sum())
+    if prof.scale:
+        m0 = max(k + 1, prof.tail_start)
+        total += prof.scale * prof.rho ** m0 / (1.0 - prof.rho)
+    return total
 
 
-def _normalize_ambient(ambient):
+def normalize_ambient(ambient):
     if ambient == "c0":
         return ("c0", None)
     if ambient == "operator":
@@ -153,7 +168,7 @@ def _normalize_ambient(ambient):
 
 
 def ambient_norm(A, ambient="c0", method="auto", margin=0):
-    kind, s = _normalize_ambient(ambient)
+    kind, s = normalize_ambient(ambient)
     if kind == "c0":
         return cv_norm(A, Weight.poly(0.0), method, margin)
     if kind == "jaffard":
@@ -161,71 +176,61 @@ def ambient_norm(A, ambient="c0", method="auto", margin=0):
     return operator_norm_l2(A)
 
 
+def _dk_logs(A, ambient, method, margin):
+    """k -> log of the ambient norm of D^k A, -inf when the norm is zero.
+
+    The decay profile is built once, for all orders k.
+    """
+    kind, s = normalize_ambient(ambient)
+    if kind == "operator":
+        def log_norm(k):
+            M = derivation_power(A, k).entries
+            top = np.abs(M).max()
+            if top == 0.0:
+                return _NEG_INF
+            v = operator_norm_l2(LatticeMatrix(A.window, M / top, "general"))
+            return math.log(top) + (math.log(v) if v > 0 else _NEG_INF)
+        return log_norm
+
+    prof = decay_profile(A, method, margin)
+    jaffard = kind == "jaffard"
+
+    def log_norm(k):
+        mask = prof.d > 0
+        if k > 0:
+            mask &= prof.offsets != 0
+        om = np.abs(prof.offsets[mask]).astype(float)
+        logs = np.log(prof.d[mask])
+        if prof.scale:
+            # the tail terms are negligible past cap
+            lr = math.log(prof.rho)
+            peak = (k + (s if jaffard else 0.0)) / (-lr) + 1.0
+            cap = int(peak + 60 + 10 * math.sqrt(peak))
+            ms = np.arange(max(prof.tail_start, 1 if k > 0 else 0), cap + 1,
+                           dtype=float)
+            om = np.concatenate([om, ms])
+            logs = np.concatenate([logs, math.log(prof.scale) + ms * lr])
+        if k > 0:
+            logs = logs + k * np.log(om)
+        if jaffard:
+            logs = logs + s * np.log1p(om)
+        if not logs.size:
+            return _NEG_INF
+        return float(logs.max() if jaffard else logsumexp(logs))
+    return log_norm
+
+
 def dk_norm_log(A, k, ambient="c0", method="auto", margin=0):
     """log of the ambient norm of D^k A; -inf when the norm is zero."""
-    kind, s = _normalize_ambient(ambient)
-    if kind == "operator":
-        om = A.offsets().astype(float)
-        M = (om ** k) * A.entries if k > 0 else A.entries
-        top = np.abs(M).max()
-        if top == 0.0:
-            return _NEG_INF
-        v = operator_norm_l2(LatticeMatrix(A.window, M / top, "general"))
-        return math.log(top) + (math.log(v) if v > 0 else _NEG_INF)
-
-    if _wants_symbol(A, method):
-        exact, scale, rho, excl = _symbol_parts(A)
-        logs = []
-        for m, av in exact.items():
-            if av == 0.0 or (k > 0 and m == 0):
-                continue
-            t = math.log(av) + k * math.log(abs(m)) if k > 0 else math.log(av)
-            if kind == "jaffard":
-                t += s * math.log1p(abs(m))
-            logs.append(t)
-        if scale is not None and scale > 0 and rho > 0:
-            lr = math.log(rho)
-            lscale = math.log(scale)
-            shift = k + (s if kind == "jaffard" else 0.0)
-            peak = shift / (-lr) + 1.0
-            cap = int(peak + 60 + 10 * math.sqrt(peak))
-            ms = np.arange(0 if k == 0 else 1, cap + 1, dtype=float)
-            term = lscale + ms * lr
-            if k > 0:
-                term = term + k * np.log(ms)
-            if kind == "jaffard":
-                term = term + s * np.log1p(ms)
-            if excl:
-                keep = ~np.isin(ms.astype(int), list(excl))
-                ms, term = ms[keep], term[keep]
-            if term.size:
-                logs.append(float(term.max()) if kind == "jaffard"
-                            else float(logsumexp(term)))
-        if not logs:
-            return _NEG_INF
-        return max(logs) if kind == "jaffard" else float(logsumexp(np.array(logs)))
-
-    offs, d = side_diag_sup(A, margin)
-    mask = d > 0
-    if k > 0:
-        mask &= offs != 0
-    if not mask.any():
-        return _NEG_INF
-    om = np.abs(offs[mask]).astype(float)
-    base = np.log(d[mask])
-    if k > 0:
-        base = base + k * np.log(om)
-    if kind == "jaffard":
-        return float((base + s * np.log1p(om)).max())
-    return float(logsumexp(base))
+    return _dk_logs(A, ambient, method, margin)(k)
 
 
 def dd_seminorm(A, K, ambient="c0", method="auto", margin=0):
     """|A|_{D(D^K)} = sum_{m=1..K} ||D^m A|| / m!"""
     if K < 1:
         raise ParameterError("dd_seminorm needs K >= 1")
-    logs = [dk_norm_log(A, m, ambient, method, margin) - float(gammaln(m + 1))
-            for m in range(1, K + 1)]
+    dk_log = _dk_logs(A, ambient, method, margin)
+    logs = [dk_log(m) - float(gammaln(m + 1)) for m in range(1, K + 1)]
     logs = [x for x in logs if x > _NEG_INF]
     if not logs:
         return 0.0
@@ -251,13 +256,14 @@ def dales_davie_norm(A, seq, ambient="c0", method="auto", margin=0,
     """
     hard = seq.kmax
     kmax = min(kcap, hard) if hard is not None else kcap
+    dk_log = _dk_logs(A, ambient, method, margin)
     logs = []
     total_log = _NEG_INF
     quiet = 0
     used = 0
     last_term = _NEG_INF
     for k in range(0, kmax + 1):
-        lt = dk_norm_log(A, k, ambient, method, margin) - seq.log_M(k)
+        lt = dk_log(k) - seq.log_M(k)
         used = k
         last_term = lt
         if lt > _NEG_INF:

@@ -9,8 +9,7 @@ from decayinv import ConfigError, ExperimentConfig, SlopeFit
 from decayinv.experiments import (read_rows, run_besov_report,
                                   run_dd_sharpness, run_jaffard_check,
                                   run_quotient_verify,
-                                  run_toeplitz_sharpness, thread_count,
-                                  write_rows)
+                                  run_toeplitz_sharpness, write_rows)
 
 
 class ConfigTest(unittest.TestCase):
@@ -114,35 +113,12 @@ class DeterminismTest(unittest.TestCase):
         a, b = self.run_twice(run_jaffard_check, cfg)
         self.assertEqual(a["rows"], b["rows"])
 
-    def test_thread_count_env(self):
-        old = os.environ.get("DECAYINV_THREADS")
-        try:
-            os.environ["DECAYINV_THREADS"] = "3"
-            self.assertEqual(thread_count(), 3)
-            os.environ["DECAYINV_THREADS"] = "junk"
-            self.assertEqual(thread_count(), 1)
-            os.environ.pop("DECAYINV_THREADS")
-            self.assertEqual(thread_count(), 1)
-        finally:
-            if old is not None:
-                os.environ["DECAYINV_THREADS"] = old
-
-    def test_threaded_run_matches_serial(self):
+    def test_quotient_rows_identical(self):
         cfg = ExperimentConfig(experiment="quotient-verify", seed=4,
                                window_N=32,
                                tolerances={"instances": 4, "kmax": 3})
-        old = os.environ.get("DECAYINV_THREADS")
-        try:
-            os.environ["DECAYINV_THREADS"] = "1"
-            serial = run_quotient_verify(cfg)
-            os.environ["DECAYINV_THREADS"] = "4"
-            threaded = run_quotient_verify(cfg)
-        finally:
-            if old is None:
-                os.environ.pop("DECAYINV_THREADS", None)
-            else:
-                os.environ["DECAYINV_THREADS"] = old
-        self.assertEqual(serial["rows"], threaded["rows"])
+        a, b = self.run_twice(run_quotient_verify, cfg)
+        self.assertEqual(a["rows"], b["rows"])
 
 
 class TableRoundTripTest(unittest.TestCase):

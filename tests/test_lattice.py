@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 from decayinv import (GeometricTail, IndexWindow, LatticeMatrix,
-                      SingularityError, ToeplitzSymbol, apply_automorphism,
-                      derivation_power, difference_power,
-                      geometric_inverse_toeplitz, identity_matrix,
-                      invert_truncated, make_toeplitz, operator_norm_l2,
-                      symbol_range)
+                      SingularityError, ToeplitzSymbol, Weight,
+                      apply_automorphism, cv_norm, derivation_power,
+                      difference_power, geometric_inverse_toeplitz,
+                      identity_matrix, invert_truncated, make_toeplitz,
+                      operator_norm_l2, symbol_range)
 from decayinv.lattice import matmul
 
 W = IndexWindow(-16, 15)
@@ -70,6 +70,14 @@ def test_automorphism_group_law():
     # period 1 in t
     wrap = apply_automorphism(A, 1.0)
     assert np.max(np.abs(wrap.entries - A.entries)) < 1e-13
+    # the phase keeps the geometric tail: ratio rotated by e^{2 pi i s}
+    P = apply_automorphism(A, s)
+    assert P.tag == "toeplitz"
+    assert P.symbol.geometric.ratio == \
+        A.symbol.geometric.ratio * np.exp(2j * np.pi * s)
+    w = Weight.poly(1.0)
+    assert cv_norm(P, w, "symbol") == pytest.approx(cv_norm(A, w, "symbol"),
+                                                    rel=1e-14)
 
 
 def test_automorphism_multiplicative():

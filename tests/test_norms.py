@@ -5,13 +5,16 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from decayinv import (IndexWindow, ToeplitzSymbol, Weight, ambient_norm,
-                      banded_error, cv_norm, dales_davie_norm,
+from decayinv import (IndexWindow, LatticeMatrix, ToeplitzSymbol, Weight,
+                      ambient_norm, banded_error, cv_norm, dales_davie_norm,
                       geometric_inverse_toeplitz, jaffard_norm,
                       make_toeplitz)
+from decayinv.besov import decay_moment
 from decayinv.norms import (a_m_bruteforce, a_m_gevrey, dd_seminorm,
-                            dk_norm_log)
+                            dk_norm_log, side_diag_sup)
 from decayinv.weights import SmoothnessSequence, log_phi_r
 
 W = IndexWindow(-32, 31)
@@ -38,11 +41,44 @@ def test_inverse_c0_norm_closed_form(gamma):
     assert abs(cv_norm(inv, Weight.poly(0.0)) - want) < 1e-12 * want
 
 
-def test_symbol_and_window_routes_agree_on_finite_symbol():
-    A = resolvent(0.3)
-    for r in (0.0, 1.0, 2.5):
-        w = Weight.poly(r)
-        assert cv_norm(A, w, "symbol") == cv_norm(A, w, "window")
+FINITE_SYMBOLS = st.dictionaries(
+    st.integers(-20, 20),
+    st.complex_numbers(min_magnitude=1e-3, max_magnitude=1e3,
+                       allow_nan=False, allow_infinity=False),
+    min_size=1, max_size=12)
+
+
+@settings(max_examples=50, deadline=None)
+@given(FINITE_SYMBOLS, st.sampled_from([0.0, 0.5, 1.0, 2.5]),
+       st.integers(0, 22))
+def test_symbol_and_window_routes_agree_on_finite_symbol(coeffs, r, k):
+    # the window holds every offset of the symbol, so the routes read the
+    # same profile and may differ only in summation order
+    A = make_toeplitz(ToeplitzSymbol(coeffs), W)
+    w = Weight.poly(r)
+    for norm in (lambda m: cv_norm(A, w, m),
+                 lambda m: jaffard_norm(A, r, m),
+                 lambda m: banded_error(A, k, m),
+                 lambda m: decay_moment(A, r, method=m)):
+        s, v = norm("symbol"), norm("window")
+        assert math.isclose(s, v, rel_tol=1e-13), (s, v)
+    for ambient in ("c0", ("jaffard", r)):
+        for order in (0, 1, 3):
+            s = dk_norm_log(A, order, ambient, "symbol")
+            v = dk_norm_log(A, order, ambient, "window")
+            # logs: relative 1e-13 on the norm
+            assert s == v or abs(s - v) <= 1e-13, (ambient, order, s, v)
+
+
+def test_side_diag_sup_matches_diagonal_loop():
+    rng = np.random.default_rng(5)
+    E = rng.normal(size=(W.n, W.n)) + 1j * rng.normal(size=(W.n, W.n))
+    A = LatticeMatrix(W, E, "general")
+    for margin in (0, 5):
+        offs, d = side_diag_sup(A, margin)
+        inner = E[margin:W.n - margin, margin:W.n - margin]
+        want = [np.abs(np.diagonal(inner, -m)).max() for m in offs]
+        assert np.array_equal(d, want)
 
 
 def test_window_route_truncates_geometric_tail():
@@ -65,6 +101,11 @@ def test_banded_error_geometric():
                                                                rel=1e-13)
 
 
+def test_banded_error_past_the_band_is_float_zero():
+    got = banded_error(resolvent(0.3), 1, "symbol")
+    assert type(got) is float and got == 0.0
+
+
 def test_jaffard_norm_values():
     inv = geometric_inverse_toeplitz(0.5, W)
     # sup_m (1+m)^r e^{-0.5 m}: maximized near m = r/0.5 - 1
@@ -72,7 +113,6 @@ def test_jaffard_norm_values():
     want = max((1.0 + m) ** r * math.exp(-0.5 * m) for m in range(0, 50))
     assert jaffard_norm(inv, r) == pytest.approx(want, rel=1e-13)
     rng = np.random.default_rng(3)
-    from decayinv import LatticeMatrix
     entries = rng.normal(size=(W.n, W.n))
     A = LatticeMatrix(W, entries, "general")
     off = np.abs(np.arange(W.n)[:, None] - np.arange(W.n)[None, :])
