@@ -25,7 +25,7 @@ from .lattice import (GeometricTail, IndexWindow, LatticeMatrix,
                       ToeplitzSymbol, apply_automorphism, derivation_power,
                       difference_power, geometric_inverse_toeplitz,
                       identity_matrix, invert_truncated, make_toeplitz,
-                      operator_norm_l2, symbol_range)
+                      operator_norm_l2, singular_values, symbol_range)
 from .norms import (DalesDavieValue, ambient_norm, banded_error, cv_norm,
                     dales_davie_norm, dd_seminorm, jaffard_norm)
 from .quotient import verify_identity
@@ -50,6 +50,6 @@ __all__ = [
     "identity_matrix", "integral_test_bracket", "invert_truncated",
     "jaffard_norm", "load_matrix", "make_toeplitz", "modulus_profile",
     "operator_norm_l2", "phi_Ar", "phi_r_eval", "random_decay_matrix",
-    "save_matrix", "superpoly_bound", "symbol_range", "verify_identity",
-    "weighted_geometric_series",
+    "save_matrix", "singular_values", "superpoly_bound", "symbol_range",
+    "verify_identity", "weighted_geometric_series",
 ]

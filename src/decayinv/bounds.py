@@ -15,7 +15,7 @@ import numpy as np
 from scipy.special import zeta
 
 from .errors import NumericalError, ParameterError, RangeError, SingularityError
-from .lattice import invert_truncated, operator_norm_l2, symbol_range
+from .lattice import invert_truncated, singular_values, symbol_range
 from .norms import banded_error, cv_norm, jaffard_norm
 from .weights import Weight, log_phi_r_from_log
 
@@ -102,21 +102,24 @@ def condition_data(A, method="auto", rcond_floor=1e-12):
     """(kappa, norm_A_op, norm_Ainv_op) for the window section.
 
     Symbol-tagged matrices use the multiplier range (exact full-lattice
-    values); otherwise power iteration plus dense inversion.
+    values); otherwise the extreme singular values of one SVD of the
+    window, so ||A|| = s_max and ||A^{-1}|| = 1/s_min.  Either way A is
+    singular when min <= rcond_floor * max.
     """
     use_symbol = A.symbol is not None and method in ("auto", "symbol")
     if method == "symbol" and A.symbol is None:
         raise ParameterError("matrix carries no symbol")
     if use_symbol:
         lo, hi = symbol_range(A.symbol)
-        if lo <= rcond_floor * hi:
-            raise SingularityError(
-                f"symbol range reaches {lo:.3e}; not invertible", rcond=lo / hi)
-        na, nainv = hi, 1.0 / lo
     else:
-        na = operator_norm_l2(A)
-        nainv = operator_norm_l2(invert_truncated(A, rcond_floor))
-    return na * nainv, na, nainv
+        s = singular_values(A)
+        lo, hi = float(s[-1]), float(s[0])
+    if lo <= rcond_floor * hi:
+        raise SingularityError(f"not invertible: min {lo:.3e} <= "
+                               f"{rcond_floor:.1e} * max {hi:.3e}",
+                               rcond=lo / hi if hi else 0.0)
+    nainv = 1.0 / lo
+    return hi * nainv, hi, nainv
 
 
 def condition_kappa(A, method="auto"):

@@ -13,8 +13,6 @@ import numpy as np
 
 from .errors import NumericalError, ParameterError, SingularityError
 
-_POWER_SEED = 0x5EED
-
 
 @dataclass(frozen=True)
 class IndexWindow:
@@ -258,15 +256,9 @@ def inner_section(A, margin):
     return LatticeMatrix(w, sub, A.tag, A.symbol, bw)
 
 
-def rcond_estimate(A, Ainv=None):
-    """Reciprocal condition estimate from 1-norms."""
-    if Ainv is None:
-        try:
-            inv = np.linalg.inv(A.entries)
-        except np.linalg.LinAlgError:
-            return 0.0
-    else:
-        inv = Ainv.entries if isinstance(Ainv, LatticeMatrix) else Ainv
+def rcond_estimate(A, Ainv):
+    """Reciprocal condition estimate from the 1-norms of A and its inverse."""
+    inv = Ainv.entries if isinstance(Ainv, LatticeMatrix) else Ainv
     n1 = np.abs(A.entries).sum(axis=0).max()
     n2 = np.abs(inv).sum(axis=0).max()
     if n1 == 0 or n2 == 0:
@@ -291,32 +283,16 @@ def invert_truncated(A, rcond_floor=1e-12):
     return LatticeMatrix(A.window, inv, "general")
 
 
-def operator_norm_l2(A, tol=1e-10, maxiter=20000):
-    """Largest singular value of the window section.
+def singular_values(A):
+    """Singular values of the window section, largest first (LAPACK gesdd)."""
+    if not np.all(np.isfinite(A.entries)):
+        raise NumericalError("singular values of a matrix with non-finite entries")
+    return np.linalg.svd(A.entries, compute_uv=False)
 
-    Power iteration on A*A with a fixed seeded start vector; stops when
-    successive estimates agree to relative tol.
-    """
-    E = A.entries
-    n = E.shape[0]
-    rng = np.random.default_rng(_POWER_SEED)
-    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    v /= np.linalg.norm(v)
-    last = -1.0
-    for _ in range(maxiter):
-        w = E @ v
-        s = np.linalg.norm(w)
-        if s == 0.0:
-            return 0.0
-        u = E.conj().T @ w
-        nu = np.linalg.norm(u)
-        if nu == 0.0:
-            return 0.0
-        v = u / nu
-        if abs(s - last) <= tol * max(s, 1e-300):
-            return s
-        last = s
-    raise NumericalError(f"power iteration did not converge in {maxiter} steps")
+
+def operator_norm_l2(A):
+    """Largest singular value of the window section."""
+    return float(singular_values(A)[0])
 
 
 def symbol_range(symbol, ngrid=1 << 13, refine=80):

@@ -12,10 +12,11 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from decayinv import (IndexWindow, NumericalError, ParameterError,
-                      RangeError, ToeplitzSymbol, Weight, baskakov_bound_Cr,
-                      baskakov_bound_Jr, besov_bound, bessel_rate_bound,
-                      condition_kappa, constant_Cr_numeric,
+from decayinv import (IndexWindow, LatticeMatrix, NumericalError,
+                      ParameterError, RangeError, SingularityError,
+                      ToeplitzSymbol, Weight, apply_automorphism,
+                      baskakov_bound_Cr, baskakov_bound_Jr, besov_bound,
+                      bessel_rate_bound, condition_kappa, constant_Cr_numeric,
                       dales_davie_bound, dd_domain_bound,
                       derived_constant_Jr, ell_r, ell_tilde_r,
                       explicit_bound_Cr, explicit_bound_Jr,
@@ -230,6 +231,29 @@ def test_condition_routes_agree():
     # the finite section is better conditioned than the symbol sup
     assert k_win <= k_sym * (1 + 1e-9)
     assert k_win == pytest.approx(k_sym, rel=0.05)
+
+
+def test_window_norm_data_tridiagonal_closed_form():
+    # tridiag(1/4, 1, 1/4) is positive definite with eigenvalues
+    # 1 + cos(j pi/(n+1))/2, so its singular values are known without
+    # LAPACK; the phase automorphism is a unitary similarity
+    for n in (16, 64, 128):
+        c = 0.5 * math.cos(math.pi / (n + 1))
+        hi, lo = 1.0 + c, 1.0 - c
+        T = make_toeplitz(ToeplitzSymbol({-1: 0.25, 0: 1.0, 1: 0.25}),
+                          IndexWindow(0, n - 1))
+        for A in (T, apply_automorphism(T, 0.3)):
+            assert operator_norm_l2(A) == pytest.approx(hi, rel=1e-13)
+            got = condition_data(A, method="window")
+            assert got == pytest.approx((hi / lo, hi, 1.0 / lo), rel=1e-13)
+
+
+def test_condition_data_window_rejects_rank_one():
+    A = LatticeMatrix(W, np.ones((W.n, W.n), dtype=complex), "general")
+    s = np.linalg.svd(A.entries, compute_uv=False)
+    with pytest.raises(SingularityError) as info:
+        condition_data(A, method="window")
+    assert info.value.rcond == s[-1] / s[0]
 
 
 def test_dd_domain_bound_routes():

@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 
 from decayinv import (GeometricTail, IndexWindow, LatticeMatrix,
-                      SingularityError, ToeplitzSymbol, Weight,
-                      apply_automorphism, cv_norm, derivation_power,
+                      NumericalError, SingularityError, ToeplitzSymbol,
+                      Weight, apply_automorphism, cv_norm, derivation_power,
                       difference_power, geometric_inverse_toeplitz,
                       identity_matrix, invert_truncated, make_toeplitz,
-                      operator_norm_l2, symbol_range)
+                      operator_norm_l2, random_decay_matrix, singular_values,
+                      symbol_range)
 from decayinv.lattice import matmul
 
 W = IndexWindow(-16, 15)
@@ -151,6 +152,26 @@ def test_operator_norm_matches_svd():
         got = operator_norm_l2(A)
         want = np.linalg.svd(entries, compute_uv=False)[0]
         assert abs(got - want) < 1e-8 * want
+
+
+def test_operator_norm_random_decay_instance():
+    # the top two singular values differ by only 5e-5 relative, which
+    # makes any iterative estimate of the largest one converge slowly
+    A = random_decay_matrix(IndexWindow(-64, 63), 2.0, 0.3, seed=[56, 5])
+    E = A.entries
+    want = math.sqrt(np.linalg.eigvalsh(E.conj().T @ E)[-1])
+    got = operator_norm_l2(A)
+    assert got == pytest.approx(want, rel=1e-12)
+    assert got == pytest.approx(1.2979364240212594, rel=1e-12)
+
+
+def test_singular_values_reject_non_finite_entries():
+    A = identity_matrix(W)
+    A.entries[3, 5] = np.nan
+    with pytest.raises(NumericalError):
+        singular_values(A)
+    with pytest.raises(NumericalError):
+        operator_norm_l2(A)
 
 
 def test_symbol_range_resolvent():
