@@ -22,3 +22,30 @@ def test_no_private_imports_across_modules():
              for path in sorted(PACKAGE.glob("*.py"))}
     found = {name: hits for name, hits in found.items() if hits}
     assert not found, f"private names imported across modules: {found}"
+
+
+def ignored_warnings(path):
+    """(line, call) of every warnings.simplefilter/filterwarnings call in
+    path whose action is "ignore", by attribute or by bare name."""
+    tree = ast.parse(path.read_text(), str(path))
+    hits = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.attr if isinstance(func, ast.Attribute) else \
+            getattr(func, "id", None)
+        if name not in ("simplefilter", "filterwarnings"):
+            continue
+        action = node.args[0] if node.args else next(
+            (kw.value for kw in node.keywords if kw.arg == "action"), None)
+        if isinstance(action, ast.Constant) and action.value == "ignore":
+            hits.append((node.lineno, name))
+    return hits
+
+
+def test_no_silenced_warnings():
+    found = {path.name: ignored_warnings(path)
+             for path in sorted(PACKAGE.glob("*.py"))}
+    found = {name: hits for name, hits in found.items() if hits}
+    assert not found, f"warnings silenced in: {found}"
