@@ -26,8 +26,8 @@ from .lattice import (GeometricTail, IndexWindow, LatticeMatrix,
                       difference_power, geometric_inverse_toeplitz,
                       identity_matrix, invert_truncated, make_toeplitz,
                       operator_norm_l2, singular_values, symbol_range)
-from .norms import (DalesDavieValue, ambient_norm, banded_error, cv_norm,
-                    dales_davie_norm, dd_seminorm, jaffard_norm)
+from .norms import (DalesDavieValue, a_m_gevrey, ambient_norm, banded_error,
+                    cv_norm, dales_davie_norm, dd_seminorm, jaffard_norm)
 from .quotient import verify_identity
 from .weights import SmoothnessSequence, Weight, check_weight, phi_r_eval
 
@@ -38,7 +38,7 @@ __all__ = [
     "GeometricTail", "IndexWindow", "LatticeMatrix", "NumericalError",
     "ParameterError", "RangeError", "SeminormEstimate", "SingularityError",
     "SlopeFit", "SmoothnessSequence", "ToeplitzSymbol", "Weight",
-    "ambient_norm", "apply_automorphism", "banded_error",
+    "a_m_gevrey", "ambient_norm", "apply_automorphism", "banded_error",
     "baskakov_bound_Cr", "baskakov_bound_Jr", "besov_bound",
     "besov_seminorm", "bessel_rate_bound", "check_weight",
     "condition_kappa", "constant_Cr_numeric", "cv_norm",

@@ -330,17 +330,13 @@ def constant_Cr_numeric(r):
     return 128.0 * 50.0 ** r * 64.0 ** (1.0 / r) * math.gamma(r + 1.0) ** (1.0 + 1.0 / r)
 
 
-def _normalize_constant_mode(mode):
-    m = str(mode).lower()
-    if m in ("numeric", "numeric_cr", "numeric_jr"):
-        return "numeric"
-    if m in ("symbolic", "symbolic_cr", "symbolic_jr"):
-        return "symbolic"
-    raise ParameterError(f"unknown constant mode {mode!r}")
+def _check_constant_mode(mode):
+    if mode not in ("numeric", "symbolic"):
+        raise ParameterError(f"unknown constant mode {mode!r}")
 
 
 def explicit_bound_Cr(norm_A_Cr, norm_A_op, norm_Ainv_op, r,
-                      constant_mode="numeric_Cr", measured=None):
+                      constant_mode="numeric", measured=None):
     """Closed bound C_r ||A||_Cr^{1+1/r} ||A||^{2r+2/r+3} ||A^{-1}||^{2r+2/r+5}.
 
     Symbolic mode sets the constant to 1 (pure rate report).  The
@@ -353,8 +349,8 @@ def explicit_bound_Cr(norm_A_Cr, norm_A_op, norm_Ainv_op, r,
         raise ParameterError("need r > 0")
     if norm_A_op * norm_Ainv_op < 1.0 - 1e-9:
         raise ParameterError("||A|| ||A^{-1}|| >= 1 is violated")
-    mode = _normalize_constant_mode(constant_mode)
-    C = constant_Cr_numeric(r) if mode == "numeric" else 1.0
+    _check_constant_mode(constant_mode)
+    C = constant_Cr_numeric(r) if constant_mode == "numeric" else 1.0
     e_alg = 1.0 + 1.0 / r
     e_op = 2.0 * r + 2.0 / r + 3.0
     e_inv = 2.0 * r + 2.0 / r + 5.0
@@ -366,7 +362,7 @@ def explicit_bound_Cr(norm_A_Cr, norm_A_op, norm_Ainv_op, r,
         "explicit_Cr",
         {"norm_A_alg": norm_A_Cr, "norm_A_op": norm_A_op,
          "norm_Ainv_op": norm_Ainv_op, "r": r,
-         "auxiliary": {"constant_mode": mode}},
+         "auxiliary": {"constant_mode": constant_mode}},
         {"C_r": C, "exponent_alg": e_alg, "exponent_op": e_op,
          "exponent_inv": e_inv, "rate_exponent": e_inv,
          "simplified_bound": _exp_or_inf(log_simple),
@@ -398,7 +394,7 @@ def derived_constant_Jr(r):
 
 
 def explicit_bound_Jr(norm_A_Jr, norm_A_op, norm_Ainv_op, r,
-                      constant_mode="numeric_Jr", measured=None):
+                      constant_mode="numeric", measured=None):
     """Factored bound C~_r ||A||_Jr^{1+1/(r-1)} ||A||^{2r+1+1/(r-1)}
     ||A^{-1}||^{2r+3+2/(r-1)}, plus the single-norm power form with
     C = ||A||_Jr and exponent 2r+2+2/(r-1)."""
@@ -406,23 +402,23 @@ def explicit_bound_Jr(norm_A_Jr, norm_A_op, norm_Ainv_op, r,
         raise ParameterError("norms must be positive")
     if r <= 1:
         raise ParameterError("need r > 1")
-    mode = _normalize_constant_mode(constant_mode)
+    _check_constant_mode(constant_mode)
     e_alg = 1.0 + 1.0 / (r - 1.0)
     e_op = 2.0 * r + 1.0 + 1.0 / (r - 1.0)
     e_inv = 2.0 * r + 3.0 + 2.0 / (r - 1.0)
-    log_C = derived_constant_Jr_log(r) if mode == "numeric" else 0.0
+    log_C = derived_constant_Jr_log(r) if constant_mode == "numeric" else 0.0
     log_bound = (log_C + e_alg * math.log(norm_A_Jr)
                  + e_op * math.log(norm_A_op) + e_inv * math.log(norm_Ainv_op))
     # single-norm form: every ||A||_op replaced via the zeta embedding
     log_Cth = log_C + (e_op * math.log(2.0 * zeta(r) - 1.0)
-                       if mode == "numeric" else 0.0)
+                       if constant_mode == "numeric" else 0.0)
     log_thm = (log_Cth + (e_alg + e_op) * math.log(norm_A_Jr)
                + e_inv * math.log(norm_Ainv_op))
     return _report(
         "explicit_Jr",
         {"norm_A_alg": norm_A_Jr, "norm_A_op": norm_A_op,
          "norm_Ainv_op": norm_Ainv_op, "r": r,
-         "auxiliary": {"constant_mode": mode}},
+         "auxiliary": {"constant_mode": constant_mode}},
         {"C_tilde_r": _exp_or_inf(log_C), "exponent_alg": e_alg,
          "exponent_op": e_op, "exponent_inv": e_inv,
          "rate_exponent": e_inv, "power_form_exponent_alg": e_alg + e_op,

@@ -439,16 +439,6 @@ def write_rows(rows, path, fmt="csv"):
         raise ParameterError(f"unknown format {fmt!r}")
 
 
-def read_rows(path, fmt="csv"):
-    if fmt == "csv":
-        with open(path, newline="") as fh:
-            return list(csv.DictReader(fh))
-    if fmt == "json":
-        with open(path) as fh:
-            return json.load(fh)
-    raise ParameterError(f"unknown format {fmt!r}")
-
-
 def _json_default(obj):
     if isinstance(obj, (np.floating, np.integer)):
         return obj.item()

@@ -213,37 +213,14 @@ def derivation_power(A, k):
     return offset_multiplier(A, lambda m: m.astype(float) ** k)
 
 
-def difference_power(A, t, k, method="closed"):
-    """(psi_t - id)^k applied to A.
-
-    method "closed" uses the entrywise factor (e^{2 pi i m t} - 1)^k on
-    offset m; "binomial" expands into sum_j binom(k,j)(-1)^{k-j} psi_{jt}(A).
-    """
+def difference_power(A, t, k):
+    """(psi_t - id)^k applied to A: entry (k, l) times (e^{2 pi i m t} - 1)^k
+    on offset m = k - l."""
     if k < 0:
         raise ParameterError("difference order must be nonnegative")
     if k == 0:
         return A.copy()
-    if method not in ("closed", "binomial"):
-        raise ParameterError(f"unknown method {method!r}")
-    out = offset_multiplier(A, lambda m: (np.exp(2j * np.pi * m * t) - 1.0) ** k)
-    if method == "binomial":
-        # the reference the closed factor is tested against
-        out.entries = np.zeros_like(A.entries)
-        for j in range(k + 1):
-            term = math.comb(k, j) * (-1) ** (k - j)
-            out.entries += term * np.exp(2j * np.pi * A.offsets() * (j * t)) * A.entries
-    return out
-
-
-def matmul(A, B):
-    if A.window != B.window:
-        raise ParameterError("window mismatch in matmul")
-    entries = A.entries @ B.entries
-    ba, bb = A.bandwidth, B.bandwidth
-    if ba is not None and bb is not None:
-        bw = min(ba + bb, A.n - 1)
-        return LatticeMatrix(A.window, entries, "banded", None, bw)
-    return LatticeMatrix(A.window, entries, "general")
+    return offset_multiplier(A, lambda m: (np.exp(2j * np.pi * m * t) - 1.0) ** k)
 
 
 def inner_section(A, margin):

@@ -13,7 +13,6 @@ from scipy.special import gammaln, logsumexp
 
 from .errors import ParameterError
 from .lattice import LatticeMatrix, derivation_power, operator_norm_l2
-from .quotient import compositions
 from .weights import Weight
 
 _NEG_INF = float("-inf")
@@ -281,27 +280,6 @@ def dales_davie_norm(A, seq, ambient="c0", method="auto", margin=0,
     value = math.exp(total_log) if total_log < 709.0 else float("inf")
     return DalesDavieValue(value=value, log_value=total_log, kmax_used=used,
                            converged=bool(converged), tail_ratio=tail_ratio)
-
-
-def a_m_bruteforce(seq, m, kmax=15):
-    """A_m from the definition: sup over orders k <= kmax and ordered
-    compositions of k into m parts of (k!/M_k) prod M_{k_j}/k_j!, m-th root."""
-    if m < 1:
-        raise ParameterError("a_m needs m >= 1")
-    hard = seq.kmax
-    cap = min(kmax, hard) if hard is not None else kmax
-    if cap < m:
-        raise ParameterError(f"kmax {kmax} too small for m = {m}")
-    best = _NEG_INF
-    for k in range(m, cap + 1):
-        base = float(gammaln(k + 1)) - seq.log_M(k)
-        for parts in compositions(k, m):
-            t = base
-            for kj in parts:
-                t += seq.log_M(kj) - float(gammaln(kj + 1))
-            if t > best:
-                best = t
-    return math.exp(best / m)
 
 
 def a_m_gevrey(r, m):

@@ -5,7 +5,6 @@ All expansions are exact identities of finite window sections, so the
 verification errors are pure floating-point roundoff.
 """
 
-import itertools
 import math
 
 import numpy as np
@@ -15,54 +14,26 @@ from .lattice import (LatticeMatrix, apply_automorphism, derivation_power,
                       difference_power, inner_section, invert_truncated)
 
 
-def compositions(k, m):
-    """Ordered tuples of m positive integers summing to k.
-
-    There are binom(k-1, m-1) of them.
-    """
-    if m < 1:
-        raise ParameterError("compositions need m >= 1")
-    if k < m:
-        return []
-    out = []
-    for cuts in itertools.combinations(range(1, k), m - 1):
-        parts = []
-        prev = 0
-        for c in cuts:
-            parts.append(c - prev)
-            prev = c
-        parts.append(k - prev)
-        out.append(tuple(parts))
-    return out
-
-
-def multinomial(k, parts):
-    if sum(parts) != k:
-        raise ParameterError("parts must sum to k")
-    v = math.factorial(k)
-    for p in parts:
-        v //= math.factorial(p)
-    return v
-
-
 def derivation_quotient_rhs(A, Ainv, k):
     """D^k(A^{-1}) expanded in A^{-1} and D^j(A):
 
-    sum_{m=1..k} (-1)^m sum_{k_1+...+k_m=k} multinomial *
+    sum_{m=1..k} (-1)^m sum_{k_1+...+k_m=k} k!/(k_1! ... k_m!) *
         A^{-1} D^{k_1}(A) A^{-1} D^{k_2}(A) ... A^{-1} D^{k_m}(A) A^{-1}
+
+    The sum factors by its first part k_1 = i, which is the Leibniz rule
+    for D^j(A A^{-1}) = 0: X_0 = A^{-1} and
+    X_j = -A^{-1} sum_{i=1..j} binom(j,i) D^i(A) X_{j-i}, with X_k the sum.
     """
     if k < 1:
         raise ParameterError("order must be >= 1")
     inv = Ainv.entries
-    dpow = {j: derivation_power(A, j).entries for j in range(1, k + 1)}
-    acc = np.zeros_like(inv)
-    for m in range(1, k + 1):
-        for parts in compositions(k, m):
-            prod = inv
-            for kj in parts:
-                prod = prod @ dpow[kj] @ inv
-            acc = acc + (-1) ** m * multinomial(k, parts) * prod
-    return LatticeMatrix(A.window, acc, "general")
+    dpow = {i: derivation_power(A, i).entries for i in range(1, k + 1)}
+    X = [inv]
+    for j in range(1, k + 1):
+        acc = sum(math.comb(j, i) * (dpow[i] @ X[j - i])
+                  for i in range(1, j + 1))
+        X.append(-(inv @ acc))
+    return LatticeMatrix(A.window, X[k], "general")
 
 
 def difference_product_rhs(A, B, t, k):
@@ -83,31 +54,28 @@ def difference_product_rhs(A, B, t, k):
 def difference_quotient_rhs(A, Ainv, t, k):
     """Delta_t^k(A^{-1}) expanded in phase-shifted difference blocks:
 
-    psi_{kt}(A^{-1}) sum_{m=1..k} (-1)^m sum_{k_1+...+k_m=k} multinomial *
-        prod_{j=1..m} psi_{(k - k_1 - ... - k_j) t}( Delta_t^{k_j}(A) A^{-1} )
+    psi_{kt}(A^{-1}) sum_{m=1..k} (-1)^m sum_{k_1+...+k_m=k}
+        k!/(k_1! ... k_m!) prod_{j=1..m} psi_{(k - k_1 - ... - k_j) t}( Delta_t^{k_j}(A) A^{-1} )
 
     The product is taken left to right; the last factor carries no shift.
+    The sum factors by its first part k_1 = i, which is the twisted
+    Leibniz rule for Delta_t^j(A A^{-1}) = 0: T_0 = I and
+    T_j = -sum_{i=1..j} binom(j,i) psi_{(j-i)t}(Delta_t^i(A) A^{-1}) T_{j-i},
+    with T_k the sum.
     """
     if k < 1:
         raise ParameterError("order must be >= 1")
     inv = Ainv.entries
-    n = A.n
-    blocks = {}
+    blocks = {i: LatticeMatrix(A.window, difference_power(A, t, i).entries @ inv)
+              for i in range(1, k + 1)}
+    T = [np.eye(A.n, dtype=complex)]
     for j in range(1, k + 1):
-        dj = difference_power(A, t, j)
-        blocks[j] = LatticeMatrix(A.window, dj.entries @ inv, "general")
-    acc = np.zeros((n, n), dtype=complex)
-    for m in range(1, k + 1):
-        for parts in compositions(k, m):
-            prod = np.eye(n, dtype=complex)
-            run = 0
-            for kj in parts:
-                run += kj
-                shifted = apply_automorphism(blocks[kj], (k - run) * t).entries
-                prod = prod @ shifted
-            acc = acc + (-1) ** m * multinomial(k, parts) * prod
+        acc = sum(math.comb(j, i)
+                  * (apply_automorphism(blocks[i], (j - i) * t).entries @ T[j - i])
+                  for i in range(1, j + 1))
+        T.append(-acc)
     lead = apply_automorphism(Ainv, k * t).entries
-    return LatticeMatrix(A.window, lead @ acc, "general")
+    return LatticeMatrix(A.window, lead @ T[k], "general")
 
 
 IDENTITIES = ("derivation_quotient", "difference_product",

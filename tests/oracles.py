@@ -1,0 +1,120 @@
+"""Reference implementations that the tests check the package against.
+
+These are the paper's literal formulas: sums over ordered compositions
+with multinomial weights, and the binomial expansion of the difference
+power.  The package evaluates the same quantities by cheaper routes
+(first-part recurrences, a closed entrywise factor, a closed form), so
+nothing here is imported from src.  pytest does not collect this module.
+"""
+
+import itertools
+import math
+
+import numpy as np
+from scipy.special import gammaln
+
+from decayinv import (LatticeMatrix, ParameterError, apply_automorphism,
+                      derivation_power, difference_power)
+
+
+def compositions(k, m):
+    """Ordered tuples of m positive integers summing to k.
+
+    There are binom(k-1, m-1) of them.
+    """
+    if m < 1:
+        raise ParameterError("compositions need m >= 1")
+    if k < m:
+        return []
+    out = []
+    for cuts in itertools.combinations(range(1, k), m - 1):
+        parts = []
+        prev = 0
+        for c in cuts:
+            parts.append(c - prev)
+            prev = c
+        parts.append(k - prev)
+        out.append(tuple(parts))
+    return out
+
+
+def multinomial(k, parts):
+    if sum(parts) != k:
+        raise ParameterError("parts must sum to k")
+    v = math.factorial(k)
+    for p in parts:
+        v //= math.factorial(p)
+    return v
+
+
+def derivation_quotient_literal(A, Ainv, k):
+    """D^k(A^{-1}) as the composition sum
+
+    sum_{m=1..k} (-1)^m sum_{k_1+...+k_m=k} k!/(k_1! ... k_m!) *
+        A^{-1} D^{k_1}(A) A^{-1} D^{k_2}(A) ... A^{-1} D^{k_m}(A) A^{-1}
+    """
+    inv = Ainv.entries
+    dpow = {j: derivation_power(A, j).entries for j in range(1, k + 1)}
+    acc = np.zeros_like(inv)
+    for m in range(1, k + 1):
+        for parts in compositions(k, m):
+            prod = inv
+            for kj in parts:
+                prod = prod @ dpow[kj] @ inv
+            acc = acc + (-1) ** m * multinomial(k, parts) * prod
+    return acc
+
+
+def difference_quotient_literal(A, Ainv, t, k):
+    """Delta_t^k(A^{-1}) as the composition sum
+
+    psi_{kt}(A^{-1}) sum_{m=1..k} (-1)^m sum_{k_1+...+k_m=k}
+        k!/(k_1! ... k_m!) prod_{j=1..m} psi_{(k - k_1 - ... - k_j) t}( Delta_t^{k_j}(A) A^{-1} )
+
+    The product is taken left to right; the last factor carries no shift.
+    """
+    inv = Ainv.entries
+    n = A.n
+    blocks = {j: LatticeMatrix(A.window, difference_power(A, t, j).entries @ inv)
+              for j in range(1, k + 1)}
+    acc = np.zeros((n, n), dtype=complex)
+    for m in range(1, k + 1):
+        for parts in compositions(k, m):
+            prod = np.eye(n, dtype=complex)
+            run = 0
+            for kj in parts:
+                run += kj
+                prod = prod @ apply_automorphism(blocks[kj], (k - run) * t).entries
+            acc = acc + (-1) ** m * multinomial(k, parts) * prod
+    return apply_automorphism(Ainv, k * t).entries @ acc
+
+
+def difference_power_binomial(A, t, k):
+    """Entries of (psi_t - id)^k A expanded as
+    sum_j binom(k,j) (-1)^{k-j} psi_{jt}(A)."""
+    out = np.zeros_like(A.entries)
+    for j in range(k + 1):
+        term = math.comb(k, j) * (-1) ** (k - j)
+        out += term * np.exp(2j * np.pi * A.offsets() * (j * t)) * A.entries
+    return out
+
+
+def a_m_bruteforce(seq, m, kmax=15):
+    """A_m from the definition: sup over orders k <= kmax and ordered
+    compositions of k into m parts of (k!/M_k) prod M_{k_j}/k_j!, m-th root."""
+    if m < 1:
+        raise ParameterError("a_m needs m >= 1")
+    hard = seq.kmax
+    cap = min(kmax, hard) if hard is not None else kmax
+    if cap < m:
+        raise ParameterError(f"kmax {kmax} too small for m = {m}")
+    best = float("-inf")
+    for k in range(m, cap + 1):
+        base = float(gammaln(k + 1)) - seq.log_M(k)
+        for parts in compositions(k, m):
+            t = base
+            for kj in parts:
+                t += seq.log_M(kj) - float(gammaln(kj + 1))
+            if t > best:
+                best = t
+    return math.exp(best / m)

@@ -29,8 +29,10 @@ from decayinv import (ExperimentConfig, IndexWindow, ToeplitzSymbol, Weight,
 from decayinv.experiments import (run_besov_report, run_dd_sharpness,
                                   run_quotient_verify,
                                   run_toeplitz_sharpness)
-from decayinv.norms import a_m_bruteforce, a_m_gevrey
+from decayinv.norms import a_m_gevrey
 from decayinv.weights import SmoothnessSequence
+
+from oracles import a_m_bruteforce
 
 
 def resolvent(gamma, window):

@@ -202,6 +202,29 @@ def test_explicit_Cr_report_shape():
         explicit_bound_Cr(2.0, 0.5, 1.0, 2.0)  # ||A||*||A^{-1}|| < 1
 
 
+def test_explicit_bounds_symbolic_mode():
+    # symbolic mode sets the constant to 1 and keeps every exponent
+    args = (2.0, 1.8, 10.0, 2.0)
+    for bound, const in ((explicit_bound_Cr, "C_r"),
+                         (explicit_bound_Jr, "C_tilde_r")):
+        num = bound(*args)
+        sym = bound(*args, constant_mode="symbolic")
+        assert sym.intermediates[const] == 1.0
+        assert num.intermediates[const] > 1.0
+        assert sym.inputs["auxiliary"]["constant_mode"] == "symbolic"
+        assert num.inputs["auxiliary"]["constant_mode"] == "numeric"
+        for key, val in num.intermediates.items():
+            if "exponent" in key:
+                assert sym.intermediates[key] == val, key
+        assert sym.intermediates["log_bound"] == pytest.approx(
+            num.intermediates["log_bound"] - math.log(num.intermediates[const]),
+            rel=1e-14)
+    with pytest.raises(ParameterError):
+        explicit_bound_Cr(*args, constant_mode="numeric_Cr")
+    with pytest.raises(ParameterError):
+        explicit_bound_Jr(*args, constant_mode="numeric_Jr")
+
+
 def test_explicit_Jr_dominates_baskakov_Jr():
     # the derived constant was assembled to absorb the per-instance
     # geometric factors for kappa >= 1, so the closed bound sits above

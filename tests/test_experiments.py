@@ -1,15 +1,20 @@
 """Experiment config validation, determinism, and table round trips."""
 
+import csv
 import json
 import math
 import os
 import unittest
 
 from decayinv import ConfigError, ExperimentConfig, SlopeFit
-from decayinv.experiments import (read_rows, run_besov_report,
-                                  run_dd_sharpness, run_jaffard_check,
-                                  run_quotient_verify,
+from decayinv.experiments import (run_besov_report, run_dd_sharpness,
+                                  run_jaffard_check, run_quotient_verify,
                                   run_toeplitz_sharpness, write_rows)
+
+
+def read_rows(path, fmt):
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh)) if fmt == "csv" else json.load(fh)
 
 
 class ConfigTest(unittest.TestCase):

@@ -49,3 +49,67 @@ def test_no_silenced_warnings():
              for path in sorted(PACKAGE.glob("*.py"))}
     found = {name: hits for name, hits in found.items() if hits}
     assert not found, f"warnings silenced in: {found}"
+
+
+def exported_names():
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                getattr(t, "id", None) == "__all__" for t in node.targets):
+            return {elt.value for elt in node.value.elts}
+    return set()
+
+
+def referenced_names(node):
+    """Names a syntax tree reads: bare names, attributes and imports."""
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            names.add(sub.attr)
+        elif isinstance(sub, ast.ImportFrom):
+            names.update(alias.name for alias in sub.names)
+    return names
+
+
+def unreached_public_definitions():
+    """(module, name) of every public top-level function or class in
+    src/decayinv that no other top-level statement of the package reads
+    and that __all__ does not export."""
+    statements = [(path.stem, node, referenced_names(node))
+                  for path in sorted(PACKAGE.glob("*.py"))
+                  for node in ast.parse(path.read_text(), str(path)).body]
+    exported = exported_names()
+    unreached = []
+    for module, node, _ in statements:
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) \
+                or node.name.startswith("_") or node.name in exported:
+            continue
+        if not any(node.name in names
+                   for _, other, names in statements if other is not node):
+            unreached.append((module, node.name))
+    return unreached
+
+
+def test_every_public_definition_is_reached():
+    unreached = unreached_public_definitions()
+    assert not unreached, f"public but used nowhere in src: {unreached}"
+
+
+def sibling_imports(path):
+    """Names of the decayinv modules that path imports."""
+    tree = ast.parse(path.read_text(), str(path))
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.level > 0 and node.module:
+                found.add(node.module.split(".")[0])
+            elif node.level == 0 and node.module.startswith("decayinv."):
+                found.add(node.module.split(".")[1])
+    return found
+
+
+def test_norms_and_quotient_are_independent():
+    assert "quotient" not in sibling_imports(PACKAGE / "norms.py")
+    assert "norms" not in sibling_imports(PACKAGE / "quotient.py")

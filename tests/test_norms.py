@@ -13,9 +13,10 @@ from decayinv import (IndexWindow, LatticeMatrix, ToeplitzSymbol, Weight,
                       geometric_inverse_toeplitz, jaffard_norm,
                       make_toeplitz)
 from decayinv.besov import decay_moment
-from decayinv.norms import (a_m_bruteforce, a_m_gevrey, dd_seminorm,
-                            dk_norm_log, side_diag_sup)
+from decayinv.norms import a_m_gevrey, dd_seminorm, dk_norm_log, side_diag_sup
 from decayinv.weights import SmoothnessSequence, log_phi_r
+
+from oracles import a_m_bruteforce
 
 W = IndexWindow(-32, 31)
 GAMMAS = (0.1, 0.2, 0.5, 1.0)

@@ -11,15 +11,19 @@ from hypothesis import strategies as st
 from decayinv import (IndexWindow, geometric_inverse_toeplitz,
                       invert_truncated, make_toeplitz, random_decay_matrix,
                       verify_identity, ToeplitzSymbol)
-from decayinv.quotient import (IDENTITIES, compositions,
-                               derivation_quotient_rhs, multinomial)
-from decayinv.lattice import derivation_power, matmul
+from decayinv.quotient import (IDENTITIES, derivation_quotient_rhs,
+                               difference_quotient_rhs)
+from decayinv.lattice import derivation_power
+
+from oracles import (compositions, derivation_quotient_literal,
+                     difference_quotient_literal, multinomial)
 
 W = IndexWindow(-16, 15)
+W64 = IndexWindow(-32, 31)
 
 
-def instance(idx=0, r=2.0, eps=0.3):
-    A = random_decay_matrix(W, r, eps, seed=[99, idx])
+def instance(idx=0, r=2.0, eps=0.3, window=W):
+    A = random_decay_matrix(window, r, eps, seed=[99, idx])
     return A, invert_truncated(A)
 
 
@@ -50,8 +54,28 @@ def test_derivation_quotient_small_k_by_hand():
     # k = 1: D(A^{-1}) = -A^{-1} D(A) A^{-1}
     A, inv = instance(0)
     rhs = derivation_quotient_rhs(A, inv, 1)
-    manual = -matmul(matmul(inv, derivation_power(A, 1)), inv).entries
+    manual = -inv.entries @ derivation_power(A, 1).entries @ inv.entries
     assert np.max(np.abs(rhs.entries - manual)) < 1e-14
+
+
+def rel_gap(got, want):
+    return np.max(np.abs(got - want)) / np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("idx", [0, 1, 2])
+def test_recurrences_match_composition_sums(idx):
+    # the first-part recurrences regroup the paper's composition sums
+    # by the distributive law, so they agree to roundoff
+    A, inv = instance(10 + idx, window=W64)
+    for k, tol in [(1, 1e-13), (2, 1e-13), (3, 1e-13), (4, 1e-13),
+                   (5, 1e-13), (6, 1e-13), (8, 1e-12)]:
+        got = derivation_quotient_rhs(A, inv, k).entries
+        gap = rel_gap(got, derivation_quotient_literal(A, inv, k))
+        assert gap < tol, ("derivation", k, gap)
+        for t in (0.17, 0.31):
+            got = difference_quotient_rhs(A, inv, t, k).entries
+            gap = rel_gap(got, difference_quotient_literal(A, inv, t, k))
+            assert gap < tol, ("difference", k, t, gap)
 
 
 @pytest.mark.parametrize("identity", IDENTITIES)
