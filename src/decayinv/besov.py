@@ -28,6 +28,7 @@ _GL_NODES = (24, 48)  # the Gauss-Legendre rule, and its node-doubled check
 _BLOCK = 1 << 14      # elements of a node matrix evaluated at once
 # p = inf search: log-grid points per shell, points and rounds of the zoom
 _SUP_COARSE, _SUP_ZOOM, _SUP_ROUNDS = 256, 17, 14
+_OP_NODES = 33        # operator ambient: trapezoid nodes per shell
 _trapz = getattr(np, "trapezoid", None) or np.trapz
 
 
@@ -317,7 +318,7 @@ def _quad_route(ms, w, k, kind, edges, r, p):
     return value, (total + err) ** (1.0 / p) - value, short
 
 
-def _operator_route(A, p, r, k, t_min, t_max, nodes=33):
+def _operator_route(A, p, r, k, t_min, t_max):
     def g(t):
         return operator_norm_l2(difference_power(A, float(t), k))
 
@@ -325,18 +326,18 @@ def _operator_route(A, p, r, k, t_min, t_max, nodes=33):
     if p == math.inf:
         best, err = 0.0, 0.0
         for a, b in zip(edges[:-1], edges[1:]):
-            ts = np.exp(np.linspace(math.log(a), math.log(b), nodes))
+            ts = np.exp(np.linspace(math.log(a), math.log(b), _OP_NODES))
             vals = np.array([t ** (-r) * g(t) for t in ts])
             i = int(np.argmax(vals))
             if vals[i] > best:
                 best = float(vals[i])
-                nb = max(vals[max(0, i - 1)], vals[min(nodes - 1, i + 1)])
+                nb = max(vals[max(0, i - 1)], vals[min(_OP_NODES - 1, i + 1)])
                 err = abs(best - float(nb))
         return best, err
     total = 0.0
     total_half = 0.0
     for a, b in zip(edges[:-1], edges[1:]):
-        ts = np.exp(np.linspace(math.log(a), math.log(b), nodes))
+        ts = np.exp(np.linspace(math.log(a), math.log(b), _OP_NODES))
         fs = np.array([t ** (-r * p - 1.0) * g(t) ** p for t in ts])
         total += _trapz(fs, ts)
         total_half += _trapz(fs[::2], ts[::2])

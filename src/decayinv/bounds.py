@@ -15,11 +15,19 @@ import numpy as np
 from scipy.special import zeta
 
 from .errors import NumericalError, ParameterError, RangeError, SingularityError
-from .lattice import invert_truncated, singular_values, symbol_range
-from .norms import banded_error, cv_norm, jaffard_norm
+from .lattice import (RCOND_FLOOR, invert_truncated, singular_values,
+                      symbol_range)
+from .norms import banded_error, cv_norm, jaffard_norm, uses_symbol
 from .weights import Weight, log_phi_r_from_log
 
 _MAXLOG = math.log(np.finfo(float).max)
+# weighted_geometric_series: relative remainder at which it stops, terms
+# summed per step, and the term count at which it gives up
+_SERIES_REL_TOL = 1e-12
+_SERIES_CHUNK = 4096
+_SERIES_CAP = 50_000_000
+_PHI_KCAP = 10 ** 15   # phi_Ar raises when either criterion needs k above
+_DD_MCAP = 400         # dales_davie_bound sums at most this many A_m
 
 
 @dataclass
@@ -46,11 +54,11 @@ def _exp_or_inf(log_value):
     return math.exp(log_value) if log_value <= _MAXLOG else math.inf
 
 
-def weighted_geometric_series(q, r, rel_tol=1e-12, chunk=4096, cap=50_000_000):
+def weighted_geometric_series(q, r):
     """sum_{k>=0} (1+k)^r q^k by direct summation.
 
     Terminates when a rigorous geometric bound on the remainder falls
-    below rel_tol times the partial sum; returns (value, terms_used).
+    below _SERIES_REL_TOL times the partial sum; returns (value, terms_used).
     """
     if not 0.0 <= q < 1.0:
         raise ParameterError("need 0 <= q < 1")
@@ -60,17 +68,18 @@ def weighted_geometric_series(q, r, rel_tol=1e-12, chunk=4096, cap=50_000_000):
         return 1.0, 1
     total = 0.0
     k0 = 0
-    while k0 <= cap:
-        ks = np.arange(k0, k0 + chunk, dtype=float)
+    while k0 <= _SERIES_CAP:
+        ks = np.arange(k0, k0 + _SERIES_CHUNK, dtype=float)
         total += float(((1.0 + ks) ** r * q ** ks).sum())
-        k0 += chunk
+        k0 += _SERIES_CHUNK
         # (1+k0+j)^r <= (1+k0)^r e^{rj/(1+k0)} turns the remainder geometric
         growth = q * math.exp(r / (1.0 + k0))
         if growth < 1.0:
             tail = (1.0 + k0) ** r * q ** k0 / (1.0 - growth)
-            if tail <= rel_tol * total:
+            if tail <= _SERIES_REL_TOL * total:
                 return total, k0
-    raise NumericalError(f"series did not settle within {cap} terms (q={q})")
+    raise NumericalError(
+        f"series did not settle within {_SERIES_CAP} terms (q={q})")
 
 
 def integral_test_bracket(gamma, r):
@@ -98,25 +107,22 @@ def gamma_r(r):
     return 2.0 ** (r + 1) * (r + 1.0) / (r - 1.0)
 
 
-def condition_data(A, method="auto", rcond_floor=1e-12):
+def condition_data(A, method="auto"):
     """(kappa, norm_A_op, norm_Ainv_op) for the window section.
 
     Symbol-tagged matrices use the multiplier range (exact full-lattice
     values); otherwise the extreme singular values of one SVD of the
     window, so ||A|| = s_max and ||A^{-1}|| = 1/s_min.  Either way A is
-    singular when min <= rcond_floor * max.
+    singular when min <= RCOND_FLOOR * max.
     """
-    use_symbol = A.symbol is not None and method in ("auto", "symbol")
-    if method == "symbol" and A.symbol is None:
-        raise ParameterError("matrix carries no symbol")
-    if use_symbol:
+    if uses_symbol(A, method):
         lo, hi = symbol_range(A.symbol)
     else:
         s = singular_values(A)
         lo, hi = float(s[-1]), float(s[0])
-    if lo <= rcond_floor * hi:
+    if lo <= RCOND_FLOOR * hi:
         raise SingularityError(f"not invertible: min {lo:.3e} <= "
-                               f"{rcond_floor:.1e} * max {hi:.3e}",
+                               f"{RCOND_FLOOR:.1e} * max {hi:.3e}",
                                rcond=lo / hi if hi else 0.0)
     nainv = 1.0 / lo
     return hi * nainv, hi, nainv
@@ -140,7 +146,7 @@ class SeriesFactor:
     terms: int
 
 
-def ell_r(norm_ainv_op, kappa, r, rel_tol=1e-12):
+def ell_r(norm_ainv_op, kappa, r):
     """8 ||A^{-1}|| sum_k (1-beta)^k (1+k)^r with beta = 1/(24 kappa + 1).
 
     The integral-test bracket for the series (at gamma = log 1/(1-beta))
@@ -155,7 +161,7 @@ def ell_r(norm_ainv_op, kappa, r, rel_tol=1e-12):
     beta = 1.0 / (24.0 * kappa + 1.0)
     q = 1.0 - beta
     gam = -math.log1p(-beta)
-    series, terms = weighted_geometric_series(q, r, rel_tol)
+    series, terms = weighted_geometric_series(q, r)
     lo, hi = integral_test_bracket(gam, r)
     return SeriesFactor(value=8.0 * norm_ainv_op * series, series=series,
                         beta=beta, gamma=gam, bracket_low=lo, bracket_high=hi,
@@ -198,7 +204,7 @@ def ell_tilde_r(norm_ainv_op, kappa, r):
 
 
 def phi_Ar(A, r, t, method="auto", margin=0, norm_a_alg=None, ell_value=None,
-           norm_ainv_op=None, kcap=10 ** 15):
+           norm_ainv_op=None):
     """Minimal k >= 1 with max(2*3^r k^{-r} ||A||_Cr ell_r, 2 E_k ||A^{-1}||) <= t.
 
     Both criteria are nonincreasing in k, so the first is solved by its
@@ -222,9 +228,10 @@ def phi_Ar(A, r, t, method="auto", margin=0, norm_a_alg=None, ell_value=None,
         k1 = 1
     else:
         log_k = (math.log(c1) - math.log(t)) / r
-        if log_k > math.log(kcap):
+        if log_k > math.log(_PHI_KCAP):
             raise NumericalError(
-                f"decay criterion needs k > {kcap}: c1 = {c1:.3e}, t = {t}")
+                f"decay criterion needs k > {_PHI_KCAP}: c1 = {c1:.3e}, "
+                f"t = {t}")
         k1 = max(1, math.ceil(math.exp(log_k)))
         while k1 > 1 and c1 * (k1 - 1.0) ** (-r) <= t:
             k1 -= 1
@@ -240,10 +247,10 @@ def phi_Ar(A, r, t, method="auto", margin=0, norm_a_alg=None, ell_value=None,
         hi = 2
         while not tail_ok(hi):
             hi *= 2
-            if hi > kcap:
+            if hi > _PHI_KCAP:
                 raise NumericalError(
-                    f"banded-tail criterion unmet below {kcap}: "
-                    f"E at cap = {banded_error(A, kcap, method, margin):.3e}")
+                    f"banded-tail criterion unmet below {_PHI_KCAP}: E at cap"
+                    f" = {banded_error(A, _PHI_KCAP, method, margin):.3e}")
         lo = hi // 2
         while hi - lo > 1:
             mid = (lo + hi) // 2
@@ -426,6 +433,15 @@ def explicit_bound_Jr(norm_A_Jr, norm_A_op, norm_Ainv_op, r,
         _exp_or_inf(log_bound), measured)
 
 
+def _geometric_sum(q, n):
+    """(q^n - 1)/(q - 1) for q > 0: n at q = 1, inf when q^n overflows."""
+    if abs(q - 1.0) <= 1e-12:
+        return float(n)
+    if n * math.log(q) > _MAXLOG:
+        return math.inf
+    return (q ** n - 1.0) / (q - 1.0)
+
+
 def dd_domain_bound(norm_ainv_ambient, seminorm_a_dd, k, measured=None):
     """||a^{-1}||^2 |a| max(k, (q^k - 1)/(q - 1)) with q = ||a^{-1}|| |a|.
 
@@ -438,15 +454,8 @@ def dd_domain_bound(norm_ainv_ambient, seminorm_a_dd, k, measured=None):
         raise ParameterError("k must be a positive integer")
     k = int(k)
     q = norm_ainv_ambient * seminorm_a_dd
-    if abs(q - 1.0) <= 1e-12:
-        gsum = float(k)
-    else:
-        log_qk = k * math.log(q)
-        if log_qk > _MAXLOG:
-            gsum = math.inf
-        else:
-            gsum = (q ** k - 1.0) / (q - 1.0)
-    bound = norm_ainv_ambient ** 2 * seminorm_a_dd * max(float(k), gsum)
+    gsum = _geometric_sum(q, k)
+    bound = norm_ainv_ambient * q * max(float(k), gsum)
     simplified = None
     if q > max(2.0, float(k)):
         simplified = _exp_or_inf((k + 1.0) * math.log(norm_ainv_ambient)
@@ -475,11 +484,8 @@ def besov_bound(norm_ainv_ambient, norm_a_besov, r, p=1,
     C = 1.0 if fitted_constant is None else float(fitted_constant)
     n = math.floor(r) + 1
     q = norm_ainv_ambient * norm_a_besov
-    if abs(q - 1.0) <= 1e-12:
-        gsum = float(n)
-    else:
-        gsum = (q ** n - 1.0) / (q - 1.0)
-    bound = C * norm_ainv_ambient ** 2 * norm_a_besov * gsum
+    gsum = _geometric_sum(q, n)
+    bound = C * norm_ainv_ambient * q * gsum
     return _report(
         "besov_control",
         {"norm_A_alg": norm_a_besov, "norm_A_op": None,
@@ -509,7 +515,7 @@ def bessel_rate_bound(norm_ainv_ambient, norm_a_bessel, r,
 
 
 def dales_davie_bound(norm_ainv_ambient, a_m=None, mode="general",
-                      gevrey_r=None, mcap=400, measured=None):
+                      gevrey_r=None, measured=None):
     """Inversion bound in the normalized regime ||a||_DD <= 1, delta = 1/||a^{-1}||.
 
     general mode sums delta^{-1} + sum_m delta^{-m-1} A_m^m with the actual
@@ -552,7 +558,7 @@ def dales_davie_bound(norm_ainv_ambient, a_m=None, mode="general",
             m_delta = m
         if m_delta is not None and lt < log_total + math.log(1e-16):
             break
-        if m >= mcap:
+        if m >= _DD_MCAP:
             break
     inter.update({"m_delta": m_delta, "terms_used": used,
                   "inconclusive": m_delta is None, "log_bound": log_total})

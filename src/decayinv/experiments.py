@@ -22,6 +22,7 @@ from .norms import cv_norm, dales_davie_norm, dk_norm_log, jaffard_norm
 from .quotient import verify_identity
 from .weights import SmoothnessSequence, Weight, log_phi_r
 
+_BRACKET_KMAX = 10   # dd-sharpness checks the bracket of ||D^k|| for k <= this
 _CONFIG_FIELDS = {"experiment", "gamma_grid", "r_list", "window_N", "seed",
                   "tolerances", "output", "format"}
 
@@ -102,6 +103,15 @@ class SlopeFit:
                    intercept=intercept, residual=residual)
 
 
+def _accept_tolerances(cfg, *keys):
+    """Raise ConfigError on a tolerances key outside keys: the ones the
+    runner and its gate in cli.find_violations read."""
+    unknown = set(cfg.tolerances) - set(keys)
+    if unknown:
+        raise ConfigError(f"unknown tolerances {sorted(unknown)}; "
+                          f"accepted: {sorted(keys)}")
+
+
 def centered_window(n):
     return IndexWindow(-(n // 2), n - n // 2 - 1)
 
@@ -132,6 +142,7 @@ def run_toeplitz_sharpness(cfg):
     of the inverse series, delta = 1/norm_inv_C0, and a slope fit of
     log norm_inv_Cr against log delta (expected -(r+1))."""
     cfg.validate()
+    _accept_tolerances(cfg, "slope_tol")
     if len(cfg.gamma_grid) < 4:
         raise ConfigError("toeplitz sharpness needs at least 4 grid points")
     if not cfg.r_list:
@@ -163,13 +174,14 @@ def run_toeplitz_sharpness(cfg):
     return {"rows": rows, "fits": fits}
 
 
-def run_dd_sharpness(cfg, bracket_kmax=10):
+def run_dd_sharpness(cfg):
     """Iterated-derivation norm growth of the resolvent inverse.
 
     Per gamma: the Dales-Davie norm under gevrey(r), the comparison shape
     gamma^{-1} phi_{r-1}(1/gamma), their ratio, and per-order bracket
-    checks for ||D^k|| with k <= bracket_kmax."""
+    checks for ||D^k|| with k <= _BRACKET_KMAX."""
     cfg.validate()
+    _accept_tolerances(cfg, "ratio_low", "ratio_high")
     if not cfg.gamma_grid:
         raise ConfigError("gamma_grid must not be empty")
     if not cfg.r_list or any(r <= 1 for r in cfg.r_list):
@@ -185,7 +197,7 @@ def run_dd_sharpness(cfg, bracket_kmax=10):
             log_comp = math.log(1.0 / gamma) + log_phi_r(1.0 / gamma, r - 1.0)
             ratio = math.exp(dd.log_value - log_comp)
             checked, ok_all, upper_all = 0, True, True
-            for k in range(1, bracket_kmax + 1):
+            for k in range(1, _BRACKET_KMAX + 1):
                 series_k = math.exp(dk_norm_log(inv, k, "c0", "symbol"))
                 lo, hi = integral_test_bracket(gamma, float(k))
                 lo, hi = math.exp(-gamma) * lo, math.exp(-gamma) * hi
@@ -209,6 +221,7 @@ def run_dd_sharpness(cfg, bracket_kmax=10):
 def run_jaffard_check(cfg):
     """Seeded I - eps*B instances against the J_r inversion bounds."""
     cfg.validate()
+    _accept_tolerances(cfg, "epsilon", "instances", "margin")
     if not cfg.r_list or any(r <= 1 for r in cfg.r_list):
         raise ConfigError("jaffard check needs r_list with every r > 1")
     eps = float(cfg.tolerances.get("epsilon", 0.3))
@@ -259,6 +272,8 @@ def run_quotient_verify(cfg):
     """Max relative errors of the four smoothness identities on seeded
     random decay instances."""
     cfg.validate()
+    _accept_tolerances(cfg, "kmax", "epsilon", "decay_r", "instances",
+                       "t_values", "margin", "max_rel_err")
     kmax = int(cfg.tolerances.get("kmax", 5))
     if not 1 <= kmax <= 8:
         raise ConfigError("kmax must lie in [1, 8]")
@@ -307,6 +322,7 @@ def run_besov_report(cfg):
     hypersingular/Besov embedding ratios, moment-identification ratios,
     and cubic-rate calibration data."""
     cfg.validate()
+    _accept_tolerances(cfg, "shift_offsets", "t_min", "t_max")
     if not cfg.gamma_grid:
         raise ConfigError("gamma_grid must not be empty")
     if not cfg.r_list or any(not 0 < r <= 3 for r in cfg.r_list):

@@ -13,6 +13,11 @@ import numpy as np
 
 from .errors import NumericalError, ParameterError, SingularityError
 
+# a window section, or a symbol range, whose reciprocal condition falls
+# below this is singular
+RCOND_FLOOR = 1e-12
+_ENTRY_ATOL = 1e-12   # entry tolerance of LatticeMatrix.validate
+
 
 @dataclass(frozen=True)
 class IndexWindow:
@@ -122,15 +127,16 @@ class LatticeMatrix:
         idx = self.window.indices()
         return idx[:, None] - idx[None, :]
 
-    def validate(self, atol=1e-12):
-        """Check the structural invariant for the tag; raises ParameterError."""
-        if self.tag == "toeplitz":
+    def validate(self):
+        """Check the entries against the symbol and the bandwidth, whichever
+        are set, whatever the tag; raises ParameterError."""
+        if self.symbol is not None:
             ref = make_toeplitz(self.symbol, self.window).entries
-            if not np.allclose(self.entries, ref, rtol=0, atol=atol):
+            if not np.allclose(self.entries, ref, rtol=0, atol=_ENTRY_ATOL):
                 raise ParameterError("entries do not match the declared symbol")
-        if self.tag == "banded" or (self.tag == "toeplitz" and self.bandwidth is not None):
+        if self.bandwidth is not None:
             mask = np.abs(self.offsets()) > self.bandwidth
-            if np.any(np.abs(self.entries[mask]) > atol):
+            if np.any(np.abs(self.entries[mask]) > _ENTRY_ATOL):
                 raise ParameterError("nonzero entry beyond declared bandwidth")
         return self
 
@@ -243,20 +249,20 @@ def rcond_estimate(A, Ainv):
     return 1.0 / (n1 * n2)
 
 
-def invert_truncated(A, rcond_floor=1e-12):
+def invert_truncated(A):
     """Dense inverse of the window section.
 
     Raises SingularityError when the reciprocal condition estimate falls
-    below rcond_floor.
+    below RCOND_FLOOR.
     """
     try:
         inv = np.linalg.inv(A.entries)
     except np.linalg.LinAlgError as exc:
         raise SingularityError(f"window section is singular: {exc}", rcond=0.0)
     rc = rcond_estimate(A, inv)
-    if not np.all(np.isfinite(inv)) or rc < rcond_floor:
+    if not np.all(np.isfinite(inv)) or rc < RCOND_FLOOR:
         raise SingularityError(
-            f"reciprocal condition {rc:.3e} below floor {rcond_floor:.1e}", rcond=rc)
+            f"reciprocal condition {rc:.3e} below floor {RCOND_FLOOR:.1e}", rcond=rc)
     return LatticeMatrix(A.window, inv, "general")
 
 
@@ -272,11 +278,22 @@ def operator_norm_l2(A):
     return float(singular_values(A)[0])
 
 
-def symbol_range(symbol, ngrid=1 << 13, refine=80):
+def symbol_range(symbol):
     """(min, max) of |sigma(theta)| for the symbol's multiplier function.
 
     These are the exact operator norm data of the full-lattice Toeplitz
     operator: norm = max, inverse norm = 1/min (when min > 0).
+
+    On z = e^{2 pi i theta}, sigma = z^lo N(z) / Q(z) with N a polynomial
+    and Q = 1 - ratio z (Q = 1 without a geometric tail).  On the circle
+    |P|^2 is the Laurent polynomial R_P(z) = sum_j r_j z^j, so every
+    critical point of |sigma|^2 = R_N / R_Q is the argument of a root of
+    R_N' R_Q - R_N R_Q', where R' = sum_j j r_j z^j.  |sigma| is summed
+    directly at theta = 0, at every root's argument, and there again after
+    two Newton steps in theta: near a zero of sigma, |sigma| grows linearly
+    off its minimum, so the roots' roundoff would show.  Every candidate is
+    a point of the circle, so a root off it only adds a value that |sigma|
+    attains.
     """
     def sig_abs(theta):
         z = np.zeros_like(theta, dtype=complex)
@@ -287,22 +304,39 @@ def symbol_range(symbol, ngrid=1 << 13, refine=80):
             z += g.scale / (1 - g.ratio * np.exp(2j * np.pi * theta))
         return np.abs(z)
 
-    grid = np.linspace(0.0, 1.0, ngrid, endpoint=False)
-    vals = sig_abs(grid)
-    out = []
-    for pick in (np.argmin, np.argmax):
-        i = pick(vals)
-        lo, hi = grid[i] - 1.0 / ngrid, grid[i] + 1.0 / ngrid
-        sign = 1.0 if pick is np.argmin else -1.0
-        a, b = lo, hi
-        for _ in range(refine):
-            m1 = a + (b - a) / 3
-            m2 = b - (b - a) / 3
-            if sign * sig_abs(np.array([m1]))[0] < sign * sig_abs(np.array([m2]))[0]:
-                b = m2
-            else:
-                a = m1
-        cand = np.array([grid[i], (a + b) / 2])
-        cv = sig_abs(cand)
-        out.append(cv.min() if pick is np.argmin else cv.max())
-    return out[0], out[1]
+    def laurent_square(p):
+        """r_j and j r_j of R_P, ascending from j = 1 - len(p)."""
+        r = np.convolve(p, np.conj(p[::-1]))
+        return r, (np.arange(r.size) - (p.size - 1)) * r
+
+    geo = symbol.geometric
+    offs = [*symbol.coeffs, *([0] if geo is not None else [])]
+    lo = min(offs, default=0)
+    N = np.zeros(max(offs, default=0) - lo + 1, dtype=complex)
+    for m, c in symbol.coeffs.items():
+        N[m - lo] = c
+    Q = np.ones(1, dtype=complex)
+    if geo is not None:
+        Q = np.array([1.0, -geo.ratio], dtype=complex)
+        N = np.convolve(N, Q)
+        N[-lo] += geo.scale
+    rN, dN = laurent_square(N)
+    rQ, dQ = laurent_square(Q)
+    crit = np.convolve(dN, rQ) - np.convolve(rN, dQ)
+    j = np.arange(crit.size) - crit.size // 2
+    # end coefficients below the roundoff of the largest hold only roots
+    # near 0 and infinity, and would swamp the companion matrix
+    big = np.abs(crit) > np.finfo(float).eps * np.abs(crit).max()
+    keep = slice(big.argmax(), big.size - big[::-1].argmax())
+    crit, j = crit[keep], j[keep]
+    roots = np.angle(np.roots(crit[::-1])) / (2.0 * np.pi)
+    # on the circle crit is a constant times a real function of theta;
+    # a Newton step of a period or more is not taken
+    theta = roots
+    for _ in range(2):
+        E = np.exp(2j * np.pi * np.outer(theta, j))
+        c, dc = E @ crit, E @ (2j * np.pi * j * crit)
+        theta = theta - np.divide(c, dc, out=np.zeros_like(c),
+                                  where=np.abs(dc) > np.abs(c)).real
+    vals = sig_abs(np.concatenate([[0.0], roots, theta]))
+    return float(vals.min()), float(vals.max())

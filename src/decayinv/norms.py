@@ -16,9 +16,14 @@ from .lattice import LatticeMatrix, derivation_power, operator_norm_l2
 from .weights import Weight
 
 _NEG_INF = float("-inf")
+_GEOM_REL_TOL = 1e-16   # a tail sum stops at a chunk this small relative to it
+_DD_TOL = 1e-14         # Dales-Davie terms this far below the sum are quiet
+_DD_KCAP = 160          # order cap of an unbounded Dales-Davie series
 
 
-def _wants_symbol(A, method):
+def uses_symbol(A, method):
+    """Whether method ("symbol", "window" or "auto") reads A's symbol;
+    raises ParameterError on an unknown method or a missing symbol."""
     if method == "symbol":
         if A.symbol is None:
             raise ParameterError("matrix carries no symbol")
@@ -82,7 +87,7 @@ def decay_profile(A, method="auto", margin=0):
 
     margin shrinks the window on both sides; the symbol route ignores it.
     """
-    if not _wants_symbol(A, method):
+    if not uses_symbol(A, method):
         return DecayProfile(*side_diag_sup(A, margin))
     sym = A.symbol
     geo = sym.geometric
@@ -97,7 +102,7 @@ def decay_profile(A, method="auto", margin=0):
     return DecayProfile(offs, np.abs(sym.coefficients(offs)), scale, rho)
 
 
-def _geom_sum_weighted(scale, rho, weight, m0, rel_tol=1e-16):
+def _geom_sum_weighted(scale, rho, weight, m0):
     """sum over m >= m0 of scale rho^m v(m)."""
     total = 0.0
     chunk = 4096
@@ -107,7 +112,8 @@ def _geom_sum_weighted(scale, rho, weight, m0, rel_tol=1e-16):
         s = float(t.sum())
         total += s
         m0 += chunk
-        if s <= rel_tol * max(total, 1e-300) and (t[-1] <= t[0] or s == 0.0):
+        if (s <= _GEOM_REL_TOL * max(total, 1e-300)
+                and (t[-1] <= t[0] or s == 0.0)):
             return total
         if m0 > 10_000_000:
             raise ParameterError("weighted geometric sum failed to localize")
@@ -245,16 +251,15 @@ class DalesDavieValue:
     tail_ratio: float
 
 
-def dales_davie_norm(A, seq, ambient="c0", method="auto", margin=0,
-                     tol=1e-14, kcap=160):
+def dales_davie_norm(A, seq, ambient="c0", method="auto", margin=0):
     """sum_k ||D^k A|| / M_k with the sequence's normalization.
 
     For unbounded sequences the series is cut once three consecutive terms
-    fall below tol relative to the partial sum; if that never happens
-    within kcap the result is flagged converged=False.
+    fall below _DD_TOL relative to the partial sum; if that never happens
+    within _DD_KCAP the result is flagged converged=False.
     """
     hard = seq.kmax
-    kmax = min(kcap, hard) if hard is not None else kcap
+    kmax = min(_DD_KCAP, hard) if hard is not None else _DD_KCAP
     dk_log = _dk_logs(A, ambient, method, margin)
     logs = []
     total_log = _NEG_INF
@@ -268,7 +273,7 @@ def dales_davie_norm(A, seq, ambient="c0", method="auto", margin=0,
         if lt > _NEG_INF:
             logs.append(lt)
             total_log = float(logsumexp(np.array(logs)))
-        if total_log > _NEG_INF and lt < total_log + math.log(tol):
+        if total_log > _NEG_INF and lt < total_log + math.log(_DD_TOL):
             quiet += 1
             if quiet >= 3 and k >= 8:
                 break

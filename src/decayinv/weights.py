@@ -11,6 +11,7 @@ from .errors import ParameterError, RangeError
 
 _MAXLOG = math.log(np.finfo(float).max)   # ~709.78
 _EXACT_TERM_CAP = 5_000_000
+_CHECK_NMAX = 48   # largest offset check_weight samples
 
 
 @dataclass(frozen=True)
@@ -69,9 +70,11 @@ class Weight:
         return self.value(k)
 
 
-def check_weight(w, nmax=48):
-    """Numerical sanity report: evenness, submultiplicativity on a sample
-    grid, and a GRS indicator (v(2^j)^{2^-j} trending to a limit <= v(1))."""
+def check_weight(w):
+    """Numerical sanity report: evenness, submultiplicativity on offsets up
+    to _CHECK_NMAX (or the table's length), and a GRS indicator
+    (v(2^j)^{2^-j} trending to a limit <= v(1))."""
+    nmax = _CHECK_NMAX
     ks = np.arange(0, nmax + 1)
     try:
         v = w.value(ks)

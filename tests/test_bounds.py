@@ -279,6 +279,11 @@ def test_condition_data_window_rejects_rank_one():
     assert info.value.rcond == s[-1] / s[0]
 
 
+def test_condition_data_rejects_unknown_method():
+    with pytest.raises(ParameterError, match="unknown method"):
+        condition_data(resolvent(0.5), method="windw")
+
+
 def test_dd_domain_bound_routes():
     rep = dd_domain_bound(3.0, 2.0, 4)
     q = 6.0
@@ -304,6 +309,17 @@ def test_besov_bound_first_order_rule():
     assert rep.bound_value == pytest.approx(
         25.0 * 0.3 * (q ** 2 - 1.0) / (q - 1.0), rel=1e-13)
     assert rep.intermediates["rate_exponent"] == 3.0
+
+
+def test_geometric_factor_bounds_overflow_to_inf():
+    # q^n past float range reads inf in both bounds; ||a^{-1}||^2 past it
+    # does not overflow a bound that fits, ||a^{-1}|| q (q^n - 1)/(q - 1)
+    assert besov_bound(1e100, 1e100, 2.5).bound_value == math.inf
+    assert dd_domain_bound(1e100, 1e100, 3).bound_value == math.inf
+    assert besov_bound(1e200, 1e-300, 2.5).bound_value == \
+        pytest.approx(1e100, rel=1e-13)
+    assert dd_domain_bound(1e200, 1e-300, 3).bound_value == \
+        pytest.approx(3e100, rel=1e-13)
 
 
 def test_bessel_rate_bound():

@@ -42,6 +42,19 @@ def test_config_error_exit_code(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def test_unknown_tolerance_key_exit_code(tmp_path, capsys):
+    cfg = tmp_path / "typo.json"
+    cfg.write_text(json.dumps({"experiment": "jaffard-check",
+                               "r_list": [2.0],
+                               "tolerances": {"instnaces": 1}}))
+    code = run(["jaffard-check", "--config", cfg,
+                "--out", tmp_path / "j.csv"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "instnaces" in err
+    assert not (tmp_path / "j.csv").exists()
+
+
 def test_config_experiment_mismatch(tmp_path, capsys):
     cfg = tmp_path / "mis.json"
     cfg.write_text(json.dumps({"experiment": "dd-sharpness"}))

@@ -7,7 +7,7 @@ import os
 import unittest
 
 from decayinv import ConfigError, ExperimentConfig, SlopeFit
-from decayinv.experiments import (run_besov_report, run_dd_sharpness,
+from decayinv.experiments import (RUNNERS, run_besov_report, run_dd_sharpness,
                                   run_jaffard_check, run_quotient_verify,
                                   run_toeplitz_sharpness, write_rows)
 
@@ -103,6 +103,13 @@ class RunnerGateTest(unittest.TestCase):
                                gamma_grid=[0.5], r_list=[3.5])
         with self.assertRaises(ConfigError):
             run_besov_report(cfg)
+
+    def test_every_runner_rejects_unknown_tolerances(self):
+        for name, runner in RUNNERS.items():
+            cfg = ExperimentConfig(experiment=name,
+                                   tolerances={"instnaces": 1})
+            with self.assertRaisesRegex(ConfigError, "instnaces"):
+                runner(cfg)
 
 
 class DeterminismTest(unittest.TestCase):

@@ -1,17 +1,20 @@
 """Tests for windows, symbols and the basic matrix operations."""
 
+import cmath
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from decayinv import (GeometricTail, IndexWindow, LatticeMatrix,
-                      NumericalError, SingularityError, ToeplitzSymbol,
-                      Weight, apply_automorphism, cv_norm, derivation_power,
-                      difference_power, geometric_inverse_toeplitz,
-                      identity_matrix, invert_truncated, make_toeplitz,
-                      operator_norm_l2, random_decay_matrix, singular_values,
-                      symbol_range)
+                      NumericalError, ParameterError, SingularityError,
+                      ToeplitzSymbol, Weight, apply_automorphism, cv_norm,
+                      derivation_power, difference_power,
+                      geometric_inverse_toeplitz, identity_matrix,
+                      invert_truncated, make_toeplitz, operator_norm_l2,
+                      random_decay_matrix, singular_values, symbol_range)
 
 from oracles import difference_power_binomial
 
@@ -176,21 +179,66 @@ def test_singular_values_reject_non_finite_entries():
 
 
 def test_symbol_range_resolvent():
-    for gamma in (0.2, 0.5, 1.0):
+    for gamma in (0.05, 0.1, 0.2, 0.4, 0.5, 1.0):
         x = math.exp(-gamma)
         lo, hi = symbol_range(ToeplitzSymbol({0: 1.0, 1: -x}))
-        assert abs(lo - (1.0 - x)) < 1e-10
-        assert abs(hi - (1.0 + x)) < 1e-10
+        assert lo == pytest.approx(1.0 - x, rel=1e-14)
+        assert hi == pytest.approx(1.0 + x, rel=1e-14)
 
 
 def test_symbol_range_geometric_inverse():
     # |1/(1 - x e^{i theta})| ranges between 1/(1+x) and 1/(1-x)
-    gamma = 0.4
-    x = math.exp(-gamma)
-    geo = geometric_inverse_toeplitz(gamma, W).symbol
-    lo, hi = symbol_range(geo)
-    assert abs(lo - 1.0 / (1.0 + x)) < 1e-10
-    assert abs(hi - 1.0 / (1.0 - x)) < 1e-10
+    for gamma in (0.05, 0.1, 0.2, 0.4, 0.5, 1.0):
+        x = math.exp(-gamma)
+        geo = geometric_inverse_toeplitz(gamma, W).symbol
+        lo, hi = symbol_range(geo)
+        assert lo == pytest.approx(1.0 / (1.0 + x), rel=1e-14)
+        assert hi == pytest.approx(1.0 / (1.0 - x), rel=1e-14)
+
+
+def test_symbol_range_singular_and_constant_symbols():
+    assert symbol_range(ToeplitzSymbol({0: 1.0, 1: -1.0}))[0] == 0.0
+    for m, c in ((0, 2.5), (3, 2.0 + 1.0j), (-7, -0.25j)):
+        lo, hi = symbol_range(ToeplitzSymbol({m: c}))
+        assert lo == pytest.approx(abs(c), rel=1e-14)
+        assert hi == pytest.approx(abs(c), rel=1e-14)
+
+
+SYMBOL_COEFFS = st.dictionaries(
+    st.integers(-48, 48),
+    st.complex_numbers(min_magnitude=1e-3, max_magnitude=1e3,
+                       allow_nan=False, allow_infinity=False),
+    min_size=1, max_size=12)
+GEOMETRIC_TAILS = st.none() | st.builds(
+    lambda rho, phase, scale: GeometricTail(
+        rho * cmath.exp(2j * math.pi * phase), scale),
+    st.floats(0.0, 0.9), st.floats(0.0, 1.0),
+    st.complex_numbers(min_magnitude=1e-3, max_magnitude=1e3,
+                       allow_nan=False, allow_infinity=False))
+DENSE_GRID = np.linspace(0.0, 1.0, 1 << 15, endpoint=False)
+
+
+@settings(max_examples=30, deadline=None)
+@given(SYMBOL_COEFFS, GEOMETRIC_TAILS)
+@example({2: 1.0}, GeometricTail(1e-10, 1.0))
+@example({1: 1.0}, GeometricTail(4.7e-269, 1.0))
+def test_symbol_range_reaches_dense_grid(coeffs, tail):
+    # every value symbol_range returns is attained, so it can only miss
+    # an extremum; a dense grid shows whether it did.  The examples: sigma
+    # nearly vanishes on the circle, where |sigma| is V-shaped at its
+    # minimum; and a tail ratio whose products underflow to the edge of
+    # the critical polynomial
+    sym = ToeplitzSymbol(coeffs, tail)
+    lo, hi = symbol_range(sym)
+    z = sum(c * np.exp(2j * np.pi * m * DENSE_GRID)
+            for m, c in sym.coeffs.items())
+    if tail is not None:
+        z = z + tail.scale / (1.0 - tail.ratio
+                              * np.exp(2j * np.pi * DENSE_GRID))
+    grid = np.abs(z)
+    tol = 1e-13 * grid.max()
+    assert lo <= grid.min() + tol
+    assert hi >= grid.max() - tol
 
 
 def test_identity_matrix():
@@ -204,3 +252,20 @@ def test_validate_catches_symbol_mismatch():
     A.entries[0, 5] = 3.0
     with pytest.raises(ValueError):
         A.validate()
+
+
+def test_validate_checks_symbol_and_band_whatever_the_tag():
+    # cv_norm reads the symbol of a general- or banded-tagged matrix too,
+    # so validate must hold the entries to it
+    B = bidiag(0.5)
+    for tag, bw in (("general", None), ("banded", 1)):
+        A = LatticeMatrix(W, B.entries.copy(), tag, B.symbol, bw)
+        A.validate()
+        A.entries[0, 5] = 3.0
+        with pytest.raises(ParameterError, match="symbol"):
+            A.validate()
+    G = LatticeMatrix(W, B.entries.copy(), "general", bandwidth=1)
+    G.validate()
+    G.entries[0, 5] = 3.0
+    with pytest.raises(ParameterError, match="bandwidth"):
+        G.validate()

@@ -32,11 +32,11 @@ def test_check_weight_flags():
     assert rep["grs_ok"] and rep["root_sequence"][-1] < 1.2
     # super-exponential table: the root sequence grows, trend flag trips
     bad = Weight.table([math.exp(0.01 * k * k) for k in range(49)])
-    rep = check_weight(bad, nmax=48)
+    rep = check_weight(bad)
     assert not rep["grs_ok"]
     # plain exponential keeps a flat root sequence but far from 1
     expw = Weight.table([math.exp(0.3 * k) for k in range(49)])
-    rep = check_weight(expw, nmax=48)
+    rep = check_weight(expw)
     assert rep["root_sequence"][-1] > 1.3
 
 
