@@ -22,6 +22,7 @@ from scipy.integrate import quad
 from .errors import ParameterError
 from .lattice import difference_power, offset_multiplier, operator_norm_l2
 from .norms import ambient_norm, decay_profile, normalize_ambient
+from .weights import log_concave_sum, log_poly_geometric, poly_geometric_max
 
 _PROFILE_CUT = 1e-18
 _GL_NODES = (24, 48)  # the Gauss-Legendre rule, and its node-doubled check
@@ -152,17 +153,17 @@ def decay_moment(A, r, p=1, ambient="c0", method="auto", margin=0):
 
 
 def _dropped_mass(geo, kind, s, k=0.0):
-    """Bound on the cut geometric tail's contribution to the k-moment."""
+    """The cut geometric tail's contribution to the k-moment: the sum
+    (c0) or max (jaffard) over m > M of scale m^k (1+m)^s rho^m."""
     if geo is None:
         return 0.0
     sc, rho, M = geo
-    lead = sc * rho ** (M + 1) * (M + 1.0) ** k
     if kind == "c0":
-        growth = rho * math.exp(k / (M + 1.0)) if k > 0 else rho
-        if growth >= 1.0:
-            return math.inf
-        return lead / (1.0 - growth)
-    return lead * (M + 2.0) ** s
+        log_mass, _ = log_concave_sum(
+            lambda ms: log_poly_geometric(ms, k, 0.0, rho), M + 1)
+    else:
+        log_mass, _ = poly_geometric_max(k, s, rho, M + 1)
+    return sc * math.exp(log_mass)
 
 
 def modulus_profile(A, ts, k, ambient="c0", method="auto", margin=0):

@@ -18,14 +18,10 @@ from .errors import NumericalError, ParameterError, RangeError, SingularityError
 from .lattice import (RCOND_FLOOR, invert_truncated, singular_values,
                       symbol_range)
 from .norms import banded_error, cv_norm, jaffard_norm, uses_symbol
-from .weights import Weight, log_phi_r_from_log
+from .weights import (Weight, log_concave_sum, log_phi_r_from_log,
+                      log_poly_geometric, poly_geometric_max)
 
 _MAXLOG = math.log(np.finfo(float).max)
-# weighted_geometric_series: relative remainder at which it stops, terms
-# summed per step, and the term count at which it gives up
-_SERIES_REL_TOL = 1e-12
-_SERIES_CHUNK = 4096
-_SERIES_CAP = 50_000_000
 _PHI_KCAP = 10 ** 15   # phi_Ar raises when either criterion needs k above
 _DD_MCAP = 400         # dales_davie_bound sums at most this many A_m
 
@@ -55,31 +51,17 @@ def _exp_or_inf(log_value):
 
 
 def weighted_geometric_series(q, r):
-    """sum_{k>=0} (1+k)^r q^k by direct summation.
-
-    Terminates when a rigorous geometric bound on the remainder falls
-    below _SERIES_REL_TOL times the partial sum; returns (value, terms_used).
-    """
+    """sum_{k>=0} (1+k)^r q^k by weights.log_concave_sum, which stops on a
+    rigorous remainder bound; returns (value, terms_used)."""
     if not 0.0 <= q < 1.0:
         raise ParameterError("need 0 <= q < 1")
     if r < 0:
         raise ParameterError("need r >= 0")
     if q == 0.0:
         return 1.0, 1
-    total = 0.0
-    k0 = 0
-    while k0 <= _SERIES_CAP:
-        ks = np.arange(k0, k0 + _SERIES_CHUNK, dtype=float)
-        total += float(((1.0 + ks) ** r * q ** ks).sum())
-        k0 += _SERIES_CHUNK
-        # (1+k0+j)^r <= (1+k0)^r e^{rj/(1+k0)} turns the remainder geometric
-        growth = q * math.exp(r / (1.0 + k0))
-        if growth < 1.0:
-            tail = (1.0 + k0) ** r * q ** k0 / (1.0 - growth)
-            if tail <= _SERIES_REL_TOL * total:
-                return total, k0
-    raise NumericalError(
-        f"series did not settle within {_SERIES_CAP} terms (q={q})")
+    log_value, terms = log_concave_sum(
+        lambda ks: log_poly_geometric(ks, 0.0, r, q), 0)
+    return _exp_or_inf(log_value), terms
 
 
 def integral_test_bracket(gamma, r):
@@ -178,27 +160,16 @@ class SupFactor:
 
 
 def ell_tilde_r(norm_ainv_op, kappa, r):
-    """gamma_r ||A^{-1}|| max_k (1-beta)^k (1+k)^r, maximized exactly.
-
-    The map k -> (1+k)^r (1-beta)^k is unimodal with real argmax at
-    r/log(1/(1-beta)) - 1, so checking the two neighbors suffices.
-    """
+    """gamma_r ||A^{-1}|| max_k (1-beta)^k (1+k)^r, maximized exactly
+    by weights.poly_geometric_max."""
     if norm_ainv_op <= 0:
         raise ParameterError("need a positive inverse norm")
     if kappa < 1.0 - 1e-9:
         raise ParameterError(f"kappa = {kappa} < 1 is not a condition number")
     g = gamma_r(r)
     beta = 1.0 / (24.0 * kappa + 1.0)
-    q = 1.0 - beta
-    L = -math.log1p(-beta)
-    kstar = r / L - 1.0
-    cand = {0, max(0, math.floor(kstar)), max(0, math.floor(kstar)) + 1,
-            max(0, math.ceil(kstar))}
-    best_k, best = 0, 0.0
-    for k in sorted(cand):
-        v = (1.0 + k) ** r * q ** k
-        if v > best:
-            best, best_k = v, k
+    log_best, best_k = poly_geometric_max(0.0, r, 1.0 - beta, 0)
+    best = math.exp(log_best)
     return SupFactor(value=g * norm_ainv_op * best, sup_term=best,
                      argmax_k=best_k, beta=beta, gamma_r=g)
 
@@ -504,7 +475,8 @@ def bessel_rate_bound(norm_ainv_ambient, norm_a_bessel, r,
     if not 0 < r < 1:
         raise ParameterError("need 0 < r < 1")
     C = 1.0 if fitted_constant is None else float(fitted_constant)
-    bound = C * norm_ainv_ambient ** 3 * norm_a_bessel ** 2
+    bound = C * _exp_or_inf(3.0 * math.log(norm_ainv_ambient)
+                            + 2.0 * math.log(norm_a_bessel))
     return _report(
         "bessel_control",
         {"norm_A_alg": norm_a_bessel, "norm_A_op": None,

@@ -13,10 +13,10 @@ from scipy.special import gammaln, logsumexp
 
 from .errors import ParameterError
 from .lattice import LatticeMatrix, derivation_power, operator_norm_l2
-from .weights import Weight
+from .weights import (Weight, log_concave_sum, log_poly_geometric,
+                      poly_geometric_max)
 
 _NEG_INF = float("-inf")
-_GEOM_REL_TOL = 1e-16   # a tail sum stops at a chunk this small relative to it
 _DD_TOL = 1e-14         # Dales-Davie terms this far below the sum are quiet
 _DD_KCAP = 160          # order cap of an unbounded Dales-Davie series
 
@@ -102,23 +102,6 @@ def decay_profile(A, method="auto", margin=0):
     return DecayProfile(offs, np.abs(sym.coefficients(offs)), scale, rho)
 
 
-def _geom_sum_weighted(scale, rho, weight, m0):
-    """sum over m >= m0 of scale rho^m v(m)."""
-    total = 0.0
-    chunk = 4096
-    while True:
-        ms = np.arange(m0, m0 + chunk)
-        t = scale * rho ** ms.astype(float) * weight.value(ms)
-        s = float(t.sum())
-        total += s
-        m0 += chunk
-        if (s <= _GEOM_REL_TOL * max(total, 1e-300)
-                and (t[-1] <= t[0] or s == 0.0)):
-            return total
-        if m0 > 10_000_000:
-            raise ParameterError("weighted geometric sum failed to localize")
-
-
 def cv_norm(A, weight, method="auto", margin=0):
     """Weighted decay norm: sum_m d(m) v(m)."""
     prof = decay_profile(A, method, margin)
@@ -126,8 +109,10 @@ def cv_norm(A, weight, method="auto", margin=0):
         raise ParameterError("table weight cannot cover an infinite symbol")
     total = float((prof.d * weight.value(prof.offsets)).sum())
     if prof.scale:
-        total += _geom_sum_weighted(prof.scale, prof.rho, weight,
-                                    prof.tail_start)
+        lr = math.log(prof.rho)
+        log_tail, _ = log_concave_sum(
+            lambda ms: ms * lr + np.log(weight.value(ms)), prof.tail_start)
+        total += prof.scale * math.exp(log_tail)
     return total
 
 
@@ -138,12 +123,8 @@ def jaffard_norm(A, r, method="auto", margin=0):
     prof = decay_profile(A, method, margin)
     best = float((prof.d * (1.0 + np.abs(prof.offsets)) ** r).max(initial=0.0))
     if prof.scale:
-        # rho^m (1+m)^r is unimodal in m with its peak near mstar
-        mstar = max(0.0, r / (-math.log(prof.rho)) - 1.0)
-        lo = max(prof.tail_start, math.floor(mstar) - 4)
-        hi = max(prof.tail_start, math.ceil(mstar) + 4)
-        best = max(best, *(prof.scale * prof.rho ** m * (1.0 + m) ** r
-                           for m in range(lo, hi + 1)))
+        log_top, _ = poly_geometric_max(0.0, r, prof.rho, prof.tail_start)
+        best = max(best, prof.scale * math.exp(log_top))
     return best
 
 
@@ -206,22 +187,22 @@ def _dk_logs(A, ambient, method, margin):
             mask &= prof.offsets != 0
         om = np.abs(prof.offsets[mask]).astype(float)
         logs = np.log(prof.d[mask])
-        if prof.scale:
-            # the tail terms are negligible past cap
-            lr = math.log(prof.rho)
-            peak = (k + (s if jaffard else 0.0)) / (-lr) + 1.0
-            cap = int(peak + 60 + 10 * math.sqrt(peak))
-            ms = np.arange(max(prof.tail_start, 1 if k > 0 else 0), cap + 1,
-                           dtype=float)
-            om = np.concatenate([om, ms])
-            logs = np.concatenate([logs, math.log(prof.scale) + ms * lr])
         if k > 0:
             logs = logs + k * np.log(om)
         if jaffard:
             logs = logs + s * np.log1p(om)
+        if prof.scale:
+            m0 = max(prof.tail_start, 1 if k > 0 else 0)
+            if jaffard:
+                tail, _ = poly_geometric_max(k, s, prof.rho, m0)
+            else:
+                tail, _ = log_concave_sum(
+                    lambda ms: log_poly_geometric(ms, k, 0.0, prof.rho), m0)
+            logs = np.append(logs, math.log(prof.scale) + tail)
         if not logs.size:
             return _NEG_INF
-        return float(logs.max() if jaffard else logsumexp(logs))
+        top = float(logs.max())
+        return top if jaffard else top + math.log(np.exp(logs - top).sum())
     return log_norm
 
 
@@ -261,7 +242,6 @@ def dales_davie_norm(A, seq, ambient="c0", method="auto", margin=0):
     hard = seq.kmax
     kmax = min(_DD_KCAP, hard) if hard is not None else _DD_KCAP
     dk_log = _dk_logs(A, ambient, method, margin)
-    logs = []
     total_log = _NEG_INF
     quiet = 0
     used = 0
@@ -270,9 +250,7 @@ def dales_davie_norm(A, seq, ambient="c0", method="auto", margin=0):
         lt = dk_log(k) - seq.log_M(k)
         used = k
         last_term = lt
-        if lt > _NEG_INF:
-            logs.append(lt)
-            total_log = float(logsumexp(np.array(logs)))
+        total_log = float(np.logaddexp(total_log, lt))
         if total_log > _NEG_INF and lt < total_log + math.log(_DD_TOL):
             quiet += 1
             if quiet >= 3 and k >= 8:

@@ -1,17 +1,73 @@
-"""Weight functions on lattice offsets, smoothness sequences, and the
-entire function phi_r(x) = sum_l x^l / (l!)^r used by the inversion bounds."""
+"""Weight functions on lattice offsets, smoothness sequences, the entire
+function phi_r(x) = sum_l x^l / (l!)^r used by the inversion bounds, and
+the sum and max of the log-concave sequences behind every series."""
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
+from scipy.special import gammaln, xlogy
 
-from .errors import ParameterError, RangeError
+from .errors import NumericalError, ParameterError, RangeError
 
 _MAXLOG = math.log(np.finfo(float).max)   # ~709.78
-_EXACT_TERM_CAP = 5_000_000
+# log_concave_sum stops at this remainder bound relative to the sum, and
+# raises past this many terms
+_SERIES_TOL = 2.0 ** -53
+_SERIES_CAP = 50_000_000
+_SADDLE_PEAK = 5_000_000   # phi_r takes its saddle-point form past this peak
 _CHECK_NMAX = 48   # largest offset check_weight samples
+
+
+def log_concave_sum(log_term, m0):
+    """(log sum_{m >= m0} a_m, terms summed) of a log-concave a_m > 0 for
+    m > m0, given log_term(ms) = log a_m on float indices; in chunks that
+    double from 1024 terms.
+
+    Concavity makes a_{m+1}/a_m nonincreasing, so once the terms fall at
+    ratio q < 1 the rest is at most next/(1 - q); the sum stops when that is
+    below _SERIES_TOL of it, and raises NumericalError past _SERIES_CAP terms.
+    """
+    top, acc = -math.inf, 0.0          # partial sum = acc * e^top
+    start, chunk = m0, 1024
+    while start - m0 < _SERIES_CAP:
+        logs = log_term(np.arange(start, start + chunk, dtype=float))
+        start += chunk
+        hi = float(logs.max())
+        if hi > top:
+            acc *= math.exp(top - hi)
+            top = hi
+        acc += float(np.exp(logs - top).sum())
+        step = float(logs[-1] - logs[-2])
+        if step < 0.0:
+            log_rest = float(logs[-1]) + step - math.log(-math.expm1(step))
+            log_total = top + math.log(acc)
+            if log_rest <= log_total + math.log(_SERIES_TOL):
+                return log_total, start - m0
+        chunk = min(2 * chunk, 1 << 20)
+    raise NumericalError(
+        f"log-concave series did not settle within {_SERIES_CAP} terms")
+
+
+def log_poly_geometric(ms, k, s, rho):
+    """log of m^k (1+m)^s rho^m at the float indices ms (k, s >= 0)."""
+    return xlogy(k, ms) + s * np.log1p(ms) + ms * math.log(rho)
+
+
+def poly_geometric_max(k, s, rho, m0):
+    """(log max, argmax) over integers m >= m0 of m^k (1+m)^s rho^m, for
+    k, s >= 0 and 0 < rho < 1.  The real peak is the positive root of
+    lr m^2 + (lr+k+s) m + k = 0, lr = log rho; by log-concavity the integer
+    max is a neighbour of it, or m0 when the peak lies below m0."""
+    lr = math.log(rho)
+    b = lr + k + s
+    root = math.sqrt(b * b - 4.0 * lr * k)
+    peak = (b + root) / (-2.0 * lr) if b >= 0 else 2.0 * k / (root - b)
+    m = max(m0, math.floor(peak))
+    ms = np.array([m, m + 1], dtype=float)
+    logs = log_poly_geometric(ms, k, s, rho)
+    j = int(logs.argmax())
+    return float(logs[j]), m + j
 
 
 @dataclass(frozen=True)
@@ -198,18 +254,8 @@ def log_phi_r_from_log(lx, r):
     if lx / r > _MAXLOG:
         return math.inf
     peak = math.exp(lx / r)
-    cap = int(peak + 12 + 8 * math.sqrt(peak + 1))
-    if cap <= _EXACT_TERM_CAP:
-        total = None
-        start = 0
-        while start <= cap:
-            stop = min(cap, start + 1_000_000)
-            ls = np.arange(start, stop + 1, dtype=float)
-            logs = ls * lx - r * gammaln(ls + 1)
-            chunk = float(logsumexp(logs))
-            total = chunk if total is None else float(np.logaddexp(total, chunk))
-            start = stop + 1
-        return total
+    if peak <= _SADDLE_PEAK:
+        return log_concave_sum(lambda ls: ls * lx - r * gammaln(ls + 1), 0)[0]
     # saddle point: maximize l ln x - r lgamma(l+1); curvature ~ r/l.
     # digamma(l+1) ~ ln(l) + 1/(2l); solve ln x = r*digamma(l+1) by fixed point.
     l = peak

@@ -330,6 +330,13 @@ def test_bessel_rate_bound():
         bessel_rate_bound(4.0, 0.7, 1.2)
 
 
+def test_bessel_rate_bound_overflows_to_inf():
+    # ||a^{-1}||^3 past float range does not overflow a bound that fits
+    assert bessel_rate_bound(1e200, 1e-200, 0.5).bound_value == \
+        pytest.approx(1e200, rel=1e-12)
+    assert bessel_rate_bound(1e200, 1.0, 0.5).bound_value == math.inf
+
+
 def test_dales_davie_bound_gevrey_matches_composition():
     rep = dales_davie_bound(8.0, mode="gevrey", gevrey_r=2.0)
     want = math.log(8.0) + log_phi_r(8.0, 1.0)

@@ -113,3 +113,9 @@ def sibling_imports(path):
 def test_norms_and_quotient_are_independent():
     assert "quotient" not in sibling_imports(PACKAGE / "norms.py")
     assert "norms" not in sibling_imports(PACKAGE / "quotient.py")
+
+
+def test_weights_is_the_bottom_layer():
+    # the series primitives live in weights, which every numeric module
+    # imports, so weights itself may import only the error types
+    assert sibling_imports(PACKAGE / "weights.py") <= {"errors"}

@@ -132,14 +132,17 @@ def test_ambient_norms():
     assert got == pytest.approx(1.0 / (1.0 - x), rel=2e-2)
 
 
-@pytest.mark.parametrize("k", [1, 2, 4])
+@pytest.mark.parametrize("k", [1, 2, 4, 10, 40, 160])
 def test_derivation_norm_is_polylog(k):
-    # ||D^k inv||_C0 = sum_m m^k e^{-gamma m} = Li_{-k}(e^{-gamma})
-    gamma = 0.5
-    inv = geometric_inverse_toeplitz(gamma, W)
-    got = math.exp(dk_norm_log(inv, k, "c0", "symbol"))
-    want = float(mp.polylog(-k, mp.exp(-gamma)))
-    assert got == pytest.approx(want, rel=1e-12)
+    # ||D^k inv||_C0 = sum_m m^k e^{-gamma m} = Li_{-k}(e^{-gamma}), whose
+    # terms peak near m = k/gamma (16000 at the far corner); compared in
+    # log space since the value passes float range there
+    for gamma in (0.5, 0.3, 0.1, 0.05, 0.01):
+        inv = geometric_inverse_toeplitz(gamma, W)
+        got = dk_norm_log(inv, k, "c0", "symbol")
+        with mp.workdps(30):
+            want = float(mp.log(mp.polylog(-k, mp.exp(-gamma))))
+        assert abs(math.expm1(got - want)) <= 1e-11, gamma
 
 
 def test_dk_norm_routes_agree_when_window_holds_mass():
@@ -169,6 +172,17 @@ def test_dales_davie_norm_tracks_phi_shape():
     comp = math.log(1.0 / gamma) + log_phi_r(1.0 / gamma, 1.0)
     ratio = math.exp(val.log_value - comp)
     assert 0.9 < ratio < 1.1
+
+
+@pytest.mark.parametrize("gamma", [0.1, 0.05, 0.02])
+def test_dales_davie_norm_meets_phi_shape(gamma):
+    # gevrey(2): sum_k Li_{-k}(e^{-gamma})/k! -> gamma^{-1} phi_1(1/gamma)
+    # as gamma -> 0; a tail cut short of the peak k/gamma reads low
+    inv = geometric_inverse_toeplitz(gamma, W)
+    val = dales_davie_norm(inv, SmoothnessSequence.gevrey(2.0),
+                           method="symbol")
+    comp = math.log(1.0 / gamma) + log_phi_r(1.0 / gamma, 1.0)
+    assert abs(math.exp(val.log_value - comp) - 1.0) <= 1e-5
 
 
 def test_dales_davie_finite_sequence_stops_at_kmax():

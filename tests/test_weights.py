@@ -2,13 +2,16 @@
 
 import math
 
+import mpmath as mp
+import numpy as np
 import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from decayinv import ParameterError, RangeError, Weight, check_weight
-from decayinv.weights import (SmoothnessSequence, log_phi_r,
-                              log_phi_r_from_log, phi_r_eval)
+from decayinv.weights import (SmoothnessSequence, log_concave_sum, log_phi_r,
+                              log_phi_r_from_log, log_poly_geometric,
+                              phi_r_eval, poly_geometric_max)
 
 
 def test_poly_weight_values():
@@ -57,6 +60,59 @@ def test_phi_r_exact_vs_saddle_crossover():
             direct = log_phi_r(x, r)
             vialog = log_phi_r_from_log(math.log(x), r)
             assert direct == pytest.approx(vialog, rel=1e-12)
+
+
+def mp_log_phi_r(x, r):
+    """log phi_r(x) summed term by term in 30 digits until the terms past
+    the peak x^(1/r) fall below 1e-25 of the sum."""
+    with mp.workdps(30):
+        lx, peak = mp.log(x), x ** (1.0 / r)
+        total, l = mp.mpf(0), 0
+        while True:
+            term = mp.exp(l * lx - r * mp.loggamma(l + 1))
+            total += term
+            if l > peak and term < total * mp.mpf(10) ** -25:
+                return float(mp.log(total))
+            l += 1
+
+
+@pytest.mark.parametrize("r", [0.25, 0.5, 0.75, 1.5, 3.0])
+def test_phi_r_matches_direct_sum(r):
+    # fractional r < 1 peaks far out (x^(1/r) terms); a fixed cap past
+    # the peak read phi_0.25(10) 3e-5 low
+    for x in (0.5, 2.0, 5.0, 10.0, 30.0):
+        if x ** (1.0 / r) > 1e4:
+            continue
+        got = log_phi_r(x, r)
+        assert abs(math.expm1(got - mp_log_phi_r(x, r))) <= 1e-11, (r, x)
+
+
+@seed(11)
+@settings(max_examples=40, deadline=None)
+@given(k=st.floats(min_value=0.0, max_value=40.0),
+       s=st.floats(min_value=0.0, max_value=4.0),
+       gamma=st.floats(min_value=0.005, max_value=3.0),
+       m0=st.integers(min_value=0, max_value=50))
+def test_poly_geometric_sum_and_max(k, s, gamma, m0):
+    # m^k (1+m)^s rho^m against fsum and a dense argmax over m0..60000,
+    # far past the peak (k+s)/gamma <= 8800: the last term is below
+    # e^-160 of the largest
+    rho = math.exp(-gamma)
+    ms = np.arange(m0, 60001, dtype=float)
+    logs = k * np.log(np.maximum(ms, 1.0)) + s * np.log1p(ms) \
+        + ms * math.log(rho)
+    if k > 0 and m0 == 0:
+        logs[0] = -math.inf
+    j = int(logs.argmax())
+    top = float(logs[j])
+    want = top + math.log(math.fsum(np.exp(logs - top)))
+    got, terms = log_concave_sum(
+        lambda m: log_poly_geometric(m, k, s, rho), m0)
+    assert abs(math.expm1(got - want)) <= 1e-12
+    assert terms < ms.size
+    log_max, argmax = poly_geometric_max(k, s, rho, m0)
+    assert argmax == m0 + j
+    assert log_max == pytest.approx(top, rel=1e-15, abs=1e-15)
 
 
 def test_phi_r_eval_range_error():
