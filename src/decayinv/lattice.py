@@ -10,6 +10,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import NumericalError, ParameterError, SingularityError
 
@@ -151,13 +152,9 @@ def identity_matrix(window):
 
 
 def make_toeplitz(symbol, window):
-    n = window.n
-    offs = np.arange(-(n - 1), n)
-    c = symbol.coefficients(offs)
-    om = np.arange(n)[:, None] - np.arange(n)[None, :]
-    entries = c[om + n - 1]
-    bw = symbol.max_offset()
-    return LatticeMatrix(window, entries, "toeplitz", symbol, bw)
+    entries = _offset_table(window.n, symbol.coefficients).copy()
+    return LatticeMatrix(window, entries, "toeplitz", symbol,
+                         symbol.max_offset())
 
 
 def geometric_inverse_toeplitz(gamma, window, scale=1.0):
@@ -168,15 +165,23 @@ def geometric_inverse_toeplitz(gamma, window, scale=1.0):
     return make_toeplitz(sym, window)
 
 
+def _offset_table(n, f):
+    """The n x n matrix f(k - l), from one call of f on the 2n - 1 window
+    offsets n - 1, ..., -(n - 1): a read-only Toeplitz view of that call."""
+    vals = f(np.arange(n - 1, -n, -1))[n - 1:]
+    step = vals.strides[0]
+    return as_strided(vals, (n, n), (-step, step), writeable=False)
+
+
 def offset_multiplier(A, f):
     """Schur multiplier by a function of the offset: entry (k, l) becomes
     f(k - l) A(k, l).
 
-    f maps an integer array of offsets to multipliers and must accept
-    every offset of a finite symbol, which maps coefficientwise,
-    c(m) -> f(m) c(m).  An infinite symbol is dropped.
+    f is called once, on the 1-D integer array of the 2n - 1 window
+    offsets, and must act elementwise; a finite symbol maps through it
+    coefficientwise, c(m) -> f(m) c(m).  An infinite symbol is dropped.
     """
-    entries = f(A.offsets()) * A.entries
+    entries = _offset_table(A.n, f) * A.entries
     sym = A.symbol
     if sym is None or not sym.is_finite:
         tag = "banded" if A.bandwidth is not None else "general"

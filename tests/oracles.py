@@ -1,10 +1,11 @@
 """Reference implementations that the tests check the package against.
 
 These are the paper's literal formulas: sums over ordered compositions
-with multinomial weights, and the binomial expansion of the difference
-power.  The package evaluates the same quantities by cheaper routes
-(first-part recurrences, a closed entrywise factor, a closed form), so
-nothing here is imported from src.  pytest does not collect this module.
+with multinomial weights, the binomial expansion of the difference
+power, and the offset multiplier entry by entry.  The package evaluates
+the same quantities by cheaper routes (first-part recurrences, a closed
+entrywise factor, one offset table, a closed form), so nothing here is
+imported from src.  pytest does not collect this module.
 """
 
 import itertools
@@ -87,6 +88,12 @@ def difference_quotient_literal(A, Ainv, t, k):
                 prod = prod @ apply_automorphism(blocks[kj], (k - run) * t).entries
             acc = acc + (-1) ** m * multinomial(k, parts) * prod
     return apply_automorphism(Ainv, k * t).entries @ acc
+
+
+def offset_multiplier_entrywise(A, f):
+    """Entries of the Schur multiplier by f, with f called on the full
+    n x n offset matrix: f(k - l) A(k, l)."""
+    return f(A.offsets()) * A.entries
 
 
 def difference_power_binomial(A, t, k):

@@ -11,6 +11,8 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from decayinv import (IndexWindow, LatticeMatrix, NumericalError,
                       ParameterError, RangeError, SingularityError,
@@ -171,6 +173,29 @@ def test_baskakov_bounds_on_resolvent():
     assert repj.satisfied
     assert repj.measured_value == pytest.approx(jaffard_norm(inv, 2.0),
                                                 rel=1e-13)
+
+
+@seed(13)
+@settings(max_examples=50, deadline=None)
+@given(st.sampled_from([1.5, 2.0, 3.0]), st.floats(0.05, 0.3),
+       st.integers(0, 2 ** 32 - 1))
+def test_bounds_hold_on_random_decay_instances(r, eps, rng_seed):
+    # the bound set of the inversion benchmark's random instances, with
+    # the margin a quarter of the window as there
+    A = random_decay_matrix(W, r, eps, seed=rng_seed)
+    inv = invert_truncated(A)
+    margin = W.n // 4
+    na_op, ninv_op = operator_norm_l2(A), operator_norm_l2(inv)
+    reports = [
+        baskakov_bound_Cr(A, r, method="window", margin=margin, inverse=inv),
+        baskakov_bound_Jr(A, r, method="window", margin=margin, inverse=inv),
+        explicit_bound_Cr(cv_norm(A, Weight.poly(r)), na_op, ninv_op, r,
+                          measured=cv_norm(inv, Weight.poly(r),
+                                           margin=margin)),
+        explicit_bound_Jr(jaffard_norm(A, r), na_op, ninv_op, r,
+                          measured=jaffard_norm(inv, r, margin=margin))]
+    for rep in reports:
+        assert rep.satisfied, rep.to_dict()
 
 
 def test_baskakov_t_grid_picks_smaller_bound():

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 from decayinv import (GeometricTail, IndexWindow, LatticeMatrix,
@@ -15,8 +15,9 @@ from decayinv import (GeometricTail, IndexWindow, LatticeMatrix,
                       geometric_inverse_toeplitz, identity_matrix,
                       invert_truncated, make_toeplitz, operator_norm_l2,
                       random_decay_matrix, singular_values, symbol_range)
+from decayinv.lattice import offset_multiplier
 
-from oracles import difference_power_binomial
+from oracles import difference_power_binomial, offset_multiplier_entrywise
 
 W = IndexWindow(-16, 15)
 
@@ -218,6 +219,7 @@ GEOMETRIC_TAILS = st.none() | st.builds(
 DENSE_GRID = np.linspace(0.0, 1.0, 1 << 15, endpoint=False)
 
 
+@seed(3)
 @settings(max_examples=30, deadline=None)
 @given(SYMBOL_COEFFS, GEOMETRIC_TAILS)
 @example({2: 1.0}, GeometricTail(1e-10, 1.0))
@@ -239,6 +241,69 @@ def test_symbol_range_reaches_dense_grid(coeffs, tail):
     tol = 1e-13 * grid.max()
     assert lo <= grid.min() + tol
     assert hi >= grid.max() - tol
+
+
+def _table_factor(rng):
+    # shaped like the hypersingular factor of besov: a real table over
+    # |m| >= 1, read by searchsorted, and zero on the diagonal
+    ms = np.arange(1, 200)
+    table = rng.standard_normal(ms.size)
+
+    def factor(offs):
+        out = np.zeros(offs.shape)
+        nz = offs != 0
+        out[nz] = table[np.searchsorted(ms, np.abs(offs[nz]))]
+        return out
+    return factor
+
+
+def _multiplier_operand(kind, window, coeffs, tail, rng):
+    n = window.n
+    if kind == "finite":
+        return make_toeplitz(ToeplitzSymbol(coeffs), window)
+    if kind == "geometric":
+        return make_toeplitz(ToeplitzSymbol(coeffs, tail), window)
+    entries = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    if kind == "general":
+        return LatticeMatrix(window, entries, "general")
+    bw = int(rng.integers(0, n))
+    om = np.arange(n)[:, None] - np.arange(n)[None, :]
+    entries[np.abs(om) > bw] = 0.0
+    return LatticeMatrix(window, entries, "banded", bandwidth=bw)
+
+
+@seed(9)
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 96), st.integers(-10 ** 6, 10 ** 6),
+       st.sampled_from(["general", "banded", "finite", "geometric"]),
+       st.sampled_from(["phase", "difference", "derivation", "table"]),
+       st.floats(-1.0, 1.0), st.integers(1, 6), SYMBOL_COEFFS,
+       GEOMETRIC_TAILS.filter(lambda g: g is not None),
+       st.integers(0, 2 ** 32 - 1))
+@example(1, 0, "general", "phase", 0.3, 1, {0: 1.0}, GeometricTail(0.5), 0)
+def test_offset_multiplier_matches_entrywise(n, lo, kind, fname, t, k,
+                                             coeffs, tail, rng_seed):
+    # one call of f on the 2n - 1 offsets gives bit for bit the entries
+    # of f on the full offset matrix, and the same tag, symbol, bandwidth
+    rng = np.random.default_rng(rng_seed)
+    A = _multiplier_operand(kind, IndexWindow(lo, lo + n - 1), coeffs, tail,
+                            rng)
+    f = {"phase": lambda m: np.exp(2j * np.pi * m * t),
+         "difference": lambda m: (np.exp(2j * np.pi * m * t) - 1.0) ** k,
+         "derivation": lambda m: m.astype(float) ** k,
+         "table": _table_factor(rng)}[fname]
+    out = offset_multiplier(A, f)
+    assert np.array_equal(out.entries, offset_multiplier_entrywise(A, f))
+    assert out.bandwidth == A.bandwidth
+    if kind == "finite":
+        ms = np.array(list(A.symbol.coeffs))
+        cs = np.array(list(A.symbol.coeffs.values()))
+        assert out.tag == "toeplitz"
+        assert out.symbol.coeffs == ToeplitzSymbol(
+            dict(zip(A.symbol.coeffs, f(ms) * cs))).coeffs
+    else:
+        assert out.tag == ("general" if A.bandwidth is None else "banded")
+        assert out.symbol is None
 
 
 def test_identity_matrix():
