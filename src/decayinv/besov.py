@@ -7,7 +7,10 @@ integrand is linear in the profile (p = 1 in the c0 ambient, and the
 hypersingular multipliers) the integral separates over offsets, and
 u = m t reduces every offset to one antiderivative
 F(x) = int_1^x u^{-s-1} |2 sin pi u|^k du, tabulated by Gauss-Legendre.
-Values are computed on [t_min, t_max]; the near-zero and far-tail
+Elsewhere at finite p the integral runs over cells cut at the kinks j/m
+(and at the switches of the jaffard max), one fixed Gauss-Legendre rule
+per cell; every rule reports its difference from a coarser one as its
+error.  Values are computed on [t_min, t_max]; the near-zero and far-tail
 contributions are returned as a separate rigorous bound, never silently
 added.
 """
@@ -17,7 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import ParameterError
 from .lattice import difference_power, offset_multiplier, operator_norm_l2
@@ -30,6 +32,11 @@ _BLOCK = 1 << 14      # elements of a node matrix evaluated at once
 # p = inf search: log-grid points per shell, points and rounds of the zoom
 _SUP_COARSE, _SUP_ZOOM, _SUP_ROUNDS = 256, 17, 14
 _OP_NODES = 33        # operator ambient: trapezoid nodes per shell
+# general route: Gauss-Legendre nodes per cell (the check takes half),
+# the kink count above which shells are cut into _PANELS equal panels
+# instead (the check takes half as many), and the bisection steps that
+# bring a switch of the jaffard max's branch to roundoff
+_GL_RULE, _MAX_KINKS, _PANELS, _BISECT = 8, 1 << 15, 512, 60
 _trapz = getattr(np, "trapezoid", None) or np.trapz
 
 
@@ -102,6 +109,14 @@ def _antiderivative(x, s, k):
     return np.array(rows)
 
 
+def _sine_blocks(ts, ms, k):
+    """(rows, |2 sin pi m t|^k) over blocks of the flattened ts, one row
+    per t and one column per m."""
+    col = ts.reshape(-1, 1)
+    for sl in _blocks(ts.size, ms.size):
+        yield sl, (2.0 * np.abs(np.sin(np.pi * ms * col[sl]))) ** k
+
+
 def _modulus(ts, ms, w, k, kind):
     """g(t) = sum_m (c0) or max_m (jaffard) of |2 sin pi m t|^k w(m) at
     every t, evaluated in blocks of ts."""
@@ -109,9 +124,7 @@ def _modulus(ts, ms, w, k, kind):
     out = np.zeros(ts.size)
     if ms.size == 0:
         return out.reshape(ts.shape)
-    col = ts.reshape(-1, 1)
-    for sl in _blocks(ts.size, ms.size):
-        S = (2.0 * np.abs(np.sin(np.pi * ms * col[sl]))) ** k
+    for sl, S in _sine_blocks(ts, ms, k):
         out[sl] = S @ w if kind == "c0" else (S * w).max(axis=1)
     return out.reshape(ts.shape)
 
@@ -153,16 +166,16 @@ def decay_moment(A, r, p=1, ambient="c0", method="auto", margin=0):
 
 
 def _dropped_mass(geo, kind, s, k=0.0):
-    """The cut geometric tail's contribution to the k-moment: the sum
-    (c0) or max (jaffard) over m > M of scale m^k (1+m)^s rho^m."""
+    """The cut geometric tail's contribution to the k-moment: the max
+    (jaffard) or sum (otherwise) over m > M of scale m^k (1+m)^s rho^m."""
     if geo is None:
         return 0.0
     sc, rho, M = geo
-    if kind == "c0":
+    if kind == "jaffard":
+        log_mass, _ = poly_geometric_max(k, s, rho, M + 1)
+    else:
         log_mass, _ = log_concave_sum(
             lambda ms: log_poly_geometric(ms, k, 0.0, rho), M + 1)
-    else:
-        log_mass, _ = poly_geometric_max(k, s, rho, M + 1)
     return sc * math.exp(log_mass)
 
 
@@ -187,7 +200,7 @@ def _tail_bounds(A, ms, w, geo, k, r, p, t_min, t_max,
     if k > r:
         if ms.size:
             vals = ms.astype(float) ** k * w
-            Sk = float(vals.sum()) if kind == "c0" else float(vals.max())
+            Sk = float(vals.max()) if kind == "jaffard" else float(vals.sum())
         else:
             Sk = 0.0
         Sk += _dropped_mass(geo, kind, s, k)
@@ -208,9 +221,15 @@ def besov_seminorm(A, p, r, k=None, ambient="c0", method="auto", margin=0,
     The integral (covering both signs of t) runs over t_min <= |t| <= t_max;
     contributions outside are covered by tail_bound.  k defaults to
     floor(r)+1, the smallest order keeping the integral convergent at 0.
-    parameters["quad_short_shells"] counts the dyadic shells on which
-    adaptive quadrature stopped short of its tolerance (0 on the routes
-    that do not use it: p = 1 in the c0 ambient, and p = inf).
+
+    The route depends on the input.  p = 1 in the c0 ambient separates
+    over offsets (one tabulated antiderivative); p = inf searches a log
+    grid of each dyadic shell and zooms in on its best point; other p, and
+    the jaffard ambient at finite p, take a fixed Gauss-Legendre rule on
+    cells free of kinks (equal panels per shell when the kinks are too
+    many); the operator ambient takes a trapezoid rule over window
+    singular values.  quadrature_error is each route's own estimate: the
+    difference from a coarser rule, or the zoom's gain for p = inf.
     """
     if r <= 0:
         raise ParameterError("besov_seminorm needs r > 0")
@@ -225,12 +244,11 @@ def besov_seminorm(A, p, r, k=None, ambient="c0", method="auto", margin=0,
         raise ParameterError("difference order k must be >= 1")
     kind, s = normalize_ambient(ambient)
 
-    short = 0
     if kind == "operator":
         value, qerr = _operator_route(A, p, r, k, t_min, t_max)
-        ms = np.array([])
-        w = np.array([])
-        geo = None
+        # the tail bound's moment: ||Delta_t^k A||_op is at most
+        # sum_m |2 sin pi m t|^k d(m) by the Schur test, the c0 modulus
+        ms, w, geo = _offset_weights(A, "c0", method, margin)
     else:
         ms, w, geo = _offset_weights(A, ambient, method, margin)
         if p == 1 and kind == "c0":
@@ -239,16 +257,15 @@ def besov_seminorm(A, p, r, k=None, ambient="c0", method="auto", margin=0,
             value, qerr = _sup_search(ms, w, k, kind,
                                       _shell_edges(t_min, t_max), r)
         else:
-            value, qerr, short = _quad_route(ms, w, k, kind,
-                                             _shell_edges(t_min, t_max), r, p)
+            value, qerr = _cell_route(ms, w, k, kind,
+                                      _shell_edges(t_min, t_max), r, p)
 
     tail = _tail_bounds(A, ms, w, geo, k, r, p, t_min, t_max,
                         ambient, method, margin, kind, s)
     return SeminormEstimate(
         value=value, quadrature_error=qerr, tail_bound=tail,
         parameters={"p": p, "r": r, "k": k, "ambient": ambient,
-                    "t_min": t_min, "t_max": t_max,
-                    "quad_short_shells": short})
+                    "t_min": t_min, "t_max": t_max})
 
 
 def _shell_edges(t_min, t_max):
@@ -298,25 +315,97 @@ def _sup_search(ms, w, k, kind, edges, r):
     return float(best[win]), float(best[win] - coarse[win])
 
 
-def _quad_route(ms, w, k, kind, edges, r, p):
-    """Adaptive quad per dyadic shell, for the inputs where g enters the
-    integrand nonlinearly (p not in {1, inf}, or the jaffard ambient).
-    Also returns the number of shells that stopped short of epsrel."""
-    def f(t):
-        return t ** (-r * p - 1.0) * float(_modulus(t, ms, w, k, kind)) ** p
+def _kink_cells(shells, ms):
+    """Shell edges together with every kink j/m (m in ms) strictly inside
+    [shells[0], shells[-1]], sorted and merged, or None when there are
+    more than _MAX_KINKS kinks (a point shared by several offsets counted
+    once per offset).
 
-    total = err = 0.0
-    short = 0
-    for a, b in zip(edges[:-1], edges[1:]):
-        res = quad(f, a, b, limit=200, epsabs=0.0, epsrel=1e-10,
-                   full_output=1)
-        total += res[0]
-        err += res[1]
-        short += len(res) > 3          # QUADPACK's message: ier > 0
-    total *= 2.0
-    err *= 2.0
+    The points j/(2M), M = max(ms), are cut too: with them no cell spans
+    more than half a hump of the fastest term, where _GL_RULE nodes reach
+    roundoff.
+    """
+    t_min, t_max = shells[0], shells[-1]
+    ms = np.append(ms, 2 * ms[-1])
+    lo = np.floor(ms * t_min) + 1.0
+    counts = np.maximum(np.ceil(ms * t_max) - lo, 0.0).astype(int)
+    if counts.sum() > _MAX_KINKS:
+        return None
+    starts = np.cumsum(counts) - counts
+    rank = np.arange(counts.sum()) - np.repeat(starts, counts)
+    kinks = (np.repeat(lo, counts) + rank) / np.repeat(ms, counts)
+    kinks = kinks[(kinks > t_min) & (kinks < t_max)]
+    return np.unique(np.concatenate([shells, kinks]))
+
+
+def _argmax_branch(ts, ms, w, k):
+    """Index of the offset attaining max_m |2 sin pi m t|^k w(m) at each t."""
+    out = np.empty(ts.size, dtype=int)
+    for sl, S in _sine_blocks(ts, ms, k):
+        out[sl] = (S * w).argmax(axis=1)
+    return out.reshape(ts.shape)
+
+
+def _crossings(cells, ms, w, k):
+    """Points inside the cells where the active branch of the jaffard max
+    switches: the branch is probed at each cell's ends and rule nodes, and
+    every probe interval where it changes is bisected to roundoff."""
+    tau, _ = _legendre(_GL_RULE)
+    frac = np.concatenate([[0.0], tau, [1.0]])
+    probes = cells[:-1, None] + np.diff(cells)[:, None] * frac
+    branch = _argmax_branch(probes, ms, w, k)
+    switch = branch[:, 1:] != branch[:, :-1]
+    lo, hi = probes[:, :-1][switch], probes[:, 1:][switch]
+    left = branch[:, :-1][switch]
+    for _ in range(_BISECT):
+        mid = 0.5 * (lo + hi)
+        same = _argmax_branch(mid, ms, w, k) == left
+        lo, hi = np.where(same, mid, lo), np.where(same, hi, mid)
+    return hi
+
+
+def _rule_on_cells(edges, ms, w, k, kind, r, p, n):
+    """The n-node Gauss-Legendre rule for int t^(-rp-1) g(t)^p dt on each
+    cell between consecutive edges."""
+    tau, wts = _legendre(n)
+    h = np.diff(edges)
+    ts = edges[:-1, None] + h[:, None] * tau
+    return h * ((ts ** (-r * p - 1.0) * _modulus(ts, ms, w, k, kind) ** p)
+                @ wts)
+
+
+def _cell_route(ms, w, k, kind, shells, r, p):
+    """The inputs where g enters the integrand nonlinearly (p not in
+    {1, inf}, or the jaffard ambient).
+
+    The cells are cut at the kinks j/m of |2 sin pi m t|^k and, in the
+    jaffard ambient, where the branch of the max switches, so the integrand
+    is analytic on each; the value is the _GL_RULE-node rule per cell, and
+    the error the sum over cells of its difference from the half-node rule.
+    Above _MAX_KINKS kinks each shell is cut into _PANELS equal panels
+    instead, and the error is the sum over pairs of panels of the
+    difference from one panel spanning the pair.  Either error also counts
+    the worst-case rounding of the sum over the cells, eps per cell, which
+    is all that is left where the two rules agree to the last bit.
+    """
+    if ms.size == 0:
+        return 0.0, 0.0
+    cells = _kink_cells(shells, ms)
+    if cells is None:
+        panels = np.linspace(shells[:-1], shells[1:], _PANELS + 1, axis=1)
+        cells = np.append(panels[:, :-1].ravel(), shells[-1])
+        coarse = _rule_on_cells(cells[::2], ms, w, k, kind, r, p, _GL_RULE)
+    else:
+        if kind == "jaffard":
+            cells = np.union1d(cells, _crossings(cells, ms, w, k))
+        coarse = _rule_on_cells(cells, ms, w, k, kind, r, p, _GL_RULE // 2)
+    fine = _rule_on_cells(cells, ms, w, k, kind, r, p, _GL_RULE)
+    total = 2.0 * float(fine.sum())
+    err = (2.0 * float(np.abs(fine.reshape(coarse.size, -1).sum(axis=1)
+                              - coarse).sum())
+           + np.finfo(float).eps * fine.size * total)
     value = total ** (1.0 / p)
-    return value, (total + err) ** (1.0 / p) - value, short
+    return value, (total + err) ** (1.0 / p) - value
 
 
 def _operator_route(A, p, r, k, t_min, t_max):

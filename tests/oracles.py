@@ -2,16 +2,20 @@
 
 These are the paper's literal formulas: sums over ordered compositions
 with multinomial weights, the binomial expansion of the difference
-power, and the offset multiplier entry by entry.  The package evaluates
+power, and the offset multiplier entry by entry; and a Besov integral by
+adaptive quad on the cells between its kinks.  The package evaluates
 the same quantities by cheaper routes (first-part recurrences, a closed
-entrywise factor, one offset table, a closed form), so nothing here is
-imported from src.  pytest does not collect this module.
+entrywise factor, one offset table, a closed form, one fixed rule per
+cell), so nothing here is imported from src.  pytest does not collect
+this module.
 """
 
 import itertools
 import math
 
 import numpy as np
+from scipy.integrate import quad
+from scipy.optimize import brentq
 from scipy.special import gammaln
 
 from decayinv import (LatticeMatrix, ParameterError, apply_automorphism,
@@ -125,3 +129,41 @@ def a_m_bruteforce(seq, m, kmax=15):
             if t > best:
                 best = t
     return math.exp(best / m)
+
+
+def besov_integral_cells(ms, w, k, r, p, t_min, t_max, jaffard=False):
+    """(2 int_{t_min}^{t_max} t^(-rp-1) g(t)^p dt)^(1/p) by adaptive quad
+    on every cell between the kinks j/m, with g(t) the sum (or, jaffard,
+    the max) over m of w(m) |2 sin(pi m t)|^k.
+
+    In the jaffard case each kink cell is sampled on a uniform grid, and
+    wherever the maximizing offset changes from i to j between two samples
+    the cell is cut at the root of branch i minus branch j (brentq).
+    """
+    ms = np.asarray(ms, dtype=float)
+    w = np.asarray(w, dtype=float)
+
+    def branches(t):
+        return w * np.abs(2.0 * np.sin(np.pi * ms * t)) ** k
+
+    def f(t):
+        b = branches(t)
+        return t ** (-r * p - 1.0) * (b.max() if jaffard else b.sum()) ** p
+
+    kinks = {j / m for m in ms for j in range(1, int(m * t_max) + 1)}
+    edges = sorted({t_min, t_max, *(x for x in kinks if t_min < x < t_max)})
+    cuts = []
+    if jaffard:
+        grid = np.linspace(edges[:-1], edges[1:], 17, axis=1).ravel()
+        top = (w * np.abs(2.0 * np.sin(np.pi * np.outer(grid, ms))) ** k
+               ).argmax(axis=1).reshape(-1, 17)
+        grid = grid.reshape(-1, 17)
+        for c, s in zip(*np.nonzero(top[:, 1:] != top[:, :-1])):
+            i, j = top[c, s], top[c, s + 1]
+            cuts.append(brentq(lambda t: branches(t)[i] - branches(t)[j],
+                               grid[c, s], grid[c, s + 1], xtol=1e-300,
+                               rtol=4 * np.finfo(float).eps))
+    edges = sorted(set(edges) | set(cuts))
+    total = sum(quad(f, a, b, epsabs=0.0, epsrel=1e-13, limit=100)[0]
+                for a, b in zip(edges[:-1], edges[1:]))
+    return (2.0 * total) ** (1.0 / p)

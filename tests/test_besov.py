@@ -7,8 +7,10 @@ against an independent oracle.  FROZEN_P1 came from scipy and is 3.0e-5
 off the 25-digit mpmath value MPMATH_P1; it keeps its 5e-4 tolerance,
 and MPMATH_P1 is checked at relative 1e-12.  FROZEN_P2 comes from a
 kink-split Gauss-Legendre rule instead (the scipy value was 5.3e-5 off);
-the adaptive route must land within 1e-6 of it and within its own
-reported quadrature error.
+the route must land within relative 1e-13 of it and within its own
+reported quadrature error.  The jaffard-ambient p = 2 value is checked
+against adaptive quad on the cells between the kinks and the switches of
+the max (tests/oracles.py).
 """
 
 import math
@@ -23,10 +25,13 @@ from decayinv import (IndexWindow, ParameterError, ToeplitzSymbol,
                       besov_seminorm, geometric_inverse_toeplitz,
                       hypersingular_seminorm, identification_rate_check,
                       make_toeplitz, modulus_profile)
-from decayinv.besov import _j_multipliers
+from decayinv import besov
+from decayinv.besov import (_j_multipliers, _kink_cells, _offset_weights,
+                            _shell_edges)
 from decayinv.lattice import difference_power
 from decayinv.norms import cv_norm
 from decayinv.weights import Weight
+from oracles import besov_integral_cells
 
 W = IndexWindow(-32, 31)
 INV = geometric_inverse_toeplitz(0.5, W)
@@ -56,50 +61,94 @@ def test_besov_p1_mpmath_reference():
     assert est.quadrature_error <= 1e-10
 
 
-def _shift_seminorm_mpmath(m, r, k, t_min, t_max):
-    """2 int_{t_min}^{t_max} t^(-r-1) |2 sin(pi m t)|^k dt in mpmath, split
-    at the kinks j/m and at the decades below 1."""
+def _shift_seminorm_mpmath(m, r, k, t_min, t_max, p=1):
+    """(2 int_{t_min}^{t_max} t^(-rp-1) |2 sin(pi m t)|^(kp) dt)^(1/p) in
+    mpmath, split at the kinks j/m and at the decades below 1."""
     with mpmath.workdps(20):
         knots = [mpmath.mpf(j) / m for j in range(1, int(m * t_max) + 1)]
         decades = [mpmath.mpf(10) ** e
                    for e in range(math.floor(math.log10(t_min)) + 1, 0)]
         pts = sorted({mpmath.mpf(t_min), mpmath.mpf(t_max),
                       *[x for x in knots + decades if t_min < x < t_max]})
-        rr = mpmath.mpf(r)
-        val = 2 * mpmath.quad(lambda t: t ** (-rr - 1)
-                              * abs(2 * mpmath.sin(mpmath.pi * m * t)) ** k,
+        rp, kp = mpmath.mpf(r) * p, mpmath.mpf(k) * p
+        val = 2 * mpmath.quad(lambda t: t ** (-rp - 1)
+                              * abs(2 * mpmath.sin(mpmath.pi * m * t)) ** kp,
                               pts)
-        return float(val)
+        return float(val ** (1 / mpmath.mpf(p)))
 
 
-@pytest.mark.parametrize("m, r, k, t_min", [(3, 0.5, 1, 0.01),
-                                            (5, 1.5, 2, 1e-6)])
-def test_besov_p1_shift_mpmath_oracle(m, r, k, t_min):
+# p = 1 separates over offsets; p = 2 (odd k) and p = 1.5 (even k) take the
+# Gauss-Legendre rule on the cells between the kinks
+@pytest.mark.parametrize("m, r, k, t_min, p", [(3, 0.5, 1, 0.01, 1),
+                                               (5, 1.5, 2, 1e-6, 1),
+                                               (3, 0.5, 1, 0.01, 2),
+                                               (5, 1.5, 2, 1e-6, 1.5)])
+def test_besov_shift_mpmath_oracle(m, r, k, t_min, p):
     T = make_toeplitz(ToeplitzSymbol({m: 1.0}), W)
-    est = besov_seminorm(T, 1, r, k, t_min=t_min, t_max=4.0)
-    want = _shift_seminorm_mpmath(m, r, k, t_min, 4.0)
+    est = besov_seminorm(T, p, r, k, t_min=t_min, t_max=4.0)
+    want = _shift_seminorm_mpmath(m, r, k, t_min, 4.0, p)
     assert est.value == pytest.approx(want, rel=1e-13)
 
 
 def test_routes_raise_no_warnings():
-    # quadrature shortfalls are counted, never emitted or silenced
+    # no route emits a warning, and none is silenced
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        ests = {p: besov_seminorm(INV, p, 0.5, 1, t_min=0.01, t_max=4.0)
-                for p in (1, 2, math.inf)}
+        for p in (1, 2, math.inf):
+            besov_seminorm(INV, p, 0.5, 1, t_min=0.01, t_max=4.0)
         hypersingular_seminorm(INV, 0.5)
         hypersingular_seminorm(INV, 1.5, ambient="operator")
-    # QUADPACK stops short of epsrel on 6 of the 9 shells of the p = 2
-    # case with scipy 1.17; the quad-free routes count none
-    assert 1 <= ests[2].parameters["quad_short_shells"] <= 9
-    assert ests[1].parameters["quad_short_shells"] == 0
-    assert ests[math.inf].parameters["quad_short_shells"] == 0
 
 
 def test_besov_p2_frozen():
     est = besov_seminorm(INV, 2, 0.5, 1, t_min=0.01, t_max=4.0)
-    assert est.value == pytest.approx(FROZEN_P2, abs=1e-6)
+    assert est.value == pytest.approx(FROZEN_P2, rel=1e-13)
+    assert est.quadrature_error <= 1e-10
     assert abs(est.value - FROZEN_P2) <= est.quadrature_error
+
+
+def test_besov_jaffard_p2_matches_quad_on_cells():
+    # the branch of the max switches 11 times inside the kink cells on
+    # [0.01, 1]; the rule without those cuts is 2.8e-7 off.  The profile
+    # stops where e^(-m/2) drops below 1e-18, as the route's does.
+    ms = np.arange(1, 84)
+    w = np.exp(-0.5 * ms) * (1.0 + ms) ** 2
+    want = besov_integral_cells(ms, w, 1, 0.5, 2, 0.01, 1.0, jaffard=True)
+    est = besov_seminorm(INV, 2, 0.5, 1, ambient=("jaffard", 2),
+                         t_min=0.01, t_max=1.0)
+    assert est.value == pytest.approx(want, rel=1e-10)
+    assert abs(est.value - want) <= est.quadrature_error
+
+
+def test_besov_above_cell_cap_within_reported_error(monkeypatch):
+    # gamma = 0.3 keeps 139 offsets, about 39k kinks on [0.01, 4]: past the
+    # cell cap, so the route takes equal panels per shell.  The reference
+    # is the kink-cell rule with the cap lifted.
+    A = geometric_inverse_toeplitz(0.3, W)
+    ms, _, _ = _offset_weights(A, "c0", "auto", 0)
+    assert _kink_cells(_shell_edges(0.01, 4.0), ms) is None
+    est = besov_seminorm(A, 2, 0.5, 1, t_min=0.01, t_max=4.0)
+    monkeypatch.setattr(besov, "_MAX_KINKS", math.inf)
+    ref = besov_seminorm(A, 2, 0.5, 1, t_min=0.01, t_max=4.0)
+    assert ref.quadrature_error <= 1e-9
+    assert abs(est.value - ref.value) <= est.quadrature_error
+
+
+def test_operator_tail_bound_covers_the_left_out_mass():
+    # p = 1, r = 1/2, k = 1 on [0.01, 4] with g(t) = ||Delta_t INV||_op.
+    # Near zero, t = u^2 makes 2 int_0^0.01 t^-1.5 g dt a smooth integral
+    # 4 int_0^0.1 g(u^2) u^-2 du.  g has period 1, and
+    # sum_{j>=4} (j+v)^-1.5 >= 2/sqrt(5) on [0, 1], so the mass beyond
+    # t = 4 is at least 4/sqrt(5) int_0^1 g.
+    est = besov_seminorm(INV, 1, 0.5, 1, ambient="operator",
+                         t_min=0.01, t_max=4.0)
+    x, wts = np.polynomial.legendre.leggauss(16)
+    u = 0.05 * (x + 1.0)
+    near = 0.2 * wts @ (modulus_profile(INV, u ** 2, 1, "operator") / u ** 2)
+    v = (np.arange(256) + 0.5) / 256
+    far = 4.0 / math.sqrt(5.0) * modulus_profile(INV, v, 1, "operator").mean()
+    assert near > 9.7 and far > 2.9
+    assert est.tail_bound >= near + far
 
 
 def test_besov_sup_frozen():

@@ -1,7 +1,11 @@
-"""Module layout of src/decayinv, checked on the syntax tree."""
+"""Module layout of src/decayinv, checked on the syntax tree, and what
+importing it loads."""
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "decayinv"
 
@@ -119,3 +123,15 @@ def test_weights_is_the_bottom_layer():
     # the series primitives live in weights, which every numeric module
     # imports, so weights itself may import only the error types
     assert sibling_imports(PACKAGE / "weights.py") <= {"errors"}
+
+
+def test_import_leaves_out_scipy_integrate():
+    # scipy.integrate alone pulls in scipy.optimize and scipy.linalg, about
+    # a quarter of a second of start-up that no route of the package needs
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(PACKAGE.parent), os.environ.get("PYTHONPATH", "")]))
+    code = ("import sys, decayinv, decayinv.cli; "
+            "print('scipy.integrate' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=60)
+    assert out.stdout.strip() == "False"
