@@ -11,10 +11,9 @@ from .besov import (SeminormEstimate, besov_seminorm,
                     hypersingular_seminorm, identification_rate_check,
                     modulus_profile)
 from .bounds import (BoundReport, baskakov_bound_Cr, baskakov_bound_Jr,
-                     besov_bound, bessel_rate_bound, condition_kappa,
-                     constant_Cr_numeric, dales_davie_bound,
-                     dd_domain_bound, derived_constant_Jr, ell_r,
-                     ell_tilde_r, explicit_bound_Cr, explicit_bound_Jr,
+                     besov_bound, bessel_rate_bound, constant_Cr_numeric,
+                     dales_davie_bound, dd_domain_bound, derived_constant_Jr,
+                     ell_r, ell_tilde_r, explicit_bound_Cr, explicit_bound_Jr,
                      integral_test_bracket, phi_Ar, superpoly_bound,
                      weighted_geometric_series)
 from .errors import (ConfigError, NumericalError, ParameterError,
@@ -28,7 +27,7 @@ from .lattice import (GeometricTail, IndexWindow, LatticeMatrix,
                       operator_norm_l2, singular_values, symbol_range)
 from .norms import (DalesDavieValue, a_m_gevrey, ambient_norm, banded_error,
                     cv_norm, dales_davie_norm, dd_seminorm, jaffard_norm)
-from .quotient import verify_identity
+from .quotient import verify_identity, verify_orders
 from .weights import SmoothnessSequence, Weight, check_weight, phi_r_eval
 
 __version__ = "0.1.0"
@@ -41,7 +40,7 @@ __all__ = [
     "a_m_gevrey", "ambient_norm", "apply_automorphism", "banded_error",
     "baskakov_bound_Cr", "baskakov_bound_Jr", "besov_bound",
     "besov_seminorm", "bessel_rate_bound", "check_weight",
-    "condition_kappa", "constant_Cr_numeric", "cv_norm",
+    "constant_Cr_numeric", "cv_norm",
     "dales_davie_bound", "dales_davie_norm", "dd_domain_bound",
     "dd_seminorm", "derivation_power", "derived_constant_Jr",
     "difference_power", "ell_r", "ell_tilde_r", "explicit_bound_Cr",
@@ -51,5 +50,5 @@ __all__ = [
     "jaffard_norm", "load_matrix", "make_toeplitz", "modulus_profile",
     "operator_norm_l2", "phi_Ar", "phi_r_eval", "random_decay_matrix",
     "save_matrix", "singular_values", "superpoly_bound", "symbol_range",
-    "verify_identity", "weighted_geometric_series",
+    "verify_identity", "verify_orders", "weighted_geometric_series",
 ]

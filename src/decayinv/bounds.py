@@ -110,12 +110,6 @@ def condition_data(A, method="auto"):
     return hi * nainv, hi, nainv
 
 
-def condition_kappa(A, method="auto"):
-    """kappa = ||A||_op * ||A^{-1}||_op."""
-    kappa, _, _ = condition_data(A, method)
-    return kappa
-
-
 @dataclass
 class SeriesFactor:
     value: float

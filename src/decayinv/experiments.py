@@ -19,7 +19,7 @@ from .lattice import (IndexWindow, LatticeMatrix, ToeplitzSymbol,
                       geometric_inverse_toeplitz, invert_truncated,
                       make_toeplitz, operator_norm_l2, rcond_estimate)
 from .norms import cv_norm, dales_davie_norm, dk_norm_log, jaffard_norm
-from .quotient import verify_identity
+from .quotient import verify_orders
 from .weights import SmoothnessSequence, Weight, log_phi_r
 
 _BRACKET_KMAX = 10   # dd-sharpness checks the bracket of ||D^k|| for k <= this
@@ -110,6 +110,17 @@ def _accept_tolerances(cfg, *keys):
     if unknown:
         raise ConfigError(f"unknown tolerances {sorted(unknown)}; "
                           f"accepted: {sorted(keys)}")
+
+
+def _check_sampling(cfg, count, margin):
+    """Raise ConfigError unless there is an instance to draw and the
+    margin leaves a nonempty inner window."""
+    if count < 1:
+        raise ConfigError(f"instances must be >= 1, got {count}")
+    if margin < 0 or 2 * margin >= cfg.window_N:
+        raise ConfigError(f"margin must satisfy 0 <= margin and "
+                          f"2 * margin < window_N = {cfg.window_N}, "
+                          f"got {margin}")
 
 
 def centered_window(n):
@@ -229,6 +240,7 @@ def run_jaffard_check(cfg):
         raise ConfigError("epsilon must lie in [0, 0.5]")
     count = int(cfg.tolerances.get("instances", 20))
     margin = int(cfg.tolerances.get("margin", cfg.window_N // 8))
+    _check_sampling(cfg, count, margin)
     window = centered_window(cfg.window_N)
     rows = []
     for r in cfg.r_list:
@@ -282,6 +294,7 @@ def run_quotient_verify(cfg):
     count = int(cfg.tolerances.get("instances", 20))
     ts = list(cfg.tolerances.get("t_values", [0.17, 0.31]))
     margin = int(cfg.tolerances.get("margin", cfg.window_N // 4))
+    _check_sampling(cfg, count, margin)
     window = centered_window(cfg.window_N)
 
     def one(idx):
@@ -289,23 +302,11 @@ def run_quotient_verify(cfg):
         B = random_decay_matrix(window, decay_r, eps, seed=[cfg.seed, idx, 1])
         inv = invert_truncated(A)
         rc = rcond_estimate(A, inv)
-        out = []
-        for k in range(1, kmax + 1):
-            res = verify_identity(A, "derivation_quotient", k, Ainv=inv,
-                                  margin=margin)
-            out.append({"instance": idx, "identity": "derivation_quotient",
-                        "k": k, "t": None, "max_rel_err": res["max_rel_err"],
-                        "rcond": rc})
-            for t in ts:
-                for name, extra in (("difference_product", {"B": B}),
-                                    ("difference_quotient", {"Ainv": inv}),
-                                    ("telescoping", {"Ainv": inv})):
-                    res = verify_identity(A, name, k, t=t, margin=margin,
-                                          **extra)
-                    out.append({"instance": idx, "identity": name, "k": k,
-                                "t": t, "max_rel_err": res["max_rel_err"],
-                                "rcond": rc})
-        return out
+        return [{"instance": idx, "identity": res["identity"], "k": res["k"],
+                 "t": res["t"], "max_rel_err": res["max_rel_err"],
+                 "rcond": rc}
+                for res in verify_orders(A, B, kmax, ts, Ainv=inv,
+                                         margin=margin)]
 
     rows = [row for idx in range(count) for row in one(idx)]
     worst = {}

@@ -234,16 +234,6 @@ def difference_power(A, t, k):
     return offset_multiplier(A, lambda m: (np.exp(2j * np.pi * m * t) - 1.0) ** k)
 
 
-def inner_section(A, margin):
-    """Restriction to the window shrunk by margin on both sides."""
-    if margin == 0:
-        return A.copy()
-    w = A.window.shrink(margin)
-    sub = A.entries[margin:A.n - margin, margin:A.n - margin].copy()
-    bw = None if A.bandwidth is None else min(A.bandwidth, w.n - 1)
-    return LatticeMatrix(w, sub, A.tag, A.symbol, bw)
-
-
 def rcond_estimate(A, Ainv):
     """Reciprocal condition estimate from the 1-norms of A and its inverse."""
     inv = Ainv.entries if isinstance(Ainv, LatticeMatrix) else Ainv

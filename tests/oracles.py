@@ -2,12 +2,13 @@
 
 These are the paper's literal formulas: sums over ordered compositions
 with multinomial weights, the binomial expansion of the difference
-power, and the offset multiplier entry by entry; and a Besov integral by
-adaptive quad on the cells between its kinks.  The package evaluates
-the same quantities by cheaper routes (first-part recurrences, a closed
-entrywise factor, one offset table, a closed form, one fixed rule per
-cell), so nothing here is imported from src.  pytest does not collect
-this module.
+power, and the offset multiplier entry by entry; the quotient-rule
+verifier one order at a time; and a Besov integral by adaptive quad on
+the cells between its kinks.  The package evaluates the same quantities
+by cheaper routes (first-part recurrences, one pass up to the top
+order, a closed entrywise factor, one offset table, a closed form, one
+fixed rule per cell), so nothing here is imported from src.  pytest does
+not collect this module.
 """
 
 import itertools
@@ -92,6 +93,88 @@ def difference_quotient_literal(A, Ainv, t, k):
                 prod = prod @ apply_automorphism(blocks[kj], (k - run) * t).entries
             acc = acc + (-1) ** m * multinomial(k, parts) * prod
     return apply_automorphism(Ainv, k * t).entries @ acc
+
+
+def _derivation_quotient_order(A, Ainv, k):
+    """D^k(A^{-1}) by the X_j recurrence, rebuilt from X_0 for this k."""
+    inv = Ainv.entries
+    dpow = {i: derivation_power(A, i).entries for i in range(1, k + 1)}
+    X = [inv]
+    for j in range(1, k + 1):
+        acc = sum(math.comb(j, i) * (dpow[i] @ X[j - i])
+                  for i in range(1, j + 1))
+        X.append(-(inv @ acc))
+    return X[k]
+
+
+def _difference_product_order(A, B, t, k):
+    """Delta_t^k(AB) by the twisted Leibniz rule, every factor rebuilt."""
+    acc = np.zeros((A.n, A.n), dtype=complex)
+    for l in range(0, k + 1):
+        left = apply_automorphism(difference_power(A, t, l), (k - l) * t).entries
+        right = difference_power(B, t, k - l).entries
+        acc = acc + math.comb(k, l) * (left @ right)
+    return acc
+
+
+def _difference_quotient_order(A, Ainv, t, k):
+    """Delta_t^k(A^{-1}) by the T_j recurrence, rebuilt from T_0 for this k."""
+    inv = Ainv.entries
+    blocks = {i: LatticeMatrix(A.window, difference_power(A, t, i).entries @ inv)
+              for i in range(1, k + 1)}
+    T = [np.eye(A.n, dtype=complex)]
+    for j in range(1, k + 1):
+        acc = sum(math.comb(j, i)
+                  * (apply_automorphism(blocks[i], (j - i) * t).entries @ T[j - i])
+                  for i in range(1, j + 1))
+        T.append(-acc)
+    return apply_automorphism(Ainv, k * t).entries @ T[k]
+
+
+def verify_identity_per_order(A, identity, k, t=None, B=None, Ainv=None,
+                              margin=0):
+    """One identity at one order, with every difference power, recurrence
+    and phase-shifted factor rebuilt for this (k, t), compared on
+    copies of the margin-shrunk window."""
+    if identity == "difference_product":
+        lhs = difference_power(
+            LatticeMatrix(A.window, A.entries @ B.entries, "general"), t,
+            k).entries
+        rhs = _difference_product_order(A, B, t, k)
+    elif identity == "derivation_quotient":
+        lhs = derivation_power(Ainv, k).entries
+        rhs = _derivation_quotient_order(A, Ainv, k)
+    elif identity == "difference_quotient":
+        lhs = difference_power(Ainv, t, k).entries
+        rhs = _difference_quotient_order(A, Ainv, t, k)
+    else:
+        lhs = _difference_product_order(A, Ainv, t, k)
+        rhs = np.zeros_like(lhs)
+    inner = slice(margin, A.n - margin)
+    li = lhs[inner, inner].copy()
+    ri = rhs[inner, inner].copy()
+    max_abs = float(np.abs(li - ri).max())
+    scale = float(max(np.abs(li).max(), np.abs(ri).max()))
+    if identity == "telescoping":
+        scale = float(max(np.abs(A.entries).max(), np.abs(Ainv.entries).max()))
+    rel = max_abs / scale if scale > 0 else 0.0
+    return {"identity": identity, "k": k, "t": t, "max_abs_err": max_abs,
+            "scale": scale, "max_rel_err": rel}
+
+
+def quotient_rows_per_order(A, B, Ainv, kmax, t_values, margin):
+    """The quotient-verify rows of one instance, one verifier call per
+    (identity, k, t), in the order the runner writes them."""
+    rows = []
+    for k in range(1, kmax + 1):
+        rows.append(verify_identity_per_order(
+            A, "derivation_quotient", k, Ainv=Ainv, margin=margin))
+        for t in t_values:
+            for name in ("difference_product", "difference_quotient",
+                         "telescoping"):
+                rows.append(verify_identity_per_order(
+                    A, name, k, t=t, B=B, Ainv=Ainv, margin=margin))
+    return rows
 
 
 def offset_multiplier_entrywise(A, f):

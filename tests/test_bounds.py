@@ -18,7 +18,7 @@ from decayinv import (IndexWindow, LatticeMatrix, NumericalError,
                       ParameterError, RangeError, SingularityError,
                       ToeplitzSymbol, Weight, apply_automorphism,
                       baskakov_bound_Cr, baskakov_bound_Jr, besov_bound,
-                      bessel_rate_bound, condition_kappa, constant_Cr_numeric,
+                      bessel_rate_bound, constant_Cr_numeric,
                       dales_davie_bound, dd_domain_bound,
                       derived_constant_Jr, ell_r, ell_tilde_r,
                       explicit_bound_Cr, explicit_bound_Jr,
@@ -272,8 +272,8 @@ def test_derived_constant_Jr_monotone_pieces():
 
 def test_condition_routes_agree():
     A = resolvent(0.5)
-    k_sym = condition_kappa(A, method="symbol")
-    k_win = condition_kappa(A, method="window")
+    k_sym = condition_data(A, method="symbol")[0]
+    k_win = condition_data(A, method="window")[0]
     x = math.exp(-0.5)
     assert k_sym == pytest.approx((1.0 + x) / (1.0 - x), rel=1e-10)
     # the finite section is better conditioned than the symbol sup

@@ -55,6 +55,33 @@ def test_unknown_tolerance_key_exit_code(tmp_path, capsys):
     assert not (tmp_path / "j.csv").exists()
 
 
+@pytest.mark.parametrize("command,tolerances", [
+    ("quotient-verify", {"margin": 32}),
+    ("quotient-verify", {"margin": -1}),
+    ("quotient-verify", {"instances": 0}),
+    ("jaffard-check", {"margin": 40}),
+    ("jaffard-check", {"margin": -1}),
+    ("jaffard-check", {"instances": 0}),
+])
+def test_bad_margin_or_instances_exit_code(tmp_path, capsys, command,
+                                           tolerances):
+    # a margin must leave a nonempty inner window of the 64-window, and
+    # a run needs an instance; both are config errors, found before any
+    # instance is drawn
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps({"experiment": command, "window_N": 64,
+                               "r_list": [2.0] if command == "jaffard-check"
+                               else [],
+                               "tolerances": tolerances}))
+    out = tmp_path / "rows.csv"
+    code = run([command, "--config", cfg, "--out", out])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "config error" in err
+    assert next(iter(tolerances)) in err
+    assert not out.exists()
+
+
 def test_config_experiment_mismatch(tmp_path, capsys):
     cfg = tmp_path / "mis.json"
     cfg.write_text(json.dumps({"experiment": "dd-sharpness"}))

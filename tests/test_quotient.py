@@ -10,13 +10,16 @@ from hypothesis import strategies as st
 
 from decayinv import (IndexWindow, geometric_inverse_toeplitz,
                       invert_truncated, make_toeplitz, random_decay_matrix,
-                      verify_identity, ToeplitzSymbol)
+                      verify_identity, verify_orders, ToeplitzSymbol)
+from decayinv import quotient
+from decayinv.experiments import ExperimentConfig, run_quotient_verify
 from decayinv.quotient import (IDENTITIES, derivation_quotient_rhs,
                                difference_quotient_rhs)
-from decayinv.lattice import derivation_power
+from decayinv.lattice import derivation_power, difference_power
 
 from oracles import (compositions, derivation_quotient_literal,
-                     difference_quotient_literal, multinomial)
+                     difference_quotient_literal, multinomial,
+                     quotient_rows_per_order, verify_identity_per_order)
 
 W = IndexWindow(-16, 15)
 W64 = IndexWindow(-32, 31)
@@ -53,7 +56,7 @@ def test_multinomial_values():
 def test_derivation_quotient_small_k_by_hand():
     # k = 1: D(A^{-1}) = -A^{-1} D(A) A^{-1}
     A, inv = instance(0)
-    rhs = derivation_quotient_rhs(A, inv, 1)
+    rhs = derivation_quotient_rhs(A, inv, 1)[1]
     manual = -inv.entries @ derivation_power(A, 1).entries @ inv.entries
     assert np.max(np.abs(rhs.entries - manual)) < 1e-14
 
@@ -67,14 +70,17 @@ def test_recurrences_match_composition_sums(idx):
     # the first-part recurrences regroup the paper's composition sums
     # by the distributive law, so they agree to roundoff
     A, inv = instance(10 + idx, window=W64)
+    dq = derivation_quotient_rhs(A, inv, 8)
+    tq = {t: difference_quotient_rhs(
+              inv, t, [difference_power(A, t, i) for i in range(9)])
+          for t in (0.17, 0.31)}
     for k, tol in [(1, 1e-13), (2, 1e-13), (3, 1e-13), (4, 1e-13),
                    (5, 1e-13), (6, 1e-13), (8, 1e-12)]:
-        got = derivation_quotient_rhs(A, inv, k).entries
-        gap = rel_gap(got, derivation_quotient_literal(A, inv, k))
+        gap = rel_gap(dq[k].entries, derivation_quotient_literal(A, inv, k))
         assert gap < tol, ("derivation", k, gap)
         for t in (0.17, 0.31):
-            got = difference_quotient_rhs(A, inv, t, k).entries
-            gap = rel_gap(got, difference_quotient_literal(A, inv, t, k))
+            gap = rel_gap(tq[t][k].entries,
+                          difference_quotient_literal(A, inv, t, k))
             assert gap < tol, ("difference", k, t, gap)
 
 
@@ -117,3 +123,83 @@ def test_verify_identity_rejects_unknown():
     A, inv = instance(5)
     with pytest.raises(ValueError):
         verify_identity(A, "nope", 1, Ainv=inv)
+
+
+def resolvent_instance(gamma=0.5, window=W):
+    # the inverse carries a geometric-tail symbol, which apply_automorphism
+    # maps along with the entries
+    A = make_toeplitz(ToeplitzSymbol({0: 1.0, 1: -math.exp(-gamma)}), window)
+    return A, A, geometric_inverse_toeplitz(gamma, window)
+
+
+@pytest.mark.parametrize("kmax", [1, 5, 8])
+def test_one_pass_rows_equal_per_order_rows(kmax):
+    # the pass computes every array by the same expression as one
+    # verifier call per (identity, k, t), so the rows agree bit for bit
+    ts = (0.17, 0.31)
+    cases = [resolvent_instance()]
+    for i in range(2):
+        A, inv = instance(20 + i)
+        cases.append((A, instance(30 + i)[0], inv))
+    for A, B, inv in cases:
+        got = verify_orders(A, B, kmax, ts, Ainv=inv, margin=4)
+        want = quotient_rows_per_order(A, B, inv, kmax, ts, margin=4)
+        assert got == want
+
+
+def test_one_order_view_equals_per_order_verifier():
+    A, inv = instance(6)
+    B, _ = instance(7)
+    for identity in IDENTITIES:
+        t = None if identity == "derivation_quotient" else 0.31
+        for k in (1, 3):
+            got = verify_identity(A, identity, k, t=t, B=B, Ainv=inv,
+                                  margin=4)
+            want = verify_identity_per_order(A, identity, k, t=t, B=B,
+                                             Ainv=inv, margin=4)
+            assert got == want, (identity, k)
+
+
+def test_one_pass_rows_are_prefix_stable():
+    A, inv = instance(8)
+    B, _ = instance(9)
+    short = verify_orders(A, B, 3, (0.17, 0.31), Ainv=inv, margin=4)
+    long = verify_orders(A, B, 5, (0.17, 0.31), Ainv=inv, margin=4)
+    assert len(short) == 3 * (1 + 2 * 3)
+    assert long[:len(short)] == short
+
+
+def test_one_pass_computes_each_factor_once(monkeypatch):
+    # per instance and shift: difference powers of A, B, A^{-1} at orders
+    # 0..kmax and of AB at 1..kmax; psi-shifted left factors for l <= k,
+    # difference-quotient blocks for i <= j and leads for k <= kmax;
+    # D^i(A) and D^k(A^{-1}) once per instance
+    calls = {}
+
+    def counted(name):
+        orig = getattr(quotient, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return orig(*args, **kwargs)
+        monkeypatch.setattr(quotient, name, wrapper)
+
+    for name in ("difference_power", "apply_automorphism",
+                 "derivation_power"):
+        counted(name)
+    kmax, ts, count = 5, [0.17, 0.31], 2
+    cfg = ExperimentConfig(experiment="quotient-verify", window_N=32, seed=1,
+                           tolerances={"instances": count, "kmax": kmax,
+                                       "t_values": ts, "margin": 4})
+    assert len(run_quotient_verify(cfg)["rows"]) == count * kmax * 7
+    assert calls["difference_power"] <= count * 23 * len(ts)
+    assert calls["apply_automorphism"] <= count * 40 * len(ts)
+    assert calls["derivation_power"] <= count * 2 * kmax
+
+
+def test_verify_orders_rejects_bad_margin():
+    # the error slices are views, so a bad margin must fail, not mis-slice
+    A, inv = instance(5)
+    for margin in (-1, 16):
+        with pytest.raises(ValueError):
+            verify_orders(A, A, 2, (0.1,), Ainv=inv, margin=margin)
