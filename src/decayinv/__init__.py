@@ -26,9 +26,9 @@ from .lattice import (GeometricTail, IndexWindow, LatticeMatrix,
                       identity_matrix, invert_truncated, make_toeplitz,
                       operator_norm_l2, singular_values, symbol_range)
 from .norms import (DalesDavieValue, a_m_gevrey, ambient_norm, banded_error,
-                    cv_norm, dales_davie_norm, dd_seminorm, jaffard_norm)
+                    cv_norm, dales_davie_norm, jaffard_norm)
 from .quotient import verify_identity, verify_orders
-from .weights import SmoothnessSequence, Weight, check_weight, phi_r_eval
+from .weights import SmoothnessSequence, Weight, check_weight, log_phi_r
 
 __version__ = "0.1.0"
 
@@ -38,17 +38,16 @@ __all__ = [
     "ParameterError", "RangeError", "SeminormEstimate", "SingularityError",
     "SlopeFit", "SmoothnessSequence", "ToeplitzSymbol", "Weight",
     "a_m_gevrey", "ambient_norm", "apply_automorphism", "banded_error",
-    "baskakov_bound_Cr", "baskakov_bound_Jr", "besov_bound",
-    "besov_seminorm", "bessel_rate_bound", "check_weight",
-    "constant_Cr_numeric", "cv_norm",
+    "baskakov_bound_Cr", "baskakov_bound_Jr", "besov_bound", "besov_seminorm",
+    "bessel_rate_bound", "check_weight", "constant_Cr_numeric", "cv_norm",
     "dales_davie_bound", "dales_davie_norm", "dd_domain_bound",
-    "dd_seminorm", "derivation_power", "derived_constant_Jr",
-    "difference_power", "ell_r", "ell_tilde_r", "explicit_bound_Cr",
-    "explicit_bound_Jr", "geometric_inverse_toeplitz",
-    "hypersingular_seminorm", "identification_rate_check",
-    "identity_matrix", "integral_test_bracket", "invert_truncated",
-    "jaffard_norm", "load_matrix", "make_toeplitz", "modulus_profile",
-    "operator_norm_l2", "phi_Ar", "phi_r_eval", "random_decay_matrix",
-    "save_matrix", "singular_values", "superpoly_bound", "symbol_range",
-    "verify_identity", "verify_orders", "weighted_geometric_series",
+    "derivation_power", "derived_constant_Jr", "difference_power", "ell_r",
+    "ell_tilde_r", "explicit_bound_Cr", "explicit_bound_Jr",
+    "geometric_inverse_toeplitz", "hypersingular_seminorm",
+    "identification_rate_check", "identity_matrix", "integral_test_bracket",
+    "invert_truncated", "jaffard_norm", "load_matrix", "log_phi_r",
+    "make_toeplitz", "modulus_profile", "operator_norm_l2", "phi_Ar",
+    "random_decay_matrix", "save_matrix", "singular_values",
+    "superpoly_bound", "symbol_range", "verify_identity", "verify_orders",
+    "weighted_geometric_series",
 ]

@@ -37,6 +37,7 @@ _OP_NODES = 33        # operator ambient: trapezoid nodes per shell
 # instead (the check takes half as many), and the bisection steps that
 # bring a switch of the jaffard max's branch to roundoff
 _GL_RULE, _MAX_KINKS, _PANELS, _BISECT = 8, 1 << 15, 512, 60
+_SNAP = 1e-12         # a switch this close (relative) to a cell edge is noise
 _trapz = getattr(np, "trapezoid", None) or np.trapz
 
 
@@ -349,7 +350,11 @@ def _argmax_branch(ts, ms, w, k):
 def _crossings(cells, ms, w, k):
     """Points inside the cells where the active branch of the jaffard max
     switches: the branch is probed at each cell's ends and rule nodes, and
-    every probe interval where it changes is bisected to roundoff."""
+    every probe interval where it changes is bisected to roundoff.
+
+    A switch within _SNAP of a cell edge is dropped: at the integers every
+    branch vanishes, and there the argmax only reads the rounding of
+    pi m t, not a crossing."""
     tau, _ = _legendre(_GL_RULE)
     frac = np.concatenate([[0.0], tau, [1.0]])
     probes = cells[:-1, None] + np.diff(cells)[:, None] * frac
@@ -361,7 +366,9 @@ def _crossings(cells, ms, w, k):
         mid = 0.5 * (lo + hi)
         same = _argmax_branch(mid, ms, w, k) == left
         lo, hi = np.where(same, mid, lo), np.where(same, hi, mid)
-    return hi
+    i = np.searchsorted(cells, hi).clip(1, cells.size - 1)
+    gap = np.minimum(hi - cells[i - 1], cells[i] - hi)
+    return hi[gap > _SNAP * hi]
 
 
 def _rule_on_cells(edges, ms, w, k, kind, r, p, n):

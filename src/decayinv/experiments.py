@@ -1,7 +1,11 @@
 """Experiment runners: sharpness sweeps, bound verification, report tables.
 
 Every runner is deterministic for a fixed (config, seed): summation orders
-are fixed and random instances draw from per-row child seeds.
+are fixed and random instances draw from per-row child seeds.  Every
+bound and moment column is the value of the bounds or besov function that
+names it (besov_bound, bessel_rate_bound, dales_davie_bound,
+explicit_bound_Jr, baskakov_bound_Jr, identification_rate_check), never
+a copy of its formula; every ratio column divides two such columns.
 """
 
 import csv
@@ -11,16 +15,18 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .besov import besov_seminorm, decay_moment, hypersingular_seminorm
-from .bounds import (baskakov_bound_Jr, explicit_bound_Jr,
+from .besov import (besov_seminorm, hypersingular_seminorm,
+                    identification_rate_check)
+from .bounds import (baskakov_bound_Jr, besov_bound, bessel_rate_bound,
+                     dales_davie_bound, explicit_bound_Jr,
                      integral_test_bracket)
 from .errors import ConfigError, ParameterError, SingularityError
 from .lattice import (IndexWindow, LatticeMatrix, ToeplitzSymbol,
                       geometric_inverse_toeplitz, invert_truncated,
-                      make_toeplitz, operator_norm_l2, rcond_estimate)
+                      make_toeplitz, rcond_estimate)
 from .norms import cv_norm, dales_davie_norm, dk_norm_log, jaffard_norm
 from .quotient import verify_orders
-from .weights import SmoothnessSequence, Weight, log_phi_r
+from .weights import SmoothnessSequence, Weight
 
 _BRACKET_KMAX = 10   # dd-sharpness checks the bracket of ||D^k|| for k <= this
 _CONFIG_FIELDS = {"experiment", "gamma_grid", "r_list", "window_N", "seed",
@@ -205,7 +211,8 @@ def run_dd_sharpness(cfg):
         def one(gamma, r=r, seq=seq):
             inv = geometric_inverse_toeplitz(gamma, window)
             dd = dales_davie_norm(inv, seq, ambient="c0", method="symbol")
-            log_comp = math.log(1.0 / gamma) + log_phi_r(1.0 / gamma, r - 1.0)
+            log_comp = dales_davie_bound(1.0 / gamma, mode="gevrey",
+                                         gevrey_r=r).intermediates["log_bound"]
             ratio = math.exp(dd.log_value - log_comp)
             checked, ok_all, upper_all = 0, True, True
             for k in range(1, _BRACKET_KMAX + 1):
@@ -257,18 +264,17 @@ def run_jaffard_check(cfg):
                     regenerated += 1
                     if salt > 8:
                         raise
-            na_j = jaffard_norm(A, r)
-            na_op = operator_norm_l2(A)
-            ninv_op = operator_norm_l2(inv)
-            measured = jaffard_norm(inv, r, margin=margin)
-            measured_full = jaffard_norm(inv, r)
-            rep_e = explicit_bound_Jr(na_j, na_op, ninv_op, r,
-                                      measured=measured)
+            # one SVD of A (in condition_data) gives both operator norms
             rep_b = baskakov_bound_Jr(A, r, method="window", margin=margin,
                                       inverse=inv)
+            measured = rep_b.measured_value
+            rep_e = explicit_bound_Jr(jaffard_norm(A, r),
+                                      rep_b.inputs["norm_A_op"],
+                                      rep_b.inputs["norm_Ainv_op"], r,
+                                      measured=measured)
             return {
                 "seed": idx, "r": r, "epsilon": eps, "measured": measured,
-                "measured_margin0": measured_full,
+                "measured_margin0": jaffard_norm(inv, r),
                 "bound_explicit": rep_e.bound_value,
                 "bound_baskakov": rep_b.bound_value,
                 "ratio_explicit": measured / rep_e.bound_value,
@@ -316,12 +322,20 @@ def run_quotient_verify(cfg):
     return {"rows": rows, "worst": worst}
 
 
+_BESOV_COLUMNS = ("family", "param", "r", "seminorm_A", "seminorm_inv",
+                  "quad_err", "moment", "ratio_ident", "norm_inv_C0",
+                  "ncb_lhs", "ncb_rhs", "ncb_ok", "hyper_inv", "hyper_A",
+                  "lambda_inf", "embed_ratio", "bessel_rate", "bessel_ratio")
+
+
 def run_besov_report(cfg):
     """Smoothness seminorms across the resolvent and shift families.
 
-    Carries the first-order norm-control check (constant 1) for r < 1,
-    hypersingular/Besov embedding ratios, moment-identification ratios,
-    and cubic-rate calibration data."""
+    Per r, one identification_rate_check over the resolvent inverses and
+    the shifts gives each row's seminorm, moment and ratio; besov_bound
+    carries the first-order norm-control check (constant 1) for r < 1 and
+    bessel_rate_bound the cubic rate; the hypersingular/Besov embedding
+    ratios run for r < 2."""
     cfg.validate()
     _accept_tolerances(cfg, "shift_offsets", "t_min", "t_max")
     if not cfg.gamma_grid:
@@ -333,79 +347,65 @@ def run_besov_report(cfg):
                                                         [1, 2, 4])]
     t_min = float(cfg.tolerances.get("t_min", 1e-6))
     t_max = float(cfg.tolerances.get("t_max", 4.0))
+    shifts = [make_toeplitz(ToeplitzSymbol({m: 1.0}), window)
+              for m in shift_offsets]
     rows = []
     calibrations = {}
     for r in cfg.r_list:
         k = math.floor(r) + 1
+        scales = [1.0 + 2.0 ** r * math.exp(-g) for g in cfg.gamma_grid]
+        invs = [geometric_inverse_toeplitz(g, window, scale=s)
+                for g, s in zip(cfg.gamma_grid, scales)]
+        ident = identification_rate_check(invs + shifts, r, k=k,
+                                          t_min=t_min, t_max=t_max)
 
-        def one(gamma, r=r, k=k):
-            x = math.exp(-gamma)
-            s = 1.0 + 2.0 ** r * x
-            A = resolvent_matrix(gamma, window, normalizer=s)
-            inv = geometric_inverse_toeplitz(gamma, window, scale=s)
-            inv_c0 = cv_norm(inv, Weight.poly(0.0))
-            sem_A = besov_seminorm(A, 1, r, k, t_min=t_min, t_max=t_max)
-            sem_inv = besov_seminorm(inv, 1, r, k, t_min=t_min, t_max=t_max)
-            moment = decay_moment(inv, r)
-            row = {
-                "family": "resolvent", "param": gamma, "r": r,
-                "seminorm_A": sem_A.value, "seminorm_inv": sem_inv.value,
-                "quad_err": sem_inv.quadrature_error,
-                "moment": moment, "ratio_ident": sem_inv.value / moment,
-                "norm_inv_C0": inv_c0,
-            }
-            if r < 1:
-                rhs = inv_c0 ** 2 * sem_A.value
-                row["ncb_lhs"] = sem_inv.value
-                row["ncb_rhs"] = rhs
-                row["ncb_ok"] = bool(sem_inv.value <= rhs)
-            else:
-                row["ncb_lhs"] = row["ncb_rhs"] = None
-                row["ncb_ok"] = None
-            for key in ("hyper_inv", "hyper_A", "lambda_inf", "embed_ratio",
-                        "bessel_rate", "bessel_ratio"):
-                row[key] = None
-            if 0 < r < 2:
-                hyp_inv = hypersingular_seminorm(inv, r)
-                hyp_A = hypersingular_seminorm(A, r)
-                lam_inf = besov_seminorm(inv, math.inf, r + 0.1, 1,
-                                         t_min=t_min, t_max=t_max)
-                row["hyper_inv"] = hyp_inv.value
-                row["hyper_A"] = hyp_A.value
-                row["lambda_inf"] = lam_inf.value
-                row["embed_ratio"] = hyp_inv.value / lam_inf.value
-            if 0 < r < 1:
-                # cubic-rate comparison only makes sense below order one
-                row["bessel_rate"] = inv_c0 ** 3 * hyp_A.value ** 2
-                row["bessel_ratio"] = hyp_inv.value / row["bessel_rate"]
+        def row_of(family, param, ident_row, **cols):
+            row = dict.fromkeys(_BESOV_COLUMNS)
+            row.update(family=family, param=param, r=r,
+                       quad_err=ident_row["quadrature_error"],
+                       moment=ident_row["moment"],
+                       ratio_ident=ident_row["ratio"], **cols)
             return row
 
-        rrows = [one(gamma) for gamma in cfg.gamma_grid]
+        rrows = []
+        for gamma, s, inv, ident_row in zip(cfg.gamma_grid, scales, invs,
+                                            ident["rows"]):
+            A = resolvent_matrix(gamma, window, normalizer=s)
+            inv_c0 = cv_norm(inv, Weight.poly(0.0))
+            sem_A = besov_seminorm(A, 1, r, k, t_min=t_min, t_max=t_max)
+            sem_inv = ident_row["seminorm"]
+            row = row_of("resolvent", gamma, ident_row,
+                         seminorm_A=sem_A.value, seminorm_inv=sem_inv,
+                         norm_inv_C0=inv_c0)
+            if r < 1:
+                ncb = besov_bound(inv_c0, sem_A.value, r, measured=sem_inv)
+                row.update(ncb_lhs=sem_inv, ncb_rhs=ncb.bound_value,
+                           ncb_ok=ncb.satisfied)
+            if r < 2:
+                hyp_inv = hypersingular_seminorm(inv, r).value
+                hyp_A = hypersingular_seminorm(A, r).value
+                lam_inf = besov_seminorm(inv, math.inf, r + 0.1, 1,
+                                         t_min=t_min, t_max=t_max).value
+                row.update(hyper_inv=hyp_inv, hyper_A=hyp_A,
+                           lambda_inf=lam_inf, embed_ratio=hyp_inv / lam_inf)
+            if r < 1:
+                # cubic-rate comparison only makes sense below order one
+                rate = bessel_rate_bound(inv_c0, hyp_A, r).bound_value
+                row.update(bessel_rate=rate, bessel_ratio=hyp_inv / rate)
+            rrows.append(row)
         rows.extend(rrows)
-        for m in shift_offsets:
-            T = make_toeplitz(ToeplitzSymbol({m: 1.0}), window)
-            sem = besov_seminorm(T, 1, r, k, t_min=t_min, t_max=t_max)
-            mom = float(m) ** r
-            rows.append({
-                "family": "shift", "param": m, "r": r, "seminorm_A": sem.value,
-                "seminorm_inv": None, "quad_err": sem.quadrature_error,
-                "moment": mom, "ratio_ident": sem.value / mom,
-                "norm_inv_C0": None, "ncb_lhs": None, "ncb_rhs": None,
-                "ncb_ok": None, "hyper_inv": None, "hyper_A": None,
-                "lambda_inf": None, "embed_ratio": None, "bessel_rate": None,
-                "bessel_ratio": None,
-            })
-        cal = {}
-        ident = [row["ratio_ident"] for row in rows
-                 if row["r"] == r and row["ratio_ident"] is not None]
-        cal["identification"] = _drift(ident)
+        rows.extend(row_of("shift", m, ident_row,
+                           seminorm_A=ident_row["seminorm"])
+                    for m, ident_row in zip(shift_offsets,
+                                            ident["rows"][len(invs):]))
+        cal = {"identification": _drift([row["ratio"]
+                                         for row in ident["rows"]])}
         if r < 1:
-            fo = [row["ncb_lhs"] / row["ncb_rhs"] for row in rrows]
-            cal["first_order"] = _drift(fo)
+            cal["first_order"] = _drift([row["ncb_lhs"] / row["ncb_rhs"]
+                                         for row in rrows])
             cal["bessel"] = _drift([row["bessel_ratio"] for row in rrows])
-        if 0 < r < 2:
-            emb = [row["embed_ratio"] for row in rrows]
-            cal["embedding"] = _drift(emb)
+        if r < 2:
+            cal["embedding"] = _drift([row["embed_ratio"] for row in rrows])
         calibrations[r] = cal
     return {"rows": rows, "calibrations": calibrations}
 

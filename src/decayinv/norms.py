@@ -9,7 +9,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
+from scipy.special import gammaln
 
 from .errors import ParameterError
 from .lattice import LatticeMatrix, derivation_power, operator_norm_l2
@@ -209,18 +209,6 @@ def _dk_logs(A, ambient, method, margin):
 def dk_norm_log(A, k, ambient="c0", method="auto", margin=0):
     """log of the ambient norm of D^k A; -inf when the norm is zero."""
     return _dk_logs(A, ambient, method, margin)(k)
-
-
-def dd_seminorm(A, K, ambient="c0", method="auto", margin=0):
-    """|A|_{D(D^K)} = sum_{m=1..K} ||D^m A|| / m!"""
-    if K < 1:
-        raise ParameterError("dd_seminorm needs K >= 1")
-    dk_log = _dk_logs(A, ambient, method, margin)
-    logs = [dk_log(m) - float(gammaln(m + 1)) for m in range(1, K + 1)]
-    logs = [x for x in logs if x > _NEG_INF]
-    if not logs:
-        return 0.0
-    return float(np.exp(logsumexp(np.array(logs))))
 
 
 @dataclass

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln, xlogy
 
-from .errors import NumericalError, ParameterError, RangeError
+from .errors import NumericalError, ParameterError
 
 _MAXLOG = math.log(np.finfo(float).max)   # ~709.78
 # log_concave_sum stops at this remainder bound relative to the sum, and
@@ -268,11 +268,3 @@ def log_phi_r_from_log(lx, r):
     val = l * lx - r * float(gammaln(l + 1)) + 0.5 * math.log(2 * math.pi * l / r)
     return val
 
-
-def phi_r_eval(x, r):
-    """phi_r(x) as a float; raises RangeError (carrying log_value) on overflow."""
-    lv = log_phi_r(x, r)
-    if lv > _MAXLOG:
-        raise RangeError(f"phi_r overflows float range, log value {lv:.6g}",
-                         log_value=lv)
-    return math.exp(lv)

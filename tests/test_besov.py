@@ -26,8 +26,8 @@ from decayinv import (IndexWindow, ParameterError, ToeplitzSymbol,
                       hypersingular_seminorm, identification_rate_check,
                       make_toeplitz, modulus_profile)
 from decayinv import besov
-from decayinv.besov import (_j_multipliers, _kink_cells, _offset_weights,
-                            _shell_edges)
+from decayinv.besov import (_crossings, _j_multipliers, _kink_cells,
+                            _offset_weights, _shell_edges)
 from decayinv.lattice import difference_power
 from decayinv.norms import cv_norm
 from decayinv.weights import Weight
@@ -47,6 +47,9 @@ FROZEN_P2 = 13.055822762701984
 # every kink j/m of |sin(pi m t)| as a breakpoint (about 90 s to compute);
 # integrating each offset in u = m t between the integers agrees to 17 digits
 MPMATH_P1 = 41.34934141009299
+# the jaffard(2)-ambient p = 2 value on [0.01, 4], k = 1, by the
+# kink-and-switch cell rule with and without cuts at the integers alike
+FROZEN_JAFFARD_P2 = 45.1223377468054
 
 
 def test_besov_p1_frozen():
@@ -118,6 +121,21 @@ def test_besov_jaffard_p2_matches_quad_on_cells():
                          t_min=0.01, t_max=1.0)
     assert est.value == pytest.approx(want, rel=1e-10)
     assert abs(est.value - want) <= est.quadrature_error
+
+
+def test_jaffard_switch_cuts_clear_the_kink_edges():
+    # at t in {1, 2, 4} every branch of the max vanishes, and the argmax
+    # there reads only the rounding of pi m t: no switch may be cut within
+    # roundoff of an edge the cells already have
+    ms, w, _ = _offset_weights(INV, ("jaffard", 2), "auto", 0)
+    cells = _kink_cells(_shell_edges(0.01, 4.0), ms)
+    cuts = _crossings(cells, ms, w, 1)
+    i = np.searchsorted(cells, cuts).clip(1, cells.size - 1)
+    gap = np.minimum(cuts - cells[i - 1], cells[i] - cuts)
+    assert cuts.size and gap.min() > 1e-12
+    est = besov_seminorm(INV, 2, 0.5, 1, ambient=("jaffard", 2),
+                         t_min=0.01, t_max=4.0)
+    assert abs(est.value - FROZEN_JAFFARD_P2) <= est.quadrature_error
 
 
 def test_besov_above_cell_cap_within_reported_error(monkeypatch):

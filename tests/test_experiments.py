@@ -6,10 +6,16 @@ import math
 import os
 import unittest
 
-from decayinv import ConfigError, ExperimentConfig, SlopeFit
-from decayinv.experiments import (RUNNERS, run_besov_report, run_dd_sharpness,
-                                  run_jaffard_check, run_quotient_verify,
-                                  run_toeplitz_sharpness, write_rows)
+from decayinv import (ConfigError, ExperimentConfig, SlopeFit, besov,
+                      besov_bound, bessel_rate_bound, bounds,
+                      dales_davie_bound, experiments, explicit_bound_Jr,
+                      invert_truncated, jaffard_norm, lattice,
+                      random_decay_matrix)
+from decayinv.bounds import condition_data
+from decayinv.experiments import (RUNNERS, centered_window, run_besov_report,
+                                  run_dd_sharpness, run_jaffard_check,
+                                  run_quotient_verify, run_toeplitz_sharpness,
+                                  write_rows)
 
 
 def read_rows(path, fmt):
@@ -179,6 +185,88 @@ class SlopeBandTest(unittest.TestCase):
             self.assertTrue(row["converged"])
             # upper half of the per-order bracket always holds
             self.assertTrue(row["bracket_upper_ok_all"])
+
+
+# Row provenance: each column a library function names must equal that
+# function evaluated on the row's own inputs, not a copy of its formula.
+
+def test_besov_report_columns_come_from_the_bounds():
+    cfg = ExperimentConfig(experiment="besov-report",
+                           gamma_grid=[0.5, 0.3, 0.2], r_list=[0.5])
+    rows = [row for row in run_besov_report(cfg)["rows"]
+            if row["family"] == "resolvent"]
+    assert len(rows) == 3
+    for row in rows:
+        ncb = besov_bound(row["norm_inv_C0"], row["seminorm_A"], row["r"],
+                          measured=row["seminorm_inv"])
+        assert row["ncb_rhs"] == ncb.bound_value, row
+        assert row["ncb_ok"] is ncb.satisfied
+        rate = bessel_rate_bound(row["norm_inv_C0"], row["hyper_A"],
+                                 row["r"])
+        assert row["bessel_rate"] == rate.bound_value, row
+
+
+def test_dd_log_comparison_is_the_gevrey_bound():
+    cfg = ExperimentConfig(experiment="dd-sharpness",
+                           gamma_grid=[0.5, 0.3, 0.1], r_list=[2.0, 3.0])
+    for row in run_dd_sharpness(cfg)["rows"]:
+        rep = dales_davie_bound(1.0 / row["gamma"], mode="gevrey",
+                                gevrey_r=row["r"])
+        assert row["log_comparison"] == rep.intermediates["log_bound"]
+
+
+def test_jaffard_bound_explicit_is_the_library_bound():
+    cfg = ExperimentConfig(experiment="jaffard-check", r_list=[2.0],
+                           seed=5, window_N=32, tolerances={"instances": 3})
+    rows = run_jaffard_check(cfg)["rows"]
+    window = centered_window(cfg.window_N)
+    for idx, row in enumerate(rows):
+        A = random_decay_matrix(window, row["r"], row["epsilon"],
+                                seed=[cfg.seed, idx, row["regenerated"]])
+        _, na_op, ninv_op = condition_data(A, "window")
+        rep = explicit_bound_Jr(jaffard_norm(A, row["r"]), na_op, ninv_op,
+                                row["r"], measured=row["measured"])
+        assert row["bound_explicit"] == rep.bound_value, row
+        assert row["measured"] == jaffard_norm(invert_truncated(A), row["r"],
+                                               margin=cfg.window_N // 8)
+
+
+# Work counts: a second seminorm pass or extra SVDs per instance fail here.
+
+def count_calls(monkeypatch, name, *modules):
+    """A list that grows by one on every call of the function name, which
+    each of modules binds to the same object."""
+    original = getattr(modules[0], name)
+    assert all(getattr(mod, name) is original for mod in modules)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+    for mod in modules:
+        monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
+def test_besov_report_computes_each_seminorm_once(monkeypatch):
+    calls = count_calls(monkeypatch, "besov_seminorm", besov, experiments)
+    grid, shifts = [0.5, 0.3], [1, 2]
+    r_list = [0.5, 1.5, 2.5]
+    cfg = ExperimentConfig(experiment="besov-report", gamma_grid=grid,
+                           r_list=r_list, window_N=32,
+                           tolerances={"shift_offsets": shifts})
+    run_besov_report(cfg)
+    allowed = sum(2 * len(grid) + len(shifts) + (len(grid) if r < 2 else 0)
+                  for r in r_list)
+    assert 0 < len(calls) <= allowed
+
+
+def test_jaffard_check_takes_one_svd_per_instance(monkeypatch):
+    calls = count_calls(monkeypatch, "singular_values", lattice, bounds)
+    cfg = ExperimentConfig(experiment="jaffard-check", r_list=[2.0, 3.0],
+                           seed=2, window_N=32, tolerances={"instances": 3})
+    rows = run_jaffard_check(cfg)["rows"]
+    assert 0 < len(calls) <= len(rows)
 
 
 if __name__ == "__main__":

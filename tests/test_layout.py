@@ -64,6 +64,23 @@ def exported_names():
     return set()
 
 
+def imported_public_names():
+    """Public names that __init__.py imports from the package modules."""
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    return {alias.asname or alias.name for node in tree.body
+            if isinstance(node, ast.ImportFrom)
+            for alias in node.names if not alias.name.startswith("_")}
+
+
+def test_all_is_exactly_what_init_imports():
+    import decayinv
+    exported = exported_names()
+    assert exported == imported_public_names()
+    missing = [name for name in sorted(exported)
+               if not hasattr(decayinv, name)]
+    assert not missing, f"exported but undefined: {missing}"
+
+
 def referenced_names(node):
     """Names a syntax tree reads: bare names, attributes and imports."""
     names = set()

@@ -13,7 +13,7 @@ from decayinv import (IndexWindow, LatticeMatrix, ToeplitzSymbol, Weight,
                       geometric_inverse_toeplitz, jaffard_norm,
                       make_toeplitz)
 from decayinv.besov import decay_moment
-from decayinv.norms import a_m_gevrey, dd_seminorm, dk_norm_log, side_diag_sup
+from decayinv.norms import a_m_gevrey, dk_norm_log, side_diag_sup
 from decayinv.weights import SmoothnessSequence, log_phi_r
 
 from oracles import a_m_bruteforce
@@ -155,12 +155,13 @@ def test_dk_norm_routes_agree_when_window_holds_mass():
         assert s == pytest.approx(w, abs=1e-10)
 
 
-def test_dd_seminorm_matches_manual_sum():
+def test_dales_davie_norm_finite_matches_manual_sum():
     inv = geometric_inverse_toeplitz(0.8, W)
     K = 6
     manual = sum(math.exp(dk_norm_log(inv, m, "c0", "symbol"))
-                 / math.factorial(m) for m in range(1, K + 1))
-    assert dd_seminorm(inv, K) == pytest.approx(manual, rel=1e-13)
+                 / math.factorial(m) for m in range(0, K + 1))
+    got = dales_davie_norm(inv, SmoothnessSequence.finite(K))
+    assert got.value == pytest.approx(manual, rel=1e-13)
 
 
 def test_dales_davie_norm_tracks_phi_shape():

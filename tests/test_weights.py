@@ -8,10 +8,10 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from decayinv import ParameterError, RangeError, Weight, check_weight
+from decayinv import ParameterError, Weight, check_weight
 from decayinv.weights import (SmoothnessSequence, log_concave_sum, log_phi_r,
                               log_phi_r_from_log, log_poly_geometric,
-                              phi_r_eval, poly_geometric_max)
+                              poly_geometric_max)
 
 
 def test_poly_weight_values():
@@ -113,12 +113,6 @@ def test_poly_geometric_sum_and_max(k, s, gamma, m0):
     log_max, argmax = poly_geometric_max(k, s, rho, m0)
     assert argmax == m0 + j
     assert log_max == pytest.approx(top, rel=1e-15, abs=1e-15)
-
-
-def test_phi_r_eval_range_error():
-    with pytest.raises(RangeError) as info:
-        phi_r_eval(1e9, 1.2)
-    assert info.value.log_value > 700
 
 
 def test_phi_r_rejects_bad_args():
