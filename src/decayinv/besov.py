@@ -29,9 +29,10 @@ from .weights import log_concave_sum, log_poly_geometric, poly_geometric_max
 _PROFILE_CUT = 1e-18
 _GL_NODES = (24, 48)  # the Gauss-Legendre rule, and its node-doubled check
 _BLOCK = 1 << 14      # elements of a node matrix evaluated at once
-# p = inf search: log-grid points per shell, points and rounds of the zoom
+# p = inf search, on each shell whose _shell_bounds can still beat the best
+# value found: log-grid points per shell, points and rounds of the zoom
 _SUP_COARSE, _SUP_ZOOM, _SUP_ROUNDS = 256, 17, 14
-_OP_NODES = 33        # operator ambient: trapezoid nodes per shell
+_OP_NODES = 33        # operator ambient: trapezoid (or p = inf) nodes per shell
 # general route: Gauss-Legendre nodes per cell (the check takes half),
 # the kink count above which shells are cut into _PANELS equal panels
 # instead (the check takes half as many), and the bisection steps that
@@ -225,12 +226,16 @@ def besov_seminorm(A, p, r, k=None, ambient="c0", method="auto", margin=0,
 
     The route depends on the input.  p = 1 in the c0 ambient separates
     over offsets (one tabulated antiderivative); p = inf searches a log
-    grid of each dyadic shell and zooms in on its best point; other p, and
-    the jaffard ambient at finite p, take a fixed Gauss-Legendre rule on
-    cells free of kinks (equal panels per shell when the kinks are too
-    many); the operator ambient takes a trapezoid rule over window
-    singular values.  quadrature_error is each route's own estimate: the
-    difference from a coarser rule, or the zoom's gain for p = inf.
+    grid of the dyadic shells and zooms in on each shell's best point,
+    skipping every shell whose closed-form bound (_shell_bounds) falls below
+    a value already found, and parameters["shells_searched"] holds
+    (searched, total); other p, and the jaffard ambient at finite p, take a
+    fixed Gauss-Legendre rule on cells free of kinks (equal panels per shell
+    when the kinks are too many); the operator ambient takes a trapezoid
+    rule over window singular values, or at p = inf their best node, with
+    the shells pruned by the same bound.  quadrature_error is each route's
+    own estimate: the difference from a coarser rule, or the zoom's gain
+    for p = inf.
     """
     if r <= 0:
         raise ParameterError("besov_seminorm needs r > 0")
@@ -244,29 +249,35 @@ def besov_seminorm(A, p, r, k=None, ambient="c0", method="auto", margin=0,
     if k < 1:
         raise ParameterError("difference order k must be >= 1")
     kind, s = normalize_ambient(ambient)
+    edges = _shell_edges(t_min, t_max)
+    searched = None
 
     if kind == "operator":
-        value, qerr = _operator_route(A, p, r, k, t_min, t_max)
-        # the tail bound's moment: ||Delta_t^k A||_op is at most
-        # sum_m |2 sin pi m t|^k d(m) by the Schur test, the c0 modulus
-        ms, w, geo = _offset_weights(A, "c0", method, margin)
+        # ||Delta_t^k A||_op is at most sum_m |2 sin pi m t|^k d(m) by the
+        # Schur test, the c0 modulus of the window whose singular values
+        # the route takes: all of it, whatever the margin
+        ms, w, geo = _offset_weights(A, "c0", "window", 0)
+        if p == math.inf:
+            value, qerr, searched = _operator_sup(A, r, k, edges, ms, w)
+        else:
+            value, qerr = _operator_route(A, p, r, k, edges)
     else:
         ms, w, geo = _offset_weights(A, ambient, method, margin)
         if p == 1 and kind == "c0":
             value, qerr = _separable_p1(ms, w, r, k, t_min, t_max)
         elif p == math.inf:
-            value, qerr = _sup_search(ms, w, k, kind,
-                                      _shell_edges(t_min, t_max), r)
+            value, qerr, searched = _sup_search(ms, w, k, kind, edges, r)
         else:
-            value, qerr = _cell_route(ms, w, k, kind,
-                                      _shell_edges(t_min, t_max), r, p)
+            value, qerr = _cell_route(ms, w, k, kind, edges, r, p)
 
     tail = _tail_bounds(A, ms, w, geo, k, r, p, t_min, t_max,
                         ambient, method, margin, kind, s)
-    return SeminormEstimate(
-        value=value, quadrature_error=qerr, tail_bound=tail,
-        parameters={"p": p, "r": r, "k": k, "ambient": ambient,
-                    "t_min": t_min, "t_max": t_max})
+    params = {"p": p, "r": r, "k": k, "ambient": ambient,
+              "t_min": t_min, "t_max": t_max}
+    if searched is not None:
+        params["shells_searched"] = (searched, edges.size - 1)
+    return SeminormEstimate(value=value, quadrature_error=qerr,
+                            tail_bound=tail, parameters=params)
 
 
 def _shell_edges(t_min, t_max):
@@ -289,17 +300,50 @@ def _separable_p1(ms, w, r, k, t_min, t_max):
     return float(vals[0]), float(abs(vals[1] - vals[0]))
 
 
+def _shell_bounds(ms, w, k, kind, edges, r):
+    """Upper bound on t^-r g(t) over each shell [a, b] between the edges:
+    a^-r R_m min(2, 2 pi m b)^k w(m), R the sum (c0) or the max (jaffard),
+    since |2 sin pi m t| <= min(2, 2 pi m t) and t^-r <= a^-r there.
+
+    The factor 1 + 4 (M + k + r + 4) eps, M = ms.size, covers the rounding
+    of this sum and of g computed at a grid point within a few ulps of the
+    shell, so no value _sup_search computes on a shell exceeds its bound.
+    """
+    a, b = edges[:-1], edges[1:]
+    S = np.minimum(2.0, 2.0 * np.pi * np.outer(b, ms)) ** k * w
+    R = S.sum(axis=1) if kind == "c0" else S.max(axis=1, initial=0.0)
+    slack = 1.0 + 4.0 * (ms.size + k + r + 4) * np.finfo(float).eps
+    return a ** (-r) * R * slack
+
+
 def _sup_search(ms, w, k, kind, edges, r):
-    """sup of t^-r g(t) over the shells: argmax on a log grid of each shell,
-    then rounds of zooming in on a finer grid around it.  The error is the
-    gain of the zoom over the grid, in the winning shell."""
+    """sup of t^-r g(t) over the shells: argmax on a log grid of a shell,
+    then rounds of zooming in on a finer grid around it.
+
+    Only shells whose _shell_bounds reach a value already found are
+    searched: first the grid of the shell with the largest bound, then the
+    grids of the shells whose bound reaches its best, then the zoom on the
+    shells whose bound reaches the best of all grids.  Every point of a
+    dropped shell lies below a value of a searched one, so the winning
+    shell, its grid value and its zoom are those of a search over every
+    shell.  The error is the gain of the zoom over the grid, in the winning
+    shell.  Returns (value, error, shells searched).
+    """
     def h(ts):
         return ts ** (-r) * _modulus(ts, ms, w, k, kind)
 
+    bound = _shell_bounds(ms, w, k, kind, edges, r)
     ts = np.exp(np.linspace(np.log(edges[:-1]), np.log(edges[1:]),
                             _SUP_COARSE, axis=1))
-    vals = h(ts)
-    rows = np.arange(ts.shape[0])
+    vals = np.zeros(ts.shape)
+    top = int(bound.argmax())
+    vals[top] = h(ts[top])
+    more = bound >= vals[top].max()
+    more[top] = False
+    vals[more] = h(ts[more])
+    live = np.flatnonzero(bound >= vals.max())
+    ts, vals = ts[live], vals[live]
+    rows = np.arange(live.size)
     i = vals.argmax(axis=1)
     coarse = vals[rows, i]
     best = coarse
@@ -313,7 +357,7 @@ def _sup_search(ms, w, k, kind, edges, r):
         lo = pts[rows, np.maximum(j - 1, 0)]
         hi = pts[rows, np.minimum(j + 1, _SUP_ZOOM - 1)]
     win = int(best.argmax())
-    return float(best[win]), float(best[win] - coarse[win])
+    return float(best[win]), float(best[win] - coarse[win]), live.size
 
 
 def _kink_cells(shells, ms):
@@ -415,22 +459,47 @@ def _cell_route(ms, w, k, kind, shells, r, p):
     return value, (total + err) ** (1.0 / p) - value
 
 
-def _operator_route(A, p, r, k, t_min, t_max):
-    def g(t):
-        return operator_norm_l2(difference_power(A, float(t), k))
+def _op_value(A, k):
+    """t -> ||Delta_t^k A||_op on the window."""
+    return lambda t: operator_norm_l2(difference_power(A, float(t), k))
 
-    edges = _shell_edges(t_min, t_max)
-    if p == math.inf:
-        best, err = 0.0, 0.0
-        for a, b in zip(edges[:-1], edges[1:]):
-            ts = np.exp(np.linspace(math.log(a), math.log(b), _OP_NODES))
-            vals = np.array([t ** (-r) * g(t) for t in ts])
-            i = int(np.argmax(vals))
-            if vals[i] > best:
-                best = float(vals[i])
-                nb = max(vals[max(0, i - 1)], vals[min(_OP_NODES - 1, i + 1)])
-                err = abs(best - float(nb))
-        return best, err
+
+def _operator_sup(A, r, k, edges, ms, w):
+    """p = inf in the operator ambient: the best of _OP_NODES log-spaced
+    nodes per shell, one window SVD each.
+
+    Shells are visited in decreasing order of their _shell_bounds on the
+    window's c0 profile (ms, w), which by the Schur test bound the operator
+    norm; a further factor 1 + 4 n eps covers the rounding of the SVD.  The
+    visit stops at the first bound below the best value, and ties go to the
+    lower shell, so the result is that of a visit of every shell.  The
+    error is the gap from the winner to its larger neighbour node.  Returns
+    (value, error, shells searched).
+    """
+    g = _op_value(A, k)
+    bound = (_shell_bounds(ms, w, k, "c0", edges, r)
+             * (1.0 + 4.0 * A.n * np.finfo(float).eps))
+    best, err, win, searched = 0.0, 0.0, edges.size, 0
+    for s in np.argsort(-bound, kind="stable"):
+        if bound[s] < best:
+            break
+        searched += 1
+        ts = np.exp(np.linspace(math.log(edges[s]), math.log(edges[s + 1]),
+                                _OP_NODES))
+        vals = np.array([t ** (-r) * g(t) for t in ts])
+        i = int(np.argmax(vals))
+        if vals[i] > best or (vals[i] == best and s < win):
+            best, win = float(vals[i]), s
+            nb = max(vals[max(0, i - 1)], vals[min(_OP_NODES - 1, i + 1)])
+            err = abs(best - float(nb))
+    return best, err, searched
+
+
+def _operator_route(A, p, r, k, edges):
+    """Finite p in the operator ambient: the trapezoid rule on _OP_NODES
+    log-spaced nodes per shell, one window SVD each; the error is the
+    difference from every other node."""
+    g = _op_value(A, k)
     total = 0.0
     total_half = 0.0
     for a, b in zip(edges[:-1], edges[1:]):

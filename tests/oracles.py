@@ -3,11 +3,13 @@
 These are the paper's literal formulas: sums over ordered compositions
 with multinomial weights, the binomial expansion of the difference
 power, and the offset multiplier entry by entry; the quotient-rule
-verifier one order at a time; and a Besov integral by adaptive quad on
-the cells between its kinks.  The package evaluates the same quantities
-by cheaper routes (first-part recurrences, one pass up to the top
-order, a closed entrywise factor, one offset table, a closed form, one
-fixed rule per cell), so nothing here is imported from src.  pytest does
+verifier one order at a time; a Besov integral by adaptive quad on the
+cells between its kinks; and the p = inf grid-and-zoom search on every
+dyadic shell.  The package evaluates the same quantities by cheaper
+routes (first-part recurrences, one pass up to the top order, a closed
+entrywise factor, one offset table, a closed form, one fixed rule per
+cell, a search of only the shells a closed-form bound cannot rule out),
+so nothing here is imported from src.  pytest does
 not collect this module.
 """
 
@@ -20,7 +22,7 @@ from scipy.optimize import brentq
 from scipy.special import gammaln
 
 from decayinv import (LatticeMatrix, ParameterError, apply_automorphism,
-                      derivation_power, difference_power)
+                      derivation_power, difference_power, operator_norm_l2)
 
 
 def compositions(k, m):
@@ -250,3 +252,67 @@ def besov_integral_cells(ms, w, k, r, p, t_min, t_max, jaffard=False):
     total = sum(quad(f, a, b, epsabs=0.0, epsrel=1e-13, limit=100)[0]
                 for a, b in zip(edges[:-1], edges[1:]))
     return (2.0 * total) ** (1.0 / p)
+
+
+def _modulus_rows(ts, ms, w, k, jaffard):
+    """g(t) = sum (or, jaffard, max) over m of w(m) |2 sin(pi m t)|^k at
+    every t, 64 points at a time."""
+    flat = ts.ravel()
+    out = np.zeros(flat.size)
+    if len(ms) == 0:
+        return out.reshape(ts.shape)
+    for lo in range(0, flat.size, 64):
+        S = (2.0 * np.abs(np.sin(np.pi * ms * flat[lo:lo + 64, None]))) ** k
+        out[lo:lo + 64] = (S * w).max(axis=1) if jaffard else S @ w
+    return out.reshape(ts.shape)
+
+
+def sup_search_all_shells(ms, w, k, kind, edges, r):
+    """sup of t^-r g(t) over the shells between the edges: the argmax on a
+    256-point log grid of every shell, then 14 rounds of zooming in on 17
+    points around it; the error is the zoom's gain in the winning shell.
+    Returns (value, error)."""
+    def h(ts):
+        return ts ** (-r) * _modulus_rows(ts, ms, w, k, kind == "jaffard")
+
+    coarse_n, zoom_n = 256, 17
+    ts = np.exp(np.linspace(np.log(edges[:-1]), np.log(edges[1:]),
+                            coarse_n, axis=1))
+    vals = h(ts)
+    rows = np.arange(ts.shape[0])
+    i = vals.argmax(axis=1)
+    coarse = vals[rows, i]
+    best = coarse
+    lo = ts[rows, np.maximum(i - 1, 0)]
+    hi = ts[rows, np.minimum(i + 1, coarse_n - 1)]
+    for _ in range(14):
+        pts = np.linspace(lo, hi, zoom_n, axis=1)
+        vals = h(pts)
+        j = vals.argmax(axis=1)
+        best = np.maximum(best, vals[rows, j])
+        lo = pts[rows, np.maximum(j - 1, 0)]
+        hi = pts[rows, np.minimum(j + 1, zoom_n - 1)]
+    win = int(best.argmax())
+    return float(best[win]), float(best[win] - coarse[win])
+
+
+def operator_sup_all_shells(A, r, k, t_min, t_max):
+    """sup of t^-r ||Delta_t^k A||_op over 33 log-spaced nodes on every
+    dyadic shell of [t_min, t_max], the shells visited upwards and a later
+    node winning only when it is larger; the error is the gap from the
+    winner to its larger neighbour node.  Returns (value, error)."""
+    edges = [t_max]
+    while edges[-1] / 2.0 > t_min:
+        edges.append(edges[-1] / 2.0)
+    edges = edges[::-1]
+    best, err = 0.0, 0.0
+    for a, b in zip([t_min] + edges[:-1], edges):
+        ts = np.exp(np.linspace(math.log(a), math.log(b), 33))
+        vals = np.array([t ** (-r) * operator_norm_l2(
+            difference_power(A, float(t), k)) for t in ts])
+        i = int(np.argmax(vals))
+        if vals[i] > best:
+            best = float(vals[i])
+            err = abs(best - float(max(vals[max(0, i - 1)],
+                                       vals[min(32, i + 1)])))
+    return best, err

@@ -10,7 +10,8 @@ kink-split Gauss-Legendre rule instead (the scipy value was 5.3e-5 off);
 the route must land within relative 1e-13 of it and within its own
 reported quadrature error.  The jaffard-ambient p = 2 value is checked
 against adaptive quad on the cells between the kinks and the switches of
-the max (tests/oracles.py).
+the max (tests/oracles.py).  The p = inf search is checked against the
+same grid-and-zoom search run on every shell (tests/oracles.py).
 """
 
 import math
@@ -19,19 +20,25 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from decayinv import (IndexWindow, ParameterError, ToeplitzSymbol,
                       besov_seminorm, geometric_inverse_toeplitz,
                       hypersingular_seminorm, identification_rate_check,
-                      make_toeplitz, modulus_profile)
+                      identity_matrix, make_toeplitz, modulus_profile,
+                      random_decay_matrix)
 from decayinv import besov
 from decayinv.besov import (_crossings, _j_multipliers, _kink_cells,
-                            _offset_weights, _shell_edges)
+                            _modulus, _offset_weights, _shell_bounds,
+                            _shell_edges, _sup_search)
+from decayinv.experiments import centered_window
 from decayinv.lattice import difference_power
 from decayinv.norms import cv_norm
 from decayinv.weights import Weight
-from oracles import besov_integral_cells
+from oracles import (besov_integral_cells, operator_sup_all_shells,
+                     sup_search_all_shells)
 
 W = IndexWindow(-32, 31)
 INV = geometric_inverse_toeplitz(0.5, W)
@@ -169,9 +176,113 @@ def test_operator_tail_bound_covers_the_left_out_mass():
     assert est.tail_bound >= near + far
 
 
+def test_operator_tail_bound_counts_the_whole_window_under_a_margin():
+    # the value takes the singular values of the whole window, so the mass
+    # below t_min is that of the whole window too: the corner entry 5 on
+    # offset 31 carries most of it, and a margin of 4 must not drop it.
+    # t = u^2 makes 2 int_0^0.05 t^-1.5 g dt = 4 int_0^sqrt(0.05) g(u^2)/u^2
+    # du, a smooth integral; 64 Gauss-Legendre nodes put it at 550.
+    A = identity_matrix(IndexWindow(-16, 15))
+    A.entries[0, 31] = 5.0
+    x, wts = np.polynomial.legendre.leggauss(64)
+    top = math.sqrt(0.05)
+    u = 0.5 * top * (x + 1.0)
+    g = modulus_profile(A, u ** 2, 1, "operator")
+    near = 2.0 * top * (wts @ (g / u ** 2))
+    assert near > 544.0
+    for margin in (0, 4):
+        est = besov_seminorm(A, 1, 0.5, 1, ambient="operator",
+                             method="window", margin=margin,
+                             t_min=0.05, t_max=4.0)
+        assert est.tail_bound >= near
+
+
 def test_besov_sup_frozen():
     est = besov_seminorm(INV, math.inf, 0.5, 1, t_min=0.01, t_max=4.0)
-    assert est.value == pytest.approx(FROZEN_SUP, abs=1e-9)
+    assert est.value == pytest.approx(FROZEN_SUP, rel=1e-13)
+
+
+# difference orders and smoothness, both sides of r = k; the gamma = 0.05
+# inverse (829 offsets) takes only the order of criterion 10's sup
+SUP_ORDERS = [(1, 0.3), (1, 0.6), (1, 1.6), (2, 1.6), (2, 2.5), (3, 2.5)]
+SUP_MATRICES = {
+    **{f"inverse {g}": geometric_inverse_toeplitz(g, W)
+       for g in (1.0, 0.2, 0.05)},
+    **{f"shift {m}": make_toeplitz(ToeplitzSymbol({m: 1.0}), W)
+       for m in (1, 2, 4)},
+    "random": random_decay_matrix(W, 2.0, 0.3, seed=[5, 0]),
+    "empty profile": identity_matrix(W),
+}
+
+
+@pytest.mark.parametrize("ambient", ["c0", ("jaffard", 1.0)])
+@pytest.mark.parametrize("name", list(SUP_MATRICES))
+def test_sup_search_matches_the_search_of_every_shell(name, ambient):
+    # the pruned search finds the winner of the search over every shell, so
+    # it differs only by the rounding of g, which moves with a point's row
+    # in the matrix product; the error is a difference of two of its
+    # values, so it is compared on the scale of the value
+    ms, w, _ = _offset_weights(SUP_MATRICES[name], ambient, "auto", 0)
+    kind = "c0" if ambient == "c0" else "jaffard"
+    edges = _shell_edges(1e-6, 4.0)
+    for k, r in SUP_ORDERS[1:2] if name == "inverse 0.05" else SUP_ORDERS:
+        value, err, searched = _sup_search(ms, w, k, kind, edges, r)
+        want, want_err = sup_search_all_shells(ms, w, k, kind, edges, r)
+        assert value == pytest.approx(want, rel=1e-14, abs=0.0)
+        assert err == pytest.approx(want_err, rel=0.0, abs=1e-14 * want)
+        assert 1 <= searched <= edges.size - 1
+
+
+@seed(17)
+@settings(max_examples=40, deadline=None)
+@given(st.dictionaries(st.integers(1, 300), st.floats(1e-3, 1e3),
+                       min_size=1, max_size=8),
+       st.integers(1, 3), st.floats(0.1, 3.0),
+       st.sampled_from(["c0", "jaffard"]), st.floats(1e-6, 0.5))
+def test_shell_bounds_cover_the_modulus_on_each_shell(profile, k, r, kind,
+                                                      t_min):
+    ms = np.array(sorted(profile))
+    w = np.array([profile[m] for m in ms])
+    edges = _shell_edges(t_min, 4.0)
+    bound = _shell_bounds(ms, w, k, kind, edges, r)
+    # the search's own grid of each shell, its end points included
+    ts = np.exp(np.linspace(np.log(edges[:-1]), np.log(edges[1:]), 256,
+                            axis=1))
+    vals = ts ** (-r) * _modulus(ts, ms, w, k, kind)
+    assert (vals <= bound[:, None]).all()
+
+
+def test_sup_search_work_on_criterion_10():
+    # criterion 10 a's gamma = 0.05 inverse at r = 0.6, k = 1: the sup
+    # (685, near t = 0.008) is above the bound of every shell outside
+    # [1e-3, 0.03], so five shells are searched
+    scale = 1.0 + 2.0 ** 0.5 * math.exp(-0.05)
+    inv = geometric_inverse_toeplitz(0.05, centered_window(64), scale=scale)
+    est = besov_seminorm(inv, math.inf, 0.6, 1)
+    searched, total = est.parameters["shells_searched"]
+    assert total == 22 and searched <= 8
+
+
+@pytest.mark.parametrize("A", [make_toeplitz(ToeplitzSymbol({3: 1.0}),
+                                             IndexWindow(-8, 7)),
+                               geometric_inverse_toeplitz(
+                                   1.0, IndexWindow(-8, 7))],
+                         ids=["shift 3", "inverse 1"])
+@pytest.mark.parametrize("k, r", [(1, 0.5), (2, 1.5)])
+def test_operator_sup_prunes_shells_and_keeps_the_value(A, k, r,
+                                                        monkeypatch):
+    want = operator_sup_all_shells(A, r, k, 1e-6, 4.0)
+    norm, calls = besov.operator_norm_l2, []
+
+    def counted(M):
+        calls.append(M)
+        return norm(M)
+
+    monkeypatch.setattr(besov, "operator_norm_l2", counted)
+    est = besov_seminorm(A, math.inf, r, k, ambient="operator")
+    assert (est.value, est.quadrature_error) == want
+    searched, total = est.parameters["shells_searched"]
+    assert len(calls) == 33 * searched < 33 * total
 
 
 def test_default_order_is_floor_plus_one():
