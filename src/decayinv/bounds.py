@@ -12,14 +12,13 @@ from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.special import zeta
 
 from .errors import NumericalError, ParameterError, RangeError, SingularityError
 from .lattice import (RCOND_FLOOR, invert_truncated, singular_values,
                       symbol_range)
 from .norms import banded_error, cv_norm, jaffard_norm, uses_symbol
 from .weights import (Weight, log_concave_sum, log_phi_r_from_log,
-                      log_poly_geometric, poly_geometric_max)
+                      log_poly_geometric, poly_geometric_max, zeta)
 
 _MAXLOG = math.log(np.finfo(float).max)
 _PHI_KCAP = 10 ** 15   # phi_Ar raises when either criterion needs k above

@@ -9,7 +9,6 @@ LatticeMatrix, not just its numbers.
 import json
 
 import numpy as np
-import scipy.io
 
 from .errors import ParameterError
 from .lattice import GeometricTail, IndexWindow, LatticeMatrix, ToeplitzSymbol
@@ -60,6 +59,7 @@ def sidecar_path(path):
 def save_matrix(A, path):
     """Write A's entries to path (Matrix Market) and its structure to
     path + ".json"."""
+    import scipy.io   # slow to import, so only where it is used
     path = _normalize(path)
     scipy.io.mmwrite(path, np.asarray(A.entries, dtype=np.complex128),
                      precision=17)
@@ -76,6 +76,7 @@ def save_matrix(A, path):
 
 
 def load_matrix(path):
+    import scipy.io
     path = _normalize(path)
     entries = scipy.io.mmread(path)
     if not isinstance(entries, np.ndarray):

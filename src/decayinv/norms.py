@@ -9,12 +9,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import ParameterError
 from .lattice import LatticeMatrix, derivation_power, operator_norm_l2
-from .weights import (Weight, log_concave_sum, log_poly_geometric,
-                      poly_geometric_max)
+from .weights import (Weight, log_concave_sum, log_factorial,
+                      log_poly_geometric, poly_geometric_max)
 
 _NEG_INF = float("-inf")
 _DD_TOL = 1e-14         # Dales-Davie terms this far below the sum are quiet
@@ -259,4 +258,4 @@ def a_m_gevrey(r, m):
         raise ParameterError("gevrey needs r >= 1")
     if m < 1:
         raise ParameterError("a_m needs m >= 1")
-    return math.exp((1.0 - r) * float(gammaln(m + 1)) / m)
+    return math.exp((1.0 - r) * log_factorial(m) / m)

@@ -1,12 +1,12 @@
 """Weight functions on lattice offsets, smoothness sequences, the entire
 function phi_r(x) = sum_l x^l / (l!)^r used by the inversion bounds, and
-the sum and max of the log-concave sequences behind every series."""
+the sum and max of the log-concave sequences behind every series, and the
+log-factorial and zeta(s > 1) those series and bounds need."""
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, xlogy
 
 from .errors import NumericalError, ParameterError
 
@@ -17,6 +17,20 @@ _SERIES_TOL = 2.0 ** -53
 _SERIES_CAP = 50_000_000
 _SADDLE_PEAK = 5_000_000   # phi_r takes its saddle-point form past this peak
 _CHECK_NMAX = 48   # largest offset check_weight samples
+# log n! for n <= 12, correctly rounded (12! < 2^53 is exact)
+_LOG_FACTORIALS = np.array([math.log(math.factorial(n)) for n in range(13)])
+# log sqrt(2 pi) correctly rounded; 0.5 * math.log(2 * math.pi) is an ulp off
+_LOG_SQRT_2PI = 0.91893853320467274178
+# Cephes' minimax fit to x (log Gamma(x) - Stirling's leading terms) in
+# p = 1/x^2 for x >= 13, Horner order; its series is
+# 1/12 - p/360 + p^2/1260 - ... (DLMF 5.11.1)
+_STIRLING_FIT = (8.11614167470508450300e-4, -5.95061904284301438324e-4,
+                 7.93650340457716943945e-4, -2.77777777730099687205e-3,
+                 8.33333333333331927722e-2)
+_ZETA_N = 16   # zeta sums n^-s below this n, then Euler-Maclaurin
+# B_2, B_4, ..., B_16
+_BERNOULLI = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6,
+              -3617 / 510)
 
 
 def log_concave_sum(log_term, m0):
@@ -50,8 +64,59 @@ def log_concave_sum(log_term, m0):
 
 
 def log_poly_geometric(ms, k, s, rho):
-    """log of m^k (1+m)^s rho^m at the float indices ms (k, s >= 0)."""
-    return xlogy(k, ms) + s * np.log1p(ms) + ms * math.log(rho)
+    """log of m^k (1+m)^s rho^m at the float indices ms >= 0 (k, s >= 0),
+    with 0^0 = 1 and log 0^k = -inf for k > 0."""
+    if k == 0:
+        return s * np.log1p(ms) + ms * math.log(rho)
+    log_ms = np.log(ms, out=np.full_like(ms, -math.inf), where=ms > 0)
+    return k * log_ms + s * np.log1p(ms) + ms * math.log(rho)
+
+
+def log_factorial(n):
+    """log n! = log Gamma(n + 1) at n >= 0, where n <= 12 must be an
+    integer; a float for a number, an array for a float array.
+
+    n <= 12 reads a table of correctly rounded values.  Above it, Stirling's
+    series at x = n + 1, (x - 1/2) log x - x + log sqrt(2 pi) + f(1/x^2)/x
+    with Cephes' minimax fit f; against mpmath its relative error is at most
+    2.8e-16 on n = 13..2000 and at every decade up to 1e12.
+    """
+    if not isinstance(n, np.ndarray):
+        return float(_LOG_FACTORIALS[int(n)] if n <= 12
+                     else _stirling(n + 1.0))
+    return np.where(n <= 12, _LOG_FACTORIALS[np.minimum(n, 12).astype(int)],
+                    _stirling(np.maximum(n, 12.0) + 1.0))
+
+
+def _stirling(x):
+    """log Gamma(x) for x >= 13, a float or a float array."""
+    p = 1.0 / (x * x)
+    fit = 0.0
+    for c in _STIRLING_FIT:
+        fit = fit * p + c
+    return (x - 0.5) * np.log(x) - x + _LOG_SQRT_2PI + fit / x
+
+
+def zeta(s):
+    """Riemann zeta(s) for real s > 1 by Euler-Maclaurin (DLMF 25.2.9):
+    the sum of n^-s for n < N = _ZETA_N, then N^(1-s)/(s-1) + N^-s/2 and
+    the terms B_2k/(2k)! s(s+1)...(s+2k-2) N^(1-s-2k) for k <= 8.
+
+    n^-s is completely monotone, so the remainder is at most the first
+    omitted term, |B_18|/18! s(s+1)...(s+16) N^(-s-17) < 1e-21; rounding
+    dominates, and against mpmath the relative error is below 2.5e-16 on
+    s in (1, 12].
+    """
+    if not s > 1:
+        raise ParameterError("zeta needs s > 1")
+    n = _ZETA_N
+    c = s * n ** (-s - 1.0)      # s(s+1)...(s+2k-2) N^(1-s-2k)
+    terms = []
+    for k, b in enumerate(_BERNOULLI, start=1):
+        terms.append(b * c / math.factorial(2 * k))
+        c *= (s + 2 * k - 1) * (s + 2 * k) / (n * n)
+    tail = sum(reversed(terms)) + 0.5 * n ** -s + n ** (1.0 - s) / (s - 1.0)
+    return 1.0 + (sum(j ** -s for j in range(n - 1, 1, -1)) + tail)
 
 
 def poly_geometric_max(k, s, rho, m0):
@@ -223,9 +288,9 @@ class SmoothnessSequence:
         if self.kind in ("finite", "analytic"):
             if self.kind == "finite" and k > self.K:
                 raise ParameterError(f"order {k} beyond finite cutoff {self.K}")
-            return float(gammaln(k + 1))
+            return log_factorial(k)
         if self.kind == "gevrey":
-            return self.r * float(gammaln(k + 1))
+            return self.r * log_factorial(k)
         if k > len(self.values) - 1:
             raise ParameterError(f"order {k} beyond custom sequence")
         return math.log(self.values[k])
@@ -246,16 +311,18 @@ def log_phi_r(x, r):
 
 
 def log_phi_r_from_log(lx, r):
-    """log phi_r(x) given lx = log x; usable when x itself overflows."""
+    """log phi_r(x) given lx = log x; usable when x itself overflows.  It is
+    inf once the peak index x^(1/r) of the series overflows."""
     if r <= 0:
         raise ParameterError("phi_r needs r > 0")
-    if r == 1.0:
-        return math.exp(lx)      # exp series: log phi = x, may be inf
     if lx / r > _MAXLOG:
         return math.inf
+    if r == 1.0:
+        return math.exp(lx)      # exp series: log phi = x
     peak = math.exp(lx / r)
     if peak <= _SADDLE_PEAK:
-        return log_concave_sum(lambda ls: ls * lx - r * gammaln(ls + 1), 0)[0]
+        return log_concave_sum(
+            lambda ls: ls * lx - r * log_factorial(ls), 0)[0]
     # saddle point: maximize l ln x - r lgamma(l+1); curvature ~ r/l.
     # digamma(l+1) ~ ln(l) + 1/(2l); solve ln x = r*digamma(l+1) by fixed point.
     l = peak
@@ -265,6 +332,6 @@ def log_phi_r_from_log(lx, r):
             l = nl
             break
         l = nl
-    val = l * lx - r * float(gammaln(l + 1)) + 0.5 * math.log(2 * math.pi * l / r)
-    return val
+    return (l * lx - r * log_factorial(l)
+            + 0.5 * math.log(2 * math.pi * l / r))
 

@@ -417,6 +417,15 @@ def test_superpoly_bound_composition():
     assert math.log(rep.bound_value) == pytest.approx(want, rel=1e-10)
 
 
+def test_superpoly_bound_log_overflow_reads_inf():
+    # at r = 2 the log of phi_1 is the inner value itself, which overflows
+    # float range at delta = 1e-60 as it does at r = 3 and delta = 1e-80
+    for delta, r in ((1e-60, 2.0), (1e-80, 3.0)):
+        rep = superpoly_bound(delta, r)
+        assert rep.intermediates["log_bound"] == math.inf
+        assert rep.bound_value == math.inf
+
+
 def test_bound_report_satisfaction_flag():
     rep = besov_bound(2.0, 1.0, 0.5, measured=3.9)
     assert rep.satisfied is True

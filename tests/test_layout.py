@@ -152,3 +152,17 @@ def test_import_leaves_out_scipy_integrate():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=60)
     assert out.stdout.strip() == "False"
+
+
+def test_import_loads_no_scipy():
+    # scipy.special and scipy.io pull in scipy's array-API layer, with
+    # numpy.testing and numpy.f2py; the package needs scipy only to read
+    # and write Matrix Market files, and imports it there
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(PACKAGE.parent), os.environ.get("PYTHONPATH", "")]))
+    code = ("import sys, decayinv, decayinv.cli; "
+            "print(sorted(m for m in sys.modules if m == 'scipy' "
+            "or m.startswith(('scipy.', 'numpy.testing', 'numpy.f2py'))))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=60)
+    assert out.stdout.strip() == "[]"

@@ -9,9 +9,9 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from decayinv import ParameterError, Weight, check_weight
-from decayinv.weights import (SmoothnessSequence, log_concave_sum, log_phi_r,
-                              log_phi_r_from_log, log_poly_geometric,
-                              poly_geometric_max)
+from decayinv.weights import (SmoothnessSequence, log_concave_sum,
+                              log_factorial, log_phi_r, log_phi_r_from_log,
+                              log_poly_geometric, poly_geometric_max, zeta)
 
 
 def test_poly_weight_values():
@@ -150,3 +150,41 @@ def test_custom_sequence_admissibility():
     assert good.kmax == 7
     with pytest.raises(ParameterError):
         SmoothnessSequence.custom([1.0, 1.0, 0.001, 6.0])
+
+
+def test_zeta_matches_mpmath():
+    with mp.workdps(40):
+        for s in np.concatenate([np.linspace(1.001, 12.0, 120),
+                                 [1.05, 1.5, 2.5, 3.0]]):
+            want = mp.zeta(mp.mpf(float(s)))
+            assert zeta(float(s)) == pytest.approx(float(want), rel=2e-15)
+    assert zeta(2.0) == pytest.approx(math.pi ** 2 / 6, rel=2e-15)
+    assert zeta(4.0) == pytest.approx(math.pi ** 4 / 90, rel=2e-15)
+    for bad in (1.0, 0.5, -2.0):
+        with pytest.raises(ParameterError):
+            zeta(bad)
+
+
+def test_log_factorial_matches_mpmath():
+    # the table (n <= 12), both sides of its seam with Stirling's series,
+    # and far out on the series
+    ns = [float(n) for n in range(16)] + [1e2, 1e4, 1e6]
+    got = log_factorial(np.array(ns))
+    with mp.workdps(40):
+        for n, value in zip(ns, got):
+            want = float(mp.log(mp.factorial(int(n))))
+            assert value == pytest.approx(want, rel=4e-16, abs=0.0)
+            assert log_factorial(n) == value
+    for n in range(13):
+        assert got[n] == math.log(math.factorial(n))
+
+
+def test_log_poly_geometric_at_zero_offset():
+    ms = np.array([0.0, 1.0, 2.0])
+    with np.errstate(all="raise"):
+        with_k = log_poly_geometric(ms, 2.0, 1.0, 0.5)
+        without_k = log_poly_geometric(ms, 0, 1.0, 0.5)
+    assert with_k[0] == -math.inf
+    assert with_k[2] == pytest.approx(math.log(4.0 * 3.0 * 0.25), rel=1e-15)
+    # 0^0 = 1: the m = 0 term is (1+0)^s rho^0 = 1
+    assert without_k[0] == 0.0
