@@ -91,7 +91,7 @@ def gamma_r(r):
 def condition_data(A, method="auto"):
     """(kappa, norm_A_op, norm_Ainv_op) for the window section.
 
-    Symbol-tagged matrices use the multiplier range (exact full-lattice
+    Matrices with a symbol use the multiplier range (exact full-lattice
     values); otherwise the extreme singular values of one SVD of the
     window, so ||A|| = s_max and ||A^{-1}|| = 1/s_min.  Either way A is
     singular when min <= RCOND_FLOOR * max.

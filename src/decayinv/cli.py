@@ -11,8 +11,7 @@ import argparse
 import sys
 
 from .errors import ConfigError
-from .experiments import (RUNNERS, ExperimentConfig, result_to_json,
-                          write_rows)
+from .experiments import RUNNERS, ExperimentConfig, write_rows
 
 _DEFAULTS = {
     "toeplitz-sharpness": {"gamma_grid": [0.4, 0.2, 0.1, 0.05, 0.025],
@@ -145,11 +144,7 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    if cfg.format == "json":
-        payload = result_to_json(result)
-        write_rows(payload.get("rows", []), cfg.output, "json")
-    else:
-        write_rows(result["rows"], cfg.output, "csv")
+    write_rows(result["rows"], cfg.output, cfg.format)
     _print_summary(args.command, result, cfg.output)
     violations = find_violations(args.command, cfg, result)
     for line in violations:

@@ -11,7 +11,8 @@ a copy of its formula; every ratio column divides two such columns.
 import csv
 import json
 import math
-from dataclasses import asdict, dataclass, field
+import numbers
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -31,6 +32,8 @@ from .weights import SmoothnessSequence, Weight
 _BRACKET_KMAX = 10   # dd-sharpness checks the bracket of ||D^k|| for k <= this
 _CONFIG_FIELDS = {"experiment", "gamma_grid", "r_list", "window_N", "seed",
                   "tolerances", "output", "format"}
+_KIND_NAMES = {int: "an integer", float: "a real number",
+               (int,): "a list of integers", (float,): "a list of real numbers"}
 
 
 @dataclass
@@ -65,14 +68,18 @@ class ExperimentConfig:
         return cls.from_dict(data)
 
     def validate(self):
-        if not isinstance(self.window_N, int) or self.window_N < 32:
+        if not _is_a(self.window_N, int) or self.window_N < 32:
             raise ConfigError(f"window_N must be an integer >= 32, "
                               f"got {self.window_N!r}")
-        if not isinstance(self.seed, int) or self.seed < 0:
+        if not _is_a(self.seed, int) or self.seed < 0:
             raise ConfigError(f"seed must be a nonnegative integer, "
                               f"got {self.seed!r}")
         if self.format not in ("csv", "json"):
             raise ConfigError(f"format must be csv or json, got {self.format!r}")
+        for name in ("gamma_grid", "r_list"):
+            if not _is_a(getattr(self, name), (float,)):
+                raise ConfigError(f"{name} must be a list of real numbers, "
+                                  f"got {getattr(self, name)!r}")
         if any(g <= 0 for g in self.gamma_grid):
             raise ConfigError("gamma_grid entries must be positive")
         for a, b in zip(self.gamma_grid, self.gamma_grid[1:]):
@@ -109,13 +116,28 @@ class SlopeFit:
                    intercept=intercept, residual=residual)
 
 
-def _accept_tolerances(cfg, *keys):
-    """Raise ConfigError on a tolerances key outside keys: the ones the
-    runner and its gate in cli.find_violations read."""
-    unknown = set(cfg.tolerances) - set(keys)
+def _is_a(value, kind):
+    """Whether value is of kind, a key of _KIND_NAMES: float takes any
+    real number, and (kind,) a list of kind."""
+    if isinstance(kind, tuple):
+        return (isinstance(value, (list, tuple))
+                and all(_is_a(v, kind[0]) for v in value))
+    number = numbers.Integral if kind is int else numbers.Real
+    return isinstance(value, number) and not isinstance(value, bool)
+
+
+def _accept_tolerances(cfg, kinds):
+    """Raise ConfigError on a tolerances key outside kinds, the map of the
+    keys the runner and its gate in cli.find_violations read to their
+    kinds (see _is_a), or on a value not of its key's kind."""
+    unknown = set(cfg.tolerances) - set(kinds)
     if unknown:
         raise ConfigError(f"unknown tolerances {sorted(unknown)}; "
-                          f"accepted: {sorted(keys)}")
+                          f"accepted: {sorted(kinds)}")
+    for key, value in cfg.tolerances.items():
+        if not _is_a(value, kinds[key]):
+            raise ConfigError(f"tolerance {key} must be "
+                              f"{_KIND_NAMES[kinds[key]]}, got {value!r}")
 
 
 def _check_sampling(cfg, count, margin):
@@ -149,7 +171,7 @@ def random_decay_matrix(window, r, eps, seed):
     u = radius * np.exp(2j * np.pi * angle)
     om = np.abs(np.arange(n)[:, None] - np.arange(n)[None, :])
     b = u * (1.0 + om) ** (-float(r))
-    return LatticeMatrix(window, np.eye(n) - eps * b, "general")
+    return LatticeMatrix(window, np.eye(n) - eps * b)
 
 
 def run_toeplitz_sharpness(cfg):
@@ -159,11 +181,11 @@ def run_toeplitz_sharpness(cfg):
     of the inverse series, delta = 1/norm_inv_C0, and a slope fit of
     log norm_inv_Cr against log delta (expected -(r+1))."""
     cfg.validate()
-    _accept_tolerances(cfg, "slope_tol")
+    _accept_tolerances(cfg, {"slope_tol": float})
     if len(cfg.gamma_grid) < 4:
         raise ConfigError("toeplitz sharpness needs at least 4 grid points")
-    if not cfg.r_list:
-        raise ConfigError("r_list must not be empty")
+    if not cfg.r_list or any(r < 0 for r in cfg.r_list):
+        raise ConfigError("toeplitz sharpness needs r_list with every r >= 0")
     window = centered_window(cfg.window_N)
     rows, fits = [], {}
     for r in cfg.r_list:
@@ -198,7 +220,7 @@ def run_dd_sharpness(cfg):
     gamma^{-1} phi_{r-1}(1/gamma), their ratio, and per-order bracket
     checks for ||D^k|| with k <= _BRACKET_KMAX."""
     cfg.validate()
-    _accept_tolerances(cfg, "ratio_low", "ratio_high")
+    _accept_tolerances(cfg, {"ratio_low": float, "ratio_high": float})
     if not cfg.gamma_grid:
         raise ConfigError("gamma_grid must not be empty")
     if not cfg.r_list or any(r <= 1 for r in cfg.r_list):
@@ -239,7 +261,8 @@ def run_dd_sharpness(cfg):
 def run_jaffard_check(cfg):
     """Seeded I - eps*B instances against the J_r inversion bounds."""
     cfg.validate()
-    _accept_tolerances(cfg, "epsilon", "instances", "margin")
+    _accept_tolerances(cfg, {"epsilon": float, "instances": int,
+                             "margin": int})
     if not cfg.r_list or any(r <= 1 for r in cfg.r_list):
         raise ConfigError("jaffard check needs r_list with every r > 1")
     eps = float(cfg.tolerances.get("epsilon", 0.3))
@@ -290,8 +313,9 @@ def run_quotient_verify(cfg):
     """Max relative errors of the four smoothness identities on seeded
     random decay instances."""
     cfg.validate()
-    _accept_tolerances(cfg, "kmax", "epsilon", "decay_r", "instances",
-                       "t_values", "margin", "max_rel_err")
+    _accept_tolerances(cfg, {"kmax": int, "epsilon": float, "decay_r": float,
+                             "instances": int, "t_values": (float,),
+                             "margin": int, "max_rel_err": float})
     kmax = int(cfg.tolerances.get("kmax", 5))
     if not 1 <= kmax <= 8:
         raise ConfigError("kmax must lie in [1, 8]")
@@ -337,16 +361,18 @@ def run_besov_report(cfg):
     bessel_rate_bound the cubic rate; the hypersingular/Besov embedding
     ratios run for r < 2."""
     cfg.validate()
-    _accept_tolerances(cfg, "shift_offsets", "t_min", "t_max")
+    _accept_tolerances(cfg, {"shift_offsets": (int,), "t_min": float,
+                             "t_max": float})
     if not cfg.gamma_grid:
         raise ConfigError("gamma_grid must not be empty")
     if not cfg.r_list or any(not 0 < r <= 3 for r in cfg.r_list):
         raise ConfigError("besov report needs r_list within (0, 3]")
     window = centered_window(cfg.window_N)
-    shift_offsets = [int(m) for m in cfg.tolerances.get("shift_offsets",
-                                                        [1, 2, 4])]
+    shift_offsets = cfg.tolerances.get("shift_offsets", [1, 2, 4])
     t_min = float(cfg.tolerances.get("t_min", 1e-6))
     t_max = float(cfg.tolerances.get("t_max", 4.0))
+    if not 0 < t_min < t_max:
+        raise ConfigError(f"need 0 < t_min < t_max, got {t_min}, {t_max}")
     shifts = [make_toeplitz(ToeplitzSymbol({m: 1.0}), window)
               for m in shift_offsets]
     rows = []
@@ -461,20 +487,4 @@ def _json_default(obj):
         return obj.item()
     if isinstance(obj, np.bool_):
         return bool(obj)
-    if isinstance(obj, SlopeFit):
-        return asdict(obj)
     raise TypeError(f"not serializable: {type(obj)!r}")
-
-
-def result_to_json(result):
-    """JSON-ready copy of a runner result (fits expanded to dicts)."""
-    out = {}
-    for key, val in result.items():
-        if key == "fits":
-            out[key] = {str(r): (asdict(f) if f is not None else None)
-                        for r, f in val.items()}
-        elif key == "calibrations":
-            out[key] = {str(r): v for r, v in val.items()}
-        else:
-            out[key] = val
-    return out

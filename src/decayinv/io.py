@@ -2,8 +2,9 @@
 
 The .mtx file carries the dense complex entries (written with enough
 digits to round-trip float64 exactly); the sidecar path + ".json" keeps
-the window, tag, bandwidth, and symbol so a load rebuilds the full
-LatticeMatrix, not just its numbers.
+the window and symbol so a load rebuilds the full LatticeMatrix, not
+just its numbers.  A load ignores the structure tag of an older sidecar
+and holds the entries to its bandwidth.
 """
 
 import json
@@ -11,7 +12,8 @@ import json
 import numpy as np
 
 from .errors import ParameterError
-from .lattice import GeometricTail, IndexWindow, LatticeMatrix, ToeplitzSymbol
+from .lattice import (ENTRY_ATOL, GeometricTail, IndexWindow, LatticeMatrix,
+                      ToeplitzSymbol)
 
 
 def _pair(z):
@@ -66,8 +68,6 @@ def save_matrix(A, path):
     meta = {
         "lo": A.window.lo,
         "hi": A.window.hi,
-        "tag": A.tag,
-        "bandwidth": A.bandwidth,
         "symbol": _symbol_to_dict(A.symbol),
     }
     with open(sidecar_path(path), "w") as fh:
@@ -93,8 +93,10 @@ def load_matrix(path):
             f"entry shape {entries.shape} does not match window "
             f"[{window.lo}, {window.hi}]")
     bw = meta.get("bandwidth")
-    A = LatticeMatrix(window, entries, meta.get("tag", "general"),
-                      symbol=_symbol_from_dict(meta.get("symbol")),
-                      bandwidth=None if bw is None else int(bw))
-    A.validate()
-    return A
+    if bw is not None:
+        bw = int(bw)
+        beyond = np.triu(entries, bw + 1) + np.tril(entries, -bw - 1)
+        if bw < 0 or np.any(np.abs(beyond) > ENTRY_ATOL):
+            raise ParameterError(f"entries break the declared bandwidth {bw}")
+    return LatticeMatrix(window, entries,
+                         _symbol_from_dict(meta.get("symbol"))).validate()

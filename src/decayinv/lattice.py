@@ -1,9 +1,9 @@
 """Matrices indexed by a finite window of the integer lattice.
 
-A matrix lives on a window [lo, hi] and stores dense complex entries.
-Structured matrices carry an exact Toeplitz symbol or a bandwidth
-certificate; norm routines elsewhere dispatch on these to closed-form
-summation over the whole lattice instead of the window.
+A matrix lives on a window [lo, hi]; its dense complex entries are a
+read-only view (no copy) of the array given.  A Toeplitz matrix also
+carries its exact symbol, which norm routines elsewhere read for
+closed-form summation over the whole lattice instead of the window.
 """
 
 import math
@@ -17,7 +17,7 @@ from .errors import NumericalError, ParameterError, SingularityError
 # a window section, or a symbol range, whose reciprocal condition falls
 # below this is singular
 RCOND_FLOOR = 1e-12
-_ENTRY_ATOL = 1e-12   # entry tolerance of LatticeMatrix.validate
+ENTRY_ATOL = 1e-12   # entry tolerance of LatticeMatrix.validate and io.load_matrix
 
 
 @dataclass(frozen=True)
@@ -68,12 +68,6 @@ class ToeplitzSymbol:
         clean = {int(m): complex(v) for m, v in self.coeffs.items() if v != 0}
         object.__setattr__(self, "coeffs", clean)
 
-    def coefficient(self, m):
-        c = self.coeffs.get(int(m), 0j)
-        if self.geometric is not None and m >= 0:
-            c = c + self.geometric.scale * self.geometric.ratio ** int(m)
-        return c
-
     def coefficients(self, offsets):
         out = np.zeros(len(offsets), dtype=complex)
         offsets = np.asarray(offsets)
@@ -88,73 +82,46 @@ class ToeplitzSymbol:
     def is_finite(self):
         return self.geometric is None
 
-    def max_offset(self):
-        """Largest |m| with c(m) != 0 for finite symbols, else None."""
-        if not self.is_finite:
-            return None
-        if not self.coeffs:
-            return 0
-        return max(abs(m) for m in self.coeffs)
-
 
 @dataclass
 class LatticeMatrix:
     window: IndexWindow
     entries: np.ndarray
-    tag: str = "general"
     symbol: ToeplitzSymbol | None = None
-    bandwidth: int | None = None
 
     def __post_init__(self):
-        self.entries = np.asarray(self.entries, dtype=complex)
+        self.entries = np.asarray(self.entries, dtype=complex).view()
+        self.entries.flags.writeable = False
         n = self.window.n
         if self.entries.shape != (n, n):
             raise ParameterError(
                 f"entries shape {self.entries.shape} does not match window size {n}")
-        if self.tag not in ("toeplitz", "banded", "general"):
-            raise ParameterError(f"unknown tag {self.tag!r}")
-        if self.tag == "toeplitz" and self.symbol is None:
-            raise ParameterError("toeplitz tag requires a symbol")
-        if self.tag == "banded" and self.bandwidth is None:
-            raise ParameterError("banded tag requires a bandwidth")
-        if self.bandwidth is not None and self.bandwidth < 0:
-            raise ParameterError("bandwidth must be nonnegative")
+        if self.symbol is not None and not isinstance(self.symbol, ToeplitzSymbol):
+            raise ParameterError(
+                f"symbol must be a ToeplitzSymbol, got {self.symbol!r}")
 
     @property
     def n(self):
         return self.window.n
 
-    def offsets(self):
-        idx = self.window.indices()
-        return idx[:, None] - idx[None, :]
-
     def validate(self):
-        """Check the entries against the symbol and the bandwidth, whichever
-        are set, whatever the tag; raises ParameterError."""
+        """Check the entries against the symbol, if one is set; raises
+        ParameterError."""
         if self.symbol is not None:
             ref = make_toeplitz(self.symbol, self.window).entries
-            if not np.allclose(self.entries, ref, rtol=0, atol=_ENTRY_ATOL):
+            if not np.allclose(self.entries, ref, rtol=0, atol=ENTRY_ATOL):
                 raise ParameterError("entries do not match the declared symbol")
-        if self.bandwidth is not None:
-            mask = np.abs(self.offsets()) > self.bandwidth
-            if np.any(np.abs(self.entries[mask]) > _ENTRY_ATOL):
-                raise ParameterError("nonzero entry beyond declared bandwidth")
         return self
-
-    def copy(self):
-        return LatticeMatrix(self.window, self.entries.copy(), self.tag,
-                             self.symbol, self.bandwidth)
 
 
 def identity_matrix(window):
-    sym = ToeplitzSymbol({0: 1.0})
-    return LatticeMatrix(window, np.eye(window.n, dtype=complex), "toeplitz", sym, 0)
+    return make_toeplitz(ToeplitzSymbol({0: 1.0}), window)
 
 
 def make_toeplitz(symbol, window):
+    # contiguous entries, not a strided view of the 2n - 1 values
     entries = _offset_table(window.n, symbol.coefficients).copy()
-    return LatticeMatrix(window, entries, "toeplitz", symbol,
-                         symbol.max_offset())
+    return LatticeMatrix(window, entries, symbol)
 
 
 def geometric_inverse_toeplitz(gamma, window, scale=1.0):
@@ -184,10 +151,8 @@ def offset_multiplier(A, f):
     entries = _offset_table(A.n, f) * A.entries
     sym = A.symbol
     if sym is None or not sym.is_finite:
-        tag = "banded" if A.bandwidth is not None else "general"
-        return LatticeMatrix(A.window, entries, tag, None, A.bandwidth)
-    return LatticeMatrix(A.window, entries, "toeplitz",
-                         ToeplitzSymbol(_map_coeffs(sym, f)), A.bandwidth)
+        return LatticeMatrix(A.window, entries)
+    return LatticeMatrix(A.window, entries, ToeplitzSymbol(_map_coeffs(sym, f)))
 
 
 def _map_coeffs(symbol, f):
@@ -200,37 +165,37 @@ def _map_coeffs(symbol, f):
 def apply_automorphism(A, t):
     """psi_t: multiply entry (k, l) by e^{2 pi i (k-l) t}.  Period 1 in t.
 
-    The tag is kept, and so is a geometric tail: the phase maps
+    A symbol is kept, geometric tail included: the phase maps
     scale ratio^m to scale (ratio e^{2 pi i t})^m.
     """
     def phase(m):
         return np.exp(2j * np.pi * m * t)
 
     out = offset_multiplier(A, phase)
-    sym = out.symbol
-    if A.symbol is not None and not A.symbol.is_finite:
-        geo = A.symbol.geometric
-        sym = ToeplitzSymbol(_map_coeffs(A.symbol, phase),
-                             GeometricTail(geo.ratio * phase(1), geo.scale))
-    return LatticeMatrix(A.window, out.entries, A.tag, sym, A.bandwidth)
+    if A.symbol is None or A.symbol.is_finite:
+        return out
+    geo = A.symbol.geometric
+    return LatticeMatrix(A.window, out.entries, ToeplitzSymbol(
+        _map_coeffs(A.symbol, phase),
+        GeometricTail(geo.ratio * phase(1), geo.scale)))
 
 
 def derivation_power(A, k):
-    """D^k: multiply entry (k, l) by (k-l)^k.  k = 0 returns a copy."""
+    """D^k: multiply entry (k, l) by (k-l)^k.  k = 0 returns A."""
     if k < 0:
         raise ParameterError("derivation order must be nonnegative")
     if k == 0:
-        return A.copy()
+        return A
     return offset_multiplier(A, lambda m: m.astype(float) ** k)
 
 
 def difference_power(A, t, k):
     """(psi_t - id)^k applied to A: entry (k, l) times (e^{2 pi i m t} - 1)^k
-    on offset m = k - l."""
+    on offset m = k - l.  k = 0 returns A."""
     if k < 0:
         raise ParameterError("difference order must be nonnegative")
     if k == 0:
-        return A.copy()
+        return A
     return offset_multiplier(A, lambda m: (np.exp(2j * np.pi * m * t) - 1.0) ** k)
 
 
@@ -258,7 +223,7 @@ def invert_truncated(A):
     if not np.all(np.isfinite(inv)) or rc < RCOND_FLOOR:
         raise SingularityError(
             f"reciprocal condition {rc:.3e} below floor {RCOND_FLOOR:.1e}", rcond=rc)
-    return LatticeMatrix(A.window, inv, "general")
+    return LatticeMatrix(A.window, inv)
 
 
 def singular_values(A):

@@ -173,7 +173,7 @@ def _dk_logs(A, ambient, method, margin):
             top = np.abs(M).max()
             if top == 0.0:
                 return _NEG_INF
-            v = operator_norm_l2(LatticeMatrix(A.window, M / top, "general"))
+            v = operator_norm_l2(LatticeMatrix(A.window, M / top))
             return math.log(top) + (math.log(v) if v > 0 else _NEG_INF)
         return log_norm
 

@@ -43,8 +43,7 @@ def derivation_quotient_rhs(A, Ainv, kmax):
         acc = sum(math.comb(j, i) * (dpow[i] @ X[j - i])
                   for i in range(1, j + 1))
         X.append(-(inv @ acc))
-    return {k: LatticeMatrix(A.window, X[k], "general")
-            for k in range(1, kmax + 1)}
+    return {k: LatticeMatrix(A.window, X[k]) for k in range(1, kmax + 1)}
 
 
 def difference_quotient_rhs(Ainv, t, dA):
@@ -73,8 +72,7 @@ def difference_quotient_rhs(Ainv, t, dA):
                   for i in range(1, j + 1))
         T.append(-acc)
     return {k: LatticeMatrix(Ainv.window,
-                             apply_automorphism(Ainv, k * t).entries @ T[k],
-                             "general")
+                             apply_automorphism(Ainv, k * t).entries @ T[k])
             for k in range(1, kmax + 1)}
 
 
@@ -171,7 +169,7 @@ def verify_orders(A, B, kmax, t_values, Ainv=None, margin=0):
     if Ainv is None:
         Ainv = invert_truncated(A)
     operand_scale = _operand_scale(A, Ainv)
-    AB = LatticeMatrix(A.window, A.entries @ B.entries, "general")
+    AB = LatticeMatrix(A.window, A.entries @ B.entries)
     by_order = {k: [] for k in range(1, kmax + 1)}
     for pair in _derivation_pairs(A, Ainv, kmax):
         by_order[pair[1]].append(_row(pair, margin, operand_scale))
@@ -201,7 +199,7 @@ def verify_identity(A, identity, k, t=None, B=None, Ainv=None, margin=0):
     if identity == "difference_product":
         if B is None:
             raise ParameterError("difference_product needs a second matrix B")
-        AB = LatticeMatrix(A.window, A.entries @ B.entries, "general")
+        AB = LatticeMatrix(A.window, A.entries @ B.entries)
         pairs = _shift_pairs(A, t, k, B=B, AB=AB)
         operand_scale = None
     else:

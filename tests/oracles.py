@@ -140,7 +140,7 @@ def verify_identity_per_order(A, identity, k, t=None, B=None, Ainv=None,
     copies of the margin-shrunk window."""
     if identity == "difference_product":
         lhs = difference_power(
-            LatticeMatrix(A.window, A.entries @ B.entries, "general"), t,
+            LatticeMatrix(A.window, A.entries @ B.entries), t,
             k).entries
         rhs = _difference_product_order(A, B, t, k)
     elif identity == "derivation_quotient":
@@ -179,19 +179,26 @@ def quotient_rows_per_order(A, B, Ainv, kmax, t_values, margin):
     return rows
 
 
+def _offsets(window):
+    """The n x n matrix of offsets k - l on the window."""
+    idx = window.indices()
+    return idx[:, None] - idx[None, :]
+
+
 def offset_multiplier_entrywise(A, f):
     """Entries of the Schur multiplier by f, with f called on the full
     n x n offset matrix: f(k - l) A(k, l)."""
-    return f(A.offsets()) * A.entries
+    return f(_offsets(A.window)) * A.entries
 
 
 def difference_power_binomial(A, t, k):
     """Entries of (psi_t - id)^k A expanded as
     sum_j binom(k,j) (-1)^{k-j} psi_{jt}(A)."""
     out = np.zeros_like(A.entries)
+    offs = _offsets(A.window)
     for j in range(k + 1):
         term = math.comb(k, j) * (-1) ** (k - j)
-        out += term * np.exp(2j * np.pi * A.offsets() * (j * t)) * A.entries
+        out += term * np.exp(2j * np.pi * offs * (j * t)) * A.entries
     return out
 
 

@@ -24,11 +24,11 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from decayinv import (IndexWindow, ParameterError, ToeplitzSymbol,
-                      besov_seminorm, geometric_inverse_toeplitz,
-                      hypersingular_seminorm, identification_rate_check,
-                      identity_matrix, make_toeplitz, modulus_profile,
-                      random_decay_matrix)
+from decayinv import (IndexWindow, LatticeMatrix, ParameterError,
+                      ToeplitzSymbol, besov_seminorm,
+                      geometric_inverse_toeplitz, hypersingular_seminorm,
+                      identification_rate_check, identity_matrix,
+                      make_toeplitz, modulus_profile, random_decay_matrix)
 from decayinv import besov
 from decayinv.besov import (_crossings, _j_multipliers, _kink_cells,
                             _modulus, _offset_weights, _shell_bounds,
@@ -182,8 +182,9 @@ def test_operator_tail_bound_counts_the_whole_window_under_a_margin():
     # offset 31 carries most of it, and a margin of 4 must not drop it.
     # t = u^2 makes 2 int_0^0.05 t^-1.5 g dt = 4 int_0^sqrt(0.05) g(u^2)/u^2
     # du, a smooth integral; 64 Gauss-Legendre nodes put it at 550.
-    A = identity_matrix(IndexWindow(-16, 15))
-    A.entries[0, 31] = 5.0
+    entries = np.eye(32)
+    entries[0, 31] = 5.0
+    A = LatticeMatrix(IndexWindow(-16, 15), entries)
     x, wts = np.polynomial.legendre.leggauss(64)
     top = math.sqrt(0.05)
     u = 0.5 * top * (x + 1.0)

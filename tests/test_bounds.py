@@ -297,7 +297,7 @@ def test_window_norm_data_tridiagonal_closed_form():
 
 
 def test_condition_data_window_rejects_rank_one():
-    A = LatticeMatrix(W, np.ones((W.n, W.n), dtype=complex), "general")
+    A = LatticeMatrix(W, np.ones((W.n, W.n), dtype=complex))
     s = np.linalg.svd(A.entries, compute_uv=False)
     with pytest.raises(SingularityError) as info:
         condition_data(A, method="window")

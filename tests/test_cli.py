@@ -82,6 +82,46 @@ def test_bad_margin_or_instances_exit_code(tmp_path, capsys, command,
     assert not out.exists()
 
 
+GRID = [0.4, 0.2, 0.1, 0.05]
+
+
+@pytest.mark.parametrize("command,fields,name", [
+    ("toeplitz-sharpness", {"gamma_grid": ["0.4", "0.2", "0.1", "0.05"],
+                            "r_list": [1.0]}, "gamma_grid"),
+    ("toeplitz-sharpness", {"gamma_grid": GRID, "r_list": ["x"]}, "r_list"),
+    ("toeplitz-sharpness", {"gamma_grid": GRID, "r_list": [-1.0]}, "r_list"),
+    ("jaffard-check", {"r_list": 2.0}, "r_list"),
+    ("jaffard-check", {"r_list": [2.0], "seed": True}, "seed"),
+    ("jaffard-check", {"r_list": [2.0], "tolerances": {"epsilon": "abc"}},
+     "epsilon"),
+    ("jaffard-check", {"r_list": [2.0], "tolerances": {"instances": 1.5}},
+     "instances"),
+    ("quotient-verify", {"tolerances": {"kmax": True}}, "kmax"),
+    ("quotient-verify", {"tolerances": {"t_values": 0.17}}, "t_values"),
+    ("dd-sharpness", {"gamma_grid": [0.5], "r_list": [2.0],
+                      "tolerances": {"ratio_low": None}}, "ratio_low"),
+    ("besov-report", {"gamma_grid": [0.5], "r_list": [0.5],
+                      "tolerances": {"shift_offsets": [1.5]}},
+     "shift_offsets"),
+    ("besov-report", {"gamma_grid": [0.5], "r_list": [0.5],
+                      "tolerances": {"t_min": 5.0}}, "t_min"),
+])
+def test_malformed_config_value_exit_code(tmp_path, capsys, command, fields,
+                                          name):
+    # a value of the wrong type, or out of range, is a config error found
+    # before any row is computed: never a crash, and never rounded
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps({"experiment": command, "window_N": 32,
+                               **fields}))
+    out = tmp_path / "rows.csv"
+    code = run([command, "--config", cfg, "--out", out])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "config error" in err
+    assert name in err
+    assert not out.exists()
+
+
 def test_config_experiment_mismatch(tmp_path, capsys):
     cfg = tmp_path / "mis.json"
     cfg.write_text(json.dumps({"experiment": "dd-sharpness"}))

@@ -75,7 +75,7 @@ def test_symbol_and_window_routes_agree_on_finite_symbol(coeffs, r, k):
 def test_side_diag_sup_matches_diagonal_loop():
     rng = np.random.default_rng(5)
     E = rng.normal(size=(W.n, W.n)) + 1j * rng.normal(size=(W.n, W.n))
-    A = LatticeMatrix(W, E, "general")
+    A = LatticeMatrix(W, E)
     for margin in (0, 5):
         offs, d = side_diag_sup(A, margin)
         inner = E[margin:W.n - margin, margin:W.n - margin]
@@ -116,7 +116,7 @@ def test_jaffard_norm_values():
     assert jaffard_norm(inv, r) == pytest.approx(want, rel=1e-13)
     rng = np.random.default_rng(3)
     entries = rng.normal(size=(W.n, W.n))
-    A = LatticeMatrix(W, entries, "general")
+    A = LatticeMatrix(W, entries)
     off = np.abs(np.arange(W.n)[:, None] - np.arange(W.n)[None, :])
     want = np.max(np.abs(entries) * (1.0 + off) ** r)
     assert jaffard_norm(A, r) == pytest.approx(want, rel=1e-13)
