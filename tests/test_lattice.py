@@ -1,6 +1,7 @@
 """Tests for windows, symbols and the basic matrix operations."""
 
 import cmath
+import json
 import math
 
 import numpy as np
@@ -15,6 +16,7 @@ from decayinv import (GeometricTail, IndexWindow, LatticeMatrix,
                       geometric_inverse_toeplitz, identity_matrix,
                       invert_truncated, make_toeplitz, operator_norm_l2,
                       random_decay_matrix, singular_values, symbol_range)
+from decayinv.io import load_matrix, save_matrix
 from decayinv.lattice import offset_multiplier
 
 from oracles import difference_power_binomial, offset_multiplier_entrywise
@@ -317,6 +319,43 @@ def test_validate_catches_symbol_mismatch():
     entries[0, 5] = 3.0
     with pytest.raises(ParameterError, match="symbol"):
         LatticeMatrix(W, entries, B.symbol).validate()
+
+
+def _save_tagged(path, entries, like, tag, bandwidth):
+    """Write entries with the sidecar of `like`, plus the structure tag and
+    bandwidth that older sidecars carry."""
+    save_matrix(like, path)
+    with open(path + ".json") as fh:
+        meta = json.load(fh)
+    save_matrix(LatticeMatrix(like.window, entries), path)
+    meta.update(tag=tag, bandwidth=bandwidth)
+    with open(path + ".json", "w") as fh:
+        json.dump(meta, fh)
+
+
+def test_validate_checks_symbol_and_band_whatever_the_tag(tmp_path):
+    # a matrix carries no tag now, but an older sidecar does: whatever tag
+    # it names, the loaded matrix is held to its symbol and its band
+    B = bidiag(0.5)
+    path = str(tmp_path / "m.mtx")
+    for tag, bw in (("general", None), ("banded", 1), ("toeplitz", None)):
+        _save_tagged(path, B.entries, B, tag, bw)
+        A = load_matrix(path)
+        assert np.array_equal(A.entries, B.entries)
+        assert A.symbol.coeffs == B.symbol.coeffs
+        entries = B.entries.copy()
+        entries[0, 1] = 3.0
+        _save_tagged(path, entries, B, tag, bw)
+        with pytest.raises(ParameterError, match="symbol"):
+            load_matrix(path)
+    G = LatticeMatrix(W, B.entries)
+    _save_tagged(path, G.entries, G, "general", 1)
+    assert load_matrix(path).symbol is None
+    entries = B.entries.copy()
+    entries[0, 5] = 3.0
+    _save_tagged(path, entries, G, "general", 1)
+    with pytest.raises(ParameterError, match="bandwidth"):
+        load_matrix(path)
 
 
 def test_entries_are_read_only():
