@@ -7,12 +7,15 @@ integrand is linear in the profile (p = 1 in the c0 ambient, and the
 hypersingular multipliers) the integral separates over offsets, and
 u = m t reduces every offset to one antiderivative
 F(x) = int_1^x u^{-s-1} |2 sin pi u|^k du, tabulated by Gauss-Legendre.
-Elsewhere at finite p the integral runs over cells cut at the kinks j/m
-(and at the switches of the jaffard max), one fixed Gauss-Legendre rule
-per cell; every rule reports its difference from a coarser one as its
-error.  Values are computed on [t_min, t_max]; the near-zero and far-tail
-contributions are returned as a separate rigorous bound, never silently
-added.
+Elsewhere at finite p the integral is folded onto u in [0, 1/2]: the
+offsets are integers, so the modulus is 1-periodic and even in t, and
+the integral over [t_min, t_max] is one over u against a kernel summed
+over the images j +- u in range.  It runs over cells cut at the kinks
+j/m (and at the switches of the jaffard max), one fixed Gauss-Legendre
+rule per cell; every rule reports its difference from a coarser one as
+its error.  Values are computed on [t_min, t_max]; the near-zero and
+far-tail contributions are returned as a separate rigorous bound, never
+silently added.
 """
 
 import functools
@@ -34,11 +37,14 @@ _BLOCK = 1 << 14      # elements of a node matrix evaluated at once
 _SUP_COARSE, _SUP_ZOOM, _SUP_ROUNDS = 256, 17, 14
 _OP_NODES = 33        # operator ambient: trapezoid (or p = inf) nodes per shell
 # general route: Gauss-Legendre nodes per cell (the check takes half),
-# the kink count above which shells are cut into _PANELS equal panels
-# instead (the check takes half as many), and the bisection steps that
-# bring a switch of the jaffard max's branch to roundoff
-_GL_RULE, _MAX_KINKS, _PANELS, _BISECT = 8, 1 << 15, 512, 60
-_SNAP = 1e-12         # a switch this close (relative) to a cell edge is noise
+# the kink count above which the folded domain is cut into _PANELS equal
+# panels per piece instead (the check takes half as many), the bisection
+# steps that bring a switch of the jaffard max's branch to roundoff, and
+# the most rounds of the search for switches
+_GL_RULE, _MAX_KINKS, _PANELS, _BISECT, _ROUNDS = 8, 1 << 15, 512, 60, 8
+# a switch of the jaffard max this close to a cell edge in [0, 1/2] is
+# noise, and a cell's ends are probed this far (relative) inside
+_SNAP = 1e-12
 _trapz = getattr(np, "trapezoid", None) or np.trapz
 
 
@@ -229,13 +235,14 @@ def besov_seminorm(A, p, r, k=None, ambient="c0", method="auto", margin=0,
     grid of the dyadic shells and zooms in on each shell's best point,
     skipping every shell whose closed-form bound (_shell_bounds) falls below
     a value already found, and parameters["shells_searched"] holds
-    (searched, total); other p, and the jaffard ambient at finite p, take a
-    fixed Gauss-Legendre rule on cells free of kinks (equal panels per shell
-    when the kinks are too many); the operator ambient takes a trapezoid
-    rule over window singular values, or at p = inf their best node, with
-    the shells pruned by the same bound.  quadrature_error is each route's
-    own estimate: the difference from a coarser rule, or the zoom's gain
-    for p = inf.
+    (searched, total); other p, and the jaffard ambient at finite p, fold
+    the integral onto u in [0, 1/2] and take a fixed Gauss-Legendre rule on
+    cells free of kinks (equal panels when the kinks are too many), and
+    parameters["cells"] holds the number of cells; the operator ambient
+    takes a trapezoid rule over window singular values, or at p = inf their
+    best node, with the shells pruned by the same bound.  quadrature_error
+    is each route's own estimate: the difference from a coarser rule, or
+    the zoom's gain for p = inf.
     """
     if r <= 0:
         raise ParameterError("besov_seminorm needs r > 0")
@@ -250,7 +257,7 @@ def besov_seminorm(A, p, r, k=None, ambient="c0", method="auto", margin=0,
         raise ParameterError("difference order k must be >= 1")
     kind, s = normalize_ambient(ambient)
     edges = _shell_edges(t_min, t_max)
-    searched = None
+    searched = cells = None
 
     if kind == "operator":
         # ||Delta_t^k A||_op is at most sum_m |2 sin pi m t|^k d(m) by the
@@ -268,7 +275,7 @@ def besov_seminorm(A, p, r, k=None, ambient="c0", method="auto", margin=0,
         elif p == math.inf:
             value, qerr, searched = _sup_search(ms, w, k, kind, edges, r)
         else:
-            value, qerr = _cell_route(ms, w, k, kind, edges, r, p)
+            value, qerr, cells = _cell_route(ms, w, k, kind, edges, r, p)
 
     tail = _tail_bounds(A, ms, w, geo, k, r, p, t_min, t_max,
                         ambient, method, margin, kind, s)
@@ -276,6 +283,8 @@ def besov_seminorm(A, p, r, k=None, ambient="c0", method="auto", margin=0,
               "t_min": t_min, "t_max": t_max}
     if searched is not None:
         params["shells_searched"] = (searched, edges.size - 1)
+    if cells is not None:
+        params["cells"] = cells
     return SeminormEstimate(value=value, quadrature_error=qerr,
                             tail_bound=tail, parameters=params)
 
@@ -360,27 +369,57 @@ def _sup_search(ms, w, k, kind, edges, r):
     return float(best[win]), float(best[win] - coarse[win]), live.size
 
 
-def _kink_cells(shells, ms):
-    """Shell edges together with every kink j/m (m in ms) strictly inside
-    [shells[0], shells[-1]], sorted and merged, or None when there are
-    more than _MAX_KINKS kinks (a point shared by several offsets counted
-    once per offset).
+def _kink_cells(edges, ms):
+    """The edges together with every kink j/m (m in ms) strictly inside
+    [edges[0], edges[-1]], sorted and merged, or None when there are more
+    than _MAX_KINKS kinks (a point shared by several offsets counted once
+    per offset).
 
     The points j/(2M), M = max(ms), are cut too: with them no cell spans
     more than half a hump of the fastest term, where _GL_RULE nodes reach
     roundoff.
     """
-    t_min, t_max = shells[0], shells[-1]
+    lo, hi = edges[0], edges[-1]
     ms = np.append(ms, 2 * ms[-1])
-    lo = np.floor(ms * t_min) + 1.0
-    counts = np.maximum(np.ceil(ms * t_max) - lo, 0.0).astype(int)
+    first = np.floor(ms * lo) + 1.0
+    counts = np.maximum(np.ceil(ms * hi) - first, 0.0).astype(int)
     if counts.sum() > _MAX_KINKS:
         return None
     starts = np.cumsum(counts) - counts
     rank = np.arange(counts.sum()) - np.repeat(starts, counts)
-    kinks = (np.repeat(lo, counts) + rank) / np.repeat(ms, counts)
-    kinks = kinks[(kinks > t_min) & (kinks < t_max)]
-    return np.unique(np.concatenate([shells, kinks]))
+    kinks = (np.repeat(first, counts) + rank) / np.repeat(ms, counts)
+    kinks = kinks[(kinks > lo) & (kinks < hi)]
+    return np.unique(np.concatenate([edges, kinks]))
+
+
+def _folded_edges(shells):
+    """The cut points of the folded domain.
+
+    u = dist(t, Z) maps [t_min, t_max] onto one interval [lo, hi] of
+    [0, 1/2], the support of the kernel K.  It is cut at the images
+    dist(e, Z) of the shell edges e: at t_min and t_max an image of u
+    enters or leaves the range, the edges below 1/2 keep the steep kernel
+    near t_min resolved, and those above keep the images j - u and j + u
+    resolved where the kinks are sparse.
+    """
+    t_min, t_max = shells[0], shells[-1]
+    pts = np.abs(shells - np.round(shells))
+    if math.floor(t_max) >= t_min:          # an integer t: u = 0
+        pts = np.append(pts, 0.0)
+    if math.floor(t_max - 0.5) + 0.5 >= t_min:  # a half-integer: u = 1/2
+        pts = np.append(pts, 0.5)
+    return np.unique(pts)
+
+
+def _fold_kernel(u, t_min, t_max, e):
+    """K(u) = sum of t^e over the images t = j + u, j - u (j >= 0) of u
+    that lie in [t_min, t_max]."""
+    K = np.zeros(u.shape)
+    for j in range(math.floor(t_max + 0.5) + 1):
+        for t in (j + u, j - u):
+            inside = (t >= t_min) & (t <= t_max)
+            K[inside] += t[inside] ** e
+    return K
 
 
 def _argmax_branch(ts, ms, w, k):
@@ -391,17 +430,19 @@ def _argmax_branch(ts, ms, w, k):
     return out.reshape(ts.shape)
 
 
-def _crossings(cells, ms, w, k):
-    """Points inside the cells where the active branch of the jaffard max
-    switches: the branch is probed at each cell's ends and rule nodes, and
-    every probe interval where it changes is bisected to roundoff.
+def _crossings(a, b, ms, w, k):
+    """Points inside the cells [a, b] where the active branch of the
+    jaffard max switches: the branch is probed at each cell's rule nodes
+    and _SNAP (relative) inside its ends, and every probe interval where it
+    changes is bisected to roundoff.
 
-    A switch within _SNAP of a cell edge is dropped: at the integers every
-    branch vanishes, and there the argmax only reads the rounding of
-    pi m t, not a crossing."""
+    The ends themselves are not probed: branches can tie there (at u = 0
+    every branch vanishes, and at a kink j/m two others can meet), and the
+    argmax at a tie reads only the rounding of pi m u, not the branch the
+    cell has."""
     tau, _ = _legendre(_GL_RULE)
-    frac = np.concatenate([[0.0], tau, [1.0]])
-    probes = cells[:-1, None] + np.diff(cells)[:, None] * frac
+    frac = np.concatenate([[_SNAP], tau, [1.0 - _SNAP]])
+    probes = a[:, None] + (b - a)[:, None] * frac
     branch = _argmax_branch(probes, ms, w, k)
     switch = branch[:, 1:] != branch[:, :-1]
     lo, hi = probes[:, :-1][switch], probes[:, 1:][switch]
@@ -410,53 +451,85 @@ def _crossings(cells, ms, w, k):
         mid = 0.5 * (lo + hi)
         same = _argmax_branch(mid, ms, w, k) == left
         lo, hi = np.where(same, mid, lo), np.where(same, hi, mid)
-    i = np.searchsorted(cells, hi).clip(1, cells.size - 1)
-    gap = np.minimum(hi - cells[i - 1], cells[i] - hi)
-    return hi[gap > _SNAP * hi]
+    return hi
 
 
-def _rule_on_cells(edges, ms, w, k, kind, r, p, n):
-    """The n-node Gauss-Legendre rule for int t^(-rp-1) g(t)^p dt on each
+def _switch_cells(cells, ms, w, k):
+    """The cells cut at the switches of the jaffard max's branch.
+
+    A probe interval can hold more than one switch, and its bisection
+    finds only one, so each round of _crossings probes the cells that the
+    previous round cut, until a round finds none or _ROUNDS have run.  A
+    switch within _SNAP of an edge is dropped: next to a cut, where the two
+    branches agree to rounding, the argmax reads only that rounding.
+    """
+    a, b = cells[:-1], cells[1:]
+    for _ in range(_ROUNDS):
+        cuts = _crossings(a, b, ms, w, k)
+        i = np.searchsorted(cells, cuts)
+        cuts = cuts[np.minimum(cuts - cells[i - 1], cells[i] - cuts) > _SNAP]
+        if not cuts.size:
+            break
+        cells = np.union1d(cells, cuts)
+        i = np.searchsorted(cells, cuts)
+        a = np.concatenate([cells[i - 1], cells[i]])
+        b = np.concatenate([cells[i], cells[i + 1]])
+    return cells
+
+
+def _rule_on_cells(edges, ms, w, k, kind, kernel, p, n):
+    """The n-node Gauss-Legendre rule for int kernel(u) g(u)^p du on each
     cell between consecutive edges."""
     tau, wts = _legendre(n)
     h = np.diff(edges)
-    ts = edges[:-1, None] + h[:, None] * tau
-    return h * ((ts ** (-r * p - 1.0) * _modulus(ts, ms, w, k, kind) ** p)
-                @ wts)
+    us = edges[:-1, None] + h[:, None] * tau
+    return h * ((kernel(us) * _modulus(us, ms, w, k, kind) ** p) @ wts)
 
 
 def _cell_route(ms, w, k, kind, shells, r, p):
     """The inputs where g enters the integrand nonlinearly (p not in
-    {1, inf}, or the jaffard ambient).
+    {1, inf}, or the jaffard ambient), folded onto u in [0, 1/2].
 
-    The cells are cut at the kinks j/m of |2 sin pi m t|^k and, in the
-    jaffard ambient, where the branch of the max switches, so the integrand
-    is analytic on each; the value is the _GL_RULE-node rule per cell, and
+    g is 1-periodic and even, so int_{t_min}^{t_max} t^(-rp-1) g(t)^p dt
+    is int K(u) g(u)^p du over _folded_edges, with K = _fold_kernel.  The
+    cells are cut at the kinks j/m of |2 sin pi m u|^k and, in the jaffard
+    ambient, where the branch of the max switches, so the integrand is
+    analytic on each (on the cell at u = 0 only for integer kp, as
+    g^p ~ u^(kp) there); the value is the _GL_RULE-node rule per cell, and
     the error the sum over cells of its difference from the half-node rule.
-    Above _MAX_KINKS kinks each shell is cut into _PANELS equal panels
-    instead, and the error is the sum over pairs of panels of the
-    difference from one panel spanning the pair.  Either error also counts
-    the worst-case rounding of the sum over the cells, eps per cell, which
-    is all that is left where the two rules agree to the last bit.
+    Above _MAX_KINKS kinks each piece of the folded domain is cut into
+    _PANELS equal panels instead, and the error is the sum over pairs of
+    panels of the difference from one panel spanning the pair.  Either
+    error also counts the worst-case rounding of the sum over the cells,
+    eps per cell, which is all that is left where the two rules agree to
+    the last bit.  Returns (value, error, number of cells).
     """
     if ms.size == 0:
-        return 0.0, 0.0
-    cells = _kink_cells(shells, ms)
+        return 0.0, 0.0, 0
+    t_min, t_max = shells[0], shells[-1]
+
+    def kernel(u):
+        return _fold_kernel(u, t_min, t_max, -r * p - 1.0)
+
+    base = _folded_edges(shells)
+    cells = _kink_cells(base, ms)
     if cells is None:
-        panels = np.linspace(shells[:-1], shells[1:], _PANELS + 1, axis=1)
-        cells = np.append(panels[:, :-1].ravel(), shells[-1])
-        coarse = _rule_on_cells(cells[::2], ms, w, k, kind, r, p, _GL_RULE)
+        panels = np.linspace(base[:-1], base[1:], _PANELS + 1, axis=1)
+        cells = np.append(panels[:, :-1].ravel(), base[-1])
+        coarse = _rule_on_cells(cells[::2], ms, w, k, kind, kernel, p,
+                                _GL_RULE)
     else:
         if kind == "jaffard":
-            cells = np.union1d(cells, _crossings(cells, ms, w, k))
-        coarse = _rule_on_cells(cells, ms, w, k, kind, r, p, _GL_RULE // 2)
-    fine = _rule_on_cells(cells, ms, w, k, kind, r, p, _GL_RULE)
+            cells = _switch_cells(cells, ms, w, k)
+        coarse = _rule_on_cells(cells, ms, w, k, kind, kernel, p,
+                                _GL_RULE // 2)
+    fine = _rule_on_cells(cells, ms, w, k, kind, kernel, p, _GL_RULE)
     total = 2.0 * float(fine.sum())
     err = (2.0 * float(np.abs(fine.reshape(coarse.size, -1).sum(axis=1)
                               - coarse).sum())
            + np.finfo(float).eps * fine.size * total)
     value = total ** (1.0 / p)
-    return value, (total + err) ** (1.0 / p) - value
+    return value, (total + err) ** (1.0 / p) - value, fine.size
 
 
 def _op_value(A, k):

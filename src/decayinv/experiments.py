@@ -221,6 +221,12 @@ def run_dd_sharpness(cfg):
     checks for ||D^k|| with k <= _BRACKET_KMAX."""
     cfg.validate()
     _accept_tolerances(cfg, {"ratio_low": float, "ratio_high": float})
+    # the defaults are those cli.find_violations gates the ratios with
+    low = cfg.tolerances.get("ratio_low", 0.5)
+    high = cfg.tolerances.get("ratio_high", 2.0)
+    if not (math.isfinite(low) and math.isfinite(high) and 0 <= low < high):
+        raise ConfigError(f"ratio_low and ratio_high must be finite with "
+                          f"0 <= ratio_low < ratio_high, got {low}, {high}")
     if not cfg.gamma_grid:
         raise ConfigError("gamma_grid must not be empty")
     if not cfg.r_list or any(r <= 1 for r in cfg.r_list):
@@ -320,7 +326,11 @@ def run_quotient_verify(cfg):
     if not 1 <= kmax <= 8:
         raise ConfigError("kmax must lie in [1, 8]")
     eps = float(cfg.tolerances.get("epsilon", 0.3))
+    if not 0 <= eps <= 0.5:
+        raise ConfigError("epsilon must lie in [0, 0.5]")
     decay_r = float(cfg.tolerances.get("decay_r", 2.0))
+    if not (math.isfinite(decay_r) and decay_r >= 0):
+        raise ConfigError(f"decay_r must be finite and >= 0, got {decay_r}")
     count = int(cfg.tolerances.get("instances", 20))
     ts = list(cfg.tolerances.get("t_values", [0.17, 0.31]))
     margin = int(cfg.tolerances.get("margin", cfg.window_N // 4))

@@ -85,6 +85,13 @@ class ToeplitzSymbol:
 
 @dataclass
 class LatticeMatrix:
+    """A finite section over window, with an optional exact symbol.
+
+    entries becomes a read-only view, so no write through the matrix can
+    make it drift from its symbol.  The view is not a copy: a complex128
+    array passed in is aliased, and a later write into that array changes
+    the matrix; any other array is converted, hence copied.
+    """
     window: IndexWindow
     entries: np.ndarray
     symbol: ToeplitzSymbol | None = None

@@ -10,8 +10,10 @@ kink-split Gauss-Legendre rule instead (the scipy value was 5.3e-5 off);
 the route must land within relative 1e-13 of it and within its own
 reported quadrature error.  The jaffard-ambient p = 2 value is checked
 against adaptive quad on the cells between the kinks and the switches of
-the max (tests/oracles.py).  The p = inf search is checked against the
-same grid-and-zoom search run on every shell (tests/oracles.py).
+the max (tests/oracles.py).  The finite-p cell route, folded onto
+[0, 1/2], is checked against the same rule on [t_min, t_max] itself
+(tests/oracles.py).  The p = inf search is checked against the same
+grid-and-zoom search run on every shell (tests/oracles.py).
 """
 
 import math
@@ -20,7 +22,7 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, seed, settings
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
@@ -30,15 +32,16 @@ from decayinv import (IndexWindow, LatticeMatrix, ParameterError,
                       identification_rate_check, identity_matrix,
                       make_toeplitz, modulus_profile, random_decay_matrix)
 from decayinv import besov
-from decayinv.besov import (_crossings, _j_multipliers, _kink_cells,
-                            _modulus, _offset_weights, _shell_bounds,
-                            _shell_edges, _sup_search)
+from decayinv.besov import (_cell_route, _folded_edges, _j_multipliers,
+                            _kink_cells, _modulus, _offset_weights,
+                            _shell_bounds, _shell_edges, _sup_search,
+                            _switch_cells)
 from decayinv.experiments import centered_window
 from decayinv.lattice import difference_power
 from decayinv.norms import cv_norm
 from decayinv.weights import Weight
-from oracles import (besov_integral_cells, operator_sup_all_shells,
-                     sup_search_all_shells)
+from oracles import (besov_cells_unfolded, besov_integral_cells,
+                     operator_sup_all_shells, sup_search_all_shells)
 
 W = IndexWindow(-32, 31)
 INV = geometric_inverse_toeplitz(0.5, W)
@@ -131,13 +134,13 @@ def test_besov_jaffard_p2_matches_quad_on_cells():
 
 
 def test_jaffard_switch_cuts_clear_the_kink_edges():
-    # at t in {1, 2, 4} every branch of the max vanishes, and the argmax
-    # there reads only the rounding of pi m t: no switch may be cut within
-    # roundoff of an edge the cells already have
+    # at u = 0 every branch of the max vanishes, and the argmax there reads
+    # only the rounding of pi m u: no switch may be cut within roundoff of
+    # an edge the folded cells already have
     ms, w, _ = _offset_weights(INV, ("jaffard", 2), "auto", 0)
-    cells = _kink_cells(_shell_edges(0.01, 4.0), ms)
-    cuts = _crossings(cells, ms, w, 1)
-    i = np.searchsorted(cells, cuts).clip(1, cells.size - 1)
+    cells = _kink_cells(_folded_edges(_shell_edges(0.01, 4.0)), ms)
+    cuts = np.setdiff1d(_switch_cells(cells, ms, w, 1), cells)
+    i = np.searchsorted(cells, cuts)
     gap = np.minimum(cuts - cells[i - 1], cells[i] - cuts)
     assert cuts.size and gap.min() > 1e-12
     est = besov_seminorm(INV, 2, 0.5, 1, ambient=("jaffard", 2),
@@ -145,18 +148,83 @@ def test_jaffard_switch_cuts_clear_the_kink_edges():
     assert abs(est.value - FROZEN_JAFFARD_P2) <= est.quadrature_error
 
 
+@pytest.mark.parametrize("profile", [{1: 1.0, 2: 1.0, 3: 28.0},
+                                     {1: 11.0, 2: 1.0, 4: 5.0, 6: 9.0}],
+                         ids=["tie at a kink", "two switches in a probe"])
+def test_every_jaffard_switch_is_cut(profile):
+    # w = (1, 1, 28): at u = 1/3, the kink of offset 3, the branches of
+    # offsets 1 and 2 tie, so the argmax at that cell end reads only the
+    # tie, and offset 3 takes the max back 0.0033 to the right of it.
+    # w = (11, 1, 5, 9): the switches at u = 0.1357 and 0.1450 share one
+    # interval between probes, and one bisection finds only one of them.
+    # Every switch seen on a fine grid of (0, 1/2], away from the kinks
+    # the cells already have, is cut within a grid step
+    ms = np.array(sorted(profile))
+    w = np.array([profile[m] for m in ms])
+    cells = _kink_cells(_folded_edges(_shell_edges(1.0, 2.0)), ms)
+    cuts = np.setdiff1d(_switch_cells(cells, ms, w, 1), cells)
+    u = np.linspace(0.0, 0.5, 100_001)[1:]
+    top = (w * np.abs(np.sin(np.pi * np.outer(u, ms)))).argmax(axis=1)
+    seen = u[1:][top[1:] != top[:-1]]
+    step = u[1] - u[0]
+    seen = seen[np.abs(seen[:, None] - cells).min(axis=1) > step]
+    assert cuts.size == seen.size
+    assert np.abs(cuts - seen).max() <= step
+
+
 def test_besov_above_cell_cap_within_reported_error(monkeypatch):
-    # gamma = 0.3 keeps 139 offsets, about 39k kinks on [0.01, 4]: past the
-    # cell cap, so the route takes equal panels per shell.  The reference
-    # is the kink-cell rule with the cap lifted.
-    A = geometric_inverse_toeplitz(0.3, W)
+    # gamma = 0.1 keeps 415 offsets, about 43k kinks on the folded domain
+    # [0, 1/2]: past the cell cap, so the route takes equal panels per
+    # piece of it.  The reference is the kink-cell rule with the cap lifted.
+    A = geometric_inverse_toeplitz(0.1, W)
     ms, _, _ = _offset_weights(A, "c0", "auto", 0)
-    assert _kink_cells(_shell_edges(0.01, 4.0), ms) is None
+    assert _kink_cells(_folded_edges(_shell_edges(0.01, 4.0)), ms) is None
     est = besov_seminorm(A, 2, 0.5, 1, t_min=0.01, t_max=4.0)
     monkeypatch.setattr(besov, "_MAX_KINKS", math.inf)
     ref = besov_seminorm(A, 2, 0.5, 1, t_min=0.01, t_max=4.0)
     assert ref.quadrature_error <= 1e-9
     assert abs(est.value - ref.value) <= est.quadrature_error
+
+
+@pytest.mark.parametrize("ambient, most", [("c0", 1200),
+                                           (("jaffard", 2), 1300)])
+def test_cell_route_work_on_the_frozen_matrix(ambient, most):
+    # the unfolded route cut 8,895 and 8,935 cells on [0.01, 4]; the fold
+    # cuts only those on [0, 1/2]
+    est = besov_seminorm(INV, 2, 0.5, 1, ambient=ambient,
+                         t_min=0.01, t_max=4.0)
+    assert 0 < est.parameters["cells"] <= most
+
+
+@seed(23)
+@settings(max_examples=30, deadline=None)
+@given(st.floats(0.1, 0.35), st.integers(0, 2 ** 32 - 1),
+       st.sampled_from(["c0", "jaffard"]), st.sampled_from([1.5, 2.0, 3.0]),
+       st.integers(1, 2), st.floats(0.1, 2.5), st.floats(0.005, 2.0),
+       st.floats(0.05, 2.5))
+@example(0.3, 1, "c0", 2.0, 1, 0.5, 0.02, 0.38)
+@example(0.2, 2, "jaffard", 3.0, 2, 1.5, 0.7, 1.6)
+@example(0.25, 3, "jaffard", 1.5, 1, 0.3, 0.01, 3.99)
+def test_folded_route_matches_the_unfolded_one(rho, draw, kind, p, k, r,
+                                               t_min, width):
+    # the same integral, cut on [t_min, t_max] itself or folded onto
+    # [0, 1/2]: t_max < 1/2, t_min > 1/2 and non-integer t_max included.
+    # The profile decays like a matrix's, w(m) = a(m) rho^m with a(m) in
+    # [1/2, 2], down to 1e-18.  At an integer t every branch vanishes and
+    # g^p behaves like |t - j|^(kp); for integer kp that is analytic and
+    # both rules reach roundoff, otherwise each converges only
+    # algebraically on the cells at the integers, which the two routes cut
+    # differently, and they agree within their reported errors
+    ms = np.arange(1, math.ceil(math.log(1e-18) / math.log(rho)) + 1)
+    w = np.random.default_rng(draw).uniform(0.5, 2.0, ms.size) * rho ** ms
+    t_max = t_min + width
+    value, err, _ = _cell_route(ms, w, k, kind, _shell_edges(t_min, t_max),
+                                r, p)
+    want, want_err, _ = besov_cells_unfolded(ms, w, k, r, p, t_min, t_max,
+                                             jaffard=kind == "jaffard")
+    if (k * p).is_integer():
+        assert value == pytest.approx(want, rel=1e-13)
+    assert abs(value - want) <= err + want_err
 
 
 def test_operator_tail_bound_covers_the_left_out_mass():

@@ -105,6 +105,22 @@ GRID = [0.4, 0.2, 0.1, 0.05]
      "shift_offsets"),
     ("besov-report", {"gamma_grid": [0.5], "r_list": [0.5],
                       "tolerances": {"t_min": 5.0}}, "t_min"),
+    # a ratio band must be a finite interval 0 <= low < high
+    *[("dd-sharpness", {"gamma_grid": [0.5], "r_list": [2.0],
+                        "tolerances": tol}, name)
+      for tol, name in [({"ratio_low": 3.0}, "ratio_low"),
+                        ({"ratio_low": 1.0, "ratio_high": 1.0}, "ratio_high"),
+                        ({"ratio_low": -0.5}, "ratio_low"),
+                        ({"ratio_high": float("nan")}, "ratio_high"),
+                        ({"ratio_high": float("inf")}, "ratio_high")]],
+    # quotient instances need 0 <= epsilon <= 0.5, as jaffard-check's do,
+    # and a finite decay_r >= 0
+    *[("quotient-verify", {"tolerances": tol}, name)
+      for tol, name in [({"epsilon": 5.0}, "epsilon"),
+                        ({"epsilon": -0.1}, "epsilon"),
+                        ({"decay_r": -1.0}, "decay_r"),
+                        ({"decay_r": float("inf")}, "decay_r"),
+                        ({"decay_r": float("nan")}, "decay_r")]],
 ])
 def test_malformed_config_value_exit_code(tmp_path, capsys, command, fields,
                                           name):

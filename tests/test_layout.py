@@ -166,3 +166,36 @@ def test_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=60)
     assert out.stdout.strip() == "[]"
+
+
+def decorator_names(node):
+    """The last dotted name of each decorator of a function, called or
+    not: both given(...) and hypothesis.given(...) read "given"."""
+    names = set()
+    for dec in node.decorator_list:
+        dec = dec.func if isinstance(dec, ast.Call) else dec
+        names.add(dec.attr if isinstance(dec, ast.Attribute)
+                  else getattr(dec, "id", None))
+    return names
+
+
+def unseeded_properties(path):
+    """(line, name) of every function in path that hypothesis's given
+    decorates without a seed decorator."""
+    tree = ast.parse(path.read_text(), str(path))
+    return [(node.lineno, node.name) for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and "given" in decorator_names(node)
+            and "seed" not in decorator_names(node)]
+
+
+def test_every_property_is_seeded(tmp_path):
+    # a seeded property draws the same examples on every run
+    probe = tmp_path / "probe.py"
+    probe.write_text("@hypothesis.given(st.none())\ndef test_a(x): pass\n\n"
+                     "@seed(1)\n@given(st.none())\ndef test_b(x): pass\n")
+    assert unseeded_properties(probe) == [(2, "test_a")]
+    tests = pathlib.Path(__file__).resolve().parent
+    found = {path.name: hits for path in sorted(tests.glob("*.py"))
+             if (hits := unseeded_properties(path))}
+    assert not found, f"hypothesis properties without @seed: {found}"
