@@ -13,7 +13,11 @@ the integral over [t_min, t_max] is one over u against a kernel summed
 over the images j +- u in range.  It runs over cells cut at the kinks
 j/m (and at the switches of the jaffard max), one fixed Gauss-Legendre
 rule per cell; every rule reports its difference from a coarser one as
-its error.  Values are computed on [t_min, t_max]; the near-zero and
+its error.  At p = inf the sup of t^-r g(t) is searched on a log grid of
+the dyadic shells and zoomed, and only where it can still be: closed-form
+bounds on g over each chunk of a grid, and on the slope of t^-r g(t) over
+each shell, skip every chunk and every zoom that stays below a value
+already found.  Values are computed on [t_min, t_max]; the near-zero and
 far-tail contributions are returned as a separate rigorous bound, never
 silently added.
 """
@@ -32,9 +36,10 @@ from .weights import log_concave_sum, log_poly_geometric, poly_geometric_max
 _PROFILE_CUT = 1e-18
 _GL_NODES = (24, 48)  # the Gauss-Legendre rule, and its node-doubled check
 _BLOCK = 1 << 14      # elements of a node matrix evaluated at once
-# p = inf search, on each shell whose _shell_bounds can still beat the best
-# value found: log-grid points per shell, points and rounds of the zoom
-_SUP_COARSE, _SUP_ZOOM, _SUP_ROUNDS = 256, 17, 14
+# p = inf search: log-grid points per shell, points per chunk of that grid
+# (bounded, and so skipped or evaluated, as one), points and rounds of the
+# zoom on each shell that can still hold the sup
+_SUP_COARSE, _CHUNK, _SUP_ZOOM, _SUP_ROUNDS = 256, 16, 17, 14
 _OP_NODES = 33        # operator ambient: trapezoid (or p = inf) nodes per shell
 # general route: Gauss-Legendre nodes per cell (the check takes half),
 # the kink count above which the folded domain is cut into _PANELS equal
@@ -233,28 +238,34 @@ def besov_seminorm(A, p, r, k=None, ambient="c0", method="auto", margin=0,
     The route depends on the input.  p = 1 in the c0 ambient separates
     over offsets (one tabulated antiderivative); p = inf searches a log
     grid of the dyadic shells and zooms in on each shell's best point,
-    skipping every shell whose closed-form bound (_shell_bounds) falls below
-    a value already found, and parameters["shells_searched"] holds
-    (searched, total); other p, and the jaffard ambient at finite p, fold
-    the integral onto u in [0, 1/2] and take a fixed Gauss-Legendre rule on
-    cells free of kinks (equal panels when the kinks are too many), and
-    parameters["cells"] holds the number of cells; the operator ambient
+    skipping every chunk of a grid whose closed-form bound (_shell_bounds)
+    falls below a value already found and every zoom that a slope bound
+    (_slope_bounds) keeps below it, and parameters["shells_searched"] holds
+    (shells zoomed, total); other p, and the jaffard ambient at finite p,
+    fold the integral onto u in [0, 1/2] and take a fixed Gauss-Legendre
+    rule on cells free of kinks (equal panels when the kinks are too many),
+    and parameters["cells"] holds the number of cells; the operator ambient
     takes a trapezoid rule over window singular values, or at p = inf their
-    best node, with the shells pruned by the same bound.  quadrature_error
-    is each route's own estimate: the difference from a coarser rule, or
-    the zoom's gain for p = inf.
+    best node, with the shells pruned by the same bound, and
+    parameters["shells_searched"] holds (shells searched, total).  At
+    p = inf parameters["points"] counts the t at which the modulus was
+    evaluated.  quadrature_error is each route's own estimate: the
+    difference from a coarser rule, or the zoom's gain for p = inf.
+
+    r must be finite and positive, k an integer >= 1, and t_min, t_max
+    finite with 0 < t_min < t_max; anything else is a ParameterError.
     """
-    if r <= 0:
-        raise ParameterError("besov_seminorm needs r > 0")
+    if not (math.isfinite(r) and r > 0):
+        raise ParameterError("besov_seminorm needs a finite r > 0")
     if not (p == math.inf or p >= 1):
         raise ParameterError("p must be in [1, inf]")
-    if not 0 < t_min < t_max:
-        raise ParameterError("need 0 < t_min < t_max")
+    if not 0 < t_min < t_max < math.inf:
+        raise ParameterError("need a finite 0 < t_min < t_max")
     if k is None:
         k = math.floor(r) + 1
+    if not (float(k).is_integer() and k >= 1):
+        raise ParameterError("difference order k must be an integer >= 1")
     k = int(k)
-    if k < 1:
-        raise ParameterError("difference order k must be >= 1")
     kind, s = normalize_ambient(ambient)
     edges = _shell_edges(t_min, t_max)
     searched = cells = None
@@ -266,6 +277,7 @@ def besov_seminorm(A, p, r, k=None, ambient="c0", method="auto", margin=0,
         ms, w, geo = _offset_weights(A, "c0", "window", 0)
         if p == math.inf:
             value, qerr, searched = _operator_sup(A, r, k, edges, ms, w)
+            points = _OP_NODES * searched
         else:
             value, qerr = _operator_route(A, p, r, k, edges)
     else:
@@ -273,7 +285,8 @@ def besov_seminorm(A, p, r, k=None, ambient="c0", method="auto", margin=0,
         if p == 1 and kind == "c0":
             value, qerr = _separable_p1(ms, w, r, k, t_min, t_max)
         elif p == math.inf:
-            value, qerr, searched = _sup_search(ms, w, k, kind, edges, r)
+            value, qerr, searched, points = _sup_search(ms, w, k, kind,
+                                                        edges, r)
         else:
             value, qerr, cells = _cell_route(ms, w, k, kind, edges, r, p)
 
@@ -283,6 +296,7 @@ def besov_seminorm(A, p, r, k=None, ambient="c0", method="auto", margin=0,
               "t_min": t_min, "t_max": t_max}
     if searched is not None:
         params["shells_searched"] = (searched, edges.size - 1)
+        params["points"] = points
     if cells is not None:
         params["cells"] = cells
     return SeminormEstimate(value=value, quadrature_error=qerr,
@@ -309,49 +323,99 @@ def _separable_p1(ms, w, r, k, t_min, t_max):
     return float(vals[0]), float(abs(vals[1] - vals[0]))
 
 
-def _shell_bounds(ms, w, k, kind, edges, r):
-    """Upper bound on t^-r g(t) over each shell [a, b] between the edges:
-    a^-r R_m min(2, 2 pi m b)^k w(m), R the sum (c0) or the max (jaffard),
-    since |2 sin pi m t| <= min(2, 2 pi m t) and t^-r <= a^-r there.
+def _slack(ms, k, r):
+    """1 + 4 (M + k + r + 4) eps, M = ms.size: covers the rounding of a
+    bound's sum and of g computed at a point a few ulps outside its interval
+    (r is in it because a grid point can sit a few ulps below a)."""
+    return 1.0 + 4.0 * (ms.size + k + r + 4) * np.finfo(float).eps
 
-    The factor 1 + 4 (M + k + r + 4) eps, M = ms.size, covers the rounding
-    of this sum and of g computed at a grid point within a few ulps of the
-    shell, so no value _sup_search computes on a shell exceeds its bound.
+
+def _capped_sums(ms, w, kind, b, j, q):
+    """R_m m^j min(2, 2 pi m b)^q w(m) at every b, R the sum (c0) or the max
+    (jaffard).
+
+    ms is increasing, so the offsets with 2 pi m b < 2 are a prefix: R is
+    (2 pi b)^q times a prefix reduction of m^(j+q) w, combined with 2^q
+    times a suffix reduction of m^j w.  An offset that the rounding of
+    1/(pi b) puts on the wrong side only raises the result.
     """
-    a, b = edges[:-1], edges[1:]
-    S = np.minimum(2.0, 2.0 * np.pi * np.outer(b, ms)) ** k * w
-    R = S.sum(axis=1) if kind == "c0" else S.max(axis=1, initial=0.0)
-    slack = 1.0 + 4.0 * (ms.size + k + r + 4) * np.finfo(float).eps
-    return a ** (-r) * R * slack
+    m = ms.astype(float)
+    acc = np.cumsum if kind == "c0" else np.maximum.accumulate
+    low = np.append(0.0, acc(m ** (j + q) * w))
+    high = np.append(acc((m ** j * w)[::-1])[::-1], 0.0)
+    n = np.searchsorted(m, 1.0 / (np.pi * b))
+    lo, hi = (2.0 * np.pi * b) ** q * low[n], 2.0 ** q * high[n]
+    return lo + hi if kind == "c0" else np.maximum(lo, hi)
+
+
+def _shell_bounds(ms, w, k, kind, a, b, r):
+    """Upper bound on t^-r g(t) over each interval [a, b], a and b arrays of
+    one shape: a^-r R_m min(2, 2 pi m b)^k w(m) (_capped_sums), since
+    |2 sin pi m t| <= min(2, 2 pi m t) and t^-r <= a^-r there.  The _slack
+    factor covers the rounding, so no value _sup_search computes on an
+    interval exceeds its bound.
+    """
+    return a ** (-r) * _capped_sums(ms, w, kind, b, 0, k) * _slack(ms, k, r)
+
+
+def _slope_bounds(ms, w, k, kind, a, b, r):
+    """Lipschitz constant of t^-r g(t) on each interval [a, b]:
+    r a^(-r-1) R_m min(2, 2 pi m b)^k w(m)
+    + a^-r R_m 2 pi k m min(2, 2 pi m b)^(k-1) w(m) (_capped_sums), since
+    |2 sin pi m t|^k has slope at most 2 pi k m |2 sin pi m t|^(k-1) and a
+    max of Lipschitz functions takes the largest constant; times _slack.
+    """
+    value = _capped_sums(ms, w, kind, b, 0, k)
+    slope = 2.0 * np.pi * k * _capped_sums(ms, w, kind, b, 1, k - 1)
+    return ((r * a ** (-r - 1.0) * value + a ** (-r) * slope)
+            * _slack(ms, k, r))
 
 
 def _sup_search(ms, w, k, kind, edges, r):
     """sup of t^-r g(t) over the shells: argmax on a log grid of a shell,
     then rounds of zooming in on a finer grid around it.
 
-    Only shells whose _shell_bounds reach a value already found are
-    searched: first the grid of the shell with the largest bound, then the
-    grids of the shells whose bound reaches its best, then the zoom on the
-    shells whose bound reaches the best of all grids.  Every point of a
-    dropped shell lies below a value of a searched one, so the winning
-    shell, its grid value and its zoom are those of a search over every
-    shell.  The error is the gain of the zoom over the grid, in the winning
-    shell.  Returns (value, error, shells searched).
+    Only the points that can still hold the sup are evaluated.  Each
+    shell's grid is cut into chunks of _CHUNK points, bounded by
+    _shell_bounds on their ends: the chunk with the largest bound is
+    evaluated first, then every chunk whose bound reaches the best value
+    found, until no bound does.  A shell is zoomed only when M + L d / 2
+    reaches the best grid value, M the largest of its values and its
+    unevaluated chunks' bounds, L its _slope_bounds and d its widest grid
+    step (every zoom point lies within d / 2 of a grid point), times _slack,
+    since a computed zoom value can exceed the exact one by a few ulps.
+    Its remaining chunks are evaluated first, so the zoom starts from the
+    argmax of its whole grid.  Every point left out lies below a value
+    found, so the winning shell, its grid value and its zoom are those of a
+    search over every shell.  The error is the gain of the zoom over the
+    grid, in the winning shell.  Returns (value, error, shells zoomed,
+    points at which g was evaluated).
     """
     def h(ts):
         return ts ** (-r) * _modulus(ts, ms, w, k, kind)
 
-    bound = _shell_bounds(ms, w, k, kind, edges, r)
     ts = np.exp(np.linspace(np.log(edges[:-1]), np.log(edges[1:]),
                             _SUP_COARSE, axis=1))
-    vals = np.zeros(ts.shape)
-    top = int(bound.argmax())
-    vals[top] = h(ts[top])
-    more = bound >= vals[top].max()
-    more[top] = False
-    vals[more] = h(ts[more])
-    live = np.flatnonzero(bound >= vals.max())
-    ts, vals = ts[live], vals[live]
+    chunks = ts.reshape(ts.shape[0], -1, _CHUNK)
+    bound = _shell_bounds(ms, w, k, kind, chunks[..., 0], chunks[..., -1], r)
+    vals = np.zeros(chunks.shape)
+    done = np.zeros(bound.shape, dtype=bool)
+    pick = done.copy()
+    pick.flat[bound.argmax()] = True
+    peak = 0.0
+    while pick.any():
+        vals[pick] = h(chunks[pick])
+        done |= pick
+        peak = max(peak, float(vals[pick].max()))
+        pick = ~done & (bound >= peak)
+    top = np.where(done[..., None], vals, bound[..., None]).max(axis=(1, 2))
+    slope = _slope_bounds(ms, w, k, kind, edges[:-1], edges[1:], r)
+    reach = (top + slope * (ts[:, -1] - ts[:, -2]) / 2.0) * _slack(ms, k, r)
+    live = np.flatnonzero(reach >= peak)
+    pick[live] = ~done[live]
+    vals[pick] = h(chunks[pick])
+    points = _CHUNK * int((done | pick).sum())
+    ts, vals = ts[live], vals[live].reshape(live.size, -1)
     rows = np.arange(live.size)
     i = vals.argmax(axis=1)
     coarse = vals[rows, i]
@@ -361,12 +425,13 @@ def _sup_search(ms, w, k, kind, edges, r):
     for _ in range(_SUP_ROUNDS):
         pts = np.linspace(lo, hi, _SUP_ZOOM, axis=1)
         vals = h(pts)
+        points += vals.size
         j = vals.argmax(axis=1)
         best = np.maximum(best, vals[rows, j])
         lo = pts[rows, np.maximum(j - 1, 0)]
         hi = pts[rows, np.minimum(j + 1, _SUP_ZOOM - 1)]
     win = int(best.argmax())
-    return float(best[win]), float(best[win] - coarse[win]), live.size
+    return float(best[win]), float(best[win] - coarse[win]), live.size, points
 
 
 def _kink_cells(edges, ms):
@@ -550,7 +615,7 @@ def _operator_sup(A, r, k, edges, ms, w):
     (value, error, shells searched).
     """
     g = _op_value(A, k)
-    bound = (_shell_bounds(ms, w, k, "c0", edges, r)
+    bound = (_shell_bounds(ms, w, k, "c0", edges[:-1], edges[1:], r)
              * (1.0 + 4.0 * A.n * np.finfo(float).eps))
     best, err, win, searched = 0.0, 0.0, edges.size, 0
     for s in np.argsort(-bound, kind="stable"):
@@ -622,7 +687,7 @@ def hypersingular_seminorm(A, r, eps_grid=(0.3, 0.1, 0.03, 0.01),
     if not 0 < r < 2:
         raise ParameterError("hypersingular_seminorm needs 0 < r < 2")
     eps_grid = sorted(set(float(e) for e in eps_grid))
-    if not eps_grid or eps_grid[0] <= 0 or eps_grid[-1] >= 1:
+    if not eps_grid or not all(0 < e < 1 for e in eps_grid):
         raise ParameterError("eps grid must lie in (0, 1)")
     kind, s = normalize_ambient(ambient)
 

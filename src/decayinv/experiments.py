@@ -381,8 +381,9 @@ def run_besov_report(cfg):
     shift_offsets = cfg.tolerances.get("shift_offsets", [1, 2, 4])
     t_min = float(cfg.tolerances.get("t_min", 1e-6))
     t_max = float(cfg.tolerances.get("t_max", 4.0))
-    if not 0 < t_min < t_max:
-        raise ConfigError(f"need 0 < t_min < t_max, got {t_min}, {t_max}")
+    if not 0 < t_min < t_max < math.inf:
+        raise ConfigError(
+            f"need a finite 0 < t_min < t_max, got {t_min}, {t_max}")
     shifts = [make_toeplitz(ToeplitzSymbol({m: 1.0}), window)
               for m in shift_offsets]
     rows = []

@@ -34,8 +34,8 @@ from decayinv import (IndexWindow, LatticeMatrix, ParameterError,
 from decayinv import besov
 from decayinv.besov import (_cell_route, _folded_edges, _j_multipliers,
                             _kink_cells, _modulus, _offset_weights,
-                            _shell_bounds, _shell_edges, _sup_search,
-                            _switch_cells)
+                            _shell_bounds, _shell_edges, _slope_bounds,
+                            _sup_search, _switch_cells)
 from decayinv.experiments import centered_window
 from decayinv.lattice import difference_power
 from decayinv.norms import cv_norm
@@ -295,7 +295,7 @@ def test_sup_search_matches_the_search_of_every_shell(name, ambient):
     kind = "c0" if ambient == "c0" else "jaffard"
     edges = _shell_edges(1e-6, 4.0)
     for k, r in SUP_ORDERS[1:2] if name == "inverse 0.05" else SUP_ORDERS:
-        value, err, searched = _sup_search(ms, w, k, kind, edges, r)
+        value, err, searched, _ = _sup_search(ms, w, k, kind, edges, r)
         want, want_err = sup_search_all_shells(ms, w, k, kind, edges, r)
         assert value == pytest.approx(want, rel=1e-14, abs=0.0)
         assert err == pytest.approx(want_err, rel=0.0, abs=1e-14 * want)
@@ -307,29 +307,86 @@ def test_sup_search_matches_the_search_of_every_shell(name, ambient):
 @given(st.dictionaries(st.integers(1, 300), st.floats(1e-3, 1e3),
                        min_size=1, max_size=8),
        st.integers(1, 3), st.floats(0.1, 3.0),
-       st.sampled_from(["c0", "jaffard"]), st.floats(1e-6, 0.5))
+       st.sampled_from(["c0", "jaffard"]), st.floats(1e-6, 0.5),
+       st.sampled_from([1, 16]))
 def test_shell_bounds_cover_the_modulus_on_each_shell(profile, k, r, kind,
-                                                      t_min):
+                                                      t_min, pieces):
     ms = np.array(sorted(profile))
     w = np.array([profile[m] for m in ms])
     edges = _shell_edges(t_min, 4.0)
-    bound = _shell_bounds(ms, w, k, kind, edges, r)
-    # the search's own grid of each shell, its end points included
+    # the search's own grid of each shell, its end points included, cut
+    # into pieces: whole shells between the edges, or the search's chunks
+    # between their first and last grid points
     ts = np.exp(np.linspace(np.log(edges[:-1]), np.log(edges[1:]), 256,
-                            axis=1))
+                            axis=1)).reshape(edges.size - 1, pieces, -1)
+    if pieces == 1:
+        a, b = edges[:-1, None], edges[1:, None]
+    else:
+        a, b = ts[..., 0], ts[..., -1]
+    bound = _shell_bounds(ms, w, k, kind, a, b, r)
     vals = ts ** (-r) * _modulus(ts, ms, w, k, kind)
-    assert (vals <= bound[:, None]).all()
+    assert (vals <= bound[..., None]).all()
+
+
+@seed(18)
+@settings(max_examples=40, deadline=None)
+@given(st.dictionaries(st.integers(1, 300), st.floats(1e-3, 1e3),
+                       min_size=1, max_size=8),
+       st.integers(1, 3), st.floats(0.1, 3.0),
+       st.sampled_from(["c0", "jaffard"]), st.floats(1e-6, 0.5),
+       st.integers(0, 2 ** 32 - 1))
+def test_slope_bounds_are_lipschitz_constants_on_each_shell(profile, k, r,
+                                                            kind, t_min,
+                                                            draw):
+    # |h(t) - h(t')| <= L |t - t'| for t, t' in a shell, h = t^-r g(t),
+    # plus the rounding of the two computed values of h
+    ms = np.array(sorted(profile))
+    w = np.array([profile[m] for m in ms])
+    edges = _shell_edges(t_min, 4.0)
+    L = _slope_bounds(ms, w, k, kind, edges[:-1], edges[1:], r)
+    rng = np.random.default_rng(draw)
+    u = rng.random((edges.size - 1, 2, 64))
+    # pairs spread over the shell, and pairs a grid step apart
+    u[:, 1, 32:] = u[:, 0, 32:] + rng.uniform(-1.0, 1.0, 32) / 256
+    u = np.clip(u, 0.0, 1.0)
+    a, b = edges[:-1, None, None], edges[1:, None, None]
+    ts = a + (b - a) * u
+    vals = ts ** (-r) * _modulus(ts, ms, w, k, kind)
+    rounding = 4.0 * (ms.size + k + r + 4) * np.finfo(float).eps
+    gap = np.abs(vals[:, 0] - vals[:, 1])
+    allowed = (L[:, None] * np.abs(ts[:, 0] - ts[:, 1])
+               + rounding * vals.max(axis=1))
+    assert (gap <= allowed).all()
 
 
 def test_sup_search_work_on_criterion_10():
     # criterion 10 a's gamma = 0.05 inverse at r = 0.6, k = 1: the sup
-    # (685, near t = 0.008) is above the bound of every shell outside
-    # [1e-3, 0.03], so five shells are searched
+    # (685, near t = 0.008) is above the bound of every chunk of the grid
+    # outside [0.0039, 0.022], and the slope bound leaves only the zooms of
+    # the two shells that meet at t = 1/128: 1,100 points, where a search of
+    # every shell evaluates g at 10,868
     scale = 1.0 + 2.0 ** 0.5 * math.exp(-0.05)
     inv = geometric_inverse_toeplitz(0.05, centered_window(64), scale=scale)
     est = besov_seminorm(inv, math.inf, 0.6, 1)
-    searched, total = est.parameters["shells_searched"]
-    assert total == 22 and searched <= 8
+    zoomed, total = est.parameters["shells_searched"]
+    assert total == 22 and zoomed <= 3
+    assert est.parameters["points"] <= 1300
+
+
+def test_sup_search_zooms_a_shell_whose_grid_misses_its_peak():
+    # jaffard max of |2 sin pi m t| w(m) at m = 1 and m = 7, r = 1/2: each
+    # offset alone peaks at the same height, and the log grid lands 2.2e-7
+    # below the peak for m = 1 and 5.1e-7 below it for m = 7.  With w(7)
+    # raised by 1.5e-7 the sup is in the shell of m = 7, whose grid value is
+    # not the best; only the slope bound keeps that shell's zoom
+    ms, r = np.array([1, 7]), 0.5
+    w = np.array([1.0, 7.0 ** -r * (1.0 + 1.5e-7)])
+    edges = _shell_edges(1e-6, 4.0)
+    value, err, zoomed, _ = _sup_search(ms, w, 1, "jaffard", edges, r)
+    want, want_err = sup_search_all_shells(ms, w, 1, "jaffard", edges, r)
+    assert value == pytest.approx(want, rel=1e-14, abs=0.0)
+    assert err == pytest.approx(want_err, rel=0.0, abs=1e-14 * want)
+    assert zoomed == 2
 
 
 @pytest.mark.parametrize("A", [make_toeplitz(ToeplitzSymbol({3: 1.0}),
@@ -463,3 +520,26 @@ def test_besov_rejects_bad_parameters():
         besov_seminorm(INV, 1, -1.0)
     with pytest.raises(ParameterError):
         besov_seminorm(INV, 1, 0.5, 1, t_min=0.0)
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: besov_seminorm(INV, 1, math.nan), id="r nan"),
+    pytest.param(lambda: besov_seminorm(INV, 1, math.inf), id="r inf"),
+    pytest.param(lambda: besov_seminorm(INV, 1, 0.5, 1.7), id="k 1.7"),
+    pytest.param(lambda: besov_seminorm(INV, math.inf, 0.5, 1, t_min=0.01,
+                                        t_max=math.inf), id="t_max inf"),
+    pytest.param(lambda: besov_seminorm(INV, 1, 0.5, 1, t_min=math.nan),
+                 id="t_min nan"),
+    pytest.param(lambda: hypersingular_seminorm(INV, 0.5,
+                                                eps_grid=(math.nan,)),
+                 id="eps nan"),
+    pytest.param(lambda: hypersingular_seminorm(INV, 0.5,
+                                                eps_grid=(0.1, math.inf)),
+                 id="eps inf"),
+])
+def test_besov_inputs_out_of_range_raise_parameter_error(call):
+    # a finite r > 0, an integral k >= 1, a finite 0 < t_min < t_max and
+    # every eps finite in (0, 1); anything else is a ParameterError, never
+    # a bare ValueError, a silent truncation or a loop that never returns
+    with pytest.raises(ParameterError):
+        call()

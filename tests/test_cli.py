@@ -121,6 +121,11 @@ GRID = [0.4, 0.2, 0.1, 0.05]
                         ({"decay_r": -1.0}, "decay_r"),
                         ({"decay_r": float("inf")}, "decay_r"),
                         ({"decay_r": float("nan")}, "decay_r")]],
+    # the Besov range must be finite: json reads Infinity and NaN
+    *[("besov-report", {"gamma_grid": [0.5], "r_list": [0.5],
+                        "tolerances": tol}, name)
+      for tol, name in [({"t_max": float("inf")}, "t_max"),
+                        ({"t_min": float("nan")}, "t_min")]],
 ])
 def test_malformed_config_value_exit_code(tmp_path, capsys, command, fields,
                                           name):
