@@ -330,21 +330,25 @@ def _slack(ms, k, r):
     return 1.0 + 4.0 * (ms.size + k + r + 4) * np.finfo(float).eps
 
 
-def _capped_sums(ms, w, kind, b, j, q):
-    """R_m m^j min(2, 2 pi m b)^q w(m) at every b, R the sum (c0) or the max
-    (jaffard).
+def _capped_sums(ms, w, kind, a, b, e, j, q):
+    """a^-e R_m m^j min(2, 2 pi m b)^q w(m) on every [a, b], R the sum (c0)
+    or the max (jaffard).
 
     ms is increasing, so the offsets with 2 pi m b < 2 are a prefix: R is
     (2 pi b)^q times a prefix reduction of m^(j+q) w, combined with 2^q
     times a suffix reduction of m^j w.  An offset that the rounding of
-    1/(pi b) puts on the wrong side only raises the result.
+    1/(pi b) puts on the wrong side only raises the result.  So that a^-e
+    does not overflow at a tiny a, the prefix takes it as
+    (2 pi b / a)^q a^(q-e), and the suffix only where it is not empty.
     """
     m = ms.astype(float)
     acc = np.cumsum if kind == "c0" else np.maximum.accumulate
     low = np.append(0.0, acc(m ** (j + q) * w))
     high = np.append(acc((m ** j * w)[::-1])[::-1], 0.0)
     n = np.searchsorted(m, 1.0 / (np.pi * b))
-    lo, hi = (2.0 * np.pi * b) ** q * low[n], 2.0 ** q * high[n]
+    lo = (2.0 * np.pi * b / a) ** q * a ** (q - e) * low[n]
+    hi = 2.0 ** q * high[n] * np.power(a, -e, out=np.zeros_like(b),
+                                       where=n < m.size)
     return lo + hi if kind == "c0" else np.maximum(lo, hi)
 
 
@@ -355,7 +359,7 @@ def _shell_bounds(ms, w, k, kind, a, b, r):
     factor covers the rounding, so no value _sup_search computes on an
     interval exceeds its bound.
     """
-    return a ** (-r) * _capped_sums(ms, w, kind, b, 0, k) * _slack(ms, k, r)
+    return _capped_sums(ms, w, kind, a, b, r, 0, k) * _slack(ms, k, r)
 
 
 def _slope_bounds(ms, w, k, kind, a, b, r):
@@ -365,10 +369,9 @@ def _slope_bounds(ms, w, k, kind, a, b, r):
     |2 sin pi m t|^k has slope at most 2 pi k m |2 sin pi m t|^(k-1) and a
     max of Lipschitz functions takes the largest constant; times _slack.
     """
-    value = _capped_sums(ms, w, kind, b, 0, k)
-    slope = 2.0 * np.pi * k * _capped_sums(ms, w, kind, b, 1, k - 1)
-    return ((r * a ** (-r - 1.0) * value + a ** (-r) * slope)
-            * _slack(ms, k, r))
+    value = _capped_sums(ms, w, kind, a, b, r + 1.0, 0, k)
+    slope = 2.0 * np.pi * k * _capped_sums(ms, w, kind, a, b, r, 1, k - 1)
+    return (r * value + slope) * _slack(ms, k, r)
 
 
 def _sup_search(ms, w, k, kind, edges, r):
@@ -389,8 +392,12 @@ def _sup_search(ms, w, k, kind, edges, r):
     found, so the winning shell, its grid value and its zoom are those of a
     search over every shell.  The error is the gain of the zoom over the
     grid, in the winning shell.  Returns (value, error, shells zoomed,
-    points at which g was evaluated).
+    points at which g was evaluated); an empty profile (g = 0) is not
+    searched.
     """
+    if ms.size == 0:
+        return 0.0, 0.0, 0, 0
+
     def h(ts):
         return ts ** (-r) * _modulus(ts, ms, w, k, kind)
 

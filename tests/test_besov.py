@@ -299,7 +299,10 @@ def test_sup_search_matches_the_search_of_every_shell(name, ambient):
         want, want_err = sup_search_all_shells(ms, w, k, kind, edges, r)
         assert value == pytest.approx(want, rel=1e-14, abs=0.0)
         assert err == pytest.approx(want_err, rel=0.0, abs=1e-14 * want)
-        assert 1 <= searched <= edges.size - 1
+        if ms.size == 0:
+            assert searched == 0
+        else:
+            assert 1 <= searched <= edges.size - 1
 
 
 @seed(17)
@@ -387,6 +390,27 @@ def test_sup_search_zooms_a_shell_whose_grid_misses_its_peak():
     assert value == pytest.approx(want, rel=1e-14, abs=0.0)
     assert err == pytest.approx(want_err, rel=0.0, abs=1e-14 * want)
     assert zoomed == 2
+
+
+@pytest.mark.parametrize("t_min", [1e-6, 1e-200])
+def test_sup_search_of_an_empty_profile_evaluates_no_point(t_min):
+    # g = 0 on the identity, so the sup is 0 without a search; evaluating
+    # every chunk took 10,868 points at t_min = 1e-6
+    est = besov_seminorm(identity_matrix(W), math.inf, 2.0, t_min=t_min)
+    assert est.value == 0.0 and est.quadrature_error == 0.0
+    assert est.parameters["points"] == 0
+    assert est.parameters["shells_searched"][0] == 0
+
+
+def test_sup_search_bounds_stay_finite_at_a_tiny_t_min():
+    # a^-r overflows at a = 1e-200, r = 2, but the bounds of the shells
+    # there, ~ a^(k-r), are tiny: no warning, and the search evaluates the
+    # points it evaluates at t_min = 1e-6
+    A = geometric_inverse_toeplitz(0.5, IndexWindow(-8, 7))
+    want = besov_seminorm(A, math.inf, 2.0, t_min=1e-6)
+    est = besov_seminorm(A, math.inf, 2.0, t_min=1e-200)
+    assert est.value == want.value == 577.2220003999349
+    assert est.parameters["points"] == want.parameters["points"] == 1482
 
 
 @pytest.mark.parametrize("A", [make_toeplitz(ToeplitzSymbol({3: 1.0}),

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from decayinv import (IndexWindow, geometric_inverse_toeplitz,
+from decayinv import (IndexWindow, ParameterError, geometric_inverse_toeplitz,
                       invert_truncated, make_toeplitz, random_decay_matrix,
                       verify_identity, verify_orders, ToeplitzSymbol)
 from decayinv import quotient
@@ -134,17 +134,21 @@ def resolvent_instance(gamma=0.5, window=W):
 
 @pytest.mark.parametrize("kmax", [1, 5, 8])
 def test_one_pass_rows_equal_per_order_rows(kmax):
-    # the pass computes every array by the same expression as one
-    # verifier call per (identity, k, t), so the rows agree bit for bit
+    # the pass forms only the inner block of each product, and every
+    # entry of it is the dot product the full-window oracle forms, summed
+    # in the same order, so the rows agree bit for bit, from the whole
+    # window (margin 0) to a 2 x 2 block (the largest margin)
     ts = (0.17, 0.31)
     cases = [resolvent_instance()]
     for i in range(2):
         A, inv = instance(20 + i)
         cases.append((A, instance(30 + i)[0], inv))
     for A, B, inv in cases:
-        got = verify_orders(A, B, kmax, ts, Ainv=inv, margin=4)
-        want = quotient_rows_per_order(A, B, inv, kmax, ts, margin=4)
-        assert got == want
+        for margin in (0, 4, W.n // 2 - 1):
+            got = verify_orders(A, B, kmax, ts, Ainv=inv, margin=margin)
+            want = quotient_rows_per_order(A, B, inv, kmax, ts,
+                                           margin=margin)
+            assert got == want, margin
 
 
 def test_one_order_view_equals_per_order_verifier():
@@ -203,3 +207,21 @@ def test_verify_orders_rejects_bad_margin():
     for margin in (-1, 16):
         with pytest.raises(ValueError):
             verify_orders(A, A, 2, (0.1,), Ainv=inv, margin=margin)
+
+
+def test_operands_off_the_window_raise_parameter_error():
+    # B and A^{-1} are sliced by A's inner block, so an operand on another
+    # window, of the same size or not, must fail rather than mis-slice
+    A, inv = instance(5)
+    shifted = random_decay_matrix(IndexWindow(0, 31), 2.0, 0.3, seed=[99, 5])
+    narrow = random_decay_matrix(IndexWindow(-8, 7), 2.0, 0.3, seed=[99, 5])
+    for other in (shifted, narrow):
+        with pytest.raises(ParameterError):
+            verify_orders(A, other, 2, (0.1,), Ainv=inv, margin=4)
+        with pytest.raises(ParameterError):
+            verify_orders(A, A, 2, (0.1,), Ainv=other, margin=4)
+        with pytest.raises(ParameterError):
+            verify_identity(A, "difference_product", 1, t=0.1, B=other)
+        for identity in ("derivation_quotient", "difference_quotient"):
+            with pytest.raises(ParameterError):
+                verify_identity(A, identity, 1, t=0.1, Ainv=other)
