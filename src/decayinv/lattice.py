@@ -127,7 +127,7 @@ def identity_matrix(window):
 
 def make_toeplitz(symbol, window):
     # contiguous entries, not a strided view of the 2n - 1 values
-    entries = _offset_table(window.n, symbol.coefficients).copy()
+    entries = offset_table(window.n, symbol.coefficients).copy()
     return LatticeMatrix(window, entries, symbol)
 
 
@@ -139,9 +139,10 @@ def geometric_inverse_toeplitz(gamma, window, scale=1.0):
     return make_toeplitz(sym, window)
 
 
-def _offset_table(n, f):
+def offset_table(n, f):
     """The n x n matrix f(k - l), from one call of f on the 2n - 1 window
-    offsets n - 1, ..., -(n - 1): a read-only Toeplitz view of that call."""
+    offsets n - 1, ..., -(n - 1): a read-only Toeplitz view of that call.
+    Every Schur multiplier by a function of the offset multiplies by one."""
     vals = f(np.arange(n - 1, -n, -1))[n - 1:]
     step = vals.strides[0]
     return as_strided(vals, (n, n), (-step, step), writeable=False)
@@ -155,7 +156,7 @@ def offset_multiplier(A, f):
     offsets, and must act elementwise; a finite symbol maps through it
     coefficientwise, c(m) -> f(m) c(m).  An infinite symbol is dropped.
     """
-    entries = _offset_table(A.n, f) * A.entries
+    entries = offset_table(A.n, f) * A.entries
     sym = A.symbol
     if sym is None or not sym.is_finite:
         return LatticeMatrix(A.window, entries)
@@ -169,15 +170,29 @@ def _map_coeffs(symbol, f):
                     f(ms) * np.array(list(symbol.coeffs.values()))))
 
 
+def phase_factor(t):
+    """m -> e^{2 pi i m t}, the offset factor of psi_t."""
+    return lambda m: np.exp(2j * np.pi * m * t)
+
+
+def difference_factor(t, k):
+    """m -> (e^{2 pi i m t} - 1)^k, the offset factor of (psi_t - id)^k."""
+    phase = phase_factor(t)
+    return lambda m: (phase(m) - 1.0) ** k
+
+
+def derivation_factor(k):
+    """m -> m^k, the offset factor of D^k."""
+    return lambda m: m.astype(float) ** k
+
+
 def apply_automorphism(A, t):
     """psi_t: multiply entry (k, l) by e^{2 pi i (k-l) t}.  Period 1 in t.
 
     A symbol is kept, geometric tail included: the phase maps
     scale ratio^m to scale (ratio e^{2 pi i t})^m.
     """
-    def phase(m):
-        return np.exp(2j * np.pi * m * t)
-
+    phase = phase_factor(t)
     out = offset_multiplier(A, phase)
     if A.symbol is None or A.symbol.is_finite:
         return out
@@ -193,7 +208,7 @@ def derivation_power(A, k):
         raise ParameterError("derivation order must be nonnegative")
     if k == 0:
         return A
-    return offset_multiplier(A, lambda m: m.astype(float) ** k)
+    return offset_multiplier(A, derivation_factor(k))
 
 
 def difference_power(A, t, k):
@@ -203,7 +218,7 @@ def difference_power(A, t, k):
         raise ParameterError("difference order must be nonnegative")
     if k == 0:
         return A
-    return offset_multiplier(A, lambda m: (np.exp(2j * np.pi * m * t) - 1.0) ** k)
+    return offset_multiplier(A, difference_factor(t, k))
 
 
 def rcond_estimate(A, Ainv):

@@ -222,12 +222,14 @@ class DalesDavieValue:
 def dales_davie_norm(A, seq, ambient="c0", method="auto", margin=0):
     """sum_k ||D^k A|| / M_k with the sequence's normalization.
 
-    For unbounded sequences the series is cut once three consecutive terms
-    fall below _DD_TOL relative to the partial sum; if that never happens
-    within _DD_KCAP the result is flagged converged=False.
+    The series is cut once three consecutive terms fall below _DD_TOL
+    relative to the partial sum, or at the sequence's last order, where
+    the sum is complete.  An unbounded sequence is cut at _DD_KCAP at the
+    latest, and if no quiet run came before, the result is flagged
+    converged=False.
     """
     hard = seq.kmax
-    kmax = min(_DD_KCAP, hard) if hard is not None else _DD_KCAP
+    kmax = hard if hard is not None else _DD_KCAP
     dk_log = _dk_logs(A, ambient, method, margin)
     total_log = _NEG_INF
     quiet = 0
@@ -244,7 +246,7 @@ def dales_davie_norm(A, seq, ambient="c0", method="auto", margin=0):
                 break
         else:
             quiet = 0
-    complete = hard is not None and used >= kmax
+    complete = hard is not None and used >= hard
     converged = complete or quiet >= 3
     tail_ratio = math.exp(last_term - total_log) if total_log > _NEG_INF else 0.0
     value = math.exp(total_log) if total_log < 709.0 else float("inf")

@@ -6,17 +6,23 @@ verification errors are pure floating-point roundoff.
 
 `verify_orders` checks the four identities at every order k <= kmax in
 one pass per instance.  D^i(A), the X_j recurrence and A B are computed
-once per instance.  Per shift t, the difference powers of A, B and
-A^{-1} up to kmax and the T_j recurrence are computed once, and each
-phase-shifted left factor psi_{(k-l)t}(Delta_t^l A) once per (k, l); the
-product rule and the telescoping sum share it.  `verify_identity` is the
-one-order view of the same pass.  A row reads each side on the
-margin-shrunk window only, and the pass forms no more, as
-(XY)[I, J] = X[I, :] @ Y[:, J]: the X_j and T_j recurrences carry only
-its columns, and each last product (a twisted Leibniz term, the lead
-psi_{kt}(A^{-1}) T_k, A B) only its rows and columns.  Each entry is
-summed as in the full product (see _section), so the rows are
-bit-identical to slicing full products.
+once per instance.  Per shift t, the offset tables of psi_{jt} for
+j = 0..kmax and of Delta_t^l for l = 1..kmax are built once
+(lattice.offset_table), and every factor of A, B and A^{-1} multiplies
+by one of them: the difference powers, the T_j recurrence and each
+phase-shifted left factor psi_{(k-l)t}(Delta_t^l A), which the product
+rule and the telescoping sum share.  `verify_identity` is the one-order
+view of the same pass.  A row reads each side on the margin-shrunk
+window only, and the pass forms no more, as (XY)[I, J] = X[I, :] @
+Y[:, J]: the X_j and T_j recurrences carry only its columns, and each
+last product (a twisted Leibniz term, the lead psi_{kt}(A^{-1}) T_k,
+A B) only its rows and columns.  So the left factors and the leads are
+formed on its rows only, the differences of B and A^{-1} on its columns
+only, and D^k(A^{-1}) on it alone; Delta_t^l A and the factors of T_j
+stay whole, as a product reads all their rows.  Each entry is the same
+elementwise product as in a whole multiplier and is summed as in the
+full product (see _section), so the rows are bit-identical to slicing
+full products.
 """
 
 import math
@@ -24,8 +30,9 @@ import math
 import numpy as np
 
 from .errors import ParameterError
-from .lattice import (LatticeMatrix, apply_automorphism, derivation_power,
-                      difference_power, invert_truncated)
+from .lattice import (LatticeMatrix, derivation_factor, derivation_power,
+                      difference_factor, invert_truncated, offset_table,
+                      phase_factor)
 
 # OpenBLAS's x86-64 zgemm kernels form a row-major product's columns four
 # at a time from the first, and sum those of a shorter last group in
@@ -71,9 +78,16 @@ def derivation_quotient_rhs(A, Ainv, kmax, margin=0):
             for k in range(1, kmax + 1)}
 
 
-def difference_quotient_rhs(Ainv, t, dA, margin=0):
+def _differences(M, diffs, cols=slice(None)):
+    """Delta_t^l(M) for l = 0..kmax on the given columns of the entries
+    M, with diffs[l - 1] the offset table of Delta_t^l."""
+    M = M[:, cols]
+    return [M] + [d[:, cols] * M for d in diffs]
+
+
+def difference_quotient_rhs(Ainv, dA, phases, margin=0):
     """Delta_t^k(A^{-1}) for k = 1..kmax, expanded in phase-shifted
-    difference blocks of the given dA[i] = Delta_t^i(A), i = 0..kmax:
+    difference blocks of the entries dA[i] of Delta_t^i(A), i = 0..kmax:
 
     psi_{kt}(A^{-1}) sum_{m=1..k} (-1)^m sum_{k_1+...+k_m=k}
         k!/(k_1! ... k_m!) prod_{j=1..m} psi_{(k - k_1 - ... - k_j) t}( Delta_t^{k_j}(A) A^{-1} )
@@ -82,35 +96,35 @@ def difference_quotient_rhs(Ainv, t, dA, margin=0):
     The sum factors by its first part k_1 = i, which is the twisted
     Leibniz rule for Delta_t^j(A A^{-1}) = 0: T_0 = I and
     T_j = -sum_{i=1..j} binom(j,i) psi_{(j-i)t}(Delta_t^i(A) A^{-1}) T_{j-i},
-    with T_k the sum.  Returns {k: psi_{kt}(A^{-1}) T_k} as sections on
-    the window shrunk by margin; the recurrence carries only the columns
-    of their block (see _section), and the lead factor only its rows.
+    with T_k the sum.  phases[j] is the offset table of psi_{jt},
+    j = 0..kmax, on A's window.  Returns {k: psi_{kt}(A^{-1}) T_k} as
+    sections on the window shrunk by margin; the recurrence carries only
+    the columns of their block (see _section), and the lead factor is
+    formed on its rows only.
     """
     kmax = len(dA) - 1
     if kmax < 1:
         raise ParameterError("order must be >= 1")
     inner, block, sub = _section(Ainv.window, margin)
     inv = Ainv.entries
-    blocks = {i: LatticeMatrix(Ainv.window, dA[i].entries @ inv)
-              for i in range(1, kmax + 1)}
+    blocks = [None] + [dA[i] @ inv for i in range(1, kmax + 1)]
     T = [np.eye(Ainv.n, dtype=complex)[:, block]]
     for j in range(1, kmax + 1):
-        acc = sum(math.comb(j, i)
-                  * (apply_automorphism(blocks[i], (j - i) * t).entries @ T[j - i])
+        acc = sum(math.comb(j, i) * ((phases[j - i] * blocks[i]) @ T[j - i])
                   for i in range(1, j + 1))
         T.append(-acc)
-    return {k: LatticeMatrix(inner, (apply_automorphism(Ainv, k * t)
-                                     .entries[block] @ T[k])[sub, sub])
+    return {k: LatticeMatrix(inner, ((phases[k][block] * inv[block])
+                                     @ T[k])[sub, sub])
             for k in range(1, kmax + 1)}
 
 
-def _twisted_leibniz(lefts, rights, block, sub):
+def _twisted_leibniz(lefts, rights, sub):
     """Delta_t^k(AB) = sum_{l=0..k} binom(k,l) psi_{(k-l)t}(Delta_t^l A)
     Delta_t^{k-l}(B) on the window of _section's (block, sub), with
-    k = len(lefts) - 1, lefts[l] the entries of psi_{(k-l)t}(Delta_t^l A)
-    and rights[j] those of Delta_t^j(B)."""
+    k = len(lefts) - 1, lefts[l] the block rows of psi_{(k-l)t}(Delta_t^l A)
+    and rights[j] the block columns of Delta_t^j(B)."""
     k = len(lefts) - 1
-    return sum(math.comb(k, l) * (left[block] @ rights[k - l][:, block])
+    return sum(math.comb(k, l) * (left @ rights[k - l])
                for l, left in enumerate(lefts))[sub, sub]
 
 
@@ -120,37 +134,42 @@ def _pairs(A, kmax, t_values, margin, B=None, Ainv=None):
     B is given), difference_quotient and telescoping (when A^{-1} is);
     then the derivation quotient rule at every k (when A^{-1} is).  rhs
     None stands for zero."""
+    n = A.n
     inner, block, sub = _section(A.window, margin)
     if B is not None:
-        AB = LatticeMatrix(inner,
-                           (A.entries[block] @ B.entries[:, block])[sub, sub])
+        AB = (A.entries[block] @ B.entries[:, block])[sub, sub]
     for t in t_values:
-        dA = [difference_power(A, t, l) for l in range(kmax + 1)]
+        phases = [offset_table(n, phase_factor(j * t))
+                  for j in range(kmax + 1)]
+        diffs = [offset_table(n, difference_factor(t, l))
+                 for l in range(1, kmax + 1)]
+        dA = _differences(A.entries, diffs)
         if B is not None:
-            dB = [difference_power(B, t, l).entries for l in range(kmax + 1)]
+            dB = _differences(B.entries, diffs, block)
         if Ainv is not None:
-            dI = [difference_power(Ainv, t, l).entries
-                  for l in range(kmax + 1)]
-            quot = difference_quotient_rhs(Ainv, t, dA, margin)
+            dI = _differences(Ainv.entries, diffs, block)
+            quot = difference_quotient_rhs(Ainv, dA, phases, margin)
         for k in range(1, kmax + 1):
-            lefts = [apply_automorphism(dA[l], (k - l) * t).entries
+            lefts = [phases[k - l][block] * dA[l][block]
                      for l in range(k + 1)]
             if B is not None:
                 yield ("difference_product", k, t,
-                       difference_power(AB, t, k).entries,
-                       _twisted_leibniz(lefts, dB, block, sub))
+                       offset_table(inner.n, difference_factor(t, k)) * AB,
+                       _twisted_leibniz(lefts, dB, sub))
             if Ainv is not None:
-                yield ("difference_quotient", k, t,
-                       dI[k][block, block][sub, sub], quot[k].entries)
+                yield ("difference_quotient", k, t, dI[k][block][sub, sub],
+                       quot[k].entries)
                 # the twisted Leibniz rule at B = A^{-1} expands
                 # Delta_t^k(I), which vanishes for k >= 1
                 yield ("telescoping", k, t,
-                       _twisted_leibniz(lefts, dI, block, sub), None)
+                       _twisted_leibniz(lefts, dI, sub), None)
     if Ainv is not None:
         rhs = derivation_quotient_rhs(A, Ainv, kmax, margin)
+        rows = slice(margin, n - margin)
         for k in range(1, kmax + 1):
             yield ("derivation_quotient", k, None,
-                   derivation_power(Ainv, k).entries[block, block][sub, sub],
+                   offset_table(n, derivation_factor(k))[rows, rows]
+                   * Ainv.entries[rows, rows],
                    rhs[k].entries)
 
 

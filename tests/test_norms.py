@@ -197,6 +197,19 @@ def test_dales_davie_finite_sequence_stops_at_kmax():
     assert val.value == pytest.approx(manual, rel=1e-12)
 
 
+def test_dales_davie_finite_sequence_beyond_the_order_cap():
+    # a sequence with a last order past the cap of unbounded ones is summed
+    # through it: ||D^k A|| = 200^k here, so the norm is
+    # sum_{k <= 500} 200^k / k!, whose terms peak at k = 200
+    A = make_toeplitz(ToeplitzSymbol({200: 1.0}), IndexWindow(-4, 3))
+    val = dales_davie_norm(A, SmoothnessSequence.finite(500))
+    logs = [k * math.log(200.0) - math.lgamma(k + 1.0) for k in range(501)]
+    top = max(logs)
+    ref = top + math.log(math.fsum(math.exp(x - top) for x in logs))
+    assert val.converged and val.kmax_used > 200
+    assert val.log_value == pytest.approx(ref, rel=1e-12)
+
+
 @pytest.mark.parametrize("r", [1.5, 2.0, 3.0])
 def test_gevrey_comparison_scale_oracle(r):
     for m in range(1, 6):

@@ -11,11 +11,12 @@ from hypothesis import strategies as st
 from decayinv import (IndexWindow, ParameterError, geometric_inverse_toeplitz,
                       invert_truncated, make_toeplitz, random_decay_matrix,
                       verify_identity, verify_orders, ToeplitzSymbol)
-from decayinv import quotient
+from decayinv import lattice, quotient
 from decayinv.experiments import ExperimentConfig, run_quotient_verify
 from decayinv.quotient import (IDENTITIES, derivation_quotient_rhs,
                                difference_quotient_rhs)
-from decayinv.lattice import derivation_power, difference_power
+from decayinv.lattice import (derivation_power, difference_power,
+                              offset_table, phase_factor)
 
 from oracles import (compositions, derivation_quotient_literal,
                      difference_quotient_literal, multinomial,
@@ -72,7 +73,8 @@ def test_recurrences_match_composition_sums(idx):
     A, inv = instance(10 + idx, window=W64)
     dq = derivation_quotient_rhs(A, inv, 8)
     tq = {t: difference_quotient_rhs(
-              inv, t, [difference_power(A, t, i) for i in range(9)])
+              inv, [difference_power(A, t, i).entries for i in range(9)],
+              [offset_table(A.n, phase_factor(j * t)) for j in range(9)])
           for t in (0.17, 0.31)}
     for k, tol in [(1, 1e-13), (2, 1e-13), (3, 1e-13), (4, 1e-13),
                    (5, 1e-13), (6, 1e-13), (8, 1e-12)]:
@@ -151,6 +153,23 @@ def test_one_pass_rows_equal_per_order_rows(kmax):
             assert got == want, margin
 
 
+@pytest.mark.parametrize("n", [30, 31, 33])
+def test_one_pass_rows_equal_per_order_rows_at_group_edges(n):
+    # inner widths that are not a multiple of the column group, so the
+    # row and column slices of the pass end in a partial group; an odd n
+    # at its largest margin leaves a single inner row
+    window = IndexWindow(-(n // 2), n - n // 2 - 1)
+    ts = (0.17, 0.31)
+    A, inv = instance(40, window=window)
+    cases = [resolvent_instance(window=window),
+             (A, instance(41, window=window)[0], inv)]
+    for A, B, inv in cases:
+        for margin in sorted({0, 1, n // 2 - 1, (n - 1) // 2}):
+            got = verify_orders(A, B, 5, ts, Ainv=inv, margin=margin)
+            want = quotient_rows_per_order(A, B, inv, 5, ts, margin=margin)
+            assert got == want, margin
+
+
 def test_one_order_view_equals_per_order_verifier():
     A, inv = instance(6)
     B, _ = instance(7)
@@ -174,31 +193,35 @@ def test_one_pass_rows_are_prefix_stable():
 
 
 def test_one_pass_computes_each_factor_once(monkeypatch):
-    # per instance and shift: difference powers of A, B, A^{-1} at orders
-    # 0..kmax and of AB at 1..kmax; psi-shifted left factors for l <= k,
-    # difference-quotient blocks for i <= j and leads for k <= kmax;
-    # D^i(A) and D^k(A^{-1}) once per instance
-    calls = {}
+    # per instance and shift: the offset tables of psi_{jt} for
+    # j = 0..kmax and of Delta_t^l for l = 1..kmax, shared by A, B and
+    # A^{-1}, and those of Delta_t^k(AB) on the inner window for
+    # k = 1..kmax; per instance those of D^i(A) and D^k(A^{-1}).  No factor
+    # goes through apply_automorphism or difference_power.
+    calls = dict.fromkeys(("offset_table", "apply_automorphism",
+                           "difference_power"), 0)
 
     def counted(name):
-        orig = getattr(quotient, name)
+        orig = getattr(lattice, name)
 
         def wrapper(*args, **kwargs):
-            calls[name] = calls.get(name, 0) + 1
+            calls[name] += 1
             return orig(*args, **kwargs)
-        monkeypatch.setattr(quotient, name, wrapper)
+        monkeypatch.setattr(lattice, name, wrapper)
+        monkeypatch.setattr(quotient, name, wrapper, raising=False)
 
-    for name in ("difference_power", "apply_automorphism",
-                 "derivation_power"):
+    for name in calls:
         counted(name)
     kmax, ts, count = 5, [0.17, 0.31], 2
     cfg = ExperimentConfig(experiment="quotient-verify", window_N=32, seed=1,
                            tolerances={"instances": count, "kmax": kmax,
                                        "t_values": ts, "margin": 4})
     assert len(run_quotient_verify(cfg)["rows"]) == count * kmax * 7
-    assert calls["difference_power"] <= count * 23 * len(ts)
-    assert calls["apply_automorphism"] <= count * 40 * len(ts)
-    assert calls["derivation_power"] <= count * 2 * kmax
+    per_shift = (kmax + 1) + kmax + kmax
+    assert 0 < calls["offset_table"] <= count * (per_shift * len(ts)
+                                                 + 2 * kmax)
+    assert calls["apply_automorphism"] == 0
+    assert calls["difference_power"] == 0
 
 
 def test_verify_orders_rejects_bad_margin():
