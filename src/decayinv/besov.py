@@ -6,7 +6,9 @@ one-dimensional integrals over t of explicit profile sums.  Where the
 integrand is linear in the profile (p = 1 in the c0 ambient, and the
 hypersingular multipliers) the integral separates over offsets, and
 u = m t reduces every offset to one antiderivative
-F(x) = int_1^x u^{-s-1} |2 sin pi u|^k du, tabulated by Gauss-Legendre.
+F(x) = int_1^x u^{-s-1} |2 sin pi u|^k du, tabulated by Gauss-Legendre;
+its unit cells [j, j+1] share one row of sines per rule, since there
+u - j is the node itself.
 Elsewhere at finite p the integral is folded onto u in [0, 1/2]: the
 offsets are integers, so the modulus is 1-periodic and even in t, and
 the integral over [t_min, t_max] is one over u against a kernel summed
@@ -63,9 +65,25 @@ class SeminormEstimate:
 
 def _blocks(rows, width):
     """Slices covering range(rows) that keep a rows x width matrix block
-    within _BLOCK elements."""
+    within _BLOCK elements.
+
+    OpenBLAS sums the last rows of a product, past its last whole group of
+    four, in another order, so where a row sits in its block can move its
+    last bit: _BLOCK and the row order of every `@ wts` and `@ w` here fix
+    the last bits of every Besov value.
+    """
     step = max(1, _BLOCK // width)
     return (slice(lo, lo + step) for lo in range(0, rows, step))
+
+
+def _abs_sine(x, k):
+    """|2 sin x|^k, formed in place of x."""
+    np.sin(x, out=x)
+    np.abs(x, out=x)
+    x *= 2.0
+    if k != 1:
+        x **= k
+    return x
 
 
 @functools.cache
@@ -75,20 +93,26 @@ def _legendre(n):
     return 0.5 * (1.0 + x), 0.5 * w
 
 
-def _cell_integrals(a, h, s, k, n):
+def _cell_integrals(a, h, s, k, n, units):
     """int_a^{a+h} u^{-s-1} |2 sin pi u|^k du for each (a, h), n-point rule.
 
     Each interval lies in one cell [j, j+1] or [2^-i-1, 2^-i] on which the
     integrand is analytic.  The sine is taken at u - floor(a), whose
-    magnitude stays at most 1 however far out the cell lies.
+    magnitude stays at most 1 however far out the cell lies.  The first
+    `units` intervals are whole unit cells, where u - floor(a) is the node
+    itself, so they share one row of sines.
     """
     tau, wts = _legendre(n)
+    unit = _abs_sine(np.pi * tau, k)
     out = np.empty(a.shape)
     for sl in _blocks(a.size, n):
         aa, hh = a[sl, None], h[sl, None]
-        u = aa + hh * tau
-        v = (aa - np.floor(aa)) + hh * tau
-        f = u ** (-s - 1.0) * np.abs(2.0 * np.sin(np.pi * v)) ** k
+        cut = min(max(units - sl.start, 0), aa.shape[0])
+        f = np.empty((aa.shape[0], n))
+        f[:cut] = unit
+        f[cut:] = (aa[cut:] - np.floor(aa[cut:])) + hh[cut:] * tau
+        _abs_sine(np.multiply(f[cut:], np.pi, out=f[cut:]), k)
+        f *= (aa + hh * tau) ** (-s - 1.0)
         out[sl] = h[sl] * (f @ wts)
     return out
 
@@ -115,7 +139,7 @@ def _antiderivative(x, s, k):
     knot = np.where(below, top - e, anchor - 1.0).astype(int)
     rows = []
     for n in _GL_NODES:
-        ints = _cell_integrals(a, h, s, k, n)
+        ints = _cell_integrals(a, h, s, k, n, starts.size)
         up, down = np.split(ints[:starts.size + depth], [starts.size])
         knots = np.concatenate([[0.0], np.cumsum(up), [0.0], np.cumsum(down)])
         rows.append(knots[knot] + ints[starts.size + depth:])
@@ -126,8 +150,9 @@ def _sine_blocks(ts, ms, k):
     """(rows, |2 sin pi m t|^k) over blocks of the flattened ts, one row
     per t and one column per m."""
     col = ts.reshape(-1, 1)
+    pm = np.pi * ms
     for sl in _blocks(ts.size, ms.size):
-        yield sl, (2.0 * np.abs(np.sin(np.pi * ms * col[sl]))) ** k
+        yield sl, _abs_sine(pm * col[sl], k)
 
 
 def _modulus(ts, ms, w, k, kind):
@@ -192,10 +217,23 @@ def _dropped_mass(geo, kind, s, k=0.0):
     return sc * math.exp(log_mass)
 
 
+def _difference_order(k):
+    """k as an int, or a ParameterError unless it is an integer >= 1."""
+    if not (float(k).is_integer() and k >= 1):
+        raise ParameterError("difference order k must be an integer >= 1")
+    return int(k)
+
+
 def modulus_profile(A, ts, k, ambient="c0", method="auto", margin=0):
-    """||Delta_t^k A||_ambient for each t, via the offset reduction."""
+    """||Delta_t^k A||_ambient for each t, via the offset reduction.
+
+    k must be an integer >= 1 and every t finite; anything else is a
+    ParameterError."""
+    k = _difference_order(k)
     kind, _ = normalize_ambient(ambient)
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
+    if not np.isfinite(ts).all():
+        raise ParameterError("modulus_profile needs a finite t")
     if kind == "operator":
         return np.array([operator_norm_l2(difference_power(A, float(t), k))
                          for t in ts])
@@ -261,11 +299,7 @@ def besov_seminorm(A, p, r, k=None, ambient="c0", method="auto", margin=0,
         raise ParameterError("p must be in [1, inf]")
     if not 0 < t_min < t_max < math.inf:
         raise ParameterError("need a finite 0 < t_min < t_max")
-    if k is None:
-        k = math.floor(r) + 1
-    if not (float(k).is_integer() and k >= 1):
-        raise ParameterError("difference order k must be an integer >= 1")
-    k = int(k)
+    k = _difference_order(math.floor(r) + 1 if k is None else k)
     kind, s = normalize_ambient(ambient)
     edges = _shell_edges(t_min, t_max)
     searched = cells = None

@@ -10,8 +10,10 @@ package evaluates the same quantities by cheaper routes (first-part
 recurrences, one pass up to the top order, a closed entrywise factor, one
 offset table, a closed form, one fixed rule per cell, the integral folded
 onto [0, 1/2], a search of only the shells a closed-form bound cannot
-rule out), so nothing here is imported from src.  pytest does not collect
-this module.
+rule out, one row of sines shared by the unit cells of an
+antiderivative), so nothing here is imported from src but the Besov
+block layout, whose row positions fix the last bits of a product.
+pytest does not collect this module.
 """
 
 import itertools
@@ -24,6 +26,7 @@ from scipy.special import gammaln
 
 from decayinv import (LatticeMatrix, ParameterError, apply_automorphism,
                       derivation_power, difference_power, operator_norm_l2)
+from decayinv.besov import _blocks
 
 
 def compositions(k, m):
@@ -394,3 +397,20 @@ def besov_cells_unfolded(ms, w, k, r, p, t_min, t_max, jaffard=False):
            + np.finfo(float).eps * fine.size * total)
     value = total ** (1.0 / p)
     return value, (total + err) ** (1.0 / p) - value, fine.size
+
+
+def cell_integrals_per_cell(a, h, s, k, n, units):
+    """int_a^{a+h} u^{-s-1} |2 sin pi u|^k du for each (a, h) by the n-point
+    Gauss-Legendre rule, each interval's sines taken at its own nodes
+    u - floor(a), over the package's blocks of rows.  units (the count of
+    leading unit cells) is ignored."""
+    x, wts = np.polynomial.legendre.leggauss(n)
+    tau, wts = 0.5 * (1.0 + x), 0.5 * wts
+    out = np.empty(a.shape)
+    for sl in _blocks(a.size, n):
+        aa, hh = a[sl, None], h[sl, None]
+        u = aa + hh * tau
+        v = (aa - np.floor(aa)) + hh * tau
+        f = u ** (-s - 1.0) * np.abs(2.0 * np.sin(np.pi * v)) ** k
+        out[sl] = h[sl] * (f @ wts)
+    return out

@@ -32,7 +32,8 @@ from decayinv import (IndexWindow, LatticeMatrix, ParameterError,
                       identification_rate_check, identity_matrix,
                       make_toeplitz, modulus_profile, random_decay_matrix)
 from decayinv import besov
-from decayinv.besov import (_cell_route, _folded_edges, _j_multipliers,
+from decayinv.besov import (_antiderivative, _argmax_branch, _blocks,
+                            _cell_route, _folded_edges, _j_multipliers,
                             _kink_cells, _modulus, _offset_weights,
                             _shell_bounds, _shell_edges, _slope_bounds,
                             _sup_search, _switch_cells)
@@ -41,7 +42,8 @@ from decayinv.lattice import difference_power
 from decayinv.norms import cv_norm
 from decayinv.weights import Weight
 from oracles import (besov_cells_unfolded, besov_integral_cells,
-                     operator_sup_all_shells, sup_search_all_shells)
+                     cell_integrals_per_cell, operator_sup_all_shells,
+                     sup_search_all_shells)
 
 W = IndexWindow(-32, 31)
 INV = geometric_inverse_toeplitz(0.5, W)
@@ -468,6 +470,66 @@ def test_modulus_profile_geometric_closed_form():
         want = sum(2.0 * abs(math.sin(math.pi * m * t)) * math.exp(-0.5 * m)
                    for m in range(1, 400))
         assert got == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("k", [0, -1, 1.5, math.nan])
+@pytest.mark.parametrize("ambient", ["c0", "operator"])
+def test_modulus_profile_rejects_an_order_besov_seminorm_rejects(k, ambient):
+    # k = 0 would drop the diagonal in the c0 route (1.54149, not cv_norm's
+    # 2.54149) and k = -1 blow up (2.76e13); every k that besov_seminorm
+    # rejects is rejected with its message
+    A = geometric_inverse_toeplitz(0.5, IndexWindow(-8, 7))
+    with pytest.raises(ParameterError, match="integer >= 1"):
+        modulus_profile(A, [0.1], k, ambient)
+    with pytest.raises(ParameterError, match="integer >= 1"):
+        besov_seminorm(A, 1, 0.5, k, ambient)
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf])
+def test_modulus_profile_rejects_a_non_finite_t(t):
+    A = geometric_inverse_toeplitz(0.5, IndexWindow(-8, 7))
+    with pytest.raises(ParameterError):
+        modulus_profile(A, [0.1, t], 1)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_modulus_and_branch_equal_the_sines_taken_whole(k):
+    # the in-place |2 sin pi m t|^k gives, bit for bit, what the whole
+    # expression gives over the same blocks; 300 offsets and 200 points
+    # span four blocks
+    rng = np.random.default_rng(k)
+    ms = np.arange(1, 301)
+    w = rng.uniform(0.1, 2.0, ms.size) * 0.97 ** ms
+    ts = rng.uniform(1e-4, 4.0, 200)
+    assert len(list(_blocks(ts.size, ms.size))) >= 3
+    want = {"c0": np.empty(ts.size), "jaffard": np.empty(ts.size)}
+    branch = np.empty(ts.size, dtype=int)
+    for sl in _blocks(ts.size, ms.size):
+        S = (2.0 * np.abs(np.sin(np.pi * ms * ts[sl, None]))) ** k
+        want["c0"][sl] = S @ w
+        want["jaffard"][sl] = (S * w).max(axis=1)
+        branch[sl] = (S * w).argmax(axis=1)
+    for kind, values in want.items():
+        assert np.array_equal(_modulus(ts, ms, w, k, kind), values)
+    assert np.array_equal(_argmax_branch(ts, ms, w, k), branch)
+
+
+@seed(20)
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.one_of(st.integers(1, 4000).map(float),
+                          st.integers(-40, 11).map(lambda e: 2.0 ** e),
+                          st.floats(1e-12, 2.0 ** -20),
+                          st.floats(2.0 ** -20, 4000.0)),
+                min_size=1, max_size=30),
+       st.floats(-0.9, 2.5), st.sampled_from([1, 2, 3]))
+def test_antiderivative_equals_the_per_cell_rule(x, s, k):
+    # the unit cells' shared row of sines changes no bit of F
+    x = np.array(x)
+    got = _antiderivative(x, s, k)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(besov, "_cell_integrals", cell_integrals_per_cell)
+        want = _antiderivative(x, s, k)
+    assert np.array_equal(got, want, equal_nan=True)
 
 
 def test_multiplier_frozen_values():
