@@ -31,7 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .lattice import difference_power, offset_multiplier, operator_norm_l2
+from .lattice import (LatticeMatrix, difference_power, offset_multiplier,
+                      operator_norm_l2)
 from .norms import ambient_norm, decay_profile, normalize_ambient
 from .weights import log_concave_sum, log_poly_geometric, poly_geometric_max
 
@@ -167,7 +168,7 @@ def _modulus(ts, ms, w, k, kind):
     return out.reshape(ts.shape)
 
 
-def _offset_weights(A, ambient, method, margin):
+def _offset_weights(A, ambient, margin):
     """Per-|m| reduced profile for m >= 1.
 
     c0 ambient sums both sides (w = d(m) + d(-m)); jaffard takes the max
@@ -177,7 +178,7 @@ def _offset_weights(A, ambient, method, margin):
     kind, s = normalize_ambient(ambient)
     if kind == "operator":
         raise ParameterError("offset reduction undefined for operator ambient")
-    prof = decay_profile(A, method, margin)
+    prof = decay_profile(A, margin)
     M = prof.tail_start - 1
     geo = None
     if prof.scale:
@@ -193,10 +194,10 @@ def _offset_weights(A, ambient, method, margin):
     return ms[keep], w[keep], geo
 
 
-def decay_moment(A, r, p=1, ambient="c0", method="auto", margin=0):
+def decay_moment(A, r, p=1, ambient="c0", margin=0):
     """Homogeneous decay moment of the reduced profile w over m >= 1:
     sum_m m^r w(m) for p = 1, sup_m m^r w(m) for p = inf."""
-    ms, w, _ = _offset_weights(A, ambient, method, margin)
+    ms, w, _ = _offset_weights(A, ambient, margin)
     if ms.size == 0:
         return 0.0
     vals = ms.astype(float) ** r * w
@@ -224,7 +225,7 @@ def _difference_order(k):
     return int(k)
 
 
-def modulus_profile(A, ts, k, ambient="c0", method="auto", margin=0):
+def modulus_profile(A, ts, k, ambient="c0", margin=0):
     """||Delta_t^k A||_ambient for each t, via the offset reduction.
 
     k must be an integer >= 1 and every t finite; anything else is a
@@ -237,13 +238,13 @@ def modulus_profile(A, ts, k, ambient="c0", method="auto", margin=0):
     if kind == "operator":
         return np.array([operator_norm_l2(difference_power(A, float(t), k))
                          for t in ts])
-    ms, w, _ = _offset_weights(A, ambient, method, margin)
+    ms, w, _ = _offset_weights(A, ambient, margin)
     return _modulus(ts, ms, w, k, kind)
 
 
 def _tail_bounds(A, ms, w, geo, k, r, p, t_min, t_max,
-                 ambient, method, margin, kind, s):
-    amb = ambient_norm(A, ambient, method, margin)
+                 ambient, margin, kind, s):
+    amb = ambient_norm(A, ambient, margin)
     if p == math.inf:
         far = 2.0 ** k * amb * t_max ** (-r)
     else:
@@ -265,7 +266,7 @@ def _tail_bounds(A, ms, w, geo, k, r, p, t_min, t_max,
     return near + far
 
 
-def besov_seminorm(A, p, r, k=None, ambient="c0", method="auto", margin=0,
+def besov_seminorm(A, p, r, k=None, ambient="c0", margin=0,
                    t_min=1e-6, t_max=4.0):
     """Phase-difference smoothness seminorm of order r, integrability p.
 
@@ -306,16 +307,17 @@ def besov_seminorm(A, p, r, k=None, ambient="c0", method="auto", margin=0,
 
     if kind == "operator":
         # ||Delta_t^k A||_op is at most sum_m |2 sin pi m t|^k d(m) by the
-        # Schur test, the c0 modulus of the window whose singular values
+        # Schur test, the c0 modulus of the section whose singular values
         # the route takes: all of it, whatever the margin
-        ms, w, geo = _offset_weights(A, "c0", "window", 0)
+        ms, w, geo = _offset_weights(LatticeMatrix(A.window, A.entries),
+                                     "c0", 0)
         if p == math.inf:
             value, qerr, searched = _operator_sup(A, r, k, edges, ms, w)
             points = _OP_NODES * searched
         else:
             value, qerr = _operator_route(A, p, r, k, edges)
     else:
-        ms, w, geo = _offset_weights(A, ambient, method, margin)
+        ms, w, geo = _offset_weights(A, ambient, margin)
         if p == 1 and kind == "c0":
             value, qerr = _separable_p1(ms, w, r, k, t_min, t_max)
         elif p == math.inf:
@@ -325,7 +327,7 @@ def besov_seminorm(A, p, r, k=None, ambient="c0", method="auto", margin=0,
             value, qerr, cells = _cell_route(ms, w, k, kind, edges, r, p)
 
     tail = _tail_bounds(A, ms, w, geo, k, r, p, t_min, t_max,
-                        ambient, method, margin, kind, s)
+                        ambient, margin, kind, s)
     params = {"p": p, "r": r, "k": k, "ambient": ambient,
               "t_min": t_min, "t_max": t_max}
     if searched is not None:
@@ -719,7 +721,7 @@ def _j_cap(eps, r):
 
 
 def hypersingular_seminorm(A, r, eps_grid=(0.3, 0.1, 0.03, 0.01),
-                           ambient="c0", method="auto", margin=0):
+                           ambient="c0", margin=0):
     """sup over the eps grid of || int_{eps<=|t|<=1} Delta_t(A) |t|^-r dt ||.
 
     The inner integral acts entrywise: offset m picks up the real factor
@@ -733,11 +735,7 @@ def hypersingular_seminorm(A, r, eps_grid=(0.3, 0.1, 0.03, 0.01),
     kind, s = normalize_ambient(ambient)
 
     if kind == "operator":
-        # every offset the multiplier meets: the window's and the symbol's
-        sym = A.symbol
-        coeffs = list(sym.coeffs) if sym is not None and sym.is_finite else []
-        ms = np.union1d(np.arange(1, A.n), np.abs(coeffs).astype(int))
-        ms = ms[ms > 0]
+        ms = np.arange(1, A.n)   # every nonzero offset of the window
         J, Jerr = _j_multipliers(ms, eps_grid, r)
         best, best_err, best_eps = 0.0, 0.0, eps_grid[0]
         for row, eps in enumerate(eps_grid):
@@ -754,7 +752,7 @@ def hypersingular_seminorm(A, r, eps_grid=(0.3, 0.1, 0.03, 0.01),
                                 {"p": "sup", "r": r, "k": 1, "eps": best_eps,
                                  "ambient": ambient})
 
-    ms, w, geo = _offset_weights(A, ambient, method, margin)
+    ms, w, geo = _offset_weights(A, ambient, margin)
     if ms.size:
         J, Jerr = _j_multipliers(ms, eps_grid, r)
         J = np.abs(J)
@@ -779,7 +777,7 @@ def hypersingular_seminorm(A, r, eps_grid=(0.3, 0.1, 0.03, 0.01),
 
 
 def identification_rate_check(family, r, p=1, k=None, ambient="c0",
-                              method="auto", margin=0, t_min=1e-6, t_max=4.0):
+                              margin=0, t_min=1e-6, t_max=4.0):
     """Besov seminorm against the matching homogeneous decay moment.
 
     For p = 1 the comparison is sum_m |m|^r w(m); for p = inf it is
@@ -791,9 +789,8 @@ def identification_rate_check(family, r, p=1, k=None, ambient="c0",
     rows = []
     for i, item in enumerate(family):
         label, A = item if isinstance(item, tuple) else (str(i), item)
-        mom = decay_moment(A, r, p, ambient, method, margin)
-        est = besov_seminorm(A, p, r, k, ambient, method, margin,
-                             t_min, t_max)
+        mom = decay_moment(A, r, p, ambient, margin)
+        est = besov_seminorm(A, p, r, k, ambient, margin, t_min, t_max)
         ratio = est.value / mom if mom > 0 else math.nan
         rows.append({"label": label, "moment": mom, "seminorm": est.value,
                      "quadrature_error": est.quadrature_error, "ratio": ratio})

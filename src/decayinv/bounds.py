@@ -14,9 +14,9 @@ from typing import Optional
 import numpy as np
 
 from .errors import NumericalError, ParameterError, RangeError, SingularityError
-from .lattice import (RCOND_FLOOR, invert_truncated, singular_values,
-                      symbol_range)
-from .norms import banded_error, cv_norm, jaffard_norm, uses_symbol
+from .lattice import (RCOND_FLOOR, LatticeMatrix, invert_truncated,
+                      singular_values, symbol_range)
+from .norms import banded_error, cv_norm, jaffard_norm
 from .weights import (Weight, log_concave_sum, log_phi_r_from_log,
                       log_poly_geometric, poly_geometric_max, zeta)
 
@@ -88,15 +88,15 @@ def gamma_r(r):
     return 2.0 ** (r + 1) * (r + 1.0) / (r - 1.0)
 
 
-def condition_data(A, method="auto"):
-    """(kappa, norm_A_op, norm_Ainv_op) for the window section.
+def condition_data(A):
+    """(kappa, norm_A_op, norm_Ainv_op) of A.
 
-    Matrices with a symbol use the multiplier range (exact full-lattice
-    values); otherwise the extreme singular values of one SVD of the
+    A matrix with a symbol uses the multiplier range (exact full-lattice
+    values); a section uses the extreme singular values of one SVD of its
     window, so ||A|| = s_max and ||A^{-1}|| = 1/s_min.  Either way A is
     singular when min <= RCOND_FLOOR * max.
     """
-    if uses_symbol(A, method):
+    if A.symbol is not None:
         lo, hi = symbol_range(A.symbol)
     else:
         s = singular_values(A)
@@ -167,7 +167,7 @@ def ell_tilde_r(norm_ainv_op, kappa, r):
                      argmax_k=best_k, beta=beta, gamma_r=g)
 
 
-def phi_Ar(A, r, t, method="auto", margin=0, norm_a_alg=None, ell_value=None,
+def phi_Ar(A, r, t, margin=0, norm_a_alg=None, ell_value=None,
            norm_ainv_op=None):
     """Minimal k >= 1 with max(2*3^r k^{-r} ||A||_Cr ell_r, 2 E_k ||A^{-1}||) <= t.
 
@@ -180,9 +180,9 @@ def phi_Ar(A, r, t, method="auto", margin=0, norm_a_alg=None, ell_value=None,
     if r <= 0:
         raise ParameterError("need r > 0")
     if norm_a_alg is None:
-        norm_a_alg = cv_norm(A, Weight.poly(r), method, margin)
+        norm_a_alg = cv_norm(A, Weight.poly(r), margin)
     if norm_ainv_op is None or ell_value is None:
-        kappa, _, nainv = condition_data(A, method)
+        kappa, _, nainv = condition_data(A)
         norm_ainv_op = nainv if norm_ainv_op is None else norm_ainv_op
         if ell_value is None:
             ell_value = ell_r(norm_ainv_op, kappa, r).value
@@ -203,7 +203,7 @@ def phi_Ar(A, r, t, method="auto", margin=0, norm_a_alg=None, ell_value=None,
             k1 += 1
 
     def tail_ok(k):
-        return 2.0 * banded_error(A, k, method, margin) * norm_ainv_op <= t
+        return 2.0 * banded_error(A, k, margin) * norm_ainv_op <= t
 
     if tail_ok(1):
         k2 = 1
@@ -214,7 +214,7 @@ def phi_Ar(A, r, t, method="auto", margin=0, norm_a_alg=None, ell_value=None,
             if hi > _PHI_KCAP:
                 raise NumericalError(
                     f"banded-tail criterion unmet below {_PHI_KCAP}: E at cap"
-                    f" = {banded_error(A, _PHI_KCAP, method, margin):.3e}")
+                    f" = {banded_error(A, _PHI_KCAP, margin):.3e}")
         lo = hi // 2
         while hi - lo > 1:
             mid = (lo + hi) // 2
@@ -226,22 +226,32 @@ def phi_Ar(A, r, t, method="auto", margin=0, norm_a_alg=None, ell_value=None,
     return max(k1, k2)
 
 
+def _read_as(A, method):
+    """A, or for method "window" its section: the Baskakov bounds keep
+    method only because bench/workloads.py passes it."""
+    if method not in ("auto", "window"):
+        raise ParameterError(f"unknown method {method!r}")
+    return A if method == "auto" else LatticeMatrix(A.window, A.entries)
+
+
 def baskakov_bound_Cr(A, r, t=0.5, t_grid=None, method="auto", margin=0,
                       inverse=None):
     """Geometric-factor bound 2/(1-t) * ell_r * Phi (1+Phi)^r on ||A^{-1}||_Cr.
 
     Default t = 1/2 gives 4 ell_r Phi (1+Phi)^r; an optional grid over
-    (0, 1/2] refines by taking the smallest evaluation.
+    (0, 1/2] refines by taking the smallest evaluation.  method "window"
+    reads A's window section instead of its symbol.
     """
     if r <= 0:
         raise ParameterError("need r > 0")
-    kappa, na_op, nainv_op = condition_data(A, method)
+    A = _read_as(A, method)
+    kappa, na_op, nainv_op = condition_data(A)
     el = ell_r(nainv_op, kappa, r)
-    na_alg = cv_norm(A, Weight.poly(r), method, margin)
+    na_alg = cv_norm(A, Weight.poly(r), margin)
     ts = list(t_grid) if t_grid is not None else [t]
     best = None
     for tv in ts:
-        phi = phi_Ar(A, r, tv, method, margin, norm_a_alg=na_alg,
+        phi = phi_Ar(A, r, tv, margin, norm_a_alg=na_alg,
                      ell_value=el.value, norm_ainv_op=nainv_op)
         log_b = (math.log(2.0 / (1.0 - tv)) + math.log(el.value)
                  + math.log(phi) + r * math.log1p(phi))
@@ -250,7 +260,7 @@ def baskakov_bound_Cr(A, r, t=0.5, t_grid=None, method="auto", margin=0,
     log_bound, t_used, phi = best
     bound = _exp_or_inf(log_bound)
     inv = inverse if inverse is not None else invert_truncated(A)
-    measured = cv_norm(inv, Weight.poly(r), "auto", margin)
+    measured = cv_norm(inv, Weight.poly(r), margin)
     return _report(
         "baskakov_Cr",
         {"norm_A_alg": na_alg, "norm_A_op": na_op, "norm_Ainv_op": nainv_op,
@@ -263,12 +273,14 @@ def baskakov_bound_Cr(A, r, t=0.5, t_grid=None, method="auto", margin=0,
 
 
 def baskakov_bound_Jr(A, r, method="auto", margin=0, inverse=None):
-    """4 ell~_r (2 + (2*3^r ||A||_Jr ell~_r)^{1/(r-1)})^r on ||A^{-1}||_Jr."""
+    """4 ell~_r (2 + (2*3^r ||A||_Jr ell~_r)^{1/(r-1)})^r on ||A^{-1}||_Jr;
+    method "window" reads A's window section instead of its symbol."""
     if r <= 1:
         raise ParameterError("need r > 1")
-    kappa, na_op, nainv_op = condition_data(A, method)
+    A = _read_as(A, method)
+    kappa, na_op, nainv_op = condition_data(A)
     elt = ell_tilde_r(nainv_op, kappa, r)
-    na_j = jaffard_norm(A, r, method, margin)
+    na_j = jaffard_norm(A, r, margin)
     log_x = (math.log(2.0 * 3.0 ** r) + math.log(na_j)
              + math.log(elt.value)) / (r - 1.0)
     if log_x <= _MAXLOG:
@@ -278,7 +290,7 @@ def baskakov_bound_Jr(A, r, method="auto", margin=0, inverse=None):
     log_bound = math.log(4.0) + math.log(elt.value) + r * log_inner
     bound = _exp_or_inf(log_bound)
     inv = inverse if inverse is not None else invert_truncated(A)
-    measured = jaffard_norm(inv, r, "auto", margin)
+    measured = jaffard_norm(inv, r, margin)
     return _report(
         "baskakov_Jr",
         {"norm_A_alg": na_j, "norm_A_op": na_op, "norm_Ainv_op": nainv_op,

@@ -238,13 +238,13 @@ def run_dd_sharpness(cfg):
 
         def one(gamma, r=r, seq=seq):
             inv = geometric_inverse_toeplitz(gamma, window)
-            dd = dales_davie_norm(inv, seq, ambient="c0", method="symbol")
+            dd = dales_davie_norm(inv, seq, ambient="c0")
             log_comp = dales_davie_bound(1.0 / gamma, mode="gevrey",
                                          gevrey_r=r).intermediates["log_bound"]
             ratio = math.exp(dd.log_value - log_comp)
             checked, ok_all, upper_all = 0, True, True
             for k in range(1, _BRACKET_KMAX + 1):
-                series_k = math.exp(dk_norm_log(inv, k, "c0", "symbol"))
+                series_k = math.exp(dk_norm_log(inv, k, "c0"))
                 lo, hi = integral_test_bracket(gamma, float(k))
                 lo, hi = math.exp(-gamma) * lo, math.exp(-gamma) * hi
                 checked += 1
@@ -294,8 +294,7 @@ def run_jaffard_check(cfg):
                     if salt > 8:
                         raise
             # one SVD of A (in condition_data) gives both operator norms
-            rep_b = baskakov_bound_Jr(A, r, method="window", margin=margin,
-                                      inverse=inv)
+            rep_b = baskakov_bound_Jr(A, r, margin=margin, inverse=inv)
             measured = rep_b.measured_value
             rep_e = explicit_bound_Jr(jaffard_norm(A, r),
                                       rep_b.inputs["norm_A_op"],

@@ -2,8 +2,10 @@
 
 A matrix lives on a window [lo, hi]; its dense complex entries are a
 read-only view (no copy) of the array given.  A Toeplitz matrix also
-carries its exact symbol, which norm routines elsewhere read for
-closed-form summation over the whole lattice instead of the window.
+carries its exact symbol.  Every norm elsewhere reads a matrix from its
+symbol when it carries one, summed over the whole lattice, and from its
+window entries otherwise; LatticeMatrix(A.window, A.entries) is the
+window section of a Toeplitz A.  Offset multipliers return sections.
 """
 
 import math
@@ -153,21 +155,10 @@ def offset_multiplier(A, f):
     f(k - l) A(k, l).
 
     f is called once, on the 1-D integer array of the 2n - 1 window
-    offsets, and must act elementwise; a finite symbol maps through it
-    coefficientwise, c(m) -> f(m) c(m).  An infinite symbol is dropped.
+    offsets, and must act elementwise.  The result is a section: it
+    carries no symbol.
     """
-    entries = offset_table(A.n, f) * A.entries
-    sym = A.symbol
-    if sym is None or not sym.is_finite:
-        return LatticeMatrix(A.window, entries)
-    return LatticeMatrix(A.window, entries, ToeplitzSymbol(_map_coeffs(sym, f)))
-
-
-def _map_coeffs(symbol, f):
-    """c(m) -> f(m) c(m) on the finite coefficients."""
-    ms = np.array(list(symbol.coeffs), dtype=int)
-    return dict(zip(symbol.coeffs,
-                    f(ms) * np.array(list(symbol.coeffs.values()))))
+    return LatticeMatrix(A.window, offset_table(A.n, f) * A.entries)
 
 
 def phase_factor(t):
@@ -187,37 +178,26 @@ def derivation_factor(k):
 
 
 def apply_automorphism(A, t):
-    """psi_t: multiply entry (k, l) by e^{2 pi i (k-l) t}.  Period 1 in t.
-
-    A symbol is kept, geometric tail included: the phase maps
-    scale ratio^m to scale (ratio e^{2 pi i t})^m.
-    """
-    phase = phase_factor(t)
-    out = offset_multiplier(A, phase)
-    if A.symbol is None or A.symbol.is_finite:
-        return out
-    geo = A.symbol.geometric
-    return LatticeMatrix(A.window, out.entries, ToeplitzSymbol(
-        _map_coeffs(A.symbol, phase),
-        GeometricTail(geo.ratio * phase(1), geo.scale)))
+    """psi_t: multiply entry (k, l) by e^{2 pi i (k-l) t}.  Period 1 in t."""
+    return offset_multiplier(A, phase_factor(t))
 
 
 def derivation_power(A, k):
-    """D^k: multiply entry (k, l) by (k-l)^k.  k = 0 returns A."""
+    """D^k: multiply entry (k, l) by (k-l)^k.  k = 0 returns A's section."""
     if k < 0:
         raise ParameterError("derivation order must be nonnegative")
     if k == 0:
-        return A
+        return LatticeMatrix(A.window, A.entries)
     return offset_multiplier(A, derivation_factor(k))
 
 
 def difference_power(A, t, k):
     """(psi_t - id)^k applied to A: entry (k, l) times (e^{2 pi i m t} - 1)^k
-    on offset m = k - l.  k = 0 returns A."""
+    on offset m = k - l.  k = 0 returns A's section."""
     if k < 0:
         raise ParameterError("difference order must be nonnegative")
     if k == 0:
-        return A
+        return LatticeMatrix(A.window, A.entries)
     return offset_multiplier(A, difference_factor(t, k))
 
 

@@ -1,8 +1,10 @@
 """Decay-profile norms and iterated-derivation seminorms.
 
-Every norm reduces over one DecayProfile per matrix: read from the
-dense entries (window route) or from the exact symbol, which sums over
-the whole lattice.  Large iterated sums are accumulated in log space.
+Every norm reduces over one DecayProfile per matrix, read from the
+matrix's exact symbol when it carries one (a sum over the whole lattice)
+and from its window entries otherwise.  To read a Toeplitz matrix A on
+its window, pass its section LatticeMatrix(A.window, A.entries).  Large
+iterated sums are accumulated in log space.
 """
 
 import math
@@ -20,30 +22,13 @@ _DD_TOL = 1e-14         # Dales-Davie terms this far below the sum are quiet
 _DD_KCAP = 160          # order cap of an unbounded Dales-Davie series
 
 
-def uses_symbol(A, method):
-    """Whether method ("symbol", "window" or "auto") reads A's symbol;
-    raises ParameterError on an unknown method or a missing symbol."""
-    if method == "symbol":
-        if A.symbol is None:
-            raise ParameterError("matrix carries no symbol")
-        return True
-    if method == "window":
-        return False
-    if method == "auto":
-        return A.symbol is not None
-    raise ParameterError(f"unknown method {method!r}")
-
-
 def side_diag_sup(A, margin=0):
     """Decay profile d(m) = max_l |A(l, l-m)| on the margin-shrunk window.
 
     Returns (offsets, d) with offsets running over the representable range.
     """
-    n = A.n
-    if 2 * margin >= n:
-        raise ParameterError("margin empties the window")
-    E = A.entries[margin:n - margin, margin:n - margin]
-    k = E.shape[0]
+    k = A.window.shrink(margin).n
+    E = A.entries[margin:margin + k, margin:margin + k]
     # column j of E lands on rows m + k - 1 of the skew array, m = i - j
     cols = np.arange(k)
     skew = np.zeros((2 * k - 1, k))
@@ -81,13 +66,16 @@ class DecayProfile:
         return out
 
 
-def decay_profile(A, method="auto", margin=0):
-    """The DecayProfile of A, from its symbol or from its window entries.
+def decay_profile(A, margin=0):
+    """The DecayProfile of A, from its symbol when it carries one and from
+    its window entries otherwise.
 
-    margin shrinks the window on both sides; the symbol route ignores it.
+    margin shrinks the window on both sides; the symbol route checks it
+    (a ParameterError unless the shrunk window is nonempty) and ignores it.
     """
-    if not uses_symbol(A, method):
+    if A.symbol is None:
         return DecayProfile(*side_diag_sup(A, margin))
+    A.window.shrink(margin)
     sym = A.symbol
     geo = sym.geometric
     M = max((abs(m) for m in sym.coeffs), default=-1)
@@ -101,9 +89,9 @@ def decay_profile(A, method="auto", margin=0):
     return DecayProfile(offs, np.abs(sym.coefficients(offs)), scale, rho)
 
 
-def cv_norm(A, weight, method="auto", margin=0):
+def cv_norm(A, weight, margin=0):
     """Weighted decay norm: sum_m d(m) v(m)."""
-    prof = decay_profile(A, method, margin)
+    prof = decay_profile(A, margin)
     if prof.scale and weight.kind == "table":
         raise ParameterError("table weight cannot cover an infinite symbol")
     total = float((prof.d * weight.value(prof.offsets)).sum())
@@ -115,11 +103,11 @@ def cv_norm(A, weight, method="auto", margin=0):
     return total
 
 
-def jaffard_norm(A, r, method="auto", margin=0):
+def jaffard_norm(A, r, margin=0):
     """Polynomial off-diagonal sup norm: sup_m d(m) (1+|m|)^r."""
     if r < 0:
         raise ParameterError("jaffard_norm needs r >= 0")
-    prof = decay_profile(A, method, margin)
+    prof = decay_profile(A, margin)
     best = float((prof.d * (1.0 + np.abs(prof.offsets)) ** r).max(initial=0.0))
     if prof.scale:
         log_top, _ = poly_geometric_max(0.0, r, prof.rho, prof.tail_start)
@@ -127,11 +115,11 @@ def jaffard_norm(A, r, method="auto", margin=0):
     return best
 
 
-def banded_error(A, k, method="auto", margin=0):
+def banded_error(A, k, margin=0):
     """Truncation tail E_k = sum_{|m| >= k+1} d(m)."""
     if k < 0:
         raise ParameterError("banded_error needs k >= 0")
-    prof = decay_profile(A, method, margin)
+    prof = decay_profile(A, margin)
     total = float(prof.d[np.abs(prof.offsets) >= k + 1].sum())
     if prof.scale:
         m0 = max(k + 1, prof.tail_start)
@@ -152,16 +140,16 @@ def normalize_ambient(ambient):
     raise ParameterError(f"unknown ambient {ambient!r}")
 
 
-def ambient_norm(A, ambient="c0", method="auto", margin=0):
+def ambient_norm(A, ambient="c0", margin=0):
     kind, s = normalize_ambient(ambient)
     if kind == "c0":
-        return cv_norm(A, Weight.poly(0.0), method, margin)
+        return cv_norm(A, Weight.poly(0.0), margin)
     if kind == "jaffard":
-        return jaffard_norm(A, s, method, margin)
+        return jaffard_norm(A, s, margin)
     return operator_norm_l2(A)
 
 
-def _dk_logs(A, ambient, method, margin):
+def _dk_logs(A, ambient, margin):
     """k -> log of the ambient norm of D^k A, -inf when the norm is zero.
 
     The decay profile is built once, for all orders k.
@@ -177,7 +165,7 @@ def _dk_logs(A, ambient, method, margin):
             return math.log(top) + (math.log(v) if v > 0 else _NEG_INF)
         return log_norm
 
-    prof = decay_profile(A, method, margin)
+    prof = decay_profile(A, margin)
     jaffard = kind == "jaffard"
 
     def log_norm(k):
@@ -205,9 +193,9 @@ def _dk_logs(A, ambient, method, margin):
     return log_norm
 
 
-def dk_norm_log(A, k, ambient="c0", method="auto", margin=0):
+def dk_norm_log(A, k, ambient="c0", margin=0):
     """log of the ambient norm of D^k A; -inf when the norm is zero."""
-    return _dk_logs(A, ambient, method, margin)(k)
+    return _dk_logs(A, ambient, margin)(k)
 
 
 @dataclass
@@ -219,7 +207,7 @@ class DalesDavieValue:
     tail_ratio: float
 
 
-def dales_davie_norm(A, seq, ambient="c0", method="auto", margin=0):
+def dales_davie_norm(A, seq, ambient="c0", margin=0):
     """sum_k ||D^k A|| / M_k with the sequence's normalization.
 
     The series is cut once three consecutive terms fall below _DD_TOL
@@ -230,7 +218,7 @@ def dales_davie_norm(A, seq, ambient="c0", method="auto", margin=0):
     """
     hard = seq.kmax
     kmax = hard if hard is not None else _DD_KCAP
-    dk_log = _dk_logs(A, ambient, method, margin)
+    dk_log = _dk_logs(A, ambient, margin)
     total_log = _NEG_INF
     quiet = 0
     used = 0

@@ -139,7 +139,7 @@ def test_jaffard_switch_cuts_clear_the_kink_edges():
     # at u = 0 every branch of the max vanishes, and the argmax there reads
     # only the rounding of pi m u: no switch may be cut within roundoff of
     # an edge the folded cells already have
-    ms, w, _ = _offset_weights(INV, ("jaffard", 2), "auto", 0)
+    ms, w, _ = _offset_weights(INV, ("jaffard", 2), 0)
     cells = _kink_cells(_folded_edges(_shell_edges(0.01, 4.0)), ms)
     cuts = np.setdiff1d(_switch_cells(cells, ms, w, 1), cells)
     i = np.searchsorted(cells, cuts)
@@ -179,7 +179,7 @@ def test_besov_above_cell_cap_within_reported_error(monkeypatch):
     # [0, 1/2]: past the cell cap, so the route takes equal panels per
     # piece of it.  The reference is the kink-cell rule with the cap lifted.
     A = geometric_inverse_toeplitz(0.1, W)
-    ms, _, _ = _offset_weights(A, "c0", "auto", 0)
+    ms, _, _ = _offset_weights(A, "c0", 0)
     assert _kink_cells(_folded_edges(_shell_edges(0.01, 4.0)), ms) is None
     est = besov_seminorm(A, 2, 0.5, 1, t_min=0.01, t_max=4.0)
     monkeypatch.setattr(besov, "_MAX_KINKS", math.inf)
@@ -263,8 +263,7 @@ def test_operator_tail_bound_counts_the_whole_window_under_a_margin():
     assert near > 544.0
     for margin in (0, 4):
         est = besov_seminorm(A, 1, 0.5, 1, ambient="operator",
-                             method="window", margin=margin,
-                             t_min=0.05, t_max=4.0)
+                             margin=margin, t_min=0.05, t_max=4.0)
         assert est.tail_bound >= near
 
 
@@ -293,7 +292,7 @@ def test_sup_search_matches_the_search_of_every_shell(name, ambient):
     # it differs only by the rounding of g, which moves with a point's row
     # in the matrix product; the error is a difference of two of its
     # values, so it is compared on the scale of the value
-    ms, w, _ = _offset_weights(SUP_MATRICES[name], ambient, "auto", 0)
+    ms, w, _ = _offset_weights(SUP_MATRICES[name], ambient, 0)
     kind = "c0" if ambient == "c0" else "jaffard"
     edges = _shell_edges(1e-6, 4.0)
     for k, r in SUP_ORDERS[1:2] if name == "inverse 0.05" else SUP_ORDERS:
@@ -458,8 +457,8 @@ def test_modulus_profile_matches_difference_norm():
     for k in (1, 2):
         ts = [0.07, 0.26, 0.5]
         prof = modulus_profile(A, ts, k)
-        direct = [cv_norm(difference_power(A, t, k), Weight.poly(0.0),
-                          "window") for t in ts]
+        direct = [cv_norm(difference_power(A, t, k), Weight.poly(0.0))
+                  for t in ts]
         assert np.allclose(prof, direct, rtol=1e-13)
 
 

@@ -130,7 +130,7 @@ def test_phi_Ar_is_minimal():
 
     def crit(k):
         dec = 2.0 * 3.0 ** r * k ** (-r) * na * el.value
-        tail = 2.0 * banded_error(A, k, "symbol") * nainv
+        tail = 2.0 * banded_error(A, k) * nainv
         return max(dec, tail) <= t
 
     assert crit(phi)
@@ -272,8 +272,8 @@ def test_derived_constant_Jr_monotone_pieces():
 
 def test_condition_routes_agree():
     A = resolvent(0.5)
-    k_sym = condition_data(A, method="symbol")[0]
-    k_win = condition_data(A, method="window")[0]
+    k_sym = condition_data(A)[0]
+    k_win = condition_data(LatticeMatrix(A.window, A.entries))[0]
     x = math.exp(-0.5)
     assert k_sym == pytest.approx((1.0 + x) / (1.0 - x), rel=1e-10)
     # the finite section is better conditioned than the symbol sup
@@ -292,7 +292,7 @@ def test_window_norm_data_tridiagonal_closed_form():
                           IndexWindow(0, n - 1))
         for A in (T, apply_automorphism(T, 0.3)):
             assert operator_norm_l2(A) == pytest.approx(hi, rel=1e-13)
-            got = condition_data(A, method="window")
+            got = condition_data(LatticeMatrix(A.window, A.entries))
             assert got == pytest.approx((hi / lo, hi, 1.0 / lo), rel=1e-13)
 
 
@@ -300,13 +300,31 @@ def test_condition_data_window_rejects_rank_one():
     A = LatticeMatrix(W, np.ones((W.n, W.n), dtype=complex))
     s = np.linalg.svd(A.entries, compute_uv=False)
     with pytest.raises(SingularityError) as info:
-        condition_data(A, method="window")
+        condition_data(A)
     assert info.value.rcond == s[-1] / s[0]
 
 
-def test_condition_data_rejects_unknown_method():
+def test_baskakov_window_method_reads_the_section():
+    # the one method keyword left: "window" reads the section of a
+    # Toeplitz matrix, field for field as the section given without it
+    T = resolvent(0.5)
+    S = LatticeMatrix(T.window, T.entries)
+    assert baskakov_bound_Cr(T, 2.0, method="window").to_dict() == \
+        baskakov_bound_Cr(S, 2.0).to_dict()
+    assert baskakov_bound_Jr(T, 2.0, method="window").to_dict() == \
+        baskakov_bound_Jr(S, 2.0).to_dict()
+    # and the symbol is read without it
+    assert baskakov_bound_Cr(T, 2.0).inputs["norm_A_op"] != \
+        baskakov_bound_Cr(S, 2.0).inputs["norm_A_op"]
+
+
+@pytest.mark.parametrize("method", ["windw", "symbol"])
+def test_baskakov_bounds_reject_an_unknown_method(method):
+    T = resolvent(0.5)
     with pytest.raises(ParameterError, match="unknown method"):
-        condition_data(resolvent(0.5), method="windw")
+        baskakov_bound_Cr(T, 2.0, method=method)
+    with pytest.raises(ParameterError, match="unknown method"):
+        baskakov_bound_Jr(T, 2.0, method=method)
 
 
 def test_dd_domain_bound_routes():
@@ -387,11 +405,11 @@ def test_dales_davie_bound_actually_controls_resolvent():
     x = math.exp(-gamma)
     A = resolvent(gamma)
     seq = SmoothnessSequence.gevrey(2.0)
-    na = dales_davie_norm(A, seq, method="symbol").value
+    na = dales_davie_norm(A, seq).value
     An = make_toeplitz(ToeplitzSymbol({0: 1.0 / na, 1: -x / na}), W)
     inv_n = geometric_inverse_toeplitz(gamma, W, scale=na)
     ninv = cv_norm(inv_n, Weight.poly(0.0))
-    measured = dales_davie_norm(inv_n, seq, method="symbol").value
+    measured = dales_davie_norm(inv_n, seq).value
     rep = dales_davie_bound(ninv, mode="gevrey", gevrey_r=2.0,
                             measured=measured)
     assert rep.satisfied

@@ -223,7 +223,7 @@ def test_jaffard_bound_explicit_is_the_library_bound():
     for idx, row in enumerate(rows):
         A = random_decay_matrix(window, row["r"], row["epsilon"],
                                 seed=[cfg.seed, idx, row["regenerated"]])
-        _, na_op, ninv_op = condition_data(A, "window")
+        _, na_op, ninv_op = condition_data(A)
         rep = explicit_bound_Jr(jaffard_norm(A, row["r"]), na_op, ninv_op,
                                 row["r"], measured=row["measured"])
         assert row["bound_explicit"] == rep.bound_value, row

@@ -77,13 +77,23 @@ def test_automorphism_group_law():
     # period 1 in t
     wrap = apply_automorphism(A, 1.0)
     assert np.max(np.abs(wrap.entries - A.entries)) < 1e-13
-    # the phase keeps the geometric tail: ratio rotated by e^{2 pi i s}
+    # the phase multiplies by unit factors, so it keeps the decay norm of
+    # the section
     P = apply_automorphism(A, s)
-    assert P.symbol.geometric.ratio == \
-        A.symbol.geometric.ratio * np.exp(2j * np.pi * s)
     w = Weight.poly(1.0)
-    assert cv_norm(P, w, "symbol") == pytest.approx(cv_norm(A, w, "symbol"),
-                                                    rel=1e-14)
+    assert cv_norm(P, w) == pytest.approx(
+        cv_norm(LatticeMatrix(W, A.entries), w), rel=1e-14)
+
+
+def test_offset_multipliers_return_sections():
+    # order 0 included, so a norm of any of them reads the window
+    T = geometric_inverse_toeplitz(0.3, W)
+    for out in (apply_automorphism(T, 0.2), derivation_power(T, 0),
+                derivation_power(T, 2), difference_power(T, 0.2, 0),
+                difference_power(T, 0.2, 1)):
+        assert out.symbol is None
+    assert np.array_equal(derivation_power(T, 0).entries, T.entries)
+    assert np.array_equal(difference_power(T, 0.2, 0).entries, T.entries)
 
 
 def test_automorphism_multiplicative():
@@ -284,8 +294,7 @@ def _multiplier_operand(kind, window, coeffs, tail, rng):
 def test_offset_multiplier_matches_entrywise(n, lo, kind, fname, t, k,
                                              coeffs, tail, rng_seed):
     # one call of f on the 2n - 1 offsets gives bit for bit the entries
-    # of f on the full offset matrix; a finite symbol maps through f, and
-    # an infinite one is dropped
+    # of f on the full offset matrix, and the result is a section
     rng = np.random.default_rng(rng_seed)
     A = _multiplier_operand(kind, IndexWindow(lo, lo + n - 1), coeffs, tail,
                             rng)
@@ -295,13 +304,7 @@ def test_offset_multiplier_matches_entrywise(n, lo, kind, fname, t, k,
          "table": _table_factor(rng)}[fname]
     out = offset_multiplier(A, f)
     assert np.array_equal(out.entries, offset_multiplier_entrywise(A, f))
-    out.validate()
-    assert (out.symbol is not None) == (kind == "finite")
-    if kind == "finite":
-        ms = np.array(list(A.symbol.coeffs))
-        cs = np.array(list(A.symbol.coeffs.values()))
-        assert out.symbol.coeffs == ToeplitzSymbol(
-            dict(zip(A.symbol.coeffs, f(ms) * cs))).coeffs
+    assert out.symbol is None
 
 
 def test_identity_matrix():

@@ -8,10 +8,11 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from decayinv import (IndexWindow, LatticeMatrix, ToeplitzSymbol, Weight,
-                      ambient_norm, banded_error, cv_norm, dales_davie_norm,
+from decayinv import (IndexWindow, LatticeMatrix, ParameterError,
+                      ToeplitzSymbol, Weight, ambient_norm, banded_error,
+                      baskakov_bound_Jr, cv_norm, dales_davie_norm,
                       geometric_inverse_toeplitz, jaffard_norm,
-                      make_toeplitz)
+                      make_toeplitz, random_decay_matrix)
 from decayinv.besov import decay_moment
 from decayinv.norms import a_m_gevrey, dk_norm_log, side_diag_sup
 from decayinv.weights import SmoothnessSequence, log_phi_r
@@ -57,17 +58,18 @@ def test_symbol_and_window_routes_agree_on_finite_symbol(coeffs, r, k):
     # the window holds every offset of the symbol, so the routes read the
     # same profile and may differ only in summation order
     A = make_toeplitz(ToeplitzSymbol(coeffs), W)
+    S = LatticeMatrix(W, A.entries)
     w = Weight.poly(r)
-    for norm in (lambda m: cv_norm(A, w, m),
-                 lambda m: jaffard_norm(A, r, m),
-                 lambda m: banded_error(A, k, m),
-                 lambda m: decay_moment(A, r, method=m)):
-        s, v = norm("symbol"), norm("window")
+    for norm in (lambda B: cv_norm(B, w),
+                 lambda B: jaffard_norm(B, r),
+                 lambda B: banded_error(B, k),
+                 lambda B: decay_moment(B, r)):
+        s, v = norm(A), norm(S)
         assert math.isclose(s, v, rel_tol=1e-13), (s, v)
     for ambient in ("c0", ("jaffard", r)):
         for order in (0, 1, 3):
-            s = dk_norm_log(A, order, ambient, "symbol")
-            v = dk_norm_log(A, order, ambient, "window")
+            s = dk_norm_log(A, order, ambient)
+            v = dk_norm_log(S, order, ambient)
             # logs: relative 1e-13 on the norm
             assert s == v or abs(s - v) <= 1e-13, (ambient, order, s, v)
 
@@ -83,11 +85,26 @@ def test_side_diag_sup_matches_diagonal_loop():
         assert np.array_equal(d, want)
 
 
+@pytest.mark.parametrize("margin", [-1, -5])
+def test_negative_margin_is_rejected(margin):
+    # margin = -1 once sliced a one-entry corner block out of the window,
+    # so cv_norm read 0.8805 for the 1.6678 of margin 0; the symbol route,
+    # which ignores the margin, checks it all the same
+    A = random_decay_matrix(W, 2.0, 0.3, seed=[0, 1])
+    for B in (A, resolvent(0.5)):
+        with pytest.raises(ParameterError, match="nonnegative"):
+            cv_norm(B, Weight.poly(0.0), margin=margin)
+    with pytest.raises(ParameterError, match="nonnegative"):
+        side_diag_sup(A, margin)
+    with pytest.raises(ParameterError, match="nonnegative"):
+        baskakov_bound_Jr(A, 2.0, margin=margin)
+
+
 def test_window_route_truncates_geometric_tail():
     inv = geometric_inverse_toeplitz(0.5, W)
     w = Weight.poly(1.0)
-    full = cv_norm(inv, w, "symbol")
-    trunc = cv_norm(inv, w, "window")
+    full = cv_norm(inv, w)
+    trunc = cv_norm(LatticeMatrix(W, inv.entries), w)
     assert trunc <= full
     # missing mass is the tail beyond the window width
     tail = sum((1 + m) * math.exp(-0.5 * m) for m in range(W.n, W.n + 200))
@@ -99,12 +116,11 @@ def test_banded_error_geometric():
     x = math.exp(-0.4)
     for k in (0, 1, 5):
         want = x ** (k + 1) / (1.0 - x)
-        assert banded_error(inv, k, "symbol") == pytest.approx(want,
-                                                               rel=1e-13)
+        assert banded_error(inv, k) == pytest.approx(want, rel=1e-13)
 
 
 def test_banded_error_past_the_band_is_float_zero():
-    got = banded_error(resolvent(0.3), 1, "symbol")
+    got = banded_error(resolvent(0.3), 1)
     assert type(got) is float and got == 0.0
 
 
@@ -140,7 +156,7 @@ def test_derivation_norm_is_polylog(k):
     # log space since the value passes float range there
     for gamma in (0.5, 0.3, 0.1, 0.05, 0.01):
         inv = geometric_inverse_toeplitz(gamma, W)
-        got = dk_norm_log(inv, k, "c0", "symbol")
+        got = dk_norm_log(inv, k, "c0")
         with mp.workdps(30):
             want = float(mp.log(mp.polylog(-k, mp.exp(-gamma))))
         assert abs(math.expm1(got - want)) <= 1e-11, gamma
@@ -150,15 +166,15 @@ def test_dk_norm_routes_agree_when_window_holds_mass():
     # gamma large enough that the tail past the window is negligible
     inv = geometric_inverse_toeplitz(1.5, W)
     for k in (1, 3):
-        s = dk_norm_log(inv, k, "c0", "symbol")
-        w = dk_norm_log(inv, k, "c0", "window")
+        s = dk_norm_log(inv, k, "c0")
+        w = dk_norm_log(LatticeMatrix(W, inv.entries), k, "c0")
         assert s == pytest.approx(w, abs=1e-10)
 
 
 def test_dales_davie_norm_finite_matches_manual_sum():
     inv = geometric_inverse_toeplitz(0.8, W)
     K = 6
-    manual = sum(math.exp(dk_norm_log(inv, m, "c0", "symbol"))
+    manual = sum(math.exp(dk_norm_log(inv, m, "c0"))
                  / math.factorial(m) for m in range(0, K + 1))
     got = dales_davie_norm(inv, SmoothnessSequence.finite(K))
     assert got.value == pytest.approx(manual, rel=1e-13)
@@ -168,8 +184,7 @@ def test_dales_davie_norm_tracks_phi_shape():
     # r = 2: the full norm behaves like gamma^{-1} phi_1(1/gamma)
     gamma = 0.3
     inv = geometric_inverse_toeplitz(gamma, W)
-    val = dales_davie_norm(inv, SmoothnessSequence.gevrey(2.0),
-                           method="symbol")
+    val = dales_davie_norm(inv, SmoothnessSequence.gevrey(2.0))
     assert val.converged
     comp = math.log(1.0 / gamma) + log_phi_r(1.0 / gamma, 1.0)
     ratio = math.exp(val.log_value - comp)
@@ -181,8 +196,7 @@ def test_dales_davie_norm_meets_phi_shape(gamma):
     # gevrey(2): sum_k Li_{-k}(e^{-gamma})/k! -> gamma^{-1} phi_1(1/gamma)
     # as gamma -> 0; a tail cut short of the peak k/gamma reads low
     inv = geometric_inverse_toeplitz(gamma, W)
-    val = dales_davie_norm(inv, SmoothnessSequence.gevrey(2.0),
-                           method="symbol")
+    val = dales_davie_norm(inv, SmoothnessSequence.gevrey(2.0))
     comp = math.log(1.0 / gamma) + log_phi_r(1.0 / gamma, 1.0)
     assert abs(math.exp(val.log_value - comp) - 1.0) <= 1e-5
 
@@ -192,7 +206,7 @@ def test_dales_davie_finite_sequence_stops_at_kmax():
     val = dales_davie_norm(inv, SmoothnessSequence.finite(3))
     assert val.kmax_used <= 3
     manual = cv_norm(inv, Weight.poly(0.0)) + sum(
-        math.exp(dk_norm_log(inv, k, "c0", "symbol") - math.lgamma(k + 1.0))
+        math.exp(dk_norm_log(inv, k, "c0") - math.lgamma(k + 1.0))
         for k in range(1, 4))
     assert val.value == pytest.approx(manual, rel=1e-12)
 
