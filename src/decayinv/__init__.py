@@ -27,7 +27,7 @@ from .lattice import (GeometricTail, IndexWindow, LatticeMatrix,
                       operator_norm_l2, singular_values, symbol_range)
 from .norms import (DalesDavieValue, a_m_gevrey, ambient_norm, banded_error,
                     cv_norm, dales_davie_norm, jaffard_norm)
-from .quotient import verify_identity, verify_orders
+from .quotient import verify_identity, verify_instances, verify_orders
 from .weights import SmoothnessSequence, Weight, check_weight, log_phi_r
 
 __version__ = "0.1.0"
@@ -48,6 +48,6 @@ __all__ = [
     "invert_truncated", "jaffard_norm", "load_matrix", "log_phi_r",
     "make_toeplitz", "modulus_profile", "operator_norm_l2", "phi_Ar",
     "random_decay_matrix", "save_matrix", "singular_values",
-    "superpoly_bound", "symbol_range", "verify_identity", "verify_orders",
-    "weighted_geometric_series",
+    "superpoly_bound", "symbol_range", "verify_identity", "verify_instances",
+    "verify_orders", "weighted_geometric_series",
 ]

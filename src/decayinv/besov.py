@@ -236,6 +236,7 @@ def modulus_profile(A, ts, k, ambient="c0", margin=0):
     if not np.isfinite(ts).all():
         raise ParameterError("modulus_profile needs a finite t")
     if kind == "operator":
+        A.window.shrink(margin)
         return np.array([operator_norm_l2(difference_power(A, float(t), k))
                          for t in ts])
     ms, w, _ = _offset_weights(A, ambient, margin)
@@ -306,6 +307,7 @@ def besov_seminorm(A, p, r, k=None, ambient="c0", margin=0,
     searched = cells = None
 
     if kind == "operator":
+        A.window.shrink(margin)
         # ||Delta_t^k A||_op is at most sum_m |2 sin pi m t|^k d(m) by the
         # Schur test, the c0 modulus of the section whose singular values
         # the route takes: all of it, whatever the margin
@@ -735,6 +737,7 @@ def hypersingular_seminorm(A, r, eps_grid=(0.3, 0.1, 0.03, 0.01),
     kind, s = normalize_ambient(ambient)
 
     if kind == "operator":
+        A.window.shrink(margin)
         ms = np.arange(1, A.n)   # every nonzero offset of the window
         J, Jerr = _j_multipliers(ms, eps_grid, r)
         best, best_err, best_eps = 0.0, 0.0, eps_grid[0]

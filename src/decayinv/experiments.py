@@ -26,7 +26,7 @@ from .lattice import (IndexWindow, LatticeMatrix, ToeplitzSymbol,
                       geometric_inverse_toeplitz, invert_truncated,
                       make_toeplitz, rcond_estimate)
 from .norms import cv_norm, dales_davie_norm, dk_norm_log, jaffard_norm
-from .quotient import verify_orders
+from .quotient import verify_instances
 from .weights import SmoothnessSequence, Weight
 
 _BRACKET_KMAX = 10   # dd-sharpness checks the bracket of ||D^k|| for k <= this
@@ -336,18 +336,21 @@ def run_quotient_verify(cfg):
     _check_sampling(cfg, count, margin)
     window = centered_window(cfg.window_N)
 
-    def one(idx):
-        A = random_decay_matrix(window, decay_r, eps, seed=[cfg.seed, idx])
-        B = random_decay_matrix(window, decay_r, eps, seed=[cfg.seed, idx, 1])
-        inv = invert_truncated(A)
-        rc = rcond_estimate(A, inv)
-        return [{"instance": idx, "identity": res["identity"], "k": res["k"],
-                 "t": res["t"], "max_rel_err": res["max_rel_err"],
-                 "rcond": rc}
-                for res in verify_orders(A, B, kmax, ts, Ainv=inv,
-                                         margin=margin)]
+    rconds = []
 
-    rows = [row for idx in range(count) for row in one(idx)]
+    def instances():   # lazily, so that one instance is alive at a time
+        for idx in range(count):
+            A = random_decay_matrix(window, decay_r, eps, seed=[cfg.seed, idx])
+            inv = invert_truncated(A)
+            rconds.append(rcond_estimate(A, inv))
+            yield A, random_decay_matrix(window, decay_r, eps,
+                                         seed=[cfg.seed, idx, 1]), inv
+
+    stream = verify_instances(instances(), kmax, ts, margin)
+    rows = [{"instance": idx, "identity": res["identity"], "k": res["k"],
+             "t": res["t"], "max_rel_err": res["max_rel_err"],
+             "rcond": rconds[idx]}
+            for idx, results in enumerate(stream) for res in results]
     worst = {}
     for row in rows:
         key = row["identity"]

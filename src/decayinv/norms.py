@@ -11,6 +11,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import ParameterError
 from .lattice import LatticeMatrix, derivation_power, operator_norm_l2
@@ -29,11 +30,12 @@ def side_diag_sup(A, margin=0):
     """
     k = A.window.shrink(margin).n
     E = A.entries[margin:margin + k, margin:margin + k]
-    # column j of E lands on rows m + k - 1 of the skew array, m = i - j
-    cols = np.arange(k)
-    skew = np.zeros((2 * k - 1, k))
-    skew[cols[:, None] - cols[None, :] + k - 1, cols] = np.abs(E)
-    return np.arange(-(k - 1), k), skew.max(axis=1)
+    # row stride 2k - 2 puts |E(i, j)| in row i, column k - 1 - (i - j)
+    skew = np.zeros(k * (2 * k - 1))
+    step = skew.strides[0]
+    np.abs(E, out=as_strided(skew[k - 1:], (k, k), ((2 * k - 2) * step, step)))
+    d = np.ascontiguousarray(skew.reshape(k, 2 * k - 1).max(axis=0)[::-1])
+    return np.arange(-(k - 1), k), d
 
 
 @dataclass(frozen=True)
@@ -146,6 +148,7 @@ def ambient_norm(A, ambient="c0", margin=0):
         return cv_norm(A, Weight.poly(0.0), margin)
     if kind == "jaffard":
         return jaffard_norm(A, s, margin)
+    A.window.shrink(margin)
     return operator_norm_l2(A)
 
 
@@ -155,6 +158,7 @@ def _dk_logs(A, ambient, margin):
     The decay profile is built once, for all orders k.
     """
     kind, s = normalize_ambient(ambient)
+    A.window.shrink(margin)
     if kind == "operator":
         def log_norm(k):
             M = derivation_power(A, k).entries

@@ -4,25 +4,27 @@ differences, with numerical verifiers.
 All expansions are exact identities of finite window sections, so the
 verification errors are pure floating-point roundoff.
 
-`verify_orders` checks the four identities at every order k <= kmax in
-one pass per instance.  D^i(A), the X_j recurrence and A B are computed
-once per instance.  Per shift t, the offset tables of psi_{jt} for
-j = 0..kmax and of Delta_t^l for l = 1..kmax are built once
-(lattice.offset_table), and every factor of A, B and A^{-1} multiplies
-by one of them: the difference powers, the T_j recurrence and each
-phase-shifted left factor psi_{(k-l)t}(Delta_t^l A), which the product
-rule and the telescoping sum share.  `verify_identity` is the one-order
-view of the same pass.  A row reads each side on the margin-shrunk
-window only, and the pass forms no more, as (XY)[I, J] = X[I, :] @
-Y[:, J]: the X_j and T_j recurrences carry only its columns, and each
-last product (a twisted Leibniz term, the lead psi_{kt}(A^{-1}) T_k,
+`verify_instances` checks the four identities at every order k <= kmax on
+a stream of instances, one pass each.  The offset tables depend only on
+the window size, kmax and the shifts, so they are built once per call
+(lattice.offset_table) and passed to every pass: m^k for D^k(A) and
+D^k(A^{-1}), and per shift t psi_{jt} and Delta_t^l.  A pass computes
+D^i(A), the X_j recurrence and A B once, and per shift the difference
+powers of A, B and A^{-1}, the T_j recurrence and each left factor
+psi_{(k-l)t}(Delta_t^l A), shared by the product rule and the telescoping
+sum; psi_0 is the identity, so the left factor at l = k and the term i = j
+of T_j (T_0 = I) take no product.  `verify_orders` and `verify_identity`
+are its one-instance and one-order views.  A row reads each side on the
+margin-shrunk window only, and the pass forms no more, as (XY)[I, J] =
+X[I, :] @ Y[:, J]: the X_j and T_j recurrences carry only its columns, and
+each last product (a twisted Leibniz term, the lead psi_{kt}(A^{-1}) T_k,
 A B) only its rows and columns.  So the left factors and the leads are
 formed on its rows only, the differences of B and A^{-1} on its columns
-only, and D^k(A^{-1}) on it alone; Delta_t^l A and the factors of T_j
-stay whole, as a product reads all their rows.  Each entry is the same
-elementwise product as in a whole multiplier and is summed as in the
-full product (see _section), so the rows are bit-identical to slicing
-full products.
+only, and D^k(A^{-1}) on it alone; Delta_t^l A and the factors of T_j stay
+whole, as a product reads all their rows.  Each entry is the same
+elementwise product as in a whole multiplier and is summed as in the full
+product (see _section), so the rows are bit-identical to slicing full
+products.
 """
 
 import math
@@ -30,9 +32,8 @@ import math
 import numpy as np
 
 from .errors import ParameterError
-from .lattice import (LatticeMatrix, derivation_factor, derivation_power,
-                      difference_factor, invert_truncated, offset_table,
-                      phase_factor)
+from .lattice import (LatticeMatrix, derivation_factor, difference_factor,
+                      invert_truncated, offset_table, phase_factor)
 
 # OpenBLAS's x86-64 zgemm kernels form a row-major product's columns four
 # at a time from the first, and sum those of a shorter last group in
@@ -52,8 +53,8 @@ def _section(window, margin):
             slice(margin - start, n - margin - start))
 
 
-def derivation_quotient_rhs(A, Ainv, kmax, margin=0):
-    """D^k(A^{-1}) for k = 1..kmax, expanded in A^{-1} and D^j(A):
+def derivation_quotient_rhs(Ainv, dA, margin=0):
+    """D^k(A^{-1}), k = 1..kmax = len(dA) - 1, in A^{-1} and dA[i] = D^i(A):
 
     sum_{m=1..k} (-1)^m sum_{k_1+...+k_m=k} k!/(k_1! ... k_m!) *
         A^{-1} D^{k_1}(A) A^{-1} D^{k_2}(A) ... A^{-1} D^{k_m}(A) A^{-1}
@@ -64,25 +65,25 @@ def derivation_quotient_rhs(A, Ainv, kmax, margin=0):
     Returns {k: X_k} as sections on the window shrunk by margin; the
     recurrence carries only the columns of their block (see _section).
     """
+    kmax = len(dA) - 1
     if kmax < 1:
         raise ParameterError("order must be >= 1")
-    inner, block, sub = _section(A.window, margin)
+    inner, block, sub = _section(Ainv.window, margin)
     inv = Ainv.entries
-    dpow = {i: derivation_power(A, i).entries for i in range(1, kmax + 1)}
     X = [inv[:, block]]
     for j in range(1, kmax + 1):
-        acc = sum(math.comb(j, i) * (dpow[i] @ X[j - i])
+        acc = sum(math.comb(j, i) * (dA[i] @ X[j - i])
                   for i in range(1, j + 1))
         X.append(-(inv @ acc))
     return {k: LatticeMatrix(inner, X[k][block][sub, sub])
             for k in range(1, kmax + 1)}
 
 
-def _differences(M, diffs, cols=slice(None)):
-    """Delta_t^l(M) for l = 0..kmax on the given columns of the entries
-    M, with diffs[l - 1] the offset table of Delta_t^l."""
+def _multiples(M, tables, cols=slice(None)):
+    """M and its Schur multiples by each of tables, on the given columns
+    of the entries M."""
     M = M[:, cols]
-    return [M] + [d[:, cols] * M for d in diffs]
+    return [M] + [f[:, cols] * M for f in tables]
 
 
 def difference_quotient_rhs(Ainv, dA, phases, margin=0):
@@ -97,10 +98,10 @@ def difference_quotient_rhs(Ainv, dA, phases, margin=0):
     Leibniz rule for Delta_t^j(A A^{-1}) = 0: T_0 = I and
     T_j = -sum_{i=1..j} binom(j,i) psi_{(j-i)t}(Delta_t^i(A) A^{-1}) T_{j-i},
     with T_k the sum.  phases[j] is the offset table of psi_{jt},
-    j = 0..kmax, on A's window.  Returns {k: psi_{kt}(A^{-1}) T_k} as
-    sections on the window shrunk by margin; the recurrence carries only
-    the columns of their block (see _section), and the lead factor is
-    formed on its rows only.
+    j = 1..kmax, on A's window (phases[0] is not read).  Returns {k:
+    psi_{kt}(A^{-1}) T_k} as sections on the window shrunk by margin; the
+    recurrence carries only the columns of their block (see _section),
+    and the lead factor is formed on its rows only.
     """
     kmax = len(dA) - 1
     if kmax < 1:
@@ -108,11 +109,11 @@ def difference_quotient_rhs(Ainv, dA, phases, margin=0):
     inner, block, sub = _section(Ainv.window, margin)
     inv = Ainv.entries
     blocks = [None] + [dA[i] @ inv for i in range(1, kmax + 1)]
-    T = [np.eye(Ainv.n, dtype=complex)[:, block]]
+    T = [None]
     for j in range(1, kmax + 1):
         acc = sum(math.comb(j, i) * ((phases[j - i] * blocks[i]) @ T[j - i])
-                  for i in range(1, j + 1))
-        T.append(-acc)
+                  for i in range(1, j))
+        T.append(-(acc + blocks[j][:, block]))
     return {k: LatticeMatrix(inner, ((phases[k][block] * inv[block])
                                      @ T[k])[sub, sub])
             for k in range(1, kmax + 1)}
@@ -124,37 +125,46 @@ def _twisted_leibniz(lefts, rights, sub):
     k = len(lefts) - 1, lefts[l] the block rows of psi_{(k-l)t}(Delta_t^l A)
     and rights[j] the block columns of Delta_t^j(B)."""
     k = len(lefts) - 1
-    return sum(math.comb(k, l) * (left @ rights[k - l])
-               for l, left in enumerate(lefts))[sub, sub]
+    acc = lefts[0] @ rights[k]
+    for l in range(1, k + 1):
+        acc += math.comb(k, l) * (lefts[l] @ rights[k - l])
+    return acc[sub, sub]
 
 
-def _pairs(A, kmax, t_values, margin, B=None, Ainv=None):
+def _tables(n, kmax, t_values):
+    """The offset tables of a pass on size n, orders 1..kmax: m^k, and per
+    t the tuple (t, [None] + psi_{kt}, Delta_t^k)."""
+    ks = range(1, kmax + 1)
+    return ([offset_table(n, derivation_factor(k)) for k in ks],
+            [(t, [None] + [offset_table(n, phase_factor(k * t)) for k in ks],
+              [offset_table(n, difference_factor(t, k)) for k in ks])
+             for t in t_values])
+
+
+def _pairs(A, B, Ainv, margin, ders, shifts):
     """(identity, k, t, lhs, rhs) with both sides on the margin-shrunk
-    window: per t in turn, for each k = 1..kmax difference_product (when
-    B is given), difference_quotient and telescoping (when A^{-1} is);
-    then the derivation quotient rule at every k (when A^{-1} is).  rhs
-    None stands for zero."""
-    n = A.n
-    inner, block, sub = _section(A.window, margin)
+    window, from the tables of _tables: per shift in turn, for each k
+    difference_product (when B is given), difference_quotient and
+    telescoping (when A^{-1} is); then the derivation quotient rule at
+    every k (when A^{-1} is).  rhs None stands for zero."""
+    kmax = len(ders)
+    _, block, sub = _section(A.window, margin)
+    rows = slice(margin, A.n - margin)
     if B is not None:
         AB = (A.entries[block] @ B.entries[:, block])[sub, sub]
-    for t in t_values:
-        phases = [offset_table(n, phase_factor(j * t))
-                  for j in range(kmax + 1)]
-        diffs = [offset_table(n, difference_factor(t, l))
-                 for l in range(1, kmax + 1)]
-        dA = _differences(A.entries, diffs)
+    for t, phases, diffs in shifts:
+        dA = _multiples(A.entries, diffs)
         if B is not None:
-            dB = _differences(B.entries, diffs, block)
+            dB = _multiples(B.entries, diffs, block)
         if Ainv is not None:
-            dI = _differences(Ainv.entries, diffs, block)
+            dI = _multiples(Ainv.entries, diffs, block)
             quot = difference_quotient_rhs(Ainv, dA, phases, margin)
         for k in range(1, kmax + 1):
             lefts = [phases[k - l][block] * dA[l][block]
-                     for l in range(k + 1)]
+                     for l in range(k)] + [dA[k][block]]
             if B is not None:
                 yield ("difference_product", k, t,
-                       offset_table(inner.n, difference_factor(t, k)) * AB,
+                       diffs[k - 1][rows, rows] * AB,
                        _twisted_leibniz(lefts, dB, sub))
             if Ainv is not None:
                 yield ("difference_quotient", k, t, dI[k][block][sub, sub],
@@ -164,12 +174,11 @@ def _pairs(A, kmax, t_values, margin, B=None, Ainv=None):
                 yield ("telescoping", k, t,
                        _twisted_leibniz(lefts, dI, sub), None)
     if Ainv is not None:
-        rhs = derivation_quotient_rhs(A, Ainv, kmax, margin)
-        rows = slice(margin, n - margin)
+        rhs = derivation_quotient_rhs(Ainv, _multiples(A.entries, ders),
+                                      margin)
         for k in range(1, kmax + 1):
             yield ("derivation_quotient", k, None,
-                   offset_table(n, derivation_factor(k))[rows, rows]
-                   * Ainv.entries[rows, rows],
+                   ders[k - 1][rows, rows] * Ainv.entries[rows, rows],
                    rhs[k].entries)
 
 
@@ -209,6 +218,22 @@ def _check_operands(A, k, margin, *others):
         raise ParameterError(f"B and Ainv must lie on A's window {A.window}")
 
 
+def verify_instances(instances, kmax, t_values, margin=0):
+    """verify_orders on each (A, B, Ainv) of instances in turn, Ainv None
+    standing for A's inverse: yields the rows of one instance before it
+    reads the next, with the offset tables built once per window size."""
+    t_values, size, tables = list(t_values), None, None
+    for A, B, Ainv in instances:
+        _check_operands(A, kmax, margin, B, Ainv)
+        if A.n != size:
+            size, tables = A.n, _tables(A.n, kmax, t_values)
+        Ainv = invert_truncated(A) if Ainv is None else Ainv
+        scale = _operand_scale(A, Ainv)
+        rows = [_row(p, scale) for p in _pairs(A, B, Ainv, margin, *tables)]
+        # a stable sort: per k, the derivation row, then the pass's order
+        yield sorted(rows, key=lambda row: (row["k"], row["t"] is not None))
+
+
 def verify_orders(A, B, kmax, t_values, Ainv=None, margin=0):
     """Rows of the four identities at every order k = 1..kmax, in one pass.
 
@@ -218,14 +243,7 @@ def verify_orders(A, B, kmax, t_values, Ainv=None, margin=0):
     kmax are the first rows of any larger kmax.  B and Ainv must lie on
     A's window.
     """
-    _check_operands(A, kmax, margin, B, Ainv)
-    if Ainv is None:
-        Ainv = invert_truncated(A)
-    scale = _operand_scale(A, Ainv)
-    rows = [_row(pair, scale)
-            for pair in _pairs(A, kmax, t_values, margin, B, Ainv)]
-    # a stable sort: per k, the derivation row, then the pass's order
-    return sorted(rows, key=lambda row: (row["k"], row["t"] is not None))
+    return next(verify_instances([(A, B, Ainv)], kmax, t_values, margin))
 
 
 IDENTITIES = ("derivation_quotient", "difference_product",
@@ -254,5 +272,6 @@ def verify_identity(A, identity, k, t=None, B=None, Ainv=None, margin=0):
         B, Ainv = None, invert_truncated(A) if Ainv is None else Ainv
         scale = _operand_scale(A, Ainv)
     ts = [] if identity == "derivation_quotient" else [t]
-    return _row(next(p for p in _pairs(A, k, ts, margin, B, Ainv)
-                     if p[0] == identity and p[1] == k), scale)
+    pairs = _pairs(A, B, Ainv, margin, *_tables(A.n, k, ts))
+    return _row(next(p for p in pairs if p[0] == identity and p[1] == k),
+                scale)

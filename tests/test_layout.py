@@ -143,6 +143,40 @@ def test_weights_is_the_bottom_layer():
     assert sibling_imports(PACKAGE / "weights.py") <= {"errors"}
 
 
+def cache_references(path):
+    """(line, decorated) of every read or import of functools.cache or
+    lru_cache in path, by attribute or by bare name; decorated names the
+    function or class whose decorator holds it, and is None elsewhere."""
+    tree = ast.parse(path.read_text(), str(path))
+    decorated = {sub: node.name for node in ast.walk(tree)
+                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                      ast.ClassDef))
+                 for dec in node.decorator_list for sub in ast.walk(dec)}
+    hits = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.Attribute):
+            names = [node.attr]
+        elif isinstance(node, ast.Name):
+            names = [node.id]
+        else:
+            continue
+        if {"cache", "lru_cache"} & set(names):
+            hits.append((node.lineno, decorated.get(node)))
+    return hits
+
+
+def test_no_module_level_caches():
+    # data shared between calls is passed, not stored; the one cache holds
+    # the Gauss-Legendre rules, a pure function of the node count
+    found = [(path.stem, line, name)
+             for path in sorted(PACKAGE.glob("*.py"))
+             for line, name in cache_references(path)]
+    assert [hit for hit in found if hit[::2] != ("besov", "_legendre")] \
+        == [], found
+
+
 def test_import_leaves_out_scipy_integrate():
     # scipy.integrate alone pulls in scipy.optimize and scipy.linalg, about
     # a quarter of a second of start-up that no route of the package needs

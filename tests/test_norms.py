@@ -10,9 +10,10 @@ from hypothesis import strategies as st
 
 from decayinv import (IndexWindow, LatticeMatrix, ParameterError,
                       ToeplitzSymbol, Weight, ambient_norm, banded_error,
-                      baskakov_bound_Jr, cv_norm, dales_davie_norm,
-                      geometric_inverse_toeplitz, jaffard_norm,
-                      make_toeplitz, random_decay_matrix)
+                      baskakov_bound_Jr, besov_seminorm, cv_norm,
+                      dales_davie_norm, geometric_inverse_toeplitz,
+                      hypersingular_seminorm, jaffard_norm, make_toeplitz,
+                      modulus_profile, random_decay_matrix)
 from decayinv.besov import decay_moment
 from decayinv.norms import a_m_gevrey, dk_norm_log, side_diag_sup
 from decayinv.weights import SmoothnessSequence, log_phi_r
@@ -83,6 +84,50 @@ def test_side_diag_sup_matches_diagonal_loop():
         inner = E[margin:W.n - margin, margin:W.n - margin]
         want = [np.abs(np.diagonal(inner, -m)).max() for m in offs]
         assert np.array_equal(d, want)
+
+
+@seed(17)
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 130), st.data())
+def test_side_diag_sup_matches_diagonal_loop_at_every_size(k, data):
+    margin = data.draw(st.integers(0, 64))
+    n = k + 2 * margin
+    window = IndexWindow(-(n // 2), n - n // 2 - 1)
+    rng = np.random.default_rng([k, margin])
+    E = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    offs, d = side_diag_sup(LatticeMatrix(window, E), margin)
+    inner = E[margin:n - margin, margin:n - margin]
+    assert np.array_equal(offs, np.arange(-(k - 1), k))
+    assert np.array_equal(d, [np.abs(np.diagonal(inner, -m)).max()
+                              for m in offs])
+
+
+OPERATOR_ROUTES = {
+    "ambient_norm": lambda A, m: ambient_norm(A, "operator", margin=m),
+    "dk_norm_log": lambda A, m: dk_norm_log(A, 1, "operator", margin=m),
+    "dales_davie_norm": lambda A, m: dales_davie_norm(
+        A, SmoothnessSequence.finite(2), "operator", margin=m).value,
+    "modulus_profile": lambda A, m: modulus_profile(
+        A, [0.1, 0.3], 1, "operator", margin=m),
+    "besov_seminorm": lambda A, m: besov_seminorm(
+        A, math.inf, 0.5, ambient="operator", margin=m, t_min=0.1,
+        t_max=0.5).value,
+    "hypersingular_seminorm": lambda A, m: hypersingular_seminorm(
+        A, 0.5, ambient="operator", margin=m).value,
+}
+
+
+@pytest.mark.parametrize("route", sorted(OPERATOR_ROUTES))
+def test_operator_ambient_checks_the_margin(route):
+    # the operator ambient reads the whole section, so a margin changes
+    # nothing, but one that the c0 and Jaffard ambients reject (negative,
+    # or emptying the window) is rejected here too
+    A = random_decay_matrix(W, 2.0, 0.3, seed=[0, 1])
+    call = OPERATOR_ROUTES[route]
+    for margin in (-1, -3, W.n // 2, 40):
+        with pytest.raises(ParameterError):
+            call(A, margin)
+    assert np.array_equal(call(A, 5), call(A, 0))
 
 
 @pytest.mark.parametrize("margin", [-1, -5])

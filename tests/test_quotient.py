@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 from decayinv import (IndexWindow, ParameterError, geometric_inverse_toeplitz,
                       invert_truncated, make_toeplitz, random_decay_matrix,
-                      verify_identity, verify_orders, ToeplitzSymbol)
+                      verify_identity, verify_instances, verify_orders,
+                      ToeplitzSymbol)
 from decayinv import lattice, quotient
 from decayinv.experiments import ExperimentConfig, run_quotient_verify
 from decayinv.quotient import (IDENTITIES, derivation_quotient_rhs,
@@ -57,8 +58,9 @@ def test_multinomial_values():
 def test_derivation_quotient_small_k_by_hand():
     # k = 1: D(A^{-1}) = -A^{-1} D(A) A^{-1}
     A, inv = instance(0)
-    rhs = derivation_quotient_rhs(A, inv, 1)[1]
-    manual = -inv.entries @ derivation_power(A, 1).entries @ inv.entries
+    D1 = derivation_power(A, 1).entries
+    rhs = derivation_quotient_rhs(inv, [A.entries, D1])[1]
+    manual = -inv.entries @ D1 @ inv.entries
     assert np.max(np.abs(rhs.entries - manual)) < 1e-14
 
 
@@ -71,7 +73,8 @@ def test_recurrences_match_composition_sums(idx):
     # the first-part recurrences regroup the paper's composition sums
     # by the distributive law, so they agree to roundoff
     A, inv = instance(10 + idx, window=W64)
-    dq = derivation_quotient_rhs(A, inv, 8)
+    dq = derivation_quotient_rhs(
+        inv, [derivation_power(A, i).entries for i in range(9)])
     tq = {t: difference_quotient_rhs(
               inv, [difference_power(A, t, i).entries for i in range(9)],
               [offset_table(A.n, phase_factor(j * t)) for j in range(9)])
@@ -193,13 +196,15 @@ def test_one_pass_rows_are_prefix_stable():
 
 
 def test_one_pass_computes_each_factor_once(monkeypatch):
-    # per instance and shift: the offset tables of psi_{jt} for
-    # j = 0..kmax and of Delta_t^l for l = 1..kmax, shared by A, B and
-    # A^{-1}, and those of Delta_t^k(AB) on the inner window for
-    # k = 1..kmax; per instance those of D^i(A) and D^k(A^{-1}).  No factor
-    # goes through apply_automorphism or difference_power.
-    calls = dict.fromkeys(("offset_table", "apply_automorphism",
-                           "difference_power"), 0)
+    # per run, whatever the instance count: the offset tables of m^k for
+    # k = 1..kmax, shared by D^k(A) and D^k(A^{-1}), and per shift those
+    # of psi_{jt} for j = 1..kmax (psi_0 is the identity and is not built)
+    # and of Delta_t^l for l = 1..kmax, shared by A, B, A^{-1} and the
+    # inner block of AB.  No factor goes through apply_automorphism,
+    # difference_power or derivation_power.
+    names = ("offset_table", "apply_automorphism", "difference_power",
+             "derivation_power")
+    calls = dict.fromkeys(names, 0)
 
     def counted(name):
         orig = getattr(lattice, name)
@@ -210,18 +215,74 @@ def test_one_pass_computes_each_factor_once(monkeypatch):
         monkeypatch.setattr(lattice, name, wrapper)
         monkeypatch.setattr(quotient, name, wrapper, raising=False)
 
-    for name in calls:
+    for name in names:
         counted(name)
-    kmax, ts, count = 5, [0.17, 0.31], 2
-    cfg = ExperimentConfig(experiment="quotient-verify", window_N=32, seed=1,
-                           tolerances={"instances": count, "kmax": kmax,
-                                       "t_values": ts, "margin": 4})
-    assert len(run_quotient_verify(cfg)["rows"]) == count * kmax * 7
-    per_shift = (kmax + 1) + kmax + kmax
-    assert 0 < calls["offset_table"] <= count * (per_shift * len(ts)
-                                                 + 2 * kmax)
-    assert calls["apply_automorphism"] == 0
-    assert calls["difference_power"] == 0
+    kmax, ts = 5, [0.17, 0.31]
+    for count in (1, 3):
+        calls.update(dict.fromkeys(names, 0))
+        cfg = ExperimentConfig(experiment="quotient-verify", window_N=32,
+                               seed=1,
+                               tolerances={"instances": count, "kmax": kmax,
+                                           "t_values": ts, "margin": 4})
+        assert len(run_quotient_verify(cfg)["rows"]) == count * kmax * 7
+        assert calls == {"offset_table": kmax + 2 * kmax * len(ts),
+                         "apply_automorphism": 0, "difference_power": 0,
+                         "derivation_power": 0}, count
+
+
+@seed(23)
+@settings(max_examples=12, deadline=None)
+@given(n=st.integers(8, 40), count=st.integers(3, 4),
+       kmax=st.integers(1, 4),
+       ts=st.lists(st.floats(0.01, 0.99), min_size=1, max_size=2),
+       data=st.data())
+def test_instance_stream_rows_equal_one_instance_rows(n, count, kmax, ts,
+                                                      data):
+    # the stream shares its offset tables across instances, so each
+    # instance's rows must be those of a pass of its own, bit for bit;
+    # an odd instance leaves its inverse to the pass
+    margin = data.draw(st.integers(0, (n - 1) // 2))
+    window = IndexWindow(-(n // 2), n - n // 2 - 1)
+    cases = []
+    for i in range(count):
+        A = random_decay_matrix(window, 2.0, 0.3, seed=[7, n, i])
+        B = random_decay_matrix(window, 2.0, 0.3, seed=[7, n, i, 1])
+        cases.append((A, B, invert_truncated(A)))
+    stream = ((A, B, None if i % 2 else inv)
+              for i, (A, B, inv) in enumerate(cases))
+    got = list(verify_instances(stream, kmax, ts, margin))
+    assert len(got) == count
+    for rows, (A, B, inv) in zip(got, cases):
+        assert rows == verify_orders(A, B, kmax, ts, Ainv=inv, margin=margin)
+        assert rows == quotient_rows_per_order(A, B, inv, kmax, ts, margin)
+
+
+def test_instance_stream_of_mixed_window_sizes():
+    # the tables fit one window size, so a stream that changes size gets
+    # new ones; the shifts may come as a generator, read once
+    cases = [instance(60), instance(61, window=W64), instance(62)]
+    got = list(verify_instances(((A, A, inv) for A, inv in cases), 2,
+                                (t for t in (0.17, 0.31)), margin=4))
+    assert len(got) == 3
+    for rows, (A, inv) in zip(got, cases):
+        assert rows == verify_orders(A, A, 2, (0.17, 0.31), Ainv=inv,
+                                     margin=4)
+
+
+def test_instances_are_read_one_at_a_time():
+    read = []
+
+    def stream():
+        for i in range(3):
+            read.append(i)
+            A, inv = instance(50 + i)
+            yield A, A, inv
+
+    rows = verify_instances(stream(), 2, (0.2,), margin=4)
+    assert read == []
+    for i in range(3):
+        assert len(next(rows)) == 2 * (1 + 3)
+        assert read == list(range(i + 1))
 
 
 def test_verify_orders_rejects_bad_margin():
