@@ -234,13 +234,13 @@ def _read_as(A, method):
     return A if method == "auto" else LatticeMatrix(A.window, A.entries)
 
 
-def baskakov_bound_Cr(A, r, t=0.5, t_grid=None, method="auto", margin=0,
+def baskakov_bound_Cr(A, r, t_grid=(0.5,), method="auto", margin=0,
                       inverse=None):
-    """Geometric-factor bound 2/(1-t) * ell_r * Phi (1+Phi)^r on ||A^{-1}||_Cr.
+    """Geometric-factor bound 2/(1-t) * ell_r * Phi (1+Phi)^r on ||A^{-1}||_Cr,
+    the smallest over t in t_grid.
 
-    Default t = 1/2 gives 4 ell_r Phi (1+Phi)^r; an optional grid over
-    (0, 1/2] refines by taking the smallest evaluation.  method "window"
-    reads A's window section instead of its symbol.
+    The default t = 1/2 gives 4 ell_r Phi (1+Phi)^r; a grid over (0, 1/2]
+    refines it.  method "window" reads A's window section, not its symbol.
     """
     if r <= 0:
         raise ParameterError("need r > 0")
@@ -248,9 +248,8 @@ def baskakov_bound_Cr(A, r, t=0.5, t_grid=None, method="auto", margin=0,
     kappa, na_op, nainv_op = condition_data(A)
     el = ell_r(nainv_op, kappa, r)
     na_alg = cv_norm(A, Weight.poly(r), margin)
-    ts = list(t_grid) if t_grid is not None else [t]
     best = None
-    for tv in ts:
+    for tv in t_grid:
         phi = phi_Ar(A, r, tv, margin, norm_a_alg=na_alg,
                      ell_value=el.value, norm_ainv_op=nainv_op)
         log_b = (math.log(2.0 / (1.0 - tv)) + math.log(el.value)
@@ -445,9 +444,10 @@ def dd_domain_bound(norm_ainv_ambient, seminorm_a_dd, k, measured=None):
         bound, measured)
 
 
-def besov_bound(norm_ainv_ambient, norm_a_besov, r, p=1,
-                fitted_constant=None, measured=None):
-    """C ||a^{-1}||^2 ||a||_besov (q^{floor(r)+1} - 1)/(q - 1), q = product.
+def besov_bound(norm_ainv_ambient, norm_a_besov, r, fitted_constant=None,
+                measured=None):
+    """C ||a^{-1}||^2 ||a||_besov (q^{floor(r)+1} - 1)/(q - 1), q = product,
+    with ||a||_besov the p = 1 seminorm.
 
     The leading constant is unknown; C defaults to 1 (rate report) and a
     calibration fit may be passed in.  floor(r) = 0 recovers the
@@ -465,7 +465,7 @@ def besov_bound(norm_ainv_ambient, norm_a_besov, r, p=1,
     return _report(
         "besov_control",
         {"norm_A_alg": norm_a_besov, "norm_A_op": None,
-         "norm_Ainv_op": norm_ainv_ambient, "r": r, "auxiliary": {"p": p}},
+         "norm_Ainv_op": norm_ainv_ambient, "r": r, "auxiliary": {"p": 1}},
         {"q": q, "floor_r": n - 1, "geometric_sum": gsum, "constant": C,
          "constant_fitted": fitted_constant is not None,
          "first_order": r < 1, "rate_exponent": float(n + 1)},
@@ -548,25 +548,22 @@ def dales_davie_bound(norm_ainv_ambient, a_m=None, mode="general",
         inter, bound, measured)
 
 
-def superpoly_bound(delta, r, s_choice=1.0, measured=None):
-    """Two-layer composition: polynomial-stage inversion at s = s_choice
-    (rate exponent 2s + 2/s + 5, equal to 9 at the optimal s = 1) feeding
-    the gevrey Dales-Davie bound C0 delta^{-e} phi_{r-1}(C1 delta^{-e})."""
+def superpoly_bound(delta, r, measured=None):
+    """Two-layer composition: polynomial-stage inversion at the optimal
+    s = 1 (rate exponent 2s + 2/s + 5 = 9) feeding the gevrey Dales-Davie
+    bound C0 delta^{-e} phi_{r-1}(C1 delta^{-e})."""
     if not 0 < delta <= 1:
         raise ParameterError("need 0 < delta <= 1")
     if r <= 1:
         raise ParameterError("need r > 1")
-    if s_choice <= 0:
-        raise ParameterError("need s_choice > 0")
-    s = float(s_choice)
-    e_s = 2.0 * s + 2.0 / s + 5.0
-    Cs = constant_Cr_numeric(s)
+    e_s = 9.0
+    Cs = constant_Cr_numeric(1.0)
     log_inner = math.log(Cs) + e_s * math.log(1.0 / delta)
     log_bound = log_inner + log_phi_r_from_log(log_inner, r - 1.0)
     return _report(
         "superpoly",
         {"norm_A_alg": 1.0, "norm_A_op": None, "norm_Ainv_op": 1.0 / delta,
-         "r": r, "auxiliary": {"s": s}},
+         "r": r, "auxiliary": {"s": 1.0}},
         {"exponent": e_s, "C0": Cs, "C1": Cs, "log_inner": log_inner,
          "log_bound": log_bound, "delta": delta},
         _exp_or_inf(log_bound), measured)

@@ -1,8 +1,10 @@
-"""Command line front end.
+"""Command line front end: argument parsing, the grids of a run without a
+config, and printing.
 
-Exit codes: 0 when every gate in the requested experiment is satisfied,
-1 when a violation is detected (a bound failure, an identity error above
-tolerance, or a slope/ratio outside its band), 2 on a configuration
+The runner decides the gate: its result carries `violations`, one line
+per failed gate (a bound failure, an identity error above tolerance, or
+a slope/ratio outside its band), which are printed to stderr.  Exit
+codes: 0 when there are none, 1 when there are, 2 on a configuration
 error.  Bracket diagnostics are recorded in the output but never gate
 the exit code.
 """
@@ -69,69 +71,23 @@ def resolve_config(args):
     if args.out is not None:
         cfg.output = args.out
     if not cfg.output:
-        ext = "json" if cfg.format == "json" else "csv"
-        cfg.output = f"{args.command}.{ext}"
+        cfg.output = f"{args.command}.{cfg.format}"
     cfg.validate()
     return cfg
 
 
-def find_violations(command, cfg, result):
-    tol = cfg.tolerances
-    bad = []
-    if command == "toeplitz-sharpness":
-        band = float(tol.get("slope_tol", 0.15))
-        for r, fit in result["fits"].items():
-            target = -(float(r) + 1.0)
-            if abs(fit.slope - target) > band:
-                bad.append(f"slope at r={r} is {fit.slope:.6f}, "
-                           f"wanted {target} within {band}")
-    elif command == "dd-sharpness":
-        lo = float(tol.get("ratio_low", 0.5))
-        hi = float(tol.get("ratio_high", 2.0))
-        for row in result["rows"]:
-            if not lo <= row["ratio"] <= hi:
-                bad.append(f"ratio at gamma={row['gamma']} r={row['r']} is "
-                           f"{row['ratio']:.6f}, outside [{lo}, {hi}]")
-            if not row["converged"]:
-                bad.append(f"norm sum at gamma={row['gamma']} r={row['r']} "
-                           f"did not converge")
-    elif command == "jaffard-check":
-        for row in result["rows"]:
-            if not row["satisfied"]:
-                bad.append(f"instance seed={row['seed']} r={row['r']}: "
-                           f"measured {row['measured']:.6e} exceeds a bound")
-    elif command == "quotient-verify":
-        gate = float(tol.get("max_rel_err", 1e-8))
-        for name, err in sorted(result["worst"].items()):
-            if err > gate:
-                bad.append(f"{name}: max relative error {err:.3e} > {gate}")
-    elif command == "besov-report":
-        for row in result["rows"]:
-            if row.get("ncb_ok") is False:
-                bad.append(f"first-order control failed at "
-                           f"param={row['param']} r={row['r']}: "
-                           f"{row['ncb_lhs']:.6e} > {row['ncb_rhs']:.6e}")
-    return bad
-
-
 def _print_summary(command, result, out):
-    fits = result.get("fits")
-    if fits:
-        for r, fit in fits.items():
-            if fit is not None:
-                print(f"  fit r={r}: slope {fit.slope:.6f} "
-                      f"(residual {fit.residual:.2e})")
-    worst = result.get("worst")
-    if worst:
-        for name, err in sorted(worst.items()):
-            print(f"  {name}: max rel err {err:.3e}")
-    cal = result.get("calibrations")
-    if cal:
-        for r, entry in cal.items():
-            parts = ", ".join(f"{k} drift {v['drift']:.3f}"
-                              for k, v in entry.items() if v["ratios"])
-            if parts:
-                print(f"  r={r}: {parts}")
+    for r, fit in result.get("fits", {}).items():
+        if fit is not None:
+            print(f"  fit r={r}: slope {fit.slope:.6f} "
+                  f"(residual {fit.residual:.2e})")
+    for name, err in sorted(result.get("worst", {}).items()):
+        print(f"  {name}: max rel err {err:.3e}")
+    for r, entry in result.get("calibrations", {}).items():
+        parts = ", ".join(f"{k} drift {v['drift']:.3f}"
+                          for k, v in entry.items() if v["ratios"])
+        if parts:
+            print(f"  r={r}: {parts}")
     print(f"{command}: {len(result['rows'])} rows -> {out}")
 
 
@@ -146,10 +102,9 @@ def main(argv=None):
         return 2
     write_rows(result["rows"], cfg.output, cfg.format)
     _print_summary(args.command, result, cfg.output)
-    violations = find_violations(args.command, cfg, result)
-    for line in violations:
+    for line in result["violations"]:
         print(f"violation: {line}", file=sys.stderr)
-    return 1 if violations else 0
+    return 1 if result["violations"] else 0
 
 
 if __name__ == "__main__":

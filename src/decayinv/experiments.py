@@ -6,13 +6,17 @@ bound and moment column is the value of the bounds or besov function that
 names it (besov_bound, bessel_rate_bound, dales_davie_bound,
 explicit_bound_Jr, baskakov_bound_Jr, identification_rate_check), never
 a copy of its formula; every ratio column divides two such columns.
+
+Each runner owns its settings and decides its own gate: it reads its
+tolerances over one table of defaults (_tolerances), and its result
+carries `violations`, one line per failed gate, for the CLI to print.
 """
 
 import csv
 import json
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -30,10 +34,9 @@ from .quotient import verify_instances
 from .weights import SmoothnessSequence, Weight
 
 _BRACKET_KMAX = 10   # dd-sharpness checks the bracket of ||D^k|| for k <= this
-_CONFIG_FIELDS = {"experiment", "gamma_grid", "r_list", "window_N", "seed",
-                  "tolerances", "output", "format"}
 _KIND_NAMES = {int: "an integer", float: "a real number",
-               (int,): "a list of integers", (float,): "a list of real numbers"}
+               (int,): "a list of integers",
+               (float,): "a list of finite real numbers"}
 
 
 @dataclass
@@ -49,7 +52,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data):
-        unknown = set(data) - _CONFIG_FIELDS
+        unknown = set(data) - {f.name for f in fields(cls)}
         if unknown:
             raise ConfigError(f"unknown config fields: {sorted(unknown)}")
         cfg = cls(**data)
@@ -78,7 +81,7 @@ class ExperimentConfig:
             raise ConfigError(f"format must be csv or json, got {self.format!r}")
         for name in ("gamma_grid", "r_list"):
             if not _is_a(getattr(self, name), (float,)):
-                raise ConfigError(f"{name} must be a list of real numbers, "
+                raise ConfigError(f"{name} must be {_KIND_NAMES[(float,)]}, "
                                   f"got {getattr(self, name)!r}")
         if any(g <= 0 for g in self.gamma_grid):
             raise ConfigError("gamma_grid entries must be positive")
@@ -118,37 +121,49 @@ class SlopeFit:
 
 def _is_a(value, kind):
     """Whether value is of kind, a key of _KIND_NAMES: float takes any
-    real number, and (kind,) a list of kind."""
+    real number, and (kind,) a list of finite values of kind."""
     if isinstance(kind, tuple):
         return (isinstance(value, (list, tuple))
-                and all(_is_a(v, kind[0]) for v in value))
+                and all(_is_a(v, kind[0]) and math.isfinite(v)
+                        for v in value))
     number = numbers.Integral if kind is int else numbers.Real
     return isinstance(value, number) and not isinstance(value, bool)
 
 
-def _accept_tolerances(cfg, kinds):
-    """Raise ConfigError on a tolerances key outside kinds, the map of the
-    keys the runner and its gate in cli.find_violations read to their
-    kinds (see _is_a), or on a value not of its key's kind."""
-    unknown = set(cfg.tolerances) - set(kinds)
+def _tolerances(cfg, **defaults):
+    """cfg.tolerances over defaults, the map of every key the runner and
+    its gate read to its default value.  A key takes the kind of its
+    default (int, float or a list of either; see _is_a): a key outside
+    defaults, or a value not of its key's kind, is a ConfigError.  Real
+    numbers are cast to float; integers and lists pass through as given."""
+    unknown = set(cfg.tolerances) - set(defaults)
     if unknown:
         raise ConfigError(f"unknown tolerances {sorted(unknown)}; "
-                          f"accepted: {sorted(kinds)}")
+                          f"accepted: {sorted(defaults)}")
+    tol = dict(defaults)
     for key, value in cfg.tolerances.items():
-        if not _is_a(value, kinds[key]):
+        default = defaults[key]
+        kind = ((type(default[0]),) if isinstance(default, list)
+                else type(default))
+        if not _is_a(value, kind):
             raise ConfigError(f"tolerance {key} must be "
-                              f"{_KIND_NAMES[kinds[key]]}, got {value!r}")
+                              f"{_KIND_NAMES[kind]}, got {value!r}")
+        tol[key] = float(value) if kind is float else value
+    return tol
 
 
-def _check_sampling(cfg, count, margin):
-    """Raise ConfigError unless there is an instance to draw and the
-    margin leaves a nonempty inner window."""
-    if count < 1:
-        raise ConfigError(f"instances must be >= 1, got {count}")
-    if margin < 0 or 2 * margin >= cfg.window_N:
-        raise ConfigError(f"margin must satisfy 0 <= margin and "
-                          f"2 * margin < window_N = {cfg.window_N}, "
-                          f"got {margin}")
+def _check_sampling(cfg, tol):
+    """Raise ConfigError unless tol's instances can be drawn: epsilon in
+    [0, 0.5], at least one instance, and a margin that IndexWindow.shrink
+    accepts on the window."""
+    if not 0 <= tol["epsilon"] <= 0.5:
+        raise ConfigError("epsilon must lie in [0, 0.5]")
+    if tol["instances"] < 1:
+        raise ConfigError(f"instances must be >= 1, got {tol['instances']}")
+    try:
+        centered_window(cfg.window_N).shrink(tol["margin"])
+    except ParameterError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def centered_window(n):
@@ -179,9 +194,10 @@ def run_toeplitz_sharpness(cfg):
 
     Per (gamma, r): closed-form algebra norms, the integral-test bracket
     of the inverse series, delta = 1/norm_inv_C0, and a slope fit of
-    log norm_inv_Cr against log delta (expected -(r+1))."""
+    log norm_inv_Cr against log delta (expected -(r+1)).  A slope more
+    than slope_tol away from it is a violation."""
     cfg.validate()
-    _accept_tolerances(cfg, {"slope_tol": float})
+    band = _tolerances(cfg, slope_tol=0.15)["slope_tol"]
     if len(cfg.gamma_grid) < 4:
         raise ConfigError("toeplitz sharpness needs at least 4 grid points")
     if not cfg.r_list or any(r < 0 for r in cfg.r_list):
@@ -210,7 +226,13 @@ def run_toeplitz_sharpness(cfg):
                for row in rrows]
         fits[r] = SlopeFit.fit(pts)
         rows.extend(rrows)
-    return {"rows": rows, "fits": fits}
+    violations = []
+    for r, fit in fits.items():
+        target = -(float(r) + 1.0)
+        if abs(fit.slope - target) > band:
+            violations.append(f"slope at r={r} is {fit.slope:.6f}, "
+                              f"wanted {target} within {band}")
+    return {"rows": rows, "fits": fits, "violations": violations}
 
 
 def run_dd_sharpness(cfg):
@@ -218,12 +240,11 @@ def run_dd_sharpness(cfg):
 
     Per gamma: the Dales-Davie norm under gevrey(r), the comparison shape
     gamma^{-1} phi_{r-1}(1/gamma), their ratio, and per-order bracket
-    checks for ||D^k|| with k <= _BRACKET_KMAX."""
+    checks for ||D^k|| with k <= _BRACKET_KMAX.  A ratio outside
+    [ratio_low, ratio_high] or an unconverged norm sum is a violation."""
     cfg.validate()
-    _accept_tolerances(cfg, {"ratio_low": float, "ratio_high": float})
-    # the defaults are those cli.find_violations gates the ratios with
-    low = cfg.tolerances.get("ratio_low", 0.5)
-    high = cfg.tolerances.get("ratio_high", 2.0)
+    tol = _tolerances(cfg, ratio_low=0.5, ratio_high=2.0)
+    low, high = tol["ratio_low"], tol["ratio_high"]
     if not (math.isfinite(low) and math.isfinite(high) and 0 <= low < high):
         raise ConfigError(f"ratio_low and ratio_high must be finite with "
                           f"0 <= ratio_low < ratio_high, got {low}, {high}")
@@ -261,22 +282,26 @@ def run_dd_sharpness(cfg):
         pts = [(row["log_comparison"], row["log_dd"]) for row in rrows]
         fits[r] = SlopeFit.fit(pts) if len(pts) >= 2 else None
         rows.extend(rrows)
-    return {"rows": rows, "fits": fits}
+    violations = []
+    for row in rows:
+        if not low <= row["ratio"] <= high:
+            violations.append(f"ratio at gamma={row['gamma']} r={row['r']} is "
+                              f"{row['ratio']:.6f}, outside [{low}, {high}]")
+        if not row["converged"]:
+            violations.append(f"norm sum at gamma={row['gamma']} "
+                              f"r={row['r']} did not converge")
+    return {"rows": rows, "fits": fits, "violations": violations}
 
 
 def run_jaffard_check(cfg):
     """Seeded I - eps*B instances against the J_r inversion bounds."""
     cfg.validate()
-    _accept_tolerances(cfg, {"epsilon": float, "instances": int,
-                             "margin": int})
+    tol = _tolerances(cfg, epsilon=0.3, instances=20,
+                      margin=cfg.window_N // 8)
     if not cfg.r_list or any(r <= 1 for r in cfg.r_list):
         raise ConfigError("jaffard check needs r_list with every r > 1")
-    eps = float(cfg.tolerances.get("epsilon", 0.3))
-    if not 0 <= eps <= 0.5:
-        raise ConfigError("epsilon must lie in [0, 0.5]")
-    count = int(cfg.tolerances.get("instances", 20))
-    margin = int(cfg.tolerances.get("margin", cfg.window_N // 8))
-    _check_sampling(cfg, count, margin)
+    _check_sampling(cfg, tol)
+    eps, margin = tol["epsilon"], tol["margin"]
     window = centered_window(cfg.window_N)
     rows = []
     for r in cfg.r_list:
@@ -310,43 +335,40 @@ def run_jaffard_check(cfg):
                 "satisfied": bool(rep_e.satisfied and rep_b.satisfied),
                 "regenerated": regenerated,
             }
-        rows.extend(one(idx) for idx in range(count))
-    return {"rows": rows}
+        rows.extend(one(idx) for idx in range(tol["instances"]))
+    violations = [f"instance seed={row['seed']} r={row['r']}: measured "
+                  f"{row['measured']:.6e} exceeds a bound"
+                  for row in rows if not row["satisfied"]]
+    return {"rows": rows, "violations": violations}
 
 
 def run_quotient_verify(cfg):
     """Max relative errors of the four smoothness identities on seeded
-    random decay instances."""
+    random decay instances, gated by max_rel_err."""
     cfg.validate()
-    _accept_tolerances(cfg, {"kmax": int, "epsilon": float, "decay_r": float,
-                             "instances": int, "t_values": (float,),
-                             "margin": int, "max_rel_err": float})
-    kmax = int(cfg.tolerances.get("kmax", 5))
-    if not 1 <= kmax <= 8:
+    tol = _tolerances(cfg, kmax=5, epsilon=0.3, decay_r=2.0, instances=20,
+                      t_values=[0.17, 0.31], margin=cfg.window_N // 4,
+                      max_rel_err=1e-8)
+    if not 1 <= tol["kmax"] <= 8:
         raise ConfigError("kmax must lie in [1, 8]")
-    eps = float(cfg.tolerances.get("epsilon", 0.3))
-    if not 0 <= eps <= 0.5:
-        raise ConfigError("epsilon must lie in [0, 0.5]")
-    decay_r = float(cfg.tolerances.get("decay_r", 2.0))
+    _check_sampling(cfg, tol)
+    eps, decay_r = tol["epsilon"], tol["decay_r"]
     if not (math.isfinite(decay_r) and decay_r >= 0):
         raise ConfigError(f"decay_r must be finite and >= 0, got {decay_r}")
-    count = int(cfg.tolerances.get("instances", 20))
-    ts = list(cfg.tolerances.get("t_values", [0.17, 0.31]))
-    margin = int(cfg.tolerances.get("margin", cfg.window_N // 4))
-    _check_sampling(cfg, count, margin)
     window = centered_window(cfg.window_N)
 
     rconds = []
 
     def instances():   # lazily, so that one instance is alive at a time
-        for idx in range(count):
+        for idx in range(tol["instances"]):
             A = random_decay_matrix(window, decay_r, eps, seed=[cfg.seed, idx])
             inv = invert_truncated(A)
             rconds.append(rcond_estimate(A, inv))
             yield A, random_decay_matrix(window, decay_r, eps,
                                          seed=[cfg.seed, idx, 1]), inv
 
-    stream = verify_instances(instances(), kmax, ts, margin)
+    stream = verify_instances(instances(), tol["kmax"], tol["t_values"],
+                              tol["margin"])
     rows = [{"instance": idx, "identity": res["identity"], "k": res["k"],
              "t": res["t"], "max_rel_err": res["max_rel_err"],
              "rcond": rconds[idx]}
@@ -355,7 +377,10 @@ def run_quotient_verify(cfg):
     for row in rows:
         key = row["identity"]
         worst[key] = max(worst.get(key, 0.0), row["max_rel_err"])
-    return {"rows": rows, "worst": worst}
+    gate = tol["max_rel_err"]
+    violations = [f"{name}: max relative error {err:.3e} > {gate}"
+                  for name, err in sorted(worst.items()) if err > gate]
+    return {"rows": rows, "worst": worst, "violations": violations}
 
 
 _BESOV_COLUMNS = ("family", "param", "r", "seminorm_A", "seminorm_inv",
@@ -371,23 +396,20 @@ def run_besov_report(cfg):
     the shifts gives each row's seminorm, moment and ratio; besov_bound
     carries the first-order norm-control check (constant 1) for r < 1 and
     bessel_rate_bound the cubic rate; the hypersingular/Besov embedding
-    ratios run for r < 2."""
+    ratios run for r < 2.  A failed first-order check is a violation."""
     cfg.validate()
-    _accept_tolerances(cfg, {"shift_offsets": (int,), "t_min": float,
-                             "t_max": float})
+    tol = _tolerances(cfg, shift_offsets=[1, 2, 4], t_min=1e-6, t_max=4.0)
+    t_min, t_max = tol["t_min"], tol["t_max"]
     if not cfg.gamma_grid:
         raise ConfigError("gamma_grid must not be empty")
     if not cfg.r_list or any(not 0 < r <= 3 for r in cfg.r_list):
         raise ConfigError("besov report needs r_list within (0, 3]")
     window = centered_window(cfg.window_N)
-    shift_offsets = cfg.tolerances.get("shift_offsets", [1, 2, 4])
-    t_min = float(cfg.tolerances.get("t_min", 1e-6))
-    t_max = float(cfg.tolerances.get("t_max", 4.0))
     if not 0 < t_min < t_max < math.inf:
         raise ConfigError(
             f"need a finite 0 < t_min < t_max, got {t_min}, {t_max}")
     shifts = [make_toeplitz(ToeplitzSymbol({m: 1.0}), window)
-              for m in shift_offsets]
+              for m in tol["shift_offsets"]]
     rows = []
     calibrations = {}
     for r in cfg.r_list:
@@ -435,7 +457,7 @@ def run_besov_report(cfg):
         rows.extend(rrows)
         rows.extend(row_of("shift", m, ident_row,
                            seminorm_A=ident_row["seminorm"])
-                    for m, ident_row in zip(shift_offsets,
+                    for m, ident_row in zip(tol["shift_offsets"],
                                             ident["rows"][len(invs):]))
         cal = {"identification": _drift([row["ratio"]
                                          for row in ident["rows"]])}
@@ -446,7 +468,11 @@ def run_besov_report(cfg):
         if r < 2:
             cal["embedding"] = _drift([row["embed_ratio"] for row in rrows])
         calibrations[r] = cal
-    return {"rows": rows, "calibrations": calibrations}
+    violations = [f"first-order control failed at param={row['param']} "
+                  f"r={row['r']}: {row['ncb_lhs']:.6e} > {row['ncb_rhs']:.6e}"
+                  for row in rows if row["ncb_ok"] is False]
+    return {"rows": rows, "calibrations": calibrations,
+            "violations": violations}
 
 
 def _drift(ratios):

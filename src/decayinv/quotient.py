@@ -133,7 +133,9 @@ def _twisted_leibniz(lefts, rights, sub):
 
 def _tables(n, kmax, t_values):
     """The offset tables of a pass on size n, orders 1..kmax: m^k, and per
-    t the tuple (t, [None] + psi_{kt}, Delta_t^k)."""
+    t the tuple (t, [None] + psi_{kt}, Delta_t^k).  Every t must be finite."""
+    if not all(map(math.isfinite, t_values)):
+        raise ParameterError(f"shifts must be finite, got {t_values}")
     ks = range(1, kmax + 1)
     return ([offset_table(n, derivation_factor(k)) for k in ks],
             [(t, [None] + [offset_table(n, phase_factor(k * t)) for k in ks],
@@ -185,8 +187,8 @@ def _pairs(A, B, Ainv, margin, ders, shifts):
 def _row(pair, operand_scale):
     """Error row of one (identity, k, t, lhs, rhs): max_abs_err, the
     comparison scale (largest entry magnitude of either side) and
-    max_abs_err / scale.  A residual against zero (rhs None) is scaled by
-    operand_scale instead."""
+    max_abs_err / scale, 0 at a zero scale and nan when a side holds nan.
+    A residual against zero (rhs None) is scaled by operand_scale instead."""
     identity, k, t, lhs, rhs = pair
     if rhs is None:
         max_abs = float(np.abs(lhs).max())
@@ -194,7 +196,7 @@ def _row(pair, operand_scale):
     else:
         max_abs = float(np.abs(lhs - rhs).max())
         scale = float(max(np.abs(lhs).max(), np.abs(rhs).max()))
-    rel = max_abs / scale if scale > 0 else 0.0
+    rel = max_abs / scale if scale != 0 else 0.0
     return {
         "identity": identity,
         "k": k,
@@ -221,7 +223,8 @@ def _check_operands(A, k, margin, *others):
 def verify_instances(instances, kmax, t_values, margin=0):
     """verify_orders on each (A, B, Ainv) of instances in turn, Ainv None
     standing for A's inverse: yields the rows of one instance before it
-    reads the next, with the offset tables built once per window size."""
+    reads the next, with the offset tables built once per window size.
+    A non-finite t is a ParameterError."""
     t_values, size, tables = list(t_values), None, None
     for A, B, Ainv in instances:
         _check_operands(A, kmax, margin, B, Ainv)
@@ -257,7 +260,7 @@ def verify_identity(A, identity, k, t=None, B=None, Ainv=None, margin=0):
     Returns a dict with max_abs_err, the comparison scale (largest entry
     magnitude of either side on the margin-shrunk window), and the
     scale-relative error max_abs_err / scale.  B and Ainv must lie on
-    A's window.
+    A's window, and t must be finite.
     """
     if identity not in IDENTITIES:
         raise ParameterError(f"unknown identity {identity!r}")

@@ -295,9 +295,6 @@ class SmoothnessSequence:
             raise ParameterError(f"order {k} beyond custom sequence")
         return math.log(self.values[k])
 
-    def M(self, k):
-        return math.exp(self.log_M(k))
-
 
 def log_phi_r(x, r):
     """log of phi_r(x) = sum_{l>=0} x^l/(l!)^r for x >= 0, r > 0."""

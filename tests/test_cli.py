@@ -1,10 +1,12 @@
 """CLI exit codes and table emission."""
 
 import json
+import math
 
 import pytest
 
-from decayinv.cli import main
+from decayinv.cli import build_parser, main, resolve_config
+from decayinv.experiments import RUNNERS, ExperimentConfig
 
 
 def run(args):
@@ -126,6 +128,18 @@ GRID = [0.4, 0.2, 0.1, 0.05]
                         "tolerances": tol}, name)
       for tol, name in [({"t_max": float("inf")}, "t_max"),
                         ({"t_min": float("nan")}, "t_min")]],
+    # so must grid entries and shifts
+    ("toeplitz-sharpness", {"gamma_grid": GRID, "r_list": [math.nan]},
+     "r_list"),
+    ("toeplitz-sharpness", {"gamma_grid": [0.4, 0.2, 0.1, math.nan],
+                            "r_list": [1.0]}, "gamma_grid"),
+    ("toeplitz-sharpness", {"gamma_grid": [math.inf, 0.4, 0.2, 0.1],
+                            "r_list": [1.0]}, "gamma_grid"),
+    ("dd-sharpness", {"gamma_grid": [0.5], "r_list": [math.nan]}, "r_list"),
+    ("quotient-verify", {"tolerances": {"t_values": [math.nan]}},
+     "t_values"),
+    ("quotient-verify", {"tolerances": {"t_values": [0.17, -math.inf]}},
+     "t_values"),
 ])
 def test_malformed_config_value_exit_code(tmp_path, capsys, command, fields,
                                           name):
@@ -203,3 +217,42 @@ def test_dd_sharpness_runs_with_flags(tmp_path, capsys):
     code = run(["dd-sharpness", "--out", out, "--window", 48])
     assert code == 0
     assert "fit r=2.0" in capsys.readouterr().out
+
+
+# configs whose gates fail at the default grids: a zero slope band, a
+# ratio band narrower than the measured ratios, and an identity gate below
+# roundoff
+FORCED = [
+    ("toeplitz-sharpness", {"gamma_grid": [0.4, 0.2, 0.1, 0.05, 0.025],
+                            "r_list": [1.0, 2.0],
+                            "tolerances": {"slope_tol": 0.0}}, 2),
+    ("dd-sharpness", {"gamma_grid": [0.5, 0.4, 0.3, 0.2, 0.1],
+                      "r_list": [2.0],
+                      "tolerances": {"ratio_low": 1.0,
+                                     "ratio_high": 1.0001}}, 4),
+    ("quotient-verify", {"window_N": 32,
+                         "tolerances": {"instances": 2, "kmax": 2,
+                                        "max_rel_err": 1e-30}}, 4),
+]
+
+
+@pytest.mark.parametrize("command,fields,count", FORCED)
+def test_cli_prints_the_runners_violations(tmp_path, capsys, command, fields,
+                                           count):
+    # the runner decides the gate; the CLI prints its lines and exits 1
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"experiment": command, **fields}))
+    violations = RUNNERS[command](ExperimentConfig.from_json(path))[
+        "violations"]
+    assert len(violations) == count
+    code = run([command, "--config", path, "--out", tmp_path / "rows.csv"])
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert [line.removeprefix("violation: ") for line in err] == violations
+    assert all(line.startswith("violation: ") for line in err)
+
+
+@pytest.mark.parametrize("command", list(RUNNERS))
+def test_default_configs_have_no_violations(command):
+    cfg = resolve_config(build_parser().parse_args([command]))
+    assert RUNNERS[command](cfg)["violations"] == []

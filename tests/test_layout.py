@@ -282,3 +282,49 @@ def test_no_exported_function_takes_a_method():
                    and "method" in inspect.signature(
                        getattr(decayinv, name)).parameters)
     assert found == sorted(METHOD_KEPT)
+
+
+def tolerance_keys():
+    """The keyword names of every _tolerances call in experiments.py: the
+    tolerance keys, each with its default."""
+    tree = ast.parse((PACKAGE / "experiments.py").read_text())
+    return {kw.arg for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "id", None) == "_tolerances"
+            for kw in node.keywords}
+
+
+def tolerances_reads(path):
+    """(line, function) of every read of an attribute tolerances of an
+    object other than self in path; function is the innermost function
+    that holds it."""
+    tree = ast.parse(path.read_text(), str(path))
+    owner = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef):
+            for sub in ast.walk(node):
+                owner[sub] = node.name   # inner functions are walked later
+    return [(node.lineno, owner.get(node)) for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == "tolerances"
+            and getattr(node.value, "id", None) != "self"]
+
+
+def test_each_setting_has_one_owner():
+    # every tolerance key and its default are written once, in the runner
+    # that reads it, and cfg.tolerances is read only by the resolver; the
+    # CLI names no key and reads no tolerances
+    keys = tolerance_keys()
+    assert {"slope_tol", "ratio_low", "ratio_high", "max_rel_err",
+            "t_values"} <= keys
+    cli = ast.parse((PACKAGE / "cli.py").read_text())
+    literals = {node.value for node in ast.walk(cli)
+                if isinstance(node, ast.Constant)
+                and isinstance(node.value, str)}
+    assert not literals & keys
+    assert tolerances_reads(PACKAGE / "cli.py") == []
+    found = {path.name: [hit for hit in tolerances_reads(path)
+                         if hit[1] != "_tolerances"]
+             for path in sorted(PACKAGE.glob("*.py"))}
+    assert {name: hits for name, hits in found.items() if hits} == {}
+    assert {fn for _, fn in tolerances_reads(PACKAGE / "experiments.py")} \
+        == {"_tolerances"}

@@ -309,3 +309,31 @@ def test_operands_off_the_window_raise_parameter_error():
         for identity in ("derivation_quotient", "difference_quotient"):
             with pytest.raises(ParameterError):
                 verify_identity(A, identity, 1, t=0.1, Ainv=other)
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+def test_a_non_finite_shift_raises_parameter_error(t):
+    # a NaN shift fills both sides of every difference identity with NaN;
+    # it must fail, not read as an error of 0
+    A, inv = instance(5)
+    B, _ = instance(6)
+    with pytest.raises(ParameterError):
+        verify_orders(A, B, 1, [t], Ainv=inv)
+    with pytest.raises(ParameterError):
+        next(verify_instances([(A, B, inv)], 1, [0.1, t]))
+    for identity in IDENTITIES[1:]:
+        with pytest.raises(ParameterError):
+            verify_identity(A, identity, 1, t=t, B=B, Ainv=inv)
+
+
+def test_error_row_is_nan_when_a_side_is_nan():
+    # only a zero scale (both sides zero) gives a relative error of 0
+    nan_side = np.array([[math.nan, 1.0]])
+    for lhs, rhs in ((nan_side, np.ones((1, 2))), (np.ones((1, 2)), nan_side)):
+        row = quotient._row(("difference_quotient", 1, 0.1, lhs, rhs), 1.0)
+        assert math.isnan(row["max_rel_err"])
+    zero = np.zeros((1, 2))
+    row = quotient._row(("difference_quotient", 1, 0.1, zero, zero), 1.0)
+    assert row["max_rel_err"] == 0.0
+    row = quotient._row(("telescoping", 1, 0.1, nan_side, None), 1.0)
+    assert math.isnan(row["max_rel_err"])
