@@ -21,7 +21,9 @@ bounds on g over each chunk of a grid, and on the slope of t^-r g(t) over
 each shell, skip every chunk and every zoom that stays below a value
 already found.  Values are computed on [t_min, t_max]; the near-zero and
 far-tail contributions are returned as a separate rigorous bound, never
-silently added.
+silently added, read from ||D^k A|| (norms.dk_norm_log) and ||A||
+(norms.ambient_norm).  Operator-ambient moduli all come from
+modulus_profile.
 """
 
 import functools
@@ -33,10 +35,12 @@ import numpy as np
 from .errors import ParameterError
 from .lattice import (LatticeMatrix, difference_power, offset_multiplier,
                       operator_norm_l2)
-from .norms import ambient_norm, decay_profile, normalize_ambient
+from .norms import (ambient_norm, decay_profile, dk_norm_log,
+                    normalize_ambient)
 from .weights import log_concave_sum, log_poly_geometric, poly_geometric_max
 
 _PROFILE_CUT = 1e-18
+_MAXLOG = math.log(np.finfo(float).max)
 _GL_NODES = (24, 48)  # the Gauss-Legendre rule, and its node-doubled check
 _BLOCK = 1 << 14      # elements of a node matrix evaluated at once
 # p = inf search: log-grid points per shell, points per chunk of that grid
@@ -53,6 +57,8 @@ _GL_RULE, _MAX_KINKS, _PANELS, _BISECT, _ROUNDS = 8, 1 << 15, 512, 60, 8
 # a switch of the jaffard max this close to a cell edge in [0, 1/2] is
 # noise, and a cell's ends are probed this far (relative) inside
 _SNAP = 1e-12
+# the hypersingular sup's cutoffs, finest first, so that it wins a tie
+_EPS_GRID = (0.01, 0.03, 0.1, 0.3)
 _trapz = getattr(np, "trapezoid", None) or np.trapz
 
 
@@ -204,17 +210,17 @@ def decay_moment(A, r, p=1, ambient="c0", margin=0):
     return float(vals.sum()) if p == 1 else float(vals.max())
 
 
-def _dropped_mass(geo, kind, s, k=0.0):
-    """The cut geometric tail's contribution to the k-moment: the max
-    (jaffard) or sum (otherwise) over m > M of scale m^k (1+m)^s rho^m."""
+def _dropped_mass(geo, kind, s):
+    """The cut geometric tail's mass: the max (jaffard) or sum (otherwise)
+    over m > M of scale (1+m)^s rho^m."""
     if geo is None:
         return 0.0
     sc, rho, M = geo
     if kind == "jaffard":
-        log_mass, _ = poly_geometric_max(k, s, rho, M + 1)
+        log_mass, _ = poly_geometric_max(0.0, s, rho, M + 1)
     else:
         log_mass, _ = log_concave_sum(
-            lambda ms: log_poly_geometric(ms, k, 0.0, rho), M + 1)
+            lambda ms: log_poly_geometric(ms, 0.0, 0.0, rho), M + 1)
     return sc * math.exp(log_mass)
 
 
@@ -243,28 +249,24 @@ def modulus_profile(A, ts, k, ambient="c0", margin=0):
     return _modulus(ts, ms, w, k, kind)
 
 
-def _tail_bounds(A, ms, w, geo, k, r, p, t_min, t_max,
-                 ambient, margin, kind, s):
+def _tail_bounds(A, k, r, p, t_min, t_max, ambient, margin):
+    """Bound on the part outside [t_min, t_max], by ||Delta_t^k A|| <=
+    (2 pi t)^k ||D^k A|| below t_min (the operator ambient takes the
+    section's c0 norm, by the Schur test) and <= 2^k ||A|| above t_max;
+    inf unless k > r, and where it overflows."""
+    if k <= r:
+        return math.inf
     amb = ambient_norm(A, ambient, margin)
+    if normalize_ambient(ambient)[0] == "operator":
+        A, ambient, margin = LatticeMatrix(A.window, A.entries), "c0", 0
+    log_near = (k * math.log(2 * math.pi) + dk_norm_log(A, k, ambient, margin)
+                + (k - r) * math.log(t_min))
     if p == math.inf:
         far = 2.0 ** k * amb * t_max ** (-r)
     else:
         far = 2.0 ** k * amb * (2.0 / (r * p)) ** (1.0 / p) * t_max ** (-r)
-    if k > r:
-        if ms.size:
-            vals = ms.astype(float) ** k * w
-            Sk = float(vals.max()) if kind == "jaffard" else float(vals.sum())
-        else:
-            Sk = 0.0
-        Sk += _dropped_mass(geo, kind, s, k)
-        if p == math.inf:
-            near = (2 * math.pi) ** k * Sk * t_min ** (k - r)
-        else:
-            near = ((2 * math.pi) ** k * Sk
-                    * (2.0 / ((k - r) * p)) ** (1.0 / p) * t_min ** (k - r))
-    else:
-        near = math.inf
-    return near + far
+        log_near += math.log(2.0 / ((k - r) * p)) / p
+    return (math.exp(log_near) if log_near <= _MAXLOG else math.inf) + far
 
 
 def besov_seminorm(A, p, r, k=None, ambient="c0", margin=0,
@@ -302,24 +304,24 @@ def besov_seminorm(A, p, r, k=None, ambient="c0", margin=0,
     if not 0 < t_min < t_max < math.inf:
         raise ParameterError("need a finite 0 < t_min < t_max")
     k = _difference_order(math.floor(r) + 1 if k is None else k)
-    kind, s = normalize_ambient(ambient)
+    kind, _ = normalize_ambient(ambient)
     edges = _shell_edges(t_min, t_max)
     searched = cells = None
 
     if kind == "operator":
         A.window.shrink(margin)
-        # ||Delta_t^k A||_op is at most sum_m |2 sin pi m t|^k d(m) by the
-        # Schur test, the c0 modulus of the section whose singular values
-        # the route takes: all of it, whatever the margin
-        ms, w, geo = _offset_weights(LatticeMatrix(A.window, A.entries),
-                                     "c0", 0)
         if p == math.inf:
+            # ||Delta_t^k A||_op is at most sum_m |2 sin pi m t|^k d(m) by
+            # the Schur test, the c0 modulus of the section whose singular
+            # values the route takes: all of it, whatever the margin
+            ms, w, _ = _offset_weights(LatticeMatrix(A.window, A.entries),
+                                       "c0", 0)
             value, qerr, searched = _operator_sup(A, r, k, edges, ms, w)
             points = _OP_NODES * searched
         else:
             value, qerr = _operator_route(A, p, r, k, edges)
     else:
-        ms, w, geo = _offset_weights(A, ambient, margin)
+        ms, w, _ = _offset_weights(A, ambient, margin)
         if p == 1 and kind == "c0":
             value, qerr = _separable_p1(ms, w, r, k, t_min, t_max)
         elif p == math.inf:
@@ -328,8 +330,7 @@ def besov_seminorm(A, p, r, k=None, ambient="c0", margin=0,
         else:
             value, qerr, cells = _cell_route(ms, w, k, kind, edges, r, p)
 
-    tail = _tail_bounds(A, ms, w, geo, k, r, p, t_min, t_max,
-                        ambient, margin, kind, s)
+    tail = _tail_bounds(A, k, r, p, t_min, t_max, ambient, margin)
     params = {"p": p, "r": r, "k": k, "ambient": ambient,
               "t_min": t_min, "t_max": t_max}
     if searched is not None:
@@ -642,11 +643,6 @@ def _cell_route(ms, w, k, kind, shells, r, p):
     return value, (total + err) ** (1.0 / p) - value, fine.size
 
 
-def _op_value(A, k):
-    """t -> ||Delta_t^k A||_op on the window."""
-    return lambda t: operator_norm_l2(difference_power(A, float(t), k))
-
-
 def _operator_sup(A, r, k, edges, ms, w):
     """p = inf in the operator ambient: the best of _OP_NODES log-spaced
     nodes per shell, one window SVD each.
@@ -659,7 +655,6 @@ def _operator_sup(A, r, k, edges, ms, w):
     error is the gap from the winner to its larger neighbour node.  Returns
     (value, error, shells searched).
     """
-    g = _op_value(A, k)
     bound = (_shell_bounds(ms, w, k, "c0", edges[:-1], edges[1:], r)
              * (1.0 + 4.0 * A.n * np.finfo(float).eps))
     best, err, win, searched = 0.0, 0.0, edges.size, 0
@@ -669,7 +664,8 @@ def _operator_sup(A, r, k, edges, ms, w):
         searched += 1
         ts = np.exp(np.linspace(math.log(edges[s]), math.log(edges[s + 1]),
                                 _OP_NODES))
-        vals = np.array([t ** (-r) * g(t) for t in ts])
+        gs = modulus_profile(A, ts, k, "operator")
+        vals = np.array([t ** (-r) * g for t, g in zip(ts, gs)])
         i = int(np.argmax(vals))
         if vals[i] > best or (vals[i] == best and s < win):
             best, win = float(vals[i]), s
@@ -682,12 +678,12 @@ def _operator_route(A, p, r, k, edges):
     """Finite p in the operator ambient: the trapezoid rule on _OP_NODES
     log-spaced nodes per shell, one window SVD each; the error is the
     difference from every other node."""
-    g = _op_value(A, k)
     total = 0.0
     total_half = 0.0
     for a, b in zip(edges[:-1], edges[1:]):
         ts = np.exp(np.linspace(math.log(a), math.log(b), _OP_NODES))
-        fs = np.array([t ** (-r * p - 1.0) * g(t) ** p for t in ts])
+        gs = modulus_profile(A, ts, k, "operator")
+        fs = np.array([t ** (-r * p - 1.0) * g ** p for t, g in zip(ts, gs)])
         total += _trapz(fs, ts)
         total_half += _trapz(fs[::2], ts[::2])
     total *= 2.0
@@ -722,56 +718,39 @@ def _j_cap(eps, r):
     return 4.0 * eps ** (1.0 - r) / (r - 1.0)
 
 
-def hypersingular_seminorm(A, r, eps_grid=(0.3, 0.1, 0.03, 0.01),
-                           ambient="c0", margin=0):
-    """sup over the eps grid of || int_{eps<=|t|<=1} Delta_t(A) |t|^-r dt ||.
+def hypersingular_seminorm(A, r, ambient="c0", margin=0):
+    """sup over _EPS_GRID of || int_{eps<=|t|<=1} Delta_t(A) |t|^-r dt ||.
 
     The inner integral acts entrywise: offset m picks up the real factor
-    J_m(eps) = 2 int_eps^1 (cos 2 pi m t - 1) t^-r dt.
+    J_m(eps) = 2 int_eps^1 (cos 2 pi m t - 1) t^-r dt, on every offset of
+    the window (operator ambient) or of the reduced profile.
     """
     if not 0 < r < 2:
         raise ParameterError("hypersingular_seminorm needs 0 < r < 2")
-    eps_grid = sorted(set(float(e) for e in eps_grid))
-    if not eps_grid or not all(0 < e < 1 for e in eps_grid):
-        raise ParameterError("eps grid must lie in (0, 1)")
     kind, s = normalize_ambient(ambient)
-
     if kind == "operator":
         A.window.shrink(margin)
-        ms = np.arange(1, A.n)   # every nonzero offset of the window
-        J, Jerr = _j_multipliers(ms, eps_grid, r)
-        best, best_err, best_eps = 0.0, 0.0, eps_grid[0]
-        for row, eps in enumerate(eps_grid):
-            def factor(offs, jrow=J[row]):
-                out = np.zeros(offs.shape)
-                nz = offs != 0
-                out[nz] = jrow[np.searchsorted(ms, np.abs(offs[nz]))]
-                return out
-
-            v = operator_norm_l2(offset_multiplier(A, factor))
-            if v > best:
-                best, best_err, best_eps = v, float(Jerr[row].sum()), eps
-        return SeminormEstimate(best, best_err, 0.0,
-                                {"p": "sup", "r": r, "k": 1, "eps": best_eps,
-                                 "ambient": ambient})
-
-    ms, w, geo = _offset_weights(A, ambient, margin)
-    if ms.size:
-        J, Jerr = _j_multipliers(ms, eps_grid, r)
-        J = np.abs(J)
-    best, best_err, best_eps = 0.0, 0.0, eps_grid[0]
-    for row, eps in enumerate(eps_grid):
-        if ms.size:
-            if kind == "c0":
-                tot = float((J[row] * w).sum())
-                err = float((Jerr[row] * w).sum())
-            else:
-                i = int(np.argmax(J[row] * w))
-                tot = float(J[row, i] * w[i])
-                err = float(Jerr[row, i] * w[i])
+        ms, geo = np.arange(1, A.n), None   # every offset of the window
+    else:
+        ms, w, geo = _offset_weights(A, ambient, margin)
+    J, Jerr = _j_multipliers(ms, _EPS_GRID, r)
+    mass = _dropped_mass(geo, kind, s)
+    best, best_err, best_eps = 0.0, 0.0, _EPS_GRID[0]
+    # no offset (a diagonal A, or a 1 x 1 window) leaves the seminorm at 0
+    for row, eps in enumerate(_EPS_GRID if ms.size else ()):
+        if kind == "operator":
+            factor = np.append(0.0, J[row])
+            tot = operator_norm_l2(
+                offset_multiplier(A, lambda offs: factor[np.abs(offs)]))
+            err = float(Jerr[row].sum())
+        elif kind == "c0":
+            tot = float((np.abs(J[row]) * w).sum())
+            err = float((Jerr[row] * w).sum())
         else:
-            tot, err = 0.0, 0.0
-        err += _dropped_mass(geo, kind, s) * _j_cap(eps, r)
+            i = int(np.argmax(np.abs(J[row]) * w))
+            tot = float(abs(J[row, i]) * w[i])
+            err = float(Jerr[row, i] * w[i])
+        err += mass * _j_cap(eps, r)
         if tot > best:
             best, best_err, best_eps = tot, err, eps
     return SeminormEstimate(best, best_err, 0.0,

@@ -81,10 +81,19 @@ def integral_test_bracket(gamma, r):
     return lo, 2.0 * lo
 
 
+def _log_gamma_r(r):
+    return (r + 1.0) * math.log(2.0) + math.log(r + 1.0) - math.log(r - 1.0)
+
+
 def gamma_r(r):
-    """The sup-form comparison constant 2^{r+1}(r+1)/(r-1), finite for r > 1."""
+    """The sup-form comparison constant 2^{r+1}(r+1)/(r-1), finite for r > 1;
+    a RangeError carrying its log where it exceeds float range."""
     if r <= 1:
         raise ParameterError("gamma_r needs r > 1")
+    log_g = _log_gamma_r(r)
+    if log_g > _MAXLOG:
+        raise RangeError(f"gamma_r overflows floats at r = {r}",
+                         log_value=log_g)
     return 2.0 ** (r + 1) * (r + 1.0) / (r - 1.0)
 
 
@@ -167,9 +176,9 @@ def ell_tilde_r(norm_ainv_op, kappa, r):
                      argmax_k=best_k, beta=beta, gamma_r=g)
 
 
-def phi_Ar(A, r, t, margin=0, norm_a_alg=None, ell_value=None,
-           norm_ainv_op=None):
-    """Minimal k >= 1 with max(2*3^r k^{-r} ||A||_Cr ell_r, 2 E_k ||A^{-1}||) <= t.
+def phi_Ar(A, r, t, norm_a_alg, ell_value, norm_ainv_op, margin=0):
+    """Minimal k >= 1 with max(2*3^r k^{-r} ||A||_Cr ell_r, 2 E_k ||A^{-1}||) <= t,
+    given norm_a_alg = ||A||_Cr, ell_value = ell_r, norm_ainv_op = ||A^{-1}||.
 
     Both criteria are nonincreasing in k, so the first is solved by its
     closed-form threshold (adjusted for float boundaries) and the second
@@ -179,13 +188,6 @@ def phi_Ar(A, r, t, margin=0, norm_a_alg=None, ell_value=None,
         raise ParameterError("t must lie in (0, 1/2]")
     if r <= 0:
         raise ParameterError("need r > 0")
-    if norm_a_alg is None:
-        norm_a_alg = cv_norm(A, Weight.poly(r), margin)
-    if norm_ainv_op is None or ell_value is None:
-        kappa, _, nainv = condition_data(A)
-        norm_ainv_op = nainv if norm_ainv_op is None else norm_ainv_op
-        if ell_value is None:
-            ell_value = ell_r(norm_ainv_op, kappa, r).value
 
     c1 = 2.0 * 3.0 ** r * norm_a_alg * ell_value
     if c1 <= t:
@@ -250,8 +252,7 @@ def baskakov_bound_Cr(A, r, t_grid=(0.5,), method="auto", margin=0,
     na_alg = cv_norm(A, Weight.poly(r), margin)
     best = None
     for tv in t_grid:
-        phi = phi_Ar(A, r, tv, margin, norm_a_alg=na_alg,
-                     ell_value=el.value, norm_ainv_op=nainv_op)
+        phi = phi_Ar(A, r, tv, na_alg, el.value, nainv_op, margin)
         log_b = (math.log(2.0 / (1.0 - tv)) + math.log(el.value)
                  + math.log(phi) + r * math.log1p(phi))
         if best is None or log_b < best[0]:
@@ -312,17 +313,10 @@ def constant_Cr_numeric(r):
     return 128.0 * 50.0 ** r * 64.0 ** (1.0 / r) * math.gamma(r + 1.0) ** (1.0 + 1.0 / r)
 
 
-def _check_constant_mode(mode):
-    if mode not in ("numeric", "symbolic"):
-        raise ParameterError(f"unknown constant mode {mode!r}")
-
-
-def explicit_bound_Cr(norm_A_Cr, norm_A_op, norm_Ainv_op, r,
-                      constant_mode="numeric", measured=None):
+def explicit_bound_Cr(norm_A_Cr, norm_A_op, norm_Ainv_op, r, measured=None):
     """Closed bound C_r ||A||_Cr^{1+1/r} ||A||^{2r+2/r+3} ||A^{-1}||^{2r+2/r+5}.
 
-    Symbolic mode sets the constant to 1 (pure rate report).  The
-    simplified single-norm form ||A||_Cr^{2r+3/r+4} ||A^{-1}||^{2r+2/r+5}
+    The simplified single-norm form ||A||_Cr^{2r+3/r+4} ||A^{-1}||^{2r+2/r+5}
     is attached alongside.
     """
     if min(norm_A_Cr, norm_A_op, norm_Ainv_op) <= 0:
@@ -331,8 +325,7 @@ def explicit_bound_Cr(norm_A_Cr, norm_A_op, norm_Ainv_op, r,
         raise ParameterError("need r > 0")
     if norm_A_op * norm_Ainv_op < 1.0 - 1e-9:
         raise ParameterError("||A|| ||A^{-1}|| >= 1 is violated")
-    _check_constant_mode(constant_mode)
-    C = constant_Cr_numeric(r) if constant_mode == "numeric" else 1.0
+    C = constant_Cr_numeric(r)
     e_alg = 1.0 + 1.0 / r
     e_op = 2.0 * r + 2.0 / r + 3.0
     e_inv = 2.0 * r + 2.0 / r + 5.0
@@ -343,8 +336,7 @@ def explicit_bound_Cr(norm_A_Cr, norm_A_op, norm_Ainv_op, r,
     return _report(
         "explicit_Cr",
         {"norm_A_alg": norm_A_Cr, "norm_A_op": norm_A_op,
-         "norm_Ainv_op": norm_Ainv_op, "r": r,
-         "auxiliary": {"constant_mode": constant_mode}},
+         "norm_Ainv_op": norm_Ainv_op, "r": r, "auxiliary": {}},
         {"C_r": C, "exponent_alg": e_alg, "exponent_op": e_op,
          "exponent_inv": e_inv, "rate_exponent": e_inv,
          "simplified_bound": _exp_or_inf(log_simple),
@@ -358,16 +350,17 @@ def derived_constant_Jr_log(r):
 
     Assembled from gamma_r, the beta <= 1/25 envelope of the sup factor
     ((25/24)(25r/e)^r at kappa >= 1), and the operator-norm embedding
-    ||A||_op <= (2 zeta(r) - 1) ||A||_Jr.
+    ||A||_op <= (2 zeta(r) - 1) ||A||_Jr, each factor taken as its log, so
+    that none overflows however large r is.
     """
     if r <= 1:
         raise ParameterError("need r > 1")
-    g = gamma_r(r)
-    log_G = math.log(g) + math.log(25.0 / 24.0) + r * (math.log(25.0 * r) - 1.0)
-    x0 = 2.0 * 3.0 ** r * g / (2.0 * zeta(r) - 1.0)
-    mu = 1.0 + 2.0 * x0 ** (-1.0 / (r - 1.0))
-    return (math.log(4.0) + r * math.log(mu)
-            + (r / (r - 1.0)) * math.log(2.0 * 3.0 ** r)
+    log_g = _log_gamma_r(r)
+    log_G = log_g + math.log(25.0 / 24.0) + r * (math.log(25.0 * r) - 1.0)
+    log_2_3r = math.log(2.0) + r * math.log(3.0)
+    log_x0 = log_2_3r + log_g - math.log(2.0 * zeta(r) - 1.0)
+    mu = 1.0 + 2.0 * math.exp(-log_x0 / (r - 1.0))
+    return (math.log(4.0) + r * math.log(mu) + (r / (r - 1.0)) * log_2_3r
             + (2.0 + 1.0 / (r - 1.0)) * log_G)
 
 
@@ -375,8 +368,7 @@ def derived_constant_Jr(r):
     return _exp_or_inf(derived_constant_Jr_log(r))
 
 
-def explicit_bound_Jr(norm_A_Jr, norm_A_op, norm_Ainv_op, r,
-                      constant_mode="numeric", measured=None):
+def explicit_bound_Jr(norm_A_Jr, norm_A_op, norm_Ainv_op, r, measured=None):
     """Factored bound C~_r ||A||_Jr^{1+1/(r-1)} ||A||^{2r+1+1/(r-1)}
     ||A^{-1}||^{2r+3+2/(r-1)}, plus the single-norm power form with
     C = ||A||_Jr and exponent 2r+2+2/(r-1)."""
@@ -384,23 +376,22 @@ def explicit_bound_Jr(norm_A_Jr, norm_A_op, norm_Ainv_op, r,
         raise ParameterError("norms must be positive")
     if r <= 1:
         raise ParameterError("need r > 1")
-    _check_constant_mode(constant_mode)
+    if norm_A_op * norm_Ainv_op < 1.0 - 1e-9:
+        raise ParameterError("||A|| ||A^{-1}|| >= 1 is violated")
     e_alg = 1.0 + 1.0 / (r - 1.0)
     e_op = 2.0 * r + 1.0 + 1.0 / (r - 1.0)
     e_inv = 2.0 * r + 3.0 + 2.0 / (r - 1.0)
-    log_C = derived_constant_Jr_log(r) if constant_mode == "numeric" else 0.0
+    log_C = derived_constant_Jr_log(r)
     log_bound = (log_C + e_alg * math.log(norm_A_Jr)
                  + e_op * math.log(norm_A_op) + e_inv * math.log(norm_Ainv_op))
     # single-norm form: every ||A||_op replaced via the zeta embedding
-    log_Cth = log_C + (e_op * math.log(2.0 * zeta(r) - 1.0)
-                       if constant_mode == "numeric" else 0.0)
+    log_Cth = log_C + e_op * math.log(2.0 * zeta(r) - 1.0)
     log_thm = (log_Cth + (e_alg + e_op) * math.log(norm_A_Jr)
                + e_inv * math.log(norm_Ainv_op))
     return _report(
         "explicit_Jr",
         {"norm_A_alg": norm_A_Jr, "norm_A_op": norm_A_op,
-         "norm_Ainv_op": norm_Ainv_op, "r": r,
-         "auxiliary": {"constant_mode": constant_mode}},
+         "norm_Ainv_op": norm_Ainv_op, "r": r, "auxiliary": {}},
         {"C_tilde_r": _exp_or_inf(log_C), "exponent_alg": e_alg,
          "exponent_op": e_op, "exponent_inv": e_inv,
          "rate_exponent": e_inv, "power_form_exponent_alg": e_alg + e_op,
@@ -444,50 +435,44 @@ def dd_domain_bound(norm_ainv_ambient, seminorm_a_dd, k, measured=None):
         bound, measured)
 
 
-def besov_bound(norm_ainv_ambient, norm_a_besov, r, fitted_constant=None,
-                measured=None):
+def besov_bound(norm_ainv_ambient, norm_a_besov, r, measured=None):
     """C ||a^{-1}||^2 ||a||_besov (q^{floor(r)+1} - 1)/(q - 1), q = product,
     with ||a||_besov the p = 1 seminorm.
 
-    The leading constant is unknown; C defaults to 1 (rate report) and a
-    calibration fit may be passed in.  floor(r) = 0 recovers the
-    first-order rule ||a^{-1}||^2 ||a||_besov exactly.
+    The leading constant is unknown, so C = 1 (a rate report).  floor(r) = 0
+    recovers the first-order rule ||a^{-1}||^2 ||a||_besov exactly.
     """
     if min(norm_ainv_ambient, norm_a_besov) <= 0:
         raise ParameterError("inputs must be positive")
     if r <= 0:
         raise ParameterError("need r > 0")
-    C = 1.0 if fitted_constant is None else float(fitted_constant)
     n = math.floor(r) + 1
     q = norm_ainv_ambient * norm_a_besov
     gsum = _geometric_sum(q, n)
-    bound = C * norm_ainv_ambient * q * gsum
+    bound = norm_ainv_ambient * q * gsum
     return _report(
         "besov_control",
         {"norm_A_alg": norm_a_besov, "norm_A_op": None,
          "norm_Ainv_op": norm_ainv_ambient, "r": r, "auxiliary": {"p": 1}},
-        {"q": q, "floor_r": n - 1, "geometric_sum": gsum, "constant": C,
-         "constant_fitted": fitted_constant is not None,
+        {"q": q, "floor_r": n - 1, "geometric_sum": gsum, "constant": 1.0,
          "first_order": r < 1, "rate_exponent": float(n + 1)},
         bound, measured)
 
 
-def bessel_rate_bound(norm_ainv_ambient, norm_a_bessel, r,
-                      fitted_constant=None, measured=None):
-    """Cubic-rate report C ||a^{-1}||^3 ||a||_P^2 for fractional r < 1."""
+def bessel_rate_bound(norm_ainv_ambient, norm_a_bessel, r, measured=None):
+    """Cubic-rate report C ||a^{-1}||^3 ||a||_P^2 for fractional r < 1, with
+    the unknown constant C = 1."""
     if min(norm_ainv_ambient, norm_a_bessel) <= 0:
         raise ParameterError("inputs must be positive")
     if not 0 < r < 1:
         raise ParameterError("need 0 < r < 1")
-    C = 1.0 if fitted_constant is None else float(fitted_constant)
-    bound = C * _exp_or_inf(3.0 * math.log(norm_ainv_ambient)
-                            + 2.0 * math.log(norm_a_bessel))
+    bound = _exp_or_inf(3.0 * math.log(norm_ainv_ambient)
+                        + 2.0 * math.log(norm_a_bessel))
     return _report(
         "bessel_control",
         {"norm_A_alg": norm_a_bessel, "norm_A_op": None,
          "norm_Ainv_op": norm_ainv_ambient, "r": r, "auxiliary": {}},
-        {"constant": C, "constant_fitted": fitted_constant is not None,
-         "rate_exponent": 3.0},
+        {"constant": 1.0, "rate_exponent": 3.0},
         bound, measured)
 
 

@@ -5,14 +5,15 @@ The runner decides the gate: its result carries `violations`, one line
 per failed gate (a bound failure, an identity error above tolerance, or
 a slope/ratio outside its band), which are printed to stderr.  Exit
 codes: 0 when there are none, 1 when there are, 2 on a configuration
-error.  Bracket diagnostics are recorded in the output but never gate
-the exit code.
+error or on a typed library error that a config value raises.  Bracket
+diagnostics are recorded in the output but never gate the exit code.
 """
 
 import argparse
 import sys
 
-from .errors import ConfigError
+from .errors import (ConfigError, NumericalError, ParameterError, RangeError,
+                     SingularityError)
 from .experiments import RUNNERS, ExperimentConfig, write_rows
 
 _DEFAULTS = {
@@ -99,6 +100,10 @@ def main(argv=None):
         result = RUNNERS[args.command](cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except (ParameterError, NumericalError, RangeError,
+            SingularityError) as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     write_rows(result["rows"], cfg.output, cfg.format)
     _print_summary(args.command, result, cfg.output)

@@ -478,9 +478,8 @@ def run_besov_report(cfg):
 def _drift(ratios):
     vals = [v for v in ratios if v is not None and math.isfinite(v)]
     if not vals:
-        return {"ratios": [], "drift": math.nan, "fitted_constant": math.nan}
-    return {"ratios": vals, "drift": max(vals) / min(vals),
-            "fitted_constant": max(vals)}
+        return {"ratios": [], "drift": math.nan}
+    return {"ratios": vals, "drift": max(vals) / min(vals)}
 
 
 RUNNERS = {

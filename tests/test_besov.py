@@ -25,6 +25,8 @@ import pytest
 from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.optimize import minimize_scalar
+from scipy.special import zeta
 
 from decayinv import (IndexWindow, LatticeMatrix, ParameterError,
                       ToeplitzSymbol, besov_seminorm,
@@ -265,6 +267,109 @@ def test_operator_tail_bound_counts_the_whole_window_under_a_margin():
         est = besov_seminorm(A, 1, 0.5, 1, ambient="operator",
                              margin=margin, t_min=0.05, t_max=4.0)
         assert est.tail_bound >= near
+
+
+def _shift_left_out_mpmath(m, r, k, t_min, t_max, p):
+    """The part outside [t_min, t_max] of the shift T_m's seminorm, with
+    g(t) = |2 sin(pi m t)|^k, in mpmath: for p = 1, 2 int t^(-r-1) g dt
+    over (0, t_min) and (t_max, inf); for p = inf, the sup of t^-r g there.
+
+    With u = m t the far integral sums the unit cells above m t_max (an
+    integer) into a Hurwitz zeta, int_0^1 |2 sin pi v|^k zeta(r+1, m t_max
+    + v) dv.  At p = inf, t^-r g rises on (0, t_min] (pi m t_min < 0.1, so
+    k x cot x > r at x = pi m t), and past t_max it is largest in the first
+    period, at the zero of its log's slope in the half period after t_max.
+    """
+    with mpmath.workdps(20):
+        mp_m, mp_r = mpmath.mpf(m), mpmath.mpf(r)
+
+        def g(u):
+            return abs(2 * mpmath.sin(mpmath.pi * u)) ** k
+
+        if p == 1:
+            near = mpmath.quad(lambda u: u ** (-mp_r - 1) * g(u),
+                               [0, m * t_min])
+            far = mpmath.quad(lambda v: g(v) * mpmath.zeta(mp_r + 1,
+                                                           m * t_max + v),
+                              [0, 1])
+            return float(2 * mp_m ** mp_r * (near + far))
+        peak = mpmath.findroot(
+            lambda t: k * mpmath.pi * mp_m * mpmath.cot(mpmath.pi * mp_m * t)
+            - mp_r / t, (t_max + mpmath.mpf(1e-9) / m, t_max + 0.5 / m),
+            solver="anderson")
+        return float(max(mpmath.mpf(t_min) ** -mp_r * g(m * t_min),
+                         peak ** -mp_r * g(m * peak)))
+
+
+def _left_out_numeric(ms, w, k, r, t_min, t_max, p, jaffard):
+    """The same part for g(t) the sum (or, jaffard, the max) over m of
+    w(m) |2 sin(pi m t)|^k, in double precision.
+
+    p = 1: near zero by quad against the weight t^(k-r-1); beyond the
+    integer t_max, g has period 1, so the far part is int_0^1 g(v)
+    zeta(r+1, t_max + v) dv, by 8-node Gauss-Legendre on 4096 panels.
+    p = inf: the largest of t^-r g on a log grid of (0, t_min] and on a
+    grid of [t_max, t_max + 1] (the first period holds the sup beyond
+    t_max), refined around each grid's best point.
+    """
+    def g(t, over_tk=False):
+        """g(t), or g(t) / t^k, finite at t = 0, by sin(pi x) = pi x
+        sinc(x)."""
+        x = np.multiply.outer(np.asarray(t, dtype=float), ms)
+        if over_tk:
+            S = w * np.abs(2.0 * np.pi * ms * np.sinc(x)) ** k
+        else:
+            S = w * np.abs(2.0 * np.sin(np.pi * x)) ** k
+        return S.max(axis=-1) if jaffard else S.sum(axis=-1)
+
+    if p == 1:
+        near = quad(lambda t: g(t, over_tk=True), 0.0, t_min, weight="alg",
+                    wvar=(k - r - 1.0, 0.0), epsabs=0.0, epsrel=1e-12,
+                    limit=200)[0]
+        x, wts = np.polynomial.legendre.leggauss(8)
+        edges = np.linspace(0.0, 1.0, 4097)
+        v = edges[:-1, None] + 0.5 * (x + 1.0) / 4096
+        far = (g(v) * zeta(r + 1.0, t_max + v)) @ wts / 8192
+        return 2.0 * (near + far.sum())
+
+    def h(t):
+        return -(t ** -r) * g(t)
+
+    best = 0.0
+    for ts in (np.geomspace(1e-8, t_min, 4096),
+               np.linspace(t_max, t_max + 1.0, 1 << 16)):
+        i = int(np.argmin(h(ts)))
+        lo, hi = ts[max(i - 1, 0)], ts[min(i + 1, ts.size - 1)]
+        res = minimize_scalar(h, bounds=(lo, hi), method="bounded",
+                              options={"xatol": 1e-14})
+        best = max(best, -float(h(ts[i])), -float(res.fun))
+    return best
+
+
+@pytest.mark.parametrize("r, k", [(0.5, 1), (1.5, 2)])
+@pytest.mark.parametrize("p", [1, math.inf])
+@pytest.mark.parametrize("name", ["shift 1", "shift 3", "inverse 0.5"])
+def test_tail_bound_covers_the_left_out_part(name, p, r, k):
+    # c0 and jaffard(1) ambients on [0.01, 4]: tail_bound is at least the
+    # part of the seminorm left out below t_min and above t_max.  For a
+    # shift the jaffard modulus is (1+m) times the c0 one
+    t_min, t_max = 0.01, 4.0
+    for ambient in ("c0", ("jaffard", 1.0)):
+        if name.startswith("shift"):
+            m = int(name.split()[1])
+            A = make_toeplitz(ToeplitzSymbol({m: 1.0}), W)
+            scale = 1.0 if ambient == "c0" else 1.0 + m
+            left_out = scale * _shift_left_out_mpmath(m, r, k, t_min, t_max,
+                                                      p)
+        else:
+            A = INV
+            ms, w, _ = _offset_weights(INV, ambient, 0)
+            left_out = _left_out_numeric(ms, w, k, r, t_min, t_max, p,
+                                         jaffard=ambient != "c0")
+        est = besov_seminorm(A, p, r, k, ambient=ambient, t_min=t_min,
+                             t_max=t_max)
+        assert est.tail_bound >= left_out, (ambient, est.tail_bound,
+                                            left_out)
 
 
 def test_besov_sup_frozen():
@@ -564,11 +669,24 @@ def test_hypersingular_frozen_values():
 
 
 def test_hypersingular_sup_attained_at_smallest_eps():
-    # the grid sup should come from the finest cutoff for this family
+    # the grid sup should come from the finest cutoff for this family; the
+    # value at eps = 0.3 alone is sum_m |J_m(0.3)| w(m)
     full = hypersingular_seminorm(INV, 0.5)
-    coarse = hypersingular_seminorm(INV, 0.5, eps_grid=(0.3,))
-    assert full.value >= coarse.value
+    ms, w, _ = _offset_weights(INV, "c0", 0)
+    J, _ = _j_multipliers(ms, [0.3], 0.5)
+    coarse = float((np.abs(J[0]) * w).sum())
+    assert full.value >= coarse
     assert full.parameters["eps"] == 0.01
+
+
+@pytest.mark.parametrize("ambient", ["c0", ("jaffard", 1.0), "operator"])
+@pytest.mark.parametrize("A", [identity_matrix(IndexWindow(0, 0)),
+                               identity_matrix(W)],
+                         ids=["1 x 1 window", "diagonal"])
+def test_hypersingular_of_an_empty_profile_is_zero(A, ambient):
+    # no offset has a multiplier: every ambient reads 0, with no error
+    est = hypersingular_seminorm(A, 0.5, ambient=ambient)
+    assert (est.value, est.quadrature_error) == (0.0, 0.0)
 
 
 def test_hypersingular_range_check():
@@ -615,16 +733,10 @@ def test_besov_rejects_bad_parameters():
                                         t_max=math.inf), id="t_max inf"),
     pytest.param(lambda: besov_seminorm(INV, 1, 0.5, 1, t_min=math.nan),
                  id="t_min nan"),
-    pytest.param(lambda: hypersingular_seminorm(INV, 0.5,
-                                                eps_grid=(math.nan,)),
-                 id="eps nan"),
-    pytest.param(lambda: hypersingular_seminorm(INV, 0.5,
-                                                eps_grid=(0.1, math.inf)),
-                 id="eps inf"),
 ])
 def test_besov_inputs_out_of_range_raise_parameter_error(call):
-    # a finite r > 0, an integral k >= 1, a finite 0 < t_min < t_max and
-    # every eps finite in (0, 1); anything else is a ParameterError, never
-    # a bare ValueError, a silent truncation or a loop that never returns
+    # a finite r > 0, an integral k >= 1 and a finite 0 < t_min < t_max;
+    # anything else is a ParameterError, never a bare ValueError, a silent
+    # truncation or a loop that never returns
     with pytest.raises(ParameterError):
         call()

@@ -26,7 +26,7 @@ from decayinv import (IndexWindow, LatticeMatrix, NumericalError,
                       invert_truncated, jaffard_norm, make_toeplitz,
                       operator_norm_l2, phi_Ar, random_decay_matrix,
                       superpoly_bound, weighted_geometric_series, cv_norm)
-from decayinv.bounds import condition_data, gamma_r
+from decayinv.bounds import condition_data, derived_constant_Jr_log, gamma_r
 from decayinv.norms import banded_error, dales_davie_norm
 from decayinv.weights import SmoothnessSequence, log_phi_r
 
@@ -123,10 +123,10 @@ def test_gamma_r_values_and_blowup():
 def test_phi_Ar_is_minimal():
     A = resolvent(2.0)
     r, t = 2.0, 0.5
-    phi = phi_Ar(A, r, t)
     kappa, _, nainv = condition_data(A)
     el = ell_r(nainv, kappa, r)
     na = cv_norm(A, Weight.poly(r))
+    phi = phi_Ar(A, r, t, na, el.value, nainv)
 
     def crit(k):
         dec = 2.0 * 3.0 ** r * k ** (-r) * na * el.value
@@ -144,12 +144,12 @@ def test_phi_Ar_is_minimal():
 
 def test_phi_Ar_frozen_regression():
     A = resolvent(0.2)
-    phi = phi_Ar(A, 2.0, 0.5)
-    assert phi == 437771
-    # minimality at scale: both neighbours behave as required
     kappa, _, nainv = condition_data(A)
     el = ell_r(nainv, kappa, 2.0)
     na = cv_norm(A, Weight.poly(2.0))
+    phi = phi_Ar(A, 2.0, 0.5, na, el.value, nainv)
+    assert phi == 437771
+    # minimality at scale: both neighbours behave as required
     c1 = 2.0 * 9.0 * na * el.value
     assert c1 * phi ** -2.0 <= 0.5 < c1 * (phi - 1.0) ** -2.0
 
@@ -158,7 +158,7 @@ def test_phi_Ar_rejects_bad_t():
     A = resolvent(1.0)
     for t in (0.0, 0.6, -0.1):
         with pytest.raises(ParameterError):
-            phi_Ar(A, 1.0, t)
+            phi_Ar(A, 1.0, t, 1.0, 1.0, 1.0)
 
 
 def test_baskakov_bounds_on_resolvent():
@@ -227,29 +227,6 @@ def test_explicit_Cr_report_shape():
         explicit_bound_Cr(2.0, 0.5, 1.0, 2.0)  # ||A||*||A^{-1}|| < 1
 
 
-def test_explicit_bounds_symbolic_mode():
-    # symbolic mode sets the constant to 1 and keeps every exponent
-    args = (2.0, 1.8, 10.0, 2.0)
-    for bound, const in ((explicit_bound_Cr, "C_r"),
-                         (explicit_bound_Jr, "C_tilde_r")):
-        num = bound(*args)
-        sym = bound(*args, constant_mode="symbolic")
-        assert sym.intermediates[const] == 1.0
-        assert num.intermediates[const] > 1.0
-        assert sym.inputs["auxiliary"]["constant_mode"] == "symbolic"
-        assert num.inputs["auxiliary"]["constant_mode"] == "numeric"
-        for key, val in num.intermediates.items():
-            if "exponent" in key:
-                assert sym.intermediates[key] == val, key
-        assert sym.intermediates["log_bound"] == pytest.approx(
-            num.intermediates["log_bound"] - math.log(num.intermediates[const]),
-            rel=1e-14)
-    with pytest.raises(ParameterError):
-        explicit_bound_Cr(*args, constant_mode="numeric_Cr")
-    with pytest.raises(ParameterError):
-        explicit_bound_Jr(*args, constant_mode="numeric_Jr")
-
-
 def test_explicit_Jr_dominates_baskakov_Jr():
     # the derived constant was assembled to absorb the per-instance
     # geometric factors for kappa >= 1, so the closed bound sits above
@@ -268,6 +245,41 @@ def test_derived_constant_Jr_monotone_pieces():
     # blows up as r -> 1 and grows with r through the (25r/e)^r factor
     assert derived_constant_Jr(1.05) > derived_constant_Jr(1.5)
     assert derived_constant_Jr(4.0) > derived_constant_Jr(2.0)
+
+
+@pytest.mark.parametrize("r", [1.5, 2.0, 500.0, 2000.0])
+def test_derived_constant_Jr_log_matches_mpmath(r):
+    # the constant's own formula at 30 digits; at r = 500 the float
+    # product 2 3^r gamma_r once overflowed to inf and dropped the factor
+    # mu^r, and at r = 2000 3.0 ** r raised OverflowError
+    with mp.workdps(30):
+        R = mp.mpf(r)
+        g = 2 ** (R + 1) * (R + 1) / (R - 1)
+        G = g * mp.mpf(25) / 24 * (25 * R / mp.e) ** R
+        x0 = 2 * 3 ** R * g / (2 * mp.zeta(R) - 1)
+        mu = 1 + 2 * x0 ** (-1 / (R - 1))
+        want = mp.log(4 * mu ** R * (2 * 3 ** R) ** (R / (R - 1))
+                      * G ** (2 + 1 / (R - 1)))
+    assert derived_constant_Jr_log(r) == pytest.approx(float(want), rel=1e-13)
+
+
+def test_Jr_bounds_read_inf_past_float_range():
+    # the constant's log is finite, its value is not: the bounds read inf,
+    # and gamma_r raises a RangeError carrying its log
+    assert derived_constant_Jr(2000.0) == math.inf
+    rep = explicit_bound_Jr(1.0, 1.0, 1.0, 2000.0)
+    assert rep.bound_value == math.inf
+    assert math.isfinite(rep.intermediates["log_bound"])
+    with pytest.raises(RangeError) as info:
+        gamma_r(2000.0)
+    assert info.value.log_value == pytest.approx(
+        2001.0 * math.log(2.0) + math.log(2001.0 / 1999.0), rel=1e-14)
+
+
+def test_explicit_Jr_rejects_a_condition_number_below_one():
+    # as explicit_bound_Cr does: ||A|| ||A^{-1}|| < 1 is no pair of norms
+    with pytest.raises(ParameterError):
+        explicit_bound_Jr(2.0, 0.5, 1.0, 2.0)
 
 
 def test_condition_routes_agree():

@@ -157,6 +157,26 @@ def test_malformed_config_value_exit_code(tmp_path, capsys, command, fields,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command,fields,error", [
+    ("jaffard-check", {"r_list": [1e9]}, "RangeError"),
+    ("dd-sharpness", {"gamma_grid": [1e-300], "r_list": [2.0]},
+     "ParameterError"),
+])
+def test_library_error_from_a_config_value_exit_code(tmp_path, capsys,
+                                                     command, fields, error):
+    # a finite value that the config accepts but a library function does
+    # not (gamma_r overflows at r = 1e9; e^-1e-300 rounds to a resolvent
+    # ratio of 1) exits 2 with one line, not a traceback and exit 1
+    cfg = tmp_path / "range.json"
+    cfg.write_text(json.dumps({"experiment": command, **fields}))
+    out = tmp_path / "rows.csv"
+    code = run([command, "--config", cfg, "--out", out])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {error}: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_config_experiment_mismatch(tmp_path, capsys):
     cfg = tmp_path / "mis.json"
     cfg.write_text(json.dumps({"experiment": "dd-sharpness"}))

@@ -328,3 +328,42 @@ def test_each_setting_has_one_owner():
     assert {name: hits for name, hits in found.items() if hits} == {}
     assert {fn for _, fn in tolerances_reads(PACKAGE / "experiments.py")} \
         == {"_tolerances"}
+
+
+def readers(path, names):
+    """(name, holder) of every read of one of names in path outside its
+    import statements: holder is the top-level function or class whose
+    body holds the read, None at module level."""
+    hits = set()
+    for top in ast.parse(path.read_text(), str(path)).body:
+        if isinstance(top, (ast.Import, ast.ImportFrom)):
+            continue
+        holder = getattr(top, "name", None)
+        for sub in ast.walk(top):
+            name = sub.id if isinstance(sub, ast.Name) else \
+                getattr(sub, "attr", None)
+            if name in names:
+                hits.add((name, holder))
+    return hits
+
+
+# besov computes no norm of its own: an operator norm of a difference is
+# modulus_profile's, the hypersingular multiplier's is its own, and the
+# geometric tail sums are taken only for the mass the profile's cut leaves
+# out; every other norm comes from norms
+BESOV_NORM_READERS = {
+    "operator_norm_l2": {"modulus_profile", "hypersingular_seminorm"},
+    "difference_power": {"modulus_profile", "hypersingular_seminorm"},
+    "log_concave_sum": {"_dropped_mass"},
+    "poly_geometric_max": {"_dropped_mass"},
+    "log_poly_geometric": {"_dropped_mass"},
+}
+
+
+def test_besov_computes_no_norm_of_its_own():
+    found = readers(PACKAGE / "besov.py", set(BESOV_NORM_READERS))
+    stray = sorted((name, str(holder)) for name, holder in found
+                   if holder not in BESOV_NORM_READERS[name])
+    assert stray == [], f"norms computed outside their owner: {stray}"
+    assert ("operator_norm_l2", "modulus_profile") in found
+    assert ("log_concave_sum", "_dropped_mass") in found
