@@ -41,6 +41,7 @@ from .weights import log_concave_sum, log_poly_geometric, poly_geometric_max
 
 _PROFILE_CUT = 1e-18
 _MAXLOG = math.log(np.finfo(float).max)
+_MAX_ORDER = np.finfo(float).maxexp   # difference orders k whose 2^k overflows
 _GL_NODES = (24, 48)  # the Gauss-Legendre rule, and its node-doubled check
 _BLOCK = 1 << 14      # elements of a node matrix evaluated at once
 # p = inf search: log-grid points per shell, points per chunk of that grid
@@ -225,9 +226,9 @@ def _dropped_mass(geo, kind, s):
 
 
 def _difference_order(k):
-    """k as an int, or a ParameterError unless it is an integer >= 1."""
-    if not (float(k).is_integer() and k >= 1):
-        raise ParameterError("difference order k must be an integer >= 1")
+    """k as an int; a ParameterError unless it is an integer in [1, 1024)."""
+    if not (float(k).is_integer() and 1 <= k < _MAX_ORDER):
+        raise ParameterError(f"k must be an integer >= 1 and < {_MAX_ORDER}")
     return int(k)
 
 
@@ -294,8 +295,8 @@ def besov_seminorm(A, p, r, k=None, ambient="c0", margin=0,
     evaluated.  quadrature_error is each route's own estimate: the
     difference from a coarser rule, or the zoom's gain for p = inf.
 
-    r must be finite and positive, k an integer >= 1, and t_min, t_max
-    finite with 0 < t_min < t_max; anything else is a ParameterError.
+    r must be finite and positive, k an integer in [1, 1024), and t_min,
+    t_max finite with 0 < t_min < t_max; anything else is a ParameterError.
     """
     if not (math.isfinite(r) and r > 0):
         raise ParameterError("besov_seminorm needs a finite r > 0")

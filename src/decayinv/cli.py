@@ -30,25 +30,24 @@ _DEFAULTS = {
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="decayinv",
+        formatter_class=argparse.RawDescriptionHelpFormatter,
         description="Sharpness sweeps and bound checks for inverses of "
-                    "matrices with off-diagonal decay.")
-    sub = parser.add_subparsers(dest="command", required=True)
-    helps = {
-        "toeplitz-sharpness": "inverse-norm growth of the resolvent family",
-        "dd-sharpness": "iterated-derivation norm growth of the resolvent",
-        "jaffard-check": "random polynomial-decay instances vs. J_r bounds",
-        "quotient-verify": "relative errors of the smoothness identities",
-        "besov-report": "Besov/hypersingular seminorm tables and checks",
-    }
-    for name in RUNNERS:
-        sp = sub.add_parser(name, help=helps[name])
-        sp.add_argument("--config", metavar="PATH",
+                    "matrices with\noff-diagonal decay.",
+        epilog="""commands:
+  toeplitz-sharpness  inverse-norm growth of the resolvent family
+  dd-sharpness        iterated-derivation norm growth of the resolvent
+  jaffard-check       random polynomial-decay instances vs. J_r bounds
+  quotient-verify     relative errors of the smoothness identities
+  besov-report        Besov/hypersingular seminorm tables and checks""")
+    parser.add_argument("command", choices=RUNNERS, metavar="command",
+                        help="the experiment to run, one of those below")
+    parser.add_argument("--config", metavar="PATH",
                         help="JSON experiment config")
-        sp.add_argument("--out", metavar="PATH", help="row table destination")
-        sp.add_argument("--format", choices=("csv", "json"),
+    parser.add_argument("--out", metavar="PATH", help="row table destination")
+    parser.add_argument("--format", choices=("csv", "json"),
                         help="row table format (default csv)")
-        sp.add_argument("--seed", type=int, help="override the base seed")
-        sp.add_argument("--window", type=int, metavar="N",
+    parser.add_argument("--seed", type=int, help="override the base seed")
+    parser.add_argument("--window", type=int, metavar="N",
                         help="override window_N")
     return parser
 

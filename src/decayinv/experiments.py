@@ -29,7 +29,7 @@ from .errors import ConfigError, ParameterError, SingularityError
 from .lattice import (IndexWindow, LatticeMatrix, ToeplitzSymbol,
                       geometric_inverse_toeplitz, invert_truncated,
                       make_toeplitz, rcond_estimate)
-from .norms import cv_norm, dales_davie_norm, dk_norm_log, jaffard_norm
+from .norms import cv_norm, dales_davie_norm, dk_norm_logs, jaffard_norm
 from .quotient import verify_instances
 from .weights import SmoothnessSequence, Weight
 
@@ -263,19 +263,18 @@ def run_dd_sharpness(cfg):
             log_comp = dales_davie_bound(1.0 / gamma, mode="gevrey",
                                          gevrey_r=r).intermediates["log_bound"]
             ratio = math.exp(dd.log_value - log_comp)
-            checked, ok_all, upper_all = 0, True, True
-            for k in range(1, _BRACKET_KMAX + 1):
-                series_k = math.exp(dk_norm_log(inv, k, "c0"))
+            ks, ok_all, upper_all = range(1, _BRACKET_KMAX + 1), True, True
+            for k, dk_log in zip(ks, dk_norm_logs(inv, ks, "c0")):
+                series_k = math.exp(dk_log)
                 lo, hi = integral_test_bracket(gamma, float(k))
                 lo, hi = math.exp(-gamma) * lo, math.exp(-gamma) * hi
-                checked += 1
                 ok_all = ok_all and (lo <= series_k <= hi)
                 upper_all = upper_all and (series_k <= hi)
             return {
                 "gamma": gamma, "r": r, "dd_norm": dd.value,
                 "log_dd": dd.log_value, "kmax_used": dd.kmax_used,
                 "converged": dd.converged, "log_comparison": log_comp,
-                "ratio": ratio, "bracket_checked": checked,
+                "ratio": ratio, "bracket_checked": len(ks),
                 "bracket_ok_all": ok_all, "bracket_upper_ok_all": upper_all,
             }
         rrows = [one(gamma) for gamma in cfg.gamma_grid]

@@ -4,7 +4,7 @@ Every norm reduces over one DecayProfile per matrix, read from the
 matrix's exact symbol when it carries one (a sum over the whole lattice)
 and from its window entries otherwise.  To read a Toeplitz matrix A on
 its window, pass its section LatticeMatrix(A.window, A.entries).  Large
-iterated sums are accumulated in log space.
+iterated sums are accumulated in log space, for a block of orders at once.
 """
 
 import math
@@ -21,6 +21,7 @@ from .weights import (Weight, log_concave_sum, log_factorial,
 _NEG_INF = float("-inf")
 _DD_TOL = 1e-14         # Dales-Davie terms this far below the sum are quiet
 _DD_KCAP = 160          # order cap of an unbounded Dales-Davie series
+_DD_BLOCK = 8           # Dales-Davie orders evaluated at once
 
 
 def side_diag_sup(A, margin=0):
@@ -152,54 +153,65 @@ def ambient_norm(A, ambient="c0", margin=0):
     return operator_norm_l2(A)
 
 
-def _dk_logs(A, ambient, margin):
-    """k -> log of the ambient norm of D^k A, -inf when the norm is zero.
+def _operator_dk_log(A, k):
+    M = derivation_power(A, k).entries
+    top = np.abs(M).max()
+    if top == 0.0:
+        return _NEG_INF
+    v = operator_norm_l2(LatticeMatrix(A.window, M / top))
+    return math.log(top) + (math.log(v) if v > 0 else _NEG_INF)
 
-    The decay profile is built once, for all orders k.
-    """
+
+def _profile_dk_logs(prof, ks, s):
+    """dk_norm_logs for orders ks, all 0 or all > 0; s is None in c0."""
+    kcol = np.array(ks, dtype=float)[:, None]
+    mask = prof.d > 0
+    if ks[0] > 0:
+        mask &= prof.offsets != 0
+    om = np.abs(prof.offsets[mask]).astype(float)
+    # |m|^0 = 1 at m = 0 too, and log max(|m|, 1) = log |m| elsewhere
+    logs = np.log(prof.d[mask]) + kcol * np.log(np.maximum(om, 1.0))
+    if s is not None:
+        logs = logs + s * np.log1p(om)
+    if prof.scale:
+        m0 = max(prof.tail_start, 1 if ks[0] > 0 else 0)
+        if s is not None:
+            tail = [poly_geometric_max(k, s, prof.rho, m0)[0] for k in ks]
+        else:
+            tail = [t for t, _ in log_concave_sum(
+                lambda ms, live: log_poly_geometric(
+                    ms, kcol[live] if ks[0] > 0 else 0, 0.0, prof.rho),
+                m0, rows=len(ks))]
+        logs = np.column_stack((logs, math.log(prof.scale) + np.array(tail)))
+    top = logs.max(axis=1, initial=_NEG_INF)
+    if s is not None:
+        return top.tolist()
+    sums = np.exp(logs - top[:, None]).sum(axis=1)
+    return [t + math.log(v) if v else _NEG_INF
+            for t, v in zip(top.tolist(), sums.tolist())]
+
+
+def dk_norm_logs(A, ks, ambient="c0", margin=0):
+    """[log of the ambient norm of D^k A for k in the sequence ks], -inf
+    where it is zero.  One decay profile serves all orders: those k > 0
+    share one 2-D log-sum-exp and one row-wise tail series, k = 0 its own."""
     kind, s = normalize_ambient(ambient)
     A.window.shrink(margin)
+    if any(k < 0 for k in ks):
+        raise ParameterError("derivation order must be nonnegative")
     if kind == "operator":
-        def log_norm(k):
-            M = derivation_power(A, k).entries
-            top = np.abs(M).max()
-            if top == 0.0:
-                return _NEG_INF
-            v = operator_norm_l2(LatticeMatrix(A.window, M / top))
-            return math.log(top) + (math.log(v) if v > 0 else _NEG_INF)
-        return log_norm
-
+        return [_operator_dk_log(A, k) for k in ks]
     prof = decay_profile(A, margin)
-    jaffard = kind == "jaffard"
-
-    def log_norm(k):
-        mask = prof.d > 0
-        if k > 0:
-            mask &= prof.offsets != 0
-        om = np.abs(prof.offsets[mask]).astype(float)
-        logs = np.log(prof.d[mask])
-        if k > 0:
-            logs = logs + k * np.log(om)
-        if jaffard:
-            logs = logs + s * np.log1p(om)
-        if prof.scale:
-            m0 = max(prof.tail_start, 1 if k > 0 else 0)
-            if jaffard:
-                tail, _ = poly_geometric_max(k, s, prof.rho, m0)
-            else:
-                tail, _ = log_concave_sum(
-                    lambda ms: log_poly_geometric(ms, k, 0.0, prof.rho), m0)
-            logs = np.append(logs, math.log(prof.scale) + tail)
-        if not logs.size:
-            return _NEG_INF
-        top = float(logs.max())
-        return top if jaffard else top + math.log(np.exp(logs - top).sum())
-    return log_norm
+    logs = {}
+    for group in ([0] if 0 in ks else [], sorted({k for k in ks if k > 0})):
+        if group:
+            logs.update(zip(group, _profile_dk_logs(prof, group, s)))
+    return [logs[k] for k in ks]
 
 
 def dk_norm_log(A, k, ambient="c0", margin=0):
     """log of the ambient norm of D^k A; -inf when the norm is zero."""
-    return _dk_logs(A, ambient, margin)(k)
+    return dk_norm_logs(A, [k], ambient, margin)[0]
 
 
 @dataclass
@@ -218,17 +230,20 @@ def dales_davie_norm(A, seq, ambient="c0", margin=0):
     relative to the partial sum, or at the sequence's last order, where
     the sum is complete.  An unbounded sequence is cut at _DD_KCAP at the
     latest, and if no quiet run came before, the result is flagged
-    converged=False.
+    converged=False.  The norms are read in blocks of _DD_BLOCK orders,
+    and one at a time in the operator ambient, where each costs an SVD.
     """
     hard = seq.kmax
-    kmax = hard if hard is not None else _DD_KCAP
-    dk_log = _dk_logs(A, ambient, margin)
+    orders = range((hard if hard is not None else _DD_KCAP) + 1)
+    block = 1 if normalize_ambient(ambient)[0] == "operator" else _DD_BLOCK
     total_log = _NEG_INF
     quiet = 0
     used = 0
     last_term = _NEG_INF
-    for k in range(0, kmax + 1):
-        lt = dk_log(k) - seq.log_M(k)
+    for k in orders:
+        if k % block == 0:
+            dk_logs = dk_norm_logs(A, orders[k:k + block], ambient, margin)
+        lt = dk_logs[k % block] - seq.log_M(k)
         used = k
         last_term = lt
         total_log = float(np.logaddexp(total_log, lt))

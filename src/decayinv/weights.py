@@ -33,7 +33,7 @@ _BERNOULLI = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6,
               -3617 / 510)
 
 
-def log_concave_sum(log_term, m0):
+def log_concave_sum(log_term, m0, rows=None):
     """(log sum_{m >= m0} a_m, terms summed) of a log-concave a_m > 0 for
     m > m0, given log_term(ms) = log a_m on float indices; in chunks that
     double from 1024 terms.
@@ -41,32 +41,43 @@ def log_concave_sum(log_term, m0):
     Concavity makes a_{m+1}/a_m nonincreasing, so once the terms fall at
     ratio q < 1 the rest is at most next/(1 - q); the sum stops when that is
     below _SERIES_TOL of it, and raises NumericalError past _SERIES_CAP terms.
+    rows=n sums n series on the same chunks, each bit-identical to its own
+    call: log_term(ms, live) gives the terms of the series in the list live
+    as rows, a series leaves live once it stops, and n pairs are returned.
     """
-    top, acc = -math.inf, 0.0          # partial sum = acc * e^top
-    start, chunk = m0, 1024
-    while start - m0 < _SERIES_CAP:
-        logs = log_term(np.arange(start, start + chunk, dtype=float))
+    live = list(range(1 if rows is None else rows))
+    top, acc, out = [-math.inf] * len(live), [0.0] * len(live), {}
+    start, chunk = m0, 1024                  # partial sum i = acc * e^top
+    while live and start - m0 < _SERIES_CAP:
+        ms = np.arange(start, start + chunk, dtype=float)
+        logs = log_term(ms) if rows is None else log_term(ms, live)
+        logs = logs.reshape(len(live), chunk)
         start += chunk
-        hi = float(logs.max())
-        if hi > top:
-            acc *= math.exp(top - hi)
-            top = hi
-        acc += float(np.exp(logs - top).sum())
-        step = float(logs[-1] - logs[-2])
-        if step < 0.0:
-            log_rest = float(logs[-1]) + step - math.log(-math.expm1(step))
-            log_total = top + math.log(acc)
-            if log_rest <= log_total + math.log(_SERIES_TOL):
-                return log_total, start - m0
+        for i, hi in zip(live, logs.max(axis=1).tolist()):
+            if hi > top[i]:
+                acc[i], top[i] = acc[i] * math.exp(top[i] - hi), hi
+        parts = np.exp(logs - np.array([top[i] for i in live])[:, None])
+        for i, part, (before, last) in zip(live[:], parts.sum(axis=1).tolist(),
+                                           logs[:, -2:].tolist()):
+            acc[i] += part
+            step = last - before
+            if step < 0.0:
+                log_rest = last + step - math.log(-math.expm1(step))
+                log_total = top[i] + math.log(acc[i])
+                if log_rest <= log_total + math.log(_SERIES_TOL):
+                    out[i] = (log_total, start - m0)
+                    live.remove(i)
         chunk = min(2 * chunk, 1 << 20)
-    raise NumericalError(
-        f"log-concave series did not settle within {_SERIES_CAP} terms")
+    if live:
+        raise NumericalError(
+            f"log-concave series did not settle within {_SERIES_CAP} terms")
+    return out[0] if rows is None else [out[i] for i in range(rows)]
 
 
 def log_poly_geometric(ms, k, s, rho):
-    """log of m^k (1+m)^s rho^m at the float indices ms >= 0 (k, s >= 0),
-    with 0^0 = 1 and log 0^k = -inf for k > 0."""
-    if k == 0:
+    """log of m^k (1+m)^s rho^m at the float indices ms >= 0 (k, s >= 0; a
+    column of k > 0 gives a row each), 0^0 = 1 and log 0^k = -inf for k > 0."""
+    if not isinstance(k, np.ndarray) and k == 0:
         return s * np.log1p(ms) + ms * math.log(rho)
     log_ms = np.log(ms, out=np.full_like(ms, -math.inf), where=ms > 0)
     return k * log_ms + s * np.log1p(ms) + ms * math.log(rho)

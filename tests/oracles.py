@@ -5,14 +5,17 @@ with multinomial weights, the binomial expansion of the difference
 power, and the offset multiplier entry by entry; the quotient-rule
 verifier one order at a time; a Besov integral by adaptive quad on the
 cells between its kinks, or by the fixed kink-cell rule on [t_min, t_max]
-itself; and the p = inf grid-and-zoom search on every dyadic shell.  The
-package evaluates the same quantities by cheaper routes (first-part
-recurrences, one pass up to the top order, a closed entrywise factor, one
-offset table, a closed form, one fixed rule per cell, the integral folded
-onto [0, 1/2], a search of only the shells a closed-form bound cannot
-rule out, one row of sines shared by the unit cells of an
-antiderivative), so nothing here is imported from src but the Besov
-block layout, whose row positions fix the last bits of a product.
+itself; the p = inf grid-and-zoom search on every dyadic shell; and the
+norm of D^k A one order at a time.  The package evaluates the same
+quantities by cheaper routes (first-part recurrences, one pass up to the
+top order, a closed entrywise factor, one offset table, a closed form,
+one fixed rule per cell, the integral folded onto [0, 1/2], a search of
+only the shells a closed-form bound cannot rule out, one row of sines
+shared by the unit cells of an antiderivative, a block of derivation
+orders at once), so nothing here is imported from src but the Besov
+block layout, whose row positions fix the last bits of a product, and
+the decay profile and the one-row series, which the per-order
+derivation norms must match bit for bit.
 pytest does not collect this module.
 """
 
@@ -27,6 +30,9 @@ from scipy.special import gammaln
 from decayinv import (LatticeMatrix, ParameterError, apply_automorphism,
                       derivation_power, difference_power, operator_norm_l2)
 from decayinv.besov import _blocks
+from decayinv.norms import decay_profile, normalize_ambient
+from decayinv.weights import (log_concave_sum, log_poly_geometric,
+                              poly_geometric_max)
 
 
 def compositions(k, m):
@@ -225,6 +231,44 @@ def a_m_bruteforce(seq, m, kmax=15):
             if t > best:
                 best = t
     return math.exp(best / m)
+
+
+def dk_norm_log_per_order(A, k, ambient="c0", margin=0):
+    """log of the ambient norm of D^k A, -inf when it is zero, one order at
+    a time: the finite part's own log-sum-exp (or max) and the geometric
+    tail's own one-row series."""
+    kind, s = normalize_ambient(ambient)
+    A.window.shrink(margin)
+    if kind == "operator":
+        M = derivation_power(A, k).entries
+        top = np.abs(M).max()
+        if top == 0.0:
+            return -math.inf
+        v = operator_norm_l2(LatticeMatrix(A.window, M / top))
+        return math.log(top) + (math.log(v) if v > 0 else -math.inf)
+    prof = decay_profile(A, margin)
+    jaffard = kind == "jaffard"
+    mask = prof.d > 0
+    if k > 0:
+        mask &= prof.offsets != 0
+    om = np.abs(prof.offsets[mask]).astype(float)
+    logs = np.log(prof.d[mask])
+    if k > 0:
+        logs = logs + k * np.log(om)
+    if jaffard:
+        logs = logs + s * np.log1p(om)
+    if prof.scale:
+        m0 = max(prof.tail_start, 1 if k > 0 else 0)
+        if jaffard:
+            tail, _ = poly_geometric_max(k, s, prof.rho, m0)
+        else:
+            tail, _ = log_concave_sum(
+                lambda ms: log_poly_geometric(ms, k, 0.0, prof.rho), m0)
+        logs = np.append(logs, math.log(prof.scale) + tail)
+    if not logs.size:
+        return -math.inf
+    top = float(logs.max())
+    return top if jaffard else top + math.log(np.exp(logs - top).sum())
 
 
 def besov_integral_cells(ms, w, k, r, p, t_min, t_max, jaffard=False):

@@ -589,6 +589,20 @@ def test_modulus_profile_rejects_an_order_besov_seminorm_rejects(k, ambient):
         besov_seminorm(A, 1, 0.5, k, ambient)
 
 
+@pytest.mark.parametrize("p", [1, 2, math.inf])
+@pytest.mark.parametrize("ambient", ["c0", ("jaffard", 1.0), "operator"])
+def test_besov_rejects_an_order_whose_power_of_two_overflows(p, ambient):
+    # 2^k, a factor of every modulus and tail bound, overflows a float from
+    # k = 1024 on: each besov route stopped on a bare OverflowError there
+    # (under -W error on a RuntimeWarning first), and the modulus read inf
+    A = geometric_inverse_toeplitz(0.5, IndexWindow(-8, 7))
+    for k in (1024, 1100):
+        with pytest.raises(ParameterError, match="< 1024"):
+            besov_seminorm(A, p, 0.5, k, ambient, t_min=0.01, t_max=0.5)
+        with pytest.raises(ParameterError, match="< 1024"):
+            modulus_profile(A, [0.1], k, ambient)
+
+
 @pytest.mark.parametrize("t", [math.nan, math.inf])
 def test_modulus_profile_rejects_a_non_finite_t(t):
     A = geometric_inverse_toeplitz(0.5, IndexWindow(-8, 7))

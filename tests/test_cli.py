@@ -13,6 +13,29 @@ def run(args):
     return main([str(a) for a in args])
 
 
+@pytest.mark.parametrize("argv", [[], ["no-such-experiment"]])
+def test_a_missing_or_unknown_command_exits_2(argv, capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(argv)
+    assert exit_.value.code == 2
+    assert "decayinv: error: " in capsys.readouterr().err
+
+
+def test_help_lists_every_command_and_option(capsys):
+    # the commands share one parser, so a command's --help is the whole help
+    with pytest.raises(SystemExit) as exit_:
+        main(["dd-sharpness", "--help"])
+    assert exit_.value.code == 0
+    out = capsys.readouterr().out
+    for option in ("--config", "--out", "--format", "--seed", "--window"):
+        assert option in out
+    # and each command on a line of its own with its one-line help
+    listed = {line.split()[0]: line for line in out.splitlines()
+              if len(line.split()) > 1}
+    for name in RUNNERS:
+        assert listed[name].startswith(f"  {name} "), name
+
+
 def test_quotient_verify_exits_clean(tmp_path, capsys):
     out = tmp_path / "q.csv"
     code = run(["quotient-verify", "--window", 32, "--seed", 5,

@@ -4,6 +4,7 @@ import csv
 import json
 import math
 import os
+import sys
 import unittest
 
 from decayinv import (ConfigError, ExperimentConfig, SlopeFit, besov,
@@ -11,7 +12,9 @@ from decayinv import (ConfigError, ExperimentConfig, SlopeFit, besov,
                       dales_davie_bound, experiments, explicit_bound_Jr,
                       invert_truncated, jaffard_norm, lattice,
                       random_decay_matrix)
+from decayinv import weights
 from decayinv.bounds import condition_data
+from decayinv.cli import build_parser, resolve_config
 from decayinv.experiments import (RUNNERS, centered_window, run_besov_report,
                                   run_dd_sharpness, run_jaffard_check,
                                   run_quotient_verify, run_toeplitz_sharpness,
@@ -213,6 +216,24 @@ def test_dd_log_comparison_is_the_gevrey_bound():
         rep = dales_davie_bound(1.0 / row["gamma"], mode="gevrey",
                                 gevrey_r=row["r"])
         assert row["log_comparison"] == rep.intermediates["log_bound"]
+
+
+def test_dd_sharpness_sums_its_derivation_norms_in_blocks(monkeypatch):
+    # a count, not a timing: the default run sums 32 series, one per block
+    # of orders and one per gamma for order 0; one series per order was 209
+    calls = []
+    series = weights.log_concave_sum
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return series(*args, **kwargs)
+    for name, module in list(sys.modules.items()):
+        if (name.split(".")[0] == "decayinv"
+                and getattr(module, "log_concave_sum", None) is series):
+            monkeypatch.setattr(module, "log_concave_sum", counted)
+    run_dd_sharpness(resolve_config(build_parser().parse_args(
+        ["dd-sharpness"])))
+    assert 0 < len(calls) <= 40
 
 
 def test_jaffard_bound_explicit_is_the_library_bound():

@@ -8,17 +8,19 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from decayinv import (IndexWindow, LatticeMatrix, ParameterError,
-                      ToeplitzSymbol, Weight, ambient_norm, banded_error,
+from decayinv import (GeometricTail, IndexWindow, LatticeMatrix,
+                      ParameterError, ToeplitzSymbol, Weight, ambient_norm,
+                      banded_error,
                       baskakov_bound_Jr, besov_seminorm, cv_norm,
                       dales_davie_norm, geometric_inverse_toeplitz,
                       hypersingular_seminorm, jaffard_norm, make_toeplitz,
                       modulus_profile, random_decay_matrix)
 from decayinv.besov import decay_moment
-from decayinv.norms import a_m_gevrey, dk_norm_log, side_diag_sup
+from decayinv import norms
+from decayinv.norms import a_m_gevrey, dk_norm_log, dk_norm_logs, side_diag_sup
 from decayinv.weights import SmoothnessSequence, log_phi_r
 
-from oracles import a_m_bruteforce
+from oracles import a_m_bruteforce, dk_norm_log_per_order
 
 W = IndexWindow(-32, 31)
 GAMMAS = (0.1, 0.2, 0.5, 1.0)
@@ -267,6 +269,59 @@ def test_dales_davie_finite_sequence_beyond_the_order_cap():
     ref = top + math.log(math.fsum(math.exp(x - top) for x in logs))
     assert val.converged and val.kmax_used > 200
     assert val.log_value == pytest.approx(ref, rel=1e-12)
+
+
+@st.composite
+def decay_matrices(draw):
+    """A section with some diagonals zeroed, or a symbol with or without a
+    finite part and a geometric tail; scaled away from 1."""
+    window = IndexWindow(-8, 7)
+    scale = draw(st.sampled_from([1.0, 1e-3, 0.37, 25.0]))
+    if draw(st.booleans()):
+        rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+        E = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
+        offsets = np.subtract.outer(np.arange(16), np.arange(16))
+        E[np.isin(offsets, rng.integers(-15, 16, size=6))] = 0.0
+        return LatticeMatrix(window, scale * E)
+    coeffs = draw(st.dictionaries(st.integers(-12, 12),
+                                  st.floats(-5.0, 5.0).filter(bool),
+                                  max_size=6))
+    tail = None
+    if draw(st.booleans()) or not coeffs:
+        ratio = draw(st.sampled_from([0.0, 0.2, -0.6, 0.9j, 0.97]))
+        tail = GeometricTail(ratio, scale)
+    return make_toeplitz(ToeplitzSymbol(coeffs, tail), window)
+
+
+AMBIENTS = ["c0", ("jaffard", 0.0), ("jaffard", 1.5), "operator"]
+
+
+@seed(23)
+@settings(max_examples=40, deadline=None)
+@given(decay_matrices(), st.sampled_from([0, 3]), st.sampled_from(AMBIENTS),
+       st.permutations(range(41)))
+def test_dk_norm_logs_match_the_per_order_reference(A, margin, ambient, ks):
+    # the block route (one 2-D log-sum-exp, one row-wise tail series) must
+    # reproduce every order's own evaluation bit for bit, in any order
+    got = dk_norm_logs(A, ks, ambient, margin)
+    want = [dk_norm_log_per_order(A, k, ambient, margin) for k in ks]
+    assert got == want
+
+
+def test_dales_davie_operator_ambient_evaluates_no_order_past_the_stop(
+        monkeypatch):
+    # each order costs an SVD there, so the orders are read one at a time
+    calls = []
+
+    def counted(A):
+        calls.append(A)
+        return operator_norm_l2(A)
+    operator_norm_l2 = norms.operator_norm_l2
+    monkeypatch.setattr(norms, "operator_norm_l2", counted)
+    A = random_decay_matrix(IndexWindow(-8, 7), 2.0, 0.3, seed=[0, 1])
+    val = dales_davie_norm(A, SmoothnessSequence.gevrey(2.0), "operator")
+    assert val.converged and val.kmax_used % 8 != 7
+    assert len(calls) == val.kmax_used + 1
 
 
 @pytest.mark.parametrize("r", [1.5, 2.0, 3.0])

@@ -115,6 +115,26 @@ def test_poly_geometric_sum_and_max(k, s, gamma, m0):
     assert log_max == pytest.approx(top, rel=1e-15, abs=1e-15)
 
 
+@seed(29)
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.tuples(st.floats(min_value=0.0, max_value=40.0),
+                          st.floats(min_value=0.0, max_value=4.0),
+                          st.floats(min_value=0.002, max_value=3.0)),
+                min_size=1, max_size=8),
+       st.integers(min_value=1, max_value=50))
+def test_row_wise_sum_matches_each_one_row_call(params, m0):
+    # m^k (1+m)^s e^(-gamma m) per row: the rows settle in different
+    # chunks, and each must leave the block with its own call's pair
+    k, s, gamma = (np.array(col)[:, None] for col in zip(*params))
+    got = log_concave_sum(
+        lambda ms, live: k[live] * np.log(ms) + s[live] * np.log1p(ms)
+        - gamma[live] * ms, m0, rows=len(params))
+    want = [log_concave_sum(
+        lambda ms, a=a, b=b, c=c: a * np.log(ms) + b * np.log1p(ms) - c * ms,
+        m0) for a, b, c in params]
+    assert got == want
+
+
 def test_phi_r_rejects_bad_args():
     with pytest.raises(ParameterError):
         log_phi_r(-1.0, 2.0)
