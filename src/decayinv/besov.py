@@ -37,11 +37,15 @@ from .lattice import (LatticeMatrix, difference_power, offset_multiplier,
                       operator_norm_l2)
 from .norms import (ambient_norm, decay_profile, dk_norm_log,
                     normalize_ambient)
-from .weights import log_concave_sum, log_poly_geometric, poly_geometric_max
+from .weights import poly_geometric_max
 
 _PROFILE_CUT = 1e-18
 _MAXLOG = math.log(np.finfo(float).max)
-_MAX_ORDER = np.finfo(float).maxexp   # difference orders k whose 2^k overflows
+# difference orders k from here on are rejected: the p = inf search bounds
+# its chunks through m^k w(m) over the profile's offsets, which overflows
+# from k = 207 on for the offsets up to 31 of a 32-point window (p = 2,
+# squaring a modulus near 2^k, lasts to k = 509)
+_MAX_ORDER = 207
 _GL_NODES = (24, 48)  # the Gauss-Legendre rule, and its node-doubled check
 _BLOCK = 1 << 14      # elements of a node matrix evaluated at once
 # p = inf search: log-grid points per shell, points per chunk of that grid
@@ -212,21 +216,18 @@ def decay_moment(A, r, p=1, ambient="c0", margin=0):
 
 
 def _dropped_mass(geo, kind, s):
-    """The cut geometric tail's mass: the max (jaffard) or sum (otherwise)
-    over m > M of scale (1+m)^s rho^m."""
+    """The cut geometric tail's mass: the max (jaffard) of scale (1+m)^s
+    rho^m over m > M, or (c0) its sum scale rho^(M+1) / (1 - rho)."""
     if geo is None:
         return 0.0
     sc, rho, M = geo
     if kind == "jaffard":
-        log_mass, _ = poly_geometric_max(0.0, s, rho, M + 1)
-    else:
-        log_mass, _ = log_concave_sum(
-            lambda ms: log_poly_geometric(ms, 0.0, 0.0, rho), M + 1)
-    return sc * math.exp(log_mass)
+        return sc * math.exp(poly_geometric_max(0.0, s, rho, M + 1)[0])
+    return sc * rho ** (M + 1) / (1.0 - rho)
 
 
 def _difference_order(k):
-    """k as an int; a ParameterError unless it is an integer in [1, 1024)."""
+    """k as an int; a ParameterError unless it is an integer in [1, 207)."""
     if not (float(k).is_integer() and 1 <= k < _MAX_ORDER):
         raise ParameterError(f"k must be an integer >= 1 and < {_MAX_ORDER}")
     return int(k)
@@ -295,7 +296,7 @@ def besov_seminorm(A, p, r, k=None, ambient="c0", margin=0,
     evaluated.  quadrature_error is each route's own estimate: the
     difference from a coarser rule, or the zoom's gain for p = inf.
 
-    r must be finite and positive, k an integer in [1, 1024), and t_min,
+    r must be finite and positive, k an integer in [1, 207), and t_min,
     t_max finite with 0 < t_min < t_max; anything else is a ParameterError.
     """
     if not (math.isfinite(r) and r > 0):

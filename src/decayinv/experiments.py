@@ -203,17 +203,20 @@ def run_toeplitz_sharpness(cfg):
     if not cfg.r_list or any(r < 0 for r in cfg.r_list):
         raise ConfigError("toeplitz sharpness needs r_list with every r >= 0")
     window = centered_window(cfg.window_N)
+    family = {}     # gamma -> (resolvent, its inverse, the inverse's C0 norm)
+    for gamma in cfg.gamma_grid:
+        inv = geometric_inverse_toeplitz(gamma, window)
+        family[gamma] = (resolvent_matrix(gamma, window), inv,
+                         cv_norm(inv, Weight.poly(0.0)))
     rows, fits = [], {}
     for r in cfg.r_list:
         def one(gamma, r=r):
             x = math.exp(-gamma)
             s = 1.0 + 2.0 ** r * x
-            A = resolvent_matrix(gamma, window)
-            inv = geometric_inverse_toeplitz(gamma, window)
+            A, inv, inv_c0 = family[gamma]
             norm_A = cv_norm(A, Weight.poly(r))
             series = cv_norm(inv, Weight.poly(r))
             lo, hi = integral_test_bracket(gamma, r)
-            inv_c0 = cv_norm(inv, Weight.poly(0.0))
             return {
                 "gamma": gamma, "r": r, "norm_A_Cr": norm_A, "normalizer": s,
                 "series_Cr": series, "bracket_low": lo, "bracket_high": hi,

@@ -16,12 +16,11 @@ from numpy.lib.stride_tricks import as_strided
 from .errors import ParameterError
 from .lattice import LatticeMatrix, derivation_power, operator_norm_l2
 from .weights import (Weight, log_concave_sum, log_factorial,
-                      log_poly_geometric, poly_geometric_max)
+                      log_polylog_tails, poly_geometric_max)
 
 _NEG_INF = float("-inf")
 _DD_TOL = 1e-14         # Dales-Davie terms this far below the sum are quiet
 _DD_KCAP = 160          # order cap of an unbounded Dales-Davie series
-_DD_BLOCK = 8           # Dales-Davie orders evaluated at once
 
 
 def side_diag_sup(A, margin=0):
@@ -162,51 +161,37 @@ def _operator_dk_log(A, k):
     return math.log(top) + (math.log(v) if v > 0 else _NEG_INF)
 
 
-def _profile_dk_logs(prof, ks, s):
-    """dk_norm_logs for orders ks, all 0 or all > 0; s is None in c0."""
-    kcol = np.array(ks, dtype=float)[:, None]
-    mask = prof.d > 0
-    if ks[0] > 0:
-        mask &= prof.offsets != 0
-    om = np.abs(prof.offsets[mask]).astype(float)
-    # |m|^0 = 1 at m = 0 too, and log max(|m|, 1) = log |m| elsewhere
-    logs = np.log(prof.d[mask]) + kcol * np.log(np.maximum(om, 1.0))
+def dk_norm_logs(A, ks, ambient="c0", margin=0):
+    """[log of the ambient norm of D^k A for k in the sequence ks], -inf
+    where it is zero: one 2-D log-sum-exp (max in jaffard) over one decay
+    profile, whose c0 tail sums come from one weights.log_polylog_tails."""
+    kind, s = normalize_ambient(ambient)
+    A.window.shrink(margin)
+    if any(k < 0 or k != int(k) for k in ks):
+        raise ParameterError("derivation order must be an integer >= 0")
+    if kind == "operator":
+        return [_operator_dk_log(A, k) for k in ks]
+    prof = decay_profile(A, margin)
+    ks = np.array(ks, dtype=int)
+    keep = prof.d > 0
+    om = np.abs(prof.offsets[keep]).astype(float)
+    logs = np.log(prof.d[keep]) + ks[:, None] * np.log(np.maximum(om, 1.0))
+    logs[(ks[:, None] > 0) & (om == 0)] = _NEG_INF   # 0^k = 0, but 0^0 = 1
     if s is not None:
-        logs = logs + s * np.log1p(om)
+        logs += s * np.log1p(om)
     if prof.scale:
-        m0 = max(prof.tail_start, 1 if ks[0] > 0 else 0)
+        m0 = prof.tail_start
         if s is not None:
             tail = [poly_geometric_max(k, s, prof.rho, m0)[0] for k in ks]
         else:
-            tail = [t for t, _ in log_concave_sum(
-                lambda ms, live: log_poly_geometric(
-                    ms, kcol[live] if ks[0] > 0 else 0, 0.0, prof.rho),
-                m0, rows=len(ks))]
+            tail = log_polylog_tails(prof.rho, m0, ks.max(initial=0))[ks]
         logs = np.column_stack((logs, math.log(prof.scale) + np.array(tail)))
     top = logs.max(axis=1, initial=_NEG_INF)
     if s is not None:
         return top.tolist()
-    sums = np.exp(logs - top[:, None]).sum(axis=1)
+    sums = np.exp(logs - np.where(top > _NEG_INF, top, 0.0)[:, None]).sum(1)
     return [t + math.log(v) if v else _NEG_INF
             for t, v in zip(top.tolist(), sums.tolist())]
-
-
-def dk_norm_logs(A, ks, ambient="c0", margin=0):
-    """[log of the ambient norm of D^k A for k in the sequence ks], -inf
-    where it is zero.  One decay profile serves all orders: those k > 0
-    share one 2-D log-sum-exp and one row-wise tail series, k = 0 its own."""
-    kind, s = normalize_ambient(ambient)
-    A.window.shrink(margin)
-    if any(k < 0 for k in ks):
-        raise ParameterError("derivation order must be nonnegative")
-    if kind == "operator":
-        return [_operator_dk_log(A, k) for k in ks]
-    prof = decay_profile(A, margin)
-    logs = {}
-    for group in ([0] if 0 in ks else [], sorted({k for k in ks if k > 0})):
-        if group:
-            logs.update(zip(group, _profile_dk_logs(prof, group, s)))
-    return [logs[k] for k in ks]
 
 
 def dk_norm_log(A, k, ambient="c0", margin=0):
@@ -230,22 +215,18 @@ def dales_davie_norm(A, seq, ambient="c0", margin=0):
     relative to the partial sum, or at the sequence's last order, where
     the sum is complete.  An unbounded sequence is cut at _DD_KCAP at the
     latest, and if no quiet run came before, the result is flagged
-    converged=False.  The norms are read in blocks of _DD_BLOCK orders,
-    and one at a time in the operator ambient, where each costs an SVD.
+    converged=False.  The norms are read in blocks, orders k..2k at order
+    k, and one at a time in the operator ambient, where each is an SVD.
     """
     hard = seq.kmax
     orders = range((hard if hard is not None else _DD_KCAP) + 1)
-    block = 1 if normalize_ambient(ambient)[0] == "operator" else _DD_BLOCK
-    total_log = _NEG_INF
-    quiet = 0
-    used = 0
-    last_term = _NEG_INF
-    for k in orders:
-        if k % block == 0:
-            dk_logs = dk_norm_logs(A, orders[k:k + block], ambient, margin)
-        lt = dk_logs[k % block] - seq.log_M(k)
-        used = k
-        last_term = lt
+    one_by_one = normalize_ambient(ambient)[0] == "operator"
+    total_log, quiet, dk_logs = _NEG_INF, 0, []
+    for k in orders:      # k and lt stay at the last order read
+        if k == len(dk_logs):
+            block = orders[k:k + 1 if one_by_one else 2 * k + 1]
+            dk_logs += dk_norm_logs(A, block, ambient, margin)
+        lt = dk_logs[k] - seq.log_M(k)
         total_log = float(np.logaddexp(total_log, lt))
         if total_log > _NEG_INF and lt < total_log + math.log(_DD_TOL):
             quiet += 1
@@ -253,11 +234,10 @@ def dales_davie_norm(A, seq, ambient="c0", margin=0):
                 break
         else:
             quiet = 0
-    complete = hard is not None and used >= hard
-    converged = complete or quiet >= 3
-    tail_ratio = math.exp(last_term - total_log) if total_log > _NEG_INF else 0.0
+    converged = (hard is not None and k >= hard) or quiet >= 3
+    tail_ratio = math.exp(lt - total_log) if total_log > _NEG_INF else 0.0
     value = math.exp(total_log) if total_log < 709.0 else float("inf")
-    return DalesDavieValue(value=value, log_value=total_log, kmax_used=used,
+    return DalesDavieValue(value=value, log_value=total_log, kmax_used=k,
                            converged=bool(converged), tail_ratio=tail_ratio)
 
 

@@ -1,7 +1,7 @@
 """Weight functions on lattice offsets, smoothness sequences, the entire
-function phi_r(x) = sum_l x^l / (l!)^r used by the inversion bounds, and
-the sum and max of the log-concave sequences behind every series, and the
-log-factorial and zeta(s > 1) those series and bounds need."""
+function phi_r(x) = sum_l x^l / (l!)^r used by the inversion bounds, the
+sums and maxima behind every series and tail, and the log-factorial and
+zeta(s > 1) those series and bounds need."""
 
 import math
 from dataclasses import dataclass
@@ -33,7 +33,7 @@ _BERNOULLI = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6,
               -3617 / 510)
 
 
-def log_concave_sum(log_term, m0, rows=None):
+def log_concave_sum(log_term, m0):
     """(log sum_{m >= m0} a_m, terms summed) of a log-concave a_m > 0 for
     m > m0, given log_term(ms) = log a_m on float indices; in chunks that
     double from 1024 terms.
@@ -41,46 +41,64 @@ def log_concave_sum(log_term, m0, rows=None):
     Concavity makes a_{m+1}/a_m nonincreasing, so once the terms fall at
     ratio q < 1 the rest is at most next/(1 - q); the sum stops when that is
     below _SERIES_TOL of it, and raises NumericalError past _SERIES_CAP terms.
-    rows=n sums n series on the same chunks, each bit-identical to its own
-    call: log_term(ms, live) gives the terms of the series in the list live
-    as rows, a series leaves live once it stops, and n pairs are returned.
     """
-    live = list(range(1 if rows is None else rows))
-    top, acc, out = [-math.inf] * len(live), [0.0] * len(live), {}
-    start, chunk = m0, 1024                  # partial sum i = acc * e^top
-    while live and start - m0 < _SERIES_CAP:
-        ms = np.arange(start, start + chunk, dtype=float)
-        logs = log_term(ms) if rows is None else log_term(ms, live)
-        logs = logs.reshape(len(live), chunk)
+    top, acc = -math.inf, 0.0          # partial sum = acc * e^top
+    start, chunk = m0, 1024
+    while start - m0 < _SERIES_CAP:
+        logs = log_term(np.arange(start, start + chunk, dtype=float))
         start += chunk
-        for i, hi in zip(live, logs.max(axis=1).tolist()):
-            if hi > top[i]:
-                acc[i], top[i] = acc[i] * math.exp(top[i] - hi), hi
-        parts = np.exp(logs - np.array([top[i] for i in live])[:, None])
-        for i, part, (before, last) in zip(live[:], parts.sum(axis=1).tolist(),
-                                           logs[:, -2:].tolist()):
-            acc[i] += part
-            step = last - before
-            if step < 0.0:
-                log_rest = last + step - math.log(-math.expm1(step))
-                log_total = top[i] + math.log(acc[i])
-                if log_rest <= log_total + math.log(_SERIES_TOL):
-                    out[i] = (log_total, start - m0)
-                    live.remove(i)
+        hi = float(logs.max())
+        if hi > top:
+            acc *= math.exp(top - hi)
+            top = hi
+        acc += float(np.exp(logs - top).sum())
+        step = float(logs[-1] - logs[-2])
+        if step < 0.0:
+            log_rest = float(logs[-1]) + step - math.log(-math.expm1(step))
+            log_total = top + math.log(acc)
+            if log_rest <= log_total + math.log(_SERIES_TOL):
+                return log_total, start - m0
         chunk = min(2 * chunk, 1 << 20)
-    if live:
-        raise NumericalError(
-            f"log-concave series did not settle within {_SERIES_CAP} terms")
-    return out[0] if rows is None else [out[i] for i in range(rows)]
+    raise NumericalError(
+        f"log-concave series did not settle within {_SERIES_CAP} terms")
 
 
 def log_poly_geometric(ms, k, s, rho):
-    """log of m^k (1+m)^s rho^m at the float indices ms >= 0 (k, s >= 0; a
-    column of k > 0 gives a row each), 0^0 = 1 and log 0^k = -inf for k > 0."""
-    if not isinstance(k, np.ndarray) and k == 0:
+    """log of m^k (1+m)^s rho^m at the float indices ms >= 0 (k, s >= 0),
+    with 0^0 = 1 and log 0^k = -inf for k > 0."""
+    if k == 0:
         return s * np.log1p(ms) + ms * math.log(rho)
     log_ms = np.log(ms, out=np.full_like(ms, -math.inf), where=ms > 0)
     return k * log_ms + s * np.log1p(ms) + ms * math.log(rho)
+
+
+def log_polylog_tails(rho, m0, kmax):
+    """[log V_k for k = 0..kmax], V_k = sum_{m >= m0} m^k rho^m with 0^0 = 1,
+    for 0 < rho < 1 and integers m0 >= 0, 0 <= kmax <= 1000.
+
+    From m -> m + 1: (1 - rho) V_k = m0^k rho^m0 + rho sum_{i<k} C(k, i) V_i.
+    Its terms are positive, so V_k is within a relative (k+1)(k+5) 2^-53
+    while 1 - rho >= 2^-20; the log adds the rounding of m0 log rho and its
+    own.  It runs on rho^-m0 V_i 2^-E, E moved at each order to put the
+    newest in [1/2, 1), where the sum is below V_k / V_(k-1): only the
+    binomials grow, finite up to k = 1000."""
+    if not (0.0 < rho < 1.0 and m0 >= 0 and 0 <= kmax <= 1000):
+        raise ParameterError("log_polylog_tails needs 0 < rho < 1, m0 >= 0 "
+                             "and 0 <= kmax <= 1000")
+    binom, nxt = np.zeros(kmax + 2), np.zeros(kmax + 2)   # Pascal rows
+    binom[0] = nxt[0] = 1.0
+    held, logs = np.zeros(kmax + 1), np.empty(kmax + 1)   # held: rho V_i
+    head, E = 1.0, 0                                      # m0^k
+    for k in range(kmax + 1):
+        mant, e = math.frexp((head + binom[:k] @ held[:k]) / (1.0 - rho))
+        E += e
+        logs[k] = math.log(mant) + E * math.log(2.0)
+        np.ldexp(held[:k], -e, out=held[:k])
+        held[k] = rho * mant
+        head = math.ldexp(head, -e) * m0
+        np.add(binom[1:k + 2], binom[:k + 1], out=nxt[1:k + 2])
+        binom, nxt = nxt, binom
+    return logs + m0 * math.log(rho)
 
 
 def log_factorial(n):

@@ -12,16 +12,20 @@ top order, a closed entrywise factor, one offset table, a closed form,
 one fixed rule per cell, the integral folded onto [0, 1/2], a search of
 only the shells a closed-form bound cannot rule out, one row of sines
 shared by the unit cells of an antiderivative, a block of derivation
-orders at once), so nothing here is imported from src but the Besov
+orders at once, one recurrence over the orders for the sums of a
+geometric tail), so nothing here is imported from src but the Besov
 block layout, whose row positions fix the last bits of a product, and
-the decay profile and the one-row series, which the per-order
-derivation norms must match bit for bit.
+the decay profile and the exact argmax of a tail, which the per-order
+derivation norms must match bit for bit; a tail's sums are checked
+against 50-digit mpmath values.
 pytest does not collect this module.
 """
 
+import functools
 import itertools
 import math
 
+import mpmath as mp
 import numpy as np
 from scipy.integrate import quad
 from scipy.optimize import brentq
@@ -31,8 +35,7 @@ from decayinv import (LatticeMatrix, ParameterError, apply_automorphism,
                       derivation_power, difference_power, operator_norm_l2)
 from decayinv.besov import _blocks
 from decayinv.norms import decay_profile, normalize_ambient
-from decayinv.weights import (log_concave_sum, log_poly_geometric,
-                              poly_geometric_max)
+from decayinv.weights import poly_geometric_max
 
 
 def compositions(k, m):
@@ -235,8 +238,10 @@ def a_m_bruteforce(seq, m, kmax=15):
 
 def dk_norm_log_per_order(A, k, ambient="c0", margin=0):
     """log of the ambient norm of D^k A, -inf when it is zero, one order at
-    a time: the finite part's own log-sum-exp (or max) and the geometric
-    tail's own one-row series."""
+    a time: sum_m |m|^k d(m) (max_m |m|^k (1+|m|)^s d(m) for jaffard) by its
+    own log-sum-exp (or max) over the offsets where d > 0, with 0^0 = 1, and
+    a geometric tail's sum from log_power_tails (its max from the exact
+    argmax)."""
     kind, s = normalize_ambient(ambient)
     A.window.shrink(margin)
     if kind == "operator":
@@ -249,26 +254,74 @@ def dk_norm_log_per_order(A, k, ambient="c0", margin=0):
     prof = decay_profile(A, margin)
     jaffard = kind == "jaffard"
     mask = prof.d > 0
-    if k > 0:
-        mask &= prof.offsets != 0
     om = np.abs(prof.offsets[mask]).astype(float)
-    logs = np.log(prof.d[mask])
+    logs = np.log(prof.d[mask]) + k * np.log(np.maximum(om, 1.0))
     if k > 0:
-        logs = logs + k * np.log(om)
+        logs[om == 0] = -math.inf
     if jaffard:
         logs = logs + s * np.log1p(om)
     if prof.scale:
-        m0 = max(prof.tail_start, 1 if k > 0 else 0)
         if jaffard:
-            tail, _ = poly_geometric_max(k, s, prof.rho, m0)
+            tail, _ = poly_geometric_max(k, s, prof.rho, prof.tail_start)
         else:
-            tail, _ = log_concave_sum(
-                lambda ms: log_poly_geometric(ms, k, 0.0, prof.rho), m0)
+            tail, = log_power_tails(prof.rho, prof.tail_start, [k])
         logs = np.append(logs, math.log(prof.scale) + tail)
-    if not logs.size:
-        return -math.inf
-    top = float(logs.max())
-    return top if jaffard else top + math.log(np.exp(logs - top).sum())
+    top = float(logs.max(initial=-math.inf))
+    if jaffard or top == -math.inf:
+        return top
+    return top + math.log(np.exp(logs - top).sum())
+
+
+@functools.lru_cache(maxsize=None)
+def _stirling_row(n):
+    """(S(n, j) for j = 0..n), the Stirling numbers of the second kind."""
+    if n == 0:
+        return (1,)
+    prev = _stirling_row(n - 1) + (0,)
+    return (0,) + tuple(j * prev[j] + prev[j - 1] for j in range(1, n + 1))
+
+
+@functools.lru_cache(maxsize=None)
+def _power_sum(rho, i):
+    """sum_{n >= 0} n^i rho^n with 0^0 = 1, to 50 digits, by the closed
+    form Li_{-i}(rho) = sum_{j <= i} j! S(i+1, j+1) w^(j+1), w =
+    rho / (1 - rho), whose terms are all positive."""
+    with mp.workdps(50):
+        w = mp.mpf(rho) / (1 - mp.mpf(rho))
+        row = _stirling_row(i + 1)
+        acc = mp.mpf(0)
+        for j in range(i, -1, -1):          # Horner in w
+            acc = acc * w + math.factorial(j) * row[j + 1]
+        return (i == 0) + acc * w
+
+
+def log_power_tails(rho, m0, ks):
+    """[log sum_{m >= m0} m^k rho^m for k in ks] with 0^0 = 1 and
+    0 < rho < 1, to 50 digits, each rounded once to a float.
+
+    Where the terms of the top order fall by half or more from m0 on
+    (those of lower orders fall faster) the sums are direct.  Elsewhere
+    (m0 + n)^k is expanded over n >= 0: the sum is rho^m0 k! sum_{i <= k}
+    m0^(k-i)/(k-i)! L_i/i!, with L_i = _power_sum(rho, i).  Neither route
+    subtracts, so nothing cancels.
+    """
+    with mp.workdps(50):
+        z = mp.mpf(rho)
+        if m0 and z * (1 + mp.mpf(1) / m0) ** max(ks) <= 0.5:
+            sums, m = [mp.mpf(0)] * len(ks), m0
+            while True:
+                terms = [z ** m * mp.mpf(m) ** k for k in ks]
+                sums = [a + b for a, b in zip(sums, terms)]
+                if all(b < a * mp.mpf(10) ** -55 for a, b in zip(sums, terms)):
+                    return [float(mp.log(a)) for a in sums]
+                m += 1
+        top = max(ks)
+        head = [mp.mpf(m0) ** j / mp.factorial(j) for j in range(top + 1)]
+        needs = range(top + 1) if m0 else ks       # the L_i the sums read
+        body = {i: _power_sum(rho, i) / mp.factorial(i) for i in needs}
+        return [float(m0 * mp.log(z) + mp.log(mp.factorial(k) * mp.fsum(
+            head[k - i] * body[i] for i in (range(k + 1) if m0 else [k]))))
+            for k in ks]
 
 
 def besov_integral_cells(ms, w, k, r, p, t_min, t_max, jaffard=False):

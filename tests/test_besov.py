@@ -591,15 +591,30 @@ def test_modulus_profile_rejects_an_order_besov_seminorm_rejects(k, ambient):
 
 @pytest.mark.parametrize("p", [1, 2, math.inf])
 @pytest.mark.parametrize("ambient", ["c0", ("jaffard", 1.0), "operator"])
+def test_besov_stays_finite_at_the_order_cap(p, ambient):
+    # the last admitted order on a 32-point section, where the p = inf
+    # chunk bounds m^k w(m) reach offset 31: no route overflows (every
+    # warning is an error here); one order above, each raised RuntimeWarning
+    A = geometric_inverse_toeplitz(0.5, IndexWindow(-16, 15))
+    A = LatticeMatrix(A.window, A.entries)
+    est = besov_seminorm(A, p, 0.5, besov._MAX_ORDER - 1, ambient,
+                         t_min=0.01, t_max=0.5)
+    assert math.isfinite(est.value) and est.value > 0
+    assert math.isfinite(est.quadrature_error)
+    assert math.isfinite(est.tail_bound)
+
+
+@pytest.mark.parametrize("p", [1, 2, math.inf])
+@pytest.mark.parametrize("ambient", ["c0", ("jaffard", 1.0), "operator"])
 def test_besov_rejects_an_order_whose_power_of_two_overflows(p, ambient):
-    # 2^k, a factor of every modulus and tail bound, overflows a float from
-    # k = 1024 on: each besov route stopped on a bare OverflowError there
-    # (under -W error on a RuntimeWarning first), and the modulus read inf
+    # from the first order past the cap on, every besov route is refused
+    # with a ParameterError; at k = 1023 each overflowed, and from 1024 on
+    # 2^k itself overflows a float
     A = geometric_inverse_toeplitz(0.5, IndexWindow(-8, 7))
-    for k in (1024, 1100):
-        with pytest.raises(ParameterError, match="< 1024"):
+    for k in (besov._MAX_ORDER, 1023, 1024, 1100):
+        with pytest.raises(ParameterError, match="< 207"):
             besov_seminorm(A, p, 0.5, k, ambient, t_min=0.01, t_max=0.5)
-        with pytest.raises(ParameterError, match="< 1024"):
+        with pytest.raises(ParameterError, match="< 207"):
             modulus_profile(A, [0.1], k, ambient)
 
 

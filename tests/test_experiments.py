@@ -4,15 +4,13 @@ import csv
 import json
 import math
 import os
-import sys
 import unittest
 
 from decayinv import (ConfigError, ExperimentConfig, SlopeFit, besov,
                       besov_bound, bessel_rate_bound, bounds,
                       dales_davie_bound, experiments, explicit_bound_Jr,
-                      invert_truncated, jaffard_norm, lattice,
+                      invert_truncated, jaffard_norm, lattice, norms,
                       random_decay_matrix)
-from decayinv import weights
 from decayinv.bounds import condition_data
 from decayinv.cli import build_parser, resolve_config
 from decayinv.experiments import (RUNNERS, centered_window, run_besov_report,
@@ -218,22 +216,16 @@ def test_dd_log_comparison_is_the_gevrey_bound():
         assert row["log_comparison"] == rep.intermediates["log_bound"]
 
 
-def test_dd_sharpness_sums_its_derivation_norms_in_blocks(monkeypatch):
-    # a count, not a timing: the default run sums 32 series, one per block
-    # of orders and one per gamma for order 0; one series per order was 209
-    calls = []
-    series = weights.log_concave_sum
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return series(*args, **kwargs)
-    for name, module in list(sys.modules.items()):
-        if (name.split(".")[0] == "decayinv"
-                and getattr(module, "log_concave_sum", None) is series):
-            monkeypatch.setattr(module, "log_concave_sum", counted)
+def test_dd_sharpness_sums_no_series_for_its_derivation_norms(monkeypatch):
+    # ||D^k A|| of the geometric tail comes from one recurrence over the
+    # orders per block, never from a log-concave series
+    def refused(*args):
+        raise AssertionError("norms summed a log-concave series")
+    recurrences = count_calls(monkeypatch, "log_polylog_tails", norms)
+    monkeypatch.setattr(norms, "log_concave_sum", refused)
     run_dd_sharpness(resolve_config(build_parser().parse_args(
         ["dd-sharpness"])))
-    assert 0 < len(calls) <= 40
+    assert recurrences
 
 
 def test_jaffard_bound_explicit_is_the_library_bound():
@@ -280,6 +272,17 @@ def test_besov_report_computes_each_seminorm_once(monkeypatch):
     allowed = sum(2 * len(grid) + len(shifts) + (len(grid) if r < 2 else 0)
                   for r in r_list)
     assert 0 < len(calls) <= allowed
+
+
+def test_toeplitz_sharpness_builds_each_gammas_matrices_once(monkeypatch):
+    # the resolvent, its inverse and the inverse's C0 norm serve every r
+    builds = count_calls(monkeypatch, "make_toeplitz", lattice, experiments)
+    norms_taken = count_calls(monkeypatch, "cv_norm", experiments)
+    cfg = resolve_config(build_parser().parse_args(["toeplitz-sharpness"]))
+    run_toeplitz_sharpness(cfg)
+    grid, r_list = cfg.gamma_grid, cfg.r_list
+    assert len(builds) == 2 * len(grid)
+    assert len(norms_taken) == len(grid) * (1 + 2 * len(r_list))
 
 
 def test_jaffard_check_takes_one_svd_per_instance(monkeypatch):

@@ -349,14 +349,15 @@ def readers(path, names):
 
 # besov computes no norm of its own: an operator norm of a difference is
 # modulus_profile's, the hypersingular multiplier's is its own, and the
-# geometric tail sums are taken only for the mass the profile's cut leaves
-# out; every other norm comes from norms
+# mass the profile's cut leaves out is a closed form, or a tail's max; it
+# sums no series, and every other norm comes from norms
 BESOV_NORM_READERS = {
     "operator_norm_l2": {"modulus_profile", "hypersingular_seminorm"},
     "difference_power": {"modulus_profile", "hypersingular_seminorm"},
-    "log_concave_sum": {"_dropped_mass"},
     "poly_geometric_max": {"_dropped_mass"},
-    "log_poly_geometric": {"_dropped_mass"},
+    "log_concave_sum": set(),
+    "log_poly_geometric": set(),
+    "log_polylog_tails": set(),
 }
 
 
@@ -366,4 +367,4 @@ def test_besov_computes_no_norm_of_its_own():
                    if holder not in BESOV_NORM_READERS[name])
     assert stray == [], f"norms computed outside their owner: {stray}"
     assert ("operator_norm_l2", "modulus_profile") in found
-    assert ("log_concave_sum", "_dropped_mass") in found
+    assert ("poly_geometric_max", "_dropped_mass") in found

@@ -17,7 +17,8 @@ from decayinv import (GeometricTail, IndexWindow, LatticeMatrix,
                       modulus_profile, random_decay_matrix)
 from decayinv.besov import decay_moment
 from decayinv import norms
-from decayinv.norms import a_m_gevrey, dk_norm_log, dk_norm_logs, side_diag_sup
+from decayinv.norms import (a_m_gevrey, decay_profile, dk_norm_log,
+                            dk_norm_logs, side_diag_sup)
 from decayinv.weights import SmoothnessSequence, log_phi_r
 
 from oracles import a_m_bruteforce, dk_norm_log_per_order
@@ -206,7 +207,7 @@ def test_derivation_norm_is_polylog(k):
         got = dk_norm_log(inv, k, "c0")
         with mp.workdps(30):
             want = float(mp.log(mp.polylog(-k, mp.exp(-gamma))))
-        assert abs(math.expm1(got - want)) <= 1e-11, gamma
+        assert abs(math.expm1(got - want)) <= 1e-12, gamma
 
 
 def test_dk_norm_routes_agree_when_window_holds_mass():
@@ -301,11 +302,27 @@ AMBIENTS = ["c0", ("jaffard", 0.0), ("jaffard", 1.5), "operator"]
 @given(decay_matrices(), st.sampled_from([0, 3]), st.sampled_from(AMBIENTS),
        st.permutations(range(41)))
 def test_dk_norm_logs_match_the_per_order_reference(A, margin, ambient, ks):
-    # the block route (one 2-D log-sum-exp, one row-wise tail series) must
-    # reproduce every order's own evaluation bit for bit, in any order
+    # the block route (one 2-D log-sum-exp, one recurrence for a tail's
+    # sums) reproduces every order's own evaluation, in any order: bit for
+    # bit where no c0 tail enters, and a c0 tail's sums to the 50-digit
+    # reference; a one-order call is the block's row, bit for bit
     got = dk_norm_logs(A, ks, ambient, margin)
     want = [dk_norm_log_per_order(A, k, ambient, margin) for k in ks]
-    assert got == want
+    if ambient == "c0" and decay_profile(A).scale:
+        assert all(abs(math.expm1(g - w)) <= 1e-12 for g, w in zip(got, want))
+    else:
+        assert got == want
+    assert got == [dk_norm_log(A, k, ambient, margin) for k in ks]
+
+
+@pytest.mark.parametrize("k", [-1, 1.5])
+@pytest.mark.parametrize("ambient", AMBIENTS)
+def test_dk_norm_logs_rejects_an_order_that_is_not_a_natural_number(k,
+                                                                    ambient):
+    # an order indexes the tail's recurrence, so 1.5 must not read order 1
+    A = geometric_inverse_toeplitz(0.5, IndexWindow(-8, 7))
+    with pytest.raises(ParameterError, match="integer >= 0"):
+        dk_norm_logs(A, [2, k], ambient)
 
 
 def test_dales_davie_operator_ambient_evaluates_no_order_past_the_stop(

@@ -11,7 +11,10 @@ from hypothesis import strategies as st
 from decayinv import ParameterError, Weight, check_weight
 from decayinv.weights import (SmoothnessSequence, log_concave_sum,
                               log_factorial, log_phi_r, log_phi_r_from_log,
-                              log_poly_geometric, poly_geometric_max, zeta)
+                              log_poly_geometric, log_polylog_tails,
+                              poly_geometric_max, zeta)
+
+from oracles import log_power_tails
 
 
 def test_poly_weight_values():
@@ -115,24 +118,48 @@ def test_poly_geometric_sum_and_max(k, s, gamma, m0):
     assert log_max == pytest.approx(top, rel=1e-15, abs=1e-15)
 
 
-@seed(29)
-@settings(max_examples=40, deadline=None)
-@given(st.lists(st.tuples(st.floats(min_value=0.0, max_value=40.0),
-                          st.floats(min_value=0.0, max_value=4.0),
-                          st.floats(min_value=0.002, max_value=3.0)),
-                min_size=1, max_size=8),
-       st.integers(min_value=1, max_value=50))
-def test_row_wise_sum_matches_each_one_row_call(params, m0):
-    # m^k (1+m)^s e^(-gamma m) per row: the rows settle in different
-    # chunks, and each must leave the block with its own call's pair
-    k, s, gamma = (np.array(col)[:, None] for col in zip(*params))
-    got = log_concave_sum(
-        lambda ms, live: k[live] * np.log(ms) + s[live] * np.log1p(ms)
-        - gamma[live] * ms, m0, rows=len(params))
-    want = [log_concave_sum(
-        lambda ms, a=a, b=b, c=c: a * np.log(ms) + b * np.log1p(ms) - c * ms,
-        m0) for a, b, c in params]
-    assert got == want
+TAIL_GAMMAS = (0.005, 0.02, 0.1, 0.5, 2.0, 30.0)
+
+
+def _close_to_mp(got, want):
+    # relative 1e-12 in the value, beyond the rounding of a log as large as
+    # m0 gamma = 30000
+    return abs(got - want) <= 1e-12 + 2.0 ** -52 * abs(want)
+
+
+@pytest.mark.parametrize("gamma", TAIL_GAMMAS)
+@pytest.mark.parametrize("m0", [0, 1, 5, 40, 1000])
+def test_polylog_tails_match_mpmath(gamma, m0):
+    # sum_{m >= m0} m^k rho^m for k <= 160 from one call, against the
+    # 50-digit sums at every order up to 20 and every tenth beyond
+    rho = math.exp(-gamma)
+    got = log_polylog_tails(rho, m0, 160)
+    ks = [*range(20), *range(20, 161, 10)]
+    assert got.shape == (161,)
+    for k, want in zip(ks, log_power_tails(rho, m0, ks)):
+        assert _close_to_mp(got[k], want), k
+
+
+@pytest.mark.parametrize("gamma, m0", [(g, 0) for g in TAIL_GAMMAS]
+                         + [(30.0, 1000)])
+def test_polylog_tails_at_order_500(gamma, m0):
+    rho = math.exp(-gamma)
+    got = log_polylog_tails(rho, m0, 500)[500]
+    assert _close_to_mp(got, log_power_tails(rho, m0, [500])[0])
+
+
+def test_polylog_tails_stay_finite_at_their_range_ends():
+    # near rho = 1 the values pass float range, and at m0 gamma = 30000
+    # rho^m0 lies far below it
+    for rho, m0 in ((1.0 - 2.0 ** -20, 0), (math.exp(-30.0), 1000),
+                    (1e-300, 0), (1e-300, 7), (0.5, 10 ** 6)):
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            logs = log_polylog_tails(rho, m0, 1000)
+        assert np.isfinite(logs).all(), (rho, m0)
+    for bad in ((0.0, 0, 3), (1.0, 0, 3), (0.5, -1, 3), (0.5, 0, 1001),
+                (0.5, 0, -1)):
+        with pytest.raises(ParameterError):
+            log_polylog_tails(*bad)
 
 
 def test_phi_r_rejects_bad_args():
