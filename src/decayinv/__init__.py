@@ -28,7 +28,8 @@ from .lattice import (GeometricTail, IndexWindow, LatticeMatrix,
 from .norms import (DalesDavieValue, a_m_gevrey, ambient_norm, banded_error,
                     cv_norm, dales_davie_norm, jaffard_norm)
 from .quotient import verify_identity, verify_instances, verify_orders
-from .weights import SmoothnessSequence, Weight, check_weight, log_phi_r
+from .weights import (SmoothnessSequence, Weight, check_weight, log_phi_r,
+                      log_polylog_tails)
 
 __version__ = "0.1.0"
 
@@ -46,8 +47,8 @@ __all__ = [
     "geometric_inverse_toeplitz", "hypersingular_seminorm",
     "identification_rate_check", "identity_matrix", "integral_test_bracket",
     "invert_truncated", "jaffard_norm", "load_matrix", "log_phi_r",
-    "make_toeplitz", "modulus_profile", "operator_norm_l2", "phi_Ar",
-    "random_decay_matrix", "save_matrix", "singular_values",
-    "superpoly_bound", "symbol_range", "verify_identity", "verify_instances",
-    "verify_orders", "weighted_geometric_series",
+    "log_polylog_tails", "make_toeplitz", "modulus_profile",
+    "operator_norm_l2", "phi_Ar", "random_decay_matrix", "save_matrix",
+    "singular_values", "superpoly_bound", "symbol_range", "verify_identity",
+    "verify_instances", "verify_orders", "weighted_geometric_series",
 ]

@@ -41,10 +41,12 @@ from .weights import poly_geometric_max
 
 _PROFILE_CUT = 1e-18
 _MAXLOG = math.log(np.finfo(float).max)
-# difference orders k from here on are rejected: the p = inf search bounds
-# its chunks through m^k w(m) over the profile's offsets, which overflows
-# from k = 207 on for the offsets up to 31 of a 32-point window (p = 2,
-# squaring a modulus near 2^k, lasts to k = 509)
+_LOG2 = math.log(2.0)
+_EPS = np.finfo(float).eps
+# difference orders k from here on are rejected: the moduli grow like 2^k,
+# and every route stays finite below it on a 32-point window (p = 2, which
+# squares them, up to k = 509; the p = inf chunk bounds are formed in logs
+# and do not limit k)
 _MAX_ORDER = 207
 _GL_NODES = (24, 48)  # the Gauss-Legendre rule, and its node-doubled check
 _BLOCK = 1 << 14      # elements of a node matrix evaluated at once
@@ -378,19 +380,26 @@ def _capped_sums(ms, w, kind, a, b, e, j, q):
     ms is increasing, so the offsets with 2 pi m b < 2 are a prefix: R is
     (2 pi b)^q times a prefix reduction of m^(j+q) w, combined with 2^q
     times a suffix reduction of m^j w.  An offset that the rounding of
-    1/(pi b) puts on the wrong side only raises the result.  So that a^-e
-    does not overflow at a tiny a, the prefix takes it as
-    (2 pi b / a)^q a^(q-e), and the suffix only where it is not empty.
+    1/(pi b) puts on the wrong side only raises the result.  It is formed
+    in logs, so no power of m, b or a overflows on the way, and a result
+    past float range reads inf.  Its log is raised by (2M + 16) eps times
+    2 + q + log(1 + M) + the largest |log| of a term + |log (2 pi b)^q|
+    + |log a^e|, M = ms.size: more than the rounding of the logs and of
+    the log-sum-exp's M steps, each within eps of its value plus 2 eps.
     """
     m = ms.astype(float)
-    acc = np.cumsum if kind == "c0" else np.maximum.accumulate
-    low = np.append(0.0, acc(m ** (j + q) * w))
-    high = np.append(acc((m ** j * w)[::-1])[::-1], 0.0)
+    lm, lw = np.log(m), np.log(w)
+    acc = np.logaddexp.accumulate if kind == "c0" else np.maximum.accumulate
+    low = np.append(-np.inf, acc((j + q) * lm + lw))
+    high = np.append(acc((j * lm + lw)[::-1])[::-1], -np.inf)
     n = np.searchsorted(m, 1.0 / (np.pi * b))
-    lo = (2.0 * np.pi * b / a) ** q * a ** (q - e) * low[n]
-    hi = 2.0 ** q * high[n] * np.power(a, -e, out=np.zeros_like(b),
-                                       where=n < m.size)
-    return lo + hi if kind == "c0" else np.maximum(lo, hi)
+    lb, la = q * np.log(2.0 * np.pi * b), e * np.log(a)
+    lo, hi = lb - la + low[n], q * _LOG2 - la + high[n]
+    top = np.logaddexp(lo, hi) if kind == "c0" else np.maximum(lo, hi)
+    size = 2.0 + q + math.log1p(m.size) + float(
+        np.max((j + q) * lm + np.abs(lw), initial=0.0))
+    top += (2 * m.size + 16) * _EPS * (size + np.abs(lb) + np.abs(la))
+    return np.where(top > _MAXLOG, np.inf, np.exp(np.minimum(top, _MAXLOG)))
 
 
 def _shell_bounds(ms, w, k, kind, a, b, r):

@@ -28,7 +28,7 @@ from .bounds import (baskakov_bound_Jr, besov_bound, bessel_rate_bound,
 from .errors import ConfigError, ParameterError, SingularityError
 from .lattice import (IndexWindow, LatticeMatrix, ToeplitzSymbol,
                       geometric_inverse_toeplitz, invert_truncated,
-                      make_toeplitz, rcond_estimate)
+                      make_toeplitz, offset_table, rcond_estimate)
 from .norms import cv_norm, dales_davie_norm, dk_norm_logs, jaffard_norm
 from .quotient import verify_instances
 from .weights import SmoothnessSequence, Weight
@@ -184,8 +184,7 @@ def random_decay_matrix(window, r, eps, seed):
     radius = np.sqrt(rng.uniform(size=(n, n)))
     angle = rng.uniform(size=(n, n))
     u = radius * np.exp(2j * np.pi * angle)
-    om = np.abs(np.arange(n)[:, None] - np.arange(n)[None, :])
-    b = u * (1.0 + om) ** (-float(r))
+    b = u * offset_table(n, lambda m: (1.0 + np.abs(m)) ** (-float(r)))
     return LatticeMatrix(window, np.eye(n) - eps * b)
 
 

@@ -7,6 +7,7 @@ its window, pass its section LatticeMatrix(A.window, A.entries).  Large
 iterated sums are accumulated in log space, for a block of orders at once.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -16,11 +17,12 @@ from numpy.lib.stride_tricks import as_strided
 from .errors import ParameterError
 from .lattice import LatticeMatrix, derivation_power, operator_norm_l2
 from .weights import (Weight, log_concave_sum, log_factorial,
-                      log_polylog_tails, poly_geometric_max)
+                      poly_geometric_max, polylog_tail_logs)
 
 _NEG_INF = float("-inf")
 _DD_TOL = 1e-14         # Dales-Davie terms this far below the sum are quiet
 _DD_KCAP = 160          # order cap of an unbounded Dales-Davie series
+_DD_BLOCK = 12          # orders a Dales-Davie sum reads at a time
 
 
 def side_diag_sup(A, margin=0):
@@ -161,37 +163,66 @@ def _operator_dk_log(A, k):
     return math.log(top) + (math.log(v) if v > 0 else _NEG_INF)
 
 
-def dk_norm_logs(A, ks, ambient="c0", margin=0):
-    """[log of the ambient norm of D^k A for k in the sequence ks], -inf
-    where it is zero: one 2-D log-sum-exp (max in jaffard) over one decay
-    profile, whose c0 tail sums come from one weights.log_polylog_tails."""
+def _dk_norms(A, ambient, margin):
+    """The function ks -> [log of the ambient norm of D^k A for k in the
+    sequence ks], -inf where it is zero: an SVD per order in the operator
+    ambient, else one 2-D log-sum-exp (max in jaffard) per call over one
+    decay profile of A.  A c0 tail's sums come from one
+    weights.polylog_tail_logs stream, stepped once per order up to the
+    largest order asked for so far."""
     kind, s = normalize_ambient(ambient)
     A.window.shrink(margin)
-    if any(k < 0 or k != int(k) for k in ks):
-        raise ParameterError("derivation order must be an integer >= 0")
     if kind == "operator":
-        return [_operator_dk_log(A, k) for k in ks]
+        return lambda ks: [_operator_dk_log(A, k) for k in ks]
     prof = decay_profile(A, margin)
-    ks = np.array(ks, dtype=int)
     keep = prof.d > 0
     om = np.abs(prof.offsets[keep]).astype(float)
-    logs = np.log(prof.d[keep]) + ks[:, None] * np.log(np.maximum(om, 1.0))
-    logs[(ks[:, None] > 0) & (om == 0)] = _NEG_INF   # 0^k = 0, but 0^0 = 1
+    log_d, log_om = np.log(prof.d[keep]), np.log(np.maximum(om, 1.0))
+    at0 = om == 0
     if s is not None:
-        logs += s * np.log1p(om)
+        log_pad = s * np.log1p(om)
     if prof.scale:
-        m0 = prof.tail_start
+        # one more column for the tail: log scale, to which each order adds
+        # the log of its tail sum (max in jaffard)
+        log_d = np.append(log_d, math.log(prof.scale))
+        log_om, at0 = np.append(log_om, 0.0), np.append(at0, False)
         if s is not None:
-            tail = [poly_geometric_max(k, s, prof.rho, m0)[0] for k in ks]
+            log_pad = np.append(log_pad, 0.0)
         else:
-            tail = log_polylog_tails(prof.rho, m0, ks.max(initial=0))[ks]
-        logs = np.column_stack((logs, math.log(prof.scale) + np.array(tail)))
-    top = logs.max(axis=1, initial=_NEG_INF)
-    if s is not None:
-        return top.tolist()
-    sums = np.exp(logs - np.where(top > _NEG_INF, top, 0.0)[:, None]).sum(1)
-    return [t + math.log(v) if v else _NEG_INF
-            for t, v in zip(top.tolist(), sums.tolist())]
+            stream = polylog_tail_logs(prof.rho, prof.tail_start)
+            tail_logs = []
+
+    def logs_of(ks):
+        ks = np.array(ks, dtype=int)
+        logs = log_d + ks[:, None] * log_om
+        logs[(ks[:, None] > 0) & at0] = _NEG_INF   # 0^k = 0, but 0^0 = 1
+        if s is not None:
+            logs += log_pad
+            if prof.scale:
+                logs[:, -1] += [poly_geometric_max(k, s, prof.rho,
+                                                   prof.tail_start)[0]
+                                for k in ks]
+        elif prof.scale:
+            tail_logs.extend(itertools.islice(
+                stream, max(0, ks.max(initial=-1) + 1 - len(tail_logs))))
+            logs[:, -1] += np.array(tail_logs)[ks]
+        top = logs.max(axis=1, initial=_NEG_INF)
+        if s is not None:
+            return top.tolist()
+        shift = np.where(top > _NEG_INF, top, 0.0)[:, None]
+        sums = np.exp(logs - shift).sum(1)
+        return [t + math.log(v) if v else _NEG_INF
+                for t, v in zip(top.tolist(), sums.tolist())]
+    return logs_of
+
+
+def dk_norm_logs(A, ks, ambient="c0", margin=0):
+    """[log of the ambient norm of D^k A for k in the sequence ks], -inf
+    where it is zero, in one pass of _dk_norms."""
+    norms_of = _dk_norms(A, ambient, margin)
+    if any(k < 0 or k != int(k) for k in ks):
+        raise ParameterError("derivation order must be an integer >= 0")
+    return norms_of(ks)
 
 
 def dk_norm_log(A, k, ambient="c0", margin=0):
@@ -215,17 +246,19 @@ def dales_davie_norm(A, seq, ambient="c0", margin=0):
     relative to the partial sum, or at the sequence's last order, where
     the sum is complete.  An unbounded sequence is cut at _DD_KCAP at the
     latest, and if no quiet run came before, the result is flagged
-    converged=False.  The norms are read in blocks, orders k..2k at order
-    k, and one at a time in the operator ambient, where each is an SVD.
+    converged=False.  The norms come from one _dk_norms pass over the
+    decay profile, which reads each order once: in blocks of _DD_BLOCK
+    orders, and one at a time in the operator ambient, where each is an
+    SVD.
     """
     hard = seq.kmax
     orders = range((hard if hard is not None else _DD_KCAP) + 1)
-    one_by_one = normalize_ambient(ambient)[0] == "operator"
+    block = 1 if normalize_ambient(ambient)[0] == "operator" else _DD_BLOCK
+    norms_of = _dk_norms(A, ambient, margin)
     total_log, quiet, dk_logs = _NEG_INF, 0, []
     for k in orders:      # k and lt stay at the last order read
         if k == len(dk_logs):
-            block = orders[k:k + 1 if one_by_one else 2 * k + 1]
-            dk_logs += dk_norm_logs(A, block, ambient, margin)
+            dk_logs += norms_of(orders[k:k + block])
         lt = dk_logs[k] - seq.log_M(k)
         total_log = float(np.logaddexp(total_log, lt))
         if total_log > _NEG_INF and lt < total_log + math.log(_DD_TOL):

@@ -17,6 +17,9 @@ _SERIES_TOL = 2.0 ** -53
 _SERIES_CAP = 50_000_000
 _SADDLE_PEAK = 5_000_000   # phi_r takes its saddle-point form past this peak
 _CHECK_NMAX = 48   # largest offset check_weight samples
+_POLYLOG_KMAX = 1000   # last order of polylog_tail_logs
+_BAND = 64   # polylog_tail_logs rescales once a value reaches 2^_BAND
+_LOG2 = math.log(2.0)
 # log n! for n <= 12, correctly rounded (12! < 2^53 is exact)
 _LOG_FACTORIALS = np.array([math.log(math.factorial(n)) for n in range(13)])
 # log sqrt(2 pi) correctly rounded; 0.5 * math.log(2 * math.pi) is an ulp off
@@ -72,33 +75,49 @@ def log_poly_geometric(ms, k, s, rho):
     return k * log_ms + s * np.log1p(ms) + ms * math.log(rho)
 
 
-def log_polylog_tails(rho, m0, kmax):
-    """[log V_k for k = 0..kmax], V_k = sum_{m >= m0} m^k rho^m with 0^0 = 1,
-    for 0 < rho < 1 and integers m0 >= 0, 0 <= kmax <= 1000.
+def polylog_tail_logs(rho, m0):
+    """log V_k for k = 0, 1, ..., _POLYLOG_KMAX in turn, V_k = sum_{m >= m0}
+    m^k rho^m with 0^0 = 1, for 0 < rho < 1 and integers m0 >= 0; past
+    _POLYLOG_KMAX, or on bad arguments, a ParameterError.
 
     From m -> m + 1: (1 - rho) V_k = m0^k rho^m0 + rho sum_{i<k} C(k, i) V_i.
     Its terms are positive, so V_k is within a relative (k+1)(k+5) 2^-53
     while 1 - rho >= 2^-20; the log adds the rounding of m0 log rho and its
-    own.  It runs on rho^-m0 V_i 2^-E, E moved at each order to put the
-    newest in [1/2, 1), where the sum is below V_k / V_(k-1): only the
-    binomials grow, finite up to k = 1000."""
-    if not (0.0 < rho < 1.0 and m0 >= 0 and 0 <= kmax <= 1000):
-        raise ParameterError("log_polylog_tails needs 0 < rho < 1, m0 >= 0 "
-                             "and 0 <= kmax <= 1000")
-    binom, nxt = np.zeros(kmax + 2), np.zeros(kmax + 2)   # Pascal rows
-    binom[0] = nxt[0] = 1.0
-    held, logs = np.zeros(kmax + 1), np.empty(kmax + 1)   # held: rho V_i
-    head, E = 1.0, 0                                      # m0^k
-    for k in range(kmax + 1):
-        mant, e = math.frexp((head + binom[:k] @ held[:k]) / (1.0 - rho))
-        E += e
-        logs[k] = math.log(mant) + E * math.log(2.0)
-        np.ldexp(held[:k], -e, out=held[:k])
-        held[k] = rho * mant
-        head = math.ldexp(head, -e) * m0
-        np.add(binom[1:k + 2], binom[:k + 1], out=nxt[1:k + 2])
+    own.  Each order costs one dot product and one Pascal-row update, on
+    arrays that grow with the orders read.  It runs on rho^-m0 V_i 2^-E and
+    moves E only when the newest value leaves [1/2, 2^_BAND): the sum stays
+    below 2^_BAND V_k / V_(k-1), finite up to k = _POLYLOG_KMAX, and since
+    a power of two scales exactly, the values are those of a move at every
+    order."""
+    if not (0.0 < rho < 1.0 and m0 >= 0):
+        raise ParameterError("polylog tails need 0 < rho < 1 and m0 >= 0")
+    offset = m0 * math.log(rho)
+    binom, nxt, held = np.zeros(16), np.zeros(16), np.zeros(16)  # held: rho V_i
+    binom[0] = nxt[0] = 1.0                                      # Pascal rows
+    head, E = 1.0, 0                                             # m0^k
+    for k in range(_POLYLOG_KMAX + 1):
+        if k + 2 > binom.size:
+            binom, nxt, held = (np.concatenate((a, np.zeros(a.size)))
+                                for a in (binom, nxt, held))
+        s = (head + binom[:k].dot(held[:k])) / (1.0 - rho)
+        mant, e = math.frexp(s)
+        yield math.log(mant) + (E + e) * _LOG2 + offset
+        if not 0 <= e <= _BAND:
+            np.ldexp(held[:k], -e, held[:k])
+            head, E, s = math.ldexp(head, -e), E + e, mant
+        held[k] = rho * s
+        head *= m0
+        np.add(binom[1:k + 2], binom[:k + 1], nxt[1:k + 2])
         binom, nxt = nxt, binom
-    return logs + m0 * math.log(rho)
+    raise ParameterError(f"polylog tails stop at order {_POLYLOG_KMAX}")
+
+
+def log_polylog_tails(rho, m0, kmax):
+    """[log V_k for k = 0..kmax] of polylog_tail_logs, 0 <= kmax <= 1000."""
+    if not 0 <= kmax <= _POLYLOG_KMAX:
+        raise ParameterError(f"log_polylog_tails needs 0 <= kmax <= "
+                             f"{_POLYLOG_KMAX}")
+    return np.fromiter(polylog_tail_logs(rho, m0), float, kmax + 1)
 
 
 def log_factorial(n):

@@ -13,11 +13,14 @@ one fixed rule per cell, the integral folded onto [0, 1/2], a search of
 only the shells a closed-form bound cannot rule out, one row of sines
 shared by the unit cells of an antiderivative, a block of derivation
 orders at once, one recurrence over the orders for the sums of a
-geometric tail), so nothing here is imported from src but the Besov
-block layout, whose row positions fix the last bits of a product, and
-the decay profile and the exact argmax of a tail, which the per-order
-derivation norms must match bit for bit; a tail's sums are checked
-against 50-digit mpmath values.
+geometric tail, rescaled only at the edges of a band, and a Dales-Davie
+sum that reads each order once), so nothing here is imported from src
+but the Besov block layout, whose row positions fix the last bits of a
+product, the decay profile and the exact argmax of a tail, which the
+per-order derivation norms must match bit for bit, and the one-order
+derivation norm with the Dales-Davie stop rule's constants, which the
+per-order Dales-Davie sum reads; a tail's sums are checked against
+50-digit mpmath values.
 pytest does not collect this module.
 """
 
@@ -34,7 +37,8 @@ from scipy.special import gammaln
 from decayinv import (LatticeMatrix, ParameterError, apply_automorphism,
                       derivation_power, difference_power, operator_norm_l2)
 from decayinv.besov import _blocks
-from decayinv.norms import decay_profile, normalize_ambient
+from decayinv.norms import (_DD_KCAP, _DD_TOL, DalesDavieValue, decay_profile,
+                            dk_norm_log, normalize_ambient)
 from decayinv.weights import poly_geometric_max
 
 
@@ -270,6 +274,49 @@ def dk_norm_log_per_order(A, k, ambient="c0", margin=0):
     if jaffard or top == -math.inf:
         return top
     return top + math.log(np.exp(logs - top).sum())
+
+
+def dales_davie_per_order(A, seq, ambient="c0", margin=0):
+    """sum_k ||D^k A|| / M_k with norms.dales_davie_norm's stop rule, each
+    order read by its own dk_norm_log call (a tail's recurrence rerun from
+    order 0 every time)."""
+    hard = seq.kmax
+    total_log, quiet = -math.inf, 0
+    for k in range((hard if hard is not None else _DD_KCAP) + 1):
+        lt = dk_norm_log(A, k, ambient, margin) - seq.log_M(k)
+        total_log = float(np.logaddexp(total_log, lt))
+        if total_log > -math.inf and lt < total_log + math.log(_DD_TOL):
+            quiet += 1
+            if quiet >= 3 and k >= 8:
+                break
+        else:
+            quiet = 0
+    converged = (hard is not None and k >= hard) or quiet >= 3
+    tail_ratio = math.exp(lt - total_log) if total_log > -math.inf else 0.0
+    value = math.exp(total_log) if total_log < 709.0 else float("inf")
+    return DalesDavieValue(value=value, log_value=total_log, kmax_used=k,
+                           converged=bool(converged), tail_ratio=tail_ratio)
+
+
+def polylog_tails_rescaled_each_order(rho, m0, kmax):
+    """[log sum_{m >= m0} m^k rho^m for k = 0..kmax] by the shift identity
+    (1 - rho) V_k = m0^k rho^m0 + rho sum_{i<k} C(k, i) V_i, with every
+    held value rescaled at each order so that the newest lies in
+    [1/2, 1)."""
+    binom, nxt = np.zeros(kmax + 2), np.zeros(kmax + 2)   # Pascal rows
+    binom[0] = nxt[0] = 1.0
+    held, logs = np.zeros(kmax + 1), np.empty(kmax + 1)   # held: rho V_i
+    head, E = 1.0, 0                                      # m0^k
+    for k in range(kmax + 1):
+        mant, e = math.frexp((head + binom[:k] @ held[:k]) / (1.0 - rho))
+        E += e
+        logs[k] = math.log(mant) + E * math.log(2.0)
+        np.ldexp(held[:k], -e, out=held[:k])
+        held[k] = rho * mant
+        head = math.ldexp(head, -e) * m0
+        np.add(binom[1:k + 2], binom[:k + 1], out=nxt[1:k + 2])
+        binom, nxt = nxt, binom
+    return logs + m0 * math.log(rho)
 
 
 @functools.lru_cache(maxsize=None)

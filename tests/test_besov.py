@@ -592,9 +592,8 @@ def test_modulus_profile_rejects_an_order_besov_seminorm_rejects(k, ambient):
 @pytest.mark.parametrize("p", [1, 2, math.inf])
 @pytest.mark.parametrize("ambient", ["c0", ("jaffard", 1.0), "operator"])
 def test_besov_stays_finite_at_the_order_cap(p, ambient):
-    # the last admitted order on a 32-point section, where the p = inf
-    # chunk bounds m^k w(m) reach offset 31: no route overflows (every
-    # warning is an error here); one order above, each raised RuntimeWarning
+    # the last admitted order on a 32-point section: no route overflows
+    # (every warning is an error here)
     A = geometric_inverse_toeplitz(0.5, IndexWindow(-16, 15))
     A = LatticeMatrix(A.window, A.entries)
     est = besov_seminorm(A, p, 0.5, besov._MAX_ORDER - 1, ambient,
@@ -602,6 +601,35 @@ def test_besov_stays_finite_at_the_order_cap(p, ambient):
     assert math.isfinite(est.value) and est.value > 0
     assert math.isfinite(est.quadrature_error)
     assert math.isfinite(est.tail_bound)
+
+
+@pytest.mark.parametrize("k", [165, 206])
+@pytest.mark.parametrize("ambient", ["c0", ("jaffard", 1.0)])
+def test_besov_sup_stays_finite_below_the_cap_on_a_wide_profile(k, ambient):
+    # the symbol route of this inverse reaches offset 83, and 83^k
+    # overflows from k = 161 on; the p = inf chunk bounds are formed in
+    # logs, so they cover the modulus and the search finds the winner of
+    # the search over every shell, with no warning
+    A = geometric_inverse_toeplitz(0.5, IndexWindow(-16, 15))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            est = besov_seminorm(A, math.inf, 0.5, k, ambient, t_min=0.01,
+                                 t_max=0.5)
+        except ParameterError:
+            return
+        ms, w, _ = _offset_weights(A, ambient, 0)
+        kind = "c0" if ambient == "c0" else "jaffard"
+        edges = _shell_edges(0.01, 0.5)
+        ts = np.exp(np.linspace(np.log(edges[:-1]), np.log(edges[1:]), 256,
+                                axis=1))
+        bound = _shell_bounds(ms, w, k, kind, edges[:-1], edges[1:], 0.5)
+        vals = ts ** -0.5 * _modulus(ts, ms, w, k, kind)
+        want, _ = sup_search_all_shells(ms, w, k, kind, edges, 0.5)
+    assert k * math.log(ms[-1]) > math.log(np.finfo(float).max)
+    assert math.isfinite(est.value) and est.value > 0
+    assert (vals <= bound[:, None]).all() and np.isfinite(bound).all()
+    assert est.value == pytest.approx(want, rel=1e-14, abs=0.0)
 
 
 @pytest.mark.parametrize("p", [1, 2, math.inf])

@@ -216,16 +216,28 @@ def test_dd_log_comparison_is_the_gevrey_bound():
         assert row["log_comparison"] == rep.intermediates["log_bound"]
 
 
-def test_dd_sharpness_sums_no_series_for_its_derivation_norms(monkeypatch):
-    # ||D^k A|| of the geometric tail comes from one recurrence over the
-    # orders per block, never from a log-concave series
+def test_dd_sharpness_steps_each_tail_recurrence_once_per_order(monkeypatch):
+    # ||D^k A|| of the geometric tail comes from one recurrence per
+    # Dales-Davie sum and per bracket check, never from a log-concave
+    # series, and each step is one order read: at most the 219 orders that
+    # doubling blocks read for the five sums, and 11 per check (rerunning
+    # the recurrence from order 0 at every block took 466 steps)
     def refused(*args):
         raise AssertionError("norms summed a log-concave series")
-    recurrences = count_calls(monkeypatch, "log_polylog_tails", norms)
+    streams, steps = [], []
+    stream = norms.polylog_tail_logs
+
+    def counted(*args):
+        streams.append(args)
+        for value in stream(*args):
+            steps.append(value)
+            yield value
+    monkeypatch.setattr(norms, "polylog_tail_logs", counted)
     monkeypatch.setattr(norms, "log_concave_sum", refused)
     run_dd_sharpness(resolve_config(build_parser().parse_args(
         ["dd-sharpness"])))
-    assert recurrences
+    assert len(streams) == 10
+    assert len(steps) <= 219 + 5 * 11
 
 
 def test_jaffard_bound_explicit_is_the_library_bound():

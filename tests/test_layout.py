@@ -358,6 +358,7 @@ BESOV_NORM_READERS = {
     "log_concave_sum": set(),
     "log_poly_geometric": set(),
     "log_polylog_tails": set(),
+    "polylog_tail_logs": set(),
 }
 
 

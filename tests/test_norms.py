@@ -21,7 +21,8 @@ from decayinv.norms import (a_m_gevrey, decay_profile, dk_norm_log,
                             dk_norm_logs, side_diag_sup)
 from decayinv.weights import SmoothnessSequence, log_phi_r
 
-from oracles import a_m_bruteforce, dk_norm_log_per_order
+from oracles import (a_m_bruteforce, dales_davie_per_order,
+                     dk_norm_log_per_order)
 
 W = IndexWindow(-32, 31)
 GAMMAS = (0.1, 0.2, 0.5, 1.0)
@@ -323,6 +324,33 @@ def test_dk_norm_logs_rejects_an_order_that_is_not_a_natural_number(k,
     A = geometric_inverse_toeplitz(0.5, IndexWindow(-8, 7))
     with pytest.raises(ParameterError, match="integer >= 0"):
         dk_norm_logs(A, [2, k], ambient)
+
+
+DD_SEQUENCES = {
+    "gevrey(2)": SmoothnessSequence.gevrey(2.0),
+    "gevrey(3)": SmoothnessSequence.gevrey(3.0),
+    "finite(12)": SmoothnessSequence.finite(12),
+    "custom": SmoothnessSequence.custom(
+        [math.factorial(k) * 1.5 ** k for k in range(20)]),
+}
+DD_MATRICES = {
+    **{f"inverse {g}": geometric_inverse_toeplitz(g, W)
+       for g in (0.5, 0.1, 0.02)},
+    "random section": random_decay_matrix(IndexWindow(-8, 7), 2.0, 0.3,
+                                          seed=[0, 1]),
+}
+
+
+@pytest.mark.parametrize("seq", sorted(DD_SEQUENCES))
+@pytest.mark.parametrize("ambient", ["c0", ("jaffard", 1.0)])
+@pytest.mark.parametrize("name", sorted(DD_MATRICES))
+def test_dales_davie_norm_is_the_per_order_sum(seq, ambient, name):
+    # the sum reads each order once from one pass over the decay profile
+    # (a tail's recurrence stepped once per order, in blocks); every field
+    # is that of the sum that reads each order by its own dk_norm_log
+    A, sequence = DD_MATRICES[name], DD_SEQUENCES[seq]
+    got = dales_davie_norm(A, sequence, ambient)
+    assert got == dales_davie_per_order(A, sequence, ambient)
 
 
 def test_dales_davie_operator_ambient_evaluates_no_order_past_the_stop(

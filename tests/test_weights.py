@@ -12,9 +12,9 @@ from decayinv import ParameterError, Weight, check_weight
 from decayinv.weights import (SmoothnessSequence, log_concave_sum,
                               log_factorial, log_phi_r, log_phi_r_from_log,
                               log_poly_geometric, log_polylog_tails,
-                              poly_geometric_max, zeta)
+                              poly_geometric_max, polylog_tail_logs, zeta)
 
-from oracles import log_power_tails
+from oracles import log_power_tails, polylog_tails_rescaled_each_order
 
 
 def test_poly_weight_values():
@@ -148,11 +148,14 @@ def test_polylog_tails_at_order_500(gamma, m0):
     assert _close_to_mp(got, log_power_tails(rho, m0, [500])[0])
 
 
+# near rho = 1 the values pass float range, and at m0 gamma = 30000 rho^m0
+# lies far below it
+RANGE_ENDS = ((1.0 - 2.0 ** -20, 0), (math.exp(-30.0), 1000), (1e-300, 0),
+              (1e-300, 7), (0.5, 10 ** 6))
+
+
 def test_polylog_tails_stay_finite_at_their_range_ends():
-    # near rho = 1 the values pass float range, and at m0 gamma = 30000
-    # rho^m0 lies far below it
-    for rho, m0 in ((1.0 - 2.0 ** -20, 0), (math.exp(-30.0), 1000),
-                    (1e-300, 0), (1e-300, 7), (0.5, 10 ** 6)):
+    for rho, m0 in RANGE_ENDS:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             logs = log_polylog_tails(rho, m0, 1000)
         assert np.isfinite(logs).all(), (rho, m0)
@@ -160,6 +163,33 @@ def test_polylog_tails_stay_finite_at_their_range_ends():
                 (0.5, 0, -1)):
         with pytest.raises(ParameterError):
             log_polylog_tails(*bad)
+
+
+def test_polylog_tails_are_prefixes_of_one_recurrence():
+    # each array is the head of one resumable recurrence: a shorter call is
+    # a prefix of a longer one, bit for bit
+    for rho, m0 in RANGE_ENDS:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            full = log_polylog_tails(rho, m0, 1000)
+            for k in [*range(12), *range(12, 1000, 37), 999]:
+                assert np.array_equal(log_polylog_tails(rho, m0, k),
+                                      full[:k + 1]), (rho, m0, k)
+    # the arrays read the stream, which refuses the order past the last
+    stream = polylog_tail_logs(rho, m0)
+    assert [next(stream) for _ in range(1001)] == full.tolist()
+    with pytest.raises(ParameterError, match="stop at order 1000"):
+        next(stream)
+
+
+@pytest.mark.parametrize("gamma", [1e-6, 1e-3, 0.02, 0.5, 2.0, 30.0, 690.0])
+@pytest.mark.parametrize("m0", [0, 1, 7, 1000, 10 ** 6])
+def test_polylog_tails_rescale_only_at_the_band_edges(gamma, m0):
+    # a power of two scales exactly, so moving the scale only when the
+    # newest value leaves its band gives the values of a rescale at every
+    # order, bit for bit, up to the last order
+    rho = math.exp(-gamma)
+    want = polylog_tails_rescaled_each_order(rho, m0, 1000)
+    assert np.array_equal(log_polylog_tails(rho, m0, 1000), want)
 
 
 def test_phi_r_rejects_bad_args():
