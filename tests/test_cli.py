@@ -1,10 +1,13 @@
 """CLI exit codes and table emission."""
 
+import copy
+import functools
 import json
 import math
 
 import pytest
 
+import golden_rows
 from decayinv.cli import build_parser, main, resolve_config
 from decayinv.experiments import RUNNERS, ExperimentConfig
 
@@ -295,7 +298,35 @@ def test_cli_prints_the_runners_violations(tmp_path, capsys, command, fields,
     assert all(line.startswith("violation: ") for line in err)
 
 
+@functools.cache
+def cli_run(*argv):
+    """The runner's result for a command line, made once per session."""
+    return golden_rows.run(argv)
+
+
 @pytest.mark.parametrize("command", list(RUNNERS))
 def test_default_configs_have_no_violations(command):
-    cfg = resolve_config(build_parser().parse_args([command]))
-    assert RUNNERS[command](cfg)["violations"] == []
+    assert cli_run(command)["violations"] == []
+
+
+@pytest.mark.parametrize("name", list(golden_rows.RUNS))
+def test_default_rows_match_their_golden_file(name):
+    # strings, integers and booleans exactly, floats within the relative
+    # tolerance the file states per column
+    golden = golden_rows.load(name)
+    assert golden["argv"] == list(golden_rows.RUNS[name])
+    got = golden_rows.pinned(cli_run(*golden_rows.RUNS[name]))
+    moved = [f"{'/'.join(map(str, path))}: {have!r} != {want!r}"
+             for _, path, have, want in golden_rows.differences(got, golden)]
+    assert moved == [], f"{len(moved)} values moved: {moved[:5]}"
+
+
+def test_a_golden_value_moved_by_1e_10_differs():
+    golden = golden_rows.load("dd-sharpness")
+    got = golden_rows.pinned(copy.deepcopy(golden))
+    assert list(golden_rows.differences(got, golden)) == []
+    got["rows"][2]["log_dd"] *= 1.0 + 1e-10
+    got["rows"][3]["kmax_used"] = float(got["rows"][3]["kmax_used"])
+    assert [(col, path) for col, path, _, _ in golden_rows.differences(
+        got, golden)] == [("rows.log_dd", ("rows", 2, "log_dd")),
+                          ("rows.kmax_used", ("rows", 3, "kmax_used"))]
