@@ -17,10 +17,13 @@ from numpy.lib.stride_tricks import as_strided
 from .errors import ParameterError
 from .lattice import LatticeMatrix, derivation_power, operator_norm_l2
 from .weights import (Weight, log_concave_sum, log_factorial,
-                      poly_geometric_max, polylog_tail_logs)
+                      log_integer_weight_tail, poly_geometric_max,
+                      polylog_tail_logs)
 
 _NEG_INF = float("-inf")
+_LOG2 = math.log(2.0)   # NumPy's NPY_LOGE2
 _DD_TOL = 1e-14         # Dales-Davie terms this far below the sum are quiet
+_LOG_DD_TOL = math.log(_DD_TOL)
 _DD_KCAP = 160          # order cap of an unbounded Dales-Davie series
 _DD_BLOCK = 12          # orders a Dales-Davie sum reads at a time
 
@@ -94,16 +97,24 @@ def decay_profile(A, margin=0):
 
 
 def cv_norm(A, weight, margin=0):
-    """Weighted decay norm: sum_m d(m) v(m)."""
+    """Weighted decay norm: sum_m d(m) v(m).
+
+    A geometric tail's sum is, for a poly weight of integer exponent r,
+    the polylog tail of weights.log_integer_weight_tail (r + 1 recurrence
+    steps, within its stated relative error of the exact sum), and a
+    log_concave_sum otherwise."""
     prof = decay_profile(A, margin)
     if prof.scale and weight.kind == "table":
         raise ParameterError("table weight cannot cover an infinite symbol")
     total = float((prof.d * weight.value(prof.offsets)).sum())
     if prof.scale:
-        lr = math.log(prof.rho)
-        log_tail, _ = log_concave_sum(
-            lambda ms: ms * lr + np.log(weight.value(ms)), prof.tail_start)
-        total += prof.scale * math.exp(log_tail)
+        tail = (log_integer_weight_tail(weight.r, prof.rho, prof.tail_start)
+                if weight.kind == "poly" else None)
+        if tail is None:
+            lr = math.log(prof.rho)
+            tail = log_concave_sum(
+                lambda ms: ms * lr + np.log(weight.value(ms)), prof.tail_start)
+        total += prof.scale * math.exp(tail[0])
     return total
 
 
@@ -192,6 +203,18 @@ def _dk_norms(A, ambient, margin):
             stream = polylog_tail_logs(prof.rho, prof.tail_start)
             tail_logs = []
 
+    def tails_of(ks):
+        """[log V_k for k in ks], the stream stepped to the largest k."""
+        tail_logs.extend(itertools.islice(
+            stream, max(0, max(ks, default=-1) + 1 - len(tail_logs))))
+        return [tail_logs[k] for k in ks]
+
+    if prof.scale and s is None and not keep.any():
+        # a lone geometric tail: the log-sum-exp of its one column is
+        # log scale + log V_k, bit for bit
+        log_scale = math.log(prof.scale)
+        return lambda ks: [log_scale + v for v in tails_of(ks)]
+
     def logs_of(ks):
         ks = np.array(ks, dtype=int)
         logs = log_d + ks[:, None] * log_om
@@ -203,9 +226,7 @@ def _dk_norms(A, ambient, margin):
                                                    prof.tail_start)[0]
                                 for k in ks]
         elif prof.scale:
-            tail_logs.extend(itertools.islice(
-                stream, max(0, ks.max(initial=-1) + 1 - len(tail_logs))))
-            logs[:, -1] += np.array(tail_logs)[ks]
+            logs[:, -1] += tails_of(ks)
         top = logs.max(axis=1, initial=_NEG_INF)
         if s is not None:
             return top.tolist()
@@ -237,6 +258,16 @@ class DalesDavieValue:
     kmax_used: int
     converged: bool
     tail_ratio: float
+    dk_logs: tuple     # log ||D^k A|| for k = 0, 1, ..., each order read
+
+
+def _logaddexp(x, y):
+    """float(np.logaddexp(x, y)) bit for bit, NumPy's formula in math."""
+    if x == y:
+        return x + _LOG2
+    d = x - y
+    return x + math.log1p(math.exp(-d)) if d > 0 else \
+        y + math.log1p(math.exp(d))
 
 
 def dales_davie_norm(A, seq, ambient="c0", margin=0):
@@ -249,19 +280,21 @@ def dales_davie_norm(A, seq, ambient="c0", margin=0):
     converged=False.  The norms come from one _dk_norms pass over the
     decay profile, which reads each order once: in blocks of _DD_BLOCK
     orders, and one at a time in the operator ambient, where each is an
-    SVD.
+    SVD.  dk_logs holds every order read, those of a block past the cut
+    too, each as dk_norm_logs gives it.
     """
     hard = seq.kmax
     orders = range((hard if hard is not None else _DD_KCAP) + 1)
     block = 1 if normalize_ambient(ambient)[0] == "operator" else _DD_BLOCK
     norms_of = _dk_norms(A, ambient, margin)
-    total_log, quiet, dk_logs = _NEG_INF, 0, []
+    total_log, quiet, dk_logs, log_Ms = _NEG_INF, 0, [], []
     for k in orders:      # k and lt stay at the last order read
         if k == len(dk_logs):
             dk_logs += norms_of(orders[k:k + block])
-        lt = dk_logs[k] - seq.log_M(k)
-        total_log = float(np.logaddexp(total_log, lt))
-        if total_log > _NEG_INF and lt < total_log + math.log(_DD_TOL):
+            log_Ms += seq.log_Ms(orders[k:k + block])
+        lt = dk_logs[k] - log_Ms[k]
+        total_log = _logaddexp(total_log, lt)
+        if total_log > _NEG_INF and lt < total_log + _LOG_DD_TOL:
             quiet += 1
             if quiet >= 3 and k >= 8:
                 break
@@ -271,7 +304,8 @@ def dales_davie_norm(A, seq, ambient="c0", margin=0):
     tail_ratio = math.exp(lt - total_log) if total_log > _NEG_INF else 0.0
     value = math.exp(total_log) if total_log < 709.0 else float("inf")
     return DalesDavieValue(value=value, log_value=total_log, kmax_used=k,
-                           converged=bool(converged), tail_ratio=tail_ratio)
+                           converged=bool(converged), tail_ratio=tail_ratio,
+                           dk_logs=tuple(dk_logs))
 
 
 def a_m_gevrey(r, m):

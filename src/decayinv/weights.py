@@ -3,6 +3,7 @@ function phi_r(x) = sum_l x^l / (l!)^r used by the inversion bounds, the
 sums and maxima behind every series and tail, and the log-factorial and
 zeta(s > 1) those series and bounds need."""
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -81,13 +82,16 @@ def polylog_tail_logs(rho, m0):
     _POLYLOG_KMAX, or on bad arguments, a ParameterError.
 
     From m -> m + 1: (1 - rho) V_k = m0^k rho^m0 + rho sum_{i<k} C(k, i) V_i.
-    Its terms are positive, so V_k is within a relative (k+1)(k+5) 2^-53
-    while 1 - rho >= 2^-20; the log adds the rounding of m0 log rho and its
-    own.  Each order costs one dot product and one Pascal-row update, on
-    arrays that grow with the orders read.  It runs on rho^-m0 V_i 2^-E and
-    moves E only when the newest value leaves [1/2, 2^_BAND): the sum stays
-    below 2^_BAND V_k / V_(k-1), finite up to k = _POLYLOG_KMAX, and since
-    a power of two scales exactly, the values are those of a move at every
+    Its terms are positive and 1 - rho is exact for rho >= 1/2, so for
+    every 0 < rho < 1 the recurrence gives V_k within a relative
+    (k+1)(k+5) 2^-53.  The log l_k it yields adds the rounding of its
+    parts, each as large as |l_k| + m0 |log rho|, so exp(l_k) is within a
+    relative ((k+1)(k+5) + 4 |l_k| + 6 m0 |log rho| + 6) 2^-53 of V_k.
+    Each order costs one dot product and one Pascal-row update, on arrays
+    that grow with the orders read.  It runs on rho^-m0 V_i 2^-E and moves
+    E only when the newest value leaves [1/2, 2^_BAND): the sum stays below
+    2^_BAND V_k / V_(k-1), finite up to k = _POLYLOG_KMAX, and since a
+    power of two scales exactly, the values are those of a move at every
     order."""
     if not (0.0 < rho < 1.0 and m0 >= 0):
         raise ParameterError("polylog tails need 0 < rho < 1 and m0 >= 0")
@@ -112,6 +116,23 @@ def polylog_tail_logs(rho, m0):
     raise ParameterError(f"polylog tails stop at order {_POLYLOG_KMAX}")
 
 
+def log_integer_weight_tail(r, rho, m0):
+    """(log sum_{m >= m0} (1+m)^r rho^m, steps) for an integer weight
+    exponent 0 <= r <= _POLYLOG_KMAX, 0 < rho < 1 and m0 >= 0; None for
+    any other r.
+
+    The sum is V_r / rho, V_r = sum_{n > m0} n^r rho^n, which
+    polylog_tail_logs(rho, m0 + 1) yields in r + 1 steps.  exp of the log
+    L returned is within a relative
+    ((r+1)(r+5) + 5 |L| + 6 (m0+2) |log rho| + 7) 2^-53 of the sum.
+    """
+    if not (float(r).is_integer() and 0 <= r <= _POLYLOG_KMAX):
+        return None
+    r = int(r)
+    log_v = next(itertools.islice(polylog_tail_logs(rho, m0 + 1), r, None))
+    return log_v - math.log(rho), r + 1
+
+
 def log_polylog_tails(rho, m0, kmax):
     """[log V_k for k = 0..kmax] of polylog_tail_logs, 0 <= kmax <= 1000."""
     if not 0 <= kmax <= _POLYLOG_KMAX:
@@ -131,18 +152,28 @@ def log_factorial(n):
     """
     if not isinstance(n, np.ndarray):
         return float(_LOG_FACTORIALS[int(n)] if n <= 12
-                     else _stirling(n + 1.0))
+                     else _stirling(n + 1.0, np.log(n + 1.0)))
+    x = np.maximum(n, 12.0) + 1.0
     return np.where(n <= 12, _LOG_FACTORIALS[np.minimum(n, 12).astype(int)],
-                    _stirling(np.maximum(n, 12.0) + 1.0))
+                    _stirling(x, np.log(x)))
 
 
-def _stirling(x):
-    """log Gamma(x) for x >= 13, a float or a float array."""
+def log_factorials(ns):
+    """[log_factorial(n) for n in ns], bit for bit: one np.log call over
+    them all, the rest in float arithmetic."""
+    logs = np.log(np.array(ns, dtype=float) + 1.0).tolist()
+    return [float(_LOG_FACTORIALS[int(n)]) if n <= 12
+            else _stirling(n + 1.0, lx) for n, lx in zip(ns, logs)]
+
+
+def _stirling(x, log_x):
+    """log Gamma(x) for x >= 13 given log_x = log x; floats or float
+    arrays."""
     p = 1.0 / (x * x)
     fit = 0.0
     for c in _STIRLING_FIT:
         fit = fit * p + c
-    return (x - 0.5) * np.log(x) - x + _LOG_SQRT_2PI + fit / x
+    return (x - 0.5) * log_x - x + _LOG_SQRT_2PI + fit / x
 
 
 def zeta(s):
@@ -331,17 +362,21 @@ class SmoothnessSequence:
         return None
 
     def log_M(self, k):
-        if k < 0:
+        return self.log_Ms([k])[0]
+
+    def log_Ms(self, ks):
+        """[log M_k for k in ks], a nonempty sequence of orders; the
+        factorials of all of them from one log_factorials call."""
+        if min(ks) < 0:
             raise ParameterError("order must be nonnegative")
-        if self.kind in ("finite", "analytic"):
-            if self.kind == "finite" and k > self.K:
-                raise ParameterError(f"order {k} beyond finite cutoff {self.K}")
-            return log_factorial(k)
-        if self.kind == "gevrey":
-            return self.r * log_factorial(k)
-        if k > len(self.values) - 1:
-            raise ParameterError(f"order {k} beyond custom sequence")
-        return math.log(self.values[k])
+        last = self.kmax
+        if last is not None and max(ks) > last:
+            raise ParameterError(f"order {max(ks)} beyond the {self.kind} "
+                                 f"sequence's last order {last}")
+        if self.kind == "custom":
+            return [math.log(self.values[k]) for k in ks]
+        logs = log_factorials(ks)
+        return [self.r * v for v in logs] if self.kind == "gevrey" else logs
 
 
 def log_phi_r(x, r):

@@ -37,8 +37,8 @@ from scipy.special import gammaln
 from decayinv import (LatticeMatrix, ParameterError, apply_automorphism,
                       derivation_power, difference_power, operator_norm_l2)
 from decayinv.besov import _blocks
-from decayinv.norms import (_DD_KCAP, _DD_TOL, DalesDavieValue, decay_profile,
-                            dk_norm_log, normalize_ambient)
+from decayinv.norms import (_DD_BLOCK, _DD_KCAP, _DD_TOL, DalesDavieValue,
+                            decay_profile, dk_norm_log, normalize_ambient)
 from decayinv.weights import poly_geometric_max
 
 
@@ -279,11 +279,14 @@ def dk_norm_log_per_order(A, k, ambient="c0", margin=0):
 def dales_davie_per_order(A, seq, ambient="c0", margin=0):
     """sum_k ||D^k A|| / M_k with norms.dales_davie_norm's stop rule, each
     order read by its own dk_norm_log call (a tail's recurrence rerun from
-    order 0 every time)."""
+    order 0 every time); dk_logs runs to the end of the block of _DD_BLOCK
+    orders (one order in the operator ambient) that holds the last term."""
     hard = seq.kmax
-    total_log, quiet = -math.inf, 0
-    for k in range((hard if hard is not None else _DD_KCAP) + 1):
-        lt = dk_norm_log(A, k, ambient, margin) - seq.log_M(k)
+    last = hard if hard is not None else _DD_KCAP
+    total_log, quiet, dk_logs = -math.inf, 0, []
+    for k in range(last + 1):
+        dk_logs.append(dk_norm_log(A, k, ambient, margin))
+        lt = dk_logs[k] - seq.log_M(k)
         total_log = float(np.logaddexp(total_log, lt))
         if total_log > -math.inf and lt < total_log + math.log(_DD_TOL):
             quiet += 1
@@ -294,8 +297,12 @@ def dales_davie_per_order(A, seq, ambient="c0", margin=0):
     converged = (hard is not None and k >= hard) or quiet >= 3
     tail_ratio = math.exp(lt - total_log) if total_log > -math.inf else 0.0
     value = math.exp(total_log) if total_log < 709.0 else float("inf")
+    block = 1 if normalize_ambient(ambient)[0] == "operator" else _DD_BLOCK
+    read = min(-(-(k + 1) // block) * block, last + 1)
+    dk_logs += [dk_norm_log(A, j, ambient, margin) for j in range(k + 1, read)]
     return DalesDavieValue(value=value, log_value=total_log, kmax_used=k,
-                           converged=bool(converged), tail_ratio=tail_ratio)
+                           converged=bool(converged), tail_ratio=tail_ratio,
+                           dk_logs=tuple(dk_logs))
 
 
 def polylog_tails_rescaled_each_order(rho, m0, kmax):

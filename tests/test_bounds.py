@@ -7,6 +7,7 @@ with x = 1 - beta, so ell_1 = 8 n /beta^2 and ell_2 = 8 n (2-beta)/beta^3.
 """
 
 import math
+import timeit
 
 import mpmath as mp
 import numpy as np
@@ -26,9 +27,11 @@ from decayinv import (IndexWindow, LatticeMatrix, NumericalError,
                       invert_truncated, jaffard_norm, make_toeplitz,
                       operator_norm_l2, phi_Ar, random_decay_matrix,
                       superpoly_bound, weighted_geometric_series, cv_norm)
+from decayinv import bounds
 from decayinv.bounds import condition_data, derived_constant_Jr_log, gamma_r
 from decayinv.norms import banded_error, dales_davie_norm
-from decayinv.weights import SmoothnessSequence, log_phi_r
+from decayinv.weights import (SmoothnessSequence, log_concave_sum,
+                              log_phi_r, log_poly_geometric)
 
 W = IndexWindow(-32, 31)
 
@@ -55,6 +58,42 @@ def test_weighted_series_fractional_vs_mpmath():
                          [0, mp.inf]))
     assert total == pytest.approx(want, rel=1e-10)
     assert terms > 100
+
+
+def test_ell_r_at_a_large_condition_number():
+    # an integer r reads the polylog tail in r + 1 steps, so kappa = 1e5
+    # (5e9 terms of the direct sum) is no harder than kappa = 2
+    kappa = 1e5
+    el = ell_r(1.0, kappa, 2.0)
+    q = 1.0 - 1.0 / (24.0 * kappa + 1.0)
+    with mp.workdps(40):
+        want = (1 + mp.mpf(q)) / (1 - mp.mpf(q)) ** 3
+        err = float(abs(el.series / want - 1))
+    bound = (3 * 7 + 5 * abs(math.log(el.series))
+             + 12 * abs(math.log(q)) + 7) * 2.0 ** -53
+    assert err <= bound
+    assert el.terms == 3 and el.value == 8.0 * el.series
+    assert min(timeit.repeat(lambda: ell_r(1.0, kappa, 2.0), number=1,
+                             repeat=5)) < 1e-3
+
+
+def test_fractional_r_keeps_the_log_concave_sum(monkeypatch):
+    # r = 2.5 sums term by term, bit for bit as before, and still meets
+    # the term cap at kappa = 1e5
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return log_concave_sum(*args)
+    monkeypatch.setattr(bounds, "log_concave_sum", counted)
+    q = 0.95
+    log_value, terms = log_concave_sum(
+        lambda ks: log_poly_geometric(ks, 0.0, 2.5, q), 0)
+    assert weighted_geometric_series(q, 2.5) == (math.exp(log_value), terms)
+    assert len(calls) == 1
+    with pytest.raises(NumericalError, match="50000000 terms"):
+        ell_r(1.0, 1e5, 2.5)
+    assert len(calls) == 2
 
 
 def test_bracket_upper_holds_lower_depends_on_r():

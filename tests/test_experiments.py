@@ -10,7 +10,7 @@ from decayinv import (ConfigError, ExperimentConfig, SlopeFit, besov,
                       besov_bound, bessel_rate_bound, bounds,
                       dales_davie_bound, experiments, explicit_bound_Jr,
                       invert_truncated, jaffard_norm, lattice, norms,
-                      random_decay_matrix)
+                      random_decay_matrix, weights)
 from decayinv.bounds import condition_data
 from decayinv.cli import build_parser, resolve_config
 from decayinv.experiments import (RUNNERS, centered_window, run_besov_report,
@@ -218,10 +218,10 @@ def test_dd_log_comparison_is_the_gevrey_bound():
 
 def test_dd_sharpness_steps_each_tail_recurrence_once_per_order(monkeypatch):
     # ||D^k A|| of the geometric tail comes from one recurrence per
-    # Dales-Davie sum and per bracket check, never from a log-concave
-    # series, and each step is one order read: at most the 219 orders that
-    # doubling blocks read for the five sums, and 11 per check (rerunning
-    # the recurrence from order 0 at every block took 466 steps)
+    # Dales-Davie sum, never from a log-concave series, and the bracket
+    # checks read the norms the sum read; each step is one order read, in
+    # blocks of 12 (rerunning the recurrence from order 0 at every block
+    # took 466 steps, and a second pass per bracket check 55 more)
     def refused(*args):
         raise AssertionError("norms summed a log-concave series")
     streams, steps = [], []
@@ -234,10 +234,23 @@ def test_dd_sharpness_steps_each_tail_recurrence_once_per_order(monkeypatch):
             yield value
     monkeypatch.setattr(norms, "polylog_tail_logs", counted)
     monkeypatch.setattr(norms, "log_concave_sum", refused)
-    run_dd_sharpness(resolve_config(build_parser().parse_args(
-        ["dd-sharpness"])))
-    assert len(streams) == 10
-    assert len(steps) <= 219 + 5 * 11
+    rows = run_dd_sharpness(resolve_config(build_parser().parse_args(
+        ["dd-sharpness"])))["rows"]
+    assert len(streams) == 5
+    assert len(steps) == sum(12 * math.ceil((row["kmax_used"] + 1) / 12)
+                             for row in rows) <= 219
+
+
+def test_toeplitz_sharpness_tails_need_no_log_concave_sum(monkeypatch):
+    # its series are geometric tails with the weights (1+m)^r, r in
+    # r_list = [1, 2] and r = 0, which the polylog recurrence sums
+    def refused(*args):
+        raise AssertionError("an integer-weight tail reached log_concave_sum")
+    for module in (weights, norms, bounds):
+        monkeypatch.setattr(module, "log_concave_sum", refused)
+    result = run_toeplitz_sharpness(resolve_config(build_parser().parse_args(
+        ["toeplitz-sharpness"])))
+    assert len(result["rows"]) == 10 and result["violations"] == []
 
 
 def test_jaffard_bound_explicit_is_the_library_bound():

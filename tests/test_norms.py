@@ -19,7 +19,7 @@ from decayinv.besov import decay_moment
 from decayinv import norms
 from decayinv.norms import (a_m_gevrey, decay_profile, dk_norm_log,
                             dk_norm_logs, side_diag_sup)
-from decayinv.weights import SmoothnessSequence, log_phi_r
+from decayinv.weights import SmoothnessSequence, log_concave_sum, log_phi_r
 
 from oracles import (a_m_bruteforce, dales_davie_per_order,
                      dk_norm_log_per_order)
@@ -338,6 +338,8 @@ DD_MATRICES = {
        for g in (0.5, 0.1, 0.02)},
     "random section": random_decay_matrix(IndexWindow(-8, 7), 2.0, 0.3,
                                           seed=[0, 1]),
+    "coefficients and a tail": make_toeplitz(ToeplitzSymbol(
+        {-2: 0.4, 1: -0.3}, GeometricTail(0.7, 0.9)), W),
 }
 
 
@@ -351,6 +353,38 @@ def test_dales_davie_norm_is_the_per_order_sum(seq, ambient, name):
     A, sequence = DD_MATRICES[name], DD_SEQUENCES[seq]
     got = dales_davie_norm(A, sequence, ambient)
     assert got == dales_davie_per_order(A, sequence, ambient)
+
+
+@pytest.mark.parametrize("ambient", ["c0", ("jaffard", 1.0)])
+@pytest.mark.parametrize("name", sorted(DD_MATRICES))
+def test_dales_davie_norm_hands_back_the_norms_it_read(ambient, name):
+    # every order of each block it opened, bit for bit dk_norm_logs
+    A = DD_MATRICES[name]
+    for seq in DD_SEQUENCES.values():
+        got = dales_davie_norm(A, seq, ambient)
+        read = len(got.dk_logs)
+        assert got.kmax_used < read
+        assert read % 12 == 0 or read == seq.kmax + 1
+        assert got.dk_logs == tuple(dk_norm_logs(A, range(read), ambient))
+    got = dales_davie_norm(DD_MATRICES["random section"],
+                           DD_SEQUENCES["gevrey(2)"], "operator")
+    assert got.dk_logs == tuple(dk_norm_logs(
+        DD_MATRICES["random section"], range(got.kmax_used + 1), "operator"))
+
+
+@pytest.mark.parametrize("weight", [Weight.poly(0.5), Weight.poly(2.5),
+                                    Weight.subexp(0.5, 2.0)])
+def test_other_weights_sum_their_tail_as_before(weight):
+    # a weight that is not (1+m)^r with an integer r keeps the log-concave
+    # sum, bit for bit
+    A = DD_MATRICES["coefficients and a tail"]
+    prof = decay_profile(A)
+    lr = math.log(prof.rho)
+    log_tail, _ = log_concave_sum(
+        lambda ms: ms * lr + np.log(weight.value(ms)), prof.tail_start)
+    want = float((prof.d * weight.value(prof.offsets)).sum()) \
+        + prof.scale * math.exp(log_tail)
+    assert cv_norm(A, weight) == want
 
 
 def test_dales_davie_operator_ambient_evaluates_no_order_past_the_stop(

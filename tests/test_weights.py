@@ -10,9 +10,11 @@ from hypothesis import strategies as st
 
 from decayinv import ParameterError, Weight, check_weight
 from decayinv.weights import (SmoothnessSequence, log_concave_sum,
-                              log_factorial, log_phi_r, log_phi_r_from_log,
-                              log_poly_geometric, log_polylog_tails,
-                              poly_geometric_max, polylog_tail_logs, zeta)
+                              log_factorial, log_factorials,
+                              log_integer_weight_tail, log_phi_r,
+                              log_phi_r_from_log, log_poly_geometric,
+                              log_polylog_tails, poly_geometric_max,
+                              polylog_tail_logs, zeta)
 
 from oracles import log_power_tails, polylog_tails_rescaled_each_order
 
@@ -190,6 +192,74 @@ def test_polylog_tails_rescale_only_at_the_band_edges(gamma, m0):
     rho = math.exp(-gamma)
     want = polylog_tails_rescaled_each_order(rho, m0, 1000)
     assert np.array_equal(log_polylog_tails(rho, m0, 1000), want)
+
+
+def integer_weight_tail_mp(r, rho, m0):
+    """sum_{m >= m0} (1+m)^r rho^m to 60 digits: (Li_{-r}(rho) - the
+    terms n = 1..m0) / rho."""
+    with mp.workdps(60):
+        z = mp.mpf(rho)
+        head = mp.fsum(mp.mpf(n) ** r * z ** n for n in range(1, m0 + 1))
+        return (mp.polylog(-r, z) - head) / z
+
+
+@pytest.mark.parametrize("r", [0, 1, 2, 3, 5, 8])
+@pytest.mark.parametrize("m0", [0, 1, 7])
+def test_integer_weight_tails_within_their_stated_bound(r, m0):
+    # 1 - rho down to 1e-13, where the log reaches about 280 and its
+    # rounding, not the recurrence, is most of the error
+    for delta in [10.0 ** -j for j in range(2, 14)]:
+        rho = 1.0 - delta
+        log_sum, steps = log_integer_weight_tail(float(r), rho, m0)
+        assert steps == r + 1
+        bound = ((r + 1) * (r + 5) + 5 * abs(log_sum)
+                 + 6 * (m0 + 2) * abs(math.log(rho)) + 7) * 2.0 ** -53
+        want = integer_weight_tail_mp(r, rho, m0)
+        with mp.workdps(60):
+            err = abs(mp.mpf(math.exp(log_sum)) / want - 1)
+        assert err <= bound, (delta, float(err), bound)
+
+
+def test_integer_weight_tails_at_far_range_ends():
+    # the largest float below 1, a tiny ratio, a far start (closed forms
+    # sum_{m >= m0} (1+m) rho^m = rho^m0 ((m0+1)/(1-rho) + rho/(1-rho)^2)
+    # and (1+rho)/(1-rho)^3 at r = 2), and the last order
+    with mp.workdps(60):
+        z = mp.mpf(1.0 - 2.0 ** -53)
+        cases = [(2, 1.0 - 2.0 ** -53, 0, (1 + z) / (1 - z) ** 3),
+                 (3, 1e-300, 0, integer_weight_tail_mp(3, 1e-300, 0)),
+                 (1, 0.5, 10 ** 6, mp.mpf(0.5) ** 10 ** 6
+                  * ((10 ** 6 + 1) / mp.mpf(0.5) + 2))]
+        for r, rho, m0, want in cases:
+            log_sum, _ = log_integer_weight_tail(r, rho, m0)
+            bound = ((r + 1) * (r + 5) + 5 * abs(log_sum)
+                     + 6 * (m0 + 2) * abs(math.log(rho)) + 7) * 2.0 ** -53
+            assert abs(mp.mpf(log_sum) - mp.log(want)) <= bound, (r, rho)
+    assert math.isfinite(log_integer_weight_tail(1000, 1.0 - 2.0 ** -53,
+                                                 0)[0])
+
+
+def test_only_integer_exponents_read_the_polylog_tail():
+    for r in (0.5, 2.5, 1001.0, -1.0, math.inf, math.nan):
+        assert log_integer_weight_tail(r, 0.5, 0) is None
+
+
+def test_log_factorials_are_the_scalar_values():
+    ns = range(0, 1001)
+    assert log_factorials(ns) == [log_factorial(n) for n in ns]
+    assert log_factorials(range(40, 52)) == [log_factorial(n)
+                                             for n in range(40, 52)]
+    for seq in (SmoothnessSequence.gevrey(2.0), SmoothnessSequence.gevrey(1.5),
+                SmoothnessSequence.finite(30),
+                SmoothnessSequence.custom([1.0, 1.0, 2.0, 6.0])):
+        last = seq.kmax if seq.kmax is not None else 200
+        for k0 in range(0, last + 1, 12):
+            block = range(k0, min(k0 + 12, last + 1))
+            assert seq.log_Ms(block) == [seq.log_M(k) for k in block]
+        with pytest.raises(ParameterError):
+            seq.log_Ms(range(-1, 3))
+    with pytest.raises(ParameterError):
+        SmoothnessSequence.finite(30).log_Ms(range(25, 37))
 
 
 def test_phi_r_rejects_bad_args():
