@@ -356,6 +356,7 @@ BESOV_NORM_READERS = {
     "difference_power": {"modulus_profile", "hypersingular_seminorm"},
     "poly_geometric_max": {"_dropped_mass"},
     "log_concave_sum": set(),
+    "log_integer_weight_tail": set(),
     "log_poly_geometric": set(),
     "log_polylog_tails": set(),
     "polylog_tail_logs": set(),
