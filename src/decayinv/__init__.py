@@ -12,24 +12,21 @@ from .besov import (SeminormEstimate, besov_seminorm,
                     modulus_profile)
 from .bounds import (BoundReport, baskakov_bound_Cr, baskakov_bound_Jr,
                      besov_bound, bessel_rate_bound, constant_Cr_numeric,
-                     dales_davie_bound, dd_domain_bound, derived_constant_Jr,
-                     ell_r, ell_tilde_r, explicit_bound_Cr, explicit_bound_Jr,
-                     integral_test_bracket, phi_Ar, superpoly_bound,
-                     weighted_geometric_series)
+                     dales_davie_bound, dd_domain_bound, ell_r, ell_tilde_r,
+                     explicit_bound_Cr, explicit_bound_Jr,
+                     integral_test_bracket, phi_Ar, weighted_geometric_series)
 from .errors import (ConfigError, NumericalError, ParameterError,
                      RangeError, SingularityError)
 from .experiments import ExperimentConfig, SlopeFit, random_decay_matrix
-from .io import load_matrix, save_matrix
 from .lattice import (GeometricTail, IndexWindow, LatticeMatrix,
                       ToeplitzSymbol, apply_automorphism, derivation_power,
                       difference_power, geometric_inverse_toeplitz,
-                      identity_matrix, invert_truncated, make_toeplitz,
-                      operator_norm_l2, singular_values, symbol_range)
+                      invert_truncated, make_toeplitz, operator_norm_l2,
+                      singular_values, symbol_range)
 from .norms import (DalesDavieValue, a_m_gevrey, ambient_norm, banded_error,
                     cv_norm, dales_davie_norm, jaffard_norm)
-from .quotient import verify_identity, verify_instances, verify_orders
-from .weights import (SmoothnessSequence, Weight, check_weight, log_phi_r,
-                      log_polylog_tails)
+from .quotient import verify_identity, verify_instances
+from .weights import SmoothnessSequence, Weight, log_phi_r
 
 __version__ = "0.1.0"
 
@@ -40,15 +37,13 @@ __all__ = [
     "SlopeFit", "SmoothnessSequence", "ToeplitzSymbol", "Weight",
     "a_m_gevrey", "ambient_norm", "apply_automorphism", "banded_error",
     "baskakov_bound_Cr", "baskakov_bound_Jr", "besov_bound", "besov_seminorm",
-    "bessel_rate_bound", "check_weight", "constant_Cr_numeric", "cv_norm",
+    "bessel_rate_bound", "constant_Cr_numeric", "cv_norm",
     "dales_davie_bound", "dales_davie_norm", "dd_domain_bound",
-    "derivation_power", "derived_constant_Jr", "difference_power", "ell_r",
-    "ell_tilde_r", "explicit_bound_Cr", "explicit_bound_Jr",
-    "geometric_inverse_toeplitz", "hypersingular_seminorm",
-    "identification_rate_check", "identity_matrix", "integral_test_bracket",
-    "invert_truncated", "jaffard_norm", "load_matrix", "log_phi_r",
-    "log_polylog_tails", "make_toeplitz", "modulus_profile",
-    "operator_norm_l2", "phi_Ar", "random_decay_matrix", "save_matrix",
-    "singular_values", "superpoly_bound", "symbol_range", "verify_identity",
-    "verify_instances", "verify_orders", "weighted_geometric_series",
+    "derivation_power", "difference_power", "ell_r", "ell_tilde_r",
+    "explicit_bound_Cr", "explicit_bound_Jr", "geometric_inverse_toeplitz",
+    "hypersingular_seminorm", "identification_rate_check",
+    "integral_test_bracket", "invert_truncated", "jaffard_norm", "log_phi_r",
+    "make_toeplitz", "modulus_profile", "operator_norm_l2", "phi_Ar",
+    "random_decay_matrix", "singular_values", "symbol_range",
+    "verify_identity", "verify_instances", "weighted_geometric_series",
 ]

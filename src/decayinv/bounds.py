@@ -8,7 +8,7 @@ silent overflow.
 """
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -34,9 +34,6 @@ class BoundReport:
     bound_value: float
     measured_value: Optional[float] = None
     satisfied: Optional[bool] = None
-
-    def to_dict(self):
-        return asdict(self)
 
 
 def _report(name, inputs, intermediates, bound, measured=None):
@@ -374,10 +371,6 @@ def derived_constant_Jr_log(r):
             + (2.0 + 1.0 / (r - 1.0)) * log_G)
 
 
-def derived_constant_Jr(r):
-    return _exp_or_inf(derived_constant_Jr_log(r))
-
-
 def explicit_bound_Jr(norm_A_Jr, norm_A_op, norm_Ainv_op, r, measured=None):
     """Factored bound C~_r ||A||_Jr^{1+1/(r-1)} ||A||^{2r+1+1/(r-1)}
     ||A^{-1}||^{2r+3+2/(r-1)}, plus the single-norm power form with
@@ -542,23 +535,3 @@ def dales_davie_bound(norm_ainv_ambient, a_m=None, mode="general",
          "auxiliary": {"normalized": True}},
         inter, bound, measured)
 
-
-def superpoly_bound(delta, r, measured=None):
-    """Two-layer composition: polynomial-stage inversion at the optimal
-    s = 1 (rate exponent 2s + 2/s + 5 = 9) feeding the gevrey Dales-Davie
-    bound C0 delta^{-e} phi_{r-1}(C1 delta^{-e})."""
-    if not 0 < delta <= 1:
-        raise ParameterError("need 0 < delta <= 1")
-    if r <= 1:
-        raise ParameterError("need r > 1")
-    e_s = 9.0
-    Cs = constant_Cr_numeric(1.0)
-    log_inner = math.log(Cs) + e_s * math.log(1.0 / delta)
-    log_bound = log_inner + log_phi_r_from_log(log_inner, r - 1.0)
-    return _report(
-        "superpoly",
-        {"norm_A_alg": 1.0, "norm_A_op": None, "norm_Ainv_op": 1.0 / delta,
-         "r": r, "auxiliary": {"s": 1.0}},
-        {"exponent": e_s, "C0": Cs, "C1": Cs, "log_inner": log_inner,
-         "log_bound": log_bound, "delta": delta},
-        _exp_or_inf(log_bound), measured)

@@ -19,7 +19,6 @@ from .errors import NumericalError, ParameterError, SingularityError
 # a window section, or a symbol range, whose reciprocal condition falls
 # below this is singular
 RCOND_FLOOR = 1e-12
-ENTRY_ATOL = 1e-12   # entry tolerance of LatticeMatrix.validate and io.load_matrix
 
 
 @dataclass(frozen=True)
@@ -80,10 +79,6 @@ class ToeplitzSymbol:
             out[pos] += self.geometric.scale * self.geometric.ratio ** offsets[pos].astype(float)
         return out
 
-    @property
-    def is_finite(self):
-        return self.geometric is None
-
 
 @dataclass
 class LatticeMatrix:
@@ -112,19 +107,6 @@ class LatticeMatrix:
     @property
     def n(self):
         return self.window.n
-
-    def validate(self):
-        """Check the entries against the symbol, if one is set; raises
-        ParameterError."""
-        if self.symbol is not None:
-            ref = make_toeplitz(self.symbol, self.window).entries
-            if not np.allclose(self.entries, ref, rtol=0, atol=ENTRY_ATOL):
-                raise ParameterError("entries do not match the declared symbol")
-        return self
-
-
-def identity_matrix(window):
-    return make_toeplitz(ToeplitzSymbol({0: 1.0}), window)
 
 
 def make_toeplitz(symbol, window):

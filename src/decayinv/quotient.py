@@ -13,18 +13,17 @@ D^i(A), the X_j recurrence and A B once, and per shift the difference
 powers of A, B and A^{-1}, the T_j recurrence and each left factor
 psi_{(k-l)t}(Delta_t^l A), shared by the product rule and the telescoping
 sum; psi_0 is the identity, so the left factor at l = k and the term i = j
-of T_j (T_0 = I) take no product.  `verify_orders` and `verify_identity`
-are its one-instance and one-order views.  A row reads each side on the
-margin-shrunk window only, and the pass forms no more, as (XY)[I, J] =
-X[I, :] @ Y[:, J]: the X_j and T_j recurrences carry only its columns, and
-each last product (a twisted Leibniz term, the lead psi_{kt}(A^{-1}) T_k,
-A B) only its rows and columns.  So the left factors and the leads are
-formed on its rows only, the differences of B and A^{-1} on its columns
-only, and D^k(A^{-1}) on it alone; Delta_t^l A and the factors of T_j stay
-whole, as a product reads all their rows.  Each entry is the same
-elementwise product as in a whole multiplier and is summed as in the full
-product (see _section), so the rows are bit-identical to slicing full
-products.
+of T_j (T_0 = I) take no product.  `verify_identity` is its one-order view.
+A row reads each side on the margin-shrunk window only, and the pass forms
+no more, as (XY)[I, J] = X[I, :] @ Y[:, J]: the X_j and T_j recurrences
+carry only its columns, and each last product (a twisted Leibniz term, the
+lead psi_{kt}(A^{-1}) T_k, A B) only its rows and columns.  So the left
+factors and the leads are formed on its rows only, the differences of B
+and A^{-1} on its columns only, and D^k(A^{-1}) on it alone; Delta_t^l A
+and the factors of T_j stay whole, as a product reads all their rows.  Each
+entry is the same elementwise product as in a whole multiplier and is
+summed as in the full product (see _section), so the rows are
+bit-identical to slicing full products.
 """
 
 import math
@@ -221,10 +220,17 @@ def _check_operands(A, k, margin, *others):
 
 
 def verify_instances(instances, kmax, t_values, margin=0):
-    """verify_orders on each (A, B, Ainv) of instances in turn, Ainv None
-    standing for A's inverse: yields the rows of one instance before it
-    reads the next, with the offset tables built once per window size.
-    A non-finite t is a ParameterError."""
+    """Rows of the four identities at every order k = 1..kmax, for each
+    (A, B, Ainv) of instances in turn, Ainv None standing for A's inverse:
+    yields the rows of one instance before it reads the next, with the
+    offset tables built once per window size.
+
+    For each k in turn: the derivation quotient row, then for each t in
+    t_values the difference_product, difference_quotient and telescoping
+    rows.  Each row is the dict verify_identity returns; the rows of
+    kmax are the first rows of any larger kmax.  B and Ainv must lie on
+    A's window, and a non-finite t is a ParameterError.
+    """
     t_values, size, tables = list(t_values), None, None
     for A, B, Ainv in instances:
         _check_operands(A, kmax, margin, B, Ainv)
@@ -237,24 +243,12 @@ def verify_instances(instances, kmax, t_values, margin=0):
         yield sorted(rows, key=lambda row: (row["k"], row["t"] is not None))
 
 
-def verify_orders(A, B, kmax, t_values, Ainv=None, margin=0):
-    """Rows of the four identities at every order k = 1..kmax, in one pass.
-
-    For each k in turn: the derivation quotient row, then for each t in
-    t_values the difference_product, difference_quotient and telescoping
-    rows.  Each row is the dict verify_identity returns; the rows of
-    kmax are the first rows of any larger kmax.  B and Ainv must lie on
-    A's window.
-    """
-    return next(verify_instances([(A, B, Ainv)], kmax, t_values, margin))
-
-
 IDENTITIES = ("derivation_quotient", "difference_product",
               "difference_quotient", "telescoping")
 
 
 def verify_identity(A, identity, k, t=None, B=None, Ainv=None, margin=0):
-    """Evaluate one identity at order k: the row verify_orders gives it,
+    """Evaluate one identity at order k: the row verify_instances gives it,
     from the same pass run for that identity alone.
 
     Returns a dict with max_abs_err, the comparison scale (largest entry

@@ -17,7 +17,6 @@ _MAXLOG = math.log(np.finfo(float).max)   # ~709.78
 _SERIES_TOL = 2.0 ** -53
 _SERIES_CAP = 50_000_000
 _SADDLE_PEAK = 5_000_000   # phi_r takes its saddle-point form past this peak
-_CHECK_NMAX = 48   # largest offset check_weight samples
 _POLYLOG_KMAX = 1000   # last order of polylog_tail_logs
 _BAND = 64   # polylog_tail_logs rescales once a value reaches 2^_BAND
 _LOG2 = math.log(2.0)
@@ -131,14 +130,6 @@ def log_integer_weight_tail(r, rho, m0):
     r = int(r)
     log_v = next(itertools.islice(polylog_tail_logs(rho, m0 + 1), r, None))
     return log_v - math.log(rho), r + 1
-
-
-def log_polylog_tails(rho, m0, kmax):
-    """[log V_k for k = 0..kmax] of polylog_tail_logs, 0 <= kmax <= 1000."""
-    if not 0 <= kmax <= _POLYLOG_KMAX:
-        raise ParameterError(f"log_polylog_tails needs 0 <= kmax <= "
-                             f"{_POLYLOG_KMAX}")
-    return np.fromiter(polylog_tail_logs(rho, m0), float, kmax + 1)
 
 
 def log_factorial(n):
@@ -270,36 +261,6 @@ class Weight:
         return self.value(k)
 
 
-def check_weight(w):
-    """Numerical sanity report: evenness, submultiplicativity on offsets up
-    to _CHECK_NMAX (or the table's length), and a GRS indicator
-    (v(2^j)^{2^-j} trending to a limit <= v(1))."""
-    nmax = _CHECK_NMAX
-    ks = np.arange(0, nmax + 1)
-    try:
-        v = w.value(ks)
-    except ParameterError:
-        nmax = len(w.values) - 1
-        ks = np.arange(0, nmax + 1)
-        v = w.value(ks)
-    sym_ok = bool(np.allclose(w.value(-ks), v, rtol=1e-13))
-    inside = ks[:, None] + ks[None, :] <= nmax
-    lhs = w.value((ks[:, None] + ks[None, :])[inside])
-    rhs = (v[:, None] * v[None, :])[inside]
-    sub_ok = bool(np.all(lhs <= rhs * (1 + 1e-12)))
-    worst = float(np.max(lhs / rhs))
-    js = [2 ** j for j in range(1, 20) if 2 ** j <= nmax]
-    roots = [float(w.value(n)) ** (1.0 / n) for n in js]
-    grs_ok = all(roots[i + 1] <= roots[i] * (1 + 1e-9) for i in range(len(roots) - 1))
-    return {
-        "symmetric_ok": sym_ok,
-        "submultiplicative_ok": sub_ok,
-        "worst_ratio": worst,
-        "grs_ok": grs_ok,
-        "root_sequence": roots,
-    }
-
-
 @dataclass(frozen=True)
 class SmoothnessSequence:
     """Admissible sequence M_k normalizing iterated-derivation norms.
@@ -360,9 +321,6 @@ class SmoothnessSequence:
         if self.kind == "custom":
             return len(self.values) - 1
         return None
-
-    def log_M(self, k):
-        return self.log_Ms([k])[0]
 
     def log_Ms(self, ks):
         """[log M_k for k in ks], a nonempty sequence of orders; the

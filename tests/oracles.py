@@ -230,11 +230,11 @@ def a_m_bruteforce(seq, m, kmax=15):
         raise ParameterError(f"kmax {kmax} too small for m = {m}")
     best = float("-inf")
     for k in range(m, cap + 1):
-        base = float(gammaln(k + 1)) - seq.log_M(k)
+        base = float(gammaln(k + 1)) - seq.log_Ms([k])[0]
         for parts in compositions(k, m):
             t = base
             for kj in parts:
-                t += seq.log_M(kj) - float(gammaln(kj + 1))
+                t += seq.log_Ms([kj])[0] - float(gammaln(kj + 1))
             if t > best:
                 best = t
     return math.exp(best / m)
@@ -286,7 +286,7 @@ def dales_davie_per_order(A, seq, ambient="c0", margin=0):
     total_log, quiet, dk_logs = -math.inf, 0, []
     for k in range(last + 1):
         dk_logs.append(dk_norm_log(A, k, ambient, margin))
-        lt = dk_logs[k] - seq.log_M(k)
+        lt = dk_logs[k] - seq.log_Ms([k])[0]
         total_log = float(np.logaddexp(total_log, lt))
         if total_log > -math.inf and lt < total_log + math.log(_DD_TOL):
             quiet += 1

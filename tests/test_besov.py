@@ -31,8 +31,8 @@ from scipy.special import zeta
 from decayinv import (IndexWindow, LatticeMatrix, ParameterError,
                       ToeplitzSymbol, besov_seminorm,
                       geometric_inverse_toeplitz, hypersingular_seminorm,
-                      identification_rate_check, identity_matrix,
-                      make_toeplitz, modulus_profile, random_decay_matrix)
+                      identification_rate_check, make_toeplitz,
+                      modulus_profile, random_decay_matrix)
 from decayinv import besov
 from decayinv.besov import (_antiderivative, _argmax_branch, _blocks,
                             _cell_route, _folded_edges, _j_multipliers,
@@ -386,7 +386,7 @@ SUP_MATRICES = {
     **{f"shift {m}": make_toeplitz(ToeplitzSymbol({m: 1.0}), W)
        for m in (1, 2, 4)},
     "random": random_decay_matrix(W, 2.0, 0.3, seed=[5, 0]),
-    "empty profile": identity_matrix(W),
+    "empty profile": make_toeplitz(ToeplitzSymbol({0: 1.0}), W),
 }
 
 
@@ -502,7 +502,8 @@ def test_sup_search_zooms_a_shell_whose_grid_misses_its_peak():
 def test_sup_search_of_an_empty_profile_evaluates_no_point(t_min):
     # g = 0 on the identity, so the sup is 0 without a search; evaluating
     # every chunk took 10,868 points at t_min = 1e-6
-    est = besov_seminorm(identity_matrix(W), math.inf, 2.0, t_min=t_min)
+    identity = make_toeplitz(ToeplitzSymbol({0: 1.0}), W)
+    est = besov_seminorm(identity, math.inf, 2.0, t_min=t_min)
     assert est.value == 0.0 and est.quadrature_error == 0.0
     assert est.parameters["points"] == 0
     assert est.parameters["shells_searched"][0] == 0
@@ -737,8 +738,8 @@ def test_hypersingular_sup_attained_at_smallest_eps():
 
 
 @pytest.mark.parametrize("ambient", ["c0", ("jaffard", 1.0), "operator"])
-@pytest.mark.parametrize("A", [identity_matrix(IndexWindow(0, 0)),
-                               identity_matrix(W)],
+@pytest.mark.parametrize("A", [make_toeplitz(ToeplitzSymbol({0: 1.0}), w)
+                               for w in (IndexWindow(0, 0), W)],
                          ids=["1 x 1 window", "diagonal"])
 def test_hypersingular_of_an_empty_profile_is_zero(A, ambient):
     # no offset has a multiplier: every ambient reads 0, with no error

@@ -1,7 +1,6 @@
 """Tests for windows, symbols and the basic matrix operations."""
 
 import cmath
-import json
 import math
 
 import numpy as np
@@ -13,10 +12,9 @@ from decayinv import (GeometricTail, IndexWindow, LatticeMatrix,
                       NumericalError, ParameterError, SingularityError,
                       ToeplitzSymbol, Weight, apply_automorphism, cv_norm,
                       derivation_power, difference_power,
-                      geometric_inverse_toeplitz, identity_matrix,
-                      invert_truncated, make_toeplitz, operator_norm_l2,
-                      random_decay_matrix, singular_values, symbol_range)
-from decayinv.io import load_matrix, save_matrix
+                      geometric_inverse_toeplitz, invert_truncated,
+                      make_toeplitz, operator_norm_l2, random_decay_matrix,
+                      singular_values, symbol_range)
 from decayinv.lattice import offset_multiplier
 
 from oracles import difference_power_binomial, offset_multiplier_entrywise
@@ -43,7 +41,7 @@ def test_window_basics():
 
 def test_symbol_coefficients():
     sym = ToeplitzSymbol({0: 1.0, 2: -0.25j})
-    assert sym.is_finite
+    assert sym.geometric is None
     assert sym.coefficients([2])[0] == -0.25j
     assert sym.coefficients([-1])[0] == 0.0
     tail = GeometricTail(0.5, scale=2.0)
@@ -51,7 +49,7 @@ def test_symbol_coefficients():
     # m >= 0 picks up scale * ratio^m on top of the explicit coefficient
     assert geo.coefficients([0])[0] == 3.0 + 2.0
     assert geo.coefficients([3])[0] == 2.0 * 0.5 ** 3
-    assert not geo.is_finite
+    assert geo.geometric is tail
     with pytest.raises(ValueError):
         GeometricTail(1.0)
 
@@ -307,63 +305,9 @@ def test_offset_multiplier_matches_entrywise(n, lo, kind, fname, t, k,
     assert out.symbol is None
 
 
-def test_identity_matrix():
-    I = identity_matrix(W)
-    assert np.array_equal(I.entries, np.eye(W.n))
-    assert operator_norm_l2(I) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_validate_catches_symbol_mismatch():
-    # cv_norm reads the symbol of any matrix that carries one, so
-    # validate must hold the entries to it
-    B = bidiag(0.5)
-    assert LatticeMatrix(W, B.entries, B.symbol).validate().symbol is B.symbol
-    entries = B.entries.copy()
-    entries[0, 5] = 3.0
-    with pytest.raises(ParameterError, match="symbol"):
-        LatticeMatrix(W, entries, B.symbol).validate()
-
-
-def _save_tagged(path, entries, like, tag, bandwidth):
-    """Write entries with the sidecar of `like`, plus the structure tag and
-    bandwidth that older sidecars carry."""
-    save_matrix(like, path)
-    with open(path + ".json") as fh:
-        meta = json.load(fh)
-    save_matrix(LatticeMatrix(like.window, entries), path)
-    meta.update(tag=tag, bandwidth=bandwidth)
-    with open(path + ".json", "w") as fh:
-        json.dump(meta, fh)
-
-
-def test_validate_checks_symbol_and_band_whatever_the_tag(tmp_path):
-    # a matrix carries no tag now, but an older sidecar does: whatever tag
-    # it names, the loaded matrix is held to its symbol and its band
-    B = bidiag(0.5)
-    path = str(tmp_path / "m.mtx")
-    for tag, bw in (("general", None), ("banded", 1), ("toeplitz", None)):
-        _save_tagged(path, B.entries, B, tag, bw)
-        A = load_matrix(path)
-        assert np.array_equal(A.entries, B.entries)
-        assert A.symbol.coeffs == B.symbol.coeffs
-        entries = B.entries.copy()
-        entries[0, 1] = 3.0
-        _save_tagged(path, entries, B, tag, bw)
-        with pytest.raises(ParameterError, match="symbol"):
-            load_matrix(path)
-    G = LatticeMatrix(W, B.entries)
-    _save_tagged(path, G.entries, G, "general", 1)
-    assert load_matrix(path).symbol is None
-    entries = B.entries.copy()
-    entries[0, 5] = 3.0
-    _save_tagged(path, entries, G, "general", 1)
-    with pytest.raises(ParameterError, match="bandwidth"):
-        load_matrix(path)
-
-
 def test_entries_are_read_only():
     # a matrix is a value: its entries cannot drift from its symbol
-    A = identity_matrix(W)
+    A = make_toeplitz(ToeplitzSymbol({0: 1.0}), W)
     with pytest.raises(ValueError):
         A.entries[0, 31] = 5.0
     with pytest.raises(ValueError):

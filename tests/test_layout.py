@@ -8,7 +8,9 @@ import pathlib
 import subprocess
 import sys
 
-PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "decayinv"
+TESTS = pathlib.Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "decayinv"
+BENCH = TESTS.parent / "bench"
 
 
 def private_sibling_imports(path):
@@ -82,8 +84,9 @@ def test_all_is_exactly_what_init_imports():
     assert not missing, f"exported but undefined: {missing}"
 
 
-def referenced_names(node):
-    """Names a syntax tree reads: bare names, attributes and imports."""
+def referenced_names(node, strings=False):
+    """Names a syntax tree reads: bare names, attributes and imports, and
+    with strings the dotted parts of every string constant too."""
     names = set()
     for sub in ast.walk(node):
         if isinstance(sub, ast.Name):
@@ -92,21 +95,39 @@ def referenced_names(node):
             names.add(sub.attr)
         elif isinstance(sub, ast.ImportFrom):
             names.update(alias.name for alias in sub.names)
+        elif strings and isinstance(sub, ast.Constant) \
+                and isinstance(sub.value, str):
+            names.update(sub.value.split("."))
+    return names
+
+
+def outside_readers():
+    """Names the acceptance criteria read, and those bench/ reads outside
+    its own tests, as identifiers or as strings (the tracer names the
+    functions it wraps in strings)."""
+    names = referenced_names(ast.parse((TESTS / "test_acceptance.py")
+                                       .read_text()))
+    for path in sorted(BENCH.glob("*.py")):
+        if path.name != "test_bench.py":
+            names |= referenced_names(ast.parse(path.read_text(), str(path)),
+                                      strings=True)
     return names
 
 
 def unreached_public_definitions():
-    """(module, name) of every public top-level function or class in
-    src/decayinv that no other top-level statement of the package reads
-    and that __all__ does not export."""
+    """(module, name) of every public top-level function or class of a
+    src/decayinv module that no other top-level statement of those modules
+    reads, nor bench/ or the acceptance criteria; __init__.py and its
+    __all__ reach nothing."""
     statements = [(path.stem, node, referenced_names(node))
                   for path in sorted(PACKAGE.glob("*.py"))
+                  if path.name != "__init__.py"
                   for node in ast.parse(path.read_text(), str(path)).body]
-    exported = exported_names()
+    outside = outside_readers()
     unreached = []
     for module, node, _ in statements:
         if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) \
-                or node.name.startswith("_") or node.name in exported:
+                or node.name.startswith("_") or node.name in outside:
             continue
         if not any(node.name in names
                    for _, other, names in statements if other is not node):
@@ -115,8 +136,11 @@ def unreached_public_definitions():
 
 
 def test_every_public_definition_is_reached():
+    # the package is what its runners, the acceptance criteria and the
+    # bench read; exporting a name does not reach it
     unreached = unreached_public_definitions()
-    assert not unreached, f"public but used nowhere in src: {unreached}"
+    assert not unreached, \
+        f"public but read by no module, gate or bench: {unreached}"
 
 
 def sibling_imports(path):
@@ -177,22 +201,31 @@ def test_no_module_level_caches():
         == [], found
 
 
-def test_import_leaves_out_scipy_integrate():
-    # scipy.integrate alone pulls in scipy.optimize and scipy.linalg, about
-    # a quarter of a second of start-up that no route of the package needs
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(PACKAGE.parent), os.environ.get("PYTHONPATH", "")]))
-    code = ("import sys, decayinv, decayinv.cli; "
-            "print('scipy.integrate' in sys.modules)")
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True, timeout=60)
-    assert out.stdout.strip() == "False"
+def scipy_imports(path):
+    """(line, module) of every import of scipy or a scipy submodule in
+    path, at any depth (imports inside functions too)."""
+    tree = ast.parse(path.read_text(), str(path))
+    hits = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules = [node.module]
+        else:
+            continue
+        hits += [(node.lineno, module) for module in modules
+                 if module.split(".")[0] == "scipy"]
+    return hits
 
 
 def test_import_loads_no_scipy():
-    # scipy.special and scipy.io pull in scipy's array-API layer, with
-    # numpy.testing and numpy.f2py; the package needs scipy only to read
-    # and write Matrix Market files, and imports it there
+    # the package runs on numpy alone: no module imports scipy, even
+    # lazily, and importing it loads neither scipy (whose integrate alone
+    # pulls in optimize and linalg, about a quarter of a second) nor
+    # numpy.testing or numpy.f2py, which scipy's array-API layer brings
+    found = {path.name: hits for path in sorted(PACKAGE.glob("*.py"))
+             if (hits := scipy_imports(path))}
+    assert not found, f"scipy imported in: {found}"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(PACKAGE.parent), os.environ.get("PYTHONPATH", "")]))
     code = ("import sys, decayinv, decayinv.cli; "
@@ -358,7 +391,6 @@ BESOV_NORM_READERS = {
     "log_concave_sum": set(),
     "log_integer_weight_tail": set(),
     "log_poly_geometric": set(),
-    "log_polylog_tails": set(),
     "polylog_tail_logs": set(),
 }
 

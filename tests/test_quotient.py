@@ -10,8 +10,7 @@ from hypothesis import strategies as st
 
 from decayinv import (IndexWindow, ParameterError, geometric_inverse_toeplitz,
                       invert_truncated, make_toeplitz, random_decay_matrix,
-                      verify_identity, verify_instances, verify_orders,
-                      ToeplitzSymbol)
+                      verify_identity, verify_instances, ToeplitzSymbol)
 from decayinv import lattice, quotient
 from decayinv.experiments import ExperimentConfig, run_quotient_verify
 from decayinv.quotient import (IDENTITIES, derivation_quotient_rhs,
@@ -150,7 +149,7 @@ def test_one_pass_rows_equal_per_order_rows(kmax):
         cases.append((A, instance(30 + i)[0], inv))
     for A, B, inv in cases:
         for margin in (0, 4, W.n // 2 - 1):
-            got = verify_orders(A, B, kmax, ts, Ainv=inv, margin=margin)
+            got = next(verify_instances([(A, B, inv)], kmax, ts, margin))
             want = quotient_rows_per_order(A, B, inv, kmax, ts,
                                            margin=margin)
             assert got == want, margin
@@ -168,7 +167,7 @@ def test_one_pass_rows_equal_per_order_rows_at_group_edges(n):
              (A, instance(41, window=window)[0], inv)]
     for A, B, inv in cases:
         for margin in sorted({0, 1, n // 2 - 1, (n - 1) // 2}):
-            got = verify_orders(A, B, 5, ts, Ainv=inv, margin=margin)
+            got = next(verify_instances([(A, B, inv)], 5, ts, margin))
             want = quotient_rows_per_order(A, B, inv, 5, ts, margin=margin)
             assert got == want, margin
 
@@ -189,8 +188,8 @@ def test_one_order_view_equals_per_order_verifier():
 def test_one_pass_rows_are_prefix_stable():
     A, inv = instance(8)
     B, _ = instance(9)
-    short = verify_orders(A, B, 3, (0.17, 0.31), Ainv=inv, margin=4)
-    long = verify_orders(A, B, 5, (0.17, 0.31), Ainv=inv, margin=4)
+    short = next(verify_instances([(A, B, inv)], 3, (0.17, 0.31), 4))
+    long = next(verify_instances([(A, B, inv)], 5, (0.17, 0.31), 4))
     assert len(short) == 3 * (1 + 2 * 3)
     assert long[:len(short)] == short
 
@@ -253,7 +252,8 @@ def test_instance_stream_rows_equal_one_instance_rows(n, count, kmax, ts,
     got = list(verify_instances(stream, kmax, ts, margin))
     assert len(got) == count
     for rows, (A, B, inv) in zip(got, cases):
-        assert rows == verify_orders(A, B, kmax, ts, Ainv=inv, margin=margin)
+        assert rows == next(verify_instances([(A, B, inv)], kmax, ts,
+                                             margin))
         assert rows == quotient_rows_per_order(A, B, inv, kmax, ts, margin)
 
 
@@ -265,8 +265,8 @@ def test_instance_stream_of_mixed_window_sizes():
                                 (t for t in (0.17, 0.31)), margin=4))
     assert len(got) == 3
     for rows, (A, inv) in zip(got, cases):
-        assert rows == verify_orders(A, A, 2, (0.17, 0.31), Ainv=inv,
-                                     margin=4)
+        assert rows == next(verify_instances([(A, A, inv)], 2,
+                                             (0.17, 0.31), 4))
 
 
 def test_instances_are_read_one_at_a_time():
@@ -290,7 +290,7 @@ def test_verify_orders_rejects_bad_margin():
     A, inv = instance(5)
     for margin in (-1, 16):
         with pytest.raises(ValueError):
-            verify_orders(A, A, 2, (0.1,), Ainv=inv, margin=margin)
+            next(verify_instances([(A, A, inv)], 2, (0.1,), margin))
 
 
 def test_operands_off_the_window_raise_parameter_error():
@@ -301,9 +301,9 @@ def test_operands_off_the_window_raise_parameter_error():
     narrow = random_decay_matrix(IndexWindow(-8, 7), 2.0, 0.3, seed=[99, 5])
     for other in (shifted, narrow):
         with pytest.raises(ParameterError):
-            verify_orders(A, other, 2, (0.1,), Ainv=inv, margin=4)
+            next(verify_instances([(A, other, inv)], 2, (0.1,), 4))
         with pytest.raises(ParameterError):
-            verify_orders(A, A, 2, (0.1,), Ainv=other, margin=4)
+            next(verify_instances([(A, A, other)], 2, (0.1,), 4))
         with pytest.raises(ParameterError):
             verify_identity(A, "difference_product", 1, t=0.1, B=other)
         for identity in ("derivation_quotient", "difference_quotient"):
@@ -318,7 +318,7 @@ def test_a_non_finite_shift_raises_parameter_error(t):
     A, inv = instance(5)
     B, _ = instance(6)
     with pytest.raises(ParameterError):
-        verify_orders(A, B, 1, [t], Ainv=inv)
+        next(verify_instances([(A, B, inv)], 1, [t]))
     with pytest.raises(ParameterError):
         next(verify_instances([(A, B, inv)], 1, [0.1, t]))
     for identity in IDENTITIES[1:]:
