@@ -33,8 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .lattice import (LatticeMatrix, difference_power, offset_multiplier,
-                      operator_norm_l2)
+from .lattice import (difference_power, offset_multiplier, operator_norm_l2,
+                      require_section)
 from .norms import (ambient_norm, decay_profile, dk_norm_log,
                     normalize_ambient)
 from .weights import poly_geometric_max
@@ -246,7 +246,7 @@ def modulus_profile(A, ts, k, ambient="c0", margin=0):
     if not np.isfinite(ts).all():
         raise ParameterError("modulus_profile needs a finite t")
     if kind == "operator":
-        A.window.shrink(margin)
+        require_section(A, "the operator ambient").window.shrink(margin)
         return np.array([operator_norm_l2(difference_power(A, float(t), k))
                          for t in ts])
     ms, w, _ = _offset_weights(A, ambient, margin)
@@ -262,7 +262,7 @@ def _tail_bounds(A, k, r, p, t_min, t_max, ambient, margin):
         return math.inf
     amb = ambient_norm(A, ambient, margin)
     if normalize_ambient(ambient)[0] == "operator":
-        A, ambient, margin = LatticeMatrix(A.window, A.entries), "c0", 0
+        ambient, margin = "c0", 0
     log_near = (k * math.log(2 * math.pi) + dk_norm_log(A, k, ambient, margin)
                 + (k - r) * math.log(t_min))
     if p == math.inf:
@@ -313,13 +313,12 @@ def besov_seminorm(A, p, r, k=None, ambient="c0", margin=0,
     searched = cells = None
 
     if kind == "operator":
-        A.window.shrink(margin)
+        require_section(A, "the operator ambient").window.shrink(margin)
         if p == math.inf:
             # ||Delta_t^k A||_op is at most sum_m |2 sin pi m t|^k d(m) by
             # the Schur test, the c0 modulus of the section whose singular
             # values the route takes: all of it, whatever the margin
-            ms, w, _ = _offset_weights(LatticeMatrix(A.window, A.entries),
-                                       "c0", 0)
+            ms, w, _ = _offset_weights(A, "c0", 0)
             value, qerr, searched = _operator_sup(A, r, k, edges, ms, w)
             points = _OP_NODES * searched
         else:
@@ -740,7 +739,7 @@ def hypersingular_seminorm(A, r, ambient="c0", margin=0):
         raise ParameterError("hypersingular_seminorm needs 0 < r < 2")
     kind, s = normalize_ambient(ambient)
     if kind == "operator":
-        A.window.shrink(margin)
+        require_section(A, "the operator ambient").window.shrink(margin)
         ms, geo = np.arange(1, A.n), None   # every offset of the window
     else:
         ms, w, geo = _offset_weights(A, ambient, margin)

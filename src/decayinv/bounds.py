@@ -14,8 +14,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import NumericalError, ParameterError, RangeError, SingularityError
-from .lattice import (RCOND_FLOOR, LatticeMatrix, invert_truncated,
-                      singular_values, symbol_range)
+from .lattice import (RCOND_FLOOR, ToeplitzSymbol, invert_truncated,
+                      require_section, singular_values, symbol_range)
 from .norms import banded_error, cv_norm, jaffard_norm
 from .weights import (Weight, log_concave_sum, log_integer_weight_tail,
                       log_phi_r_from_log, log_poly_geometric,
@@ -105,15 +105,13 @@ def gamma_r(r):
 
 
 def condition_data(A):
-    """(kappa, norm_A_op, norm_Ainv_op) of A.
-
-    A matrix with a symbol uses the multiplier range (exact full-lattice
-    values); a section uses the extreme singular values of one SVD of its
-    window, so ||A|| = s_max and ||A^{-1}|| = 1/s_min.  Either way A is
-    singular when min <= RCOND_FLOOR * max.
+    """(kappa, norm_A_op, norm_Ainv_op) of A: of a ToeplitzSymbol from its
+    multiplier range (exact full-lattice values), of a section from the
+    extreme singular values of one SVD, ||A|| = s_max and ||A^{-1}|| =
+    1/s_min.  Either way A is singular when min <= RCOND_FLOOR * max.
     """
-    if A.symbol is not None:
-        lo, hi = symbol_range(A.symbol)
+    if isinstance(A, ToeplitzSymbol):
+        lo, hi = symbol_range(A)
     else:
         s = singular_values(A)
         lo, hi = float(s[-1]), float(s[0])
@@ -235,12 +233,13 @@ def phi_Ar(A, r, t, norm_a_alg, ell_value, norm_ainv_op, margin=0):
     return max(k1, k2)
 
 
-def _read_as(A, method):
-    """A, or for method "window" its section: the Baskakov bounds keep
-    method only because bench/workloads.py passes it."""
+def _check_method(A, method):
+    """The Baskakov bounds keep method only because bench/workloads.py
+    passes it: "auto", or "window", which refuses a ToeplitzSymbol."""
     if method not in ("auto", "window"):
         raise ParameterError(f"unknown method {method!r}")
-    return A if method == "auto" else LatticeMatrix(A.window, A.entries)
+    if method == "window":
+        require_section(A, 'method "window"')
 
 
 def baskakov_bound_Cr(A, r, t_grid=(0.5,), method="auto", margin=0,
@@ -249,11 +248,11 @@ def baskakov_bound_Cr(A, r, t_grid=(0.5,), method="auto", margin=0,
     the smallest over t in t_grid.
 
     The default t = 1/2 gives 4 ell_r Phi (1+Phi)^r; a grid over (0, 1/2]
-    refines it.  method "window" reads A's window section, not its symbol.
+    refines it.  A ToeplitzSymbol needs inverse=, as it has no window.
     """
     if r <= 0:
         raise ParameterError("need r > 0")
-    A = _read_as(A, method)
+    _check_method(A, method)
     kappa, na_op, nainv_op = condition_data(A)
     el = ell_r(nainv_op, kappa, r)
     na_alg = cv_norm(A, Weight.poly(r), margin)
@@ -281,10 +280,10 @@ def baskakov_bound_Cr(A, r, t_grid=(0.5,), method="auto", margin=0,
 
 def baskakov_bound_Jr(A, r, method="auto", margin=0, inverse=None):
     """4 ell~_r (2 + (2*3^r ||A||_Jr ell~_r)^{1/(r-1)})^r on ||A^{-1}||_Jr;
-    method "window" reads A's window section instead of its symbol."""
+    inverse= as for baskakov_bound_Cr."""
     if r <= 1:
         raise ParameterError("need r > 1")
-    A = _read_as(A, method)
+    _check_method(A, method)
     kappa, na_op, nainv_op = condition_data(A)
     elt = ell_tilde_r(nainv_op, kappa, r)
     na_j = jaffard_norm(A, r, margin)

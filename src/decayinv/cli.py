@@ -91,9 +91,11 @@ def _print_summary(command, result, out):
     print(f"{command}: {len(result['rows'])} rows -> {out}")
 
 
+_PARSER = build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         cfg = resolve_config(args)
         result = RUNNERS[args.command](cfg)

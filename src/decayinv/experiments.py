@@ -10,6 +10,9 @@ a copy of its formula; every ratio column divides two such columns.
 Each runner owns its settings and decides its own gate: it reads its
 tolerances over one table of defaults (_tolerances), and its result
 carries `violations`, one line per failed gate, for the CLI to print.
+
+toeplitz-sharpness, dd-sharpness and besov-report read ToeplitzSymbols
+and build no matrix; only jaffard-check and quotient-verify read window_N.
 """
 
 import csv
@@ -27,8 +30,8 @@ from .bounds import (baskakov_bound_Jr, besov_bound, bessel_rate_bound,
                      integral_test_bracket)
 from .errors import ConfigError, ParameterError, SingularityError
 from .lattice import (IndexWindow, LatticeMatrix, ToeplitzSymbol,
-                      geometric_inverse_toeplitz, invert_truncated,
-                      make_toeplitz, offset_table, rcond_estimate)
+                      geometric_inverse_symbol, invert_truncated,
+                      offset_table, rcond_estimate)
 from .norms import cv_norm, dales_davie_norm, jaffard_norm
 from .quotient import verify_instances
 from .weights import SmoothnessSequence, Weight
@@ -170,11 +173,10 @@ def centered_window(n):
     return IndexWindow(-(n // 2), n - n // 2 - 1)
 
 
-def resolvent_matrix(gamma, window, normalizer=1.0):
-    """Bidiagonal 1 - e^{-gamma} shift, optionally divided by normalizer."""
+def resolvent_symbol(gamma, normalizer=1.0):
+    """The symbol 1 - e^{-gamma} z, optionally divided by normalizer."""
     x = math.exp(-gamma)
-    sym = ToeplitzSymbol({0: 1.0 / normalizer, 1: -x / normalizer})
-    return make_toeplitz(sym, window)
+    return ToeplitzSymbol({0: 1.0 / normalizer, 1: -x / normalizer})
 
 
 def random_decay_matrix(window, r, eps, seed):
@@ -203,27 +205,23 @@ def run_toeplitz_sharpness(cfg):
         raise ConfigError("toeplitz sharpness needs at least 4 grid points")
     if not cfg.r_list or any(r < 0 for r in cfg.r_list):
         raise ConfigError("toeplitz sharpness needs r_list with every r >= 0")
-    window = centered_window(cfg.window_N)
-    family = {}     # gamma -> (resolvent, its inverse, the inverse's C0 norm)
-    for gamma in cfg.gamma_grid:
-        inv = geometric_inverse_toeplitz(gamma, window)
-        family[gamma] = (resolvent_matrix(gamma, window), inv,
-                         cv_norm(inv, Weight.poly(0.0)))
+    # each inverse's C0 norm, which every r reads
+    c0 = {gamma: cv_norm(geometric_inverse_symbol(gamma), Weight.poly(0.0))
+          for gamma in cfg.gamma_grid}
     rows, fits = [], {}
     for r in cfg.r_list:
         def one(gamma, r=r):
             x = math.exp(-gamma)
             s = 1.0 + 2.0 ** r * x
-            A, inv, inv_c0 = family[gamma]
-            norm_A = cv_norm(A, Weight.poly(r))
-            series = cv_norm(inv, Weight.poly(r))
+            norm_A = cv_norm(resolvent_symbol(gamma), Weight.poly(r))
+            series = cv_norm(geometric_inverse_symbol(gamma), Weight.poly(r))
             lo, hi = integral_test_bracket(gamma, r)
             return {
                 "gamma": gamma, "r": r, "norm_A_Cr": norm_A, "normalizer": s,
                 "series_Cr": series, "bracket_low": lo, "bracket_high": hi,
                 "bracket_ok": bool(lo <= series <= hi),
-                "norm_inv_C0": s * inv_c0, "norm_inv_Cr": s * series,
-                "delta": 1.0 / (s * inv_c0),
+                "norm_inv_C0": s * c0[gamma], "norm_inv_Cr": s * series,
+                "delta": 1.0 / (s * c0[gamma]),
             }
         rrows = [one(gamma) for gamma in cfg.gamma_grid]
         pts = [(math.log(row["delta"]), math.log(row["norm_inv_Cr"]))
@@ -257,13 +255,12 @@ def run_dd_sharpness(cfg):
         raise ConfigError("gamma_grid must not be empty")
     if not cfg.r_list or any(r <= 1 for r in cfg.r_list):
         raise ConfigError("dd sharpness needs r_list with every r > 1")
-    window = centered_window(cfg.window_N)
     rows, fits = [], {}
     for r in cfg.r_list:
         seq = SmoothnessSequence.gevrey(r)
 
         def one(gamma, r=r, seq=seq):
-            inv = geometric_inverse_toeplitz(gamma, window)
+            inv = geometric_inverse_symbol(gamma)
             dd = dales_davie_norm(inv, seq, ambient="c0")
             log_comp = dales_davie_bound(1.0 / gamma, mode="gevrey",
                                          gevrey_r=r).intermediates["log_bound"]
@@ -409,18 +406,16 @@ def run_besov_report(cfg):
         raise ConfigError("gamma_grid must not be empty")
     if not cfg.r_list or any(not 0 < r <= 3 for r in cfg.r_list):
         raise ConfigError("besov report needs r_list within (0, 3]")
-    window = centered_window(cfg.window_N)
     if not 0 < t_min < t_max < math.inf:
         raise ConfigError(
             f"need a finite 0 < t_min < t_max, got {t_min}, {t_max}")
-    shifts = [make_toeplitz(ToeplitzSymbol({m: 1.0}), window)
-              for m in tol["shift_offsets"]]
+    shifts = [ToeplitzSymbol({m: 1.0}) for m in tol["shift_offsets"]]
     rows = []
     calibrations = {}
     for r in cfg.r_list:
         k = math.floor(r) + 1
         scales = [1.0 + 2.0 ** r * math.exp(-g) for g in cfg.gamma_grid]
-        invs = [geometric_inverse_toeplitz(g, window, scale=s)
+        invs = [geometric_inverse_symbol(g, scale=s)
                 for g, s in zip(cfg.gamma_grid, scales)]
         ident = identification_rate_check(invs + shifts, r, k=k,
                                           t_min=t_min, t_max=t_max)
@@ -436,7 +431,7 @@ def run_besov_report(cfg):
         rrows = []
         for gamma, s, inv, ident_row in zip(cfg.gamma_grid, scales, invs,
                                             ident["rows"]):
-            A = resolvent_matrix(gamma, window, normalizer=s)
+            A = resolvent_symbol(gamma, normalizer=s)
             inv_c0 = cv_norm(inv, Weight.poly(0.0))
             sem_A = besov_seminorm(A, 1, r, k, t_min=t_min, t_max=t_max)
             sem_inv = ident_row["seminorm"]

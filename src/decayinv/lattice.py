@@ -1,11 +1,11 @@
-"""Matrices indexed by a finite window of the integer lattice.
+"""Toeplitz symbols and matrices on a finite window of the integer lattice.
 
-A matrix lives on a window [lo, hi]; its dense complex entries are a
-read-only view (no copy) of the array given.  A Toeplitz matrix also
-carries its exact symbol.  Every norm elsewhere reads a matrix from its
-symbol when it carries one, summed over the whole lattice, and from its
-window entries otherwise; LatticeMatrix(A.window, A.entries) is the
-window section of a Toeplitz A.  Offset multipliers return sections.
+A ToeplitzSymbol is an operator on the whole lattice, read exactly.  A
+LatticeMatrix is a section: a window [lo, hi] and its dense complex
+entries, a read-only view (no copy) of the array given.  The one bridge
+is make_toeplitz(symbol, window).  Every norm elsewhere takes either;
+what needs a window (an SVD, an inverse, an offset multiplier, a margin)
+refuses a symbol through require_section.
 """
 
 import math
@@ -16,8 +16,7 @@ from numpy.lib.stride_tricks import as_strided
 
 from .errors import NumericalError, ParameterError, SingularityError
 
-# a window section, or a symbol range, whose reciprocal condition falls
-# below this is singular
+# a section or symbol range with reciprocal condition below this is singular
 RCOND_FLOOR = 1e-12
 
 
@@ -82,16 +81,15 @@ class ToeplitzSymbol:
 
 @dataclass
 class LatticeMatrix:
-    """A finite section over window, with an optional exact symbol.
+    """The finite section of a matrix over window.
 
-    entries becomes a read-only view, so no write through the matrix can
-    make it drift from its symbol.  The view is not a copy: a complex128
-    array passed in is aliased, and a later write into that array changes
-    the matrix; any other array is converted, hence copied.
+    entries becomes a read-only view, so no write goes through the matrix.
+    The view is not a copy: a complex128 array passed in is aliased, and a
+    later write into that array changes the matrix; any other array is
+    converted, hence copied.
     """
     window: IndexWindow
     entries: np.ndarray
-    symbol: ToeplitzSymbol | None = None
 
     def __post_init__(self):
         self.entries = np.asarray(self.entries, dtype=complex).view()
@@ -100,27 +98,37 @@ class LatticeMatrix:
         if self.entries.shape != (n, n):
             raise ParameterError(
                 f"entries shape {self.entries.shape} does not match window size {n}")
-        if self.symbol is not None and not isinstance(self.symbol, ToeplitzSymbol):
-            raise ParameterError(
-                f"symbol must be a ToeplitzSymbol, got {self.symbol!r}")
 
     @property
     def n(self):
         return self.window.n
 
 
+def require_section(A, needs):
+    """A, when it is a section; a ParameterError naming what needs a
+    window when A is a ToeplitzSymbol, which has none."""
+    if isinstance(A, ToeplitzSymbol):
+        raise ParameterError(f"{needs} needs a window: pass the section "
+                             f"make_toeplitz(symbol, window)")
+    return A
+
+
 def make_toeplitz(symbol, window):
     # contiguous entries, not a strided view of the 2n - 1 values
     entries = offset_table(window.n, symbol.coefficients).copy()
-    return LatticeMatrix(window, entries, symbol)
+    return LatticeMatrix(window, entries)
+
+
+def geometric_inverse_symbol(gamma, scale=1.0):
+    """The resolvent inverse c(m) = scale e^{-gamma m} on m >= 0."""
+    if gamma <= 0:
+        raise ParameterError("gamma must be positive")
+    return ToeplitzSymbol({}, GeometricTail(math.exp(-gamma), scale))
 
 
 def geometric_inverse_toeplitz(gamma, window, scale=1.0):
-    """Section of the lower-triangular resolvent with entries scale*e^{-gamma(k-l)}."""
-    if gamma <= 0:
-        raise ParameterError("gamma must be positive")
-    sym = ToeplitzSymbol({}, GeometricTail(math.exp(-gamma), scale))
-    return make_toeplitz(sym, window)
+    """The section of geometric_inverse_symbol(gamma, scale) on window."""
+    return make_toeplitz(geometric_inverse_symbol(gamma, scale), window)
 
 
 def offset_table(n, f):
@@ -137,9 +145,9 @@ def offset_multiplier(A, f):
     f(k - l) A(k, l).
 
     f is called once, on the 1-D integer array of the 2n - 1 window
-    offsets, and must act elementwise.  The result is a section: it
-    carries no symbol.
+    offsets, and must act elementwise.
     """
+    require_section(A, "an offset multiplier")
     return LatticeMatrix(A.window, offset_table(A.n, f) * A.entries)
 
 
@@ -165,28 +173,24 @@ def apply_automorphism(A, t):
 
 
 def derivation_power(A, k):
-    """D^k: multiply entry (k, l) by (k-l)^k.  k = 0 returns A's section."""
+    """D^k: multiply entry (k, l) by (k-l)^k; k = 0 copies A."""
     if k < 0:
         raise ParameterError("derivation order must be nonnegative")
-    if k == 0:
-        return LatticeMatrix(A.window, A.entries)
     return offset_multiplier(A, derivation_factor(k))
 
 
 def difference_power(A, t, k):
     """(psi_t - id)^k applied to A: entry (k, l) times (e^{2 pi i m t} - 1)^k
-    on offset m = k - l.  k = 0 returns A's section."""
+    on offset m = k - l; k = 0 copies A."""
     if k < 0:
         raise ParameterError("difference order must be nonnegative")
-    if k == 0:
-        return LatticeMatrix(A.window, A.entries)
     return offset_multiplier(A, difference_factor(t, k))
 
 
 def rcond_estimate(A, Ainv):
     """Reciprocal condition estimate from the 1-norms of A and its inverse."""
     inv = Ainv.entries if isinstance(Ainv, LatticeMatrix) else Ainv
-    n1 = np.abs(A.entries).sum(axis=0).max()
+    n1 = np.abs(require_section(A, "rcond_estimate").entries).sum(axis=0).max()
     n2 = np.abs(inv).sum(axis=0).max()
     if n1 == 0 or n2 == 0:
         return 0.0
@@ -194,13 +198,13 @@ def rcond_estimate(A, Ainv):
 
 
 def invert_truncated(A):
-    """Dense inverse of the window section.
+    """Dense inverse of the section A.
 
     Raises SingularityError when the reciprocal condition estimate falls
     below RCOND_FLOOR.
     """
     try:
-        inv = np.linalg.inv(A.entries)
+        inv = np.linalg.inv(require_section(A, "invert_truncated").entries)
     except np.linalg.LinAlgError as exc:
         raise SingularityError(f"window section is singular: {exc}", rcond=0.0)
     rc = rcond_estimate(A, inv)
@@ -211,14 +215,14 @@ def invert_truncated(A):
 
 
 def singular_values(A):
-    """Singular values of the window section, largest first (LAPACK gesdd)."""
-    if not np.all(np.isfinite(A.entries)):
+    """Singular values of the section A, largest first (LAPACK gesdd)."""
+    if not np.all(np.isfinite(require_section(A, "an SVD").entries)):
         raise NumericalError("singular values of a matrix with non-finite entries")
     return np.linalg.svd(A.entries, compute_uv=False)
 
 
 def operator_norm_l2(A):
-    """Largest singular value of the window section."""
+    """Largest singular value of the section A."""
     return float(singular_values(A)[0])
 
 

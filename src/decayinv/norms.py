@@ -1,9 +1,9 @@
 """Decay-profile norms and iterated-derivation seminorms.
 
-Every norm reduces over one DecayProfile per matrix, read from the
-matrix's exact symbol when it carries one (a sum over the whole lattice)
-and from its window entries otherwise.  To read a Toeplitz matrix A on
-its window, pass its section LatticeMatrix(A.window, A.entries).  Large
+Every norm reduces over one DecayProfile: of a ToeplitzSymbol exactly,
+over the whole lattice, and of a LatticeMatrix from its window entries.
+The operator ambient and a nonzero margin need a window, so a symbol is
+read there through its section make_toeplitz(symbol, window).  Large
 iterated sums are accumulated in log space, for a block of orders at once.
 """
 
@@ -15,7 +15,8 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from .errors import ParameterError
-from .lattice import LatticeMatrix, derivation_power, operator_norm_l2
+from .lattice import (LatticeMatrix, ToeplitzSymbol, derivation_power,
+                      operator_norm_l2, require_section)
 from .weights import (Weight, log_concave_sum, log_factorial,
                       log_integer_weight_tail, poly_geometric_max,
                       polylog_tail_logs)
@@ -74,18 +75,14 @@ class DecayProfile:
 
 
 def decay_profile(A, margin=0):
-    """The DecayProfile of A, from its symbol when it carries one and from
-    its window entries otherwise.
-
-    margin shrinks the window on both sides; the symbol route checks it
-    (a ParameterError unless the shrunk window is nonempty) and ignores it.
-    """
-    if A.symbol is None:
+    """The DecayProfile of a ToeplitzSymbol, exact, or of a section on its
+    margin-shrunk window.  A nonzero margin needs a window."""
+    if not isinstance(A, ToeplitzSymbol):
         return DecayProfile(*side_diag_sup(A, margin))
-    A.window.shrink(margin)
-    sym = A.symbol
-    geo = sym.geometric
-    M = max((abs(m) for m in sym.coeffs), default=-1)
+    if margin:
+        require_section(A, "a nonzero margin")
+    geo = A.geometric
+    M = max((abs(m) for m in A.coeffs), default=-1)
     scale = rho = 0.0
     if geo is not None and geo.scale != 0:
         if geo.ratio == 0:
@@ -93,7 +90,8 @@ def decay_profile(A, margin=0):
         else:
             scale, rho = abs(geo.scale), abs(geo.ratio)
     offs = np.arange(-M, M + 1)
-    return DecayProfile(offs, np.abs(sym.coefficients(offs)), scale, rho)
+    d = np.abs(A.coefficients(offs)) if M >= 0 else np.zeros(0)
+    return DecayProfile(offs, d, scale, rho)
 
 
 def cv_norm(A, weight, margin=0):
@@ -106,7 +104,8 @@ def cv_norm(A, weight, margin=0):
     prof = decay_profile(A, margin)
     if prof.scale and weight.kind == "table":
         raise ParameterError("table weight cannot cover an infinite symbol")
-    total = float((prof.d * weight.value(prof.offsets)).sum())
+    total = (float((prof.d * weight.value(prof.offsets)).sum())
+             if prof.d.size else 0.0)
     if prof.scale:
         tail = (log_integer_weight_tail(weight.r, prof.rho, prof.tail_start)
                 if weight.kind == "poly" else None)
@@ -161,7 +160,7 @@ def ambient_norm(A, ambient="c0", margin=0):
         return cv_norm(A, Weight.poly(0.0), margin)
     if kind == "jaffard":
         return jaffard_norm(A, s, margin)
-    A.window.shrink(margin)
+    require_section(A, "the operator ambient").window.shrink(margin)
     return operator_norm_l2(A)
 
 
@@ -182,8 +181,8 @@ def _dk_norms(A, ambient, margin):
     weights.polylog_tail_logs stream, stepped once per order up to the
     largest order asked for so far."""
     kind, s = normalize_ambient(ambient)
-    A.window.shrink(margin)
     if kind == "operator":
+        require_section(A, "the operator ambient").window.shrink(margin)
         return lambda ks: [_operator_dk_log(A, k) for k in ks]
     prof = decay_profile(A, margin)
     keep = prof.d > 0

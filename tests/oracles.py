@@ -247,8 +247,8 @@ def dk_norm_log_per_order(A, k, ambient="c0", margin=0):
     a geometric tail's sum from log_power_tails (its max from the exact
     argmax)."""
     kind, s = normalize_ambient(ambient)
-    A.window.shrink(margin)
     if kind == "operator":
+        A.window.shrink(margin)
         M = derivation_power(A, k).entries
         top = np.abs(M).max()
         if top == 0.0:

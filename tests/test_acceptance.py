@@ -22,11 +22,11 @@ from decayinv import (ExperimentConfig, IndexWindow, ToeplitzSymbol, Weight,
                       baskakov_bound_Cr, baskakov_bound_Jr,
                       besov_bound, constant_Cr_numeric, cv_norm,
                       dd_domain_bound, explicit_bound_Cr, explicit_bound_Jr,
-                      geometric_inverse_toeplitz, integral_test_bracket,
-                      invert_truncated, jaffard_norm, make_toeplitz,
-                      operator_norm_l2, random_decay_matrix,
+                      integral_test_bracket, invert_truncated, jaffard_norm,
+                      operator_norm_l2, random_decay_matrix, symbol_range,
                       weighted_geometric_series)
 from decayinv import bounds, norms, weights
+from decayinv.lattice import geometric_inverse_symbol
 from decayinv.experiments import (run_besov_report, run_dd_sharpness,
                                   run_quotient_verify,
                                   run_toeplitz_sharpness)
@@ -36,9 +36,10 @@ from decayinv.weights import SmoothnessSequence
 from oracles import a_m_bruteforce
 
 
-def resolvent(gamma, window):
+def resolvent(gamma):
+    """The lattice operator 1 - e^{-gamma} z, as its symbol."""
     x = math.exp(-gamma)
-    return make_toeplitz(ToeplitzSymbol({0: 1.0, 1: -x}), window)
+    return ToeplitzSymbol({0: 1.0, 1: -x})
 
 
 def test_criterion_01_series_bracket():
@@ -71,11 +72,10 @@ def test_criterion_01_series_bracket():
 
 def test_criterion_02_resolvent_norms():
     t0 = time.monotonic()
-    W = IndexWindow(-32, 31)
     for gamma in (0.5, 0.2, 0.1, 0.05):
         x = math.exp(-gamma)
-        A = resolvent(gamma, W)
-        inv = geometric_inverse_toeplitz(gamma, W)
+        A = resolvent(gamma)
+        inv = geometric_inverse_symbol(gamma)
         for r in (0.5, 1.0, 2.0, 3.0):
             want = 1.0 + 2.0 ** r * x
             got = cv_norm(A, Weight.poly(r))
@@ -111,13 +111,14 @@ def test_criterion_04_quotient_identities():
 
 
 def criterion_05_resolvent_reports():
+    # the lattice operators: their operator norms are the sups of their
+    # symbols
     reports = []
-    W = IndexWindow(-32, 31)
     for gamma in (0.05, 0.1, 0.2, 0.5, 1.0):
-        A = resolvent(gamma, W)
-        inv = geometric_inverse_toeplitz(gamma, W)
-        na_op = operator_norm_l2(A)
-        ninv_op = operator_norm_l2(inv)
+        A = resolvent(gamma)
+        inv = geometric_inverse_symbol(gamma)
+        na_op = symbol_range(A)[1]
+        ninv_op = symbol_range(inv)[1]
         for r in (1.0, 2.0):
             reports.append(baskakov_bound_Cr(A, r, inverse=inv))
             reports.append(explicit_bound_Cr(

@@ -39,8 +39,7 @@ from decayinv.besov import (_antiderivative, _argmax_branch, _blocks,
                             _kink_cells, _modulus, _offset_weights,
                             _shell_bounds, _shell_edges, _slope_bounds,
                             _sup_search, _switch_cells)
-from decayinv.experiments import centered_window
-from decayinv.lattice import difference_power
+from decayinv.lattice import difference_power, geometric_inverse_symbol
 from decayinv.norms import cv_norm
 from decayinv.weights import Weight
 from oracles import (besov_cells_unfolded, besov_integral_cells,
@@ -48,7 +47,9 @@ from oracles import (besov_cells_unfolded, besov_integral_cells,
                      sup_search_all_shells)
 
 W = IndexWindow(-32, 31)
-INV = geometric_inverse_toeplitz(0.5, W)
+INV = geometric_inverse_symbol(0.5)
+# its section, for the operator ambient, which needs a window
+INV_W = make_toeplitz(INV, W)
 
 # independent quadrature of 2 int_0.01^4 (t^-r g(t))^p dt/t with
 # g(t) = sum_m 2|sin(pi m t)| e^{-m/2}, r = 1/2, k = 1
@@ -101,7 +102,7 @@ def _shift_seminorm_mpmath(m, r, k, t_min, t_max, p=1):
                                                (3, 0.5, 1, 0.01, 2),
                                                (5, 1.5, 2, 1e-6, 1.5)])
 def test_besov_shift_mpmath_oracle(m, r, k, t_min, p):
-    T = make_toeplitz(ToeplitzSymbol({m: 1.0}), W)
+    T = ToeplitzSymbol({m: 1.0})
     est = besov_seminorm(T, p, r, k, t_min=t_min, t_max=4.0)
     want = _shift_seminorm_mpmath(m, r, k, t_min, 4.0, p)
     assert est.value == pytest.approx(want, rel=1e-13)
@@ -114,7 +115,7 @@ def test_routes_raise_no_warnings():
         for p in (1, 2, math.inf):
             besov_seminorm(INV, p, 0.5, 1, t_min=0.01, t_max=4.0)
         hypersingular_seminorm(INV, 0.5)
-        hypersingular_seminorm(INV, 1.5, ambient="operator")
+        hypersingular_seminorm(INV_W, 1.5, ambient="operator")
 
 
 def test_besov_p2_frozen():
@@ -180,7 +181,7 @@ def test_besov_above_cell_cap_within_reported_error(monkeypatch):
     # gamma = 0.1 keeps 415 offsets, about 43k kinks on the folded domain
     # [0, 1/2]: past the cell cap, so the route takes equal panels per
     # piece of it.  The reference is the kink-cell rule with the cap lifted.
-    A = geometric_inverse_toeplitz(0.1, W)
+    A = geometric_inverse_symbol(0.1)
     ms, _, _ = _offset_weights(A, "c0", 0)
     assert _kink_cells(_folded_edges(_shell_edges(0.01, 4.0)), ms) is None
     est = besov_seminorm(A, 2, 0.5, 1, t_min=0.01, t_max=4.0)
@@ -237,13 +238,15 @@ def test_operator_tail_bound_covers_the_left_out_mass():
     # 4 int_0^0.1 g(u^2) u^-2 du.  g has period 1, and
     # sum_{j>=4} (j+v)^-1.5 >= 2/sqrt(5) on [0, 1], so the mass beyond
     # t = 4 is at least 4/sqrt(5) int_0^1 g.
-    est = besov_seminorm(INV, 1, 0.5, 1, ambient="operator",
+    est = besov_seminorm(INV_W, 1, 0.5, 1, ambient="operator",
                          t_min=0.01, t_max=4.0)
     x, wts = np.polynomial.legendre.leggauss(16)
     u = 0.05 * (x + 1.0)
-    near = 0.2 * wts @ (modulus_profile(INV, u ** 2, 1, "operator") / u ** 2)
+    near = 0.2 * wts @ (modulus_profile(INV_W, u ** 2, 1, "operator")
+                        / u ** 2)
     v = (np.arange(256) + 0.5) / 256
-    far = 4.0 / math.sqrt(5.0) * modulus_profile(INV, v, 1, "operator").mean()
+    far = 4.0 / math.sqrt(5.0) * modulus_profile(INV_W, v, 1,
+                                                 "operator").mean()
     assert near > 9.7 and far > 2.9
     assert est.tail_bound >= near + far
 
@@ -357,7 +360,7 @@ def test_tail_bound_covers_the_left_out_part(name, p, r, k):
     for ambient in ("c0", ("jaffard", 1.0)):
         if name.startswith("shift"):
             m = int(name.split()[1])
-            A = make_toeplitz(ToeplitzSymbol({m: 1.0}), W)
+            A = ToeplitzSymbol({m: 1.0})
             scale = 1.0 if ambient == "c0" else 1.0 + m
             left_out = scale * _shift_left_out_mpmath(m, r, k, t_min, t_max,
                                                       p)
@@ -381,12 +384,10 @@ def test_besov_sup_frozen():
 # inverse (829 offsets) takes only the order of criterion 10's sup
 SUP_ORDERS = [(1, 0.3), (1, 0.6), (1, 1.6), (2, 1.6), (2, 2.5), (3, 2.5)]
 SUP_MATRICES = {
-    **{f"inverse {g}": geometric_inverse_toeplitz(g, W)
-       for g in (1.0, 0.2, 0.05)},
-    **{f"shift {m}": make_toeplitz(ToeplitzSymbol({m: 1.0}), W)
-       for m in (1, 2, 4)},
+    **{f"inverse {g}": geometric_inverse_symbol(g) for g in (1.0, 0.2, 0.05)},
+    **{f"shift {m}": ToeplitzSymbol({m: 1.0}) for m in (1, 2, 4)},
     "random": random_decay_matrix(W, 2.0, 0.3, seed=[5, 0]),
-    "empty profile": make_toeplitz(ToeplitzSymbol({0: 1.0}), W),
+    "empty profile": ToeplitzSymbol({0: 1.0}),
 }
 
 
@@ -475,7 +476,7 @@ def test_sup_search_work_on_criterion_10():
     # the two shells that meet at t = 1/128: 1,100 points, where a search of
     # every shell evaluates g at 10,868
     scale = 1.0 + 2.0 ** 0.5 * math.exp(-0.05)
-    inv = geometric_inverse_toeplitz(0.05, centered_window(64), scale=scale)
+    inv = geometric_inverse_symbol(0.05, scale=scale)
     est = besov_seminorm(inv, math.inf, 0.6, 1)
     zoomed, total = est.parameters["shells_searched"]
     assert total == 22 and zoomed <= 3
@@ -502,7 +503,7 @@ def test_sup_search_zooms_a_shell_whose_grid_misses_its_peak():
 def test_sup_search_of_an_empty_profile_evaluates_no_point(t_min):
     # g = 0 on the identity, so the sup is 0 without a search; evaluating
     # every chunk took 10,868 points at t_min = 1e-6
-    identity = make_toeplitz(ToeplitzSymbol({0: 1.0}), W)
+    identity = ToeplitzSymbol({0: 1.0})
     est = besov_seminorm(identity, math.inf, 2.0, t_min=t_min)
     assert est.value == 0.0 and est.quadrature_error == 0.0
     assert est.parameters["points"] == 0
@@ -513,7 +514,7 @@ def test_sup_search_bounds_stay_finite_at_a_tiny_t_min():
     # a^-r overflows at a = 1e-200, r = 2, but the bounds of the shells
     # there, ~ a^(k-r), are tiny: no warning, and the search evaluates the
     # points it evaluates at t_min = 1e-6
-    A = geometric_inverse_toeplitz(0.5, IndexWindow(-8, 7))
+    A = geometric_inverse_symbol(0.5)
     want = besov_seminorm(A, math.inf, 2.0, t_min=1e-6)
     est = besov_seminorm(A, math.inf, 2.0, t_min=1e-200)
     assert est.value == want.value == 577.2220003999349
@@ -559,12 +560,12 @@ def test_seminorm_estimate_fields():
 
 def test_modulus_profile_matches_difference_norm():
     # the profile is exactly the ambient norm of the k-th difference
-    A = make_toeplitz(ToeplitzSymbol({0: 1.0, 1: -math.exp(-0.5)}), W)
+    A = ToeplitzSymbol({0: 1.0, 1: -math.exp(-0.5)})
     for k in (1, 2):
         ts = [0.07, 0.26, 0.5]
         prof = modulus_profile(A, ts, k)
-        direct = [cv_norm(difference_power(A, t, k), Weight.poly(0.0))
-                  for t in ts]
+        direct = [cv_norm(difference_power(make_toeplitz(A, W), t, k),
+                          Weight.poly(0.0)) for t in ts]
         assert np.allclose(prof, direct, rtol=1e-13)
 
 
@@ -596,7 +597,6 @@ def test_besov_stays_finite_at_the_order_cap(p, ambient):
     # the last admitted order on a 32-point section: no route overflows
     # (every warning is an error here)
     A = geometric_inverse_toeplitz(0.5, IndexWindow(-16, 15))
-    A = LatticeMatrix(A.window, A.entries)
     est = besov_seminorm(A, p, 0.5, besov._MAX_ORDER - 1, ambient,
                          t_min=0.01, t_max=0.5)
     assert math.isfinite(est.value) and est.value > 0
@@ -611,7 +611,7 @@ def test_besov_sup_stays_finite_below_the_cap_on_a_wide_profile(k, ambient):
     # overflows from k = 161 on; the p = inf chunk bounds are formed in
     # logs, so they cover the modulus and the search finds the winner of
     # the search over every shell, with no warning
-    A = geometric_inverse_toeplitz(0.5, IndexWindow(-16, 15))
+    A = geometric_inverse_symbol(0.5)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         try:
@@ -755,8 +755,7 @@ def test_hypersingular_range_check():
 
 
 def test_identification_ratios_on_shifts():
-    fam = [(f"T{m}", make_toeplitz(ToeplitzSymbol({m: 1.0}), W))
-           for m in (1, 2, 4)]
+    fam = [(f"T{m}", ToeplitzSymbol({m: 1.0})) for m in (1, 2, 4)]
     chk = identification_rate_check(fam, 0.5)
     assert len(chk["rows"]) == 3
     # moment of T_m at order r is m^r; ratios stay within a tight band
@@ -767,7 +766,7 @@ def test_identification_ratios_on_shifts():
 
 
 def test_identification_mixed_family():
-    fam = [("inv05", INV), ("inv03", geometric_inverse_toeplitz(0.3, W))]
+    fam = [("inv05", INV), ("inv03", geometric_inverse_symbol(0.3))]
     chk = identification_rate_check(fam, 0.5)
     assert chk["drift"] < 1.5
     for row in chk["rows"]:

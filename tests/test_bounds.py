@@ -22,12 +22,12 @@ from decayinv import (IndexWindow, LatticeMatrix, NumericalError,
                       bessel_rate_bound, constant_Cr_numeric,
                       dales_davie_bound, dd_domain_bound, ell_r,
                       ell_tilde_r, explicit_bound_Cr, explicit_bound_Jr,
-                      geometric_inverse_toeplitz, integral_test_bracket,
-                      invert_truncated, jaffard_norm, make_toeplitz,
-                      operator_norm_l2, phi_Ar, random_decay_matrix,
-                      weighted_geometric_series, cv_norm)
+                      integral_test_bracket, invert_truncated, jaffard_norm,
+                      make_toeplitz, operator_norm_l2, phi_Ar,
+                      random_decay_matrix, weighted_geometric_series, cv_norm)
 from decayinv import bounds
 from decayinv.bounds import condition_data, derived_constant_Jr_log, gamma_r
+from decayinv.lattice import geometric_inverse_symbol
 from decayinv.norms import banded_error, dales_davie_norm
 from decayinv.weights import (SmoothnessSequence, log_concave_sum,
                               log_phi_r, log_poly_geometric)
@@ -35,9 +35,9 @@ from decayinv.weights import (SmoothnessSequence, log_concave_sum,
 W = IndexWindow(-32, 31)
 
 
-def resolvent(gamma, window=W):
+def resolvent(gamma):
     x = math.exp(-gamma)
-    return make_toeplitz(ToeplitzSymbol({0: 1.0, 1: -x}), window)
+    return ToeplitzSymbol({0: 1.0, 1: -x})
 
 
 def test_weighted_series_closed_forms():
@@ -201,7 +201,7 @@ def test_phi_Ar_rejects_bad_t():
 
 def test_baskakov_bounds_on_resolvent():
     A = resolvent(0.5)
-    inv = geometric_inverse_toeplitz(0.5, W)
+    inv = geometric_inverse_symbol(0.5)
     rep = baskakov_bound_Cr(A, 2.0, inverse=inv)
     assert rep.satisfied
     assert rep.bound_value == pytest.approx(
@@ -238,7 +238,7 @@ def test_bounds_hold_on_random_decay_instances(r, eps, rng_seed):
 
 def test_baskakov_t_grid_picks_smaller_bound():
     A = resolvent(1.0)
-    inv = geometric_inverse_toeplitz(1.0, W)
+    inv = geometric_inverse_symbol(1.0)
     base = baskakov_bound_Cr(A, 1.0, inverse=inv)
     refined = baskakov_bound_Cr(A, 1.0, t_grid=[0.1, 0.25, 0.5], inverse=inv)
     assert refined.bound_value <= base.bound_value
@@ -270,9 +270,8 @@ def test_explicit_Jr_dominates_baskakov_Jr():
     # geometric factors for kappa >= 1, so the closed bound sits above
     for gamma in (0.2, 0.5, 1.0):
         A = resolvent(gamma)
-        inv = geometric_inverse_toeplitz(gamma, W)
-        na_op = operator_norm_l2(A)
-        ninv_op = operator_norm_l2(inv)
+        inv = geometric_inverse_symbol(gamma)
+        _, na_op, ninv_op = condition_data(A)
         rep_b = baskakov_bound_Jr(A, 2.0, inverse=inv)
         rep_e = explicit_bound_Jr(jaffard_norm(A, 2.0), na_op, ninv_op, 2.0)
         assert rep_e.bound_value >= rep_b.bound_value
@@ -323,7 +322,7 @@ def test_explicit_Jr_rejects_a_condition_number_below_one():
 def test_condition_routes_agree():
     A = resolvent(0.5)
     k_sym = condition_data(A)[0]
-    k_win = condition_data(LatticeMatrix(A.window, A.entries))[0]
+    k_win = condition_data(make_toeplitz(A, W))[0]
     x = math.exp(-0.5)
     assert k_sym == pytest.approx((1.0 + x) / (1.0 - x), rel=1e-10)
     # the finite section is better conditioned than the symbol sup
@@ -342,7 +341,7 @@ def test_window_norm_data_tridiagonal_closed_form():
                           IndexWindow(0, n - 1))
         for A in (T, apply_automorphism(T, 0.3)):
             assert operator_norm_l2(A) == pytest.approx(hi, rel=1e-13)
-            got = condition_data(LatticeMatrix(A.window, A.entries))
+            got = condition_data(A)
             assert got == pytest.approx((hi / lo, hi, 1.0 / lo), rel=1e-13)
 
 
@@ -355,17 +354,19 @@ def test_condition_data_window_rejects_rank_one():
 
 
 def test_baskakov_window_method_reads_the_section():
-    # the one method keyword left: "window" reads the section of a
-    # Toeplitz matrix, field for field as the section given without it
+    # the one method keyword left only checks: a section is read alike
+    # under "auto" and "window", field for field, and "window" refuses
+    # a symbol, which has no window
     T = resolvent(0.5)
-    S = LatticeMatrix(T.window, T.entries)
-    assert baskakov_bound_Cr(T, 2.0, method="window") == \
+    S = make_toeplitz(T, W)
+    assert baskakov_bound_Cr(S, 2.0, method="window") == \
         baskakov_bound_Cr(S, 2.0)
-    assert baskakov_bound_Jr(T, 2.0, method="window") == \
+    assert baskakov_bound_Jr(S, 2.0, method="window") == \
         baskakov_bound_Jr(S, 2.0)
-    # and the symbol is read without it
-    assert baskakov_bound_Cr(T, 2.0).inputs["norm_A_op"] != \
-        baskakov_bound_Cr(S, 2.0).inputs["norm_A_op"]
+    inv = geometric_inverse_symbol(0.5)
+    for bound in (baskakov_bound_Cr, baskakov_bound_Jr):
+        with pytest.raises(ParameterError, match="needs a window"):
+            bound(T, 2.0, method="window", inverse=inv)
 
 
 @pytest.mark.parametrize("method", ["windw", "symbol"])
@@ -452,12 +453,10 @@ def test_dales_davie_bound_general_crossover():
 def test_dales_davie_bound_actually_controls_resolvent():
     # normalized family: a = C~_gamma with ||a||_DD <= 1 under gevrey(2)
     gamma = 0.5
-    x = math.exp(-gamma)
     A = resolvent(gamma)
     seq = SmoothnessSequence.gevrey(2.0)
     na = dales_davie_norm(A, seq).value
-    An = make_toeplitz(ToeplitzSymbol({0: 1.0 / na, 1: -x / na}), W)
-    inv_n = geometric_inverse_toeplitz(gamma, W, scale=na)
+    inv_n = geometric_inverse_symbol(gamma, scale=na)
     ninv = cv_norm(inv_n, Weight.poly(0.0))
     measured = dales_davie_norm(inv_n, seq).value
     rep = dales_davie_bound(ninv, mode="gevrey", gevrey_r=2.0,

@@ -8,6 +8,7 @@ import math
 import pytest
 
 import golden_rows
+from decayinv import cli
 from decayinv.cli import build_parser, main, resolve_config
 from decayinv.experiments import RUNNERS, ExperimentConfig
 
@@ -215,6 +216,19 @@ def test_missing_config_file(tmp_path, capsys):
     code = run(["toeplitz-sharpness", "--config", tmp_path / "nope.json"])
     assert code == 2
     capsys.readouterr()
+
+
+def test_main_parses_with_the_parser_built_at_import(tmp_path, capsys,
+                                                    monkeypatch):
+    # the one parser is built when the module is imported; main only parses
+    built = []
+    monkeypatch.setattr(cli, "build_parser",
+                        lambda: built.append(1) or build_parser())
+    for _ in range(2):
+        assert run(["toeplitz-sharpness", "--config",
+                    tmp_path / "nope.json"]) == 2
+    capsys.readouterr()
+    assert built == []
 
 
 def test_unknown_config_key(tmp_path, capsys):

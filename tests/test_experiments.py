@@ -6,6 +6,8 @@ import math
 import os
 import unittest
 
+import pytest
+
 from decayinv import (ConfigError, ExperimentConfig, SlopeFit, besov,
                       besov_bound, bessel_rate_bound, bounds,
                       dales_davie_bound, experiments, explicit_bound_Jr,
@@ -299,15 +301,27 @@ def test_besov_report_computes_each_seminorm_once(monkeypatch):
     assert 0 < len(calls) <= allowed
 
 
-def test_toeplitz_sharpness_builds_each_gammas_matrices_once(monkeypatch):
+def test_toeplitz_sharpness_takes_each_gammas_c0_norm_once(monkeypatch):
     # the resolvent, its inverse and the inverse's C0 norm serve every r
-    builds = count_calls(monkeypatch, "make_toeplitz", lattice, experiments)
     norms_taken = count_calls(monkeypatch, "cv_norm", experiments)
     cfg = resolve_config(build_parser().parse_args(["toeplitz-sharpness"]))
     run_toeplitz_sharpness(cfg)
     grid, r_list = cfg.gamma_grid, cfg.r_list
-    assert len(builds) == 2 * len(grid)
     assert len(norms_taken) == len(grid) * (1 + 2 * len(r_list))
+
+
+@pytest.mark.parametrize("command", ["toeplitz-sharpness", "dd-sharpness",
+                                     "besov-report"])
+def test_symbol_runners_build_no_matrix(monkeypatch, command):
+    # they read the resolvent family as symbols, so no section is built
+    builds = count_calls(monkeypatch, "make_toeplitz", *[
+        mod for mod in (lattice, experiments) if hasattr(mod, "make_toeplitz")])
+    matrices = []
+    init = lattice.LatticeMatrix.__post_init__
+    monkeypatch.setattr(lattice.LatticeMatrix, "__post_init__",
+                        lambda self: matrices.append(1) or init(self))
+    RUNNERS[command](resolve_config(build_parser().parse_args([command])))
+    assert (len(builds), len(matrices)) == (0, 0)
 
 
 def test_jaffard_check_takes_one_svd_per_instance(monkeypatch):

@@ -1,6 +1,7 @@
 """Tests for windows, symbols and the basic matrix operations."""
 
 import cmath
+import dataclasses
 import math
 
 import numpy as np
@@ -10,12 +11,17 @@ from hypothesis import strategies as st
 
 from decayinv import (GeometricTail, IndexWindow, LatticeMatrix,
                       NumericalError, ParameterError, SingularityError,
-                      ToeplitzSymbol, Weight, apply_automorphism, cv_norm,
-                      derivation_power, difference_power,
-                      geometric_inverse_toeplitz, invert_truncated,
-                      make_toeplitz, operator_norm_l2, random_decay_matrix,
-                      singular_values, symbol_range)
-from decayinv.lattice import offset_multiplier
+                      SmoothnessSequence, ToeplitzSymbol, Weight,
+                      ambient_norm, apply_automorphism, banded_error,
+                      baskakov_bound_Cr, baskakov_bound_Jr, besov_seminorm,
+                      cv_norm, dales_davie_norm, derivation_power,
+                      difference_power, geometric_inverse_toeplitz,
+                      hypersingular_seminorm, invert_truncated, jaffard_norm,
+                      make_toeplitz, modulus_profile, operator_norm_l2,
+                      random_decay_matrix, singular_values, symbol_range)
+from decayinv.lattice import (geometric_inverse_symbol, offset_multiplier,
+                              rcond_estimate)
+from decayinv.norms import dk_norm_log
 
 from oracles import difference_power_binomial, offset_multiplier_entrywise
 
@@ -79,17 +85,16 @@ def test_automorphism_group_law():
     # the section
     P = apply_automorphism(A, s)
     w = Weight.poly(1.0)
-    assert cv_norm(P, w) == pytest.approx(
-        cv_norm(LatticeMatrix(W, A.entries), w), rel=1e-14)
+    assert cv_norm(P, w) == pytest.approx(cv_norm(A, w), rel=1e-14)
 
 
 def test_offset_multipliers_return_sections():
-    # order 0 included, so a norm of any of them reads the window
+    # order 0 included, whose factor is 1
     T = geometric_inverse_toeplitz(0.3, W)
     for out in (apply_automorphism(T, 0.2), derivation_power(T, 0),
                 derivation_power(T, 2), difference_power(T, 0.2, 0),
                 difference_power(T, 0.2, 1)):
-        assert out.symbol is None
+        assert isinstance(out, LatticeMatrix) and out.window == T.window
     assert np.array_equal(derivation_power(T, 0).entries, T.entries)
     assert np.array_equal(difference_power(T, 0.2, 0).entries, T.entries)
 
@@ -200,8 +205,7 @@ def test_symbol_range_geometric_inverse():
     # |1/(1 - x e^{i theta})| ranges between 1/(1+x) and 1/(1-x)
     for gamma in (0.05, 0.1, 0.2, 0.4, 0.5, 1.0):
         x = math.exp(-gamma)
-        geo = geometric_inverse_toeplitz(gamma, W).symbol
-        lo, hi = symbol_range(geo)
+        lo, hi = symbol_range(geometric_inverse_symbol(gamma))
         assert lo == pytest.approx(1.0 / (1.0 + x), rel=1e-14)
         assert hi == pytest.approx(1.0 / (1.0 - x), rel=1e-14)
 
@@ -292,7 +296,7 @@ def _multiplier_operand(kind, window, coeffs, tail, rng):
 def test_offset_multiplier_matches_entrywise(n, lo, kind, fname, t, k,
                                              coeffs, tail, rng_seed):
     # one call of f on the 2n - 1 offsets gives bit for bit the entries
-    # of f on the full offset matrix, and the result is a section
+    # of f on the full offset matrix, on the window of A
     rng = np.random.default_rng(rng_seed)
     A = _multiplier_operand(kind, IndexWindow(lo, lo + n - 1), coeffs, tail,
                             rng)
@@ -302,11 +306,11 @@ def test_offset_multiplier_matches_entrywise(n, lo, kind, fname, t, k,
          "table": _table_factor(rng)}[fname]
     out = offset_multiplier(A, f)
     assert np.array_equal(out.entries, offset_multiplier_entrywise(A, f))
-    assert out.symbol is None
+    assert out.window == A.window
 
 
 def test_entries_are_read_only():
-    # a matrix is a value: its entries cannot drift from its symbol
+    # no write goes through a matrix
     A = make_toeplitz(ToeplitzSymbol({0: 1.0}), W)
     with pytest.raises(ValueError):
         A.entries[0, 31] = 5.0
@@ -319,7 +323,67 @@ def test_entries_are_read_only():
     entries[0, 1] = 2.0
 
 
-def test_symbol_must_be_a_toeplitz_symbol():
-    # the third positional argument was once a structure tag
-    with pytest.raises(ParameterError, match="ToeplitzSymbol"):
-        LatticeMatrix(W, np.eye(W.n), "general")
+def test_a_matrix_is_a_section():
+    # a LatticeMatrix holds its window and entries and nothing else; the
+    # lattice operator is the ToeplitzSymbol, and make_toeplitz bridges
+    assert [f.name for f in dataclasses.fields(LatticeMatrix)] == \
+        ["window", "entries"]
+    with pytest.raises(TypeError):
+        LatticeMatrix(W, np.eye(W.n), ToeplitzSymbol({0: 1.0}))
+    sym = geometric_inverse_symbol(0.3, scale=2.0)
+    T = make_toeplitz(sym, W)
+    assert type(T) is LatticeMatrix
+    assert np.array_equal(T.entries, geometric_inverse_toeplitz(
+        0.3, W, scale=2.0).entries)
+    offs = W.indices()[:, None] - W.indices()[None, :]
+    assert np.array_equal(T.entries, sym.coefficients(offs.ravel())
+                          .reshape(W.n, W.n))
+
+
+RESOLVENT = ToeplitzSymbol({0: 1.0, 1: -math.exp(-0.5)})
+RESOLVENT_INVERSE = geometric_inverse_symbol(0.5)
+NEEDS_A_WINDOW = {
+    "operator_norm_l2": lambda A: operator_norm_l2(A),
+    "singular_values": lambda A: singular_values(A),
+    "invert_truncated": lambda A: invert_truncated(A),
+    "rcond_estimate": lambda A: rcond_estimate(A, np.eye(4)),
+    "apply_automorphism": lambda A: apply_automorphism(A, 0.2),
+    "derivation_power": lambda A: derivation_power(A, 2),
+    "derivation_power k=0": lambda A: derivation_power(A, 0),
+    "difference_power": lambda A: difference_power(A, 0.2, 1),
+    "difference_power k=0": lambda A: difference_power(A, 0.2, 0),
+    "margin cv_norm": lambda A: cv_norm(A, Weight.poly(1.0), margin=8),
+    "margin jaffard_norm": lambda A: jaffard_norm(A, 2.0, margin=8),
+    "margin banded_error": lambda A: banded_error(A, 1, margin=8),
+    "margin dk_norm_log": lambda A: dk_norm_log(A, 1, margin=8),
+    "margin besov_seminorm": lambda A: besov_seminorm(A, 1, 0.5, margin=8),
+    "method window Cr": lambda A: baskakov_bound_Cr(
+        A, 2.0, method="window", inverse=RESOLVENT_INVERSE),
+    "method window Jr": lambda A: baskakov_bound_Jr(
+        A, 2.0, method="window", inverse=RESOLVENT_INVERSE),
+    "Cr with no inverse": lambda A: baskakov_bound_Cr(A, 2.0),
+    "Jr with no inverse": lambda A: baskakov_bound_Jr(A, 2.0),
+    "operator ambient_norm": lambda A: ambient_norm(A, "operator"),
+    "operator dk_norm_log": lambda A: dk_norm_log(A, 1, "operator"),
+    "operator dales_davie_norm": lambda A: dales_davie_norm(
+        A, SmoothnessSequence.finite(2), "operator"),
+    "operator modulus_profile": lambda A: modulus_profile(
+        A, [0.1], 1, "operator"),
+    "operator besov_seminorm": lambda A: besov_seminorm(
+        A, 1, 0.5, ambient="operator"),
+    "operator besov sup": lambda A: besov_seminorm(
+        A, math.inf, 0.5, ambient="operator"),
+    "operator hypersingular": lambda A: hypersingular_seminorm(
+        A, 0.5, "operator"),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(NEEDS_A_WINDOW))
+def test_what_needs_a_window_refuses_a_symbol(entry):
+    # a symbol is the operator on the whole lattice: it has no window to
+    # take an SVD, an inverse, an offset multiplier or a margin of, so each
+    # refuses it by name rather than read a section no caller chose
+    with pytest.raises(ParameterError, match="needs a window"):
+        NEEDS_A_WINDOW[entry](RESOLVENT)
+    # its section is read
+    NEEDS_A_WINDOW[entry](make_toeplitz(RESOLVENT, W))

@@ -301,14 +301,42 @@ def test_a_failing_property_fails_only_itself(tmp_path):
     assert "test_after_the_property PASSED" in out.stdout, out.stdout
 
 
+def symbol_type_tests(path):
+    """(holder, line) of every isinstance call in path whose class
+    argument names ToeplitzSymbol; holder is the top-level function or
+    class that holds it, None at module level."""
+    hits = []
+    for top in ast.parse(path.read_text(), str(path)).body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call) \
+                    and getattr(node.func, "id", None) == "isinstance" \
+                    and len(node.args) == 2 \
+                    and "ToeplitzSymbol" in referenced_names(node.args[1]):
+                hits.append((getattr(top, "name", None), node.lineno))
+    return hits
+
+
+def test_the_type_picks_the_route_in_one_seam():
+    # a ToeplitzSymbol is read exactly and a LatticeMatrix from its window;
+    # outside lattice (whose require_section refuses a symbol where a
+    # window is needed) only the decay profile and the condition data
+    # branch on the type
+    found = {(path.stem, holder)
+             for path in sorted(PACKAGE.glob("*.py"))
+             if path.stem != "lattice"
+             for holder, _ in symbol_type_tests(path)}
+    assert found == {("norms", "decay_profile"), ("bounds", "condition_data")}
+    assert symbol_type_tests(PACKAGE / "lattice.py")
+
+
 # bench/workloads.py passes method="window" to these two, so they keep the
 # keyword until the benchmark stops passing it
 METHOD_KEPT = {"baskakov_bound_Cr", "baskakov_bound_Jr"}
 
 
 def test_no_exported_function_takes_a_method():
-    # a matrix is read from its symbol when it carries one and from its
-    # window otherwise; no route is chosen by a separate argument
+    # a symbol is read exactly and a section from its window; no route is
+    # chosen by a separate argument
     import decayinv
     found = sorted(name for name in exported_names()
                    if inspect.isfunction(getattr(decayinv, name))

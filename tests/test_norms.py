@@ -16,6 +16,7 @@ from decayinv import (GeometricTail, IndexWindow, LatticeMatrix,
                       hypersingular_seminorm, jaffard_norm, make_toeplitz,
                       modulus_profile, random_decay_matrix)
 from decayinv.besov import decay_moment
+from decayinv.lattice import geometric_inverse_symbol
 from decayinv import norms
 from decayinv.norms import (a_m_gevrey, decay_profile, dk_norm_log,
                             dk_norm_logs, side_diag_sup)
@@ -28,9 +29,9 @@ W = IndexWindow(-32, 31)
 GAMMAS = (0.1, 0.2, 0.5, 1.0)
 
 
-def resolvent(gamma, window=W):
+def resolvent(gamma):
     x = math.exp(-gamma)
-    return make_toeplitz(ToeplitzSymbol({0: 1.0, 1: -x}), window)
+    return ToeplitzSymbol({0: 1.0, 1: -x})
 
 
 @pytest.mark.parametrize("gamma", GAMMAS)
@@ -43,7 +44,7 @@ def test_resolvent_cv_norm_closed_form(gamma, r):
 
 @pytest.mark.parametrize("gamma", GAMMAS)
 def test_inverse_c0_norm_closed_form(gamma):
-    inv = geometric_inverse_toeplitz(gamma, W)
+    inv = geometric_inverse_symbol(gamma)
     want = 1.0 / (1.0 - math.exp(-gamma))
     assert abs(cv_norm(inv, Weight.poly(0.0)) - want) < 1e-12 * want
 
@@ -62,8 +63,8 @@ FINITE_SYMBOLS = st.dictionaries(
 def test_symbol_and_window_routes_agree_on_finite_symbol(coeffs, r, k):
     # the window holds every offset of the symbol, so the routes read the
     # same profile and may differ only in summation order
-    A = make_toeplitz(ToeplitzSymbol(coeffs), W)
-    S = LatticeMatrix(W, A.entries)
+    A = ToeplitzSymbol(coeffs)
+    S = make_toeplitz(A, W)
     w = Weight.poly(r)
     for norm in (lambda B: cv_norm(B, w),
                  lambda B: jaffard_norm(B, r),
@@ -137,12 +138,13 @@ def test_operator_ambient_checks_the_margin(route):
 @pytest.mark.parametrize("margin", [-1, -5])
 def test_negative_margin_is_rejected(margin):
     # margin = -1 once sliced a one-entry corner block out of the window,
-    # so cv_norm read 0.8805 for the 1.6678 of margin 0; the symbol route,
-    # which ignores the margin, checks it all the same
+    # so cv_norm read 0.8805 for the 1.6678 of margin 0; a symbol has no
+    # window, and refuses every nonzero margin
     A = random_decay_matrix(W, 2.0, 0.3, seed=[0, 1])
-    for B in (A, resolvent(0.5)):
-        with pytest.raises(ParameterError, match="nonnegative"):
-            cv_norm(B, Weight.poly(0.0), margin=margin)
+    with pytest.raises(ParameterError, match="nonnegative"):
+        cv_norm(A, Weight.poly(0.0), margin=margin)
+    with pytest.raises(ParameterError, match="needs a window"):
+        cv_norm(resolvent(0.5), Weight.poly(0.0), margin=margin)
     with pytest.raises(ParameterError, match="nonnegative"):
         side_diag_sup(A, margin)
     with pytest.raises(ParameterError, match="nonnegative"):
@@ -150,10 +152,9 @@ def test_negative_margin_is_rejected(margin):
 
 
 def test_window_route_truncates_geometric_tail():
-    inv = geometric_inverse_toeplitz(0.5, W)
     w = Weight.poly(1.0)
-    full = cv_norm(inv, w)
-    trunc = cv_norm(LatticeMatrix(W, inv.entries), w)
+    full = cv_norm(geometric_inverse_symbol(0.5), w)
+    trunc = cv_norm(geometric_inverse_toeplitz(0.5, W), w)
     assert trunc <= full
     # missing mass is the tail beyond the window width
     tail = sum((1 + m) * math.exp(-0.5 * m) for m in range(W.n, W.n + 200))
@@ -161,7 +162,7 @@ def test_window_route_truncates_geometric_tail():
 
 
 def test_banded_error_geometric():
-    inv = geometric_inverse_toeplitz(0.4, W)
+    inv = geometric_inverse_symbol(0.4)
     x = math.exp(-0.4)
     for k in (0, 1, 5):
         want = x ** (k + 1) / (1.0 - x)
@@ -174,7 +175,7 @@ def test_banded_error_past_the_band_is_float_zero():
 
 
 def test_jaffard_norm_values():
-    inv = geometric_inverse_toeplitz(0.5, W)
+    inv = geometric_inverse_symbol(0.5)
     # sup_m (1+m)^r e^{-0.5 m}: maximized near m = r/0.5 - 1
     r = 2.0
     want = max((1.0 + m) ** r * math.exp(-0.5 * m) for m in range(0, 50))
@@ -188,12 +189,15 @@ def test_jaffard_norm_values():
 
 
 def test_ambient_norms():
-    inv = geometric_inverse_toeplitz(0.5, W)
+    inv = geometric_inverse_symbol(0.5)
     assert ambient_norm(inv, "c0") == cv_norm(inv, Weight.poly(0.0))
     assert ambient_norm(inv, ("jaffard", 2.0)) == jaffard_norm(inv, 2.0)
-    # finite section sits just below the infinite-lattice symbol sup
+    # the operator ambient needs a window: the finite section sits just
+    # below the infinite-lattice symbol sup
+    with pytest.raises(ParameterError, match="needs a window"):
+        ambient_norm(inv, "operator")
     x = math.exp(-0.5)
-    got = ambient_norm(inv, "operator")
+    got = ambient_norm(make_toeplitz(inv, W), "operator")
     assert got <= 1.0 / (1.0 - x) + 1e-9
     assert got == pytest.approx(1.0 / (1.0 - x), rel=2e-2)
 
@@ -204,8 +208,7 @@ def test_derivation_norm_is_polylog(k):
     # terms peak near m = k/gamma (16000 at the far corner); compared in
     # log space since the value passes float range there
     for gamma in (0.5, 0.3, 0.1, 0.05, 0.01):
-        inv = geometric_inverse_toeplitz(gamma, W)
-        got = dk_norm_log(inv, k, "c0")
+        got = dk_norm_log(geometric_inverse_symbol(gamma), k, "c0")
         with mp.workdps(30):
             want = float(mp.log(mp.polylog(-k, mp.exp(-gamma))))
         assert abs(math.expm1(got - want)) <= 1e-12, gamma
@@ -213,15 +216,14 @@ def test_derivation_norm_is_polylog(k):
 
 def test_dk_norm_routes_agree_when_window_holds_mass():
     # gamma large enough that the tail past the window is negligible
-    inv = geometric_inverse_toeplitz(1.5, W)
     for k in (1, 3):
-        s = dk_norm_log(inv, k, "c0")
-        w = dk_norm_log(LatticeMatrix(W, inv.entries), k, "c0")
+        s = dk_norm_log(geometric_inverse_symbol(1.5), k, "c0")
+        w = dk_norm_log(geometric_inverse_toeplitz(1.5, W), k, "c0")
         assert s == pytest.approx(w, abs=1e-10)
 
 
 def test_dales_davie_norm_finite_matches_manual_sum():
-    inv = geometric_inverse_toeplitz(0.8, W)
+    inv = geometric_inverse_symbol(0.8)
     K = 6
     manual = sum(math.exp(dk_norm_log(inv, m, "c0"))
                  / math.factorial(m) for m in range(0, K + 1))
@@ -232,7 +234,7 @@ def test_dales_davie_norm_finite_matches_manual_sum():
 def test_dales_davie_norm_tracks_phi_shape():
     # r = 2: the full norm behaves like gamma^{-1} phi_1(1/gamma)
     gamma = 0.3
-    inv = geometric_inverse_toeplitz(gamma, W)
+    inv = geometric_inverse_symbol(gamma)
     val = dales_davie_norm(inv, SmoothnessSequence.gevrey(2.0))
     assert val.converged
     comp = math.log(1.0 / gamma) + log_phi_r(1.0 / gamma, 1.0)
@@ -244,14 +246,14 @@ def test_dales_davie_norm_tracks_phi_shape():
 def test_dales_davie_norm_meets_phi_shape(gamma):
     # gevrey(2): sum_k Li_{-k}(e^{-gamma})/k! -> gamma^{-1} phi_1(1/gamma)
     # as gamma -> 0; a tail cut short of the peak k/gamma reads low
-    inv = geometric_inverse_toeplitz(gamma, W)
+    inv = geometric_inverse_symbol(gamma)
     val = dales_davie_norm(inv, SmoothnessSequence.gevrey(2.0))
     comp = math.log(1.0 / gamma) + log_phi_r(1.0 / gamma, 1.0)
     assert abs(math.exp(val.log_value - comp) - 1.0) <= 1e-5
 
 
 def test_dales_davie_finite_sequence_stops_at_kmax():
-    inv = geometric_inverse_toeplitz(0.5, W)
+    inv = geometric_inverse_symbol(0.5)
     val = dales_davie_norm(inv, SmoothnessSequence.finite(3))
     assert val.kmax_used <= 3
     manual = cv_norm(inv, Weight.poly(0.0)) + sum(
@@ -264,7 +266,7 @@ def test_dales_davie_finite_sequence_beyond_the_order_cap():
     # a sequence with a last order past the cap of unbounded ones is summed
     # through it: ||D^k A|| = 200^k here, so the norm is
     # sum_{k <= 500} 200^k / k!, whose terms peak at k = 200
-    A = make_toeplitz(ToeplitzSymbol({200: 1.0}), IndexWindow(-4, 3))
+    A = ToeplitzSymbol({200: 1.0})
     val = dales_davie_norm(A, SmoothnessSequence.finite(500))
     logs = [k * math.log(200.0) - math.lgamma(k + 1.0) for k in range(501)]
     top = max(logs)
@@ -292,7 +294,7 @@ def decay_matrices(draw):
     if draw(st.booleans()) or not coeffs:
         ratio = draw(st.sampled_from([0.0, 0.2, -0.6, 0.9j, 0.97]))
         tail = GeometricTail(ratio, scale)
-    return make_toeplitz(ToeplitzSymbol(coeffs, tail), window)
+    return ToeplitzSymbol(coeffs, tail)
 
 
 AMBIENTS = ["c0", ("jaffard", 0.0), ("jaffard", 1.5), "operator"]
@@ -306,7 +308,12 @@ def test_dk_norm_logs_match_the_per_order_reference(A, margin, ambient, ks):
     # the block route (one 2-D log-sum-exp, one recurrence for a tail's
     # sums) reproduces every order's own evaluation, in any order: bit for
     # bit where no c0 tail enters, and a c0 tail's sums to the 50-digit
-    # reference; a one-order call is the block's row, bit for bit
+    # reference; a one-order call is the block's row, bit for bit.  A
+    # symbol refuses a margin and the operator ambient; its section does not
+    if isinstance(A, ToeplitzSymbol) and (margin or ambient == "operator"):
+        with pytest.raises(ParameterError, match="needs a window"):
+            dk_norm_logs(A, ks, ambient, margin)
+        A = make_toeplitz(A, IndexWindow(-8, 7))
     got = dk_norm_logs(A, ks, ambient, margin)
     want = [dk_norm_log_per_order(A, k, ambient, margin) for k in ks]
     if ambient == "c0" and decay_profile(A).scale:
@@ -321,7 +328,9 @@ def test_dk_norm_logs_match_the_per_order_reference(A, margin, ambient, ks):
 def test_dk_norm_logs_rejects_an_order_that_is_not_a_natural_number(k,
                                                                     ambient):
     # an order indexes the tail's recurrence, so 1.5 must not read order 1
-    A = geometric_inverse_toeplitz(0.5, IndexWindow(-8, 7))
+    A = geometric_inverse_symbol(0.5)
+    if ambient == "operator":
+        A = make_toeplitz(A, IndexWindow(-8, 7))
     with pytest.raises(ParameterError, match="integer >= 0"):
         dk_norm_logs(A, [2, k], ambient)
 
@@ -334,12 +343,12 @@ DD_SEQUENCES = {
         [math.factorial(k) * 1.5 ** k for k in range(20)]),
 }
 DD_MATRICES = {
-    **{f"inverse {g}": geometric_inverse_toeplitz(g, W)
+    **{f"inverse {g}": geometric_inverse_symbol(g)
        for g in (0.5, 0.1, 0.02)},
     "random section": random_decay_matrix(IndexWindow(-8, 7), 2.0, 0.3,
                                           seed=[0, 1]),
-    "coefficients and a tail": make_toeplitz(ToeplitzSymbol(
-        {-2: 0.4, 1: -0.3}, GeometricTail(0.7, 0.9)), W),
+    "coefficients and a tail": ToeplitzSymbol(
+        {-2: 0.4, 1: -0.3}, GeometricTail(0.7, 0.9)),
 }
 
 

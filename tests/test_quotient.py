@@ -130,8 +130,7 @@ def test_verify_identity_rejects_unknown():
 
 
 def resolvent_instance(gamma=0.5, window=W):
-    # the inverse carries a geometric-tail symbol, which apply_automorphism
-    # maps along with the entries
+    # the inverse is the section of the geometric-tail symbol
     A = make_toeplitz(ToeplitzSymbol({0: 1.0, 1: -math.exp(-gamma)}), window)
     return A, A, geometric_inverse_toeplitz(gamma, window)
 
