@@ -8,7 +8,15 @@ hypersingular multipliers) the integral separates over offsets, and
 u = m t reduces every offset to one antiderivative
 F(x) = int_1^x u^{-s-1} |2 sin pi u|^k du, tabulated by Gauss-Legendre;
 its unit cells [j, j+1] share one row of sines per rule, since there
-u - j is the node itself.
+u - j is the node itself, and an integer x reads F from their sums.
+The c0 modulus at k = 1 of a symbol's geometric tail scale rho^m is
+summed by its runs of constant sign (_tail_runs): on {m : j <= m u <
+j + 1}, u = dist(t, Z), the sign of sin pi m u is (-1)^j, so each run is
+one geometric sum, and the tail costs a sine per run boundary (about
+M u) instead of a sine per offset (M).  _modulus takes it per point
+where that is the cheaper count (u below about 0.4), and keeps the
+direct sum on the finite part, on sections, in the jaffard ambient and
+at k >= 2.
 Elsewhere at finite p the integral is folded onto u in [0, 1/2]: the
 offsets are integers, so the modulus is 1-periodic and even in t, and
 the integral over [t_min, t_max] is one over u against a kernel summed
@@ -23,7 +31,9 @@ already found.  Values are computed on [t_min, t_max]; the near-zero and
 far-tail contributions are returned as a separate rigorous bound, never
 silently added, read from ||D^k A|| (norms.dk_norm_log) and ||A||
 (norms.ambient_norm).  Operator-ambient moduli all come from
-modulus_profile.
+modulus_profile.  The hypersingular multiplier |J_m(eps)| falls as the
+cutoff eps grows, so the c0 and jaffard sups over the cutoffs are read
+at the finest one alone; the operator ambient takes every cutoff.
 """
 
 import functools
@@ -66,6 +76,11 @@ _GL_RULE, _MAX_KINKS, _PANELS, _BISECT, _ROUNDS = 8, 1 << 15, 512, 60, 8
 _SNAP = 1e-12
 # the hypersingular sup's cutoffs, finest first, so that it wins a tie
 _EPS_GRID = (0.01, 0.03, 0.1, 0.3)
+# a run boundary of _tail_runs costs about as much as _RUN_COST offsets of
+# the direct sum (a sine, a square root, an exponential and a dozen cheap
+# passes, against a sine and four), and one call about _RUN_SETUP offsets
+_RUN_COST, _RUN_SETUP = 2.5, 4096
+_SPLIT = 134217729.0  # 2^27 + 1: splits a float into two 26-bit halves
 _trapz = getattr(np, "trapezoid", None) or np.trapz
 
 
@@ -136,8 +151,9 @@ def _antiderivative(x, s, k):
 
     Gauss-Legendre on the unit cells [j, j+1] above 1 and the dyadic cells
     [2^-i-1, 2^-i] below it, summed cumulatively, plus one partial cell per
-    point.  Returns one row per rule of _GL_NODES; the rows' difference is
-    the error estimate.
+    point off those knots; an integer point reads F from its knot.  Returns
+    one row per rule of _GL_NODES; the rows' difference is the error
+    estimate.
     """
     x = np.asarray(x, dtype=float)
     below = x < 1.0
@@ -147,8 +163,10 @@ def _antiderivative(x, s, k):
     depth = int(-e[below].min()) if below.any() else 0
     starts = np.arange(1.0, top)           # [j, j+1], j = 1 .. top-1
     tops = np.ldexp(1.0, -np.arange(depth))  # [2^-i-1, 2^-i], walked down
-    a = np.concatenate([starts, tops, anchor])
-    h = np.concatenate([np.ones(starts.size), -0.5 * tops, x - anchor])
+    part = x != anchor
+    a = np.concatenate([starts, tops, anchor[part]])
+    h = np.concatenate([np.ones(starts.size), -0.5 * tops,
+                        (x - anchor)[part]])
     # F at the anchors: 1, 2, .., top, then 2^0, 2^-1, .., 2^-depth
     knot = np.where(below, top - e, anchor - 1.0).astype(int)
     rows = []
@@ -156,7 +174,9 @@ def _antiderivative(x, s, k):
         ints = _cell_integrals(a, h, s, k, n, starts.size)
         up, down = np.split(ints[:starts.size + depth], [starts.size])
         knots = np.concatenate([[0.0], np.cumsum(up), [0.0], np.cumsum(down)])
-        rows.append(knots[knot] + ints[starts.size + depth:])
+        F = knots[knot]
+        F[part] += ints[starts.size + depth:]
+        rows.append(F)
     return np.array(rows)
 
 
@@ -169,24 +189,117 @@ def _sine_blocks(ts, ms, k):
         yield sl, _abs_sine(pm * col[sl], k)
 
 
-def _modulus(ts, ms, w, k, kind):
-    """g(t) = sum_m (c0) or max_m (jaffard) of |2 sin pi m t|^k w(m) at
-    every t, evaluated in blocks of ts."""
-    ts = np.asarray(ts, dtype=float)
+def _direct_modulus(ts, ms, w, k, kind):
+    """g at each of the flat ts, one sine per point and offset."""
     out = np.zeros(ts.size)
-    if ms.size == 0:
-        return out.reshape(ts.shape)
-    for sl, S in _sine_blocks(ts, ms, k):
-        out[sl] = S @ w if kind == "c0" else (S * w).max(axis=1)
+    if ms.size:
+        for sl, S in _sine_blocks(ts, ms, k):
+            out[sl] = S @ w if kind == "c0" else (S * w).max(axis=1)
+    return out
+
+
+def _modulus(ts, ms, w, k, kind, geo=None):
+    """g(t) = sum_m (c0) or max_m (jaffard) of |2 sin pi m t|^k w(m) at
+    every t, evaluated in blocks of ts.
+
+    In the c0 ambient at k = 1 the geometric tail geo = (scale, rho, m0,
+    M) of _offset_weights, w(m) = scale rho^m on m0 <= m <= M, is summed
+    by its runs of constant sign (_tail_runs) at every t where that saves
+    work: where its run boundaries, _RUN_COST offsets of the direct sum
+    each, number fewer than the tail's offsets in ms, and only when the
+    points together save more than the _RUN_SETUP offsets that the runs
+    cost once per call.  The finite part, m < m0, stays a direct sum.  g
+    is 1-periodic and even, so both are taken there at u = dist(t, Z).
+    """
+    ts = np.asarray(ts, dtype=float)
+    if ms.size == 0 or geo is None or kind != "c0" or k != 1:
+        return _direct_modulus(ts, ms, w, k, kind).reshape(ts.shape)
+    sc, rho, m0, M = geo
+    flat = ts.ravel()
+    u = np.abs(flat - np.round(flat))
+    head = int(np.searchsorted(ms, m0))
+    gain = (ms.size - head) - (np.floor(M * u) - np.floor(m0 * u)
+                               + 2.0) * _RUN_COST
+    runs = gain > 0
+    if gain[runs].sum() <= _RUN_SETUP:
+        return _direct_modulus(ts, ms, w, k, kind).reshape(ts.shape)
+    out = np.empty(flat.size)
+    out[~runs] = _direct_modulus(flat[~runs], ms, w, k, kind)
+    out[runs] = (_direct_modulus(u[runs], ms[:head], w[:head], k, kind)
+                 + _tail_runs(u[runs], sc, rho, m0, M))
     return out.reshape(ts.shape)
+
+
+def _tail_runs(u, sc, rho, m0, M):
+    """sum_{m0 <= m <= M} sc rho^m |2 sin pi m u| at each u in [0, 1/2].
+
+    On the run R_j = {m : j <= m u < j + 1} the sign of sin pi m u is
+    (-1)^j, so with z = rho e^{i pi u} the run [a, b] sums to
+    2 sc (-1)^j Im[(z^a - z^(b+1)) / (1 - z)].  Over the runs j0 =
+    floor(m0 u) .. J = floor(M u) this telescopes to
+    2 sc Im[N (1 - conj z)] / |1 - z|^2, N = (-1)^j0 z^m0 - (-1)^J z^(M+1)
+    + 2 sum_{j0 < j <= J} (-1)^j z^(a_j), a_j = ceil(j / u): one term per
+    run boundary.  (-1)^j z^a = rho^a e^{i pi d}, d = a u - j, and
+    Im[e^{i pi d} (1 - conj z)] = A sin pi d + B cos pi d with
+    A = 1 - rho cos pi u and B = rho sin pi u, both >= 0.  At a boundary
+    a_j, d lies in [0, u), so its term is a sum of two nonnegative parts
+    and cos pi d = sqrt(1 - sin^2 pi d); d is formed from the halves of u
+    (_SPLIT), exact but for a last rounding, as a_j u is within 1 of j.
+    A boundary that the rounding of j / u moves by one offset only moves a
+    term with |sin pi m u| within a few ulps of 0.  The points are taken
+    in groups of at most _BLOCK / 4 boundaries, so that no array of a
+    group, the four per-point columns repeated to its boundaries the
+    largest, holds more than _BLOCK elements (a point with more boundaries
+    alone, as a row of the direct sum would be).
+    """
+    half = np.sin(0.5 * np.pi * u)
+    A = (1.0 - rho) + 2.0 * rho * half * half
+    B = rho * np.sin(np.pi * u)
+    c = _SPLIT * u
+    hi = c - (c - u)
+    lo = u - hi
+    j0, J = np.floor(m0 * u), np.floor(M * u)
+    # the first boundary m0 of run j0, less the end M + 1 read from run J
+    a = np.array([[m0], [M + 1.0]])
+    d = np.pi * ((a * hi - np.stack([j0, J])) + a * lo)
+    ends = rho ** a * (A * np.sin(d) + B * np.cos(d))
+    total = ends[0] - ends[1]
+    count = (J - j0).astype(int)
+    stop = np.cumsum(count)
+    per_point = np.stack([u, hi, lo, j0 + 1.0])
+    lr = math.log(rho)
+    p = 0
+    while p < u.size:
+        q = max(p + 1, int(np.searchsorted(
+            stop, stop[p] - count[p] + _BLOCK // 4, side="right")))
+        pts = p + np.flatnonzero(count[p:q])
+        p = q
+        if not pts.size:
+            continue
+        n = count[pts]
+        at = np.cumsum(n) - n
+        uu, hh, ll, first = np.repeat(per_point[:, pts], n, axis=1)
+        # boundary i of point p is j = j0 + 1 + i
+        j = first + (np.arange(float(n.sum())) - np.repeat(at, n))
+        a = np.ceil(j / uu)
+        d = np.pi * ((a * hh - j) + a * ll)
+        sin = np.sin(d)
+        parts = np.exp(a * lr) * np.stack([sin, np.sqrt(1.0 - sin * sin)])
+        sums = np.add.reduceat(parts, at, axis=1)
+        total[pts] += 2.0 * (A[pts] * sums[0] + B[pts] * sums[1])
+    den = (1.0 - rho) ** 2 + 4.0 * rho * half * half
+    return 2.0 * sc * (total / den)
 
 
 def _offset_weights(A, ambient, margin):
     """Per-|m| reduced profile for m >= 1.
 
     c0 ambient sums both sides (w = d(m) + d(-m)); jaffard takes the max
-    of the sides times (1+m)^s.  Returns (ms, w, geo) where geo describes
-    the geometric mass beyond the cutoff, (scale, rho, M), or None.
+    of the sides times (1+m)^s.  Returns (ms, w, geo): ms runs up to the
+    cut M, and geo = (scale, rho, m0, M) describes the geometric tail
+    scale rho^m of the profile from offset m0 on, whose c0 weights are
+    w(m) = scale rho^m on m0 <= m <= M and whose mass beyond M is left
+    out, or is None.  m0 > M when the finite part reaches past the cut.
     """
     kind, s = normalize_ambient(ambient)
     if kind == "operator":
@@ -196,7 +309,7 @@ def _offset_weights(A, ambient, margin):
     geo = None
     if prof.scale:
         M = max(M, int(math.log(_PROFILE_CUT) / math.log(prof.rho)) + 1, 1)
-        geo = (prof.scale, prof.rho, M)
+        geo = (prof.scale, prof.rho, max(prof.tail_start, 1), M)
     ms = np.arange(1, M + 1)
     dpos, dneg = prof.at(ms), prof.at(-ms)
     if kind == "c0":
@@ -222,7 +335,7 @@ def _dropped_mass(geo, kind, s):
     rho^m over m > M, or (c0) its sum scale rho^(M+1) / (1 - rho)."""
     if geo is None:
         return 0.0
-    sc, rho, M = geo
+    sc, rho, _, M = geo
     if kind == "jaffard":
         return sc * math.exp(poly_geometric_max(0.0, s, rho, M + 1)[0])
     return sc * rho ** (M + 1) / (1.0 - rho)
@@ -249,8 +362,8 @@ def modulus_profile(A, ts, k, ambient="c0", margin=0):
         require_section(A, "the operator ambient").window.shrink(margin)
         return np.array([operator_norm_l2(difference_power(A, float(t), k))
                          for t in ts])
-    ms, w, _ = _offset_weights(A, ambient, margin)
-    return _modulus(ts, ms, w, k, kind)
+    ms, w, geo = _offset_weights(A, ambient, margin)
+    return _modulus(ts, ms, w, k, kind, geo)
 
 
 def _tail_bounds(A, k, r, p, t_min, t_max, ambient, margin):
@@ -324,14 +437,15 @@ def besov_seminorm(A, p, r, k=None, ambient="c0", margin=0,
         else:
             value, qerr = _operator_route(A, p, r, k, edges)
     else:
-        ms, w, _ = _offset_weights(A, ambient, margin)
+        ms, w, geo = _offset_weights(A, ambient, margin)
         if p == 1 and kind == "c0":
             value, qerr = _separable_p1(ms, w, r, k, t_min, t_max)
         elif p == math.inf:
             value, qerr, searched, points = _sup_search(ms, w, k, kind,
-                                                        edges, r)
+                                                        edges, r, geo)
         else:
-            value, qerr, cells = _cell_route(ms, w, k, kind, edges, r, p)
+            value, qerr, cells = _cell_route(ms, w, k, kind, edges, r, p,
+                                             geo)
 
     tail = _tail_bounds(A, k, r, p, t_min, t_max, ambient, margin)
     params = {"p": p, "r": r, "k": k, "ambient": ambient,
@@ -368,7 +482,19 @@ def _separable_p1(ms, w, r, k, t_min, t_max):
 def _slack(ms, k, r):
     """1 + 4 (M + k + r + 4) eps, M = ms.size: covers the rounding of a
     bound's sum and of g computed at a point a few ulps outside its interval
-    (r is in it because a grid point can sit a few ulps below a)."""
+    (r is in it because a grid point can sit a few ulps below a).
+
+    It covers g summed by runs of constant sign (_tail_runs) too.  There
+    every term of the telescoped sum is a sum of two nonnegative products,
+    each within a few ulps, but the last, below the profile cut, and the
+    first, whose products cancel only where the tail starts past the
+    middle of a run, and then by at most about 1 / gamma = M / 41 (rho =
+    e^-gamma, cut at rho^M = 1e-18) against the runs that follow.  So the
+    runs are within a few ulps per run boundary, plus M / 41, of g, and
+    _modulus takes them only where their boundaries number fewer than M
+    / _RUN_COST.  The search's pruning rests on this: no value computed
+    on an interval exceeds its bound.
+    """
     return 1.0 + 4.0 * (ms.size + k + r + 4) * np.finfo(float).eps
 
 
@@ -423,7 +549,7 @@ def _slope_bounds(ms, w, k, kind, a, b, r):
     return (r * value + slope) * _slack(ms, k, r)
 
 
-def _sup_search(ms, w, k, kind, edges, r):
+def _sup_search(ms, w, k, kind, edges, r, geo=None):
     """sup of t^-r g(t) over the shells: argmax on a log grid of a shell,
     then rounds of zooming in on a finer grid around it.
 
@@ -448,7 +574,7 @@ def _sup_search(ms, w, k, kind, edges, r):
         return 0.0, 0.0, 0, 0
 
     def h(ts):
-        return ts ** (-r) * _modulus(ts, ms, w, k, kind)
+        return ts ** (-r) * _modulus(ts, ms, w, k, kind, geo)
 
     ts = np.exp(np.linspace(np.log(edges[:-1]), np.log(edges[1:]),
                             _SUP_COARSE, axis=1))
@@ -478,8 +604,11 @@ def _sup_search(ms, w, k, kind, edges, r):
     best = coarse
     lo = ts[rows, np.maximum(i - 1, 0)]
     hi = ts[rows, np.minimum(i + 1, _SUP_COARSE - 1)]
+    # np.linspace(lo, hi, _SUP_ZOOM, axis=1), bit for bit
+    frac = np.arange(float(_SUP_ZOOM))
     for _ in range(_SUP_ROUNDS):
-        pts = np.linspace(lo, hi, _SUP_ZOOM, axis=1)
+        pts = frac * ((hi - lo) / (_SUP_ZOOM - 1))[:, None] + lo[:, None]
+        pts[:, -1] = hi
         vals = h(pts)
         points += vals.size
         j = vals.argmax(axis=1)
@@ -598,16 +727,16 @@ def _switch_cells(cells, ms, w, k):
     return cells
 
 
-def _rule_on_cells(edges, ms, w, k, kind, kernel, p, n):
+def _rule_on_cells(edges, ms, w, k, kind, kernel, p, n, geo):
     """The n-node Gauss-Legendre rule for int kernel(u) g(u)^p du on each
     cell between consecutive edges."""
     tau, wts = _legendre(n)
     h = np.diff(edges)
     us = edges[:-1, None] + h[:, None] * tau
-    return h * ((kernel(us) * _modulus(us, ms, w, k, kind) ** p) @ wts)
+    return h * ((kernel(us) * _modulus(us, ms, w, k, kind, geo) ** p) @ wts)
 
 
-def _cell_route(ms, w, k, kind, shells, r, p):
+def _cell_route(ms, w, k, kind, shells, r, p, geo=None):
     """The inputs where g enters the integrand nonlinearly (p not in
     {1, inf}, or the jaffard ambient), folded onto u in [0, 1/2].
 
@@ -638,13 +767,13 @@ def _cell_route(ms, w, k, kind, shells, r, p):
         panels = np.linspace(base[:-1], base[1:], _PANELS + 1, axis=1)
         cells = np.append(panels[:, :-1].ravel(), base[-1])
         coarse = _rule_on_cells(cells[::2], ms, w, k, kind, kernel, p,
-                                _GL_RULE)
+                                _GL_RULE, geo)
     else:
         if kind == "jaffard":
             cells = _switch_cells(cells, ms, w, k)
         coarse = _rule_on_cells(cells, ms, w, k, kind, kernel, p,
-                                _GL_RULE // 2)
-    fine = _rule_on_cells(cells, ms, w, k, kind, kernel, p, _GL_RULE)
+                                _GL_RULE // 2, geo)
+    fine = _rule_on_cells(cells, ms, w, k, kind, kernel, p, _GL_RULE, geo)
     total = 2.0 * float(fine.sum())
     err = (2.0 * float(np.abs(fine.reshape(coarse.size, -1).sum(axis=1)
                               - coarse).sum())
@@ -733,7 +862,12 @@ def hypersingular_seminorm(A, r, ambient="c0", margin=0):
 
     The inner integral acts entrywise: offset m picks up the real factor
     J_m(eps) = 2 int_eps^1 (cos 2 pi m t - 1) t^-r dt, on every offset of
-    the window (operator ambient) or of the reduced profile.
+    the window (operator ambient) or of the reduced profile.  |J_m(eps)|
+    falls as eps grows, so in the c0 and jaffard ambients, where the norm
+    is the sum or the max over m of |J_m(eps)| w(m), the sup is the value
+    at the finest cutoff, first in _EPS_GRID, and only it is computed.
+    The operator norm is not monotone in eps, so that ambient takes every
+    cutoff of the grid, the first strict maximum winning.
     """
     if not 0 < r < 2:
         raise ParameterError("hypersingular_seminorm needs 0 < r < 2")
@@ -741,13 +875,15 @@ def hypersingular_seminorm(A, r, ambient="c0", margin=0):
     if kind == "operator":
         require_section(A, "the operator ambient").window.shrink(margin)
         ms, geo = np.arange(1, A.n), None   # every offset of the window
+        grid = _EPS_GRID
     else:
         ms, w, geo = _offset_weights(A, ambient, margin)
-    J, Jerr = _j_multipliers(ms, _EPS_GRID, r)
+        grid = _EPS_GRID[:1]
+    J, Jerr = _j_multipliers(ms, grid, r)
     mass = _dropped_mass(geo, kind, s)
     best, best_err, best_eps = 0.0, 0.0, _EPS_GRID[0]
     # no offset (a diagonal A, or a 1 x 1 window) leaves the seminorm at 0
-    for row, eps in enumerate(_EPS_GRID if ms.size else ()):
+    for row, eps in enumerate(grid if ms.size else ()):
         if kind == "operator":
             factor = np.append(0.0, J[row])
             tot = operator_norm_l2(

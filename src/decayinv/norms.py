@@ -122,7 +122,8 @@ def jaffard_norm(A, r, margin=0):
     if r < 0:
         raise ParameterError("jaffard_norm needs r >= 0")
     prof = decay_profile(A, margin)
-    best = float((prof.d * (1.0 + np.abs(prof.offsets)) ** r).max(initial=0.0))
+    best = (float((prof.d * (1.0 + np.abs(prof.offsets)) ** r).max())
+            if prof.d.size else 0.0)
     if prof.scale:
         log_top, _ = poly_geometric_max(0.0, r, prof.rho, prof.tail_start)
         best = max(best, prof.scale * math.exp(log_top))

@@ -32,7 +32,8 @@ import numpy as np
 
 from .errors import ParameterError
 from .lattice import (LatticeMatrix, derivation_factor, difference_factor,
-                      invert_truncated, offset_table, phase_factor)
+                      invert_truncated, offset_table, phase_factor,
+                      require_section)
 
 # OpenBLAS's x86-64 zgemm kernels form a row-major product's columns four
 # at a time from the first, and sum those of a shorter last group in
@@ -211,11 +212,13 @@ def _operand_scale(A, Ainv):
 
 
 def _check_operands(A, k, margin, *others):
-    """The pass slices every other operand by A's inner block."""
+    """The pass slices every other operand by A's inner block; every
+    operand is a section (a ToeplitzSymbol is a ParameterError)."""
     if k < 1:
         raise ParameterError("order must be >= 1")
-    _section(A.window, margin)
-    if any(M is not None and M.window != A.window for M in others):
+    _section(require_section(A, "an identity verifier").window, margin)
+    if any(M is not None and require_section(M, "an identity verifier")
+           .window != A.window for M in others):
         raise ParameterError(f"B and Ainv must lie on A's window {A.window}")
 
 

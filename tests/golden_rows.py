@@ -10,12 +10,19 @@ every file with
 
 A change that rewrites a file lists every moved column, with its largest
 move and the reason, in CHANGES.md.  An existing file's tolerances are
-kept.
+kept.  The moves themselves, per file and column, come from
+
+    PYTHONPATH=src python tests/golden_rows.py --diff
+
+which runs every file's command afresh, prints the largest relative move
+of each column that is not bit for bit the pinned one, and rewrites
+nothing.
 """
 
 import json
 import math
 import pathlib
+import sys
 
 import numpy as np
 import scipy
@@ -77,11 +84,11 @@ def _same(got, want, tol):
     return type(got) is type(want) and got == want
 
 
-def differences(got, golden):
+def differences(got, golden, tol=None):
     """(column, path, got, want) of each leaf where the pinned result got
     differs from the loaded golden file: a float by more than its column's
-    relative tolerance, anything else at all, or a leaf present in one
-    only."""
+    relative tolerance (or tol, for every column), anything else at all,
+    or a leaf present in one only."""
     tolerances = golden["tolerances"]
     have = dict(leaves(got))
     ref = dict(leaves({key: golden[key] for key in PINNED if key in golden}))
@@ -89,9 +96,33 @@ def differences(got, golden):
         if path not in have or path not in ref:
             yield column(path), path, have.get(path), ref.get(path)
             continue
-        tol = tolerances.get(column(path), TOLERANCE)
-        if not _same(have[path], ref[path], tol):
+        limit = tolerances.get(column(path), TOLERANCE) if tol is None else tol
+        if not _same(have[path], ref[path], limit):
             yield column(path), path, have[path], ref[path]
+
+
+def moves(got, golden):
+    """{column: largest relative move |got - want| / |want|} over the
+    leaves of the pinned result got that are not bit for bit those of the
+    loaded golden file; a move from 0, to or from a non-finite float, of a
+    value that is not a float, or of a leaf present in one only is inf."""
+    out = {}
+    for col, _, have, want in differences(got, golden, tol=0.0):
+        move = math.inf
+        if (isinstance(have, float) and isinstance(want, float)
+                and math.isfinite(have) and math.isfinite(want) and want):
+            move = abs(have - want) / abs(want)
+        out[col] = max(out.get(col, 0.0), move)
+    return out
+
+
+def diff(names=tuple(RUNS)):
+    """Print the moves of a fresh run of each named file, a line per moved
+    column: file, column and largest relative move."""
+    for name in names:
+        moved = moves(pinned(run(RUNS[name])), load(name))
+        for col, move in sorted(moved.items()):
+            print(f"{name}.json {col} {move:.2g}")
 
 
 def versions():
@@ -136,6 +167,9 @@ def _dump(golden):
 
 
 if __name__ == "__main__":
+    if sys.argv[1:] == ["--diff"]:
+        diff()
+        sys.exit(0)
     GOLDEN.mkdir(exist_ok=True)
     for name in RUNS:
         write(name)

@@ -5,22 +5,25 @@ with multinomial weights, the binomial expansion of the difference
 power, and the offset multiplier entry by entry; the quotient-rule
 verifier one order at a time; a Besov integral by adaptive quad on the
 cells between its kinks, or by the fixed kink-cell rule on [t_min, t_max]
-itself; the p = inf grid-and-zoom search on every dyadic shell; and the
-norm of D^k A one order at a time.  The package evaluates the same
+itself; the p = inf grid-and-zoom search on every dyadic shell; the
+hypersingular sup over every cutoff; and the norm of D^k A one order at
+a time.  The package evaluates the same
 quantities by cheaper routes (first-part recurrences, one pass up to the
 top order, a closed entrywise factor, one offset table, a closed form,
 one fixed rule per cell, the integral folded onto [0, 1/2], a search of
 only the shells a closed-form bound cannot rule out, one row of sines
 shared by the unit cells of an antiderivative, a block of derivation
 orders at once, one recurrence over the orders for the sums of a
-geometric tail, rescaled only at the edges of a band, and a Dales-Davie
-sum that reads each order once), so nothing here is imported from src
-but the Besov block layout, whose row positions fix the last bits of a
-product, the decay profile and the exact argmax of a tail, which the
-per-order derivation norms must match bit for bit, and the one-order
-derivation norm with the Dales-Davie stop rule's constants, which the
-per-order Dales-Davie sum reads; a tail's sums are checked against
-50-digit mpmath values.
+geometric tail, rescaled only at the edges of a band, a Dales-Davie
+sum that reads each order once, and the finest cutoff alone), so nothing
+here is imported from src but the Besov block layout, whose row
+positions fix the last bits of a product, the decay profile and the
+exact argmax of a tail, which the per-order derivation norms must match
+bit for bit, the one-order derivation norm with the Dales-Davie stop
+rule's constants, which the per-order Dales-Davie sum reads, and the
+reduced profile, multipliers and tail mass of the hypersingular sup,
+which its finest cutoff must match bit for bit; a tail's sums are
+checked against 50-digit mpmath values.
 pytest does not collect this module.
 """
 
@@ -36,7 +39,8 @@ from scipy.special import gammaln
 
 from decayinv import (LatticeMatrix, ParameterError, apply_automorphism,
                       derivation_power, difference_power, operator_norm_l2)
-from decayinv.besov import _blocks
+from decayinv.besov import (_blocks, _dropped_mass, _j_cap, _j_multipliers,
+                            _offset_weights)
 from decayinv.norms import (_DD_BLOCK, _DD_KCAP, _DD_TOL, DalesDavieValue,
                             decay_profile, dk_norm_log, normalize_ambient)
 from decayinv.weights import poly_geometric_max
@@ -456,6 +460,32 @@ def sup_search_all_shells(ms, w, k, kind, edges, r):
         hi = pts[rows, np.minimum(j + 1, zoom_n - 1)]
     win = int(best.argmax())
     return float(best[win]), float(best[win] - coarse[win])
+
+
+def hypersingular_every_cutoff(A, r, ambient):
+    """The c0 or jaffard hypersingular seminorm of A as the sup over every
+    cutoff eps of 0.01, 0.03, 0.1, 0.3 in turn of the sum (c0) or the max
+    (jaffard) over m of |J_m(eps)| w(m), a later cutoff winning only when
+    it is strictly larger; its error is the multipliers' node-doubled
+    error on the same terms plus the left-out tail's mass times the bound
+    on |J_m(eps)|.  Each cutoff's multipliers come from a call of their
+    own.  Returns (value, error, eps)."""
+    kind, s = normalize_ambient(ambient)
+    ms, w, geo = _offset_weights(A, ambient, 0)
+    mass = _dropped_mass(geo, kind, s)
+    best = (0.0, 0.0, 0.01)
+    for eps in ((0.01, 0.03, 0.1, 0.3) if ms.size else ()):
+        J, Jerr = _j_multipliers(ms, [eps], r)
+        if kind == "c0":
+            tot = float((np.abs(J[0]) * w).sum())
+            err = float((Jerr[0] * w).sum())
+        else:
+            i = int(np.argmax(np.abs(J[0]) * w))
+            tot = float(abs(J[0, i]) * w[i])
+            err = float(Jerr[0, i] * w[i])
+        if tot > best[0]:
+            best = (tot, err + mass * _j_cap(eps, r), eps)
+    return best
 
 
 def operator_sup_all_shells(A, r, k, t_min, t_max):

@@ -16,6 +16,7 @@ the max (tests/oracles.py).  The finite-p cell route, folded onto
 grid-and-zoom search run on every shell (tests/oracles.py).
 """
 
+import itertools
 import math
 import warnings
 
@@ -28,8 +29,8 @@ from scipy.integrate import quad
 from scipy.optimize import minimize_scalar
 from scipy.special import zeta
 
-from decayinv import (IndexWindow, LatticeMatrix, ParameterError,
-                      ToeplitzSymbol, besov_seminorm,
+from decayinv import (GeometricTail, IndexWindow, LatticeMatrix,
+                      ParameterError, ToeplitzSymbol, besov_seminorm,
                       geometric_inverse_toeplitz, hypersingular_seminorm,
                       identification_rate_check, make_toeplitz,
                       modulus_profile, random_decay_matrix)
@@ -38,13 +39,13 @@ from decayinv.besov import (_antiderivative, _argmax_branch, _blocks,
                             _cell_route, _folded_edges, _j_multipliers,
                             _kink_cells, _modulus, _offset_weights,
                             _shell_bounds, _shell_edges, _slope_bounds,
-                            _sup_search, _switch_cells)
+                            _sup_search, _switch_cells, _tail_runs)
 from decayinv.lattice import difference_power, geometric_inverse_symbol
 from decayinv.norms import cv_norm
 from decayinv.weights import Weight
 from oracles import (besov_cells_unfolded, besov_integral_cells,
-                     cell_integrals_per_cell, operator_sup_all_shells,
-                     sup_search_all_shells)
+                     cell_integrals_per_cell, hypersingular_every_cutoff,
+                     operator_sup_all_shells, sup_search_all_shells)
 
 W = IndexWindow(-32, 31)
 INV = geometric_inverse_symbol(0.5)
@@ -396,13 +397,15 @@ SUP_MATRICES = {
 def test_sup_search_matches_the_search_of_every_shell(name, ambient):
     # the pruned search finds the winner of the search over every shell, so
     # it differs only by the rounding of g, which moves with a point's row
-    # in the matrix product; the error is a difference of two of its
-    # values, so it is compared on the scale of the value
-    ms, w, _ = _offset_weights(SUP_MATRICES[name], ambient, 0)
+    # in the matrix product, and (c0 at k = 1, on an inverse's geometric
+    # tail) with the runs of constant sign that sum it; the error is a
+    # difference of two of its values, so it is compared on the scale of
+    # the value
+    ms, w, geo = _offset_weights(SUP_MATRICES[name], ambient, 0)
     kind = "c0" if ambient == "c0" else "jaffard"
     edges = _shell_edges(1e-6, 4.0)
     for k, r in SUP_ORDERS[1:2] if name == "inverse 0.05" else SUP_ORDERS:
-        value, err, searched, _ = _sup_search(ms, w, k, kind, edges, r)
+        value, err, searched, _ = _sup_search(ms, w, k, kind, edges, r, geo)
         want, want_err = sup_search_all_shells(ms, w, k, kind, edges, r)
         assert value == pytest.approx(want, rel=1e-14, abs=0.0)
         assert err == pytest.approx(want_err, rel=0.0, abs=1e-14 * want)
@@ -676,6 +679,103 @@ def test_modulus_and_branch_equal_the_sines_taken_whole(k):
     assert np.array_equal(_argmax_branch(ts, ms, w, k), branch)
 
 
+# geometric tails with M = 42, 829 and 8290 offsets, and one after a
+# finite part on offsets -3..5
+RUN_TAILS = {
+    "inverse 1": geometric_inverse_symbol(1.0),
+    "inverse 0.05": geometric_inverse_symbol(0.05, 2.4),
+    "inverse 0.005": geometric_inverse_symbol(0.005),
+    "finite part": ToeplitzSymbol({-3: 0.5, 0: 1.0, 2: -0.7, 5: 0.3},
+                                  GeometricTail(math.exp(-0.05), 1.3)),
+}
+
+
+@pytest.mark.parametrize("name", list(RUN_TAILS))
+def test_runs_of_constant_sign_match_the_direct_sum(name, monkeypatch):
+    # the tail alone by its runs, and the whole c0 modulus as _modulus
+    # dispatches it, against the direct sum at u = dist(t, Z), where the
+    # direct sum is accurate: t on both sides of the crossover (the runs
+    # cost more past u = 0.4) and past 1/2, away from simple fractions
+    ms, w, geo = _offset_weights(RUN_TAILS[name], "c0", 0)
+    sc, rho, m0, M = geo
+    ts = np.concatenate([np.geomspace(1e-3, 0.45, 40),
+                         [0.61, 1.23, 2.77, 3.91]])
+    u = np.abs(ts - np.round(ts))
+    tail = ms >= m0
+    want = _modulus(u, ms[tail], w[tail], 1, "c0")
+    assert _tail_runs(u, sc, rho, m0, M) == pytest.approx(want, rel=1e-14)
+    taken = []
+    monkeypatch.setattr(besov, "_tail_runs", lambda u, *args: taken.append(
+        u.size) or _tail_runs(u, *args))
+    got = _modulus(ts, ms, w, 1, "c0", geo)
+    assert got == pytest.approx(_modulus(u, ms, w, 1, "c0"), rel=1e-14)
+    if name == "inverse 1":
+        # 42 offsets save less than one call of the runs costs
+        assert taken == []
+        assert np.array_equal(got, _modulus(ts, ms, w, 1, "c0"))
+    else:
+        assert len(taken) == 1 and 0 < taken[0] < ts.size
+
+
+def test_runs_of_constant_sign_match_mpmath():
+    # the gamma = 0.05 inverse's 829 offsets summed at 30 digits, the float
+    # rho taken exactly, at 24 points of [0.001, 0.15]
+    ms, _, (sc, rho, m0, M) = _offset_weights(geometric_inverse_symbol(0.05),
+                                              "c0", 0)
+    ts = np.geomspace(0.001, 0.15, 24)
+    with mpmath.workdps(30):
+        r = mpmath.mpf(rho)
+        want = [float(mpmath.fsum(
+            r ** m * abs(2 * mpmath.sin(mpmath.pi * m * mpmath.mpf(t)))
+            for m in range(m0, M + 1))) for t in ts]
+    assert ms.size == M == 829
+    assert _tail_runs(ts, sc, rho, m0, M) == pytest.approx(want, rel=2e-15)
+
+
+@seed(24)
+@settings(max_examples=25, deadline=None)
+@given(st.floats(math.log(0.005), 0.0), st.floats(0.5, 4.0),
+       st.floats(0.1, 3.0), st.floats(1e-6, 0.5), st.booleans())
+@example(math.log(0.005), 1.0, 0.6, 1e-6, False)
+@example(math.log(0.05), 2.4, 0.3, 1e-3, True)
+def test_chunk_bounds_cover_the_runs_form(log_gamma, scale, r, t_min,
+                                          finite):
+    # the search skips a chunk of its grid whose _shell_bounds falls below
+    # a value found, so no value h computes on a chunk may exceed that
+    # chunk's bound, on the runs of constant sign as on the direct sum
+    tail = GeometricTail(math.exp(-math.exp(log_gamma)), scale)
+    A = ToeplitzSymbol({-2: 0.4, 1: -1.1, 3: 0.2} if finite else {}, tail)
+    ms, w, geo = _offset_weights(A, "c0", 0)
+    edges = _shell_edges(t_min, 4.0)
+    ts = np.exp(np.linspace(np.log(edges[:-1]), np.log(edges[1:]), 256,
+                            axis=1)).reshape(edges.size - 1, -1, 16)
+    bound = _shell_bounds(ms, w, 1, "c0", ts[..., 0], ts[..., -1], r)
+    vals = ts ** (-r) * _modulus(ts, ms, w, 1, "c0", geo)
+    assert (vals <= bound[..., None]).all()
+
+
+def test_antiderivative_reads_integer_points_from_its_knots(monkeypatch):
+    # an integer point x >= 1 is the end of the unit cells below it: F(x)
+    # is their cumulative sum, and no cell of zero width is integrated
+    seen = []
+
+    def spy(a, h, s, k, n, units):
+        ints = cell_integrals(a, h, s, k, n, units)
+        seen.append((h, units, ints))
+        return ints
+
+    cell_integrals = besov._cell_integrals
+    monkeypatch.setattr(besov, "_cell_integrals", spy)
+    x = np.array([3.0, 2.5, 1.0, 7.0, 0.3, 5.0, 7.0, 0.25])
+    F = _antiderivative(x, 0.5, 1)
+    on = np.flatnonzero(x == np.floor(x))
+    assert len(seen) == len(F)
+    for row, (h, units, ints) in zip(F, seen):
+        assert (h != 0).all()
+        knots = np.concatenate([[0.0], np.cumsum(ints[:units])])
+        assert np.array_equal(row[on], knots[x[on].astype(int) - 1])
+
+
 @seed(20)
 @settings(max_examples=30, deadline=None)
 @given(st.lists(st.one_of(st.integers(1, 4000).map(float),
@@ -727,14 +827,19 @@ def test_hypersingular_frozen_values():
 
 
 def test_hypersingular_sup_attained_at_smallest_eps():
-    # the grid sup should come from the finest cutoff for this family; the
-    # value at eps = 0.3 alone is sum_m |J_m(0.3)| w(m)
-    full = hypersingular_seminorm(INV, 0.5)
-    ms, w, _ = _offset_weights(INV, "c0", 0)
-    J, _ = _j_multipliers(ms, [0.3], 0.5)
-    coarse = float((np.abs(J[0]) * w).sum())
-    assert full.value >= coarse
-    assert full.parameters["eps"] == 0.01
+    # |J_m(eps)| falls as eps grows, so the sup over every cutoff of the
+    # grid is the finest one's, which the c0 and jaffard ambients read
+    # alone: value, error and cutoff bit for bit, on inverses (0.05 with
+    # its 829 offsets), a shift and a section
+    family = [INV, geometric_inverse_symbol(0.05, 2.4),
+              ToeplitzSymbol({3: 1.0}),
+              random_decay_matrix(W, 2.0, 0.3, seed=[5, 0])]
+    for A, ambient, r in itertools.product(family, ["c0", ("jaffard", 1.0)],
+                                           [0.5, 1.0, 1.5]):
+        est = hypersingular_seminorm(A, r, ambient)
+        got = (est.value, est.quadrature_error, est.parameters["eps"])
+        assert got == hypersingular_every_cutoff(A, r, ambient)
+        assert got[2] == 0.01
 
 
 @pytest.mark.parametrize("ambient", ["c0", ("jaffard", 1.0), "operator"])

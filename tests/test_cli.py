@@ -335,6 +335,26 @@ def test_default_rows_match_their_golden_file(name):
     assert moved == [], f"{len(moved)} values moved: {moved[:5]}"
 
 
+def test_golden_diff_prints_only_the_moved_columns(monkeypatch, capsys):
+    # a fresh run that gives the pinned rows bit for bit prints nothing;
+    # one value moved by 2^-40, inside its tolerance, prints its column
+    # and move, and no file is rewritten
+    names = list(golden_rows.RUNS)
+    files = {name: golden_rows.load(name) for name in names}
+    texts = {name: (golden_rows.GOLDEN / f"{name}.json").read_text()
+             for name in names}
+    fresh = copy.deepcopy(files)
+    monkeypatch.setattr(golden_rows, "run", lambda argv: fresh[
+        next(name for name in names if golden_rows.RUNS[name] == argv)])
+    golden_rows.diff(names)
+    assert capsys.readouterr().out == ""
+    fresh["dd-sharpness"]["rows"][2]["log_dd"] *= 1.0 + 2.0 ** -40
+    golden_rows.diff(names)
+    assert capsys.readouterr().out == "dd-sharpness.json rows.log_dd 9.1e-13\n"
+    assert texts == {name: (golden_rows.GOLDEN / f"{name}.json").read_text()
+                     for name in names}
+
+
 def test_a_golden_value_moved_by_1e_10_differs():
     golden = golden_rows.load("dd-sharpness")
     got = golden_rows.pinned(copy.deepcopy(golden))

@@ -18,7 +18,8 @@ from decayinv import (GeometricTail, IndexWindow, LatticeMatrix,
                       difference_power, geometric_inverse_toeplitz,
                       hypersingular_seminorm, invert_truncated, jaffard_norm,
                       make_toeplitz, modulus_profile, operator_norm_l2,
-                      random_decay_matrix, singular_values, symbol_range)
+                      random_decay_matrix, singular_values, symbol_range,
+                      verify_identity, verify_instances)
 from decayinv.lattice import (geometric_inverse_symbol, offset_multiplier,
                               rcond_estimate)
 from decayinv.norms import dk_norm_log
@@ -375,6 +376,12 @@ NEEDS_A_WINDOW = {
         A, math.inf, 0.5, ambient="operator"),
     "operator hypersingular": lambda A: hypersingular_seminorm(
         A, 0.5, "operator"),
+    "verify_identity": lambda A: verify_identity(A, "derivation_quotient",
+                                                 1),
+    "verify_identity B": lambda A: verify_identity(
+        make_toeplitz(RESOLVENT, W), "difference_product", 1, t=0.2, B=A),
+    "verify_instances": lambda A: list(verify_instances([(A, None, None)],
+                                                        1, [0.2])),
 }
 
 
