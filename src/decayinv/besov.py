@@ -8,7 +8,9 @@ hypersingular multipliers) the integral separates over offsets, and
 u = m t reduces every offset to one antiderivative
 F(x) = int_1^x u^{-s-1} |2 sin pi u|^k du, tabulated by Gauss-Legendre;
 its unit cells [j, j+1] share one row of sines per rule, since there
-u - j is the node itself, and an integer x reads F from their sums.
+u - j is the node itself, and an integer x reads F from their sums.  A
+family of profiles at one (r, k) reads one F on the union of its
+offsets (identification_rate_check).
 The c0 modulus at k = 1 of a symbol's geometric tail scale rho^m is
 summed by its runs of constant sign (_tail_runs): on {m : j <= m u <
 j + 1}, u = dist(t, Z), the sign of sin pi m u is (-1)^j, so each run is
@@ -22,12 +24,13 @@ offsets are integers, so the modulus is 1-periodic and even in t, and
 the integral over [t_min, t_max] is one over u against a kernel summed
 over the images j +- u in range.  It runs over cells cut at the kinks
 j/m (and at the switches of the jaffard max), one fixed Gauss-Legendre
-rule per cell; every rule reports its difference from a coarser one as
-its error.  At p = inf the sup of t^-r g(t) is searched on a log grid of
-the dyadic shells and zoomed, and only where it can still be: closed-form
-bounds on g over each chunk of a grid, and on the slope of t^-r g(t) over
-each shell, skip every chunk and every zoom that stays below a value
-already found.  Values are computed on [t_min, t_max]; the near-zero and
+rule per cell.  Every rule reports its difference from the rule with half
+its nodes, plus the worst-case rounding of its sums, as its error.  At
+p = inf the sup of t^-r g(t) is searched on a log grid of the dyadic
+shells and zoomed, and only where it can still be: closed-form bounds on
+g over each chunk of a grid, and on the slope of t^-r g(t) over each
+shell, skip every chunk and every zoom that stays below a value already
+found.  Values are computed on [t_min, t_max]; the near-zero and
 far-tail contributions are returned as a separate rigorous bound, never
 silently added, read from ||D^k A|| (norms.dk_norm_log) and ||A||
 (norms.ambient_norm).  Operator-ambient moduli all come from
@@ -58,7 +61,9 @@ _EPS = np.finfo(float).eps
 # squares them, up to k = 509; the p = inf chunk bounds are formed in logs
 # and do not limit k)
 _MAX_ORDER = 207
-_GL_NODES = (24, 48)  # the Gauss-Legendre rule, and its node-doubled check
+# the Gauss-Legendre rule of the antiderivative, and its half-node check,
+# whose difference from the rule overstates the rule's own error
+_GL_NODES = (24, 12)
 _BLOCK = 1 << 14      # elements of a node matrix evaluated at once
 # p = inf search: log-grid points per shell, points per chunk of that grid
 # (bounded, and so skipped or evaluated, as one), points and rounds of the
@@ -180,6 +185,13 @@ def _antiderivative(x, s, k):
     return np.array(rows)
 
 
+def _cells_summed(x):
+    """How many cell integrals _antiderivative sums into F at each x > 0:
+    floor(x) - 1 unit cells above 1, or -e dyadic ones below it (x in
+    [2^(e-1), 2^e)), and one partial cell."""
+    return np.where(x >= 1.0, np.floor(x), 1.0 - np.frexp(x)[1])
+
+
 def _sine_blocks(ts, ms, k):
     """(rows, |2 sin pi m t|^k) over blocks of the flattened ts, one row
     per t and one column per m."""
@@ -190,7 +202,9 @@ def _sine_blocks(ts, ms, k):
 
 
 def _direct_modulus(ts, ms, w, k, kind):
-    """g at each of the flat ts, one sine per point and offset."""
+    """g at each of the flat ts, one sine per point and offset; _modulus
+    passes u = dist(t, Z), where the angle pi m u rounds to eps of itself
+    and not of pi m t."""
     out = np.zeros(ts.size)
     if ms.size:
         for sl, S in _sine_blocks(ts, ms, k):
@@ -209,22 +223,22 @@ def _modulus(ts, ms, w, k, kind, geo=None):
     each, number fewer than the tail's offsets in ms, and only when the
     points together save more than the _RUN_SETUP offsets that the runs
     cost once per call.  The finite part, m < m0, stays a direct sum.  g
-    is 1-periodic and even, so both are taken there at u = dist(t, Z).
+    is 1-periodic and even, so every form is taken at u = dist(t, Z),
+    which t - round(t) gives exactly.
     """
     ts = np.asarray(ts, dtype=float)
+    u = np.abs(ts - np.round(ts)).ravel()
     if ms.size == 0 or geo is None or kind != "c0" or k != 1:
-        return _direct_modulus(ts, ms, w, k, kind).reshape(ts.shape)
+        return _direct_modulus(u, ms, w, k, kind).reshape(ts.shape)
     sc, rho, m0, M = geo
-    flat = ts.ravel()
-    u = np.abs(flat - np.round(flat))
     head = int(np.searchsorted(ms, m0))
     gain = (ms.size - head) - (np.floor(M * u) - np.floor(m0 * u)
                                + 2.0) * _RUN_COST
     runs = gain > 0
     if gain[runs].sum() <= _RUN_SETUP:
-        return _direct_modulus(ts, ms, w, k, kind).reshape(ts.shape)
-    out = np.empty(flat.size)
-    out[~runs] = _direct_modulus(flat[~runs], ms, w, k, kind)
+        return _direct_modulus(u, ms, w, k, kind).reshape(ts.shape)
+    out = np.empty(u.size)
+    out[~runs] = _direct_modulus(u[~runs], ms, w, k, kind)
     out[runs] = (_direct_modulus(u[runs], ms[:head], w[:head], k, kind)
                  + _tail_runs(u[runs], sc, rho, m0, M))
     return out.reshape(ts.shape)
@@ -324,6 +338,11 @@ def decay_moment(A, r, p=1, ambient="c0", margin=0):
     """Homogeneous decay moment of the reduced profile w over m >= 1:
     sum_m m^r w(m) for p = 1, sup_m m^r w(m) for p = inf."""
     ms, w, _ = _offset_weights(A, ambient, margin)
+    return _moment(ms, w, r, p)
+
+
+def _moment(ms, w, r, p):
+    """decay_moment of the reduced profile (ms, w)."""
     if ms.size == 0:
         return 0.0
     vals = ms.astype(float) ** r * w
@@ -414,13 +433,7 @@ def besov_seminorm(A, p, r, k=None, ambient="c0", margin=0,
     r must be finite and positive, k an integer in [1, 207), and t_min,
     t_max finite with 0 < t_min < t_max; anything else is a ParameterError.
     """
-    if not (math.isfinite(r) and r > 0):
-        raise ParameterError("besov_seminorm needs a finite r > 0")
-    if not (p == math.inf or p >= 1):
-        raise ParameterError("p must be in [1, inf]")
-    if not 0 < t_min < t_max < math.inf:
-        raise ParameterError("need a finite 0 < t_min < t_max")
-    k = _difference_order(math.floor(r) + 1 if k is None else k)
+    k = _seminorm_order(p, r, k, t_min, t_max)
     kind, _ = normalize_ambient(ambient)
     edges = _shell_edges(t_min, t_max)
     searched = cells = None
@@ -439,7 +452,7 @@ def besov_seminorm(A, p, r, k=None, ambient="c0", margin=0,
     else:
         ms, w, geo = _offset_weights(A, ambient, margin)
         if p == 1 and kind == "c0":
-            value, qerr = _separable_p1(ms, w, r, k, t_min, t_max)
+            [(value, qerr)] = _separable_p1([(ms, w)], r, k, t_min, t_max)
         elif p == math.inf:
             value, qerr, searched, points = _sup_search(ms, w, k, kind,
                                                         edges, r, geo)
@@ -459,6 +472,18 @@ def besov_seminorm(A, p, r, k=None, ambient="c0", margin=0,
                             tail_bound=tail, parameters=params)
 
 
+def _seminorm_order(p, r, k, t_min, t_max):
+    """besov_seminorm's argument checks; returns the difference order k,
+    floor(r) + 1 when k is None."""
+    if not (math.isfinite(r) and r > 0):
+        raise ParameterError("besov_seminorm needs a finite r > 0")
+    if not (p == math.inf or p >= 1):
+        raise ParameterError("p must be in [1, inf]")
+    if not 0 < t_min < t_max < math.inf:
+        raise ParameterError("need a finite 0 < t_min < t_max")
+    return _difference_order(math.floor(r) + 1 if k is None else k)
+
+
 def _shell_edges(t_min, t_max):
     edges = [t_max]
     while edges[-1] / 2.0 > t_min:
@@ -467,16 +492,36 @@ def _shell_edges(t_min, t_max):
     return np.array(edges[::-1])
 
 
-def _separable_p1(ms, w, r, k, t_min, t_max):
+def _separable_p1(profiles, r, k, t_min, t_max):
     """p = 1, c0 ambient: g is linear in w, so the integral is
-    2 sum_m w(m) m^r [F(m t_max) - F(m t_min)], F = _antiderivative(., r, k).
-    The error is the node-doubled difference."""
-    if ms.size == 0:
-        return 0.0, 0.0
-    F = _antiderivative(np.concatenate([ms * t_max, ms * t_min]), r, k)
+    2 sum_m w(m) m^r [F(m t_max) - F(m t_min)], F = _antiderivative(., r, k),
+    for each reduced profile (ms, w) of a family, all read from one F on
+    the union of their offsets.
+
+    The error is the difference from the half-node rule plus the
+    worst-case rounding of the sums: eps per cell summed into F and per
+    offset, times the sum of the magnitudes.  Returns (value, error) per
+    profile; an empty profile reads (0.0, 0.0).
+    """
+    union = np.unique(np.concatenate([ms for ms, _ in profiles]))
+    F = _antiderivative(np.concatenate([union * t_max, union * t_min]), r, k)
     hi, lo = np.split(F, 2, axis=1)
-    vals = 2.0 * ((hi - lo) @ (w * ms.astype(float) ** r))
-    return float(vals[0]), float(abs(vals[1] - vals[0]))
+    # np.take keeps rows contiguous, as the product's summation order needs
+    diff, size = hi - lo, np.abs(hi[0]) + np.abs(lo[0])
+    out = []
+    for ms, w in profiles:
+        if ms.size == 0:
+            out.append((0.0, 0.0))
+            continue
+        at = np.searchsorted(union, ms)
+        c = w * ms.astype(float) ** r
+        vals = 2.0 * (np.take(diff, at, axis=1) @ c)
+        # F's cell count grows with x above 1 and falls with it below 1
+        cells = _cells_summed(np.array([ms[-1] * t_max, ms[0] * t_min]))
+        err = (abs(vals[1] - vals[0])
+               + _EPS * (cells.max() + ms.size) * 2.0 * (size[at] @ c))
+        out.append((float(vals[0]), float(err)))
+    return out
 
 
 def _slack(ms, k, r):
@@ -834,18 +879,22 @@ def _operator_route(A, p, r, k, edges):
 
 def _j_multipliers(ms, eps, r):
     """J_m(eps) = 2 int_eps^1 (cos 2 pi m t - 1) t^-r dt for every eps
-    (rows) and m >= 1 (columns), with the node-doubled error.
+    (rows) and m >= 1 (columns), with the error of _separable_p1: the
+    difference from the half-node rule plus eps per cell summed into F.
 
     2 (cos 2 pi u - 1) = -|2 sin pi u|^2, so with u = m t
     J_m(eps) = -m^(r-1) [F(m) - F(m eps)], F = _antiderivative(., r-1, 2).
     """
     ms = np.asarray(ms, dtype=float)
     eps = np.asarray(eps, dtype=float)
-    F = _antiderivative(np.concatenate([ms, np.outer(eps, ms).ravel()]),
-                        r - 1.0, 2)
-    F = F.reshape(len(_GL_NODES), eps.size + 1, ms.size)
-    J = -(ms ** (r - 1.0)) * (F[:, :1] - F[:, 1:])
-    return J[0], np.abs(J[1] - J[0])
+    x = np.concatenate([ms, np.outer(eps, ms).ravel()])
+    F = _antiderivative(x, r - 1.0, 2).reshape(len(_GL_NODES), eps.size + 1,
+                                               ms.size)
+    cells = _cells_summed(x).reshape(eps.size + 1, ms.size)
+    scale = ms ** (r - 1.0)
+    J = -scale * (F[:, :1] - F[:, 1:])
+    size = scale * (np.abs(F[0, :1]) + np.abs(F[0, 1:]))
+    return J[0], np.abs(J[1] - J[0]) + _EPS * (cells[:1] + cells[1:]) * size
 
 
 def _j_cap(eps, r):
@@ -911,17 +960,30 @@ def identification_rate_check(family, r, p=1, k=None, ambient="c0",
     For p = 1 the comparison is sum_m |m|^r w(m); for p = inf it is
     sup_m |m|^r w(m).  Returns per-member rows and the drift max/min of
     the ratios, which the offset reduction predicts to be family-constant.
+    At p = 1 in the c0 ambient the whole family's seminorms come from one
+    antiderivative (_separable_p1), each within rounding of besov_seminorm's
+    and with no tail bound, which no row reads; other inputs take
+    besov_seminorm per member.
     """
     if p not in (1, math.inf):
         raise ParameterError("identification check supports p = 1 or inf")
+    k = _seminorm_order(p, r, k, t_min, t_max)
+    items = [item if isinstance(item, tuple) else (str(i), item)
+             for i, item in enumerate(family)]
+    if p == 1 and normalize_ambient(ambient)[0] == "c0":
+        profiles = [_offset_weights(A, ambient, margin)[:2] for _, A in items]
+        moments = [_moment(ms, w, r, p) for ms, w in profiles]
+        ests = _separable_p1(profiles, r, k, t_min, t_max) if items else []
+    else:
+        moments = [decay_moment(A, r, p, ambient, margin) for _, A in items]
+        ests = [(est.value, est.quadrature_error) for est in
+                (besov_seminorm(A, p, r, k, ambient, margin, t_min, t_max)
+                 for _, A in items)]
     rows = []
-    for i, item in enumerate(family):
-        label, A = item if isinstance(item, tuple) else (str(i), item)
-        mom = decay_moment(A, r, p, ambient, margin)
-        est = besov_seminorm(A, p, r, k, ambient, margin, t_min, t_max)
-        ratio = est.value / mom if mom > 0 else math.nan
-        rows.append({"label": label, "moment": mom, "seminorm": est.value,
-                     "quadrature_error": est.quadrature_error, "ratio": ratio})
+    for (label, _), mom, (value, qerr) in zip(items, moments, ests):
+        ratio = value / mom if mom > 0 else math.nan
+        rows.append({"label": label, "moment": mom, "seminorm": value,
+                     "quadrature_error": qerr, "ratio": ratio})
     ratios = [row["ratio"] for row in rows if math.isfinite(row["ratio"])]
     drift = max(ratios) / min(ratios) if ratios else math.nan
     return {"rows": rows, "drift": drift}

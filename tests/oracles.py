@@ -466,10 +466,10 @@ def hypersingular_every_cutoff(A, r, ambient):
     """The c0 or jaffard hypersingular seminorm of A as the sup over every
     cutoff eps of 0.01, 0.03, 0.1, 0.3 in turn of the sum (c0) or the max
     (jaffard) over m of |J_m(eps)| w(m), a later cutoff winning only when
-    it is strictly larger; its error is the multipliers' node-doubled
-    error on the same terms plus the left-out tail's mass times the bound
-    on |J_m(eps)|.  Each cutoff's multipliers come from a call of their
-    own.  Returns (value, error, eps)."""
+    it is strictly larger; its error is the multipliers' half-node and
+    rounding error on the same terms plus the left-out tail's mass times
+    the bound on |J_m(eps)|.  Each cutoff's multipliers come from a call of
+    their own.  Returns (value, error, eps)."""
     kind, s = normalize_ambient(ambient)
     ms, w, geo = _offset_weights(A, ambient, 0)
     mass = _dropped_mass(geo, kind, s)

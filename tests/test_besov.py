@@ -35,6 +35,8 @@ from decayinv import (GeometricTail, IndexWindow, LatticeMatrix,
                       identification_rate_check, make_toeplitz,
                       modulus_profile, random_decay_matrix)
 from decayinv import besov
+from decayinv.cli import build_parser, resolve_config
+from decayinv.experiments import run_besov_report
 from decayinv.besov import (_antiderivative, _argmax_branch, _blocks,
                             _cell_route, _folded_edges, _j_multipliers,
                             _kink_cells, _modulus, _offset_weights,
@@ -660,19 +662,22 @@ def test_modulus_profile_rejects_a_non_finite_t(t):
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_modulus_and_branch_equal_the_sines_taken_whole(k):
     # the in-place |2 sin pi m t|^k gives, bit for bit, what the whole
-    # expression gives over the same blocks; 300 offsets and 200 points
-    # span four blocks
+    # expression gives over the same blocks, the modulus at u = dist(t, Z)
+    # and the branch at t itself; 300 offsets and 200 points span four
+    # blocks
     rng = np.random.default_rng(k)
     ms = np.arange(1, 301)
     w = rng.uniform(0.1, 2.0, ms.size) * 0.97 ** ms
     ts = rng.uniform(1e-4, 4.0, 200)
+    us = np.abs(ts - np.round(ts))
     assert len(list(_blocks(ts.size, ms.size))) >= 3
     want = {"c0": np.empty(ts.size), "jaffard": np.empty(ts.size)}
     branch = np.empty(ts.size, dtype=int)
     for sl in _blocks(ts.size, ms.size):
-        S = (2.0 * np.abs(np.sin(np.pi * ms * ts[sl, None]))) ** k
+        S = (2.0 * np.abs(np.sin(np.pi * ms * us[sl, None]))) ** k
         want["c0"][sl] = S @ w
         want["jaffard"][sl] = (S * w).max(axis=1)
+        S = (2.0 * np.abs(np.sin(np.pi * ms * ts[sl, None]))) ** k
         branch[sl] = (S * w).argmax(axis=1)
     for kind, values in want.items():
         assert np.array_equal(_modulus(ts, ms, w, k, kind), values)
@@ -876,6 +881,76 @@ def test_identification_mixed_family():
     assert chk["drift"] < 1.5
     for row in chk["rows"]:
         assert row["seminorm"] > 0 and row["moment"] > 0
+
+
+def _default_besov_report():
+    return run_besov_report(resolve_config(build_parser().parse_args(
+        ["besov-report"])))
+
+
+def test_besov_report_takes_one_antiderivative_per_family(monkeypatch):
+    # the unit cells of the antiderivative are integrated once per
+    # identification family, and checked by the half-node rule alone
+    nodes, calls = [], []
+    cell_integrals = besov._cell_integrals
+    antiderivative = besov._antiderivative
+
+    def count_nodes(a, h, s, k, n, units):
+        nodes.append(a.size * n)
+        return cell_integrals(a, h, s, k, n, units)
+
+    def count_calls(*args):
+        calls.append(1)
+        return antiderivative(*args)
+    monkeypatch.setattr(besov, "_cell_integrals", count_nodes)
+    monkeypatch.setattr(besov, "_antiderivative", count_calls)
+    _default_besov_report()
+    assert sum(nodes) <= 150_000
+    # criterion 10's family: five resolvent inverses and three shifts
+    gammas = [1.0, 0.5, 0.2, 0.1, 0.05]
+    family = [geometric_inverse_symbol(g, 1.0 + 2.0 ** 0.5 * math.exp(-g))
+              for g in gammas]
+    family += [ToeplitzSymbol({m: 1.0}) for m in (1, 2, 4)]
+    calls.clear()
+    chk = identification_rate_check(family, 0.5)
+    assert len(calls) == 1
+    for row, A in zip(chk["rows"], family):
+        want = besov_seminorm(A, 1, 0.5).value
+        assert abs(row["seminorm"] - want) <= 1e-15 * want
+        assert row["quadrature_error"] > 0
+
+
+def test_separable_errors_count_the_rounding_of_their_sums():
+    # where the two rules of the antiderivative agree to the last bit, the
+    # error is still the rounding of the sums of its cells: on every row of
+    # the default besov-report (its resolvent row at gamma = 0.5, r = 1.5
+    # among them), on the frozen section at p = 1 and on the hypersingular
+    # multipliers of a shift; an empty profile still reads no error
+    assert all(row["quad_err"] > 0 for row in _default_besov_report()["rows"])
+    section = geometric_inverse_toeplitz(0.5, W)
+    assert besov_seminorm(section, 1, 0.5, 1, t_min=0.01).quadrature_error > 0
+    shift = ToeplitzSymbol({1: 1.0})
+    assert hypersingular_seminorm(shift, 0.5).quadrature_error > 0
+    diagonal = make_toeplitz(ToeplitzSymbol({0: 1.0}), W)
+    est = besov_seminorm(diagonal, 1, 0.5)
+    assert (est.value, est.quadrature_error) == (0.0, 0.0)
+
+
+def test_direct_modulus_is_taken_at_the_distance_to_the_integers():
+    # near an integer t the angle pi m t rounds to eps of itself, far more
+    # than sin pi m t; at u = dist(t, Z) the jaffard modulus of an inverse
+    # and the c0 modulus of its section agree with a long-double sum
+    t = 2.998143812709
+    pi = np.longdouble("3.14159265358979323846264338327950288")
+    inv = geometric_inverse_symbol(0.05)
+    section = make_toeplitz(inv, IndexWindow(-256, 255))
+    for A, ambient in [(inv, ("jaffard", 1.0)), (section, "c0")]:
+        ms, w, _ = _offset_weights(A, ambient, 0)
+        angle = pi * ms.astype(np.longdouble) * np.longdouble(t)
+        terms = 2.0 * np.abs(np.sin(angle)) * w.astype(np.longdouble)
+        want = float(terms.sum() if ambient == "c0" else terms.max())
+        got = modulus_profile(A, [t], 1, ambient)[0]
+        assert abs(got - want) <= 1e-15 * want
 
 
 def test_besov_rejects_bad_parameters():

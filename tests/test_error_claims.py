@@ -31,7 +31,7 @@ def test_separable_p1_against_the_cell_route(profile, k, r, t_min, width):
     ms = np.array(sorted(profile))
     w = np.array([profile[m] for m in ms])
     t_max = t_min + width
-    a, err_a = _separable_p1(ms, w, r, k, t_min, t_max)
+    [(a, err_a)] = _separable_p1([(ms, w)], r, k, t_min, t_max)
     b, err_b, _ = _cell_route(ms, w, k, "c0", _shell_edges(t_min, t_max),
                               r, 1)
     assert abs(a - b) <= err_a + err_b
