@@ -976,9 +976,9 @@ def identification_rate_check(family, r, p=1, k=None, ambient="c0",
         ests = _separable_p1(profiles, r, k, t_min, t_max) if items else []
     else:
         moments = [decay_moment(A, r, p, ambient, margin) for _, A in items]
-        ests = [(est.value, est.quadrature_error) for est in
-                (besov_seminorm(A, p, r, k, ambient, margin, t_min, t_max)
-                 for _, A in items)]
+        sems = [besov_seminorm(A, p, r, k, ambient, margin, t_min, t_max)
+                for _, A in items]
+        ests = [(est.value, est.quadrature_error) for est in sems]
     rows = []
     for (label, _), mom, (value, qerr) in zip(items, moments, ests):
         ratio = value / mom if mom > 0 else math.nan
