@@ -1,7 +1,10 @@
 """Smoothness seminorms built from phase-difference moduli.
 
+Every function measures in one ambient at a time, "c0" or "operator"
+(norms.normalize_ambient), on the whole of its input: a symbol, or a
+section, whose inner block is read as a section of its own.
 The key reduction: the decay profile of Delta_t^k(A) is exactly
-(2|sin pi m t|)^k d_A(m) on offset m, so c0/jaffard-ambient moduli are
+(2|sin pi m t|)^k d_A(m) on offset m, so c0-ambient moduli are
 one-dimensional integrals over t of explicit profile sums.  Where the
 integrand is linear in the profile (p = 1 in the c0 ambient, and the
 hypersingular multipliers) the integral separates over offsets, and
@@ -17,26 +20,25 @@ j + 1}, u = dist(t, Z), the sign of sin pi m u is (-1)^j, so each run is
 one geometric sum, and the tail costs a sine per run boundary (about
 M u) instead of a sine per offset (M).  _modulus takes it per point
 where that is the cheaper count (u below about 0.4), and keeps the
-direct sum on the finite part, on sections, in the jaffard ambient and
-at k >= 2.
+direct sum on the finite part, on sections and at k >= 2.
 Elsewhere at finite p the integral is folded onto u in [0, 1/2]: the
 offsets are integers, so the modulus is 1-periodic and even in t, and
 the integral over [t_min, t_max] is one over u against a kernel summed
 over the images j +- u in range.  It runs over cells cut at the kinks
-j/m (and at the switches of the jaffard max), one fixed Gauss-Legendre
-rule per cell.  Every rule reports its difference from the rule with half
-its nodes, plus the worst-case rounding of its sums, as its error.  At
-p = inf the sup of t^-r g(t) is searched on a log grid of the dyadic
-shells and zoomed, and only where it can still be: closed-form bounds on
-g over each chunk of a grid, and on the slope of t^-r g(t) over each
-shell, skip every chunk and every zoom that stays below a value already
-found.  Values are computed on [t_min, t_max]; the near-zero and
-far-tail contributions are returned as a separate rigorous bound, never
-silently added, read from ||D^k A|| (norms.dk_norm_log) and ||A||
-(norms.ambient_norm).  Operator-ambient moduli all come from
-modulus_profile.  The hypersingular multiplier |J_m(eps)| falls as the
-cutoff eps grows, so the c0 and jaffard sups over the cutoffs are read
-at the finest one alone; the operator ambient takes every cutoff.
+j/m, one fixed Gauss-Legendre rule per cell.  Every rule reports its
+difference from the rule with half its nodes, plus the worst-case
+rounding of its sums, as its error.  At p = inf the sup of t^-r g(t) is
+searched on a log grid of the dyadic shells and zoomed, and only where
+it can still be: closed-form bounds on g over each chunk of a grid, and
+on the slope of t^-r g(t) over each shell, skip every chunk and every
+zoom that stays below a value already found.  Values are computed on
+[t_min, t_max]; the near-zero and far-tail contributions are returned as
+a separate rigorous bound, never silently added, read from ||D^k A||
+(norms.dk_norm_log) and ||A|| (norms.ambient_norm).  Operator-ambient
+moduli all come from modulus_profile.  The hypersingular multiplier
+|J_m(eps)| falls as the cutoff eps grows, so the c0 sup over the cutoffs
+is read at the finest one alone; the operator ambient takes every
+cutoff.
 """
 
 import functools
@@ -50,7 +52,6 @@ from .lattice import (difference_power, offset_multiplier, operator_norm_l2,
                       require_section)
 from .norms import (ambient_norm, decay_profile, dk_norm_log,
                     normalize_ambient)
-from .weights import poly_geometric_max
 
 _PROFILE_CUT = 1e-18
 _MAXLOG = math.log(np.finfo(float).max)
@@ -71,14 +72,9 @@ _BLOCK = 1 << 14      # elements of a node matrix evaluated at once
 _SUP_COARSE, _CHUNK, _SUP_ZOOM, _SUP_ROUNDS = 256, 16, 17, 14
 _OP_NODES = 33        # operator ambient: trapezoid (or p = inf) nodes per shell
 # general route: Gauss-Legendre nodes per cell (the check takes half),
-# the kink count above which the folded domain is cut into _PANELS equal
-# panels per piece instead (the check takes half as many), the bisection
-# steps that bring a switch of the jaffard max's branch to roundoff, and
-# the most rounds of the search for switches
-_GL_RULE, _MAX_KINKS, _PANELS, _BISECT, _ROUNDS = 8, 1 << 15, 512, 60, 8
-# a switch of the jaffard max this close to a cell edge in [0, 1/2] is
-# noise, and a cell's ends are probed this far (relative) inside
-_SNAP = 1e-12
+# and the kink count above which the folded domain is cut into _PANELS
+# equal panels per piece instead (the check takes half as many)
+_GL_RULE, _MAX_KINKS, _PANELS = 8, 1 << 15, 512
 # the hypersingular sup's cutoffs, finest first, so that it wins a tie
 _EPS_GRID = (0.01, 0.03, 0.1, 0.3)
 # a run boundary of _tail_runs costs about as much as _RUN_COST offsets of
@@ -192,54 +188,46 @@ def _cells_summed(x):
     return np.where(x >= 1.0, np.floor(x), 1.0 - np.frexp(x)[1])
 
 
-def _sine_blocks(ts, ms, k):
-    """(rows, |2 sin pi m t|^k) over blocks of the flattened ts, one row
-    per t and one column per m."""
-    col = ts.reshape(-1, 1)
-    pm = np.pi * ms
-    for sl in _blocks(ts.size, ms.size):
-        yield sl, _abs_sine(pm * col[sl], k)
-
-
-def _direct_modulus(ts, ms, w, k, kind):
-    """g at each of the flat ts, one sine per point and offset; _modulus
-    passes u = dist(t, Z), where the angle pi m u rounds to eps of itself
-    and not of pi m t."""
+def _direct_modulus(ts, ms, w, k):
+    """g at each of the flat ts, one sine per point and offset, a block of
+    ts at a time; _modulus passes u = dist(t, Z), where the angle pi m u
+    rounds to eps of itself and not of pi m t."""
     out = np.zeros(ts.size)
     if ms.size:
-        for sl, S in _sine_blocks(ts, ms, k):
-            out[sl] = S @ w if kind == "c0" else (S * w).max(axis=1)
+        col, pm = ts.reshape(-1, 1), np.pi * ms
+        for sl in _blocks(ts.size, ms.size):
+            out[sl] = _abs_sine(pm * col[sl], k) @ w
     return out
 
 
-def _modulus(ts, ms, w, k, kind, geo=None):
-    """g(t) = sum_m (c0) or max_m (jaffard) of |2 sin pi m t|^k w(m) at
-    every t, evaluated in blocks of ts.
+def _modulus(ts, ms, w, k, geo=None):
+    """g(t) = sum_m |2 sin pi m t|^k w(m) at every t, evaluated in blocks
+    of ts.
 
-    In the c0 ambient at k = 1 the geometric tail geo = (scale, rho, m0,
-    M) of _offset_weights, w(m) = scale rho^m on m0 <= m <= M, is summed
-    by its runs of constant sign (_tail_runs) at every t where that saves
-    work: where its run boundaries, _RUN_COST offsets of the direct sum
-    each, number fewer than the tail's offsets in ms, and only when the
-    points together save more than the _RUN_SETUP offsets that the runs
-    cost once per call.  The finite part, m < m0, stays a direct sum.  g
-    is 1-periodic and even, so every form is taken at u = dist(t, Z),
-    which t - round(t) gives exactly.
+    At k = 1 the geometric tail geo = (scale, rho, m0, M) of
+    _offset_weights, w(m) = scale rho^m on m0 <= m <= M, is summed by its
+    runs of constant sign (_tail_runs) at every t where that saves work:
+    where its run boundaries, _RUN_COST offsets of the direct sum each,
+    number fewer than the tail's offsets in ms, and only when the points
+    together save more than the _RUN_SETUP offsets that the runs cost once
+    per call.  The finite part, m < m0, stays a direct sum.  g is
+    1-periodic and even, so every form is taken at u = dist(t, Z), which
+    t - round(t) gives exactly.
     """
     ts = np.asarray(ts, dtype=float)
     u = np.abs(ts - np.round(ts)).ravel()
-    if ms.size == 0 or geo is None or kind != "c0" or k != 1:
-        return _direct_modulus(u, ms, w, k, kind).reshape(ts.shape)
+    if ms.size == 0 or geo is None or k != 1:
+        return _direct_modulus(u, ms, w, k).reshape(ts.shape)
     sc, rho, m0, M = geo
     head = int(np.searchsorted(ms, m0))
     gain = (ms.size - head) - (np.floor(M * u) - np.floor(m0 * u)
                                + 2.0) * _RUN_COST
     runs = gain > 0
     if gain[runs].sum() <= _RUN_SETUP:
-        return _direct_modulus(u, ms, w, k, kind).reshape(ts.shape)
+        return _direct_modulus(u, ms, w, k).reshape(ts.shape)
     out = np.empty(u.size)
-    out[~runs] = _direct_modulus(u[~runs], ms, w, k, kind)
-    out[runs] = (_direct_modulus(u[runs], ms[:head], w[:head], k, kind)
+    out[~runs] = _direct_modulus(u[~runs], ms, w, k)
+    out[runs] = (_direct_modulus(u[runs], ms[:head], w[:head], k)
                  + _tail_runs(u[runs], sc, rho, m0, M))
     return out.reshape(ts.shape)
 
@@ -305,39 +293,34 @@ def _tail_runs(u, sc, rho, m0, M):
     return 2.0 * sc * (total / den)
 
 
-def _offset_weights(A, ambient, margin):
-    """Per-|m| reduced profile for m >= 1.
+def _offset_weights(A):
+    """Per-|m| reduced c0 profile w(m) = d(m) + d(-m) for m >= 1.
 
-    c0 ambient sums both sides (w = d(m) + d(-m)); jaffard takes the max
-    of the sides times (1+m)^s.  Returns (ms, w, geo): ms runs up to the
-    cut M, and geo = (scale, rho, m0, M) describes the geometric tail
-    scale rho^m of the profile from offset m0 on, whose c0 weights are
-    w(m) = scale rho^m on m0 <= m <= M and whose mass beyond M is left
-    out, or is None.  m0 > M when the finite part reaches past the cut.
+    Returns (ms, w, geo): ms runs up to the cut M, and geo = (scale, rho,
+    m0, M) describes the geometric tail scale rho^m of the profile from
+    offset m0 on, whose weights are w(m) = scale rho^m on m0 <= m <= M and
+    whose mass beyond M is left out, or is None.  m0 > M when the finite
+    part reaches past the cut.
     """
-    kind, s = normalize_ambient(ambient)
-    if kind == "operator":
-        raise ParameterError("offset reduction undefined for operator ambient")
-    prof = decay_profile(A, margin)
+    prof = decay_profile(A)
     M = prof.tail_start - 1
     geo = None
     if prof.scale:
         M = max(M, int(math.log(_PROFILE_CUT) / math.log(prof.rho)) + 1, 1)
         geo = (prof.scale, prof.rho, max(prof.tail_start, 1), M)
     ms = np.arange(1, M + 1)
-    dpos, dneg = prof.at(ms), prof.at(-ms)
-    if kind == "c0":
-        w = dpos + dneg
-    else:
-        w = np.maximum(dpos, dneg) * (1.0 + ms) ** s
+    w = prof.at(ms) + prof.at(-ms)
     keep = w > 0
     return ms[keep], w[keep], geo
 
 
-def decay_moment(A, r, p=1, ambient="c0", margin=0):
-    """Homogeneous decay moment of the reduced profile w over m >= 1:
-    sum_m m^r w(m) for p = 1, sup_m m^r w(m) for p = inf."""
-    ms, w, _ = _offset_weights(A, ambient, margin)
+def decay_moment(A, r, p=1):
+    """Homogeneous decay moment of the reduced c0 profile w over m >= 1:
+    sum_m m^r w(m) for p = 1, sup_m m^r w(m) for p = inf; any other p is a
+    ParameterError."""
+    if p not in (1, math.inf):
+        raise ParameterError("decay_moment supports p = 1 or inf")
+    ms, w, _ = _offset_weights(A)
     return _moment(ms, w, r, p)
 
 
@@ -349,14 +332,11 @@ def _moment(ms, w, r, p):
     return float(vals.sum()) if p == 1 else float(vals.max())
 
 
-def _dropped_mass(geo, kind, s):
-    """The cut geometric tail's mass: the max (jaffard) of scale (1+m)^s
-    rho^m over m > M, or (c0) its sum scale rho^(M+1) / (1 - rho)."""
+def _dropped_mass(geo):
+    """The cut geometric tail's mass, scale rho^(M+1) / (1 - rho)."""
     if geo is None:
         return 0.0
     sc, rho, _, M = geo
-    if kind == "jaffard":
-        return sc * math.exp(poly_geometric_max(0.0, s, rho, M + 1)[0])
     return sc * rho ** (M + 1) / (1.0 - rho)
 
 
@@ -367,35 +347,34 @@ def _difference_order(k):
     return int(k)
 
 
-def modulus_profile(A, ts, k, ambient="c0", margin=0):
-    """||Delta_t^k A||_ambient for each t, via the offset reduction.
+def modulus_profile(A, ts, k, ambient="c0"):
+    """||Delta_t^k A||_ambient for each t: the offset reduction in c0, one
+    SVD of the section's difference per t in the operator ambient.
 
     k must be an integer >= 1 and every t finite; anything else is a
     ParameterError."""
     k = _difference_order(k)
-    kind, _ = normalize_ambient(ambient)
+    kind = normalize_ambient(ambient)
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
     if not np.isfinite(ts).all():
         raise ParameterError("modulus_profile needs a finite t")
     if kind == "operator":
-        require_section(A, "the operator ambient").window.shrink(margin)
+        require_section(A, "the operator ambient")
         return np.array([operator_norm_l2(difference_power(A, float(t), k))
                          for t in ts])
-    ms, w, geo = _offset_weights(A, ambient, margin)
-    return _modulus(ts, ms, w, k, kind, geo)
+    ms, w, geo = _offset_weights(A)
+    return _modulus(ts, ms, w, k, geo)
 
 
-def _tail_bounds(A, k, r, p, t_min, t_max, ambient, margin):
+def _tail_bounds(A, k, r, p, t_min, t_max, ambient):
     """Bound on the part outside [t_min, t_max], by ||Delta_t^k A|| <=
-    (2 pi t)^k ||D^k A|| below t_min (the operator ambient takes the
-    section's c0 norm, by the Schur test) and <= 2^k ||A|| above t_max;
-    inf unless k > r, and where it overflows."""
+    (2 pi t)^k ||D^k A|| below t_min (in c0, which bounds the operator
+    norm by the Schur test) and <= 2^k ||A|| above t_max; inf unless
+    k > r, and where it overflows."""
     if k <= r:
         return math.inf
-    amb = ambient_norm(A, ambient, margin)
-    if normalize_ambient(ambient)[0] == "operator":
-        ambient, margin = "c0", 0
-    log_near = (k * math.log(2 * math.pi) + dk_norm_log(A, k, ambient, margin)
+    amb = ambient_norm(A, ambient)
+    log_near = (k * math.log(2 * math.pi) + dk_norm_log(A, k)
                 + (k - r) * math.log(t_min))
     if p == math.inf:
         far = 2.0 ** k * amb * t_max ** (-r)
@@ -405,13 +384,14 @@ def _tail_bounds(A, k, r, p, t_min, t_max, ambient, margin):
     return (math.exp(log_near) if log_near <= _MAXLOG else math.inf) + far
 
 
-def besov_seminorm(A, p, r, k=None, ambient="c0", margin=0,
-                   t_min=1e-6, t_max=4.0):
+def besov_seminorm(A, p, r, k=None, ambient="c0", t_min=1e-6, t_max=4.0):
     """Phase-difference smoothness seminorm of order r, integrability p.
 
     The integral (covering both signs of t) runs over t_min <= |t| <= t_max;
     contributions outside are covered by tail_bound.  k defaults to
     floor(r)+1, the smallest order keeping the integral convergent at 0.
+    The ambient is "c0" or "operator"; the operator ambient needs a
+    section, and reads the whole of it.
 
     The route depends on the input.  p = 1 in the c0 ambient separates
     over offsets (one tabulated antiderivative); p = inf searches a log
@@ -419,48 +399,47 @@ def besov_seminorm(A, p, r, k=None, ambient="c0", margin=0,
     skipping every chunk of a grid whose closed-form bound (_shell_bounds)
     falls below a value already found and every zoom that a slope bound
     (_slope_bounds) keeps below it, and parameters["shells_searched"] holds
-    (shells zoomed, total); other p, and the jaffard ambient at finite p,
-    fold the integral onto u in [0, 1/2] and take a fixed Gauss-Legendre
-    rule on cells free of kinks (equal panels when the kinks are too many),
-    and parameters["cells"] holds the number of cells; the operator ambient
-    takes a trapezoid rule over window singular values, or at p = inf their
-    best node, with the shells pruned by the same bound, and
-    parameters["shells_searched"] holds (shells searched, total).  At
-    p = inf parameters["points"] counts the t at which the modulus was
-    evaluated.  quadrature_error is each route's own estimate: the
-    difference from a coarser rule, or the zoom's gain for p = inf.
+    (shells zoomed, total); other p fold the integral onto u in [0, 1/2]
+    and take a fixed Gauss-Legendre rule on cells free of kinks (equal
+    panels when the kinks are too many), and parameters["cells"] holds the
+    number of cells; the operator ambient takes a trapezoid rule over
+    window singular values, or at p = inf their best node, with the shells
+    pruned by the same bound, and parameters["shells_searched"] holds
+    (shells searched, total).  At p = inf parameters["points"] counts the
+    t at which the modulus was evaluated.  quadrature_error is each
+    route's own estimate: the difference from a coarser rule, or the
+    zoom's gain for p = inf.
 
     r must be finite and positive, k an integer in [1, 207), and t_min,
     t_max finite with 0 < t_min < t_max; anything else is a ParameterError.
     """
     k = _seminorm_order(p, r, k, t_min, t_max)
-    kind, _ = normalize_ambient(ambient)
+    kind = normalize_ambient(ambient)
     edges = _shell_edges(t_min, t_max)
     searched = cells = None
 
     if kind == "operator":
-        require_section(A, "the operator ambient").window.shrink(margin)
+        require_section(A, "the operator ambient")
         if p == math.inf:
             # ||Delta_t^k A||_op is at most sum_m |2 sin pi m t|^k d(m) by
             # the Schur test, the c0 modulus of the section whose singular
-            # values the route takes: all of it, whatever the margin
-            ms, w, _ = _offset_weights(A, "c0", 0)
+            # values the route takes
+            ms, w, _ = _offset_weights(A)
             value, qerr, searched = _operator_sup(A, r, k, edges, ms, w)
             points = _OP_NODES * searched
         else:
             value, qerr = _operator_route(A, p, r, k, edges)
     else:
-        ms, w, geo = _offset_weights(A, ambient, margin)
-        if p == 1 and kind == "c0":
+        ms, w, geo = _offset_weights(A)
+        if p == 1:
             [(value, qerr)] = _separable_p1([(ms, w)], r, k, t_min, t_max)
         elif p == math.inf:
-            value, qerr, searched, points = _sup_search(ms, w, k, kind,
-                                                        edges, r, geo)
+            value, qerr, searched, points = _sup_search(ms, w, k, edges, r,
+                                                        geo)
         else:
-            value, qerr, cells = _cell_route(ms, w, k, kind, edges, r, p,
-                                             geo)
+            value, qerr, cells = _cell_route(ms, w, k, edges, r, p, geo)
 
-    tail = _tail_bounds(A, k, r, p, t_min, t_max, ambient, margin)
+    tail = _tail_bounds(A, k, r, p, t_min, t_max, ambient)
     params = {"p": p, "r": r, "k": k, "ambient": ambient,
               "t_min": t_min, "t_max": t_max}
     if searched is not None:
@@ -543,58 +522,57 @@ def _slack(ms, k, r):
     return 1.0 + 4.0 * (ms.size + k + r + 4) * np.finfo(float).eps
 
 
-def _capped_sums(ms, w, kind, a, b, e, j, q):
-    """a^-e R_m m^j min(2, 2 pi m b)^q w(m) on every [a, b], R the sum (c0)
-    or the max (jaffard).
+def _capped_sums(ms, w, a, b, e, j, q):
+    """a^-e sum_m m^j min(2, 2 pi m b)^q w(m) on every [a, b].
 
-    ms is increasing, so the offsets with 2 pi m b < 2 are a prefix: R is
-    (2 pi b)^q times a prefix reduction of m^(j+q) w, combined with 2^q
-    times a suffix reduction of m^j w.  An offset that the rounding of
-    1/(pi b) puts on the wrong side only raises the result.  It is formed
-    in logs, so no power of m, b or a overflows on the way, and a result
-    past float range reads inf.  Its log is raised by (2M + 16) eps times
+    ms is increasing, so the offsets with 2 pi m b < 2 are a prefix: the
+    sum is (2 pi b)^q times a prefix sum of m^(j+q) w, plus 2^q times a
+    suffix sum of m^j w.  An offset that the rounding of 1/(pi b) puts on
+    the wrong side only raises the result.  It is formed in logs, so no
+    power of m, b or a overflows on the way, and a result past float range
+    reads inf.  Its log is raised by (2M + 16) eps times
     2 + q + log(1 + M) + the largest |log| of a term + |log (2 pi b)^q|
     + |log a^e|, M = ms.size: more than the rounding of the logs and of
     the log-sum-exp's M steps, each within eps of its value plus 2 eps.
     """
     m = ms.astype(float)
     lm, lw = np.log(m), np.log(w)
-    acc = np.logaddexp.accumulate if kind == "c0" else np.maximum.accumulate
+    acc = np.logaddexp.accumulate
     low = np.append(-np.inf, acc((j + q) * lm + lw))
     high = np.append(acc((j * lm + lw)[::-1])[::-1], -np.inf)
     n = np.searchsorted(m, 1.0 / (np.pi * b))
     lb, la = q * np.log(2.0 * np.pi * b), e * np.log(a)
     lo, hi = lb - la + low[n], q * _LOG2 - la + high[n]
-    top = np.logaddexp(lo, hi) if kind == "c0" else np.maximum(lo, hi)
+    top = np.logaddexp(lo, hi)
     size = 2.0 + q + math.log1p(m.size) + float(
         np.max((j + q) * lm + np.abs(lw), initial=0.0))
     top += (2 * m.size + 16) * _EPS * (size + np.abs(lb) + np.abs(la))
     return np.where(top > _MAXLOG, np.inf, np.exp(np.minimum(top, _MAXLOG)))
 
 
-def _shell_bounds(ms, w, k, kind, a, b, r):
+def _shell_bounds(ms, w, k, a, b, r):
     """Upper bound on t^-r g(t) over each interval [a, b], a and b arrays of
-    one shape: a^-r R_m min(2, 2 pi m b)^k w(m) (_capped_sums), since
+    one shape: a^-r sum_m min(2, 2 pi m b)^k w(m) (_capped_sums), since
     |2 sin pi m t| <= min(2, 2 pi m t) and t^-r <= a^-r there.  The _slack
     factor covers the rounding, so no value _sup_search computes on an
     interval exceeds its bound.
     """
-    return _capped_sums(ms, w, kind, a, b, r, 0, k) * _slack(ms, k, r)
+    return _capped_sums(ms, w, a, b, r, 0, k) * _slack(ms, k, r)
 
 
-def _slope_bounds(ms, w, k, kind, a, b, r):
+def _slope_bounds(ms, w, k, a, b, r):
     """Lipschitz constant of t^-r g(t) on each interval [a, b]:
-    r a^(-r-1) R_m min(2, 2 pi m b)^k w(m)
-    + a^-r R_m 2 pi k m min(2, 2 pi m b)^(k-1) w(m) (_capped_sums), since
-    |2 sin pi m t|^k has slope at most 2 pi k m |2 sin pi m t|^(k-1) and a
-    max of Lipschitz functions takes the largest constant; times _slack.
+    r a^(-r-1) sum_m min(2, 2 pi m b)^k w(m)
+    + a^-r sum_m 2 pi k m min(2, 2 pi m b)^(k-1) w(m) (_capped_sums), since
+    |2 sin pi m t|^k has slope at most 2 pi k m |2 sin pi m t|^(k-1);
+    times _slack.
     """
-    value = _capped_sums(ms, w, kind, a, b, r + 1.0, 0, k)
-    slope = 2.0 * np.pi * k * _capped_sums(ms, w, kind, a, b, r, 1, k - 1)
+    value = _capped_sums(ms, w, a, b, r + 1.0, 0, k)
+    slope = 2.0 * np.pi * k * _capped_sums(ms, w, a, b, r, 1, k - 1)
     return (r * value + slope) * _slack(ms, k, r)
 
 
-def _sup_search(ms, w, k, kind, edges, r, geo=None):
+def _sup_search(ms, w, k, edges, r, geo=None):
     """sup of t^-r g(t) over the shells: argmax on a log grid of a shell,
     then rounds of zooming in on a finer grid around it.
 
@@ -619,12 +597,12 @@ def _sup_search(ms, w, k, kind, edges, r, geo=None):
         return 0.0, 0.0, 0, 0
 
     def h(ts):
-        return ts ** (-r) * _modulus(ts, ms, w, k, kind, geo)
+        return ts ** (-r) * _modulus(ts, ms, w, k, geo)
 
     ts = np.exp(np.linspace(np.log(edges[:-1]), np.log(edges[1:]),
                             _SUP_COARSE, axis=1))
     chunks = ts.reshape(ts.shape[0], -1, _CHUNK)
-    bound = _shell_bounds(ms, w, k, kind, chunks[..., 0], chunks[..., -1], r)
+    bound = _shell_bounds(ms, w, k, chunks[..., 0], chunks[..., -1], r)
     vals = np.zeros(chunks.shape)
     done = np.zeros(bound.shape, dtype=bool)
     pick = done.copy()
@@ -636,7 +614,7 @@ def _sup_search(ms, w, k, kind, edges, r, geo=None):
         peak = max(peak, float(vals[pick].max()))
         pick = ~done & (bound >= peak)
     top = np.where(done[..., None], vals, bound[..., None]).max(axis=(1, 2))
-    slope = _slope_bounds(ms, w, k, kind, edges[:-1], edges[1:], r)
+    slope = _slope_bounds(ms, w, k, edges[:-1], edges[1:], r)
     reach = (top + slope * (ts[:, -1] - ts[:, -2]) / 2.0) * _slack(ms, k, r)
     live = np.flatnonzero(reach >= peak)
     pick[live] = ~done[live]
@@ -717,79 +695,23 @@ def _fold_kernel(u, t_min, t_max, e):
     return K
 
 
-def _argmax_branch(ts, ms, w, k):
-    """Index of the offset attaining max_m |2 sin pi m t|^k w(m) at each t."""
-    out = np.empty(ts.size, dtype=int)
-    for sl, S in _sine_blocks(ts, ms, k):
-        out[sl] = (S * w).argmax(axis=1)
-    return out.reshape(ts.shape)
-
-
-def _crossings(a, b, ms, w, k):
-    """Points inside the cells [a, b] where the active branch of the
-    jaffard max switches: the branch is probed at each cell's rule nodes
-    and _SNAP (relative) inside its ends, and every probe interval where it
-    changes is bisected to roundoff.
-
-    The ends themselves are not probed: branches can tie there (at u = 0
-    every branch vanishes, and at a kink j/m two others can meet), and the
-    argmax at a tie reads only the rounding of pi m u, not the branch the
-    cell has."""
-    tau, _ = _legendre(_GL_RULE)
-    frac = np.concatenate([[_SNAP], tau, [1.0 - _SNAP]])
-    probes = a[:, None] + (b - a)[:, None] * frac
-    branch = _argmax_branch(probes, ms, w, k)
-    switch = branch[:, 1:] != branch[:, :-1]
-    lo, hi = probes[:, :-1][switch], probes[:, 1:][switch]
-    left = branch[:, :-1][switch]
-    for _ in range(_BISECT):
-        mid = 0.5 * (lo + hi)
-        same = _argmax_branch(mid, ms, w, k) == left
-        lo, hi = np.where(same, mid, lo), np.where(same, hi, mid)
-    return hi
-
-
-def _switch_cells(cells, ms, w, k):
-    """The cells cut at the switches of the jaffard max's branch.
-
-    A probe interval can hold more than one switch, and its bisection
-    finds only one, so each round of _crossings probes the cells that the
-    previous round cut, until a round finds none or _ROUNDS have run.  A
-    switch within _SNAP of an edge is dropped: next to a cut, where the two
-    branches agree to rounding, the argmax reads only that rounding.
-    """
-    a, b = cells[:-1], cells[1:]
-    for _ in range(_ROUNDS):
-        cuts = _crossings(a, b, ms, w, k)
-        i = np.searchsorted(cells, cuts)
-        cuts = cuts[np.minimum(cuts - cells[i - 1], cells[i] - cuts) > _SNAP]
-        if not cuts.size:
-            break
-        cells = np.union1d(cells, cuts)
-        i = np.searchsorted(cells, cuts)
-        a = np.concatenate([cells[i - 1], cells[i]])
-        b = np.concatenate([cells[i], cells[i + 1]])
-    return cells
-
-
-def _rule_on_cells(edges, ms, w, k, kind, kernel, p, n, geo):
+def _rule_on_cells(edges, ms, w, k, kernel, p, n, geo):
     """The n-node Gauss-Legendre rule for int kernel(u) g(u)^p du on each
     cell between consecutive edges."""
     tau, wts = _legendre(n)
     h = np.diff(edges)
     us = edges[:-1, None] + h[:, None] * tau
-    return h * ((kernel(us) * _modulus(us, ms, w, k, kind, geo) ** p) @ wts)
+    return h * ((kernel(us) * _modulus(us, ms, w, k, geo) ** p) @ wts)
 
 
-def _cell_route(ms, w, k, kind, shells, r, p, geo=None):
-    """The inputs where g enters the integrand nonlinearly (p not in
-    {1, inf}, or the jaffard ambient), folded onto u in [0, 1/2].
+def _cell_route(ms, w, k, shells, r, p, geo=None):
+    """Finite p other than 1, where g enters the integrand nonlinearly,
+    folded onto u in [0, 1/2].
 
     g is 1-periodic and even, so int_{t_min}^{t_max} t^(-rp-1) g(t)^p dt
     is int K(u) g(u)^p du over _folded_edges, with K = _fold_kernel.  The
-    cells are cut at the kinks j/m of |2 sin pi m u|^k and, in the jaffard
-    ambient, where the branch of the max switches, so the integrand is
-    analytic on each (on the cell at u = 0 only for integer kp, as
+    cells are cut at the kinks j/m of |2 sin pi m u|^k, so the integrand
+    is analytic on each (on the cell at u = 0 only for integer kp, as
     g^p ~ u^(kp) there); the value is the _GL_RULE-node rule per cell, and
     the error the sum over cells of its difference from the half-node rule.
     Above _MAX_KINKS kinks each piece of the folded domain is cut into
@@ -811,14 +733,12 @@ def _cell_route(ms, w, k, kind, shells, r, p, geo=None):
     if cells is None:
         panels = np.linspace(base[:-1], base[1:], _PANELS + 1, axis=1)
         cells = np.append(panels[:, :-1].ravel(), base[-1])
-        coarse = _rule_on_cells(cells[::2], ms, w, k, kind, kernel, p,
-                                _GL_RULE, geo)
+        coarse = _rule_on_cells(cells[::2], ms, w, k, kernel, p, _GL_RULE,
+                                geo)
     else:
-        if kind == "jaffard":
-            cells = _switch_cells(cells, ms, w, k)
-        coarse = _rule_on_cells(cells, ms, w, k, kind, kernel, p,
-                                _GL_RULE // 2, geo)
-    fine = _rule_on_cells(cells, ms, w, k, kind, kernel, p, _GL_RULE, geo)
+        coarse = _rule_on_cells(cells, ms, w, k, kernel, p, _GL_RULE // 2,
+                                geo)
+    fine = _rule_on_cells(cells, ms, w, k, kernel, p, _GL_RULE, geo)
     total = 2.0 * float(fine.sum())
     err = (2.0 * float(np.abs(fine.reshape(coarse.size, -1).sum(axis=1)
                               - coarse).sum())
@@ -839,7 +759,7 @@ def _operator_sup(A, r, k, edges, ms, w):
     error is the gap from the winner to its larger neighbour node.  Returns
     (value, error, shells searched).
     """
-    bound = (_shell_bounds(ms, w, k, "c0", edges[:-1], edges[1:], r)
+    bound = (_shell_bounds(ms, w, k, edges[:-1], edges[1:], r)
              * (1.0 + 4.0 * A.n * np.finfo(float).eps))
     best, err, win, searched = 0.0, 0.0, edges.size, 0
     for s in np.argsort(-bound, kind="stable"):
@@ -906,46 +826,42 @@ def _j_cap(eps, r):
     return 4.0 * eps ** (1.0 - r) / (r - 1.0)
 
 
-def hypersingular_seminorm(A, r, ambient="c0", margin=0):
+def hypersingular_seminorm(A, r, ambient="c0"):
     """sup over _EPS_GRID of || int_{eps<=|t|<=1} Delta_t(A) |t|^-r dt ||.
 
     The inner integral acts entrywise: offset m picks up the real factor
     J_m(eps) = 2 int_eps^1 (cos 2 pi m t - 1) t^-r dt, on every offset of
-    the window (operator ambient) or of the reduced profile.  |J_m(eps)|
-    falls as eps grows, so in the c0 and jaffard ambients, where the norm
-    is the sum or the max over m of |J_m(eps)| w(m), the sup is the value
-    at the finest cutoff, first in _EPS_GRID, and only it is computed.
-    The operator norm is not monotone in eps, so that ambient takes every
-    cutoff of the grid, the first strict maximum winning.
+    the reduced profile w(m) = d(m) + d(-m) (in the operator ambient, the
+    section's; it is 0 elsewhere).  |J_m(eps)| falls as eps grows, so in
+    the c0 ambient, where the norm is the sum over m of |J_m(eps)| w(m),
+    the sup is the value at the finest cutoff, first in _EPS_GRID, and only
+    it is computed.  The operator norm is not monotone in eps, so that
+    ambient takes every cutoff of the grid, the first strict maximum
+    winning.  In both ambients the error is sum_m err_m w(m) over the
+    multipliers' errors err_m, which in the operator ambient bounds the
+    norm of the error's multiplier by the Schur test, plus the mass of a
+    geometric tail cut off the profile times its bound on |J_m(eps)|.
     """
     if not 0 < r < 2:
         raise ParameterError("hypersingular_seminorm needs 0 < r < 2")
-    kind, s = normalize_ambient(ambient)
+    kind = normalize_ambient(ambient)
     if kind == "operator":
-        require_section(A, "the operator ambient").window.shrink(margin)
-        ms, geo = np.arange(1, A.n), None   # every offset of the window
-        grid = _EPS_GRID
-    else:
-        ms, w, geo = _offset_weights(A, ambient, margin)
-        grid = _EPS_GRID[:1]
+        require_section(A, "the operator ambient")
+    ms, w, geo = _offset_weights(A)
+    grid = _EPS_GRID if kind == "operator" else _EPS_GRID[:1]
     J, Jerr = _j_multipliers(ms, grid, r)
-    mass = _dropped_mass(geo, kind, s)
+    mass = _dropped_mass(geo)
     best, best_err, best_eps = 0.0, 0.0, _EPS_GRID[0]
     # no offset (a diagonal A, or a 1 x 1 window) leaves the seminorm at 0
     for row, eps in enumerate(grid if ms.size else ()):
         if kind == "operator":
-            factor = np.append(0.0, J[row])
+            factor = np.zeros(A.n)
+            factor[ms] = J[row]
             tot = operator_norm_l2(
                 offset_multiplier(A, lambda offs: factor[np.abs(offs)]))
-            err = float(Jerr[row].sum())
-        elif kind == "c0":
-            tot = float((np.abs(J[row]) * w).sum())
-            err = float((Jerr[row] * w).sum())
         else:
-            i = int(np.argmax(np.abs(J[row]) * w))
-            tot = float(abs(J[row, i]) * w[i])
-            err = float(Jerr[row, i] * w[i])
-        err += mass * _j_cap(eps, r)
+            tot = float((np.abs(J[row]) * w).sum())
+        err = float((Jerr[row] * w).sum()) + mass * _j_cap(eps, r)
         if tot > best:
             best, best_err, best_eps = tot, err, eps
     return SeminormEstimate(best, best_err, 0.0,
@@ -953,30 +869,31 @@ def hypersingular_seminorm(A, r, ambient="c0", margin=0):
                              "ambient": ambient})
 
 
-def identification_rate_check(family, r, p=1, k=None, ambient="c0",
-                              margin=0, t_min=1e-6, t_max=4.0):
-    """Besov seminorm against the matching homogeneous decay moment.
+def identification_rate_check(family, r, p=1, k=None, t_min=1e-6,
+                              t_max=4.0):
+    """Besov seminorm against the matching homogeneous decay moment, both
+    in the c0 ambient.
 
     For p = 1 the comparison is sum_m |m|^r w(m); for p = inf it is
     sup_m |m|^r w(m).  Returns per-member rows and the drift max/min of
     the ratios, which the offset reduction predicts to be family-constant.
-    At p = 1 in the c0 ambient the whole family's seminorms come from one
-    antiderivative (_separable_p1), each within rounding of besov_seminorm's
-    and with no tail bound, which no row reads; other inputs take
-    besov_seminorm per member.
+    At p = 1 the whole family's seminorms come from one antiderivative
+    (_separable_p1), each within rounding of besov_seminorm's and with no
+    tail bound, which no row reads; at p = inf each member takes
+    besov_seminorm.
     """
     if p not in (1, math.inf):
         raise ParameterError("identification check supports p = 1 or inf")
     k = _seminorm_order(p, r, k, t_min, t_max)
     items = [item if isinstance(item, tuple) else (str(i), item)
              for i, item in enumerate(family)]
-    if p == 1 and normalize_ambient(ambient)[0] == "c0":
-        profiles = [_offset_weights(A, ambient, margin)[:2] for _, A in items]
+    if p == 1:
+        profiles = [_offset_weights(A)[:2] for _, A in items]
         moments = [_moment(ms, w, r, p) for ms, w in profiles]
         ests = _separable_p1(profiles, r, k, t_min, t_max) if items else []
     else:
-        moments = [decay_moment(A, r, p, ambient, margin) for _, A in items]
-        sems = [besov_seminorm(A, p, r, k, ambient, margin, t_min, t_max)
+        moments = [decay_moment(A, r, p) for _, A in items]
+        sems = [besov_seminorm(A, p, r, k, t_min=t_min, t_max=t_max)
                 for _, A in items]
         ests = [(est.value, est.quadrature_error) for est in sems]
     rows = []

@@ -2,9 +2,13 @@
 
 Every norm reduces over one DecayProfile: of a ToeplitzSymbol exactly,
 over the whole lattice, and of a LatticeMatrix from its window entries.
-The operator ambient and a nonzero margin need a window, so a symbol is
-read there through its section make_toeplitz(symbol, window).  Large
-iterated sums are accumulated in log space, for a block of orders at once.
+ambient_norm, dk_norm_log(s) and dales_davie_norm measure in one of two
+ambients, "c0" (the sum of the decay profile) or "operator" (the l2
+operator norm), on the whole of their input; an inner block is read by
+passing its section.  The operator ambient and a nonzero margin of the
+decay norms need a window, so a symbol is read there through its section
+make_toeplitz(symbol, window).  Large iterated sums are accumulated in
+log space, for a block of orders at once.
 """
 
 import itertools
@@ -143,26 +147,19 @@ def banded_error(A, k, margin=0):
 
 
 def normalize_ambient(ambient):
-    if ambient == "c0":
-        return ("c0", None)
-    if ambient == "operator":
-        return ("operator", None)
-    if isinstance(ambient, tuple) and len(ambient) == 2 and ambient[0] == "jaffard":
-        s = float(ambient[1])
-        if s < 0:
-            raise ParameterError("jaffard ambient needs s >= 0")
-        return ("jaffard", s)
+    """The ambient's name, "c0" or "operator"; anything else is a
+    ParameterError."""
+    if isinstance(ambient, str) and ambient in ("c0", "operator"):
+        return ambient
     raise ParameterError(f"unknown ambient {ambient!r}")
 
 
-def ambient_norm(A, ambient="c0", margin=0):
-    kind, s = normalize_ambient(ambient)
-    if kind == "c0":
-        return cv_norm(A, Weight.poly(0.0), margin)
-    if kind == "jaffard":
-        return jaffard_norm(A, s, margin)
-    require_section(A, "the operator ambient").window.shrink(margin)
-    return operator_norm_l2(A)
+def ambient_norm(A, ambient="c0"):
+    """||A|| in the ambient: cv_norm with weight 1 (c0), or the operator
+    norm of a section."""
+    if normalize_ambient(ambient) == "c0":
+        return cv_norm(A, Weight.poly(0.0))
+    return operator_norm_l2(require_section(A, "the operator ambient"))
 
 
 def _operator_dk_log(A, k):
@@ -174,34 +171,27 @@ def _operator_dk_log(A, k):
     return math.log(top) + (math.log(v) if v > 0 else _NEG_INF)
 
 
-def _dk_norms(A, ambient, margin):
+def _dk_norms(A, ambient):
     """The function ks -> [log of the ambient norm of D^k A for k in the
     sequence ks], -inf where it is zero: an SVD per order in the operator
-    ambient, else one 2-D log-sum-exp (max in jaffard) per call over one
-    decay profile of A.  A c0 tail's sums come from one
-    weights.polylog_tail_logs stream, stepped once per order up to the
-    largest order asked for so far."""
-    kind, s = normalize_ambient(ambient)
-    if kind == "operator":
-        require_section(A, "the operator ambient").window.shrink(margin)
+    ambient, else one 2-D log-sum-exp per call over one decay profile of
+    A.  A tail's sums come from one weights.polylog_tail_logs stream,
+    stepped once per order up to the largest order asked for so far."""
+    if normalize_ambient(ambient) == "operator":
+        require_section(A, "the operator ambient")
         return lambda ks: [_operator_dk_log(A, k) for k in ks]
-    prof = decay_profile(A, margin)
+    prof = decay_profile(A)
     keep = prof.d > 0
     om = np.abs(prof.offsets[keep]).astype(float)
     log_d, log_om = np.log(prof.d[keep]), np.log(np.maximum(om, 1.0))
     at0 = om == 0
-    if s is not None:
-        log_pad = s * np.log1p(om)
     if prof.scale:
         # one more column for the tail: log scale, to which each order adds
-        # the log of its tail sum (max in jaffard)
+        # the log of its tail sum
         log_d = np.append(log_d, math.log(prof.scale))
         log_om, at0 = np.append(log_om, 0.0), np.append(at0, False)
-        if s is not None:
-            log_pad = np.append(log_pad, 0.0)
-        else:
-            stream = polylog_tail_logs(prof.rho, prof.tail_start)
-            tail_logs = []
+        stream = polylog_tail_logs(prof.rho, prof.tail_start)
+        tail_logs = []
 
     def tails_of(ks):
         """[log V_k for k in ks], the stream stepped to the largest k."""
@@ -209,7 +199,7 @@ def _dk_norms(A, ambient, margin):
             stream, max(0, max(ks, default=-1) + 1 - len(tail_logs))))
         return [tail_logs[k] for k in ks]
 
-    if prof.scale and s is None and not keep.any():
+    if prof.scale and not keep.any():
         # a lone geometric tail: the log-sum-exp of its one column is
         # log scale + log V_k, bit for bit
         log_scale = math.log(prof.scale)
@@ -219,17 +209,9 @@ def _dk_norms(A, ambient, margin):
         ks = np.array(ks, dtype=int)
         logs = log_d + ks[:, None] * log_om
         logs[(ks[:, None] > 0) & at0] = _NEG_INF   # 0^k = 0, but 0^0 = 1
-        if s is not None:
-            logs += log_pad
-            if prof.scale:
-                logs[:, -1] += [poly_geometric_max(k, s, prof.rho,
-                                                   prof.tail_start)[0]
-                                for k in ks]
-        elif prof.scale:
+        if prof.scale:
             logs[:, -1] += tails_of(ks)
         top = logs.max(axis=1, initial=_NEG_INF)
-        if s is not None:
-            return top.tolist()
         shift = np.where(top > _NEG_INF, top, 0.0)[:, None]
         sums = np.exp(logs - shift).sum(1)
         return [t + math.log(v) if v else _NEG_INF
@@ -237,18 +219,18 @@ def _dk_norms(A, ambient, margin):
     return logs_of
 
 
-def dk_norm_logs(A, ks, ambient="c0", margin=0):
+def dk_norm_logs(A, ks, ambient="c0"):
     """[log of the ambient norm of D^k A for k in the sequence ks], -inf
     where it is zero, in one pass of _dk_norms."""
-    norms_of = _dk_norms(A, ambient, margin)
+    norms_of = _dk_norms(A, ambient)
     if any(k < 0 or k != int(k) for k in ks):
         raise ParameterError("derivation order must be an integer >= 0")
     return norms_of(ks)
 
 
-def dk_norm_log(A, k, ambient="c0", margin=0):
+def dk_norm_log(A, k, ambient="c0"):
     """log of the ambient norm of D^k A; -inf when the norm is zero."""
-    return dk_norm_logs(A, [k], ambient, margin)[0]
+    return dk_norm_logs(A, [k], ambient)[0]
 
 
 @dataclass
@@ -270,7 +252,7 @@ def _logaddexp(x, y):
         y + math.log1p(math.exp(d))
 
 
-def dales_davie_norm(A, seq, ambient="c0", margin=0):
+def dales_davie_norm(A, seq, ambient="c0"):
     """sum_k ||D^k A|| / M_k with the sequence's normalization.
 
     The series is cut once three consecutive terms fall below _DD_TOL
@@ -285,8 +267,8 @@ def dales_davie_norm(A, seq, ambient="c0", margin=0):
     """
     hard = seq.kmax
     orders = range((hard if hard is not None else _DD_KCAP) + 1)
-    block = 1 if normalize_ambient(ambient)[0] == "operator" else _DD_BLOCK
-    norms_of = _dk_norms(A, ambient, margin)
+    block = 1 if normalize_ambient(ambient) == "operator" else _DD_BLOCK
+    norms_of = _dk_norms(A, ambient)
     total_log, quiet, dk_logs, log_Ms = _NEG_INF, 0, [], []
     for k in orders:      # k and lt stay at the last order read
         if k == len(dk_logs):

@@ -17,13 +17,13 @@ orders at once, one recurrence over the orders for the sums of a
 geometric tail, rescaled only at the edges of a band, a Dales-Davie
 sum that reads each order once, and the finest cutoff alone), so nothing
 here is imported from src but the Besov block layout, whose row
-positions fix the last bits of a product, the decay profile and the
-exact argmax of a tail, which the per-order derivation norms must match
-bit for bit, the one-order derivation norm with the Dales-Davie stop
-rule's constants, which the per-order Dales-Davie sum reads, and the
-reduced profile, multipliers and tail mass of the hypersingular sup,
-which its finest cutoff must match bit for bit; a tail's sums are
-checked against 50-digit mpmath values.
+positions fix the last bits of a product, the decay profile, which the
+per-order derivation norms must match bit for bit, the one-order
+derivation norm with the Dales-Davie stop rule's constants, which the
+per-order Dales-Davie sum reads, and the reduced profile, multipliers
+and tail mass of the hypersingular sup, which its finest cutoff must
+match bit for bit; a tail's sums are checked against 50-digit mpmath
+values.
 pytest does not collect this module.
 """
 
@@ -34,7 +34,6 @@ import math
 import mpmath as mp
 import numpy as np
 from scipy.integrate import quad
-from scipy.optimize import brentq
 from scipy.special import gammaln
 
 from decayinv import (LatticeMatrix, ParameterError, apply_automorphism,
@@ -42,8 +41,7 @@ from decayinv import (LatticeMatrix, ParameterError, apply_automorphism,
 from decayinv.besov import (_blocks, _dropped_mass, _j_cap, _j_multipliers,
                             _offset_weights)
 from decayinv.norms import (_DD_BLOCK, _DD_KCAP, _DD_TOL, DalesDavieValue,
-                            decay_profile, dk_norm_log, normalize_ambient)
-from decayinv.weights import poly_geometric_max
+                            decay_profile, dk_norm_log)
 
 
 def compositions(k, m):
@@ -244,43 +242,34 @@ def a_m_bruteforce(seq, m, kmax=15):
     return math.exp(best / m)
 
 
-def dk_norm_log_per_order(A, k, ambient="c0", margin=0):
+def dk_norm_log_per_order(A, k, ambient="c0"):
     """log of the ambient norm of D^k A, -inf when it is zero, one order at
-    a time: sum_m |m|^k d(m) (max_m |m|^k (1+|m|)^s d(m) for jaffard) by its
-    own log-sum-exp (or max) over the offsets where d > 0, with 0^0 = 1, and
-    a geometric tail's sum from log_power_tails (its max from the exact
-    argmax)."""
-    kind, s = normalize_ambient(ambient)
-    if kind == "operator":
-        A.window.shrink(margin)
+    a time: sum_m |m|^k d(m) by its own log-sum-exp over the offsets where
+    d > 0, with 0^0 = 1, and a geometric tail's sum from log_power_tails;
+    in the operator ambient, the norm of the section's D^k A."""
+    if ambient == "operator":
         M = derivation_power(A, k).entries
         top = np.abs(M).max()
         if top == 0.0:
             return -math.inf
         v = operator_norm_l2(LatticeMatrix(A.window, M / top))
         return math.log(top) + (math.log(v) if v > 0 else -math.inf)
-    prof = decay_profile(A, margin)
-    jaffard = kind == "jaffard"
+    prof = decay_profile(A)
     mask = prof.d > 0
     om = np.abs(prof.offsets[mask]).astype(float)
     logs = np.log(prof.d[mask]) + k * np.log(np.maximum(om, 1.0))
     if k > 0:
         logs[om == 0] = -math.inf
-    if jaffard:
-        logs = logs + s * np.log1p(om)
     if prof.scale:
-        if jaffard:
-            tail, _ = poly_geometric_max(k, s, prof.rho, prof.tail_start)
-        else:
-            tail, = log_power_tails(prof.rho, prof.tail_start, [k])
+        tail, = log_power_tails(prof.rho, prof.tail_start, [k])
         logs = np.append(logs, math.log(prof.scale) + tail)
     top = float(logs.max(initial=-math.inf))
-    if jaffard or top == -math.inf:
+    if top == -math.inf:
         return top
     return top + math.log(np.exp(logs - top).sum())
 
 
-def dales_davie_per_order(A, seq, ambient="c0", margin=0):
+def dales_davie_per_order(A, seq, ambient="c0"):
     """sum_k ||D^k A|| / M_k with norms.dales_davie_norm's stop rule, each
     order read by its own dk_norm_log call (a tail's recurrence rerun from
     order 0 every time); dk_logs runs to the end of the block of _DD_BLOCK
@@ -289,7 +278,7 @@ def dales_davie_per_order(A, seq, ambient="c0", margin=0):
     last = hard if hard is not None else _DD_KCAP
     total_log, quiet, dk_logs = -math.inf, 0, []
     for k in range(last + 1):
-        dk_logs.append(dk_norm_log(A, k, ambient, margin))
+        dk_logs.append(dk_norm_log(A, k, ambient))
         lt = dk_logs[k] - seq.log_Ms([k])[0]
         total_log = float(np.logaddexp(total_log, lt))
         if total_log > -math.inf and lt < total_log + math.log(_DD_TOL):
@@ -301,9 +290,9 @@ def dales_davie_per_order(A, seq, ambient="c0", margin=0):
     converged = (hard is not None and k >= hard) or quiet >= 3
     tail_ratio = math.exp(lt - total_log) if total_log > -math.inf else 0.0
     value = math.exp(total_log) if total_log < 709.0 else float("inf")
-    block = 1 if normalize_ambient(ambient)[0] == "operator" else _DD_BLOCK
+    block = 1 if ambient == "operator" else _DD_BLOCK
     read = min(-(-(k + 1) // block) * block, last + 1)
-    dk_logs += [dk_norm_log(A, j, ambient, margin) for j in range(k + 1, read)]
+    dk_logs += [dk_norm_log(A, j, ambient) for j in range(k + 1, read)]
     return DalesDavieValue(value=value, log_value=total_log, kmax_used=k,
                            converged=bool(converged), tail_ratio=tail_ratio,
                            dk_logs=tuple(dk_logs))
@@ -382,64 +371,44 @@ def log_power_tails(rho, m0, ks):
             for k in ks]
 
 
-def besov_integral_cells(ms, w, k, r, p, t_min, t_max, jaffard=False):
+def besov_integral_cells(ms, w, k, r, p, t_min, t_max):
     """(2 int_{t_min}^{t_max} t^(-rp-1) g(t)^p dt)^(1/p) by adaptive quad
-    on every cell between the kinks j/m, with g(t) the sum (or, jaffard,
-    the max) over m of w(m) |2 sin(pi m t)|^k.
-
-    In the jaffard case each kink cell is sampled on a uniform grid, and
-    wherever the maximizing offset changes from i to j between two samples
-    the cell is cut at the root of branch i minus branch j (brentq).
-    """
+    on every cell between the kinks j/m, with g(t) the sum over m of
+    w(m) |2 sin(pi m t)|^k."""
     ms = np.asarray(ms, dtype=float)
     w = np.asarray(w, dtype=float)
 
-    def branches(t):
-        return w * np.abs(2.0 * np.sin(np.pi * ms * t)) ** k
-
     def f(t):
-        b = branches(t)
-        return t ** (-r * p - 1.0) * (b.max() if jaffard else b.sum()) ** p
+        g = (w * np.abs(2.0 * np.sin(np.pi * ms * t)) ** k).sum()
+        return t ** (-r * p - 1.0) * g ** p
 
     kinks = {j / m for m in ms for j in range(1, int(m * t_max) + 1)}
     edges = sorted({t_min, t_max, *(x for x in kinks if t_min < x < t_max)})
-    cuts = []
-    if jaffard:
-        grid = np.linspace(edges[:-1], edges[1:], 17, axis=1).ravel()
-        top = (w * np.abs(2.0 * np.sin(np.pi * np.outer(grid, ms))) ** k
-               ).argmax(axis=1).reshape(-1, 17)
-        grid = grid.reshape(-1, 17)
-        for c, s in zip(*np.nonzero(top[:, 1:] != top[:, :-1])):
-            i, j = top[c, s], top[c, s + 1]
-            cuts.append(brentq(lambda t: branches(t)[i] - branches(t)[j],
-                               grid[c, s], grid[c, s + 1], xtol=1e-300,
-                               rtol=4 * np.finfo(float).eps))
-    edges = sorted(set(edges) | set(cuts))
     total = sum(quad(f, a, b, epsabs=0.0, epsrel=1e-13, limit=100)[0]
                 for a, b in zip(edges[:-1], edges[1:]))
     return (2.0 * total) ** (1.0 / p)
 
 
-def _modulus_rows(ts, ms, w, k, jaffard):
-    """g(t) = sum (or, jaffard, max) over m of w(m) |2 sin(pi m t)|^k at
-    every t, 64 points at a time."""
+def _modulus_rows(ts, ms, w, k):
+    """g(t) = sum over m of w(m) |2 sin(pi m t)|^k at every t, 64 points
+    at a time."""
     flat = ts.ravel()
     out = np.zeros(flat.size)
     if len(ms) == 0:
         return out.reshape(ts.shape)
     for lo in range(0, flat.size, 64):
         S = (2.0 * np.abs(np.sin(np.pi * ms * flat[lo:lo + 64, None]))) ** k
-        out[lo:lo + 64] = (S * w).max(axis=1) if jaffard else S @ w
+        out[lo:lo + 64] = S @ w
     return out.reshape(ts.shape)
 
 
-def sup_search_all_shells(ms, w, k, kind, edges, r):
+def sup_search_all_shells(ms, w, k, edges, r):
     """sup of t^-r g(t) over the shells between the edges: the argmax on a
     256-point log grid of every shell, then 14 rounds of zooming in on 17
     points around it; the error is the zoom's gain in the winning shell.
     Returns (value, error)."""
     def h(ts):
-        return ts ** (-r) * _modulus_rows(ts, ms, w, k, kind == "jaffard")
+        return ts ** (-r) * _modulus_rows(ts, ms, w, k)
 
     coarse_n, zoom_n = 256, 17
     ts = np.exp(np.linspace(np.log(edges[:-1]), np.log(edges[1:]),
@@ -462,27 +431,21 @@ def sup_search_all_shells(ms, w, k, kind, edges, r):
     return float(best[win]), float(best[win] - coarse[win])
 
 
-def hypersingular_every_cutoff(A, r, ambient):
-    """The c0 or jaffard hypersingular seminorm of A as the sup over every
-    cutoff eps of 0.01, 0.03, 0.1, 0.3 in turn of the sum (c0) or the max
-    (jaffard) over m of |J_m(eps)| w(m), a later cutoff winning only when
-    it is strictly larger; its error is the multipliers' half-node and
-    rounding error on the same terms plus the left-out tail's mass times
-    the bound on |J_m(eps)|.  Each cutoff's multipliers come from a call of
-    their own.  Returns (value, error, eps)."""
-    kind, s = normalize_ambient(ambient)
-    ms, w, geo = _offset_weights(A, ambient, 0)
-    mass = _dropped_mass(geo, kind, s)
+def hypersingular_every_cutoff(A, r):
+    """The c0 hypersingular seminorm of A as the sup over every cutoff eps
+    of 0.01, 0.03, 0.1, 0.3 in turn of the sum over m of |J_m(eps)| w(m),
+    a later cutoff winning only when it is strictly larger; its error is
+    the multipliers' half-node and rounding error on the same terms plus
+    the left-out tail's mass times the bound on |J_m(eps)|.  Each cutoff's
+    multipliers come from a call of their own.  Returns (value, error,
+    eps)."""
+    ms, w, geo = _offset_weights(A)
+    mass = _dropped_mass(geo)
     best = (0.0, 0.0, 0.01)
     for eps in ((0.01, 0.03, 0.1, 0.3) if ms.size else ()):
         J, Jerr = _j_multipliers(ms, [eps], r)
-        if kind == "c0":
-            tot = float((np.abs(J[0]) * w).sum())
-            err = float((Jerr[0] * w).sum())
-        else:
-            i = int(np.argmax(np.abs(J[0]) * w))
-            tot = float(abs(J[0, i]) * w[i])
-            err = float(Jerr[0, i] * w[i])
+        tot = float((np.abs(J[0]) * w).sum())
+        err = float((Jerr[0] * w).sum())
         if tot > best[0]:
             best = (tot, err + mass * _j_cap(eps, r), eps)
     return best
@@ -510,29 +473,26 @@ def operator_sup_all_shells(A, r, k, t_min, t_max):
     return best, err
 
 
-def besov_cells_unfolded(ms, w, k, r, p, t_min, t_max, jaffard=False):
+def besov_cells_unfolded(ms, w, k, r, p, t_min, t_max):
     """The kink-cell Gauss-Legendre rule on [t_min, t_max] itself, with no
-    fold: (2 int_{t_min}^{t_max} t^(-rp-1) g(t)^p dt)^(1/p), g the sum (or,
-    jaffard, the max) over m of w(m) |2 sin(pi m t)|^k.
+    fold: (2 int_{t_min}^{t_max} t^(-rp-1) g(t)^p dt)^(1/p), g the sum over
+    m of w(m) |2 sin(pi m t)|^k.
 
     The cells are cut at the dyadic shell edges t_max 2^-i above t_min,
-    at every j/m and j/(2M), M = max(ms), and, jaffard, where the maximizing
-    offset switches: probed at 8 rule nodes and 1e-12 (relative) inside the
-    ends of each cell, where branches can tie, bisected 60 times, and
-    dropped within 1e-12 of a cell edge, in up to 8 rounds that each probe
-    the cells the previous one cut.  The value is the 8-node rule per cell;
-    the error is the summed difference from the 4-node rule plus eps per
-    cell of the total.  Returns (value, error, number of cells).
+    and at every j/m and j/(2M), M = max(ms).  The value is the 8-node
+    rule per cell; the error is the summed difference from the 4-node rule
+    plus eps per cell of the total.  Returns (value, error, number of
+    cells).
     """
     ms = np.asarray(ms, dtype=float)
     w = np.asarray(w, dtype=float)
 
-    def over_branches(how, ts):
-        """how(axis=1) of w(m) |2 sin(pi m t)|^k, 2048 points at a time."""
+    def modulus(ts):
+        """g at every t, 2048 points at a time."""
         flat = ts.ravel()
         return np.concatenate([
-            how(w * np.abs(2.0 * np.sin(np.pi * ms * part[:, None])) ** k,
-                axis=1)
+            (w * np.abs(2.0 * np.sin(np.pi * ms * part[:, None])) ** k
+             ).sum(axis=1)
             for part in np.array_split(flat, flat.size // 2048 + 1)
         ]).reshape(ts.shape)
 
@@ -540,8 +500,7 @@ def besov_cells_unfolded(ms, w, k, r, p, t_min, t_max, jaffard=False):
         x, wts = np.polynomial.legendre.leggauss(n)
         h = np.diff(edges)
         ts = edges[:-1, None] + h[:, None] * 0.5 * (1.0 + x)
-        g = over_branches(np.max if jaffard else np.sum, ts)
-        return h * ((ts ** (-r * p - 1.0) * g ** p) @ (0.5 * wts))
+        return h * ((ts ** (-r * p - 1.0) * modulus(ts) ** p) @ (0.5 * wts))
 
     shells = [t_max]
     while shells[-1] / 2.0 > t_min:
@@ -550,28 +509,6 @@ def besov_cells_unfolded(ms, w, k, r, p, t_min, t_max, jaffard=False):
     kinks = [j / m for m in [*ms, 2.0 * ms[-1]]
              for j in range(math.floor(m * t_min) + 1, math.ceil(m * t_max))]
     cells = np.unique([*shells, *(x for x in kinks if t_min < x < t_max)])
-    if jaffard:
-        x, _ = np.polynomial.legendre.leggauss(8)
-        frac = np.concatenate([[1e-12], 0.5 * (1.0 + x), [1.0 - 1e-12]])
-        a, b = cells[:-1], cells[1:]
-        for _ in range(8):
-            probes = a[:, None] + (b - a)[:, None] * frac
-            top = over_branches(np.argmax, probes)
-            switch = top[:, 1:] != top[:, :-1]
-            lo, hi = probes[:, :-1][switch], probes[:, 1:][switch]
-            left = top[:, :-1][switch]
-            for _ in range(60):
-                mid = 0.5 * (lo + hi)
-                same = over_branches(np.argmax, mid) == left
-                lo, hi = np.where(same, mid, lo), np.where(same, hi, mid)
-            i = np.searchsorted(cells, hi)
-            hi = hi[np.minimum(hi - cells[i - 1], cells[i] - hi) > 1e-12]
-            if not hi.size:
-                break
-            cells = np.union1d(cells, hi)
-            i = np.searchsorted(cells, hi)
-            a = np.concatenate([cells[i - 1], cells[i]])
-            b = np.concatenate([cells[i], cells[i + 1]])
     fine, coarse = rule(cells, 8), rule(cells, 4)
     total = 2.0 * fine.sum()
     err = (2.0 * np.abs(fine - coarse).sum()

@@ -8,11 +8,10 @@ off the 25-digit mpmath value MPMATH_P1; it keeps its 5e-4 tolerance,
 and MPMATH_P1 is checked at relative 1e-12.  FROZEN_P2 comes from a
 kink-split Gauss-Legendre rule instead (the scipy value was 5.3e-5 off);
 the route must land within relative 1e-13 of it and within its own
-reported quadrature error.  The jaffard-ambient p = 2 value is checked
-against adaptive quad on the cells between the kinks and the switches of
-the max (tests/oracles.py).  The finite-p cell route, folded onto
-[0, 1/2], is checked against the same rule on [t_min, t_max] itself
-(tests/oracles.py).  The p = inf search is checked against the same
+reported quadrature error, and on [0.01, 1] it is checked against
+adaptive quad on the cells between the kinks (tests/oracles.py).  The
+finite-p cell route, folded onto [0, 1/2], is checked against the same
+rule on [t_min, t_max] itself (tests/oracles.py).  The p = inf search is checked against the same
 grid-and-zoom search run on every shell (tests/oracles.py).
 """
 
@@ -37,11 +36,11 @@ from decayinv import (GeometricTail, IndexWindow, LatticeMatrix,
 from decayinv import besov
 from decayinv.cli import build_parser, resolve_config
 from decayinv.experiments import run_besov_report
-from decayinv.besov import (_antiderivative, _argmax_branch, _blocks,
-                            _cell_route, _folded_edges, _j_multipliers,
-                            _kink_cells, _modulus, _offset_weights,
-                            _shell_bounds, _shell_edges, _slope_bounds,
-                            _sup_search, _switch_cells, _tail_runs)
+from decayinv.besov import (_antiderivative, _blocks, _cell_route,
+                            _folded_edges, _j_multipliers, _kink_cells,
+                            _modulus, _offset_weights, _shell_bounds,
+                            _shell_edges, _slope_bounds, _sup_search,
+                            _tail_runs, decay_moment)
 from decayinv.lattice import difference_power, geometric_inverse_symbol
 from decayinv.norms import cv_norm
 from decayinv.weights import Weight
@@ -65,9 +64,6 @@ FROZEN_P2 = 13.055822762701984
 # every kink j/m of |sin(pi m t)| as a breakpoint (about 90 s to compute);
 # integrating each offset in u = m t between the integers agrees to 17 digits
 MPMATH_P1 = 41.34934141009299
-# the jaffard(2)-ambient p = 2 value on [0.01, 4], k = 1, by the
-# kink-and-switch cell rule with and without cuts at the integers alike
-FROZEN_JAFFARD_P2 = 45.1223377468054
 
 
 def test_besov_p1_frozen():
@@ -128,56 +124,16 @@ def test_besov_p2_frozen():
     assert abs(est.value - FROZEN_P2) <= est.quadrature_error
 
 
-def test_besov_jaffard_p2_matches_quad_on_cells():
-    # the branch of the max switches 11 times inside the kink cells on
-    # [0.01, 1]; the rule without those cuts is 2.8e-7 off.  The profile
-    # stops where e^(-m/2) drops below 1e-18, as the route's does.
+def test_besov_p2_matches_quad_on_cells():
+    # the folded cell rule against adaptive quad on every cell between the
+    # kinks in t.  The profile stops where e^(-m/2) drops below 1e-18, as
+    # the route's does.
     ms = np.arange(1, 84)
-    w = np.exp(-0.5 * ms) * (1.0 + ms) ** 2
-    want = besov_integral_cells(ms, w, 1, 0.5, 2, 0.01, 1.0, jaffard=True)
-    est = besov_seminorm(INV, 2, 0.5, 1, ambient=("jaffard", 2),
-                         t_min=0.01, t_max=1.0)
-    assert est.value == pytest.approx(want, rel=1e-10)
+    w = np.exp(-0.5 * ms)
+    want = besov_integral_cells(ms, w, 1, 0.5, 2, 0.01, 1.0)
+    est = besov_seminorm(INV, 2, 0.5, 1, t_min=0.01, t_max=1.0)
+    assert est.value == pytest.approx(want, rel=1e-13)
     assert abs(est.value - want) <= est.quadrature_error
-
-
-def test_jaffard_switch_cuts_clear_the_kink_edges():
-    # at u = 0 every branch of the max vanishes, and the argmax there reads
-    # only the rounding of pi m u: no switch may be cut within roundoff of
-    # an edge the folded cells already have
-    ms, w, _ = _offset_weights(INV, ("jaffard", 2), 0)
-    cells = _kink_cells(_folded_edges(_shell_edges(0.01, 4.0)), ms)
-    cuts = np.setdiff1d(_switch_cells(cells, ms, w, 1), cells)
-    i = np.searchsorted(cells, cuts)
-    gap = np.minimum(cuts - cells[i - 1], cells[i] - cuts)
-    assert cuts.size and gap.min() > 1e-12
-    est = besov_seminorm(INV, 2, 0.5, 1, ambient=("jaffard", 2),
-                         t_min=0.01, t_max=4.0)
-    assert abs(est.value - FROZEN_JAFFARD_P2) <= est.quadrature_error
-
-
-@pytest.mark.parametrize("profile", [{1: 1.0, 2: 1.0, 3: 28.0},
-                                     {1: 11.0, 2: 1.0, 4: 5.0, 6: 9.0}],
-                         ids=["tie at a kink", "two switches in a probe"])
-def test_every_jaffard_switch_is_cut(profile):
-    # w = (1, 1, 28): at u = 1/3, the kink of offset 3, the branches of
-    # offsets 1 and 2 tie, so the argmax at that cell end reads only the
-    # tie, and offset 3 takes the max back 0.0033 to the right of it.
-    # w = (11, 1, 5, 9): the switches at u = 0.1357 and 0.1450 share one
-    # interval between probes, and one bisection finds only one of them.
-    # Every switch seen on a fine grid of (0, 1/2], away from the kinks
-    # the cells already have, is cut within a grid step
-    ms = np.array(sorted(profile))
-    w = np.array([profile[m] for m in ms])
-    cells = _kink_cells(_folded_edges(_shell_edges(1.0, 2.0)), ms)
-    cuts = np.setdiff1d(_switch_cells(cells, ms, w, 1), cells)
-    u = np.linspace(0.0, 0.5, 100_001)[1:]
-    top = (w * np.abs(np.sin(np.pi * np.outer(u, ms)))).argmax(axis=1)
-    seen = u[1:][top[1:] != top[:-1]]
-    step = u[1] - u[0]
-    seen = seen[np.abs(seen[:, None] - cells).min(axis=1) > step]
-    assert cuts.size == seen.size
-    assert np.abs(cuts - seen).max() <= step
 
 
 def test_besov_above_cell_cap_within_reported_error(monkeypatch):
@@ -185,7 +141,7 @@ def test_besov_above_cell_cap_within_reported_error(monkeypatch):
     # [0, 1/2]: past the cell cap, so the route takes equal panels per
     # piece of it.  The reference is the kink-cell rule with the cap lifted.
     A = geometric_inverse_symbol(0.1)
-    ms, _, _ = _offset_weights(A, "c0", 0)
+    ms, _, _ = _offset_weights(A)
     assert _kink_cells(_folded_edges(_shell_edges(0.01, 4.0)), ms) is None
     est = besov_seminorm(A, 2, 0.5, 1, t_min=0.01, t_max=4.0)
     monkeypatch.setattr(besov, "_MAX_KINKS", math.inf)
@@ -194,27 +150,23 @@ def test_besov_above_cell_cap_within_reported_error(monkeypatch):
     assert abs(est.value - ref.value) <= est.quadrature_error
 
 
-@pytest.mark.parametrize("ambient, most", [("c0", 1200),
-                                           (("jaffard", 2), 1300)])
-def test_cell_route_work_on_the_frozen_matrix(ambient, most):
-    # the unfolded route cut 8,895 and 8,935 cells on [0.01, 4]; the fold
-    # cuts only those on [0, 1/2]
-    est = besov_seminorm(INV, 2, 0.5, 1, ambient=ambient,
-                         t_min=0.01, t_max=4.0)
-    assert 0 < est.parameters["cells"] <= most
+def test_cell_route_work_on_the_frozen_matrix():
+    # the unfolded route cut 8,895 cells on [0.01, 4]; the fold cuts only
+    # those on [0, 1/2]
+    est = besov_seminorm(INV, 2, 0.5, 1, t_min=0.01, t_max=4.0)
+    assert 0 < est.parameters["cells"] <= 1200
 
 
 @seed(23)
 @settings(max_examples=30, deadline=None)
 @given(st.floats(0.1, 0.35), st.integers(0, 2 ** 32 - 1),
-       st.sampled_from(["c0", "jaffard"]), st.sampled_from([1.5, 2.0, 3.0]),
-       st.integers(1, 2), st.floats(0.1, 2.5), st.floats(0.005, 2.0),
-       st.floats(0.05, 2.5))
-@example(0.3, 1, "c0", 2.0, 1, 0.5, 0.02, 0.38)
-@example(0.2, 2, "jaffard", 3.0, 2, 1.5, 0.7, 1.6)
-@example(0.25, 3, "jaffard", 1.5, 1, 0.3, 0.01, 3.99)
-def test_folded_route_matches_the_unfolded_one(rho, draw, kind, p, k, r,
-                                               t_min, width):
+       st.sampled_from([1.5, 2.0, 3.0]), st.integers(1, 2),
+       st.floats(0.1, 2.5), st.floats(0.005, 2.0), st.floats(0.05, 2.5))
+@example(0.3, 1, 2.0, 1, 0.5, 0.02, 0.38)
+@example(0.2, 2, 3.0, 2, 1.5, 0.7, 1.6)
+@example(0.25, 3, 1.5, 1, 0.3, 0.01, 3.99)
+def test_folded_route_matches_the_unfolded_one(rho, draw, p, k, r, t_min,
+                                               width):
     # the same integral, cut on [t_min, t_max] itself or folded onto
     # [0, 1/2]: t_max < 1/2, t_min > 1/2 and non-integer t_max included.
     # The profile decays like a matrix's, w(m) = a(m) rho^m with a(m) in
@@ -226,10 +178,8 @@ def test_folded_route_matches_the_unfolded_one(rho, draw, kind, p, k, r,
     ms = np.arange(1, math.ceil(math.log(1e-18) / math.log(rho)) + 1)
     w = np.random.default_rng(draw).uniform(0.5, 2.0, ms.size) * rho ** ms
     t_max = t_min + width
-    value, err, _ = _cell_route(ms, w, k, kind, _shell_edges(t_min, t_max),
-                                r, p)
-    want, want_err, _ = besov_cells_unfolded(ms, w, k, r, p, t_min, t_max,
-                                             jaffard=kind == "jaffard")
+    value, err, _ = _cell_route(ms, w, k, _shell_edges(t_min, t_max), r, p)
+    want, want_err, _ = besov_cells_unfolded(ms, w, k, r, p, t_min, t_max)
     if (k * p).is_integer():
         assert value == pytest.approx(want, rel=1e-13)
     assert abs(value - want) <= err + want_err
@@ -254,10 +204,10 @@ def test_operator_tail_bound_covers_the_left_out_mass():
     assert est.tail_bound >= near + far
 
 
-def test_operator_tail_bound_counts_the_whole_window_under_a_margin():
+def test_operator_tail_bound_counts_the_whole_window():
     # the value takes the singular values of the whole window, so the mass
     # below t_min is that of the whole window too: the corner entry 5 on
-    # offset 31 carries most of it, and a margin of 4 must not drop it.
+    # offset 31 carries most of it.
     # t = u^2 makes 2 int_0^0.05 t^-1.5 g dt = 4 int_0^sqrt(0.05) g(u^2)/u^2
     # du, a smooth integral; 64 Gauss-Legendre nodes put it at 550.
     entries = np.eye(32)
@@ -269,10 +219,9 @@ def test_operator_tail_bound_counts_the_whole_window_under_a_margin():
     g = modulus_profile(A, u ** 2, 1, "operator")
     near = 2.0 * top * (wts @ (g / u ** 2))
     assert near > 544.0
-    for margin in (0, 4):
-        est = besov_seminorm(A, 1, 0.5, 1, ambient="operator",
-                             margin=margin, t_min=0.05, t_max=4.0)
-        assert est.tail_bound >= near
+    est = besov_seminorm(A, 1, 0.5, 1, ambient="operator", t_min=0.05,
+                         t_max=4.0)
+    assert est.tail_bound >= near
 
 
 def _shift_left_out_mpmath(m, r, k, t_min, t_max, p):
@@ -307,9 +256,9 @@ def _shift_left_out_mpmath(m, r, k, t_min, t_max, p):
                          peak ** -mp_r * g(m * peak)))
 
 
-def _left_out_numeric(ms, w, k, r, t_min, t_max, p, jaffard):
-    """The same part for g(t) the sum (or, jaffard, the max) over m of
-    w(m) |2 sin(pi m t)|^k, in double precision.
+def _left_out_numeric(ms, w, k, r, t_min, t_max, p):
+    """The same part for g(t) the sum over m of w(m) |2 sin(pi m t)|^k, in
+    double precision.
 
     p = 1: near zero by quad against the weight t^(k-r-1); beyond the
     integer t_max, g has period 1, so the far part is int_0^1 g(v)
@@ -326,7 +275,7 @@ def _left_out_numeric(ms, w, k, r, t_min, t_max, p, jaffard):
             S = w * np.abs(2.0 * np.pi * ms * np.sinc(x)) ** k
         else:
             S = w * np.abs(2.0 * np.sin(np.pi * x)) ** k
-        return S.max(axis=-1) if jaffard else S.sum(axis=-1)
+        return S.sum(axis=-1)
 
     if p == 1:
         near = quad(lambda t: g(t, over_tk=True), 0.0, t_min, weight="alg",
@@ -356,26 +305,19 @@ def _left_out_numeric(ms, w, k, r, t_min, t_max, p, jaffard):
 @pytest.mark.parametrize("p", [1, math.inf])
 @pytest.mark.parametrize("name", ["shift 1", "shift 3", "inverse 0.5"])
 def test_tail_bound_covers_the_left_out_part(name, p, r, k):
-    # c0 and jaffard(1) ambients on [0.01, 4]: tail_bound is at least the
-    # part of the seminorm left out below t_min and above t_max.  For a
-    # shift the jaffard modulus is (1+m) times the c0 one
+    # on [0.01, 4]: tail_bound is at least the part of the seminorm left
+    # out below t_min and above t_max
     t_min, t_max = 0.01, 4.0
-    for ambient in ("c0", ("jaffard", 1.0)):
-        if name.startswith("shift"):
-            m = int(name.split()[1])
-            A = ToeplitzSymbol({m: 1.0})
-            scale = 1.0 if ambient == "c0" else 1.0 + m
-            left_out = scale * _shift_left_out_mpmath(m, r, k, t_min, t_max,
-                                                      p)
-        else:
-            A = INV
-            ms, w, _ = _offset_weights(INV, ambient, 0)
-            left_out = _left_out_numeric(ms, w, k, r, t_min, t_max, p,
-                                         jaffard=ambient != "c0")
-        est = besov_seminorm(A, p, r, k, ambient=ambient, t_min=t_min,
-                             t_max=t_max)
-        assert est.tail_bound >= left_out, (ambient, est.tail_bound,
-                                            left_out)
+    if name.startswith("shift"):
+        m = int(name.split()[1])
+        A = ToeplitzSymbol({m: 1.0})
+        left_out = _shift_left_out_mpmath(m, r, k, t_min, t_max, p)
+    else:
+        A = INV
+        ms, w, _ = _offset_weights(INV)
+        left_out = _left_out_numeric(ms, w, k, r, t_min, t_max, p)
+    est = besov_seminorm(A, p, r, k, t_min=t_min, t_max=t_max)
+    assert est.tail_bound >= left_out, (est.tail_bound, left_out)
 
 
 def test_besov_sup_frozen():
@@ -394,21 +336,19 @@ SUP_MATRICES = {
 }
 
 
-@pytest.mark.parametrize("ambient", ["c0", ("jaffard", 1.0)])
 @pytest.mark.parametrize("name", list(SUP_MATRICES))
-def test_sup_search_matches_the_search_of_every_shell(name, ambient):
+def test_sup_search_matches_the_search_of_every_shell(name):
     # the pruned search finds the winner of the search over every shell, so
     # it differs only by the rounding of g, which moves with a point's row
     # in the matrix product, and (c0 at k = 1, on an inverse's geometric
     # tail) with the runs of constant sign that sum it; the error is a
     # difference of two of its values, so it is compared on the scale of
     # the value
-    ms, w, geo = _offset_weights(SUP_MATRICES[name], ambient, 0)
-    kind = "c0" if ambient == "c0" else "jaffard"
+    ms, w, geo = _offset_weights(SUP_MATRICES[name])
     edges = _shell_edges(1e-6, 4.0)
     for k, r in SUP_ORDERS[1:2] if name == "inverse 0.05" else SUP_ORDERS:
-        value, err, searched, _ = _sup_search(ms, w, k, kind, edges, r, geo)
-        want, want_err = sup_search_all_shells(ms, w, k, kind, edges, r)
+        value, err, searched, _ = _sup_search(ms, w, k, edges, r, geo)
+        want, want_err = sup_search_all_shells(ms, w, k, edges, r)
         assert value == pytest.approx(want, rel=1e-14, abs=0.0)
         assert err == pytest.approx(want_err, rel=0.0, abs=1e-14 * want)
         if ms.size == 0:
@@ -421,11 +361,10 @@ def test_sup_search_matches_the_search_of_every_shell(name, ambient):
 @settings(max_examples=40, deadline=None)
 @given(st.dictionaries(st.integers(1, 300), st.floats(1e-3, 1e3),
                        min_size=1, max_size=8),
-       st.integers(1, 3), st.floats(0.1, 3.0),
-       st.sampled_from(["c0", "jaffard"]), st.floats(1e-6, 0.5),
+       st.integers(1, 3), st.floats(0.1, 3.0), st.floats(1e-6, 0.5),
        st.sampled_from([1, 16]))
-def test_shell_bounds_cover_the_modulus_on_each_shell(profile, k, r, kind,
-                                                      t_min, pieces):
+def test_shell_bounds_cover_the_modulus_on_each_shell(profile, k, r, t_min,
+                                                      pieces):
     ms = np.array(sorted(profile))
     w = np.array([profile[m] for m in ms])
     edges = _shell_edges(t_min, 4.0)
@@ -438,8 +377,8 @@ def test_shell_bounds_cover_the_modulus_on_each_shell(profile, k, r, kind,
         a, b = edges[:-1, None], edges[1:, None]
     else:
         a, b = ts[..., 0], ts[..., -1]
-    bound = _shell_bounds(ms, w, k, kind, a, b, r)
-    vals = ts ** (-r) * _modulus(ts, ms, w, k, kind)
+    bound = _shell_bounds(ms, w, k, a, b, r)
+    vals = ts ** (-r) * _modulus(ts, ms, w, k)
     assert (vals <= bound[..., None]).all()
 
 
@@ -447,18 +386,16 @@ def test_shell_bounds_cover_the_modulus_on_each_shell(profile, k, r, kind,
 @settings(max_examples=40, deadline=None)
 @given(st.dictionaries(st.integers(1, 300), st.floats(1e-3, 1e3),
                        min_size=1, max_size=8),
-       st.integers(1, 3), st.floats(0.1, 3.0),
-       st.sampled_from(["c0", "jaffard"]), st.floats(1e-6, 0.5),
+       st.integers(1, 3), st.floats(0.1, 3.0), st.floats(1e-6, 0.5),
        st.integers(0, 2 ** 32 - 1))
 def test_slope_bounds_are_lipschitz_constants_on_each_shell(profile, k, r,
-                                                            kind, t_min,
-                                                            draw):
+                                                            t_min, draw):
     # |h(t) - h(t')| <= L |t - t'| for t, t' in a shell, h = t^-r g(t),
     # plus the rounding of the two computed values of h
     ms = np.array(sorted(profile))
     w = np.array([profile[m] for m in ms])
     edges = _shell_edges(t_min, 4.0)
-    L = _slope_bounds(ms, w, k, kind, edges[:-1], edges[1:], r)
+    L = _slope_bounds(ms, w, k, edges[:-1], edges[1:], r)
     rng = np.random.default_rng(draw)
     u = rng.random((edges.size - 1, 2, 64))
     # pairs spread over the shell, and pairs a grid step apart
@@ -466,7 +403,7 @@ def test_slope_bounds_are_lipschitz_constants_on_each_shell(profile, k, r,
     u = np.clip(u, 0.0, 1.0)
     a, b = edges[:-1, None, None], edges[1:, None, None]
     ts = a + (b - a) * u
-    vals = ts ** (-r) * _modulus(ts, ms, w, k, kind)
+    vals = ts ** (-r) * _modulus(ts, ms, w, k)
     rounding = 4.0 * (ms.size + k + r + 4) * np.finfo(float).eps
     gap = np.abs(vals[:, 0] - vals[:, 1])
     allowed = (L[:, None] * np.abs(ts[:, 0] - ts[:, 1])
@@ -489,16 +426,15 @@ def test_sup_search_work_on_criterion_10():
 
 
 def test_sup_search_zooms_a_shell_whose_grid_misses_its_peak():
-    # jaffard max of |2 sin pi m t| w(m) at m = 1 and m = 7, r = 1/2: each
-    # offset alone peaks at the same height, and the log grid lands 2.2e-7
-    # below the peak for m = 1 and 5.1e-7 below it for m = 7.  With w(7)
-    # raised by 1.5e-7 the sup is in the shell of m = 7, whose grid value is
-    # not the best; only the slope bound keeps that shell's zoom
-    ms, r = np.array([1, 7]), 0.5
-    w = np.array([1.0, 7.0 ** -r * (1.0 + 1.5e-7)])
+    # |2 sin pi t| + 6^-r |2 sin 6 pi t| at r = 0.7: the best grid value
+    # lies in the shell [1/32, 1/16], but the sup, 4.3e-7 above it, in the
+    # shell [1/16, 1/8], whose grid value is not the best; only the slope
+    # bound keeps that shell's zoom
+    ms, r = np.array([1, 6]), 0.7
+    w = np.array([1.0, 6.0 ** -r])
     edges = _shell_edges(1e-6, 4.0)
-    value, err, zoomed, _ = _sup_search(ms, w, 1, "jaffard", edges, r)
-    want, want_err = sup_search_all_shells(ms, w, 1, "jaffard", edges, r)
+    value, err, zoomed, _ = _sup_search(ms, w, 1, edges, r)
+    want, want_err = sup_search_all_shells(ms, w, 1, edges, r)
     assert value == pytest.approx(want, rel=1e-14, abs=0.0)
     assert err == pytest.approx(want_err, rel=0.0, abs=1e-14 * want)
     assert zoomed == 2
@@ -597,7 +533,7 @@ def test_modulus_profile_rejects_an_order_besov_seminorm_rejects(k, ambient):
 
 
 @pytest.mark.parametrize("p", [1, 2, math.inf])
-@pytest.mark.parametrize("ambient", ["c0", ("jaffard", 1.0), "operator"])
+@pytest.mark.parametrize("ambient", ["c0", "operator"])
 def test_besov_stays_finite_at_the_order_cap(p, ambient):
     # the last admitted order on a 32-point section: no route overflows
     # (every warning is an error here)
@@ -610,8 +546,7 @@ def test_besov_stays_finite_at_the_order_cap(p, ambient):
 
 
 @pytest.mark.parametrize("k", [165, 206])
-@pytest.mark.parametrize("ambient", ["c0", ("jaffard", 1.0)])
-def test_besov_sup_stays_finite_below_the_cap_on_a_wide_profile(k, ambient):
+def test_besov_sup_stays_finite_below_the_cap_on_a_wide_profile(k):
     # the symbol route of this inverse reaches offset 83, and 83^k
     # overflows from k = 161 on; the p = inf chunk bounds are formed in
     # logs, so they cover the modulus and the search finds the winner of
@@ -619,19 +554,14 @@ def test_besov_sup_stays_finite_below_the_cap_on_a_wide_profile(k, ambient):
     A = geometric_inverse_symbol(0.5)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        try:
-            est = besov_seminorm(A, math.inf, 0.5, k, ambient, t_min=0.01,
-                                 t_max=0.5)
-        except ParameterError:
-            return
-        ms, w, _ = _offset_weights(A, ambient, 0)
-        kind = "c0" if ambient == "c0" else "jaffard"
+        est = besov_seminorm(A, math.inf, 0.5, k, t_min=0.01, t_max=0.5)
+        ms, w, _ = _offset_weights(A)
         edges = _shell_edges(0.01, 0.5)
         ts = np.exp(np.linspace(np.log(edges[:-1]), np.log(edges[1:]), 256,
                                 axis=1))
-        bound = _shell_bounds(ms, w, k, kind, edges[:-1], edges[1:], 0.5)
-        vals = ts ** -0.5 * _modulus(ts, ms, w, k, kind)
-        want, _ = sup_search_all_shells(ms, w, k, kind, edges, 0.5)
+        bound = _shell_bounds(ms, w, k, edges[:-1], edges[1:], 0.5)
+        vals = ts ** -0.5 * _modulus(ts, ms, w, k)
+        want, _ = sup_search_all_shells(ms, w, k, edges, 0.5)
     assert k * math.log(ms[-1]) > math.log(np.finfo(float).max)
     assert math.isfinite(est.value) and est.value > 0
     assert (vals <= bound[:, None]).all() and np.isfinite(bound).all()
@@ -639,7 +569,7 @@ def test_besov_sup_stays_finite_below_the_cap_on_a_wide_profile(k, ambient):
 
 
 @pytest.mark.parametrize("p", [1, 2, math.inf])
-@pytest.mark.parametrize("ambient", ["c0", ("jaffard", 1.0), "operator"])
+@pytest.mark.parametrize("ambient", ["c0", "operator"])
 def test_besov_rejects_an_order_whose_power_of_two_overflows(p, ambient):
     # from the first order past the cap on, every besov route is refused
     # with a ParameterError; at k = 1023 each overflowed, and from 1024 on
@@ -660,28 +590,21 @@ def test_modulus_profile_rejects_a_non_finite_t(t):
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
-def test_modulus_and_branch_equal_the_sines_taken_whole(k):
+def test_modulus_equals_the_sines_taken_whole(k):
     # the in-place |2 sin pi m t|^k gives, bit for bit, what the whole
-    # expression gives over the same blocks, the modulus at u = dist(t, Z)
-    # and the branch at t itself; 300 offsets and 200 points span four
-    # blocks
+    # expression gives over the same blocks, the modulus at u = dist(t, Z);
+    # 300 offsets and 200 points span four blocks
     rng = np.random.default_rng(k)
     ms = np.arange(1, 301)
     w = rng.uniform(0.1, 2.0, ms.size) * 0.97 ** ms
     ts = rng.uniform(1e-4, 4.0, 200)
     us = np.abs(ts - np.round(ts))
     assert len(list(_blocks(ts.size, ms.size))) >= 3
-    want = {"c0": np.empty(ts.size), "jaffard": np.empty(ts.size)}
-    branch = np.empty(ts.size, dtype=int)
+    want = np.empty(ts.size)
     for sl in _blocks(ts.size, ms.size):
         S = (2.0 * np.abs(np.sin(np.pi * ms * us[sl, None]))) ** k
-        want["c0"][sl] = S @ w
-        want["jaffard"][sl] = (S * w).max(axis=1)
-        S = (2.0 * np.abs(np.sin(np.pi * ms * ts[sl, None]))) ** k
-        branch[sl] = (S * w).argmax(axis=1)
-    for kind, values in want.items():
-        assert np.array_equal(_modulus(ts, ms, w, k, kind), values)
-    assert np.array_equal(_argmax_branch(ts, ms, w, k), branch)
+        want[sl] = S @ w
+    assert np.array_equal(_modulus(ts, ms, w, k), want)
 
 
 # geometric tails with M = 42, 829 and 8290 offsets, and one after a
@@ -701,23 +624,23 @@ def test_runs_of_constant_sign_match_the_direct_sum(name, monkeypatch):
     # dispatches it, against the direct sum at u = dist(t, Z), where the
     # direct sum is accurate: t on both sides of the crossover (the runs
     # cost more past u = 0.4) and past 1/2, away from simple fractions
-    ms, w, geo = _offset_weights(RUN_TAILS[name], "c0", 0)
+    ms, w, geo = _offset_weights(RUN_TAILS[name])
     sc, rho, m0, M = geo
     ts = np.concatenate([np.geomspace(1e-3, 0.45, 40),
                          [0.61, 1.23, 2.77, 3.91]])
     u = np.abs(ts - np.round(ts))
     tail = ms >= m0
-    want = _modulus(u, ms[tail], w[tail], 1, "c0")
+    want = _modulus(u, ms[tail], w[tail], 1)
     assert _tail_runs(u, sc, rho, m0, M) == pytest.approx(want, rel=1e-14)
     taken = []
     monkeypatch.setattr(besov, "_tail_runs", lambda u, *args: taken.append(
         u.size) or _tail_runs(u, *args))
-    got = _modulus(ts, ms, w, 1, "c0", geo)
-    assert got == pytest.approx(_modulus(u, ms, w, 1, "c0"), rel=1e-14)
+    got = _modulus(ts, ms, w, 1, geo)
+    assert got == pytest.approx(_modulus(u, ms, w, 1), rel=1e-14)
     if name == "inverse 1":
         # 42 offsets save less than one call of the runs costs
         assert taken == []
-        assert np.array_equal(got, _modulus(ts, ms, w, 1, "c0"))
+        assert np.array_equal(got, _modulus(ts, ms, w, 1))
     else:
         assert len(taken) == 1 and 0 < taken[0] < ts.size
 
@@ -725,8 +648,7 @@ def test_runs_of_constant_sign_match_the_direct_sum(name, monkeypatch):
 def test_runs_of_constant_sign_match_mpmath():
     # the gamma = 0.05 inverse's 829 offsets summed at 30 digits, the float
     # rho taken exactly, at 24 points of [0.001, 0.15]
-    ms, _, (sc, rho, m0, M) = _offset_weights(geometric_inverse_symbol(0.05),
-                                              "c0", 0)
+    ms, _, (sc, rho, m0, M) = _offset_weights(geometric_inverse_symbol(0.05))
     ts = np.geomspace(0.001, 0.15, 24)
     with mpmath.workdps(30):
         r = mpmath.mpf(rho)
@@ -750,12 +672,12 @@ def test_chunk_bounds_cover_the_runs_form(log_gamma, scale, r, t_min,
     # chunk's bound, on the runs of constant sign as on the direct sum
     tail = GeometricTail(math.exp(-math.exp(log_gamma)), scale)
     A = ToeplitzSymbol({-2: 0.4, 1: -1.1, 3: 0.2} if finite else {}, tail)
-    ms, w, geo = _offset_weights(A, "c0", 0)
+    ms, w, geo = _offset_weights(A)
     edges = _shell_edges(t_min, 4.0)
     ts = np.exp(np.linspace(np.log(edges[:-1]), np.log(edges[1:]), 256,
                             axis=1)).reshape(edges.size - 1, -1, 16)
-    bound = _shell_bounds(ms, w, 1, "c0", ts[..., 0], ts[..., -1], r)
-    vals = ts ** (-r) * _modulus(ts, ms, w, 1, "c0", geo)
+    bound = _shell_bounds(ms, w, 1, ts[..., 0], ts[..., -1], r)
+    vals = ts ** (-r) * _modulus(ts, ms, w, 1, geo)
     assert (vals <= bound[..., None]).all()
 
 
@@ -833,21 +755,37 @@ def test_hypersingular_frozen_values():
 
 def test_hypersingular_sup_attained_at_smallest_eps():
     # |J_m(eps)| falls as eps grows, so the sup over every cutoff of the
-    # grid is the finest one's, which the c0 and jaffard ambients read
-    # alone: value, error and cutoff bit for bit, on inverses (0.05 with
-    # its 829 offsets), a shift and a section
+    # grid is the finest one's, which the c0 ambient reads alone: value,
+    # error and cutoff bit for bit, on inverses (0.05 with its 829
+    # offsets), a shift and a section
     family = [INV, geometric_inverse_symbol(0.05, 2.4),
               ToeplitzSymbol({3: 1.0}),
               random_decay_matrix(W, 2.0, 0.3, seed=[5, 0])]
-    for A, ambient, r in itertools.product(family, ["c0", ("jaffard", 1.0)],
-                                           [0.5, 1.0, 1.5]):
-        est = hypersingular_seminorm(A, r, ambient)
+    for A, r in itertools.product(family, [0.5, 1.0, 1.5]):
+        est = hypersingular_seminorm(A, r)
         got = (est.value, est.quadrature_error, est.parameters["eps"])
-        assert got == hypersingular_every_cutoff(A, r, ambient)
+        assert got == hypersingular_every_cutoff(A, r)
         assert got[2] == 0.01
 
 
-@pytest.mark.parametrize("ambient", ["c0", ("jaffard", 1.0), "operator"])
+def test_operator_hypersingular_error_scales_with_the_section():
+    # the operator ambient weights each offset's multiplier error by the
+    # section's d(m) + d(-m), which bounds the error's multiplier by the
+    # Schur test: the error of 1e6 A is 1e6 times A's, and on a shift,
+    # where one offset carries the profile, it is the c0 error to rounding
+    est = hypersingular_seminorm(INV_W, 1.5, "operator")
+    big = hypersingular_seminorm(LatticeMatrix(W, 1e6 * INV_W.entries), 1.5,
+                                 "operator")
+    assert big.value == pytest.approx(1e6 * est.value, rel=1e-13)
+    assert big.quadrature_error == pytest.approx(1e6 * est.quadrature_error,
+                                                 rel=1e-13)
+    for m in (1, 3, 7):
+        T = make_toeplitz(ToeplitzSymbol({m: 1.0}), W)
+        op = hypersingular_seminorm(T, 1.5, "operator").quadrature_error
+        assert 0 < op <= 2.0 * hypersingular_seminorm(T, 1.5).quadrature_error
+
+
+@pytest.mark.parametrize("ambient", ["c0", "operator"])
 @pytest.mark.parametrize("A", [make_toeplitz(ToeplitzSymbol({0: 1.0}), w)
                                for w in (IndexWindow(0, 0), W)],
                          ids=["1 x 1 window", "diagonal"])
@@ -938,18 +876,18 @@ def test_separable_errors_count_the_rounding_of_their_sums():
 
 def test_direct_modulus_is_taken_at_the_distance_to_the_integers():
     # near an integer t the angle pi m t rounds to eps of itself, far more
-    # than sin pi m t; at u = dist(t, Z) the jaffard modulus of an inverse
-    # and the c0 modulus of its section agree with a long-double sum
+    # than sin pi m t; at u = dist(t, Z) the c0 modulus of an inverse and
+    # of its section agree with a long-double sum
     t = 2.998143812709
     pi = np.longdouble("3.14159265358979323846264338327950288")
     inv = geometric_inverse_symbol(0.05)
     section = make_toeplitz(inv, IndexWindow(-256, 255))
-    for A, ambient in [(inv, ("jaffard", 1.0)), (section, "c0")]:
-        ms, w, _ = _offset_weights(A, ambient, 0)
+    for A in (inv, section):
+        ms, w, _ = _offset_weights(A)
         angle = pi * ms.astype(np.longdouble) * np.longdouble(t)
         terms = 2.0 * np.abs(np.sin(angle)) * w.astype(np.longdouble)
-        want = float(terms.sum() if ambient == "c0" else terms.max())
-        got = modulus_profile(A, [t], 1, ambient)[0]
+        want = float(terms.sum())
+        got = modulus_profile(A, [t], 1)[0]
         assert abs(got - want) <= 1e-15 * want
 
 
@@ -970,10 +908,12 @@ def test_besov_rejects_bad_parameters():
                                         t_max=math.inf), id="t_max inf"),
     pytest.param(lambda: besov_seminorm(INV, 1, 0.5, 1, t_min=math.nan),
                  id="t_min nan"),
+    pytest.param(lambda: decay_moment(INV, 0.5, p=2), id="moment p 2"),
 ])
 def test_besov_inputs_out_of_range_raise_parameter_error(call):
-    # a finite r > 0, an integral k >= 1 and a finite 0 < t_min < t_max;
-    # anything else is a ParameterError, never a bare ValueError, a silent
-    # truncation or a loop that never returns
+    # a finite r > 0, an integral k >= 1, a finite 0 < t_min < t_max and a
+    # moment's p of 1 or inf; anything else is a ParameterError, never a
+    # bare ValueError, a silent truncation, a loop that never returns or
+    # (a moment at p = 2) the p = inf value
     with pytest.raises(ParameterError):
         call()

@@ -356,8 +356,6 @@ NEEDS_A_WINDOW = {
     "margin cv_norm": lambda A: cv_norm(A, Weight.poly(1.0), margin=8),
     "margin jaffard_norm": lambda A: jaffard_norm(A, 2.0, margin=8),
     "margin banded_error": lambda A: banded_error(A, 1, margin=8),
-    "margin dk_norm_log": lambda A: dk_norm_log(A, 1, margin=8),
-    "margin besov_seminorm": lambda A: besov_seminorm(A, 1, 0.5, margin=8),
     "method window Cr": lambda A: baskakov_bound_Cr(
         A, 2.0, method="window", inverse=RESOLVENT_INVERSE),
     "method window Jr": lambda A: baskakov_bound_Jr(

@@ -8,6 +8,8 @@ import pathlib
 import subprocess
 import sys
 
+import pytest
+
 TESTS = pathlib.Path(__file__).resolve().parent
 PACKAGE = TESTS.parent / "src" / "decayinv"
 BENCH = TESTS.parent / "bench"
@@ -410,12 +412,12 @@ def readers(path, names):
 
 # besov computes no norm of its own: an operator norm of a difference is
 # modulus_profile's, the hypersingular multiplier's is its own, and the
-# mass the profile's cut leaves out is a closed form, or a tail's max; it
-# sums no series, and every other norm comes from norms
+# mass the profile's cut leaves out is a closed form; it takes no tail's
+# max, sums no series, and every other norm comes from norms
 BESOV_NORM_READERS = {
     "operator_norm_l2": {"modulus_profile", "hypersingular_seminorm"},
     "difference_power": {"modulus_profile", "hypersingular_seminorm"},
-    "poly_geometric_max": {"_dropped_mass"},
+    "poly_geometric_max": set(),
     "log_concave_sum": set(),
     "log_integer_weight_tail": set(),
     "log_poly_geometric": set(),
@@ -429,4 +431,31 @@ def test_besov_computes_no_norm_of_its_own():
                    if holder not in BESOV_NORM_READERS[name])
     assert stray == [], f"norms computed outside their owner: {stray}"
     assert ("operator_norm_l2", "modulus_profile") in found
-    assert ("poly_geometric_max", "_dropped_mass") in found
+
+
+# the smoothness functions: each measures in the c0 or the operator
+# ambient, on the whole of its input
+SMOOTHNESS = {
+    "besov": ["modulus_profile", "besov_seminorm", "hypersingular_seminorm",
+              "decay_moment", "identification_rate_check"],
+    "norms": ["dk_norm_log", "dk_norm_logs", "dales_davie_norm",
+              "ambient_norm"],
+}
+
+
+def test_smoothness_functions_take_no_margin_and_two_ambients():
+    # an inner block is read by passing its section, and the ambient is
+    # "c0" or "operator", nothing else
+    import decayinv
+    from decayinv.errors import ParameterError
+    from decayinv.norms import normalize_ambient
+    found = sorted(name for module, names in SMOOTHNESS.items()
+                   for name in names
+                   if "margin" in inspect.signature(getattr(
+                       getattr(decayinv, module), name)).parameters)
+    assert found == []
+    assert [normalize_ambient(a) for a in ("c0", "operator")] == \
+        ["c0", "operator"]
+    for ambient in (("jaffard", 1.0), "jaffard", None):
+        with pytest.raises(ParameterError, match="unknown ambient"):
+            normalize_ambient(ambient)

@@ -10,9 +10,8 @@ from hypothesis import strategies as st
 
 from decayinv import (GeometricTail, IndexWindow, LatticeMatrix,
                       ParameterError, ToeplitzSymbol, Weight, ambient_norm,
-                      banded_error,
-                      baskakov_bound_Jr, besov_seminorm, cv_norm,
-                      dales_davie_norm, geometric_inverse_toeplitz,
+                      banded_error, baskakov_bound_Jr, besov_seminorm,
+                      cv_norm, dales_davie_norm, geometric_inverse_toeplitz,
                       hypersingular_seminorm, jaffard_norm, make_toeplitz,
                       modulus_profile, random_decay_matrix)
 from decayinv.besov import decay_moment
@@ -72,12 +71,10 @@ def test_symbol_and_window_routes_agree_on_finite_symbol(coeffs, r, k):
                  lambda B: decay_moment(B, r)):
         s, v = norm(A), norm(S)
         assert math.isclose(s, v, rel_tol=1e-13), (s, v)
-    for ambient in ("c0", ("jaffard", r)):
-        for order in (0, 1, 3):
-            s = dk_norm_log(A, order, ambient)
-            v = dk_norm_log(S, order, ambient)
-            # logs: relative 1e-13 on the norm
-            assert s == v or abs(s - v) <= 1e-13, (ambient, order, s, v)
+    for order in (0, 1, 3):
+        s, v = dk_norm_log(A, order), dk_norm_log(S, order)
+        # logs: relative 1e-13 on the norm
+        assert s == v or abs(s - v) <= 1e-13, (order, s, v)
 
 
 def test_side_diag_sup_matches_diagonal_loop():
@@ -105,34 +102,6 @@ def test_side_diag_sup_matches_diagonal_loop_at_every_size(k, data):
     assert np.array_equal(offs, np.arange(-(k - 1), k))
     assert np.array_equal(d, [np.abs(np.diagonal(inner, -m)).max()
                               for m in offs])
-
-
-OPERATOR_ROUTES = {
-    "ambient_norm": lambda A, m: ambient_norm(A, "operator", margin=m),
-    "dk_norm_log": lambda A, m: dk_norm_log(A, 1, "operator", margin=m),
-    "dales_davie_norm": lambda A, m: dales_davie_norm(
-        A, SmoothnessSequence.finite(2), "operator", margin=m).value,
-    "modulus_profile": lambda A, m: modulus_profile(
-        A, [0.1, 0.3], 1, "operator", margin=m),
-    "besov_seminorm": lambda A, m: besov_seminorm(
-        A, math.inf, 0.5, ambient="operator", margin=m, t_min=0.1,
-        t_max=0.5).value,
-    "hypersingular_seminorm": lambda A, m: hypersingular_seminorm(
-        A, 0.5, ambient="operator", margin=m).value,
-}
-
-
-@pytest.mark.parametrize("route", sorted(OPERATOR_ROUTES))
-def test_operator_ambient_checks_the_margin(route):
-    # the operator ambient reads the whole section, so a margin changes
-    # nothing, but one that the c0 and Jaffard ambients reject (negative,
-    # or emptying the window) is rejected here too
-    A = random_decay_matrix(W, 2.0, 0.3, seed=[0, 1])
-    call = OPERATOR_ROUTES[route]
-    for margin in (-1, -3, W.n // 2, 40):
-        with pytest.raises(ParameterError):
-            call(A, margin)
-    assert np.array_equal(call(A, 5), call(A, 0))
 
 
 @pytest.mark.parametrize("margin", [-1, -5])
@@ -191,7 +160,9 @@ def test_jaffard_norm_values():
 def test_ambient_norms():
     inv = geometric_inverse_symbol(0.5)
     assert ambient_norm(inv, "c0") == cv_norm(inv, Weight.poly(0.0))
-    assert ambient_norm(inv, ("jaffard", 2.0)) == jaffard_norm(inv, 2.0)
+    # the smoothness functions measure in c0 or the operator norm alone
+    with pytest.raises(ParameterError, match="unknown ambient"):
+        ambient_norm(inv, ("jaffard", 2.0))
     # the operator ambient needs a window: the finite section sits just
     # below the infinite-lattice symbol sup
     with pytest.raises(ParameterError, match="needs a window"):
@@ -200,6 +171,23 @@ def test_ambient_norms():
     got = ambient_norm(make_toeplitz(inv, W), "operator")
     assert got <= 1.0 / (1.0 - x) + 1e-9
     assert got == pytest.approx(1.0 / (1.0 - x), rel=2e-2)
+
+
+def test_every_smoothness_function_refuses_the_jaffard_ambient():
+    # each function that takes an ambient names ("jaffard", s) unknown
+    # rather than measure in a third norm
+    A = make_toeplitz(geometric_inverse_symbol(0.5), IndexWindow(-8, 7))
+    jaffard = ("jaffard", 1.0)
+    for call in (lambda: ambient_norm(A, jaffard),
+                 lambda: dk_norm_log(A, 1, jaffard),
+                 lambda: dk_norm_logs(A, [0, 1], jaffard),
+                 lambda: dales_davie_norm(A, SmoothnessSequence.finite(2),
+                                          jaffard),
+                 lambda: modulus_profile(A, [0.1], 1, jaffard),
+                 lambda: besov_seminorm(A, 1, 0.5, 1, jaffard),
+                 lambda: hypersingular_seminorm(A, 0.5, jaffard)):
+        with pytest.raises(ParameterError, match="unknown ambient"):
+            call()
 
 
 @pytest.mark.parametrize("k", [1, 2, 4, 10, 40, 160])
@@ -297,30 +285,37 @@ def decay_matrices(draw):
     return ToeplitzSymbol(coeffs, tail)
 
 
-AMBIENTS = ["c0", ("jaffard", 0.0), ("jaffard", 1.5), "operator"]
+AMBIENTS = ["c0", "operator"]
+
+
+def section(A):
+    """A symbol's section on the window -8..7, or the section A itself."""
+    if isinstance(A, ToeplitzSymbol):
+        return make_toeplitz(A, IndexWindow(-8, 7))
+    return A
 
 
 @seed(23)
 @settings(max_examples=40, deadline=None)
-@given(decay_matrices(), st.sampled_from([0, 3]), st.sampled_from(AMBIENTS),
+@given(decay_matrices(), st.sampled_from(AMBIENTS),
        st.permutations(range(41)))
-def test_dk_norm_logs_match_the_per_order_reference(A, margin, ambient, ks):
+def test_dk_norm_logs_match_the_per_order_reference(A, ambient, ks):
     # the block route (one 2-D log-sum-exp, one recurrence for a tail's
     # sums) reproduces every order's own evaluation, in any order: bit for
     # bit where no c0 tail enters, and a c0 tail's sums to the 50-digit
     # reference; a one-order call is the block's row, bit for bit.  A
-    # symbol refuses a margin and the operator ambient; its section does not
-    if isinstance(A, ToeplitzSymbol) and (margin or ambient == "operator"):
+    # symbol refuses the operator ambient; its section does not
+    if isinstance(A, ToeplitzSymbol) and ambient == "operator":
         with pytest.raises(ParameterError, match="needs a window"):
-            dk_norm_logs(A, ks, ambient, margin)
-        A = make_toeplitz(A, IndexWindow(-8, 7))
-    got = dk_norm_logs(A, ks, ambient, margin)
-    want = [dk_norm_log_per_order(A, k, ambient, margin) for k in ks]
+            dk_norm_logs(A, ks, ambient)
+        A = section(A)
+    got = dk_norm_logs(A, ks, ambient)
+    want = [dk_norm_log_per_order(A, k, ambient) for k in ks]
     if ambient == "c0" and decay_profile(A).scale:
         assert all(abs(math.expm1(g - w)) <= 1e-12 for g, w in zip(got, want))
     else:
         assert got == want
-    assert got == [dk_norm_log(A, k, ambient, margin) for k in ks]
+    assert got == [dk_norm_log(A, k, ambient) for k in ks]
 
 
 @pytest.mark.parametrize("k", [-1, 1.5])
@@ -353,32 +348,34 @@ DD_MATRICES = {
 
 
 @pytest.mark.parametrize("seq", sorted(DD_SEQUENCES))
-@pytest.mark.parametrize("ambient", ["c0", ("jaffard", 1.0)])
+@pytest.mark.parametrize("ambient", AMBIENTS)
 @pytest.mark.parametrize("name", sorted(DD_MATRICES))
 def test_dales_davie_norm_is_the_per_order_sum(seq, ambient, name):
     # the sum reads each order once from one pass over the decay profile
-    # (a tail's recurrence stepped once per order, in blocks); every field
-    # is that of the sum that reads each order by its own dk_norm_log
+    # (a tail's recurrence stepped once per order, in blocks), or one SVD
+    # per order of a section; every field is that of the sum that reads
+    # each order by its own dk_norm_log
     A, sequence = DD_MATRICES[name], DD_SEQUENCES[seq]
+    if ambient == "operator":
+        A = section(A)
     got = dales_davie_norm(A, sequence, ambient)
     assert got == dales_davie_per_order(A, sequence, ambient)
 
 
-@pytest.mark.parametrize("ambient", ["c0", ("jaffard", 1.0)])
+@pytest.mark.parametrize("ambient", AMBIENTS)
 @pytest.mark.parametrize("name", sorted(DD_MATRICES))
 def test_dales_davie_norm_hands_back_the_norms_it_read(ambient, name):
-    # every order of each block it opened, bit for bit dk_norm_logs
-    A = DD_MATRICES[name]
+    # every order of each block it opened, 12 orders at a time (one in the
+    # operator ambient), bit for bit dk_norm_logs
+    A, block = DD_MATRICES[name], 12
+    if ambient == "operator":
+        A, block = section(A), 1
     for seq in DD_SEQUENCES.values():
         got = dales_davie_norm(A, seq, ambient)
         read = len(got.dk_logs)
-        assert got.kmax_used < read
-        assert read % 12 == 0 or read == seq.kmax + 1
+        assert got.kmax_used < read <= got.kmax_used + block
+        assert read % block == 0 or read == seq.kmax + 1
         assert got.dk_logs == tuple(dk_norm_logs(A, range(read), ambient))
-    got = dales_davie_norm(DD_MATRICES["random section"],
-                           DD_SEQUENCES["gevrey(2)"], "operator")
-    assert got.dk_logs == tuple(dk_norm_logs(
-        DD_MATRICES["random section"], range(got.kmax_used + 1), "operator"))
 
 
 @pytest.mark.parametrize("weight", [Weight.poly(0.5), Weight.poly(2.5),
