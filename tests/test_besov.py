@@ -37,10 +37,10 @@ from decayinv import besov
 from decayinv.cli import build_parser, resolve_config
 from decayinv.experiments import run_besov_report
 from decayinv.besov import (_antiderivative, _blocks, _cell_route,
-                            _folded_edges, _j_multipliers, _kink_cells,
-                            _modulus, _offset_weights, _shell_bounds,
-                            _shell_edges, _slope_bounds, _sup_search,
-                            _tail_runs, decay_moment)
+                            _direct_modulus, _folded_edges, _j_multipliers,
+                            _kink_cells, _modulus, _offset_weights,
+                            _shell_bounds, _shell_edges, _slope_bounds,
+                            _sup_search, _tail_runs, decay_moment)
 from decayinv.lattice import difference_power, geometric_inverse_symbol
 from decayinv.norms import cv_norm
 from decayinv.weights import Weight
@@ -150,11 +150,13 @@ def test_besov_above_cell_cap_within_reported_error(monkeypatch):
     assert abs(est.value - ref.value) <= est.quadrature_error
 
 
-def test_cell_route_work_on_the_frozen_matrix():
+@pytest.mark.parametrize("ambient, most", [("c0", 1200)])
+def test_cell_route_work_on_the_frozen_matrix(ambient, most):
     # the unfolded route cut 8,895 cells on [0.01, 4]; the fold cuts only
     # those on [0, 1/2]
-    est = besov_seminorm(INV, 2, 0.5, 1, t_min=0.01, t_max=4.0)
-    assert 0 < est.parameters["cells"] <= 1200
+    est = besov_seminorm(INV, 2, 0.5, 1, ambient=ambient,
+                         t_min=0.01, t_max=4.0)
+    assert 0 < est.parameters["cells"] <= most
 
 
 @seed(23)
@@ -204,10 +206,12 @@ def test_operator_tail_bound_covers_the_left_out_mass():
     assert est.tail_bound >= near + far
 
 
-def test_operator_tail_bound_counts_the_whole_window():
+def test_operator_tail_bound_counts_the_whole_window_under_a_margin():
     # the value takes the singular values of the whole window, so the mass
     # below t_min is that of the whole window too: the corner entry 5 on
-    # offset 31 carries most of it.
+    # offset 31 carries most of it.  An inner block is read by passing its
+    # section: under a margin of 4 the corner leaves the section, and with
+    # it the mass that the whole window's bound must count.
     # t = u^2 makes 2 int_0^0.05 t^-1.5 g dt = 4 int_0^sqrt(0.05) g(u^2)/u^2
     # du, a smooth integral; 64 Gauss-Legendre nodes put it at 550.
     entries = np.eye(32)
@@ -222,6 +226,10 @@ def test_operator_tail_bound_counts_the_whole_window():
     est = besov_seminorm(A, 1, 0.5, 1, ambient="operator", t_min=0.05,
                          t_max=4.0)
     assert est.tail_bound >= near
+    inner = LatticeMatrix(A.window.shrink(4), entries[4:28, 4:28])
+    est = besov_seminorm(inner, 1, 0.5, 1, ambient="operator", t_min=0.05,
+                         t_max=4.0)
+    assert est.tail_bound < near
 
 
 def _shift_left_out_mpmath(m, r, k, t_min, t_max, p):
@@ -336,18 +344,23 @@ SUP_MATRICES = {
 }
 
 
+@pytest.mark.parametrize("ambient", ["c0"])
 @pytest.mark.parametrize("name", list(SUP_MATRICES))
-def test_sup_search_matches_the_search_of_every_shell(name):
+def test_sup_search_matches_the_search_of_every_shell(name, ambient):
     # the pruned search finds the winner of the search over every shell, so
     # it differs only by the rounding of g, which moves with a point's row
     # in the matrix product, and (c0 at k = 1, on an inverse's geometric
     # tail) with the runs of constant sign that sum it; the error is a
     # difference of two of its values, so it is compared on the scale of
-    # the value
-    ms, w, geo = _offset_weights(SUP_MATRICES[name])
+    # the value.  The seminorm in the ambient whose modulus the search
+    # reads returns the search's value and error
+    A = SUP_MATRICES[name]
+    ms, w, geo = _offset_weights(A)
     edges = _shell_edges(1e-6, 4.0)
     for k, r in SUP_ORDERS[1:2] if name == "inverse 0.05" else SUP_ORDERS:
         value, err, searched, _ = _sup_search(ms, w, k, edges, r, geo)
+        est = besov_seminorm(A, math.inf, r, k, ambient)
+        assert (est.value, est.quadrature_error) == (value, err)
         want, want_err = sup_search_all_shells(ms, w, k, edges, r)
         assert value == pytest.approx(want, rel=1e-14, abs=0.0)
         assert err == pytest.approx(want_err, rel=0.0, abs=1e-14 * want)
@@ -546,7 +559,8 @@ def test_besov_stays_finite_at_the_order_cap(p, ambient):
 
 
 @pytest.mark.parametrize("k", [165, 206])
-def test_besov_sup_stays_finite_below_the_cap_on_a_wide_profile(k):
+@pytest.mark.parametrize("ambient", ["c0"])
+def test_besov_sup_stays_finite_below_the_cap_on_a_wide_profile(k, ambient):
     # the symbol route of this inverse reaches offset 83, and 83^k
     # overflows from k = 161 on; the p = inf chunk bounds are formed in
     # logs, so they cover the modulus and the search finds the winner of
@@ -554,7 +568,8 @@ def test_besov_sup_stays_finite_below_the_cap_on_a_wide_profile(k):
     A = geometric_inverse_symbol(0.5)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        est = besov_seminorm(A, math.inf, 0.5, k, t_min=0.01, t_max=0.5)
+        est = besov_seminorm(A, math.inf, 0.5, k, ambient, t_min=0.01,
+                             t_max=0.5)
         ms, w, _ = _offset_weights(A)
         edges = _shell_edges(0.01, 0.5)
         ts = np.exp(np.linspace(np.log(edges[:-1]), np.log(edges[1:]), 256,
@@ -590,10 +605,12 @@ def test_modulus_profile_rejects_a_non_finite_t(t):
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
-def test_modulus_equals_the_sines_taken_whole(k):
+def test_modulus_and_branch_equal_the_sines_taken_whole(k):
     # the in-place |2 sin pi m t|^k gives, bit for bit, what the whole
-    # expression gives over the same blocks, the modulus at u = dist(t, Z);
-    # 300 offsets and 200 points span four blocks
+    # expression gives over the same blocks, the modulus at u = dist(t, Z),
+    # both through _modulus and through the direct-sum branch that it
+    # takes without a geometric tail; 300 offsets and 200 points span four
+    # blocks
     rng = np.random.default_rng(k)
     ms = np.arange(1, 301)
     w = rng.uniform(0.1, 2.0, ms.size) * 0.97 ** ms
@@ -605,6 +622,7 @@ def test_modulus_equals_the_sines_taken_whole(k):
         S = (2.0 * np.abs(np.sin(np.pi * ms * us[sl, None]))) ** k
         want[sl] = S @ w
     assert np.array_equal(_modulus(ts, ms, w, k), want)
+    assert np.array_equal(_direct_modulus(us, ms, w, k), want)
 
 
 # geometric tails with M = 42, 829 and 8290 offsets, and one after a
