@@ -13,7 +13,7 @@ F(x) = int_1^x u^{-s-1} |2 sin pi u|^k du, tabulated by Gauss-Legendre;
 its unit cells [j, j+1] share one row of sines per rule, since there
 u - j is the node itself, and an integer x reads F from their sums.  A
 family of profiles at one (r, k) reads one F on the union of its
-offsets (identification_rate_check).
+offsets (identification_rate_check, which measures at p = 1 alone).
 The c0 modulus at k = 1 of a symbol's geometric tail scale rho^m is
 summed by its runs of constant sign (_tail_runs): on {m : j <= m u <
 j + 1}, u = dist(t, Z), the sign of sin pi m u is (-1)^j, so each run is
@@ -314,22 +314,12 @@ def _offset_weights(A):
     return ms[keep], w[keep], geo
 
 
-def decay_moment(A, r, p=1):
-    """Homogeneous decay moment of the reduced c0 profile w over m >= 1:
-    sum_m m^r w(m) for p = 1, sup_m m^r w(m) for p = inf; any other p is a
-    ParameterError."""
-    if p not in (1, math.inf):
-        raise ParameterError("decay_moment supports p = 1 or inf")
-    ms, w, _ = _offset_weights(A)
-    return _moment(ms, w, r, p)
-
-
-def _moment(ms, w, r, p):
-    """decay_moment of the reduced profile (ms, w)."""
+def _moment(ms, w, r):
+    """The homogeneous decay moment sum_m m^r w(m) of the reduced c0
+    profile (ms, w) over m >= 1."""
     if ms.size == 0:
         return 0.0
-    vals = ms.astype(float) ** r * w
-    return float(vals.sum()) if p == 1 else float(vals.max())
+    return float((ms.astype(float) ** r * w).sum())
 
 
 def _dropped_mass(geo):
@@ -869,33 +859,22 @@ def hypersingular_seminorm(A, r, ambient="c0"):
                              "ambient": ambient})
 
 
-def identification_rate_check(family, r, p=1, k=None, t_min=1e-6,
-                              t_max=4.0):
-    """Besov seminorm against the matching homogeneous decay moment, both
-    in the c0 ambient.
+def identification_rate_check(family, r, k=None, t_min=1e-6, t_max=4.0):
+    """The p = 1 Besov seminorm against the matching homogeneous decay
+    moment sum_m |m|^r w(m), both in the c0 ambient.
 
-    For p = 1 the comparison is sum_m |m|^r w(m); for p = inf it is
-    sup_m |m|^r w(m).  Returns per-member rows and the drift max/min of
-    the ratios, which the offset reduction predicts to be family-constant.
-    At p = 1 the whole family's seminorms come from one antiderivative
-    (_separable_p1), each within rounding of besov_seminorm's and with no
-    tail bound, which no row reads; at p = inf each member takes
-    besov_seminorm.
+    Returns per-member rows and the drift max/min of the ratios, which the
+    offset reduction predicts to be family-constant.  The whole family's
+    seminorms come from one antiderivative (_separable_p1), each within
+    rounding of besov_seminorm's and with no tail bound, which no row
+    reads.
     """
-    if p not in (1, math.inf):
-        raise ParameterError("identification check supports p = 1 or inf")
-    k = _seminorm_order(p, r, k, t_min, t_max)
+    k = _seminorm_order(1, r, k, t_min, t_max)
     items = [item if isinstance(item, tuple) else (str(i), item)
              for i, item in enumerate(family)]
-    if p == 1:
-        profiles = [_offset_weights(A)[:2] for _, A in items]
-        moments = [_moment(ms, w, r, p) for ms, w in profiles]
-        ests = _separable_p1(profiles, r, k, t_min, t_max) if items else []
-    else:
-        moments = [decay_moment(A, r, p) for _, A in items]
-        sems = [besov_seminorm(A, p, r, k, t_min=t_min, t_max=t_max)
-                for _, A in items]
-        ests = [(est.value, est.quadrature_error) for est in sems]
+    profiles = [_offset_weights(A)[:2] for _, A in items]
+    moments = [_moment(ms, w, r) for ms, w in profiles]
+    ests = _separable_p1(profiles, r, k, t_min, t_max) if items else []
     rows = []
     for (label, _), mom, (value, qerr) in zip(items, moments, ests):
         ratio = value / mom if mom > 0 else math.nan

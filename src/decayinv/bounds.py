@@ -23,7 +23,6 @@ from .weights import (Weight, log_concave_sum, log_integer_weight_tail,
 
 _MAXLOG = math.log(np.finfo(float).max)
 _PHI_KCAP = 10 ** 15   # phi_Ar raises when either criterion needs k above
-_DD_MCAP = 400         # dales_davie_bound sums at most this many A_m
 
 
 @dataclass
@@ -478,59 +477,22 @@ def bessel_rate_bound(norm_ainv_ambient, norm_a_bessel, r, measured=None):
         bound, measured)
 
 
-def dales_davie_bound(norm_ainv_ambient, a_m=None, mode="general",
-                      gevrey_r=None, measured=None):
-    """Inversion bound in the normalized regime ||a||_DD <= 1, delta = 1/||a^{-1}||.
-
-    general mode sums delta^{-1} + sum_m delta^{-m-1} A_m^m with the actual
-    terms past the crossover index m_delta (first A_m < delta/2); if no
-    crossover occurs within the supplied range the report is inconclusive
-    (bound inf).  gevrey mode evaluates the closed form
-    delta^{-1} phi_{r-1}(1/delta).
-    """
+def dales_davie_bound(norm_ainv_ambient, gevrey_r, measured=None):
+    """Inversion bound in the normalized regime ||a||_DD <= 1, delta =
+    1/||a^{-1}||, for the Gevrey sequence of order gevrey_r > 1: the closed
+    form delta^{-1} phi_{r-1}(1/delta)."""
     if norm_ainv_ambient <= 0:
         raise ParameterError("need a positive inverse norm")
-    delta = 1.0 / norm_ainv_ambient
+    if gevrey_r <= 1:
+        raise ParameterError("the Dales-Davie bound needs gevrey_r > 1")
     log_idelta = math.log(norm_ainv_ambient)
-    inter = {"delta": delta, "mode": mode}
-    if mode == "gevrey":
-        if gevrey_r is None or gevrey_r <= 1:
-            raise ParameterError("gevrey mode needs gevrey_r > 1")
-        log_bound = log_idelta + log_phi_r_from_log(log_idelta, gevrey_r - 1.0)
-        inter.update({"gevrey_r": gevrey_r, "log_bound": log_bound})
-        return _report(
-            "dales_davie",
-            {"norm_A_alg": 1.0, "norm_A_op": None,
-             "norm_Ainv_op": norm_ainv_ambient, "r": gevrey_r,
-             "auxiliary": {"normalized": True}},
-            inter, _exp_or_inf(log_bound), measured)
-    if mode != "general":
-        raise ParameterError(f"unknown mode {mode!r}")
-    if a_m is None:
-        raise ParameterError("general mode needs the A_m sequence")
-    seq = list(a_m)
-    if any(v < 0 for v in seq):
-        raise ParameterError("A_m values must be nonnegative")
-    log_total = log_idelta
-    m_delta = None
-    used = 0
-    for m, Am in enumerate(seq, start=1):
-        lt = (m + 1.0) * log_idelta + (m * math.log(Am) if Am > 0 else -math.inf)
-        log_total = float(np.logaddexp(log_total, lt))
-        used = m
-        if m_delta is None and Am < delta / 2.0:
-            m_delta = m
-        if m_delta is not None and lt < log_total + math.log(1e-16):
-            break
-        if m >= _DD_MCAP:
-            break
-    inter.update({"m_delta": m_delta, "terms_used": used,
-                  "inconclusive": m_delta is None, "log_bound": log_total})
-    bound = math.inf if m_delta is None else _exp_or_inf(log_total)
+    log_bound = log_idelta + log_phi_r_from_log(log_idelta, gevrey_r - 1.0)
     return _report(
         "dales_davie",
         {"norm_A_alg": 1.0, "norm_A_op": None,
-         "norm_Ainv_op": norm_ainv_ambient, "r": None,
+         "norm_Ainv_op": norm_ainv_ambient, "r": gevrey_r,
          "auxiliary": {"normalized": True}},
-        inter, bound, measured)
+        {"delta": 1.0 / norm_ainv_ambient, "gevrey_r": gevrey_r,
+         "log_bound": log_bound},
+        _exp_or_inf(log_bound), measured)
 

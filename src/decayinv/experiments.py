@@ -262,8 +262,8 @@ def run_dd_sharpness(cfg):
         def one(gamma, r=r, seq=seq):
             inv = geometric_inverse_symbol(gamma)
             dd = dales_davie_norm(inv, seq, ambient="c0")
-            log_comp = dales_davie_bound(1.0 / gamma, mode="gevrey",
-                                         gevrey_r=r).intermediates["log_bound"]
+            log_comp = dales_davie_bound(1.0 / gamma,
+                                         r).intermediates["log_bound"]
             ratio = math.exp(dd.log_value - log_comp)
             checked = dd.dk_logs[1:_BRACKET_KMAX + 1]
             ok_all = upper_all = True

@@ -29,7 +29,7 @@ _NEG_INF = float("-inf")
 _LOG2 = math.log(2.0)   # NumPy's NPY_LOGE2
 _DD_TOL = 1e-14         # Dales-Davie terms this far below the sum are quiet
 _LOG_DD_TOL = math.log(_DD_TOL)
-_DD_KCAP = 160          # order cap of an unbounded Dales-Davie series
+_DD_KCAP = 160          # order cap of a Dales-Davie series
 _DD_BLOCK = 12          # orders a Dales-Davie sum reads at a time
 
 
@@ -101,18 +101,15 @@ def decay_profile(A, margin=0):
 def cv_norm(A, weight, margin=0):
     """Weighted decay norm: sum_m d(m) v(m).
 
-    A geometric tail's sum is, for a poly weight of integer exponent r,
-    the polylog tail of weights.log_integer_weight_tail (r + 1 recurrence
-    steps, within its stated relative error of the exact sum), and a
+    A geometric tail's sum is, for an integer exponent r, the polylog
+    tail of weights.log_integer_weight_tail (r + 1 recurrence steps,
+    within its stated relative error of the exact sum), and a
     log_concave_sum otherwise."""
     prof = decay_profile(A, margin)
-    if prof.scale and weight.kind == "table":
-        raise ParameterError("table weight cannot cover an infinite symbol")
     total = (float((prof.d * weight.value(prof.offsets)).sum())
              if prof.d.size else 0.0)
     if prof.scale:
-        tail = (log_integer_weight_tail(weight.r, prof.rho, prof.tail_start)
-                if weight.kind == "poly" else None)
+        tail = log_integer_weight_tail(weight.r, prof.rho, prof.tail_start)
         if tail is None:
             lr = math.log(prof.rho)
             tail = log_concave_sum(
@@ -256,17 +253,15 @@ def dales_davie_norm(A, seq, ambient="c0"):
     """sum_k ||D^k A|| / M_k with the sequence's normalization.
 
     The series is cut once three consecutive terms fall below _DD_TOL
-    relative to the partial sum, or at the sequence's last order, where
-    the sum is complete.  An unbounded sequence is cut at _DD_KCAP at the
-    latest, and if no quiet run came before, the result is flagged
-    converged=False.  The norms come from one _dk_norms pass over the
-    decay profile, which reads each order once: in blocks of _DD_BLOCK
-    orders, and one at a time in the operator ambient, where each is an
-    SVD.  dk_logs holds every order read, those of a block past the cut
-    too, each as dk_norm_logs gives it.
+    relative to the partial sum, and at _DD_KCAP at the latest; if no
+    quiet run came before, the result is flagged converged=False.  The
+    norms come from one _dk_norms pass over the decay profile, which reads
+    each order once: in blocks of _DD_BLOCK orders, and one at a time in
+    the operator ambient, where each is an SVD.  dk_logs holds every order
+    read, those of a block past the cut too, each as dk_norm_logs gives
+    it.
     """
-    hard = seq.kmax
-    orders = range((hard if hard is not None else _DD_KCAP) + 1)
+    orders = range(_DD_KCAP + 1)
     block = 1 if normalize_ambient(ambient) == "operator" else _DD_BLOCK
     norms_of = _dk_norms(A, ambient)
     total_log, quiet, dk_logs, log_Ms = _NEG_INF, 0, [], []
@@ -282,7 +277,7 @@ def dales_davie_norm(A, seq, ambient="c0"):
                 break
         else:
             quiet = 0
-    converged = (hard is not None and k >= hard) or quiet >= 3
+    converged = quiet >= 3
     tail_ratio = math.exp(lt - total_log) if total_log > _NEG_INF else 0.0
     value = math.exp(total_log) if total_log < 709.0 else float("inf")
     return DalesDavieValue(value=value, log_value=total_log, kmax_used=k,

@@ -1,7 +1,7 @@
-"""Weight functions on lattice offsets, smoothness sequences, the entire
-function phi_r(x) = sum_l x^l / (l!)^r used by the inversion bounds, the
-sums and maxima behind every series and tail, and the log-factorial and
-zeta(s > 1) those series and bounds need."""
+"""The polynomial weight on lattice offsets, the Gevrey smoothness
+sequence, the entire function phi_r(x) = sum_l x^l / (l!)^r used by the
+inversion bounds, the sums and maxima behind every series and tail, and
+the log-factorial and zeta(s > 1) those series and bounds need."""
 
 import itertools
 import math
@@ -207,134 +207,44 @@ def poly_geometric_max(k, s, rho, m0):
 
 @dataclass(frozen=True)
 class Weight:
-    """Even, submultiplicative weight v(k) on integer offsets.
+    """The polynomial weight v(k) = (1+|k|)^r, r >= 0, on integer offsets;
+    even and submultiplicative."""
 
-    kinds: poly    v(k) = (1+|k|)^r, r >= 0
-           subexp  v(k) = exp(beta |k|^(1/r)), beta > 0, r > 1
-           table   explicit values for |k| <= len(values)-1
-    """
-
-    kind: str
-    r: float = 0.0
-    beta: float = 0.0
-    values: tuple = ()
+    r: float
 
     def __post_init__(self):
-        if self.kind == "poly":
-            if self.r < 0:
-                raise ParameterError("poly weight needs r >= 0")
-        elif self.kind == "subexp":
-            if self.r <= 1:
-                raise ParameterError("subexp weight needs r > 1")
-            if self.beta <= 0:
-                raise ParameterError("subexp weight needs beta > 0")
-        elif self.kind == "table":
-            if len(self.values) == 0 or self.values[0] < 1:
-                raise ParameterError("table weight needs values with v(0) >= 1")
-        else:
-            raise ParameterError(f"unknown weight kind {self.kind!r}")
+        if self.r < 0:
+            raise ParameterError("poly weight needs r >= 0")
 
     @classmethod
     def poly(cls, r):
-        return cls("poly", r=float(r))
-
-    @classmethod
-    def subexp(cls, beta, r):
-        return cls("subexp", r=float(r), beta=float(beta))
-
-    @classmethod
-    def table(cls, values):
-        return cls("table", values=tuple(float(v) for v in values))
+        return cls(float(r))
 
     def value(self, k):
-        k = np.abs(np.asarray(k, dtype=float))
-        if self.kind == "poly":
-            return (1.0 + k) ** self.r
-        if self.kind == "subexp":
-            return np.exp(self.beta * k ** (1.0 / self.r))
-        idx = k.astype(int)
-        if np.any(idx > len(self.values) - 1):
-            raise ParameterError("offset outside table weight support")
-        return np.asarray(self.values, dtype=float)[idx]
-
-    def __call__(self, k):
-        return self.value(k)
+        return (1.0 + np.abs(np.asarray(k, dtype=float))) ** self.r
 
 
 @dataclass(frozen=True)
 class SmoothnessSequence:
-    """Admissible sequence M_k normalizing iterated-derivation norms.
+    """The Gevrey sequence M_k = (k!)^r, r >= 1, normalizing
+    iterated-derivation norms; r = 1 is the analytic M_k = k!."""
 
-    kinds: finite(K)  M_k = k! for k <= K, series truncated at K
-           analytic   M_k = k!
-           gevrey(r)  M_k = (k!)^r, r >= 1
-           custom     explicit values, admissibility checked
-    Admissibility: M_0 = 1 and M_{k+l}/(k+l)! >= (M_k/k!)(M_l/l!).
-    """
-
-    kind: str
-    r: float = 1.0
-    K: int | None = None
-    values: tuple = ()
+    r: float
 
     def __post_init__(self):
-        if self.kind == "finite":
-            if self.K is None or self.K < 1:
-                raise ParameterError("finite sequence needs K >= 1")
-        elif self.kind == "gevrey":
-            if self.r < 1:
-                raise ParameterError("gevrey sequence needs r >= 1")
-        elif self.kind == "custom":
-            vals = self.values
-            if len(vals) < 2 or vals[0] != 1.0:
-                raise ParameterError("custom sequence needs M_0 = 1 and length >= 2")
-            n = [v / math.factorial(k) for k, v in enumerate(vals)]
-            for a in range(1, len(vals)):
-                for b in range(1, len(vals) - a):
-                    if n[a + b] < n[a] * n[b] * (1 - 1e-12):
-                        raise ParameterError(
-                            f"admissibility fails at k={a}, l={b}")
-        elif self.kind != "analytic":
-            raise ParameterError(f"unknown sequence kind {self.kind!r}")
-
-    @classmethod
-    def finite(cls, K):
-        return cls("finite", K=int(K))
-
-    @classmethod
-    def analytic(cls):
-        return cls("analytic")
+        if self.r < 1:
+            raise ParameterError("gevrey sequence needs r >= 1")
 
     @classmethod
     def gevrey(cls, r):
-        return cls("gevrey", r=float(r))
-
-    @classmethod
-    def custom(cls, values):
-        return cls("custom", values=tuple(float(v) for v in values))
-
-    @property
-    def kmax(self):
-        """Largest usable order; None when unbounded."""
-        if self.kind == "finite":
-            return self.K
-        if self.kind == "custom":
-            return len(self.values) - 1
-        return None
+        return cls(float(r))
 
     def log_Ms(self, ks):
         """[log M_k for k in ks], a nonempty sequence of orders; the
         factorials of all of them from one log_factorials call."""
         if min(ks) < 0:
             raise ParameterError("order must be nonnegative")
-        last = self.kmax
-        if last is not None and max(ks) > last:
-            raise ParameterError(f"order {max(ks)} beyond the {self.kind} "
-                                 f"sequence's last order {last}")
-        if self.kind == "custom":
-            return [math.log(self.values[k]) for k in ks]
-        logs = log_factorials(ks)
-        return [self.r * v for v in logs] if self.kind == "gevrey" else logs
+        return [self.r * v for v in log_factorials(ks)]
 
 
 def log_phi_r(x, r):

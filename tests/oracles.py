@@ -226,12 +226,10 @@ def a_m_bruteforce(seq, m, kmax=15):
     compositions of k into m parts of (k!/M_k) prod M_{k_j}/k_j!, m-th root."""
     if m < 1:
         raise ParameterError("a_m needs m >= 1")
-    hard = seq.kmax
-    cap = min(kmax, hard) if hard is not None else kmax
-    if cap < m:
+    if kmax < m:
         raise ParameterError(f"kmax {kmax} too small for m = {m}")
     best = float("-inf")
-    for k in range(m, cap + 1):
+    for k in range(m, kmax + 1):
         base = float(gammaln(k + 1)) - seq.log_Ms([k])[0]
         for parts in compositions(k, m):
             t = base
@@ -274,10 +272,8 @@ def dales_davie_per_order(A, seq, ambient="c0"):
     order read by its own dk_norm_log call (a tail's recurrence rerun from
     order 0 every time); dk_logs runs to the end of the block of _DD_BLOCK
     orders (one order in the operator ambient) that holds the last term."""
-    hard = seq.kmax
-    last = hard if hard is not None else _DD_KCAP
     total_log, quiet, dk_logs = -math.inf, 0, []
-    for k in range(last + 1):
+    for k in range(_DD_KCAP + 1):
         dk_logs.append(dk_norm_log(A, k, ambient))
         lt = dk_logs[k] - seq.log_Ms([k])[0]
         total_log = float(np.logaddexp(total_log, lt))
@@ -287,11 +283,11 @@ def dales_davie_per_order(A, seq, ambient="c0"):
                 break
         else:
             quiet = 0
-    converged = (hard is not None and k >= hard) or quiet >= 3
+    converged = quiet >= 3
     tail_ratio = math.exp(lt - total_log) if total_log > -math.inf else 0.0
     value = math.exp(total_log) if total_log < 709.0 else float("inf")
     block = 1 if ambient == "operator" else _DD_BLOCK
-    read = min(-(-(k + 1) // block) * block, last + 1)
+    read = min(-(-(k + 1) // block) * block, _DD_KCAP + 1)
     dk_logs += [dk_norm_log(A, j, ambient) for j in range(k + 1, read)]
     return DalesDavieValue(value=value, log_value=total_log, kmax_used=k,
                            converged=bool(converged), tail_ratio=tail_ratio,

@@ -16,8 +16,6 @@ closed form for integer r.
 import math
 import time
 
-import numpy as np
-
 from decayinv import (ExperimentConfig, IndexWindow, ToeplitzSymbol, Weight,
                       baskakov_bound_Cr, baskakov_bound_Jr,
                       besov_bound, constant_Cr_numeric, cv_norm,

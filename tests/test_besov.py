@@ -40,7 +40,7 @@ from decayinv.besov import (_antiderivative, _blocks, _cell_route,
                             _direct_modulus, _folded_edges, _j_multipliers,
                             _kink_cells, _modulus, _offset_weights,
                             _shell_bounds, _shell_edges, _slope_bounds,
-                            _sup_search, _tail_runs, decay_moment)
+                            _sup_search, _tail_runs)
 from decayinv.lattice import difference_power, geometric_inverse_symbol
 from decayinv.norms import cv_norm
 from decayinv.weights import Weight
@@ -926,12 +926,10 @@ def test_besov_rejects_bad_parameters():
                                         t_max=math.inf), id="t_max inf"),
     pytest.param(lambda: besov_seminorm(INV, 1, 0.5, 1, t_min=math.nan),
                  id="t_min nan"),
-    pytest.param(lambda: decay_moment(INV, 0.5, p=2), id="moment p 2"),
 ])
 def test_besov_inputs_out_of_range_raise_parameter_error(call):
-    # a finite r > 0, an integral k >= 1, a finite 0 < t_min < t_max and a
-    # moment's p of 1 or inf; anything else is a ParameterError, never a
-    # bare ValueError, a silent truncation, a loop that never returns or
-    # (a moment at p = 2) the p = inf value
+    # a finite r > 0, an integral k >= 1 and a finite 0 < t_min < t_max;
+    # anything else is a ParameterError, never a bare ValueError, a silent
+    # truncation or a loop that never returns
     with pytest.raises(ParameterError):
         call()

@@ -133,6 +133,13 @@ def test_ell_r_closed_forms():
     assert el2.bracket_high == pytest.approx(2.0 * el2.bracket_low, rel=1e-15)
     with pytest.raises(ParameterError):
         ell_r(1.0, 0.5, 1.0)
+    # kappa = 1 is a condition number, and so is one a rounding below it:
+    # beta = 1/25, and 8 sum_k (1+k)^2 (24/25)^k = 8 (2 - beta) / beta^3
+    assert ell_r(1.0, 1.0, 2.0).value == pytest.approx(245000.0, rel=1e-14)
+    assert ell_r(1.0, 1.0 - 1e-10, 2.0).value == pytest.approx(245000.0,
+                                                               rel=1e-9)
+    with pytest.raises(ParameterError):
+        ell_r(1.0, 1.0 - 1e-6, 2.0)
 
 
 def test_ell_tilde_dominated_by_series_factor():
@@ -251,6 +258,15 @@ def test_constant_Cr_numeric_exact_at_one():
         128.0 * 2500.0 * 8.0 * 2.0 ** 1.5, rel=1e-14)
     with pytest.raises(RangeError):
         constant_Cr_numeric(150.0)
+    # the direct product against its log form, up to where it overflows
+    for r in np.linspace(0.01, 93.68, 404).tolist():
+        log_c = (math.log(128.0) + r * math.log(50.0) + math.log(64.0) / r
+                 + (1.0 + 1.0 / r) * math.lgamma(r + 1.0))
+        assert math.log(constant_Cr_numeric(r)) == pytest.approx(log_c,
+                                                                 rel=1e-15)
+    with pytest.raises(RangeError) as past:
+        constant_Cr_numeric(93.6834)
+    assert past.value.log_value > bounds._MAXLOG
 
 
 def test_explicit_Cr_report_shape():
@@ -432,22 +448,12 @@ def test_bessel_rate_bound_overflows_to_inf():
 
 
 def test_dales_davie_bound_gevrey_matches_composition():
-    rep = dales_davie_bound(8.0, mode="gevrey", gevrey_r=2.0)
+    rep = dales_davie_bound(8.0, 2.0)
     want = math.log(8.0) + log_phi_r(8.0, 1.0)
     assert math.log(rep.bound_value) == pytest.approx(want, rel=1e-12)
-
-
-def test_dales_davie_bound_general_crossover():
-    # A_m = 1/m! crosses delta/2 quickly; bound is finite and above 1/delta
-    ams = [1.0 / math.factorial(m) for m in range(1, 30)]
-    rep = dales_davie_bound(4.0, a_m=ams, mode="general")
-    assert rep.intermediates["m_delta"] is not None
-    assert math.isfinite(rep.bound_value)
-    assert rep.bound_value > 4.0
-    # constant sequence never crosses: inconclusive, bound inf
-    rep = dales_davie_bound(4.0, a_m=[1.0] * 50, mode="general")
-    assert rep.intermediates["inconclusive"]
-    assert rep.bound_value == math.inf
+    for bad in ((8.0, 1.0), (0.0, 2.0)):
+        with pytest.raises(ParameterError):
+            dales_davie_bound(*bad)
 
 
 def test_dales_davie_bound_actually_controls_resolvent():
@@ -459,8 +465,7 @@ def test_dales_davie_bound_actually_controls_resolvent():
     inv_n = geometric_inverse_symbol(gamma, scale=na)
     ninv = cv_norm(inv_n, Weight.poly(0.0))
     measured = dales_davie_norm(inv_n, seq).value
-    rep = dales_davie_bound(ninv, mode="gevrey", gevrey_r=2.0,
-                            measured=measured)
+    rep = dales_davie_bound(ninv, 2.0, measured=measured)
     assert rep.satisfied
 
 

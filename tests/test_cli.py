@@ -9,7 +9,7 @@ import pytest
 
 import golden_rows
 from decayinv import cli
-from decayinv.cli import build_parser, main, resolve_config
+from decayinv.cli import build_parser, main
 from decayinv.experiments import RUNNERS, ExperimentConfig
 
 

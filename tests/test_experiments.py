@@ -213,8 +213,7 @@ def test_dd_log_comparison_is_the_gevrey_bound():
     cfg = ExperimentConfig(experiment="dd-sharpness",
                            gamma_grid=[0.5, 0.3, 0.1], r_list=[2.0, 3.0])
     for row in run_dd_sharpness(cfg)["rows"]:
-        rep = dales_davie_bound(1.0 / row["gamma"], mode="gevrey",
-                                gevrey_r=row["r"])
+        rep = dales_davie_bound(1.0 / row["gamma"], row["r"])
         assert row["log_comparison"] == rep.intermediates["log_bound"]
 
 

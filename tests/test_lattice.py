@@ -365,7 +365,7 @@ NEEDS_A_WINDOW = {
     "operator ambient_norm": lambda A: ambient_norm(A, "operator"),
     "operator dk_norm_log": lambda A: dk_norm_log(A, 1, "operator"),
     "operator dales_davie_norm": lambda A: dales_davie_norm(
-        A, SmoothnessSequence.finite(2), "operator"),
+        A, SmoothnessSequence.gevrey(2.0), "operator"),
     "operator modulus_profile": lambda A: modulus_profile(
         A, [0.1], 1, "operator"),
     "operator besov_seminorm": lambda A: besov_seminorm(

@@ -238,6 +238,20 @@ def test_import_loads_no_scipy():
     assert out.stdout.strip() == "[]"
 
 
+def test_readme_quick_start_runs():
+    # the python block under "## Library quick start" runs as printed on
+    # src alone, and its bound holds
+    readme = (PACKAGE.parents[1] / "README.md").read_text()
+    section = readme.split("## Library quick start", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         cwd=PACKAGE.parents[1], capture_output=True,
+                         text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[0].endswith("True"), out.stdout
+
+
 def decorator_names(node):
     """The last dotted name of each decorator of a function, called or
     not: both given(...) and hypothesis.given(...) read "given"."""
@@ -347,6 +361,38 @@ def test_no_exported_function_takes_a_method():
     assert found == sorted(METHOD_KEPT)
 
 
+def exported_parameters():
+    """(name, parameter names) of every exported function, and of the
+    constructor and every public method of every exported class."""
+    import decayinv
+    for name in sorted(exported_names()):
+        obj = getattr(decayinv, name)
+        if inspect.isfunction(obj):
+            yield name, set(inspect.signature(obj).parameters)
+        elif inspect.isclass(obj):
+            yield name, set(inspect.signature(obj.__init__).parameters)
+            for attr in vars(obj):
+                if not attr.startswith("_") \
+                        and inspect.isroutine(getattr(obj, attr)):
+                    yield (f"{name}.{attr}", set(inspect.signature(
+                        getattr(obj, attr)).parameters))
+
+
+def test_no_exported_name_takes_a_kind_or_a_mode():
+    # a weight is polynomial, a smoothness sequence is Gevrey, the
+    # Dales-Davie bound is its closed form and the identification check
+    # measures p = 1: one value in use is a constant, not an argument
+    import dataclasses
+    import decayinv
+    found = sorted(name for name, params in exported_parameters()
+                   if params & {"kind", "mode"})
+    assert found == []
+    for cls in (decayinv.Weight, decayinv.SmoothnessSequence):
+        assert [f.name for f in dataclasses.fields(cls)] == ["r"]
+    assert "p" not in inspect.signature(
+        decayinv.identification_rate_check).parameters
+
+
 def tolerance_keys():
     """The keyword names of every _tolerances call in experiments.py: the
     tolerance keys, each with its default."""
@@ -437,7 +483,7 @@ def test_besov_computes_no_norm_of_its_own():
 # ambient, on the whole of its input
 SMOOTHNESS = {
     "besov": ["modulus_profile", "besov_seminorm", "hypersingular_seminorm",
-              "decay_moment", "identification_rate_check"],
+              "identification_rate_check"],
     "norms": ["dk_norm_log", "dk_norm_logs", "dales_davie_norm",
               "ambient_norm"],
 }

@@ -9,8 +9,8 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from decayinv import ParameterError, Weight
-from decayinv.weights import (SmoothnessSequence, log_concave_sum,
-                              log_factorial, log_factorials,
+from decayinv.weights import (_SADDLE_PEAK, SmoothnessSequence,
+                              log_concave_sum, log_factorial, log_factorials,
                               log_integer_weight_tail, log_phi_r,
                               log_phi_r_from_log, log_poly_geometric,
                               poly_geometric_max, polylog_tail_logs, zeta)
@@ -23,14 +23,8 @@ def test_poly_weight_values():
     assert w.value(0) == 1.0
     assert w.value(3) == 16.0
     assert w.value(-3) == 16.0
-
-
-def test_subexp_weight_values():
-    w = Weight.subexp(0.5, 2.0)
-    assert w.value(0) == 1.0
-    assert w.value(4) == pytest.approx(math.exp(0.5 * 2.0), rel=1e-14)
     with pytest.raises(ParameterError):
-        Weight.subexp(0.5, 0.7)
+        Weight.poly(-0.5)
 
 
 def test_phi_r_small_values():
@@ -50,6 +44,16 @@ def test_phi_r_exact_vs_saddle_crossover():
             direct = log_phi_r(x, r)
             vialog = log_phi_r_from_log(math.log(x), r)
             assert direct == pytest.approx(vialog, rel=1e-12)
+
+
+def test_phi_r_saddle_point_matches_the_direct_sum():
+    # peak x^(1/r) = 5.1e6, just past _SADDLE_PEAK: the saddle-point form
+    # against the log-concave sum the branch below the peak takes
+    r = 2.0
+    lx = r * math.log(5.1e6)
+    assert math.exp(lx / r) > _SADDLE_PEAK
+    direct = log_concave_sum(lambda ls: ls * lx - r * log_factorial(ls), 0)[0]
+    assert log_phi_r_from_log(lx, r) == pytest.approx(direct, rel=1e-14)
 
 
 def mp_log_phi_r(x, r):
@@ -238,17 +242,13 @@ def test_log_factorials_are_the_scalar_values():
     assert log_factorials(ns) == [log_factorial(n) for n in ns]
     assert log_factorials(range(40, 52)) == [log_factorial(n)
                                              for n in range(40, 52)]
-    for seq in (SmoothnessSequence.gevrey(2.0), SmoothnessSequence.gevrey(1.5),
-                SmoothnessSequence.finite(30),
-                SmoothnessSequence.custom([1.0, 1.0, 2.0, 6.0])):
-        last = seq.kmax if seq.kmax is not None else 200
-        for k0 in range(0, last + 1, 12):
-            block = range(k0, min(k0 + 12, last + 1))
+    for r in (1.0, 1.5, 2.0):
+        seq = SmoothnessSequence.gevrey(r)
+        for k0 in range(0, 201, 12):
+            block = range(k0, min(k0 + 12, 201))
             assert seq.log_Ms(block) == [seq.log_Ms([k])[0] for k in block]
         with pytest.raises(ParameterError):
             seq.log_Ms(range(-1, 3))
-    with pytest.raises(ParameterError):
-        SmoothnessSequence.finite(30).log_Ms(range(25, 37))
 
 
 def test_phi_r_rejects_bad_args():
@@ -272,20 +272,12 @@ def test_phi_r_monotone_and_bounded(x, r):
 
 
 def test_smoothness_sequences():
-    fin = SmoothnessSequence.finite(4)
-    assert fin.kmax == 4
-    ana = SmoothnessSequence.analytic()
+    ana = SmoothnessSequence.gevrey(1.0)
     assert ana.log_Ms([5])[0] == pytest.approx(math.lgamma(6.0), rel=1e-14)
     gev = SmoothnessSequence.gevrey(2.0)
     assert gev.log_Ms([5])[0] == pytest.approx(2.0 * math.lgamma(6.0), rel=1e-14)
-
-
-def test_custom_sequence_admissibility():
-    # M_k = k! is admissible; a dip below the binomial envelope is not
-    good = SmoothnessSequence.custom([math.factorial(k) for k in range(8)])
-    assert good.kmax == 7
     with pytest.raises(ParameterError):
-        SmoothnessSequence.custom([1.0, 1.0, 0.001, 6.0])
+        SmoothnessSequence.gevrey(0.5)
 
 
 def test_zeta_matches_mpmath():
