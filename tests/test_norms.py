@@ -298,11 +298,14 @@ def test_dk_norm_logs_rejects_an_order_that_is_not_a_natural_number(k,
         dk_norm_logs(A, [2, k], ambient)
 
 
+# r = 1 and r = 1.5 are keyed by M_k itself, so their ids differ from the
+# gevrey(2) and gevrey(3) ones in the first characters: a report that cuts
+# a long id short still tells all four apart
 DD_SEQUENCES = {
     "gevrey(2)": SmoothnessSequence.gevrey(2.0),
     "gevrey(3)": SmoothnessSequence.gevrey(3.0),
-    "gevrey(1)": SmoothnessSequence.gevrey(1.0),
-    "gevrey(1.5)": SmoothnessSequence.gevrey(1.5),
+    "k!": SmoothnessSequence.gevrey(1.0),
+    "(k!)^1.5": SmoothnessSequence.gevrey(1.5),
 }
 DD_MATRICES = {
     **{f"inverse {g}": geometric_inverse_symbol(g)
