@@ -35,7 +35,9 @@ zoom that stays below a value already found.  Values are computed on
 [t_min, t_max]; the near-zero and far-tail contributions are returned as
 a separate rigorous bound, never silently added, read from ||D^k A||
 (norms.dk_norm_log) and ||A|| (norms.ambient_norm).  Operator-ambient
-moduli all come from modulus_profile.  The hypersingular multiplier
+moduli all come from modulus_profile; their p = inf error is a proven
+bound, from the c0 bounds on the modulus and its slope, which hold for
+the operator norm by the Schur test.  The hypersingular multiplier
 |J_m(eps)| falls as the cutoff eps grows, so the c0 sup over the cutoffs
 is read at the finest one alone; the operator ambient takes every
 cutoff.
@@ -52,6 +54,7 @@ from .lattice import (difference_power, offset_multiplier, operator_norm_l2,
                       require_section)
 from .norms import (ambient_norm, decay_profile, dk_norm_log,
                     normalize_ambient)
+from .weights import exp_or_inf
 
 _PROFILE_CUT = 1e-18
 _MAXLOG = math.log(np.finfo(float).max)
@@ -153,8 +156,10 @@ def _antiderivative(x, s, k):
     Gauss-Legendre on the unit cells [j, j+1] above 1 and the dyadic cells
     [2^-i-1, 2^-i] below it, summed cumulatively, plus one partial cell per
     point off those knots; an integer point reads F from its knot.  Returns
-    one row per rule of _GL_NODES; the rows' difference is the error
-    estimate.
+    (F, cells): F has one row per rule of _GL_NODES, the rows' difference
+    the error estimate, and cells counts the cell integrals summed into F
+    at each x, floor(x) - 1 unit cells above 1 or -e dyadic ones below it
+    (x in [2^(e-1), 2^e)), and one partial cell.
     """
     x = np.asarray(x, dtype=float)
     below = x < 1.0
@@ -178,14 +183,7 @@ def _antiderivative(x, s, k):
         F = knots[knot]
         F[part] += ints[starts.size + depth:]
         rows.append(F)
-    return np.array(rows)
-
-
-def _cells_summed(x):
-    """How many cell integrals _antiderivative sums into F at each x > 0:
-    floor(x) - 1 unit cells above 1, or -e dyadic ones below it (x in
-    [2^(e-1), 2^e)), and one partial cell."""
-    return np.where(x >= 1.0, np.floor(x), 1.0 - np.frexp(x)[1])
+    return np.array(rows), np.where(below, 1 - e, anchor)
 
 
 def _direct_modulus(ts, ms, w, k):
@@ -317,8 +315,6 @@ def _offset_weights(A):
 def _moment(ms, w, r):
     """The homogeneous decay moment sum_m m^r w(m) of the reduced c0
     profile (ms, w) over m >= 1."""
-    if ms.size == 0:
-        return 0.0
     return float((ms.astype(float) ** r * w).sum())
 
 
@@ -371,7 +367,7 @@ def _tail_bounds(A, k, r, p, t_min, t_max, ambient):
     else:
         far = 2.0 ** k * amb * (2.0 / (r * p)) ** (1.0 / p) * t_max ** (-r)
         log_near += math.log(2.0 / ((k - r) * p)) / p
-    return (math.exp(log_near) if log_near <= _MAXLOG else math.inf) + far
+    return exp_or_inf(log_near) + far
 
 
 def besov_seminorm(A, p, r, k=None, ambient="c0", t_min=1e-6, t_max=4.0):
@@ -398,7 +394,9 @@ def besov_seminorm(A, p, r, k=None, ambient="c0", t_min=1e-6, t_max=4.0):
     (shells searched, total).  At p = inf parameters["points"] counts the
     t at which the modulus was evaluated.  quadrature_error is each
     route's own estimate: the difference from a coarser rule, or the
-    zoom's gain for p = inf.
+    zoom's gain for p = inf in c0; at p = inf in the operator ambient it
+    is a bound, the largest of each searched shell's best node plus its
+    slope bound times half its widest node gap, less the value.
 
     r must be finite and positive, k an integer in [1, 207), and t_min,
     t_max finite with 0 < t_min < t_max; anything else is a ParameterError.
@@ -473,8 +471,10 @@ def _separable_p1(profiles, r, k, t_min, t_max):
     profile; an empty profile reads (0.0, 0.0).
     """
     union = np.unique(np.concatenate([ms for ms, _ in profiles]))
-    F = _antiderivative(np.concatenate([union * t_max, union * t_min]), r, k)
+    F, cells = _antiderivative(np.concatenate([union * t_max, union * t_min]),
+                               r, k)
     hi, lo = np.split(F, 2, axis=1)
+    cells_hi, cells_lo = np.split(cells, 2)
     # np.take keeps rows contiguous, as the product's summation order needs
     diff, size = hi - lo, np.abs(hi[0]) + np.abs(lo[0])
     out = []
@@ -486,9 +486,9 @@ def _separable_p1(profiles, r, k, t_min, t_max):
         c = w * ms.astype(float) ** r
         vals = 2.0 * (np.take(diff, at, axis=1) @ c)
         # F's cell count grows with x above 1 and falls with it below 1
-        cells = _cells_summed(np.array([ms[-1] * t_max, ms[0] * t_min]))
+        most = max(cells_hi[at[-1]], cells_lo[at[0]])
         err = (abs(vals[1] - vals[0])
-               + _EPS * (cells.max() + ms.size) * 2.0 * (size[at] @ c))
+               + _EPS * (most + ms.size) * 2.0 * (size[at] @ c))
         out.append((float(vals[0]), float(err)))
     return out
 
@@ -685,13 +685,13 @@ def _fold_kernel(u, t_min, t_max, e):
     return K
 
 
-def _rule_on_cells(edges, ms, w, k, kernel, p, n, geo):
-    """The n-node Gauss-Legendre rule for int kernel(u) g(u)^p du on each
-    cell between consecutive edges."""
+def _rule_on_cells(edges, f, n):
+    """The n-node Gauss-Legendre rule for int f(u) du on each cell between
+    consecutive edges."""
     tau, wts = _legendre(n)
     h = np.diff(edges)
     us = edges[:-1, None] + h[:, None] * tau
-    return h * ((kernel(us) * _modulus(us, ms, w, k, geo) ** p) @ wts)
+    return h * (f(us) @ wts)
 
 
 def _cell_route(ms, w, k, shells, r, p, geo=None):
@@ -715,20 +715,19 @@ def _cell_route(ms, w, k, shells, r, p, geo=None):
         return 0.0, 0.0, 0
     t_min, t_max = shells[0], shells[-1]
 
-    def kernel(u):
-        return _fold_kernel(u, t_min, t_max, -r * p - 1.0)
+    def integrand(u):
+        return (_fold_kernel(u, t_min, t_max, -r * p - 1.0)
+                * _modulus(u, ms, w, k, geo) ** p)
 
     base = _folded_edges(shells)
     cells = _kink_cells(base, ms)
     if cells is None:
         panels = np.linspace(base[:-1], base[1:], _PANELS + 1, axis=1)
         cells = np.append(panels[:, :-1].ravel(), base[-1])
-        coarse = _rule_on_cells(cells[::2], ms, w, k, kernel, p, _GL_RULE,
-                                geo)
+        coarse = _rule_on_cells(cells[::2], integrand, _GL_RULE)
     else:
-        coarse = _rule_on_cells(cells, ms, w, k, kernel, p, _GL_RULE // 2,
-                                geo)
-    fine = _rule_on_cells(cells, ms, w, k, kernel, p, _GL_RULE, geo)
+        coarse = _rule_on_cells(cells, integrand, _GL_RULE // 2)
+    fine = _rule_on_cells(cells, integrand, _GL_RULE)
     total = 2.0 * float(fine.sum())
     err = (2.0 * float(np.abs(fine.reshape(coarse.size, -1).sum(axis=1)
                               - coarse).sum())
@@ -741,17 +740,23 @@ def _operator_sup(A, r, k, edges, ms, w):
     """p = inf in the operator ambient: the best of _OP_NODES log-spaced
     nodes per shell, one window SVD each.
 
-    Shells are visited in decreasing order of their _shell_bounds on the
-    window's c0 profile (ms, w), which by the Schur test bound the operator
-    norm; a further factor 1 + 4 n eps covers the rounding of the SVD.  The
-    visit stops at the first bound below the best value, and ties go to the
-    lower shell, so the result is that of a visit of every shell.  The
-    error is the gap from the winner to its larger neighbour node.  Returns
-    (value, error, shells searched).
+    By the Schur test, the operator norm of Delta_t^k A and of its
+    derivative in t are at most the c0 sums of the window's profile
+    (ms, w), so _shell_bounds bounds t^-r ||Delta_t^k A|| on each shell and
+    _slope_bounds its Lipschitz constant; a further factor 1 + 4 n eps
+    covers the rounding of the SVD.  Shells are visited in decreasing order
+    of their bound, the visit stops at the first bound below the best
+    value, and ties go to the lower shell, so the result is that of a visit
+    of every shell.  Every t of a visited shell s lies within d_s / 2 of a
+    node, d_s the widest gap between its nodes, so the sup there is at most
+    min(bound, (its best node + slope d_s / 2) (1 + 4 n eps)); the error
+    is the largest of these less the value, and every shell left out is
+    below the value.  Returns (value, error, shells searched).
     """
-    bound = (_shell_bounds(ms, w, k, edges[:-1], edges[1:], r)
-             * (1.0 + 4.0 * A.n * np.finfo(float).eps))
-    best, err, win, searched = 0.0, 0.0, edges.size, 0
+    slack = 1.0 + 4.0 * A.n * np.finfo(float).eps
+    bound = _shell_bounds(ms, w, k, edges[:-1], edges[1:], r) * slack
+    slope = _slope_bounds(ms, w, k, edges[:-1], edges[1:], r)
+    best, top, win, searched = 0.0, 0.0, edges.size, 0
     for s in np.argsort(-bound, kind="stable"):
         if bound[s] < best:
             break
@@ -763,9 +768,9 @@ def _operator_sup(A, r, k, edges, ms, w):
         i = int(np.argmax(vals))
         if vals[i] > best or (vals[i] == best and s < win):
             best, win = float(vals[i]), s
-            nb = max(vals[max(0, i - 1)], vals[min(_OP_NODES - 1, i + 1)])
-            err = abs(best - float(nb))
-    return best, err, searched
+        reach = (vals[i] + slope[s] * np.diff(ts).max() / 2.0) * slack
+        top = max(top, float(min(bound[s], reach)))
+    return best, top - best, searched
 
 
 def _operator_route(A, p, r, k, edges):
@@ -798,9 +803,9 @@ def _j_multipliers(ms, eps, r):
     ms = np.asarray(ms, dtype=float)
     eps = np.asarray(eps, dtype=float)
     x = np.concatenate([ms, np.outer(eps, ms).ravel()])
-    F = _antiderivative(x, r - 1.0, 2).reshape(len(_GL_NODES), eps.size + 1,
-                                               ms.size)
-    cells = _cells_summed(x).reshape(eps.size + 1, ms.size)
+    F, cells = _antiderivative(x, r - 1.0, 2)
+    F = F.reshape(len(_GL_NODES), eps.size + 1, ms.size)
+    cells = cells.reshape(eps.size + 1, ms.size)
     scale = ms ** (r - 1.0)
     J = -scale * (F[:, :1] - F[:, 1:])
     size = scale * (np.abs(F[0, :1]) + np.abs(F[0, 1:]))
@@ -859,26 +864,25 @@ def hypersingular_seminorm(A, r, ambient="c0"):
                              "ambient": ambient})
 
 
-def identification_rate_check(family, r, k=None, t_min=1e-6, t_max=4.0):
-    """The p = 1 Besov seminorm against the matching homogeneous decay
-    moment sum_m |m|^r w(m), both in the c0 ambient.
+def identification_rate_check(family, r, t_min=1e-6, t_max=4.0):
+    """The p = 1 Besov seminorm, at the default order floor(r) + 1, against
+    the matching homogeneous decay moment sum_m |m|^r w(m), both in the c0
+    ambient.
 
-    Returns per-member rows and the drift max/min of the ratios, which the
-    offset reduction predicts to be family-constant.  The whole family's
-    seminorms come from one antiderivative (_separable_p1), each within
-    rounding of besov_seminorm's and with no tail bound, which no row
-    reads.
+    Returns a row per member, in the family's order, and the drift max/min
+    of the ratios, which the offset reduction predicts to be
+    family-constant.  The whole family's seminorms come from one
+    antiderivative (_separable_p1), each within rounding of
+    besov_seminorm's and with no tail bound, which no row reads.
     """
-    k = _seminorm_order(1, r, k, t_min, t_max)
-    items = [item if isinstance(item, tuple) else (str(i), item)
-             for i, item in enumerate(family)]
-    profiles = [_offset_weights(A)[:2] for _, A in items]
+    k = _seminorm_order(1, r, None, t_min, t_max)
+    profiles = [_offset_weights(A)[:2] for A in family]
     moments = [_moment(ms, w, r) for ms, w in profiles]
-    ests = _separable_p1(profiles, r, k, t_min, t_max) if items else []
+    ests = _separable_p1(profiles, r, k, t_min, t_max) if profiles else []
     rows = []
-    for (label, _), mom, (value, qerr) in zip(items, moments, ests):
+    for mom, (value, qerr) in zip(moments, ests):
         ratio = value / mom if mom > 0 else math.nan
-        rows.append({"label": label, "moment": mom, "seminorm": value,
+        rows.append({"moment": mom, "seminorm": value,
                      "quadrature_error": qerr, "ratio": ratio})
     ratios = [row["ratio"] for row in rows if math.isfinite(row["ratio"])]
     drift = max(ratios) / min(ratios) if ratios else math.nan

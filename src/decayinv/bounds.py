@@ -17,12 +17,12 @@ from .errors import NumericalError, ParameterError, RangeError, SingularityError
 from .lattice import (RCOND_FLOOR, ToeplitzSymbol, invert_truncated,
                       require_section, singular_values, symbol_range)
 from .norms import banded_error, cv_norm, jaffard_norm
-from .weights import (Weight, log_concave_sum, log_integer_weight_tail,
-                      log_phi_r_from_log, log_poly_geometric,
-                      poly_geometric_max, zeta)
+from .weights import (Weight, exp_or_inf, log_phi_r_from_log,
+                      log_weight_tail, poly_geometric_max, zeta)
 
 _MAXLOG = math.log(np.finfo(float).max)
-_PHI_KCAP = 10 ** 15   # phi_Ar raises when either criterion needs k above
+_PHI_KCAP = 10 ** 15   # phi_Ar raises when a criterion fails at a k above
+_PHI_T = 0.5   # baskakov_bound_Cr's t, where its factor 2/(1-t) is 4
 
 
 @dataclass
@@ -42,31 +42,23 @@ def _report(name, inputs, intermediates, bound, measured=None):
                        measured_value=measured, satisfied=sat)
 
 
-def _exp_or_inf(log_value):
-    return math.exp(log_value) if log_value <= _MAXLOG else math.inf
-
-
 def weighted_geometric_series(q, r):
     """sum_{k>=0} (1+k)^r q^k; returns (value, terms_used).
 
-    An integer r <= 1000 reads the polylog tail of
-    weights.log_integer_weight_tail in r + 1 recurrence steps (terms_used
-    counts them), within a relative
+    The sum is weights.log_weight_tail's.  An integer r <= 1000 takes
+    r + 1 recurrence steps (terms_used counts them), within a relative
     ((r+1)(r+5) + 5 |log value| + 12 |log q| + 7) 2^-53, at any q < 1.
-    Any other r is a weights.log_concave_sum, which stops on a rigorous
-    remainder bound at 2^-53 and raises NumericalError past its term cap
-    (for ell_r at r = 2.5, condition numbers above about 5e4)."""
+    Any other r is a log_concave_sum, which stops on a rigorous remainder
+    bound at 2^-53 and raises NumericalError past its term cap (for ell_r
+    at r = 2.5, condition numbers above about 5e4)."""
     if not 0.0 <= q < 1.0:
         raise ParameterError("need 0 <= q < 1")
     if r < 0:
         raise ParameterError("need r >= 0")
     if q == 0.0:
         return 1.0, 1
-    tail = log_integer_weight_tail(r, q, 0)
-    if tail is None:
-        tail = log_concave_sum(lambda ks: log_poly_geometric(ks, 0.0, r, q), 0)
-    log_value, terms = tail
-    return _exp_or_inf(log_value), terms
+    log_value, terms = log_weight_tail(r, q, 0)
+    return exp_or_inf(log_value), terms
 
 
 def integral_test_bracket(gamma, r):
@@ -134,19 +126,25 @@ class SeriesFactor:
     terms: int
 
 
+def _baskakov_beta(norm_ainv_op, kappa):
+    """Baskakov's beta = 1/(24 kappa + 1), for a positive inverse norm and a
+    condition number kappa >= 1 (less 1e-9 for rounding)."""
+    if norm_ainv_op <= 0:
+        raise ParameterError("need a positive inverse norm")
+    if kappa < 1.0 - 1e-9:
+        raise ParameterError(f"kappa = {kappa} < 1 is not a condition number")
+    return 1.0 / (24.0 * kappa + 1.0)
+
+
 def ell_r(norm_ainv_op, kappa, r):
     """8 ||A^{-1}|| sum_k (1-beta)^k (1+k)^r with beta = 1/(24 kappa + 1).
 
     The integral-test bracket for the series (at gamma = log 1/(1-beta))
     is attached as data; bracket_ok records whether the sum fell inside.
     """
-    if norm_ainv_op <= 0:
-        raise ParameterError("need a positive inverse norm")
-    if kappa < 1.0 - 1e-9:
-        raise ParameterError(f"kappa = {kappa} < 1 is not a condition number")
+    beta = _baskakov_beta(norm_ainv_op, kappa)
     if r <= 0:
         raise ParameterError("need r > 0")
-    beta = 1.0 / (24.0 * kappa + 1.0)
     q = 1.0 - beta
     gam = -math.log1p(-beta)
     series, terms = weighted_geometric_series(q, r)
@@ -168,67 +166,50 @@ class SupFactor:
 def ell_tilde_r(norm_ainv_op, kappa, r):
     """gamma_r ||A^{-1}|| max_k (1-beta)^k (1+k)^r, maximized exactly
     by weights.poly_geometric_max."""
-    if norm_ainv_op <= 0:
-        raise ParameterError("need a positive inverse norm")
-    if kappa < 1.0 - 1e-9:
-        raise ParameterError(f"kappa = {kappa} < 1 is not a condition number")
+    beta = _baskakov_beta(norm_ainv_op, kappa)
     g = gamma_r(r)
-    beta = 1.0 / (24.0 * kappa + 1.0)
     log_best, best_k = poly_geometric_max(0.0, r, 1.0 - beta, 0)
     best = math.exp(log_best)
     return SupFactor(value=g * norm_ainv_op * best, sup_term=best,
                      argmax_k=best_k, beta=beta, gamma_r=g)
 
 
+def _least_k(holds, what):
+    """The least k >= 1 where holds(k), a predicate that once true stays
+    true as k grows: doubling, then bisection.  A NumericalError when it
+    fails at a k past _PHI_KCAP."""
+    lo, hi = 0, 1
+    while not holds(hi):
+        if hi > _PHI_KCAP:
+            raise NumericalError(f"{what} unmet at k = {hi} > {_PHI_KCAP}")
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if holds(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
 def phi_Ar(A, r, t, norm_a_alg, ell_value, norm_ainv_op, margin=0):
     """Minimal k >= 1 with max(2*3^r k^{-r} ||A||_Cr ell_r, 2 E_k ||A^{-1}||) <= t,
     given norm_a_alg = ||A||_Cr, ell_value = ell_r, norm_ainv_op = ||A^{-1}||.
 
-    Both criteria are nonincreasing in k, so the first is solved by its
-    closed-form threshold (adjusted for float boundaries) and the second
-    by doubling plus bisection on the banded-approximation error.
+    Both criteria are nonincreasing in k, so each threshold is found by
+    doubling plus bisection (_least_k): the first on the decay term as
+    computed in floats, the second on the banded-approximation error.
     """
     if not 0.0 < t <= 0.5:
         raise ParameterError("t must lie in (0, 1/2]")
     if r <= 0:
         raise ParameterError("need r > 0")
-
     c1 = 2.0 * 3.0 ** r * norm_a_alg * ell_value
-    if c1 <= t:
-        k1 = 1
-    else:
-        log_k = (math.log(c1) - math.log(t)) / r
-        if log_k > math.log(_PHI_KCAP):
-            raise NumericalError(
-                f"decay criterion needs k > {_PHI_KCAP}: c1 = {c1:.3e}, "
-                f"t = {t}")
-        k1 = max(1, math.ceil(math.exp(log_k)))
-        while k1 > 1 and c1 * (k1 - 1.0) ** (-r) <= t:
-            k1 -= 1
-        while c1 * float(k1) ** (-r) > t:
-            k1 += 1
-
-    def tail_ok(k):
-        return 2.0 * banded_error(A, k, margin) * norm_ainv_op <= t
-
-    if tail_ok(1):
-        k2 = 1
-    else:
-        hi = 2
-        while not tail_ok(hi):
-            hi *= 2
-            if hi > _PHI_KCAP:
-                raise NumericalError(
-                    f"banded-tail criterion unmet below {_PHI_KCAP}: E at cap"
-                    f" = {banded_error(A, _PHI_KCAP, margin):.3e}")
-        lo = hi // 2
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if tail_ok(mid):
-                hi = mid
-            else:
-                lo = mid
-        k2 = hi
+    k1 = _least_k(lambda k: c1 * float(k) ** (-r) <= t,
+                  f"decay criterion (c1 = {c1:.3e}, t = {t})")
+    k2 = _least_k(
+        lambda k: 2.0 * banded_error(A, k, margin) * norm_ainv_op <= t,
+        "banded-tail criterion")
     return max(k1, k2)
 
 
@@ -241,13 +222,10 @@ def _check_method(A, method):
         require_section(A, 'method "window"')
 
 
-def baskakov_bound_Cr(A, r, t_grid=(0.5,), method="auto", margin=0,
-                      inverse=None):
-    """Geometric-factor bound 2/(1-t) * ell_r * Phi (1+Phi)^r on ||A^{-1}||_Cr,
-    the smallest over t in t_grid.
-
-    The default t = 1/2 gives 4 ell_r Phi (1+Phi)^r; a grid over (0, 1/2]
-    refines it.  A ToeplitzSymbol needs inverse=, as it has no window.
+def baskakov_bound_Cr(A, r, method="auto", margin=0, inverse=None):
+    """Geometric-factor bound 2/(1-t) * ell_r * Phi (1+Phi)^r on ||A^{-1}||_Cr
+    at t = 1/2 (_PHI_T): 4 ell_r Phi (1+Phi)^r, Phi = phi_Ar at t.  A
+    ToeplitzSymbol needs inverse=, as it has no window.
     """
     if r <= 0:
         raise ParameterError("need r > 0")
@@ -255,21 +233,16 @@ def baskakov_bound_Cr(A, r, t_grid=(0.5,), method="auto", margin=0,
     kappa, na_op, nainv_op = condition_data(A)
     el = ell_r(nainv_op, kappa, r)
     na_alg = cv_norm(A, Weight.poly(r), margin)
-    best = None
-    for tv in t_grid:
-        phi = phi_Ar(A, r, tv, na_alg, el.value, nainv_op, margin)
-        log_b = (math.log(2.0 / (1.0 - tv)) + math.log(el.value)
+    phi = phi_Ar(A, r, _PHI_T, na_alg, el.value, nainv_op, margin)
+    log_bound = (math.log(2.0 / (1.0 - _PHI_T)) + math.log(el.value)
                  + math.log(phi) + r * math.log1p(phi))
-        if best is None or log_b < best[0]:
-            best = (log_b, tv, phi)
-    log_bound, t_used, phi = best
-    bound = _exp_or_inf(log_bound)
+    bound = exp_or_inf(log_bound)
     inv = inverse if inverse is not None else invert_truncated(A)
     measured = cv_norm(inv, Weight.poly(r), margin)
     return _report(
         "baskakov_Cr",
         {"norm_A_alg": na_alg, "norm_A_op": na_op, "norm_Ainv_op": nainv_op,
-         "r": r, "auxiliary": {"t": t_used, "margin": margin}},
+         "r": r, "auxiliary": {"t": _PHI_T, "margin": margin}},
         {"kappa": kappa, "beta": el.beta, "ell_r": el.value,
          "series": el.series, "bracket_low": el.bracket_low,
          "bracket_high": el.bracket_high, "bracket_ok": el.bracket_ok,
@@ -293,7 +266,7 @@ def baskakov_bound_Jr(A, r, method="auto", margin=0, inverse=None):
     else:
         log_inner = log_x
     log_bound = math.log(4.0) + math.log(elt.value) + r * log_inner
-    bound = _exp_or_inf(log_bound)
+    bound = exp_or_inf(log_bound)
     inv = inverse if inverse is not None else invert_truncated(A)
     measured = jaffard_norm(inv, r, margin)
     return _report(
@@ -344,10 +317,10 @@ def explicit_bound_Cr(norm_A_Cr, norm_A_op, norm_Ainv_op, r, measured=None):
          "norm_Ainv_op": norm_Ainv_op, "r": r, "auxiliary": {}},
         {"C_r": C, "exponent_alg": e_alg, "exponent_op": e_op,
          "exponent_inv": e_inv, "rate_exponent": e_inv,
-         "simplified_bound": _exp_or_inf(log_simple),
+         "simplified_bound": exp_or_inf(log_simple),
          "simplified_exponent_alg": 2.0 * r + 3.0 / r + 4.0,
          "log_bound": log_bound},
-        _exp_or_inf(log_bound), measured)
+        exp_or_inf(log_bound), measured)
 
 
 def derived_constant_Jr_log(r):
@@ -393,11 +366,11 @@ def explicit_bound_Jr(norm_A_Jr, norm_A_op, norm_Ainv_op, r, measured=None):
         "explicit_Jr",
         {"norm_A_alg": norm_A_Jr, "norm_A_op": norm_A_op,
          "norm_Ainv_op": norm_Ainv_op, "r": r, "auxiliary": {}},
-        {"C_tilde_r": _exp_or_inf(log_C), "exponent_alg": e_alg,
+        {"C_tilde_r": exp_or_inf(log_C), "exponent_alg": e_alg,
          "exponent_op": e_op, "exponent_inv": e_inv,
          "rate_exponent": e_inv, "power_form_exponent_alg": e_alg + e_op,
-         "power_form_bound": _exp_or_inf(log_thm), "log_bound": log_bound},
-        _exp_or_inf(log_bound), measured)
+         "power_form_bound": exp_or_inf(log_thm), "log_bound": log_bound},
+        exp_or_inf(log_bound), measured)
 
 
 def _geometric_sum(q, n):
@@ -425,7 +398,7 @@ def dd_domain_bound(norm_ainv_ambient, seminorm_a_dd, k, measured=None):
     bound = norm_ainv_ambient * q * max(float(k), gsum)
     simplified = None
     if q > max(2.0, float(k)):
-        simplified = _exp_or_inf((k + 1.0) * math.log(norm_ainv_ambient)
+        simplified = exp_or_inf((k + 1.0) * math.log(norm_ainv_ambient)
                                  + k * math.log(seminorm_a_dd) + math.log(2.0))
     return _report(
         "derivation_domain",
@@ -467,7 +440,7 @@ def bessel_rate_bound(norm_ainv_ambient, norm_a_bessel, r, measured=None):
         raise ParameterError("inputs must be positive")
     if not 0 < r < 1:
         raise ParameterError("need 0 < r < 1")
-    bound = _exp_or_inf(3.0 * math.log(norm_ainv_ambient)
+    bound = exp_or_inf(3.0 * math.log(norm_ainv_ambient)
                         + 2.0 * math.log(norm_a_bessel))
     return _report(
         "bessel_control",
@@ -494,5 +467,5 @@ def dales_davie_bound(norm_ainv_ambient, gevrey_r, measured=None):
          "auxiliary": {"normalized": True}},
         {"delta": 1.0 / norm_ainv_ambient, "gevrey_r": gevrey_r,
          "log_bound": log_bound},
-        _exp_or_inf(log_bound), measured)
+        exp_or_inf(log_bound), measured)
 

@@ -417,8 +417,8 @@ def run_besov_report(cfg):
         scales = [1.0 + 2.0 ** r * math.exp(-g) for g in cfg.gamma_grid]
         invs = [geometric_inverse_symbol(g, scale=s)
                 for g, s in zip(cfg.gamma_grid, scales)]
-        ident = identification_rate_check(invs + shifts, r, k=k,
-                                          t_min=t_min, t_max=t_max)
+        ident = identification_rate_check(invs + shifts, r, t_min=t_min,
+                                          t_max=t_max)
 
         def row_of(family, param, ident_row, **cols):
             row = dict.fromkeys(_BESOV_COLUMNS)

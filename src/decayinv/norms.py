@@ -21,9 +21,8 @@ from numpy.lib.stride_tricks import as_strided
 from .errors import ParameterError
 from .lattice import (LatticeMatrix, ToeplitzSymbol, derivation_power,
                       operator_norm_l2, require_section)
-from .weights import (Weight, log_concave_sum, log_factorial,
-                      log_integer_weight_tail, poly_geometric_max,
-                      polylog_tail_logs)
+from .weights import (Weight, exp_or_inf, log_factorial, log_weight_tail,
+                      poly_geometric_max, polylog_tail_logs)
 
 _NEG_INF = float("-inf")
 _LOG2 = math.log(2.0)   # NumPy's NPY_LOGE2
@@ -101,20 +100,15 @@ def decay_profile(A, margin=0):
 def cv_norm(A, weight, margin=0):
     """Weighted decay norm: sum_m d(m) v(m).
 
-    A geometric tail's sum is, for an integer exponent r, the polylog
-    tail of weights.log_integer_weight_tail (r + 1 recurrence steps,
-    within its stated relative error of the exact sum), and a
-    log_concave_sum otherwise."""
+    A geometric tail's sum is weights.log_weight_tail's: for an integer
+    exponent r, r + 1 steps of the polylog recurrence, within its stated
+    relative error of the exact sum."""
     prof = decay_profile(A, margin)
     total = (float((prof.d * weight.value(prof.offsets)).sum())
              if prof.d.size else 0.0)
     if prof.scale:
-        tail = log_integer_weight_tail(weight.r, prof.rho, prof.tail_start)
-        if tail is None:
-            lr = math.log(prof.rho)
-            tail = log_concave_sum(
-                lambda ms: ms * lr + np.log(weight.value(ms)), prof.tail_start)
-        total += prof.scale * math.exp(tail[0])
+        log_tail, _ = log_weight_tail(weight.r, prof.rho, prof.tail_start)
+        total += prof.scale * math.exp(log_tail)
     return total
 
 
@@ -279,10 +273,9 @@ def dales_davie_norm(A, seq, ambient="c0"):
             quiet = 0
     converged = quiet >= 3
     tail_ratio = math.exp(lt - total_log) if total_log > _NEG_INF else 0.0
-    value = math.exp(total_log) if total_log < 709.0 else float("inf")
-    return DalesDavieValue(value=value, log_value=total_log, kmax_used=k,
-                           converged=bool(converged), tail_ratio=tail_ratio,
-                           dk_logs=tuple(dk_logs))
+    return DalesDavieValue(value=exp_or_inf(total_log), log_value=total_log,
+                           kmax_used=k, converged=bool(converged),
+                           tail_ratio=tail_ratio, dk_logs=tuple(dk_logs))
 
 
 def a_m_gevrey(r, m):

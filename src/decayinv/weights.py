@@ -1,7 +1,8 @@
 """The polynomial weight on lattice offsets, the Gevrey smoothness
 sequence, the entire function phi_r(x) = sum_l x^l / (l!)^r used by the
-inversion bounds, the sums and maxima behind every series and tail, and
-the log-factorial and zeta(s > 1) those series and bounds need."""
+inversion bounds, the sums and maxima behind every series and tail, the
+one rule that turns a log into a float (exp_or_inf), and the
+log-factorial and zeta(s > 1) those series and bounds need."""
 
 import itertools
 import math
@@ -115,21 +116,28 @@ def polylog_tail_logs(rho, m0):
     raise ParameterError(f"polylog tails stop at order {_POLYLOG_KMAX}")
 
 
-def log_integer_weight_tail(r, rho, m0):
-    """(log sum_{m >= m0} (1+m)^r rho^m, steps) for an integer weight
-    exponent 0 <= r <= _POLYLOG_KMAX, 0 < rho < 1 and m0 >= 0; None for
-    any other r.
+def log_weight_tail(r, rho, m0):
+    """(log sum_{m >= m0} (1+m)^r rho^m, terms) for r >= 0, 0 < rho < 1
+    and integers m0 >= 0.
 
-    The sum is V_r / rho, V_r = sum_{n > m0} n^r rho^n, which
-    polylog_tail_logs(rho, m0 + 1) yields in r + 1 steps.  exp of the log
-    L returned is within a relative
-    ((r+1)(r+5) + 5 |L| + 6 (m0+2) |log rho| + 7) 2^-53 of the sum.
+    An integer r <= _POLYLOG_KMAX reads the sum as V_r / rho, V_r =
+    sum_{n > m0} n^r rho^n, from polylog_tail_logs(rho, m0 + 1) in r + 1
+    steps (terms counts them): exp of the log L returned is within a
+    relative ((r+1)(r+5) + 5 |L| + 6 (m0+2) |log rho| + 7) 2^-53 of the
+    sum.  Any other r is one log_concave_sum, which stops on a rigorous
+    remainder bound at 2^-53 and raises NumericalError past its term cap.
     """
-    if not (float(r).is_integer() and 0 <= r <= _POLYLOG_KMAX):
-        return None
-    r = int(r)
-    log_v = next(itertools.islice(polylog_tail_logs(rho, m0 + 1), r, None))
-    return log_v - math.log(rho), r + 1
+    if float(r).is_integer() and 0 <= r <= _POLYLOG_KMAX:
+        r = int(r)
+        log_v = next(itertools.islice(polylog_tail_logs(rho, m0 + 1), r, None))
+        return log_v - math.log(rho), r + 1
+    return log_concave_sum(lambda ms: log_poly_geometric(ms, 0.0, r, rho), m0)
+
+
+def exp_or_inf(log_value):
+    """exp(log_value), or inf where that is past float range: the one place
+    a log turns into a float that may overflow."""
+    return math.exp(log_value) if log_value <= _MAXLOG else math.inf
 
 
 def log_factorial(n):

@@ -22,8 +22,9 @@ per-order derivation norms must match bit for bit, the one-order
 derivation norm with the Dales-Davie stop rule's constants, which the
 per-order Dales-Davie sum reads, and the reduced profile, multipliers
 and tail mass of the hypersingular sup, which its finest cutoff must
-match bit for bit; a tail's sums are checked against 50-digit mpmath
-values.
+match bit for bit, and the shell and slope bounds of the operator sup,
+whose error must match bit for bit; a tail's sums are checked against
+50-digit mpmath values.
 pytest does not collect this module.
 """
 
@@ -39,7 +40,7 @@ from scipy.special import gammaln
 from decayinv import (LatticeMatrix, ParameterError, apply_automorphism,
                       derivation_power, difference_power, operator_norm_l2)
 from decayinv.besov import (_blocks, _dropped_mass, _j_cap, _j_multipliers,
-                            _offset_weights)
+                            _offset_weights, _shell_bounds, _slope_bounds)
 from decayinv.norms import (_DD_BLOCK, _DD_KCAP, _DD_TOL, DalesDavieValue,
                             decay_profile, dk_norm_log)
 
@@ -285,7 +286,8 @@ def dales_davie_per_order(A, seq, ambient="c0"):
             quiet = 0
     converged = quiet >= 3
     tail_ratio = math.exp(lt - total_log) if total_log > -math.inf else 0.0
-    value = math.exp(total_log) if total_log < 709.0 else float("inf")
+    value = (math.exp(total_log) if total_log <= math.log(np.finfo(float).max)
+             else math.inf)
     block = 1 if ambient == "operator" else _DD_BLOCK
     read = min(-(-(k + 1) // block) * block, _DD_KCAP + 1)
     dk_logs += [dk_norm_log(A, j, ambient) for j in range(k + 1, read)]
@@ -450,23 +452,31 @@ def hypersingular_every_cutoff(A, r):
 def operator_sup_all_shells(A, r, k, t_min, t_max):
     """sup of t^-r ||Delta_t^k A||_op over 33 log-spaced nodes on every
     dyadic shell of [t_min, t_max], the shells visited upwards and a later
-    node winning only when it is larger; the error is the gap from the
-    winner to its larger neighbour node.  Returns (value, error)."""
+    node winning only when it is larger.  The error is the largest over
+    every shell of min(bound, (best node + slope d / 2) (1 + 4 n eps)),
+    less the value: bound and slope the shell's c0 bounds on t^-r times
+    the modulus and on its Lipschitz constant (the first times
+    1 + 4 n eps), d the widest gap between its nodes.  Returns (value,
+    error)."""
     edges = [t_max]
     while edges[-1] / 2.0 > t_min:
         edges.append(edges[-1] / 2.0)
     edges = edges[::-1]
-    best, err = 0.0, 0.0
-    for a, b in zip([t_min] + edges[:-1], edges):
-        ts = np.exp(np.linspace(math.log(a), math.log(b), 33))
+    lo, hi = np.array([t_min] + edges[:-1]), np.array(edges)
+    ms, w, _ = _offset_weights(A)
+    slack = 1.0 + 4.0 * A.n * np.finfo(float).eps
+    bound = _shell_bounds(ms, w, k, lo, hi, r) * slack
+    slope = _slope_bounds(ms, w, k, lo, hi, r)
+    best, top = 0.0, 0.0
+    for s in range(lo.size):
+        ts = np.exp(np.linspace(math.log(lo[s]), math.log(hi[s]), 33))
         vals = np.array([t ** (-r) * operator_norm_l2(
             difference_power(A, float(t), k)) for t in ts])
-        i = int(np.argmax(vals))
-        if vals[i] > best:
-            best = float(vals[i])
-            err = abs(best - float(max(vals[max(0, i - 1)],
-                                       vals[min(32, i + 1)])))
-    return best, err
+        node = float(vals.max())
+        best = max(best, node)
+        reach = (node + slope[s] * np.diff(ts).max() / 2.0) * slack
+        top = max(top, float(min(bound[s], reach)))
+    return best, top - best
 
 
 def besov_cells_unfolded(ms, w, k, r, p, t_min, t_max):

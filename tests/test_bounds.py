@@ -25,7 +25,7 @@ from decayinv import (IndexWindow, LatticeMatrix, NumericalError,
                       integral_test_bracket, invert_truncated, jaffard_norm,
                       make_toeplitz, operator_norm_l2, phi_Ar,
                       random_decay_matrix, weighted_geometric_series, cv_norm)
-from decayinv import bounds
+from decayinv import bounds, weights
 from decayinv.bounds import condition_data, derived_constant_Jr_log, gamma_r
 from decayinv.lattice import geometric_inverse_symbol
 from decayinv.norms import banded_error, dales_davie_norm
@@ -84,7 +84,7 @@ def test_fractional_r_keeps_the_log_concave_sum(monkeypatch):
     def counted(*args):
         calls.append(args)
         return log_concave_sum(*args)
-    monkeypatch.setattr(bounds, "log_concave_sum", counted)
+    monkeypatch.setattr(weights, "log_concave_sum", counted)
     q = 0.95
     log_value, terms = log_concave_sum(
         lambda ks: log_poly_geometric(ks, 0.0, 2.5, q), 0)
@@ -199,6 +199,31 @@ def test_phi_Ar_frozen_regression():
     assert c1 * phi ** -2.0 <= 0.5 < c1 * (phi - 1.0) ** -2.0
 
 
+@pytest.mark.parametrize("r, k0, want", [
+    (2.0, 60, 60), (3.0, 30, 30), (2.0, 6000, 6000), (1.0, 777, 777),
+    (2.5, 32, 33), (4.0, 10, 10)])
+def test_phi_Ar_meets_the_decay_criterion_at_float_boundaries(r, k0, want):
+    # the identity section has no band tail, so Phi is the decay
+    # threshold alone, the least k with c1 k^-r <= t as computed in floats;
+    # c1 = t k0^r puts it on a float boundary at k0 (k0 + 1 at r = 2.5),
+    # where a closed form exp(log(c1 / t) / r) lands a few ulps off
+    A = make_toeplitz(ToeplitzSymbol({0: 1.0}), IndexWindow(0, 7))
+    t = 0.5
+    ell_value = t * k0 ** r / (2.0 * 3.0 ** r)
+    c1 = 2.0 * 3.0 ** r * 1.0 * ell_value
+    k = 1
+    while not c1 * float(k) ** (-r) <= t:
+        k += 1
+    assert k == want
+    assert phi_Ar(A, r, t, 1.0, ell_value, 1.0) == want
+
+
+def test_phi_Ar_raises_past_its_cap():
+    A = make_toeplitz(ToeplitzSymbol({0: 1.0}), IndexWindow(0, 7))
+    with pytest.raises(NumericalError, match="decay criterion"):
+        phi_Ar(A, 1.0, 0.5, 1.0, 1e20, 1.0)
+
+
 def test_phi_Ar_rejects_bad_t():
     A = resolvent(1.0)
     for t in (0.0, 0.6, -0.1):
@@ -241,14 +266,6 @@ def test_bounds_hold_on_random_decay_instances(r, eps, rng_seed):
                           measured=jaffard_norm(inv, r, margin=margin))]
     for rep in reports:
         assert rep.satisfied, rep
-
-
-def test_baskakov_t_grid_picks_smaller_bound():
-    A = resolvent(1.0)
-    inv = geometric_inverse_symbol(1.0)
-    base = baskakov_bound_Cr(A, 1.0, inverse=inv)
-    refined = baskakov_bound_Cr(A, 1.0, t_grid=[0.1, 0.25, 0.5], inverse=inv)
-    assert refined.bound_value <= base.bound_value
 
 
 def test_constant_Cr_numeric_exact_at_one():

@@ -87,17 +87,10 @@ SHIFT_ROUTES = {
     "hypersingular": lambda A, ambient: hypersingular_seminorm(A, 1.5,
                                                                ambient),
 }
-# the operator sup's error, the gap from its best node to the larger
-# neighbour node, is not a bound: on T_1 it claims 3.4e-5, and the value
-# is 1.5e-4 below the c0 one (FOUND in CHANGES.md)
-OPERATOR_SUP_MISS = pytest.mark.xfail(
-    strict=True, reason="the operator p = inf error is no bound")
 
 
 @pytest.mark.parametrize("route, m", [
-    pytest.param(route, m, id=f"{route}-T{m}",
-                 marks=OPERATOR_SUP_MISS if (route, m) == ("besov p=inf", 1)
-                 else ())
+    pytest.param(route, m, id=f"{route}-T{m}")
     for route in SHIFT_ROUTES for m in (1, 3, 7)])
 def test_operator_and_c0_ambients_agree_on_a_shift(route, m):
     # on a section of the shift T_m every difference and multiplier is a

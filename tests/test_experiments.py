@@ -234,7 +234,7 @@ def test_dd_sharpness_steps_each_tail_recurrence_once_per_order(monkeypatch):
             steps.append(value)
             yield value
     monkeypatch.setattr(norms, "polylog_tail_logs", counted)
-    monkeypatch.setattr(norms, "log_concave_sum", refused)
+    monkeypatch.setattr(weights, "log_concave_sum", refused)
     rows = run_dd_sharpness(resolve_config(build_parser().parse_args(
         ["dd-sharpness"])))["rows"]
     assert len(streams) == 5
@@ -244,11 +244,11 @@ def test_dd_sharpness_steps_each_tail_recurrence_once_per_order(monkeypatch):
 
 def test_toeplitz_sharpness_tails_need_no_log_concave_sum(monkeypatch):
     # its series are geometric tails with the weights (1+m)^r, r in
-    # r_list = [1, 2] and r = 0, which the polylog recurrence sums
+    # r_list = [1, 2] and r = 0, which the polylog recurrence sums;
+    # log_concave_sum, which only weights reads, is never reached
     def refused(*args):
         raise AssertionError("an integer-weight tail reached log_concave_sum")
-    for module in (weights, norms, bounds):
-        monkeypatch.setattr(module, "log_concave_sum", refused)
+    monkeypatch.setattr(weights, "log_concave_sum", refused)
     result = run_toeplitz_sharpness(resolve_config(build_parser().parse_args(
         ["toeplitz-sharpness"])))
     assert len(result["rows"]) == 10 and result["violations"] == []

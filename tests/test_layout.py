@@ -465,7 +465,7 @@ BESOV_NORM_READERS = {
     "difference_power": {"modulus_profile", "hypersingular_seminorm"},
     "poly_geometric_max": set(),
     "log_concave_sum": set(),
-    "log_integer_weight_tail": set(),
+    "log_weight_tail": set(),
     "log_poly_geometric": set(),
     "polylog_tail_logs": set(),
 }
@@ -477,6 +477,24 @@ def test_besov_computes_no_norm_of_its_own():
                    if holder not in BESOV_NORM_READERS[name])
     assert stray == [], f"norms computed outside their owner: {stray}"
     assert ("operator_norm_l2", "modulus_profile") in found
+
+
+def test_each_numerical_rule_has_one_owner():
+    # a series is summed, and a log judged past float range, in weights
+    # alone: the others call log_weight_tail and exp_or_inf
+    modules = sorted(path for path in PACKAGE.glob("*.py")
+                     if path.name != "weights.py")
+    summed = {path.name: readers(path, {"log_concave_sum"})
+              for path in modules}
+    assert {name: hits for name, hits in summed.items() if hits} == {}
+    near_maxlog = {path.name: [node.lineno for node in ast.walk(
+        ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Constant)
+        and isinstance(node.value, (int, float))
+        and not isinstance(node.value, bool) and 700 <= node.value <= 710]
+        for path in modules}
+    assert {name: lines for name, lines in near_maxlog.items()
+            if lines} == {}
 
 
 # the smoothness functions: each measures in the c0 or the operator

@@ -362,6 +362,16 @@ def test_other_weights_sum_their_tail_as_before(weight):
     assert cv_norm(A, weight) == want
 
 
+def test_dales_davie_norm_is_finite_up_to_the_float_range():
+    # a norm of 1.35e308 is a float: the sum turns its log into inf only
+    # past the float range, as cv_norm of the same symbol does
+    A = ToeplitzSymbol({0: math.exp(709.5)})
+    val = dales_davie_norm(A, SmoothnessSequence.gevrey(2.0))
+    assert val.log_value == 709.5
+    assert math.isfinite(val.value) and val.value == math.exp(val.log_value)
+    assert val.value == cv_norm(A, Weight.poly(0.0)) == 1.3549863193146328e+308
+
+
 def test_dales_davie_operator_ambient_evaluates_no_order_past_the_stop(
         monkeypatch):
     # each order costs an SVD there, so the orders are read one at a time

@@ -8,11 +8,11 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from decayinv import ParameterError, Weight
+from decayinv import ParameterError, Weight, weights
 from decayinv.weights import (_SADDLE_PEAK, SmoothnessSequence,
                               log_concave_sum, log_factorial, log_factorials,
-                              log_integer_weight_tail, log_phi_r,
-                              log_phi_r_from_log, log_poly_geometric,
+                              log_phi_r, log_phi_r_from_log,
+                              log_poly_geometric, log_weight_tail,
                               poly_geometric_max, polylog_tail_logs, zeta)
 
 from oracles import log_power_tails, polylog_tails_rescaled_each_order
@@ -203,7 +203,7 @@ def test_integer_weight_tails_within_their_stated_bound(r, m0):
     # rounding, not the recurrence, is most of the error
     for delta in [10.0 ** -j for j in range(2, 14)]:
         rho = 1.0 - delta
-        log_sum, steps = log_integer_weight_tail(float(r), rho, m0)
+        log_sum, steps = log_weight_tail(float(r), rho, m0)
         assert steps == r + 1
         bound = ((r + 1) * (r + 5) + 5 * abs(log_sum)
                  + 6 * (m0 + 2) * abs(math.log(rho)) + 7) * 2.0 ** -53
@@ -224,17 +224,27 @@ def test_integer_weight_tails_at_far_range_ends():
                  (1, 0.5, 10 ** 6, mp.mpf(0.5) ** 10 ** 6
                   * ((10 ** 6 + 1) / mp.mpf(0.5) + 2))]
         for r, rho, m0, want in cases:
-            log_sum, _ = log_integer_weight_tail(r, rho, m0)
+            log_sum, _ = log_weight_tail(r, rho, m0)
             bound = ((r + 1) * (r + 5) + 5 * abs(log_sum)
                      + 6 * (m0 + 2) * abs(math.log(rho)) + 7) * 2.0 ** -53
             assert abs(mp.mpf(log_sum) - mp.log(want)) <= bound, (r, rho)
-    assert math.isfinite(log_integer_weight_tail(1000, 1.0 - 2.0 ** -53,
-                                                 0)[0])
+    assert math.isfinite(log_weight_tail(1000, 1.0 - 2.0 ** -53, 0)[0])
 
 
-def test_only_integer_exponents_read_the_polylog_tail():
+def test_only_integer_exponents_read_the_polylog_tail(monkeypatch):
+    # any other exponent is one log_concave_sum over the terms, bit for bit
+    want = log_concave_sum(lambda ms: log_poly_geometric(ms, 0.0, 2.5, 0.5), 3)
+    assert log_weight_tail(2.5, 0.5, 3) == want
+    calls = []
+
+    def summed(log_term, m0):
+        calls.append(m0)
+        return want
+    monkeypatch.setattr(weights, "log_concave_sum", summed)
     for r in (0.5, 2.5, 1001.0, -1.0, math.inf, math.nan):
-        assert log_integer_weight_tail(r, 0.5, 0) is None
+        assert log_weight_tail(r, 0.5, 3) is want
+    assert calls == [3] * 6
+    assert log_weight_tail(1000.0, 0.5, 3)[1] == 1001 and len(calls) == 6
 
 
 def test_log_factorials_are_the_scalar_values():
