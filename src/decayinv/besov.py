@@ -52,12 +52,11 @@ import numpy as np
 from .errors import ParameterError
 from .lattice import (difference_power, offset_multiplier, operator_norm_l2,
                       require_section)
-from .norms import (ambient_norm, decay_profile, dk_norm_log,
+from .norms import (ambient_norm, banded_error, decay_profile, dk_norm_log,
                     normalize_ambient)
-from .weights import exp_or_inf
+from .weights import LOG_MAX, exp_or_inf
 
 _PROFILE_CUT = 1e-18
-_MAXLOG = math.log(np.finfo(float).max)
 _LOG2 = math.log(2.0)
 _EPS = np.finfo(float).eps
 # difference orders k from here on are rejected: the moduli grow like 2^k,
@@ -318,14 +317,6 @@ def _moment(ms, w, r):
     return float((ms.astype(float) ** r * w).sum())
 
 
-def _dropped_mass(geo):
-    """The cut geometric tail's mass, scale rho^(M+1) / (1 - rho)."""
-    if geo is None:
-        return 0.0
-    sc, rho, _, M = geo
-    return sc * rho ** (M + 1) / (1.0 - rho)
-
-
 def _difference_order(k):
     """k as an int; a ParameterError unless it is an integer in [1, 207)."""
     if not (float(k).is_integer() and 1 <= k < _MAX_ORDER):
@@ -537,7 +528,7 @@ def _capped_sums(ms, w, a, b, e, j, q):
     size = 2.0 + q + math.log1p(m.size) + float(
         np.max((j + q) * lm + np.abs(lw), initial=0.0))
     top += (2 * m.size + 16) * _EPS * (size + np.abs(lb) + np.abs(la))
-    return np.where(top > _MAXLOG, np.inf, np.exp(np.minimum(top, _MAXLOG)))
+    return np.where(top > LOG_MAX, np.inf, np.exp(np.minimum(top, LOG_MAX)))
 
 
 def _shell_bounds(ms, w, k, a, b, r):
@@ -845,7 +836,8 @@ def hypersingular_seminorm(A, r, ambient="c0"):
     ms, w, geo = _offset_weights(A)
     grid = _EPS_GRID if kind == "operator" else _EPS_GRID[:1]
     J, Jerr = _j_multipliers(ms, grid, r)
-    mass = _dropped_mass(geo)
+    # the mass of the geometric tail past the cut M, left out of w
+    mass = banded_error(A, geo[3]) if geo else 0.0
     best, best_err, best_eps = 0.0, 0.0, _EPS_GRID[0]
     # no offset (a diagonal A, or a 1 x 1 window) leaves the seminorm at 0
     for row, eps in enumerate(grid if ms.size else ()):

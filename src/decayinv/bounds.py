@@ -11,16 +11,13 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
 from .errors import NumericalError, ParameterError, RangeError, SingularityError
 from .lattice import (RCOND_FLOOR, ToeplitzSymbol, invert_truncated,
                       require_section, singular_values, symbol_range)
 from .norms import banded_error, cv_norm, jaffard_norm
-from .weights import (Weight, exp_or_inf, log_phi_r_from_log,
+from .weights import (LOG_MAX, Weight, exp_or_inf, log_phi_r_from_log,
                       log_weight_tail, poly_geometric_max, zeta)
 
-_MAXLOG = math.log(np.finfo(float).max)
 _PHI_KCAP = 10 ** 15   # phi_Ar raises when a criterion fails at a k above
 _PHI_T = 0.5   # baskakov_bound_Cr's t, where its factor 2/(1-t) is 4
 
@@ -35,7 +32,13 @@ class BoundReport:
     satisfied: Optional[bool] = None
 
 
-def _report(name, inputs, intermediates, bound, measured=None):
+def _report(name, alg, op, inv, r, auxiliary, intermediates, bound,
+            measured=None):
+    """The BoundReport of bound, whose inputs are the algebra norm alg of
+    A, its operator norm op, the norm inv of its inverse, r and the
+    auxiliary parameters; satisfied compares measured, when given."""
+    inputs = {"norm_A_alg": alg, "norm_A_op": op, "norm_Ainv_op": inv,
+              "r": r, "auxiliary": auxiliary}
     sat = None if measured is None else bool(measured <= bound)
     return BoundReport(bound_name=name, inputs=inputs,
                        intermediates=intermediates, bound_value=bound,
@@ -89,7 +92,7 @@ def gamma_r(r):
     if r <= 1:
         raise ParameterError("gamma_r needs r > 1")
     log_g = _log_gamma_r(r)
-    if log_g > _MAXLOG:
+    if log_g > LOG_MAX:
         raise RangeError(f"gamma_r overflows floats at r = {r}",
                          log_value=log_g)
     return 2.0 ** (r + 1) * (r + 1.0) / (r - 1.0)
@@ -126,13 +129,19 @@ class SeriesFactor:
     terms: int
 
 
+def _check_condition(kappa, message):
+    """A ParameterError with message unless kappa = ||A|| ||A^{-1}|| is a
+    condition number, kappa >= 1 (less 1e-9 for rounding)."""
+    if kappa < 1.0 - 1e-9:
+        raise ParameterError(message)
+
+
 def _baskakov_beta(norm_ainv_op, kappa):
     """Baskakov's beta = 1/(24 kappa + 1), for a positive inverse norm and a
-    condition number kappa >= 1 (less 1e-9 for rounding)."""
+    condition number kappa."""
     if norm_ainv_op <= 0:
         raise ParameterError("need a positive inverse norm")
-    if kappa < 1.0 - 1e-9:
-        raise ParameterError(f"kappa = {kappa} < 1 is not a condition number")
+    _check_condition(kappa, f"kappa = {kappa} < 1 is not a condition number")
     return 1.0 / (24.0 * kappa + 1.0)
 
 
@@ -168,7 +177,7 @@ def ell_tilde_r(norm_ainv_op, kappa, r):
     by weights.poly_geometric_max."""
     beta = _baskakov_beta(norm_ainv_op, kappa)
     g = gamma_r(r)
-    log_best, best_k = poly_geometric_max(0.0, r, 1.0 - beta, 0)
+    log_best, best_k = poly_geometric_max(r, 1.0 - beta, 0)
     best = math.exp(log_best)
     return SupFactor(value=g * norm_ainv_op * best, sup_term=best,
                      argmax_k=best_k, beta=beta, gamma_r=g)
@@ -240,9 +249,8 @@ def baskakov_bound_Cr(A, r, method="auto", margin=0, inverse=None):
     inv = inverse if inverse is not None else invert_truncated(A)
     measured = cv_norm(inv, Weight.poly(r), margin)
     return _report(
-        "baskakov_Cr",
-        {"norm_A_alg": na_alg, "norm_A_op": na_op, "norm_Ainv_op": nainv_op,
-         "r": r, "auxiliary": {"t": _PHI_T, "margin": margin}},
+        "baskakov_Cr", na_alg, na_op, nainv_op, r,
+        {"t": _PHI_T, "margin": margin},
         {"kappa": kappa, "beta": el.beta, "ell_r": el.value,
          "series": el.series, "bracket_low": el.bracket_low,
          "bracket_high": el.bracket_high, "bracket_ok": el.bracket_ok,
@@ -261,7 +269,7 @@ def baskakov_bound_Jr(A, r, method="auto", margin=0, inverse=None):
     na_j = jaffard_norm(A, r, margin)
     log_x = (math.log(2.0 * 3.0 ** r) + math.log(na_j)
              + math.log(elt.value)) / (r - 1.0)
-    if log_x <= _MAXLOG:
+    if log_x <= LOG_MAX:
         log_inner = math.log(2.0 + math.exp(log_x))
     else:
         log_inner = log_x
@@ -270,9 +278,7 @@ def baskakov_bound_Jr(A, r, method="auto", margin=0, inverse=None):
     inv = inverse if inverse is not None else invert_truncated(A)
     measured = jaffard_norm(inv, r, margin)
     return _report(
-        "baskakov_Jr",
-        {"norm_A_alg": na_j, "norm_A_op": na_op, "norm_Ainv_op": nainv_op,
-         "r": r, "auxiliary": {"margin": margin}},
+        "baskakov_Jr", na_j, na_op, nainv_op, r, {"margin": margin},
         {"kappa": kappa, "beta": elt.beta, "gamma_r": elt.gamma_r,
          "ell_tilde_r": elt.value, "sup_argmax_k": elt.argmax_k,
          "log_bound": log_bound},
@@ -285,10 +291,20 @@ def constant_Cr_numeric(r):
         raise ParameterError("need r > 0")
     log_c = (math.log(128.0) + r * math.log(50.0) + math.log(64.0) / r
              + (1.0 + 1.0 / r) * math.lgamma(r + 1.0))
-    if log_c > _MAXLOG:
+    if log_c > LOG_MAX:
         raise RangeError(f"constant overflows floats at r = {r}",
                          log_value=log_c)
     return 128.0 * 50.0 ** r * 64.0 ** (1.0 / r) * math.gamma(r + 1.0) ** (1.0 + 1.0 / r)
+
+
+def _check_explicit(norm_alg, norm_op, norm_inv, r, r_min):
+    """The explicit bounds' checks: positive norms, r > r_min and a
+    condition number ||A|| ||A^{-1}||."""
+    if min(norm_alg, norm_op, norm_inv) <= 0:
+        raise ParameterError("norms must be positive")
+    if r <= r_min:
+        raise ParameterError(f"need r > {r_min}")
+    _check_condition(norm_op * norm_inv, "||A|| ||A^{-1}|| >= 1 is violated")
 
 
 def explicit_bound_Cr(norm_A_Cr, norm_A_op, norm_Ainv_op, r, measured=None):
@@ -297,12 +313,7 @@ def explicit_bound_Cr(norm_A_Cr, norm_A_op, norm_Ainv_op, r, measured=None):
     The simplified single-norm form ||A||_Cr^{2r+3/r+4} ||A^{-1}||^{2r+2/r+5}
     is attached alongside.
     """
-    if min(norm_A_Cr, norm_A_op, norm_Ainv_op) <= 0:
-        raise ParameterError("norms must be positive")
-    if r <= 0:
-        raise ParameterError("need r > 0")
-    if norm_A_op * norm_Ainv_op < 1.0 - 1e-9:
-        raise ParameterError("||A|| ||A^{-1}|| >= 1 is violated")
+    _check_explicit(norm_A_Cr, norm_A_op, norm_Ainv_op, r, 0)
     C = constant_Cr_numeric(r)
     e_alg = 1.0 + 1.0 / r
     e_op = 2.0 * r + 2.0 / r + 3.0
@@ -312,15 +323,19 @@ def explicit_bound_Cr(norm_A_Cr, norm_A_op, norm_Ainv_op, r, measured=None):
     log_simple = (math.log(C) + (2.0 * r + 3.0 / r + 4.0) * math.log(norm_A_Cr)
                   + e_inv * math.log(norm_Ainv_op))
     return _report(
-        "explicit_Cr",
-        {"norm_A_alg": norm_A_Cr, "norm_A_op": norm_A_op,
-         "norm_Ainv_op": norm_Ainv_op, "r": r, "auxiliary": {}},
+        "explicit_Cr", norm_A_Cr, norm_A_op, norm_Ainv_op, r, {},
         {"C_r": C, "exponent_alg": e_alg, "exponent_op": e_op,
          "exponent_inv": e_inv, "rate_exponent": e_inv,
          "simplified_bound": exp_or_inf(log_simple),
          "simplified_exponent_alg": 2.0 * r + 3.0 / r + 4.0,
          "log_bound": log_bound},
         exp_or_inf(log_bound), measured)
+
+
+def _log_embedding(r):
+    """log (2 zeta(r) - 1), the constant of ||A||_op <= (2 zeta(r) - 1)
+    ||A||_Jr for r > 1."""
+    return math.log(2.0 * zeta(r) - 1.0)
 
 
 def derived_constant_Jr_log(r):
@@ -336,7 +351,7 @@ def derived_constant_Jr_log(r):
     log_g = _log_gamma_r(r)
     log_G = log_g + math.log(25.0 / 24.0) + r * (math.log(25.0 * r) - 1.0)
     log_2_3r = math.log(2.0) + r * math.log(3.0)
-    log_x0 = log_2_3r + log_g - math.log(2.0 * zeta(r) - 1.0)
+    log_x0 = log_2_3r + log_g - _log_embedding(r)
     mu = 1.0 + 2.0 * math.exp(-log_x0 / (r - 1.0))
     return (math.log(4.0) + r * math.log(mu) + (r / (r - 1.0)) * log_2_3r
             + (2.0 + 1.0 / (r - 1.0)) * log_G)
@@ -346,12 +361,7 @@ def explicit_bound_Jr(norm_A_Jr, norm_A_op, norm_Ainv_op, r, measured=None):
     """Factored bound C~_r ||A||_Jr^{1+1/(r-1)} ||A||^{2r+1+1/(r-1)}
     ||A^{-1}||^{2r+3+2/(r-1)}, plus the single-norm power form with
     C = ||A||_Jr and exponent 2r+2+2/(r-1)."""
-    if min(norm_A_Jr, norm_A_op, norm_Ainv_op) <= 0:
-        raise ParameterError("norms must be positive")
-    if r <= 1:
-        raise ParameterError("need r > 1")
-    if norm_A_op * norm_Ainv_op < 1.0 - 1e-9:
-        raise ParameterError("||A|| ||A^{-1}|| >= 1 is violated")
+    _check_explicit(norm_A_Jr, norm_A_op, norm_Ainv_op, r, 1)
     e_alg = 1.0 + 1.0 / (r - 1.0)
     e_op = 2.0 * r + 1.0 + 1.0 / (r - 1.0)
     e_inv = 2.0 * r + 3.0 + 2.0 / (r - 1.0)
@@ -359,13 +369,11 @@ def explicit_bound_Jr(norm_A_Jr, norm_A_op, norm_Ainv_op, r, measured=None):
     log_bound = (log_C + e_alg * math.log(norm_A_Jr)
                  + e_op * math.log(norm_A_op) + e_inv * math.log(norm_Ainv_op))
     # single-norm form: every ||A||_op replaced via the zeta embedding
-    log_Cth = log_C + e_op * math.log(2.0 * zeta(r) - 1.0)
+    log_Cth = log_C + e_op * _log_embedding(r)
     log_thm = (log_Cth + (e_alg + e_op) * math.log(norm_A_Jr)
                + e_inv * math.log(norm_Ainv_op))
     return _report(
-        "explicit_Jr",
-        {"norm_A_alg": norm_A_Jr, "norm_A_op": norm_A_op,
-         "norm_Ainv_op": norm_Ainv_op, "r": r, "auxiliary": {}},
+        "explicit_Jr", norm_A_Jr, norm_A_op, norm_Ainv_op, r, {},
         {"C_tilde_r": exp_or_inf(log_C), "exponent_alg": e_alg,
          "exponent_op": e_op, "exponent_inv": e_inv,
          "rate_exponent": e_inv, "power_form_exponent_alg": e_alg + e_op,
@@ -377,7 +385,7 @@ def _geometric_sum(q, n):
     """(q^n - 1)/(q - 1) for q > 0: n at q = 1, inf when q^n overflows."""
     if abs(q - 1.0) <= 1e-12:
         return float(n)
-    if n * math.log(q) > _MAXLOG:
+    if n * math.log(q) > LOG_MAX:
         return math.inf
     return (q ** n - 1.0) / (q - 1.0)
 
@@ -401,9 +409,8 @@ def dd_domain_bound(norm_ainv_ambient, seminorm_a_dd, k, measured=None):
         simplified = exp_or_inf((k + 1.0) * math.log(norm_ainv_ambient)
                                  + k * math.log(seminorm_a_dd) + math.log(2.0))
     return _report(
-        "derivation_domain",
-        {"norm_A_alg": seminorm_a_dd, "norm_A_op": None,
-         "norm_Ainv_op": norm_ainv_ambient, "r": None, "auxiliary": {"k": k}},
+        "derivation_domain", seminorm_a_dd, None, norm_ainv_ambient, None,
+        {"k": k},
         {"q": q, "geometric_sum": gsum, "simplified_bound": simplified,
          "rate_exponent": k + 1.0},
         bound, measured)
@@ -425,9 +432,7 @@ def besov_bound(norm_ainv_ambient, norm_a_besov, r, measured=None):
     gsum = _geometric_sum(q, n)
     bound = norm_ainv_ambient * q * gsum
     return _report(
-        "besov_control",
-        {"norm_A_alg": norm_a_besov, "norm_A_op": None,
-         "norm_Ainv_op": norm_ainv_ambient, "r": r, "auxiliary": {"p": 1}},
+        "besov_control", norm_a_besov, None, norm_ainv_ambient, r, {"p": 1},
         {"q": q, "floor_r": n - 1, "geometric_sum": gsum, "constant": 1.0,
          "first_order": r < 1, "rate_exponent": float(n + 1)},
         bound, measured)
@@ -443,9 +448,7 @@ def bessel_rate_bound(norm_ainv_ambient, norm_a_bessel, r, measured=None):
     bound = exp_or_inf(3.0 * math.log(norm_ainv_ambient)
                         + 2.0 * math.log(norm_a_bessel))
     return _report(
-        "bessel_control",
-        {"norm_A_alg": norm_a_bessel, "norm_A_op": None,
-         "norm_Ainv_op": norm_ainv_ambient, "r": r, "auxiliary": {}},
+        "bessel_control", norm_a_bessel, None, norm_ainv_ambient, r, {},
         {"constant": 1.0, "rate_exponent": 3.0},
         bound, measured)
 
@@ -461,10 +464,8 @@ def dales_davie_bound(norm_ainv_ambient, gevrey_r, measured=None):
     log_idelta = math.log(norm_ainv_ambient)
     log_bound = log_idelta + log_phi_r_from_log(log_idelta, gevrey_r - 1.0)
     return _report(
-        "dales_davie",
-        {"norm_A_alg": 1.0, "norm_A_op": None,
-         "norm_Ainv_op": norm_ainv_ambient, "r": gevrey_r,
-         "auxiliary": {"normalized": True}},
+        "dales_davie", 1.0, None, norm_ainv_ambient, gevrey_r,
+        {"normalized": True},
         {"delta": 1.0 / norm_ainv_ambient, "gevrey_r": gevrey_r,
          "log_bound": log_bound},
         exp_or_inf(log_bound), measured)

@@ -211,13 +211,12 @@ def run_toeplitz_sharpness(cfg):
     rows, fits = [], {}
     for r in cfg.r_list:
         def one(gamma, r=r):
-            x = math.exp(-gamma)
-            s = 1.0 + 2.0 ** r * x
-            norm_A = cv_norm(resolvent_symbol(gamma), Weight.poly(r))
+            # the normalizer 1 + 2^r e^-gamma is the resolvent's C_r norm
+            s = cv_norm(resolvent_symbol(gamma), Weight.poly(r))
             series = cv_norm(geometric_inverse_symbol(gamma), Weight.poly(r))
             lo, hi = integral_test_bracket(gamma, r)
             return {
-                "gamma": gamma, "r": r, "norm_A_Cr": norm_A, "normalizer": s,
+                "gamma": gamma, "r": r, "norm_A_Cr": s, "normalizer": s,
                 "series_Cr": series, "bracket_low": lo, "bracket_high": hi,
                 "bracket_ok": bool(lo <= series <= hi),
                 "norm_inv_C0": s * c0[gamma], "norm_inv_Cr": s * series,
@@ -414,7 +413,8 @@ def run_besov_report(cfg):
     calibrations = {}
     for r in cfg.r_list:
         k = math.floor(r) + 1
-        scales = [1.0 + 2.0 ** r * math.exp(-g) for g in cfg.gamma_grid]
+        scales = [cv_norm(resolvent_symbol(g), Weight.poly(r))
+                  for g in cfg.gamma_grid]
         invs = [geometric_inverse_symbol(g, scale=s)
                 for g, s in zip(cfg.gamma_grid, scales)]
         ident = identification_rate_check(invs + shifts, r, t_min=t_min,

@@ -188,10 +188,10 @@ def difference_power(A, t, k):
 
 
 def rcond_estimate(A, Ainv):
-    """Reciprocal condition estimate from the 1-norms of A and its inverse."""
-    inv = Ainv.entries if isinstance(Ainv, LatticeMatrix) else Ainv
+    """Reciprocal condition estimate from the 1-norms of the section A and
+    the section Ainv of its inverse."""
     n1 = np.abs(require_section(A, "rcond_estimate").entries).sum(axis=0).max()
-    n2 = np.abs(inv).sum(axis=0).max()
+    n2 = np.abs(Ainv.entries).sum(axis=0).max()
     if n1 == 0 or n2 == 0:
         return 0.0
     return 1.0 / (n1 * n2)
@@ -207,11 +207,12 @@ def invert_truncated(A):
         inv = np.linalg.inv(require_section(A, "invert_truncated").entries)
     except np.linalg.LinAlgError as exc:
         raise SingularityError(f"window section is singular: {exc}", rcond=0.0)
-    rc = rcond_estimate(A, inv)
+    Ainv = LatticeMatrix(A.window, inv)
+    rc = rcond_estimate(A, Ainv)
     if not np.all(np.isfinite(inv)) or rc < RCOND_FLOOR:
         raise SingularityError(
             f"reciprocal condition {rc:.3e} below floor {RCOND_FLOOR:.1e}", rcond=rc)
-    return LatticeMatrix(A.window, inv)
+    return Ainv
 
 
 def singular_values(A):

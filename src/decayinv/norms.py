@@ -120,7 +120,7 @@ def jaffard_norm(A, r, margin=0):
     best = (float((prof.d * (1.0 + np.abs(prof.offsets)) ** r).max())
             if prof.d.size else 0.0)
     if prof.scale:
-        log_top, _ = poly_geometric_max(0.0, r, prof.rho, prof.tail_start)
+        log_top, _ = poly_geometric_max(r, prof.rho, prof.tail_start)
         best = max(best, prof.scale * math.exp(log_top))
     return best
 

@@ -12,7 +12,8 @@ import numpy as np
 
 from .errors import NumericalError, ParameterError
 
-_MAXLOG = math.log(np.finfo(float).max)   # ~709.78
+# log of the largest float, ~709.78: the one owner of the float range
+LOG_MAX = math.log(np.finfo(float).max)
 # log_concave_sum stops at this remainder bound relative to the sum, and
 # raises past this many terms
 _SERIES_TOL = 2.0 ** -53
@@ -67,13 +68,9 @@ def log_concave_sum(log_term, m0):
         f"log-concave series did not settle within {_SERIES_CAP} terms")
 
 
-def log_poly_geometric(ms, k, s, rho):
-    """log of m^k (1+m)^s rho^m at the float indices ms >= 0 (k, s >= 0),
-    with 0^0 = 1 and log 0^k = -inf for k > 0."""
-    if k == 0:
-        return s * np.log1p(ms) + ms * math.log(rho)
-    log_ms = np.log(ms, out=np.full_like(ms, -math.inf), where=ms > 0)
-    return k * log_ms + s * np.log1p(ms) + ms * math.log(rho)
+def log_poly_geometric(ms, s, rho):
+    """log of (1+m)^s rho^m at the float indices ms >= 0 (s >= 0)."""
+    return s * np.log1p(ms) + ms * math.log(rho)
 
 
 def polylog_tail_logs(rho, m0):
@@ -131,13 +128,13 @@ def log_weight_tail(r, rho, m0):
         r = int(r)
         log_v = next(itertools.islice(polylog_tail_logs(rho, m0 + 1), r, None))
         return log_v - math.log(rho), r + 1
-    return log_concave_sum(lambda ms: log_poly_geometric(ms, 0.0, r, rho), m0)
+    return log_concave_sum(lambda ms: log_poly_geometric(ms, r, rho), m0)
 
 
 def exp_or_inf(log_value):
     """exp(log_value), or inf where that is past float range: the one place
     a log turns into a float that may overflow."""
-    return math.exp(log_value) if log_value <= _MAXLOG else math.inf
+    return math.exp(log_value) if log_value <= LOG_MAX else math.inf
 
 
 def log_factorial(n):
@@ -197,18 +194,15 @@ def zeta(s):
     return 1.0 + (sum(j ** -s for j in range(n - 1, 1, -1)) + tail)
 
 
-def poly_geometric_max(k, s, rho, m0):
-    """(log max, argmax) over integers m >= m0 of m^k (1+m)^s rho^m, for
-    k, s >= 0 and 0 < rho < 1.  The real peak is the positive root of
-    lr m^2 + (lr+k+s) m + k = 0, lr = log rho; by log-concavity the integer
+def poly_geometric_max(s, rho, m0):
+    """(log max, argmax) over integers m >= m0 of (1+m)^s rho^m, for s >= 0
+    and 0 < rho < 1.  The real peak is m = (lr + s) / -lr, lr = log rho,
+    where the log's slope s/(1+m) + lr is 0; by log-concavity the integer
     max is a neighbour of it, or m0 when the peak lies below m0."""
     lr = math.log(rho)
-    b = lr + k + s
-    root = math.sqrt(b * b - 4.0 * lr * k)
-    peak = (b + root) / (-2.0 * lr) if b >= 0 else 2.0 * k / (root - b)
-    m = max(m0, math.floor(peak))
+    m = max(m0, math.floor((lr + s) / -lr))
     ms = np.array([m, m + 1], dtype=float)
-    logs = log_poly_geometric(ms, k, s, rho)
+    logs = log_poly_geometric(ms, s, rho)
     j = int(logs.argmax())
     return float(logs[j]), m + j
 
@@ -271,7 +265,7 @@ def log_phi_r_from_log(lx, r):
     inf once the peak index x^(1/r) of the series overflows."""
     if r <= 0:
         raise ParameterError("phi_r needs r > 0")
-    if lx / r > _MAXLOG:
+    if lx / r > LOG_MAX:
         return math.inf
     if r == 1.0:
         return math.exp(lx)      # exp series: log phi = x

@@ -16,7 +16,8 @@ kept.  The moves themselves, per file and column, come from
 
 which runs every file's command afresh, prints the largest relative move
 of each column that is not bit for bit the pinned one, and rewrites
-nothing.
+nothing.  It exits 1 when any pinned column moved and 0 otherwise, so
+that its exit status tells whether the goldens hold bit for bit.
 """
 
 import json
@@ -118,11 +119,15 @@ def moves(got, golden):
 
 def diff(names=tuple(RUNS)):
     """Print the moves of a fresh run of each named file, a line per moved
-    column: file, column and largest relative move."""
+    column: file, column and largest relative move.  True when any column
+    moved."""
+    any_moved = False
     for name in names:
         moved = moves(pinned(run(RUNS[name])), load(name))
         for col, move in sorted(moved.items()):
             print(f"{name}.json {col} {move:.2g}")
+        any_moved = any_moved or bool(moved)
+    return any_moved
 
 
 def versions():
@@ -168,8 +173,7 @@ def _dump(golden):
 
 if __name__ == "__main__":
     if sys.argv[1:] == ["--diff"]:
-        diff()
-        sys.exit(0)
+        sys.exit(1 if diff() else 0)
     GOLDEN.mkdir(exist_ok=True)
     for name in RUNS:
         write(name)

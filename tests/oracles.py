@@ -39,8 +39,8 @@ from scipy.special import gammaln
 
 from decayinv import (LatticeMatrix, ParameterError, apply_automorphism,
                       derivation_power, difference_power, operator_norm_l2)
-from decayinv.besov import (_blocks, _dropped_mass, _j_cap, _j_multipliers,
-                            _offset_weights, _shell_bounds, _slope_bounds)
+from decayinv.besov import (_blocks, _j_cap, _j_multipliers, _offset_weights,
+                            _shell_bounds, _slope_bounds)
 from decayinv.norms import (_DD_BLOCK, _DD_KCAP, _DD_TOL, DalesDavieValue,
                             decay_profile, dk_norm_log)
 
@@ -438,7 +438,10 @@ def hypersingular_every_cutoff(A, r):
     multipliers come from a call of their own.  Returns (value, error,
     eps)."""
     ms, w, geo = _offset_weights(A)
-    mass = _dropped_mass(geo)
+    mass = 0.0
+    if geo is not None:   # scale rho^(M+1) / (1 - rho) past the cut M
+        sc, rho, _, M = geo
+        mass = sc * rho ** (M + 1) / (1.0 - rho)
     best = (0.0, 0.0, 0.01)
     for eps in ((0.01, 0.03, 0.1, 0.3) if ms.size else ()):
         J, Jerr = _j_multipliers(ms, [eps], r)

@@ -87,7 +87,7 @@ def test_fractional_r_keeps_the_log_concave_sum(monkeypatch):
     monkeypatch.setattr(weights, "log_concave_sum", counted)
     q = 0.95
     log_value, terms = log_concave_sum(
-        lambda ks: log_poly_geometric(ks, 0.0, 2.5, q), 0)
+        lambda ks: log_poly_geometric(ks, 2.5, q), 0)
     assert weighted_geometric_series(q, 2.5) == (math.exp(log_value), terms)
     assert len(calls) == 1
     with pytest.raises(NumericalError, match="50000000 terms"):
@@ -283,7 +283,7 @@ def test_constant_Cr_numeric_exact_at_one():
                                                                  rel=1e-15)
     with pytest.raises(RangeError) as past:
         constant_Cr_numeric(93.6834)
-    assert past.value.log_value > bounds._MAXLOG
+    assert past.value.log_value > weights.LOG_MAX
 
 
 def test_explicit_Cr_report_shape():
@@ -296,6 +296,40 @@ def test_explicit_Cr_report_shape():
     assert rep.intermediates["simplified_bound"] >= rep.bound_value
     with pytest.raises(ParameterError):
         explicit_bound_Cr(2.0, 0.5, 1.0, 2.0)  # ||A||*||A^{-1}|| < 1
+
+
+@pytest.mark.parametrize("bound, r, want", [
+    (explicit_bound_Cr, 2.0, {"exponent_alg": 1.5, "exponent_op": 8.0,
+                              "exponent_inv": 10.0, "rate_exponent": 10.0,
+                              "simplified_exponent_alg": 9.5}),
+    (explicit_bound_Cr, 0.5, {"exponent_alg": 3.0, "exponent_op": 8.0,
+                              "exponent_inv": 10.0, "rate_exponent": 10.0,
+                              "simplified_exponent_alg": 11.0}),
+    (explicit_bound_Jr, 2.0, {"exponent_alg": 2.0, "exponent_op": 6.0,
+                              "exponent_inv": 9.0, "rate_exponent": 9.0,
+                              "power_form_exponent_alg": 8.0}),
+    (explicit_bound_Jr, 1.5, {"exponent_alg": 3.0, "exponent_op": 6.0,
+                              "exponent_inv": 10.0, "rate_exponent": 10.0,
+                              "power_form_exponent_alg": 9.0}),
+])
+def test_explicit_bounds_report_their_exponents(bound, r, want):
+    # 1 + 1/r, 2r + 2/r + 3, 2r + 2/r + 5 and 2r + 3/r + 4 for C_r;
+    # 1 + 1/(r-1), 2r + 1 + 1/(r-1), 2r + 3 + 2/(r-1) and their first two
+    # summed for J_r: exact in floats at these r
+    rep = bound(2.0, 1.8, 10.0, r)
+    assert {key: rep.intermediates[key] for key in want} == want
+    assert rep.inputs == {"norm_A_alg": 2.0, "norm_A_op": 1.8,
+                          "norm_Ainv_op": 10.0, "r": r, "auxiliary": {}}
+
+
+def test_explicit_bounds_reject_bad_inputs():
+    for bound, r_min in ((explicit_bound_Cr, 0), (explicit_bound_Jr, 1)):
+        with pytest.raises(ParameterError, match="norms must be positive"):
+            bound(2.0, 0.0, 1.0, 2.0)
+        with pytest.raises(ParameterError, match=f"^need r > {r_min}$"):
+            bound(2.0, 1.0, 1.0, float(r_min))
+        with pytest.raises(ParameterError, match="violated"):
+            bound(2.0, 0.5, 1.0, 2.0)
 
 
 def test_explicit_Jr_dominates_baskakov_Jr():

@@ -347,7 +347,7 @@ NEEDS_A_WINDOW = {
     "operator_norm_l2": lambda A: operator_norm_l2(A),
     "singular_values": lambda A: singular_values(A),
     "invert_truncated": lambda A: invert_truncated(A),
-    "rcond_estimate": lambda A: rcond_estimate(A, np.eye(4)),
+    "rcond_estimate": lambda A: rcond_estimate(A, LatticeMatrix(W, np.eye(W.n))),
     "apply_automorphism": lambda A: apply_automorphism(A, 0.2),
     "derivation_power": lambda A: derivation_power(A, 2),
     "derivation_power k=0": lambda A: derivation_power(A, 0),

@@ -458,11 +458,13 @@ def readers(path, names):
 
 # besov computes no norm of its own: an operator norm of a difference is
 # modulus_profile's, the hypersingular multiplier's is its own, and the
-# mass the profile's cut leaves out is a closed form; it takes no tail's
-# max, sums no series, and every other norm comes from norms
+# mass the profile's cut leaves out is the tail sum of norms.banded_error;
+# it takes no tail's max, sums no series, and every other norm comes from
+# norms
 BESOV_NORM_READERS = {
     "operator_norm_l2": {"modulus_profile", "hypersingular_seminorm"},
     "difference_power": {"modulus_profile", "hypersingular_seminorm"},
+    "banded_error": {"hypersingular_seminorm"},
     "poly_geometric_max": set(),
     "log_concave_sum": set(),
     "log_weight_tail": set(),
@@ -477,6 +479,25 @@ def test_besov_computes_no_norm_of_its_own():
                    if holder not in BESOV_NORM_READERS[name])
     assert stray == [], f"norms computed outside their owner: {stray}"
     assert ("operator_norm_l2", "modulus_profile") in found
+    assert ("banded_error", "hypersingular_seminorm") in found
+    assert "_dropped_mass" not in PACKAGE.joinpath("besov.py").read_text()
+
+
+def constants(path, value):
+    """Line of every literal equal to value, of value's type, in path."""
+    return [node.lineno for node in ast.walk(
+        ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Constant) and type(node.value) is type(value)
+        and node.value == value]
+
+
+def float_max_reads(path):
+    """Line of every np.finfo(...).max in path."""
+    return [node.lineno for node in ast.walk(
+        ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Attribute) and node.attr == "max"
+        and isinstance(node.value, ast.Call)
+        and getattr(node.value.func, "attr", None) == "finfo"]
 
 
 def test_each_numerical_rule_has_one_owner():
@@ -495,6 +516,19 @@ def test_each_numerical_rule_has_one_owner():
         for path in modules}
     assert {name: lines for name, lines in near_maxlog.items()
             if lines} == {}
+    # the float range is weights.LOG_MAX, and no other module reads it off
+    # np.finfo
+    maxima = {path.name: float_max_reads(path) for path in modules}
+    assert {name: lines for name, lines in maxima.items() if lines} == {}
+    assert len(float_max_reads(PACKAGE / "weights.py")) == 1
+
+
+def test_each_bound_rule_has_one_owner():
+    # the condition test kappa >= 1 - 1e-9 is bounds._check_condition's,
+    # and the inputs of a BoundReport are written by bounds._report alone
+    bounds = PACKAGE / "bounds.py"
+    assert len(constants(bounds, 1e-9)) == 1
+    assert len(constants(bounds, "norm_A_alg")) == 1
 
 
 # the smoothness functions: each measures in the c0 or the operator

@@ -83,28 +83,24 @@ def test_phi_r_matches_direct_sum(r):
 
 @seed(11)
 @settings(max_examples=40, deadline=None)
-@given(k=st.floats(min_value=0.0, max_value=40.0),
-       s=st.floats(min_value=0.0, max_value=4.0),
+@given(s=st.floats(min_value=0.0, max_value=44.0),
        gamma=st.floats(min_value=0.005, max_value=3.0),
        m0=st.integers(min_value=0, max_value=50))
-def test_poly_geometric_sum_and_max(k, s, gamma, m0):
-    # m^k (1+m)^s rho^m against fsum and a dense argmax over m0..60000,
-    # far past the peak (k+s)/gamma <= 8800: the last term is below
+def test_poly_geometric_sum_and_max(s, gamma, m0):
+    # (1+m)^s rho^m against fsum and a dense argmax over m0..60000, far
+    # past the peak s/gamma - 1 < 8800: the last term is below
     # e^-160 of the largest
     rho = math.exp(-gamma)
     ms = np.arange(m0, 60001, dtype=float)
-    logs = k * np.log(np.maximum(ms, 1.0)) + s * np.log1p(ms) \
-        + ms * math.log(rho)
-    if k > 0 and m0 == 0:
-        logs[0] = -math.inf
+    logs = s * np.log1p(ms) + ms * math.log(rho)
     j = int(logs.argmax())
     top = float(logs[j])
     want = top + math.log(math.fsum(np.exp(logs - top)))
     got, terms = log_concave_sum(
-        lambda m: log_poly_geometric(m, k, s, rho), m0)
+        lambda m: log_poly_geometric(m, s, rho), m0)
     assert abs(math.expm1(got - want)) <= 1e-12
     assert terms < ms.size
-    log_max, argmax = poly_geometric_max(k, s, rho, m0)
+    log_max, argmax = poly_geometric_max(s, rho, m0)
     assert argmax == m0 + j
     assert log_max == pytest.approx(top, rel=1e-15, abs=1e-15)
 
@@ -233,7 +229,7 @@ def test_integer_weight_tails_at_far_range_ends():
 
 def test_only_integer_exponents_read_the_polylog_tail(monkeypatch):
     # any other exponent is one log_concave_sum over the terms, bit for bit
-    want = log_concave_sum(lambda ms: log_poly_geometric(ms, 0.0, 2.5, 0.5), 3)
+    want = log_concave_sum(lambda ms: log_poly_geometric(ms, 2.5, 0.5), 3)
     assert log_weight_tail(2.5, 0.5, 3) == want
     calls = []
 
@@ -318,11 +314,9 @@ def test_log_factorial_matches_mpmath():
 
 
 def test_log_poly_geometric_at_zero_offset():
+    # the m = 0 term is (1+0)^s rho^0 = 1, with no floating-point warning
     ms = np.array([0.0, 1.0, 2.0])
     with np.errstate(all="raise"):
-        with_k = log_poly_geometric(ms, 2.0, 1.0, 0.5)
-        without_k = log_poly_geometric(ms, 0, 1.0, 0.5)
-    assert with_k[0] == -math.inf
-    assert with_k[2] == pytest.approx(math.log(4.0 * 3.0 * 0.25), rel=1e-15)
-    # 0^0 = 1: the m = 0 term is (1+0)^s rho^0 = 1
-    assert without_k[0] == 0.0
+        logs = log_poly_geometric(ms, 1.0, 0.5)
+    assert logs[0] == 0.0
+    assert logs[2] == pytest.approx(math.log(3.0 * 0.25), rel=1e-15)
